@@ -35,7 +35,7 @@ package analysis
 // SuiteVersion participates in voxel-vet's fact-cache key: bump it
 // whenever an analyzer's rules change so stale cached diagnostics are
 // never replayed against new rules.
-const SuiteVersion = "voxel-vet-1"
+const SuiteVersion = "voxel-vet-2"
 
 // Analyzers returns the full suite in deterministic order.
 func Analyzers() []*Analyzer {
@@ -70,6 +70,6 @@ var DeterministicPackages = []string{
 // //voxel:nilfree; this list exists because an annotation in package obs
 // is invisible to a caller-side pass over package quic.
 var knownNilFree = map[string]bool{
-	"voxel/internal/obs.Scope":        true,
+	"voxel/internal/obs.Scope":         true,
 	"voxel/internal/invariant.Checker": true,
 }

@@ -20,7 +20,10 @@ import (
 //     types (the value is boxed);
 //   - append forms other than self-append `x = append(x, ...)` — the
 //     pooled/amortized idiom whose backing array is preallocated and
-//     recycled; any other destination can grow a fresh array per call.
+//     recycled; any other destination can grow a fresh array per call;
+//   - method values (`x.M` not called on the spot, e.g. passed as a
+//     callback): each evaluation binds the receiver in a fresh closure.
+//     Bind once outside the hot path and pass the stored func.
 //
 // The annotation is deliberately opt-in and per-function: cold paths of
 // the same package (constructors, failure formatting) allocate freely.
@@ -62,12 +65,38 @@ func checkAllocFree(pass *Pass, fd *ast.FuncDecl) {
 			}
 			checkInterfaceConversion(pass, fd, n)
 			checkAppend(pass, fd, n, stack)
+		case *ast.SelectorExpr:
+			if sel := info.Selections[n]; sel != nil && sel.Kind() == types.MethodVal && !isCallee(n, stack) {
+				pass.Reportf(n.Pos(), "method value %s.%s binds its receiver in a fresh closure in //voxel:allocfree function %s: bind it once outside the hot path", exprKey(n.X), n.Sel.Name, fd.Name.Name)
+			}
 		case *ast.FuncLit:
 			if captured := capturedVars(pass, n); len(captured) > 0 {
 				pass.Reportf(n.Pos(), "closure captures %s in //voxel:allocfree function %s: the captured frame escapes to the heap", captured[0], fd.Name.Name)
 			}
 		}
 	})
+}
+
+// isCallee reports whether sel is the function operand of a call (modulo
+// parentheses): x.M(...) invokes the method without materializing a value.
+func isCallee(sel *ast.SelectorExpr, stack []ast.Node) bool {
+	parent, child := parentOf(sel, stack)
+	call, ok := parent.(*ast.CallExpr)
+	return ok && call.Fun == child
+}
+
+// parentOf returns n's nearest ancestor that is not a parenthesis, and that
+// ancestor's child on the path down to n (n itself, or its outermost paren).
+func parentOf(n ast.Node, stack []ast.Node) (parent, child ast.Node) {
+	child = n
+	for i := len(stack) - 1; i >= 0; i-- {
+		if p, ok := stack[i].(*ast.ParenExpr); ok {
+			child = p
+			continue
+		}
+		return stack[i], child
+	}
+	return nil, child
 }
 
 // insideFuncLit reports whether any ancestor is a func literal — nodes
@@ -159,19 +188,9 @@ func checkAppend(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr, stack []ast.N
 // enclosingAssign returns the assignment whose sole right-hand side is
 // this call (modulo parentheses), or nil.
 func enclosingAssign(call *ast.CallExpr, stack []ast.Node) *ast.AssignStmt {
-	child := ast.Node(call)
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch parent := stack[i].(type) {
-		case *ast.ParenExpr:
-			child = parent
-		case *ast.AssignStmt:
-			if len(parent.Rhs) == 1 && parent.Rhs[0] == child {
-				return parent
-			}
-			return nil
-		default:
-			return nil
-		}
+	parent, child := parentOf(call, stack)
+	if assign, ok := parent.(*ast.AssignStmt); ok && len(assign.Rhs) == 1 && assign.Rhs[0] == child {
+		return assign
 	}
 	return nil
 }

@@ -46,3 +46,22 @@ func pointerBox(it *item) any {
 func captureFree() func(int) int {
 	return func(n int) int { return n * 2 }
 }
+
+type timer struct {
+	fired  int
+	onFire func() // t.fire, bound once at construction
+}
+
+func (t *timer) fire() { t.fired++ }
+
+func run(fn func()) { fn() }
+
+// boundOnce calls a method directly and passes a func stored in a field:
+// neither materializes a method value.
+//
+//voxel:allocfree
+func boundOnce(t *timer) {
+	t.fire()
+	(t.fire)()
+	run(t.onFire)
+}

@@ -44,3 +44,16 @@ func grow(xs []int, n int) []int {
 	ys := append(xs, n) // want "append without a recycled destination"
 	return ys
 }
+
+type ticker struct{ fired int }
+
+func (t *ticker) tick() { t.fired++ }
+
+func schedule(fn func()) { fn() }
+
+// rebind passes a method value: every call binds t in a new closure.
+//
+//voxel:allocfree
+func rebind(t *ticker) {
+	schedule(t.tick) // want "method value t\\.tick binds its receiver"
+}

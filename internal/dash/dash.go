@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"voxel/internal/prep"
@@ -50,11 +51,16 @@ type RepInfo struct {
 	Segments   []SegmentInfo
 }
 
-// Manifest is the typed MPD.
+// Manifest is the typed MPD. It is immutable once built: MPD caches the
+// encoding on first use.
 type Manifest struct {
 	Title           string
 	SegmentDuration time.Duration
 	Reps            []RepInfo
+
+	mpdOnce sync.Once
+	mpd     []byte
+	mpdErr  error
 }
 
 // NumSegments returns the segment count (identical across representations).
@@ -172,7 +178,9 @@ type xmlSegmentURL struct {
 // formatRange renders "start-end" with an inclusive end, as HTTP ranges and
 // Listing 1 do.
 func formatRange(start, end int64) string {
-	return fmt.Sprintf("%d-%d", start, end-1)
+	b := strconv.AppendInt(make([]byte, 0, 24), start, 10)
+	b = append(b, '-')
+	return string(strconv.AppendInt(b, end-1, 10))
 }
 
 func parseRange(s string) (start, end int64, err error) {
@@ -256,7 +264,14 @@ func parsePoints(s string) ([]prep.QoEPoint, error) {
 	return out, nil
 }
 
-// EncodeMPD serializes the manifest to MPD XML.
+// MPD returns the manifest's MPD XML, encoded once and shared by every
+// caller (servers of many sessions and trials): treat it as read-only.
+func (m *Manifest) MPD() ([]byte, error) {
+	m.mpdOnce.Do(func() { m.mpd, m.mpdErr = m.EncodeMPD() })
+	return m.mpd, m.mpdErr
+}
+
+// EncodeMPD serializes the manifest to MPD XML into a fresh buffer.
 func (m *Manifest) EncodeMPD() ([]byte, error) {
 	doc := xmlMPD{
 		Xmlns:    "urn:mpeg:dash:schema:mpd:2011",

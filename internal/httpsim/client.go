@@ -80,8 +80,10 @@ type Response struct {
 	Unreliable bool
 
 	// OnBody fires per arriving chunk (possibly out of order on unreliable
-	// responses).
-	OnBody func(bodyOff int64, data []byte)
+	// responses) with its position and length in the body, and its bytes —
+	// nil for the content-free body of a ZeroObject. data is only valid
+	// during the call.
+	OnBody func(bodyOff, length int64, data []byte)
 	// OnLost fires when the transport gives up on a body range.
 	OnLost func(bodyOff, length int64)
 	// OnHead fires once the response head is parsed.
@@ -102,9 +104,8 @@ type Response struct {
 	failed   bool
 	reqStr   *quic.Stream
 	client   *Client
-	headBuf  []byte
-	headCov  quic.RangeSet // stream-offset coverage during the head phase
-	bodyBase uint64        // stream offset where the body starts (reliable path)
+	head     headBuf // reassembles the response head (reliable stream)
+	bodyBase uint64  // stream offset where the body starts (reliable path)
 
 	// retry state. gen invalidates callbacks wired by earlier attempts:
 	// a stale stream delivering late cannot corrupt the per-attempt head
@@ -169,6 +170,11 @@ type Client struct {
 	// inflight tracks unresolved responses in issue order, so the sweep on
 	// a connection close fails them in a deterministic order.
 	inflight []*Response
+
+	// gapScratch is AppendGaps scratch for body delivery. Bytes and loss
+	// reports only ever arrive from link events, so no callback re-enters
+	// delivery while a gap list is being walked.
+	gapScratch []quic.ByteRange
 }
 
 type pendingRef struct {
@@ -185,8 +191,8 @@ type earlyStream struct {
 }
 
 type earlyChunk struct {
-	off  uint64
-	data []byte
+	off, n uint64
+	data   []byte // nil for a content-free chunk
 }
 
 // NewClient wires a Client to the connection. It takes over the
@@ -280,18 +286,17 @@ func (c *Client) issue(r *Response) {
 	r.gen++
 	gen := r.gen
 	r.headDone = false
-	r.headBuf = nil
-	r.headCov = quic.RangeSet{}
+	r.head = headBuf{}
 	r.bodyBase = 0
 	r.finSeen = false
 	st := c.conn.OpenStream(false)
 	r.reqStr = st
-	st.OnData(func(off uint64, data []byte) {
+	st.OnData(func(off, n uint64, data []byte) {
 		if r.gen != gen {
 			return
 		}
 		r.touch()
-		r.onReliableData(off, data)
+		r.onReliableData(off, n, data)
 	})
 	st.OnFin(func(sz uint64) {
 		if r.gen != gen {
@@ -429,51 +434,45 @@ func (c *Client) onConnClose(err error) {
 
 // onReliableData handles bytes on the request's reliable stream: first the
 // response head, then (for reliable responses) the body.
-func (r *Response) onReliableData(off uint64, data []byte) {
+func (r *Response) onReliableData(off, n uint64, data []byte) {
 	if !r.headDone {
 		// Stream frames can arrive out of order; buffer with coverage
 		// tracking until the head terminator sits in the contiguous prefix.
-		need := off + uint64(len(data))
-		if uint64(len(r.headBuf)) < need {
-			nb := make([]byte, need)
-			copy(nb, r.headBuf)
-			r.headBuf = nb
-		}
-		copy(r.headBuf[off:], data)
-		r.headCov.Add(off, need)
-		contig := r.headCov.ContiguousFrom(0)
-		end := headEnd(r.headBuf[:contig])
+		end := r.head.add(off, n, data)
 		if end < 0 {
 			return
 		}
-		r.parseHead(r.headBuf[:end])
+		buf := r.head.buf
+		r.parseHead(buf[:end])
 		r.bodyBase = uint64(end)
-		// Deliver any body bytes that were buffered during the head phase,
-		// respecting coverage (gaps stay gaps).
-		for _, cr := range r.headCov.Ranges() {
-			if cr.End <= r.bodyBase {
-				continue
+		// Deliver any body bytes that overtook the head, respecting coverage
+		// (gaps stay gaps): what lies inside buf is real, the rest elided.
+		for _, cr := range r.head.cov.Ranges() {
+			real := min(max(cr.Start, uint64(len(buf))), cr.End)
+			if real > cr.Start {
+				r.onReliableData(cr.Start, real-cr.Start, buf[cr.Start:real])
 			}
-			start := cr.Start
-			if start < r.bodyBase {
-				start = r.bodyBase
+			if cr.End > real {
+				r.onReliableData(real, cr.End-real, nil)
 			}
-			r.deliverBody(int64(start-r.bodyBase), r.headBuf[start:cr.End])
 		}
-		r.headBuf = nil
+		r.head = headBuf{}
 		return
 	}
 	if r.Unreliable {
 		return // body travels on the unreliable stream
 	}
-	if off+uint64(len(data)) <= r.bodyBase {
+	if off+n <= r.bodyBase {
 		return
 	}
 	if off < r.bodyBase {
-		data = data[r.bodyBase-off:]
-		off = r.bodyBase
+		skip := r.bodyBase - off
+		if data != nil {
+			data = data[skip:]
+		}
+		off, n = r.bodyBase, n-skip
 	}
-	r.deliverBody(int64(off-r.bodyBase), data)
+	r.deliverBody(int64(off-r.bodyBase), int64(n), data)
 }
 
 func (r *Response) parseHead(head []byte) {
@@ -505,30 +504,40 @@ func (r *Response) parseHead(head []byte) {
 	}
 }
 
-func (r *Response) deliverBody(bodyOff int64, data []byte) {
-	if len(data) == 0 {
+// deliverBody records n arriving body bytes at bodyOff (data nil when they
+// are content-free) and surfaces the part not seen before.
+func (r *Response) deliverBody(bodyOff, n int64, data []byte) {
+	if n == 0 {
 		return
 	}
+	c := r.client
 	start := uint64(bodyOff)
-	end := start + uint64(len(data))
-	gaps := r.received.Gaps(start, end)
+	end := start + uint64(n)
+	gaps := r.received.AppendGaps(c.gapScratch[:0], start, end)
 	r.received.Add(start, end)
 	if r.OnBody != nil {
 		for _, g := range gaps {
-			r.OnBody(int64(g.Start), data[g.Start-start:g.End-start])
+			var chunk []byte
+			if data != nil {
+				chunk = data[g.Start-start : g.End-start]
+			}
+			r.OnBody(int64(g.Start), int64(g.Len()), chunk)
 		}
 	}
+	c.gapScratch = gaps[:0]
 	r.maybeComplete(r.finSeen)
 }
 
 func (r *Response) deliverLoss(bodyOff, length int64) {
-	start, end := uint64(bodyOff), uint64(bodyOff+length)
-	for _, g := range r.received.Gaps(start, end) {
+	c := r.client
+	gaps := r.received.AppendGaps(c.gapScratch[:0], uint64(bodyOff), uint64(bodyOff+length))
+	for _, g := range gaps {
 		r.lost.Add(g.Start, g.End)
 		if r.OnLost != nil {
-			r.OnLost(int64(g.Start), int64(g.End-g.Start))
+			r.OnLost(int64(g.Start), int64(g.Len()))
 		}
 	}
+	c.gapScratch = gaps[:0]
 	r.maybeComplete(r.finSeen)
 }
 
@@ -552,17 +561,8 @@ func (r *Response) maybeComplete(finKnown bool) {
 	if r.complete || !r.headDone || !finKnown {
 		return
 	}
-	if r.BodyLen > 0 {
-		var union quic.RangeSet
-		for _, rr := range r.received.Ranges() {
-			union.Add(rr.Start, rr.End)
-		}
-		for _, rr := range r.lost.Ranges() {
-			union.Add(rr.Start, rr.End)
-		}
-		if !union.Contains(0, uint64(r.BodyLen)) {
-			return
-		}
+	if r.BodyLen > 0 && !quic.CoveredBy(&r.received, &r.lost, 0, uint64(r.BodyLen)) {
+		return
 	}
 	r.complete = true
 	if r.deadline != nil {
@@ -588,7 +588,7 @@ func (c *Client) adopt(streamID uint64, r *Response) {
 		delete(c.earlyStreams, streamID)
 		c.bind(early.st, ref)
 		for _, ch := range early.chunks {
-			r.deliverBody(int64(ch.off), ch.data)
+			r.deliverBody(int64(ch.off), int64(ch.n), ch.data)
 		}
 		for _, l := range early.losses {
 			r.deliverLoss(int64(l[0]), int64(l[1]))
@@ -605,38 +605,19 @@ func (c *Client) onServerStream(st *quic.Stream) {
 		c.bind(st, ref)
 		return
 	}
-	// Head not seen yet: buffer.
+	// Head not seen yet: buffer until adopt rebinds the stream's callbacks.
 	early := &earlyStream{st: st}
 	c.earlyStreams[st.ID()] = early
-	st.OnData(func(off uint64, data []byte) {
-		if ref, ok := c.pendingByStream[st.ID()]; ok {
-			if ref.r.gen == ref.gen {
-				ref.r.touch()
-				ref.r.deliverBody(int64(off), data)
-			}
-			return
+	st.OnData(func(off, n uint64, data []byte) {
+		if data != nil {
+			data = append([]byte(nil), data...) // outlives the packet buffer
 		}
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		early.chunks = append(early.chunks, earlyChunk{off: off, data: cp})
+		early.chunks = append(early.chunks, earlyChunk{off: off, n: n, data: data})
 	})
 	st.OnLost(func(off, n uint64) {
-		if ref, ok := c.pendingByStream[st.ID()]; ok {
-			if ref.r.gen == ref.gen {
-				ref.r.touch()
-				ref.r.deliverLoss(int64(off), int64(n))
-			}
-			return
-		}
 		early.losses = append(early.losses, [2]uint64{off, n})
 	})
 	st.OnFin(func(final uint64) {
-		if ref, ok := c.pendingByStream[st.ID()]; ok {
-			if ref.r.gen == ref.gen {
-				ref.r.onUnreliableFin(final)
-			}
-			return
-		}
 		early.fin = true
 		early.final = final
 	})
@@ -647,10 +628,10 @@ func (c *Client) onServerStream(st *quic.Stream) {
 func (c *Client) bind(st *quic.Stream, ref pendingRef) {
 	r := ref.r
 	gen := ref.gen
-	st.OnData(func(off uint64, data []byte) {
+	st.OnData(func(off, n uint64, data []byte) {
 		if r.gen == gen {
 			r.touch()
-			r.deliverBody(int64(off), data)
+			r.deliverBody(int64(off), int64(n), data)
 		}
 	})
 	st.OnLost(func(off, n uint64) {

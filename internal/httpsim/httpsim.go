@@ -12,11 +12,13 @@
 package httpsim
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
+
+	"voxel/internal/quic"
 )
 
 // HeaderUnreliable requests unreliable body delivery.
@@ -28,9 +30,8 @@ const HeaderStream = "x-voxel-stream"
 // Object is server-side content addressable by byte ranges.
 type Object interface {
 	Size() int64
-	// ReadAt returns length bytes at offset. The returned slice is only
-	// valid until the next call.
-	ReadAt(offset int64, length int) []byte
+	// WriteRange queues the object's bytes [offset, offset+length) on dst.
+	WriteRange(dst *quic.Stream, offset, length int64)
 }
 
 // Handler resolves request paths to objects.
@@ -50,37 +51,22 @@ type BytesObject []byte
 // Size implements Object.
 func (b BytesObject) Size() int64 { return int64(len(b)) }
 
-// ReadAt implements Object.
-func (b BytesObject) ReadAt(offset int64, length int) []byte {
-	return b[offset : offset+int64(length)]
+// WriteRange implements Object.
+func (b BytesObject) WriteRange(dst *quic.Stream, offset, length int64) {
+	dst.Write(b[offset : offset+length])
 }
 
 // ZeroObject serves n opaque bytes without materializing them — segment
-// payloads whose content is irrelevant to the experiments.
+// payloads whose content is irrelevant to the experiments. It hands the
+// transport a byte count, never a buffer (quic.Stream.WriteZeros).
 type ZeroObject int64
 
 // Size implements Object.
 func (z ZeroObject) Size() int64 { return int64(z) }
 
-// zeroBuf holds the shared all-zero backing slice; it is read and grown via
-// atomic loads/stores because concurrent trials serve payloads from it.
-var zeroBuf atomic.Value
-
-func init() { zeroBuf.Store(make([]byte, 64<<10)) }
-
-// ReadAt implements Object.
-func (z ZeroObject) ReadAt(offset int64, length int) []byte {
-	buf := zeroBuf.Load().([]byte)
-	if length <= len(buf) {
-		return buf[:length]
-	}
-	n := len(buf)
-	for length > n {
-		n *= 2
-	}
-	buf = make([]byte, n)
-	zeroBuf.Store(buf)
-	return buf[:length]
+// WriteRange implements Object.
+func (z ZeroObject) WriteRange(dst *quic.Stream, offset, length int64) {
+	dst.WriteZeros(int(length))
 }
 
 // RangeSpec lists requested [start, end) object ranges, in request order.
@@ -112,11 +98,16 @@ func (r RangeSpec) ObjectOffset(bodyOff int64) int64 {
 // header formatting
 
 func formatRangeHeader(r RangeSpec) string {
-	parts := make([]string, len(r))
+	b := append(make([]byte, 0, 6+16*len(r)), "bytes="...)
 	for i, rr := range r {
-		parts[i] = fmt.Sprintf("%d-%d", rr[0], rr[1]-1)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, rr[0], 10)
+		b = append(b, '-')
+		b = strconv.AppendInt(b, rr[1]-1, 10)
 	}
-	return "bytes=" + strings.Join(parts, ",")
+	return string(b)
 }
 
 func parseRangeHeader(v string) (RangeSpec, error) {
@@ -184,9 +175,44 @@ func parseHead(data []byte) (first string, headers map[string]string, err error)
 
 // headEnd finds the end of the head ("\r\n\r\n"); -1 if incomplete.
 func headEnd(data []byte) int {
-	idx := strings.Index(string(data), "\r\n\r\n")
+	idx := bytes.Index(data, []byte("\r\n\r\n"))
 	if idx < 0 {
 		return -1
 	}
 	return idx + 4
+}
+
+// headBuf reassembles the textual head at the front of a reliable stream
+// from frames that may arrive out of order. Only real bytes are buffered —
+// an elided range counts toward coverage alone — and the buffer grows
+// geometrically, so a head packet that arrives after the rest of its window
+// costs memory linear in the real bytes that overtook it.
+type headBuf struct {
+	buf []byte
+	cov quic.RangeSet // stream-offset coverage while the head is incomplete
+}
+
+// add records the stream range [off, off+n) (data nil when elided) and
+// returns the end of the head once its terminator lies in the contiguous
+// covered prefix, -1 until then.
+func (h *headBuf) add(off, n uint64, data []byte) int {
+	if data != nil {
+		h.buf = putAt(h.buf, off, data)
+	}
+	h.cov.Add(off, off+n)
+	contig := h.cov.ContiguousFrom(0)
+	if contig > uint64(len(h.buf)) {
+		contig = uint64(len(h.buf))
+	}
+	return headEnd(h.buf[:contig])
+}
+
+// putAt copies data to buf[off:], zero-extending buf (geometrically) first
+// if it is too short.
+func putAt(buf []byte, off uint64, data []byte) []byte {
+	if grow := int(off) + len(data) - len(buf); grow > 0 {
+		buf = append(buf, make([]byte, grow)...)
+	}
+	copy(buf[off:], data)
+	return buf
 }

@@ -56,7 +56,7 @@ func TestSimpleGet(t *testing.T) {
 	resp := fx.client.Get("/a", nil, false, nil)
 	got := make([]byte, len(obj))
 	var done bool
-	resp.OnBody = func(off int64, data []byte) { copy(got[off:], data) }
+	resp.OnBody = func(off, _ int64, data []byte) { copy(got[off:], data) }
 	resp.OnComplete = func() { done = true }
 	fx.s.RunUntil(30 * time.Second)
 	if !done {
@@ -91,7 +91,7 @@ func TestRangeRequest(t *testing.T) {
 	resp := fx.client.Get("/a", ranges, false, nil)
 	got := make([]byte, ranges.TotalBytes())
 	done := false
-	resp.OnBody = func(off int64, data []byte) { copy(got[off:], data) }
+	resp.OnBody = func(off, _ int64, data []byte) { copy(got[off:], data) }
 	resp.OnComplete = func() { done = true }
 	fx.s.RunUntil(5 * time.Second)
 	if !done || resp.Status != 206 {
@@ -120,7 +120,7 @@ func TestUnreliableDelivery(t *testing.T) {
 	resp := fx.client.Get("/a", nil, true, nil)
 	got := make([]byte, len(obj))
 	done := false
-	resp.OnBody = func(off int64, data []byte) { copy(got[off:], data) }
+	resp.OnBody = func(off, _ int64, data []byte) { copy(got[off:], data) }
 	resp.OnComplete = func() { done = true }
 	fx.s.RunUntil(30 * time.Second)
 	if !done {
@@ -175,7 +175,7 @@ func TestVoxelUnawareServerIgnoresHeader(t *testing.T) {
 	resp := fx.client.Get("/a", nil, true, nil)
 	done := false
 	got := make([]byte, len(obj))
-	resp.OnBody = func(off int64, data []byte) { copy(got[off:], data) }
+	resp.OnBody = func(off, _ int64, data []byte) { copy(got[off:], data) }
 	resp.OnComplete = func() { done = true }
 	fx.s.RunUntil(10 * time.Second)
 	if !done {

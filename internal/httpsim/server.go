@@ -33,22 +33,24 @@ func NewServer(conn *quic.Conn, handler Handler, opts ServerOptions) *Server {
 	return s
 }
 
+// onStream buffers a request stream until its head terminator shows up.
+// Unlike the client's headBuf it searches the whole buffer, holes included:
+// when a retransmitted request was split and its tail frame overtakes its
+// head, the terminator is found behind a zero-filled gap and the request is
+// answered with an error (405, or 400 if a header line was cut). The
+// committed goldens pin that; fixing it (use headBuf) moves chaos-mix and
+// sweep-shards and needs regenerated digests.
 func (s *Server) onStream(st *quic.Stream) {
 	var buf []byte
-	var handled bool
-	st.OnData(func(off uint64, data []byte) {
-		need := off + uint64(len(data))
-		if uint64(len(buf)) < need {
-			nb := make([]byte, need)
-			copy(nb, buf)
-			buf = nb
+	handled := false
+	st.OnData(func(off, _ uint64, data []byte) {
+		if handled || data == nil {
+			return
 		}
-		copy(buf[off:], data)
-		if !handled {
-			if end := headEnd(buf); end >= 0 {
-				handled = true
-				s.serve(st, buf[:end])
-			}
+		buf = putAt(buf, off, data)
+		if end := headEnd(buf); end >= 0 {
+			handled = true
+			s.serve(st, buf[:end])
 		}
 	})
 }
@@ -105,29 +107,17 @@ func (s *Server) serve(st *quic.Stream, head []byte) {
 	statusLine := fmt.Sprintf("HTTP/1.1 %d %s", status, statusText(status))
 	st.Write(encodeHead(statusLine, respHeaders))
 
-	writeBody := func(dst *quic.Stream) {
-		const chunk = 256 << 10
-		for _, r := range ranges {
-			for off := r[0]; off < r[1]; {
-				n := int(r[1] - off)
-				if n > chunk {
-					n = chunk
-				}
-				dst.Write(obj.ReadAt(off, n))
-				off += int64(n)
-			}
-		}
-	}
 	s.RequestsServed++
 	s.BytesServed += uint64(bodyLen)
+	dst := st
 	if wantUnreliable {
 		st.CloseWrite()
-		writeBody(bodyStream)
-		bodyStream.CloseWrite()
-	} else {
-		writeBody(st)
-		st.CloseWrite()
+		dst = bodyStream
 	}
+	for _, r := range ranges {
+		obj.WriteRange(dst, r[0], r[1]-r[0])
+	}
+	dst.CloseWrite()
 }
 
 func (s *Server) respondError(st *quic.Stream, code int) {

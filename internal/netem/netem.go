@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"time"
 
+	"voxel/internal/invariant"
 	"voxel/internal/sim"
 	"voxel/internal/trace"
 )
@@ -53,13 +54,19 @@ type Link struct {
 	delay    sim.Time
 	capacity int // max datagrams queued or in service
 
-	imp Impairment
-	rng *rand.Rand
+	imp  Impairment
+	rng  *rand.Rand
+	fate Fate // Apply's scratch: a local would escape through the interface call
 
-	queue     []queued
-	busyUntil sim.Time
-	serving   bool
-	stats     LinkStats
+	// Waiting datagrams are a ring, ring[(head+i) % len(ring)] for i < count;
+	// cur is the one in service. Only one ever is, so its completion
+	// callback (served) is bound once per link, not closed over per datagram.
+	ring        []queued
+	head, count int
+	cur         Datagram
+	served      func()
+	serving     bool
+	stats       LinkStats
 }
 
 type queued struct {
@@ -73,7 +80,9 @@ func NewLink(s *sim.Sim, rate func(sim.Time) float64, delay sim.Time, queuePacke
 	if queuePackets < 1 {
 		queuePackets = 1
 	}
-	return &Link{sim: s, rate: rate, delay: delay, capacity: queuePackets}
+	l := &Link{sim: s, rate: rate, delay: delay, capacity: queuePackets}
+	l.served = l.onServed
+	return l
 }
 
 // NewTraceLink builds a link whose rate follows tr.
@@ -104,7 +113,7 @@ func (l *Link) Stats() LinkStats { return l.stats }
 
 // QueueLen returns the number of datagrams queued or in service.
 func (l *Link) QueueLen() int {
-	n := len(l.queue)
+	n := l.count
 	if l.serving {
 		n++
 	}
@@ -113,13 +122,19 @@ func (l *Link) QueueLen() int {
 
 // Send offers a datagram to the link. It returns false (and drops the
 // datagram) when the drop-tail queue is full.
+//
+//voxel:allocfree
 func (l *Link) Send(d Datagram) bool {
 	l.stats.Sent++
 	if l.QueueLen() >= l.capacity {
 		l.stats.Dropped++
 		return false
 	}
-	l.queue = append(l.queue, queued{d: d, enqueued: l.sim.Now()})
+	if l.count == len(l.ring) {
+		l.growRing()
+	}
+	l.ring[(l.head+l.count)%len(l.ring)] = queued{d: d, enqueued: l.sim.Now()}
+	l.count++
 	if n := l.QueueLen(); n > l.stats.MaxQueue {
 		l.stats.MaxQueue = n
 	}
@@ -129,13 +144,28 @@ func (l *Link) Send(d Datagram) bool {
 	return true
 }
 
+// growRing doubles the ring, unrolling the live window to the front.
+func (l *Link) growRing() {
+	grown := make([]queued, 2*len(l.ring)+8)
+	for i := 0; i < l.count; i++ {
+		grown[i] = l.ring[(l.head+i)%len(l.ring)]
+	}
+	l.ring, l.head = grown, 0
+}
+
+// serveNext puts the head of the queue on the wire: it charges the
+// serialization time and schedules onServed for when the last bit leaves.
+//
+//voxel:allocfree
 func (l *Link) serveNext() {
-	if len(l.queue) == 0 {
+	if l.count == 0 {
 		l.serving = false
 		return
 	}
-	q := l.queue[0]
-	l.queue = l.queue[1:]
+	q := l.ring[l.head]
+	l.ring[l.head] = queued{}
+	l.head = (l.head + 1) % len(l.ring)
+	l.count--
 	l.serving = true
 	l.stats.QueueDelay += l.sim.Now() - q.enqueued
 
@@ -149,67 +179,76 @@ func (l *Link) serveNext() {
 	}
 	l.stats.BusyTime += serialization
 	l.stats.BytesSent += uint64(q.d.Size)
-	l.busyUntil = l.sim.Now() + serialization
 
-	deliver := q.d.Deliver
-	done := q.d.Done
-	if chk := l.sim.Checker(); chk.Enabled() && done != nil {
-		// Armed runs guard the Done contract per datagram: exactly one
-		// fate, so the callback must never run twice. The closure costs
-		// an allocation per datagram, paid only when checking is on.
-		size := q.d.Size
-		orig := done
-		ran := false
-		done = func() {
-			if ran {
-				chk.Failf("netem", "netem.done-exactly-once",
-					"Datagram.Done ran a second time (size %d)", size)
-			}
-			ran = true
-			orig()
-		}
+	l.cur = q.d
+	if chk := l.sim.Checker(); chk.Enabled() && q.d.Done != nil {
+		l.cur.Done = guardDone(chk, q.d)
 	}
-	l.sim.Schedule(serialization, func() {
-		var f Fate
-		if l.imp != nil {
-			l.imp.Apply(l.sim.Now(), l.rng, &f)
+	l.sim.Schedule(serialization, l.served)
+}
+
+// guardDone wraps d.Done for armed runs: exactly one fate per datagram, so
+// the callback must never run twice. The closure is an allocation per
+// datagram, paid only when checking is on.
+func guardDone(chk *invariant.Checker, d Datagram) func() {
+	ran := false
+	return func() {
+		if ran {
+			chk.Failf("netem", "netem.done-exactly-once",
+				"Datagram.Done ran a second time (size %d)", d.Size)
 		}
-		if f.Drop {
-			l.stats.ImpairedDrops++
-			if done != nil {
-				done()
-			}
-			l.serveNext()
-			return
-		}
-		l.stats.Delivered++
-		delay := l.delay + f.ExtraDelay
-		if deliver != nil {
-			l.sim.Schedule(delay, deliver)
-			if f.Duplicate {
-				l.stats.Duplicated++
-				l.sim.Schedule(delay, deliver)
-			}
-		}
-		// Same instant as the last delivery, later insertion sequence: the
-		// receiver always sees the bytes before the sender reclaims them.
-		if done != nil {
-			l.sim.Schedule(delay, done)
-		}
-		if chk := l.sim.Checker(); chk.Enabled() {
-			// Conservation at service completion: every datagram ever
-			// offered is exactly one of queue-dropped, impairment-dropped,
-			// delivered (this one included), or still queued behind us.
-			st := &l.stats
-			if accounted := st.Dropped + st.ImpairedDrops + st.Delivered +
-				uint64(len(l.queue)); st.Sent != accounted {
-				chk.Failf("netem", "netem.datagram-conservation",
-					"sent %d != dropped %d + impaired %d + delivered %d + queued %d",
-					st.Sent, st.Dropped, st.ImpairedDrops, st.Delivered, len(l.queue))
-			}
+		ran = true
+		d.Done()
+	}
+}
+
+// onServed runs when the datagram in service has left the serializer: the
+// impairment chain decides its fate and the next datagram enters service.
+//
+//voxel:allocfree
+func (l *Link) onServed() {
+	d := l.cur
+	l.cur = Datagram{}
+	f := &l.fate
+	*f = Fate{}
+	if l.imp != nil {
+		l.imp.Apply(l.sim.Now(), l.rng, f)
+	}
+	if f.Drop {
+		l.stats.ImpairedDrops++
+		if d.Done != nil {
+			d.Done()
 		}
 		l.serveNext()
-	})
+		return
+	}
+	l.stats.Delivered++
+	delay := l.delay + f.ExtraDelay
+	if d.Deliver != nil {
+		l.sim.Schedule(delay, d.Deliver)
+		if f.Duplicate {
+			l.stats.Duplicated++
+			l.sim.Schedule(delay, d.Deliver)
+		}
+	}
+	// Same instant as the last delivery, later insertion sequence: the
+	// receiver always sees the bytes before the sender reclaims them.
+	if d.Done != nil {
+		l.sim.Schedule(delay, d.Done)
+	}
+	if chk := l.sim.Checker(); chk.Enabled() {
+		// Conservation at service completion: every datagram ever
+		// offered is exactly one of queue-dropped, impairment-dropped,
+		// delivered (this one included), or still queued behind us.
+		st := &l.stats
+		if accounted := st.Dropped + st.ImpairedDrops + st.Delivered +
+			uint64(l.count); st.Sent != accounted {
+			chk.Failf("netem", "netem.datagram-conservation",
+				"sent %d != dropped %d + impaired %d + delivered %d + queued %d",
+				st.Sent, st.Dropped, st.ImpairedDrops, st.Delivered, l.count)
+		}
+	}
+	l.serveNext()
 }
 
 // Path is the duplex server↔client path through the router. Down carries

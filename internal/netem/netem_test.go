@@ -193,3 +193,68 @@ func TestPropertyConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSendDeliverZeroAllocs pins the link's steady state at 0 allocations
+// per datagram — Send, queueing, service completion, delivery and Done —
+// on a bare link and through every canonical impairment chain. The queue
+// wraps its ring many times over. (An armed invariant checker wraps Done
+// per datagram; that cost is for checked runs only and is not pinned here.)
+func TestSendDeliverZeroAllocs(t *testing.T) {
+	for _, profile := range Profiles() {
+		s := sim.New(1)
+		l := NewFixedLink(s, 1e9, time.Millisecond, 64)
+		down, _, err := NewProfile(profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if down != nil {
+			l.Impair(down, 1)
+		}
+		done := 0
+		var d Datagram
+		d = Datagram{Size: 1200, Deliver: func() {}, Done: func() {
+			done++
+			l.Send(d) // keep 16 in flight
+		}}
+		for i := 0; i < 16; i++ {
+			l.Send(d)
+		}
+		s.RunUntil(time.Second) // warm the ring and the kernel's event pool
+		before := done
+		if allocs := testing.AllocsPerRun(10, func() { s.RunUntil(s.Now() + 100*time.Millisecond) }); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per 100 ms of traffic, want 0", profile, allocs)
+		}
+		if done-before < 1000 {
+			t.Fatalf("%s: only %d datagrams finished in the measured windows", profile, done-before)
+		}
+	}
+}
+
+// TestFIFOAcrossRingGrowth grows the queue ring while its live window is
+// wrapped around the end of the backing array; order must survive.
+func TestFIFOAcrossRingGrowth(t *testing.T) {
+	s := sim.New(1)
+	l := NewFixedLink(s, 8e6, 0, 100) // 1 ms per 1000 B datagram
+	var order []int
+	next := 0
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			k := next
+			next++
+			l.Send(Datagram{Size: 1000, Deliver: func() { order = append(order, k) }})
+		}
+	}
+	send(8)
+	s.RunUntil(5500 * time.Microsecond) // five delivered, head advanced
+	send(7)                             // wraps the 8-slot ring
+	send(30)                            // grows it mid-wrap, twice
+	s.Run()
+	if len(order) != next {
+		t.Fatalf("delivered %d of %d", len(order), next)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("out of order delivery: %v", order)
+		}
+	}
+}

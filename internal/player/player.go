@@ -219,6 +219,8 @@ type Player struct {
 	// selective retransmission
 	retxActive *retxState
 
+	gapScratch []quic.ByteRange // result buffer of gaps
+
 	obs *obs.Scope // nil = telemetry disabled (all calls no-op)
 }
 
@@ -596,7 +598,7 @@ func (p *Player) issueRequests(dl *download, seg *dash.SegmentInfo) {
 			}
 			for _, r := range relSpec {
 				s0, e0 := uint64(r[0]-base), uint64(r[1]-base)
-				for _, g := range dl.state.received.Gaps(s0, e0) {
+				for _, g := range p.gaps(&dl.state.received, s0, e0) {
 					dl.state.lost.Add(g.Start, g.End)
 				}
 			}
@@ -673,13 +675,13 @@ func (p *Player) wireBody(dl *download, unreliable bool) {
 	if unreliable {
 		byteCtr = obs.CBytesUnreliable
 	}
-	body.OnBody = func(off int64, data []byte) {
+	body.OnBody = func(off, n int64, _ []byte) {
 		if dl.finished || p.dl != dl {
 			return
 		}
-		dl.gotBytes += len(data)
-		p.obs.Count(byteCtr, uint64(len(data)))
-		mapBody(spec, off, int64(len(data)), func(s, e int64) {
+		dl.gotBytes += int(n)
+		p.obs.Count(byteCtr, uint64(n))
+		mapBody(spec, off, n, func(s, e int64) {
 			dl.state.received.Add(uint64(s-segStart), uint64(e-segStart))
 		})
 	}
@@ -713,7 +715,7 @@ func (p *Player) wireBody(dl *download, unreliable bool) {
 		// are marked lost so scoring and selective retransmission see them.
 		for _, r := range spec {
 			s0, e0 := uint64(r[0]-segStart), uint64(r[1]-segStart)
-			for _, g := range dl.state.received.Gaps(s0, e0) {
+			for _, g := range p.gaps(&dl.state.received, s0, e0) {
 				dl.state.lost.Add(g.Start, g.End)
 			}
 		}
@@ -931,18 +933,25 @@ func (p *Player) scoreSegment(st *segState) float64 {
 		if be == bs {
 			continue
 		}
-		have := uint64(be-bs) - gapBytes(&st.received, uint64(bs), uint64(be))
+		have := uint64(be-bs) - p.gapBytes(&st.received, uint64(bs), uint64(be))
 		loss[i] = 1 - float64(have)/float64(be-bs)
 	}
 	return p.cfg.Model.Score(p.cfg.Metric, s, loss)
 }
 
-func gapBytes(rs *quic.RangeSet, start, end uint64) uint64 {
+func (p *Player) gapBytes(rs *quic.RangeSet, start, end uint64) uint64 {
 	var n uint64
-	for _, g := range rs.Gaps(start, end) {
+	for _, g := range p.gaps(rs, start, end) {
 		n += g.Len()
 	}
 	return n
+}
+
+// gaps returns the ranges of [start, end) that rs does not cover, in the
+// player's scratch: the result is valid until the next call.
+func (p *Player) gaps(rs *quic.RangeSet, start, end uint64) []quic.ByteRange {
+	p.gapScratch = rs.AppendGaps(p.gapScratch[:0], start, end)
+	return p.gapScratch
 }
 
 // --- selective retransmission (§4.2) ---
@@ -973,8 +982,8 @@ func (p *Player) maybeSelectiveRetx() {
 		rx := &retxState{seg: st, resp: resp}
 		p.retxActive = rx
 		segStart := seg.MediaRange[0]
-		resp.OnBody = func(off int64, data []byte) {
-			mapBody(spec, off, int64(len(data)), func(s, e int64) {
+		resp.OnBody = func(off, n int64, _ []byte) {
+			mapBody(spec, off, n, func(s, e int64) {
 				before := st.received.CoveredBytes()
 				st.received.Add(uint64(s-segStart), uint64(e-segStart))
 				recovered := st.received.CoveredBytes() - before
@@ -1006,9 +1015,7 @@ func (p *Player) segmentHoles(st *segState) []quic.ByteRange {
 	}
 	var holes []quic.ByteRange
 	for _, l := range st.lost.Ranges() {
-		for _, g := range st.received.Gaps(l.Start, l.End) {
-			holes = append(holes, g)
-		}
+		holes = st.received.AppendGaps(holes, l.Start, l.End)
 	}
 	return holes
 }

@@ -92,7 +92,6 @@ type sentPacket struct {
 	ackEliciting bool
 	streamFrames []*StreamFrame
 	ctrlFrames   []Frame
-	probe        bool
 }
 
 type rewrite struct {
@@ -174,13 +173,20 @@ type Conn struct {
 	// one goroutine), so reuse needs no synchronization.
 	spFree     []*sentPacket  // sentPacket freelist
 	sfFree     []*StreamFrame // StreamFrame freelist (send side)
-	bufFree    [][]byte       // packet encode buffers, returned after delivery
+	txFree     []*txRecord    // transmit records, returned after delivery
 	txFrames   []Frame        // frame list scratch for sendOnePacket
 	txAck      AckFrame       // ACK frame scratch for buildAck
-	rxAck      AckFrame       // ACK frame scratch for receive
-	rxStream   StreamFrame    // stream frame scratch for receive
-	rxLoss     LossReportFrame
-	ackScratch []*sentPacket // newly-acked scratch for onAck
+	rx         rxFrame        // frame decode scratch for receive
+	ackScratch []*sentPacket  // newly-acked scratch for onAck
+	gapScratch []ByteRange    // AppendGaps scratch for the streams' receive side
+}
+
+// txRecord carries one packet through the link: its encode buffer and the
+// two callbacks netem.Datagram needs, bound once when the pooled record is
+// first made, so handing a packet to the link allocates nothing.
+type txRecord struct {
+	buf           []byte
+	deliver, done func()
 }
 
 // NewPair creates a connected client/server pair over the path. The client
@@ -411,23 +417,26 @@ func (c *Conn) freeFrame(f *StreamFrame) {
 	c.sfFree = append(c.sfFree, f)
 }
 
-// getBuf returns an empty encode buffer sized for one packet.
+// getTx returns a transmit record from the pool.
 //
-//voxel:pool-get put=putBuf
-func (c *Conn) getBuf() []byte {
-	if n := len(c.bufFree); n > 0 {
-		b := c.bufFree[n-1]
-		c.bufFree = c.bufFree[:n-1]
-		return b[:0]
+//voxel:pool-get put=putTx
+func (c *Conn) getTx() *txRecord {
+	if n := len(c.txFree); n > 0 {
+		tx := c.txFree[n-1]
+		c.txFree = c.txFree[:n-1]
+		return tx
 	}
-	return make([]byte, 0, c.cfg.MTU+64)
+	tx := &txRecord{buf: make([]byte, 0, c.cfg.MTU+64)}
+	tx.deliver = func() { c.peer.receive(tx.buf) }
+	tx.done = func() { c.putTx(tx) }
+	return tx
 }
 
-// putBuf returns an encode buffer to the pool. Buffers come back after the
+// putTx returns a transmit record to the pool. Records come back after the
 // peer finished parsing the delivered packet (the receive path never
 // retains wire bytes), or immediately when the link dropped the datagram.
-func (c *Conn) putBuf(b []byte) {
-	c.bufFree = append(c.bufFree, b)
+func (c *Conn) putTx(tx *txRecord) {
+	c.txFree = append(c.txFree, tx)
 }
 
 // --- send path ---
@@ -475,6 +484,8 @@ func (c *Conn) hasAckElicitingPending() bool {
 
 // sendOnePacket assembles and transmits one packet; it returns false when
 // nothing was sent (no data, or blocked by congestion control).
+//
+//voxel:allocfree
 func (c *Conn) sendOnePacket() bool {
 	now := c.sim.Now()
 	canSendData := c.ctl.CanSend(c.cfg.MTU)
@@ -506,31 +517,23 @@ func (c *Conn) sendOnePacket() bool {
 		// Retransmissions of reliable stream data.
 		for len(c.retransmit) > 0 && budget > 64 {
 			f := c.retransmit[0]
-			hdr := streamFrameOverhead(f.StreamID, f.Offset, len(f.Data))
-			if hdr+len(f.Data) <= budget {
+			if f.wireSize() <= budget {
 				c.retransmit = c.retransmit[1:]
-				frames = append(frames, f)
-				budget -= f.wireSize()
-				sp.streamFrames = append(sp.streamFrames, f)
-				c.stats.RetransmitBytes += uint64(len(f.Data))
-				c.obs.Count(obs.CRetransmitBytes, uint64(len(f.Data)))
 			} else {
 				// Split: send a prefix now, keep the suffix queued.
-				avail := budget - hdr
+				avail := budget - streamFrameOverhead(f.StreamID, f.Offset, f.Len())
 				if avail <= 0 {
 					break
 				}
 				head := c.allocFrame()
-				head.StreamID, head.Offset = f.StreamID, f.Offset
-				head.Data, head.Unreliable = f.Data[:avail], f.Unreliable
-				f.Offset += uint64(avail)
-				f.Data = f.Data[avail:]
-				frames = append(frames, head)
-				budget -= head.wireSize()
-				sp.streamFrames = append(sp.streamFrames, head)
-				c.stats.RetransmitBytes += uint64(len(head.Data))
-				c.obs.Count(obs.CRetransmitBytes, uint64(len(head.Data)))
+				f.cutFront(head, avail)
+				f = head
 			}
+			frames = append(frames, f)
+			budget -= f.wireSize()
+			sp.streamFrames = append(sp.streamFrames, f)
+			c.stats.RetransmitBytes += uint64(f.Len())
+			c.obs.Count(obs.CRetransmitBytes, uint64(f.Len()))
 		}
 		// Application-level rewrites on unreliable streams (selective retx).
 		for len(c.rewrites) > 0 && budget > 64 {
@@ -577,9 +580,9 @@ func (c *Conn) sendOnePacket() bool {
 			frames = append(frames, f)
 			budget -= f.wireSize()
 			sp.streamFrames = append(sp.streamFrames, f)
-			c.sentData += uint64(len(f.Data))
-			c.stats.StreamBytesSent += uint64(len(f.Data))
-			c.obs.Count(obs.CStreamBytesSent, uint64(len(f.Data)))
+			c.sentData += uint64(f.Len())
+			c.stats.StreamBytesSent += uint64(f.Len())
+			c.obs.Count(obs.CStreamBytesSent, uint64(f.Len()))
 		}
 	}
 
@@ -589,17 +592,14 @@ func (c *Conn) sendOnePacket() bool {
 		return false
 	}
 
-	pkt := Packet{Number: c.nextPN, Frames: frames}
-	c.nextPN++
-	encoded := pkt.AppendTo(c.getBuf())
-	wireSize := len(encoded) + c.cfg.Overhead
+	elided := 0
+	for _, f := range sp.streamFrames {
+		elided += f.Elided
+	}
+	tx, wireSize := c.encodePacket(frames, elided)
 	sp.size = wireSize
-	sp.ackEliciting = pkt.AckEliciting()
-
-	c.stats.PacketsSent++
-	c.stats.BytesSent += uint64(len(encoded))
-	c.obs.Inc(obs.CPacketsSent)
-	c.obs.Count(obs.CBytesSent, uint64(len(encoded)))
+	// Everything but the leading ACK is tracked on sp and elicits an ACK.
+	sp.ackEliciting = len(sp.streamFrames)+len(sp.ctrlFrames) > 0
 
 	if sp.ackEliciting {
 		c.sentQ.push(sp)
@@ -622,16 +622,31 @@ func (c *Conn) sendOnePacket() bool {
 		// Nothing tracks a non-eliciting (ACK-only) packet; recycle it.
 		c.releaseSent(sp)
 	}
-
-	peer := c.peer
-	if !c.link.Send(netem.Datagram{
-		Size:    wireSize,
-		Deliver: func() { peer.receive(encoded) },
-		Done:    func() { c.putBuf(encoded) },
-	}) {
-		c.putBuf(encoded) // dropped at the queue: reclaim immediately
-	}
+	c.transmit(tx, wireSize)
 	return true
+}
+
+// encodePacket numbers, encodes and counts one packet of the given frames,
+// which leave elided payload bytes off the buffer. The caller finishes its
+// bookkeeping, then hands the record and the size on the link to transmit.
+func (c *Conn) encodePacket(frames []Frame, elided int) (tx *txRecord, wireSize int) {
+	pkt := Packet{Number: c.nextPN, Frames: frames}
+	c.nextPN++
+	tx = c.getTx()
+	tx.buf = pkt.AppendTo(tx.buf[:0])
+	size := len(tx.buf) + elided
+	c.stats.PacketsSent++
+	c.stats.BytesSent += uint64(size)
+	c.obs.Inc(obs.CPacketsSent)
+	c.obs.Count(obs.CBytesSent, uint64(size))
+	return tx, size + c.cfg.Overhead
+}
+
+// transmit offers an encoded packet to the link at its full wire size.
+func (c *Conn) transmit(tx *txRecord, wireSize int) {
+	if !c.link.Send(netem.Datagram{Size: wireSize, Deliver: tx.deliver, Done: tx.done}) {
+		c.putTx(tx) // dropped at the queue: reclaim immediately
+	}
 }
 
 // buildAck assembles the ACK frame for the received packet-number history
@@ -657,35 +672,19 @@ func (c *Conn) sendAckNow() {
 	if !c.ackPending {
 		return
 	}
-	ack := c.buildAck()
-	frames := append(c.txFrames[:0], ack)
-	pkt := Packet{Number: c.nextPN, Frames: frames}
-	c.txFrames = frames
-	c.nextPN++
+	c.txFrames = append(c.txFrames[:0], c.buildAck())
 	c.clearAckState()
-	encoded := pkt.AppendTo(c.getBuf())
-	c.stats.PacketsSent++
-	c.stats.BytesSent += uint64(len(encoded))
-	c.obs.Inc(obs.CPacketsSent)
-	c.obs.Count(obs.CBytesSent, uint64(len(encoded)))
-	peer := c.peer
-	if !c.link.Send(netem.Datagram{
-		Size:    len(encoded) + c.cfg.Overhead,
-		Deliver: func() { peer.receive(encoded) },
-		Done:    func() { c.putBuf(encoded) },
-	}) {
-		c.putBuf(encoded)
-	}
+	c.transmit(c.encodePacket(c.txFrames, 0))
 }
 
 // --- receive path ---
 
 // receive parses and dispatches one packet straight off the wire bytes:
 // after an allocation-free validation pass, frames are decoded one at a
-// time into per-connection scratch and handled in place. Stream payloads
-// are passed to the application as sub-slices of the wire buffer (nothing
-// downstream retains them), so steady-state receiving does not allocate or
-// copy.
+// time into per-connection scratch and handled in place. Real stream
+// payloads are passed to the application as sub-slices of the wire buffer
+// (nothing downstream retains them) and elided ones as a length, so
+// steady-state receiving does not allocate or copy.
 func (c *Conn) receive(encoded []byte) {
 	if c.closed {
 		return // packets arriving after close fall on the floor
@@ -697,9 +696,15 @@ func (c *Conn) receive(encoded []byte) {
 	if err != nil {
 		return
 	}
-	ackEliciting, err := walkFrames(payload)
-	if err != nil {
-		return // corrupt packets are dropped atomically, as before
+	// Validation pass: a packet with any malformed frame is dropped whole,
+	// before a single frame of it is acted on.
+	ackEliciting := false
+	for b := payload; len(b) > 0; {
+		var kind byte
+		if kind, b, err = decodeFrame(b, &c.rx); err != nil {
+			return
+		}
+		ackEliciting = ackEliciting || kind != frameTypeAck
 	}
 	c.stats.PacketsReceived++
 	c.obs.Inc(obs.CPacketsReceived)
@@ -709,62 +714,26 @@ func (c *Conn) receive(encoded []byte) {
 		c.idleTimer.Arm(c.cfg.IdleTimeout) // peer activity: push back teardown
 	}
 
-	// Dispatch pass. walkFrames validated the encoding, so the varint and
-	// bounds errors below cannot occur.
+	// Dispatch pass: same decoder, so it cannot fail now.
 	for b := payload; len(b) > 0; {
-		t := b[0]
-		switch {
-		case t == frameTypePing:
-			b = b[1:] // ack-eliciting only
-		case t == frameTypeAck:
-			rest := b[1:]
-			var n uint64
-			n, rest, _ = consumeVarint(rest)
-			f := &c.rxAck
-			f.Ranges = f.Ranges[:0]
-			for i := uint64(0); i < n; i++ {
-				var first, last uint64
-				first, rest, _ = consumeVarint(rest)
-				last, rest, _ = consumeVarint(rest)
-				f.Ranges = append(f.Ranges, AckRange{First: first, Last: last})
-			}
-			b = rest
-			c.onAck(f)
-		case t == frameTypeMaxData:
-			v, rest, _ := consumeVarint(b[1:])
-			if v > c.sendLimit {
+		var kind byte
+		kind, b, _ = decodeFrame(b, &c.rx)
+		switch kind {
+		case frameTypeAck:
+			c.onAck(&c.rx.ack)
+		case frameTypeMaxData:
+			if v := c.rx.maxData.Max; v > c.sendLimit {
 				c.sendLimit = v
 			}
-			b = rest
-		case t&^finBit == frameTypeStream || t&^finBit == frameTypeUStream:
-			rest := b[1:]
-			var id, off, length uint64
-			id, rest, _ = consumeVarint(rest)
-			off, rest, _ = consumeVarint(rest)
-			length, rest, _ = consumeVarint(rest)
-			f := &c.rxStream
-			f.StreamID = id
-			f.Offset = off
-			f.Data = rest[:length:length]
-			f.Fin = t&finBit != 0
-			f.Unreliable = t&^finBit == frameTypeUStream
-			b = rest[length:]
-			c.onStreamFrame(f)
-			f.Data = nil
-		case t == frameTypeLossReport:
-			rest := b[1:]
-			f := &c.rxLoss
-			f.StreamID, rest, _ = consumeVarint(rest)
-			f.Offset, rest, _ = consumeVarint(rest)
-			f.Length, rest, _ = consumeVarint(rest)
-			b = rest
+		case frameTypeStream:
+			c.onStreamFrame(&c.rx.stream)
+		case frameTypeLossReport:
+			f := &c.rx.loss
 			c.obs.Count(obs.CLossReportedBytes, f.Length)
 			c.obs.Event(obs.EvLossReport, int64(f.StreamID), int64(f.Offset), int64(f.Length))
 			if s := c.streams[f.StreamID]; s != nil {
 				s.handleLossReport(f)
 			}
-		default:
-			return // unreachable: walkFrames rejected unknown types
 		}
 	}
 
@@ -961,19 +930,19 @@ func (c *Conn) detectLosses(now sim.Time) {
 func (c *Conn) requeueLost(sp *sentPacket) {
 	for _, f := range sp.streamFrames {
 		if f.Unreliable {
-			c.stats.UnreliableLost += uint64(len(f.Data))
-			c.obs.Count(obs.CUnreliableLostBytes, uint64(len(f.Data)))
+			c.stats.UnreliableLost += uint64(f.Len())
+			c.obs.Count(obs.CUnreliableLostBytes, uint64(f.Len()))
 			c.ctrlQ = append(c.ctrlQ, &LossReportFrame{
 				StreamID: f.StreamID,
 				Offset:   f.Offset,
-				Length:   uint64(len(f.Data)),
+				Length:   uint64(f.Len()),
 			})
 			if f.Fin {
 				// The FIN must still reach the peer: resend an empty FIN
 				// frame reliably so the stream's final size is known.
 				fin := c.allocFrame()
 				fin.StreamID = f.StreamID
-				fin.Offset = f.Offset + uint64(len(f.Data))
+				fin.Offset = f.Offset + uint64(f.Len())
 				fin.Fin, fin.Unreliable = true, true
 				c.retransmit = append(c.retransmit, fin)
 			}
@@ -1039,31 +1008,17 @@ func (c *Conn) onPTO() {
 		return
 	}
 	// Send a probe to elicit an ACK that unblocks threshold loss detection.
-	frames := append(c.txFrames[:0], PingFrame{})
-	pkt := Packet{Number: c.nextPN, Frames: frames}
-	c.txFrames = frames
-	c.nextPN++
-	encoded := pkt.AppendTo(c.getBuf())
+	c.txFrames = append(c.txFrames[:0], PingFrame{})
 	sp := c.allocSent()
-	sp.pn = pkt.Number
-	sp.size = len(encoded) + c.cfg.Overhead
+	sp.pn = c.nextPN
+	tx, wireSize := c.encodePacket(c.txFrames, 0)
+	sp.size = wireSize
 	sp.sentAt = now
 	sp.ackEliciting = true
-	sp.probe = true
 	c.sentQ.push(sp)
 	c.elicSent++
 	c.elicBytes += uint64(sp.size)
-	c.stats.PacketsSent++
-	c.obs.Inc(obs.CPacketsSent)
-	c.obs.Count(obs.CBytesSent, uint64(len(encoded)))
 	c.lastAckElic = now
-	peer := c.peer
-	if !c.link.Send(netem.Datagram{
-		Size:    sp.size,
-		Deliver: func() { peer.receive(encoded) },
-		Done:    func() { c.putBuf(encoded) },
-	}) {
-		c.putBuf(encoded)
-	}
+	c.transmit(tx, wireSize)
 	c.armPTO()
 }

@@ -109,7 +109,7 @@ func TestCubicSharesFairlyBetweenTwoConnections(t *testing.T) {
 	for i, c := range []*Conn{c1, c2} {
 		i := i
 		c.OnStream(func(st *Stream) {
-			st.OnData(func(off uint64, data []byte) { recv[i] += uint64(len(data)) })
+			st.OnData(func(off, _ uint64, data []byte) { recv[i] += uint64(len(data)) })
 		})
 	}
 	for _, sv := range []*Conn{s1, s2} {

@@ -28,7 +28,7 @@ type collect struct {
 
 func newCollect(st *Stream, total int) *collect {
 	c := &collect{buf: make([]byte, total)}
-	st.OnData(func(off uint64, data []byte) {
+	st.OnData(func(off, _ uint64, data []byte) {
 		copy(c.buf[off:], data)
 	})
 	st.OnLost(func(off, n uint64) {
@@ -239,11 +239,11 @@ func TestWriteAtSelectiveRetransmission(t *testing.T) {
 	}
 	s.RunUntil(240 * time.Second)
 	// After recovery, holes may have been lost again; iterate once more.
-	for _, r := range clientStream.Received().Gaps(0, total) {
+	for _, r := range clientStream.Received().AppendGaps(nil, 0, total) {
 		st.WriteAt(r.Start, data[r.Start:r.End])
 	}
 	s.RunUntil(400 * time.Second)
-	if gaps := clientStream.Received().Gaps(0, total); len(gaps) > len(got.lost) {
+	if gaps := clientStream.Received().AppendGaps(nil, 0, total); len(gaps) > len(got.lost) {
 		t.Fatalf("recovery left %d gaps", len(gaps))
 	}
 	if !bytes.Equal(got.buf[:1000], data[:1000]) {
@@ -267,7 +267,7 @@ func TestBidirectionalRequestResponse(t *testing.T) {
 	resp := payload(100 << 10)
 	server.OnStream(func(st *Stream) {
 		var reqBuf []byte
-		st.OnData(func(off uint64, data []byte) {
+		st.OnData(func(off, _ uint64, data []byte) {
 			reqBuf = append(reqBuf, data...)
 		})
 		st.OnFin(func(uint64) {
@@ -279,7 +279,7 @@ func TestBidirectionalRequestResponse(t *testing.T) {
 	var got []byte
 	var fin bool
 	buf := make([]byte, len(resp))
-	st.OnData(func(off uint64, data []byte) { copy(buf[off:], data) })
+	st.OnData(func(off, _ uint64, data []byte) { copy(buf[off:], data) })
 	st.OnFin(func(sz uint64) { fin = true; got = buf[:sz] })
 	st.Write(req)
 	st.CloseWrite()

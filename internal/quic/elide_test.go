@@ -1,0 +1,166 @@
+package quic
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"testing"
+	"testing/quick"
+	"time"
+
+	"voxel/internal/netem"
+	"voxel/internal/obs"
+	"voxel/internal/sim"
+)
+
+// fixedWindow is a congestion controller with a constant window: with it a
+// transfer reaches a loss-free steady state (in-flight count, pools and
+// queues stop growing), which is what the allocation pin needs.
+type fixedWindow struct{ window, inflight int }
+
+func (f *fixedWindow) OnPacketSent(_ sim.Time, n int)      { f.inflight += n }
+func (f *fixedWindow) OnAck(_ sim.Time, n int, _ sim.Time) { f.inflight -= n }
+func (f *fixedWindow) OnLoss(_ sim.Time, n int, _ bool)    { f.inflight -= n }
+func (f *fixedWindow) OnRetransmissionTimeout(sim.Time)    {}
+func (f *fixedWindow) Window() int                         { return f.window }
+func (f *fixedWindow) InFlight() int                       { return f.inflight }
+func (f *fixedWindow) CanSend(n int) bool                  { return f.inflight+n <= f.window }
+
+// TestPacketPathZeroAllocs pins the whole per-packet path at 0 allocations
+// in steady state for a content-free body: Stream.nextFrame → sendOnePacket
+// → Link.Send → service completion → Conn.receive → handleData → OnData,
+// and the ACKs flowing back — with telemetry off and on.
+func TestPacketPathZeroAllocs(t *testing.T) {
+	for _, telemetry := range []bool{false, true} {
+		s := sim.New(1)
+		var sc *obs.Scope
+		if telemetry {
+			sc = obs.NewScope(func() time.Duration { return time.Duration(s.Now()) }, obs.Options{})
+		}
+		path := netem.NewFixedPath(s, 100e6, 1200)
+		cfg := Config{InitialMaxData: 1 << 40, Obs: sc}
+		srvCfg := cfg
+		srvCfg.Controller = &fixedWindow{window: 64 * 1252}
+		client, server := NewPair(s, path, cfg, srvCfg)
+		var got, elided uint64
+		client.OnStream(func(st *Stream) {
+			st.OnData(func(_, n uint64, data []byte) {
+				got += n
+				if data == nil {
+					elided += n
+				}
+			})
+		})
+		st := server.OpenStream(true)
+		st.WriteZeros(1 << 30)
+		s.RunUntil(10 * time.Second) // warm pools, scratch and (slowest) the event kernel's buckets
+		before := got
+		allocs := testing.AllocsPerRun(10, func() { s.RunUntil(s.Now() + 200*time.Millisecond) })
+		if allocs != 0 {
+			t.Errorf("telemetry=%v: %.1f allocs per 200 ms of steady-state transfer, want 0", telemetry, allocs)
+		}
+		if moved := got - before; moved < 1<<20 || elided != got {
+			t.Fatalf("telemetry=%v: moved %d B in the measured windows (%d of %d B elided)", telemetry, moved, elided, got)
+		}
+		if lost := server.Stats().PacketsDeclLost; lost != 0 {
+			t.Fatalf("telemetry=%v: %d packets lost; the pin needs a loss-free steady state", telemetry, lost)
+		}
+	}
+}
+
+// TestElidedFrameRoundTrip: decode(encode(f)) == f for elided frames, and a
+// packet's wire size is its encoded length plus the payload left out.
+func TestElidedFrameRoundTrip(t *testing.T) {
+	f := func(id, off uint32, n uint16, real []byte, fin, unrel bool) bool {
+		el := &StreamFrame{StreamID: uint64(id), Offset: uint64(off), Elided: int(n)%maxElided + 1, Fin: fin, Unreliable: unrel}
+		pkt := &Packet{Number: uint64(off), Frames: []Frame{
+			&AckFrame{Ranges: []AckRange{{First: 3, Last: 9}}},
+			el,
+			&StreamFrame{StreamID: uint64(id) + 2, Offset: 7, Data: real},
+			&LossReportFrame{StreamID: 1, Offset: uint64(n), Length: 5},
+		}}
+		enc := pkt.Encode()
+		if pkt.WireSize() != len(enc)+el.Elided || el.wireSize() != len(el.appendTo(nil))+el.Elided {
+			return false
+		}
+		dec, err := DecodePacket(enc)
+		if err != nil || len(dec.Frames) != 4 || dec.WireSize() != pkt.WireSize() {
+			return false
+		}
+		got := dec.Frames[2].(*StreamFrame)
+		return reflect.DeepEqual(dec.Frames[1], el) && got.Elided == 0 && bytes.Equal(got.Data, real)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(5))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDecodeRejectsBadElided: the elided bit on a truncated header, with a
+// zero length, or claiming more than a datagram can carry is malformed; and
+// the connection drops the whole packet, not just the frame.
+func TestDecodeRejectsBadElided(t *testing.T) {
+	el := byte(frameTypeUStream | elidedBit)
+	cases := [][]byte{
+		{packetHeaderByte, 0, el},                         // header cut after the type
+		{packetHeaderByte, 0, el, 4},                      // ... after the stream ID
+		{packetHeaderByte, 0, el, 4, 0},                   // ... after the offset
+		{packetHeaderByte, 0, el, 4, 0, 0x40},             // ... inside the length varint
+		{packetHeaderByte, 0, el, 4, 0, 0},                // elided, but nothing elided
+		{packetHeaderByte, 0, el, 4, 0, 0x80, 1, 0, 0},    // 65536 > maxElided
+		{packetHeaderByte, 0, frameTypePing, el, 4, 0, 0}, // valid frame first
+	}
+	for i, b := range cases {
+		if _, err := DecodePacket(b); err == nil {
+			t.Errorf("case %d: malformed elided frame decoded without error", i)
+		}
+	}
+	s := sim.New(1)
+	_, c := NewPair(s, netem.NewFixedPath(s, 10e6, 1200), Config{}, Config{})
+	for _, b := range cases {
+		c.receive(b)
+	}
+	if st := c.Stats(); st.PacketsReceived != 0 || len(c.streams) != 0 || c.ackPending {
+		t.Fatalf("malformed packets were acted on: %+v, %d streams, ackPending=%v", st, len(c.streams), c.ackPending)
+	}
+	ok := (&Packet{Number: 1, Frames: []Frame{&StreamFrame{StreamID: 4, Elided: 900, Unreliable: true}}}).Encode()
+	c.receive(ok)
+	if st := c.Stats(); st.PacketsReceived != 1 || c.streams[4].Received().CoveredBytes() != 900 {
+		t.Fatalf("well-formed elided packet not delivered: %+v", st)
+	}
+}
+
+// FuzzDecodePacket feeds arbitrary bytes to the one frame decoder: it must
+// never panic, and whatever it accepts must survive a canonical re-encode
+// unchanged, with WireSize == encoded length + elided payload.
+func FuzzDecodePacket(f *testing.F) {
+	f.Add((&Packet{Number: 9, Frames: []Frame{
+		&AckFrame{Ranges: []AckRange{{First: 1, Last: 4}}},
+		&StreamFrame{StreamID: 1, Offset: 1 << 20, Elided: 1180, Fin: true, Unreliable: true},
+		&StreamFrame{StreamID: 0, Data: []byte("HTTP/1.1 200 OK\r\n\r\n")},
+		&LossReportFrame{StreamID: 1, Offset: 5, Length: 6}, &MaxDataFrame{Max: 1 << 30}, PingFrame{},
+	}}).Encode())
+	f.Add([]byte{packetHeaderByte, 0, frameTypeStream | elidedBit, 0, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := DecodePacket(b)
+		if err != nil {
+			return
+		}
+		elided := 0
+		for _, fr := range p.Frames {
+			if sf, ok := fr.(*StreamFrame); ok {
+				if sf.Elided > 0 && sf.Data != nil {
+					t.Fatalf("frame both real and elided: %+v", sf)
+				}
+				elided += sf.Elided
+			}
+		}
+		enc := p.Encode()
+		if p.WireSize() != len(enc)+elided {
+			t.Fatalf("WireSize %d != %d encoded + %d elided", p.WireSize(), len(enc), elided)
+		}
+		again, err := DecodePacket(enc)
+		if err != nil || !reflect.DeepEqual(again, p) {
+			t.Fatalf("re-decode mismatch (%v):\n got %#v\nwant %#v", err, again, p)
+		}
+	})
+}

@@ -55,7 +55,7 @@ func TestConnTelemetryCounters(t *testing.T) {
 
 	var got uint64
 	client.OnStream(func(st *Stream) {
-		st.OnData(func(_ uint64, data []byte) { got += uint64(len(data)) })
+		st.OnData(func(_, _ uint64, data []byte) { got += uint64(len(data)) })
 	})
 	st := server.OpenStream(false)
 	payload := make([]byte, 64<<10)

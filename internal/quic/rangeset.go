@@ -86,9 +86,17 @@ func (s *RangeSet) CoveredBytes() uint64 {
 	return n
 }
 
-// Gaps returns the uncovered ranges within [start, end).
-func (s *RangeSet) Gaps(start, end uint64) []ByteRange {
-	var gaps []ByteRange
+// AppendGaps appends the uncovered ranges within [start, end) to dst and
+// returns the extended slice. Hot paths pass reusable scratch (dst[:0]) so
+// the common zero- or one-gap answer costs no allocation.
+func (s *RangeSet) AppendGaps(dst []ByteRange, start, end uint64) []ByteRange {
+	if end <= start {
+		return dst
+	}
+	// In-order arrival: nothing at or beyond start is covered yet.
+	if n := len(s.ranges); n == 0 || s.ranges[n-1].End <= start {
+		return append(dst, ByteRange{start, end})
+	}
 	cur := start
 	for _, r := range s.ranges {
 		if r.End <= cur {
@@ -98,19 +106,38 @@ func (s *RangeSet) Gaps(start, end uint64) []ByteRange {
 			break
 		}
 		if r.Start > cur {
-			gaps = append(gaps, ByteRange{cur, min64(r.Start, end)})
+			dst = append(dst, ByteRange{cur, r.Start})
 		}
-		if r.End > cur {
-			cur = r.End
-		}
+		cur = r.End
 		if cur >= end {
-			return gaps
+			return dst
 		}
 	}
-	if cur < end {
-		gaps = append(gaps, ByteRange{cur, end})
+	return append(dst, ByteRange{cur, end})
+}
+
+// CoveredBy reports whether every offset of [start, end) is covered by a or
+// by b, without building their union: one two-pointer walk over both sorted
+// range lists.
+func CoveredBy(a, b *RangeSet, start, end uint64) bool {
+	ra, rb := a.ranges, b.ranges
+	for cur := start; cur < end; {
+		for len(ra) > 0 && ra[0].End <= cur {
+			ra = ra[1:]
+		}
+		for len(rb) > 0 && rb[0].End <= cur {
+			rb = rb[1:]
+		}
+		switch {
+		case len(ra) > 0 && ra[0].Start <= cur:
+			cur = ra[0].End
+		case len(rb) > 0 && rb[0].Start <= cur:
+			cur = rb[0].End
+		default:
+			return false
+		}
 	}
-	return gaps
+	return true
 }
 
 // Ranges returns the covered ranges (read-only).
@@ -145,10 +172,3 @@ func (s *RangeSet) Max() (uint64, bool) {
 
 // IsEmpty reports whether no bytes are covered.
 func (s *RangeSet) IsEmpty() bool { return len(s.ranges) == 0 }
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}

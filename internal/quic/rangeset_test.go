@@ -55,7 +55,7 @@ func TestRangeSetGaps(t *testing.T) {
 	var s RangeSet
 	s.Add(10, 20)
 	s.Add(30, 40)
-	gaps := s.Gaps(0, 50)
+	gaps := s.AppendGaps(nil, 0, 50)
 	want := []ByteRange{{0, 10}, {20, 30}, {40, 50}}
 	if len(gaps) != len(want) {
 		t.Fatalf("gaps = %v, want %v", gaps, want)
@@ -65,10 +65,10 @@ func TestRangeSetGaps(t *testing.T) {
 			t.Fatalf("gaps = %v, want %v", gaps, want)
 		}
 	}
-	if g := s.Gaps(12, 18); g != nil {
+	if g := s.AppendGaps(nil, 12, 18); g != nil {
 		t.Fatalf("fully covered interval should have no gaps, got %v", g)
 	}
-	if g := s.Gaps(22, 28); len(g) != 1 || g[0] != (ByteRange{22, 28}) {
+	if g := s.AppendGaps(nil, 22, 28); len(g) != 1 || g[0] != (ByteRange{22, 28}) {
 		t.Fatalf("fully uncovered: %v", g)
 	}
 }
@@ -218,7 +218,7 @@ func TestPropertyRangeSetMatchesBitmap(t *testing.T) {
 		}
 		// Gaps + coverage must partition the universe.
 		var gapBytes uint64
-		for _, g := range s.Gaps(0, universe) {
+		for _, g := range s.AppendGaps(nil, 0, universe) {
 			gapBytes += g.Len()
 		}
 		return gapBytes+s.CoveredBytes() == universe

@@ -11,17 +11,16 @@ type Stream struct {
 	id         uint64
 	unreliable bool
 
-	// send state. Queued bytes live in the chunks handed to Write (one
-	// exact-size copy each); nextFrame slices frames straight out of the
-	// head chunk instead of re-copying, so a chunk is shared read-only with
-	// the frames cut from it until the garbage collector sees the last one.
-	sendChunks [][]byte // chunks not yet fully packetized
-	sendPos    int      // consumed bytes of sendChunks[0]
-	sendLen    int      // total unpacketized bytes across all chunks
-	sendBase   uint64   // stream offset of the next byte to packetize
-	finQueued  bool     // CloseWrite called
-	finSent    bool
-	finOffset  uint64
+	// send state. Queued bytes are a FIFO of runs: the real bytes handed to
+	// Write (one exact-size copy each) or a count of content-free bytes from
+	// WriteZeros. nextFrame slices frames straight out of the head run
+	// instead of re-copying, so a real run is shared read-only with the
+	// frames cut from it until the garbage collector sees the last one.
+	sendRuns  []sendRun // runs not yet fully packetized
+	sendLen   int       // total unpacketized bytes across all runs
+	sendBase  uint64    // stream offset of the next byte to packetize
+	finQueued bool      // CloseWrite called
+	finSent   bool
 
 	// receive state
 	received   RangeSet
@@ -29,11 +28,20 @@ type Stream struct {
 	finalKnown bool
 	finalSize  uint64
 
-	onData  func(offset uint64, data []byte)
+	onData  func(offset, length uint64, data []byte)
 	onLost  func(offset, length uint64)
 	onFin   func(finalSize uint64)
 	doneFin bool
 }
+
+// sendRun is one queued run of a stream's send buffer: the unpacketized
+// rest of a Write (data) or of a WriteZeros (zeros), never both.
+type sendRun struct {
+	data  []byte
+	zeros int
+}
+
+func (r *sendRun) len() int { return len(r.data) + r.zeros }
 
 // ID returns the stream ID. Client-initiated streams are even, server-
 // initiated odd.
@@ -52,8 +60,28 @@ func (s *Stream) Write(data []byte) {
 	}
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	s.sendChunks = append(s.sendChunks, cp)
+	s.sendRuns = append(s.sendRuns, sendRun{data: cp})
 	s.sendLen += len(cp)
+	s.conn.markActive(s)
+}
+
+// WriteZeros queues n content-free bytes — payload whose content no
+// receiver reads, such as segment bodies. They are framed, paced, counted
+// and lost exactly like n written bytes, but cost O(1) memory to queue and
+// travel as elided frames (see StreamFrame).
+func (s *Stream) WriteZeros(n int) {
+	if s.finQueued {
+		panic("quic: WriteZeros after CloseWrite")
+	}
+	if n <= 0 {
+		return
+	}
+	if k := len(s.sendRuns); k > 0 && s.sendRuns[k-1].data == nil {
+		s.sendRuns[k-1].zeros += n
+	} else {
+		s.sendRuns = append(s.sendRuns, sendRun{zeros: n})
+	}
+	s.sendLen += n
 	s.conn.markActive(s)
 }
 
@@ -82,10 +110,12 @@ func (s *Stream) WriteAt(offset uint64, data []byte) {
 	s.conn.queueUnreliableRewrite(s, offset, cp)
 }
 
-// OnData registers the receive callback; it fires once per arriving stream
-// frame with that frame's offset and payload. Frames can arrive out of
-// order; duplicate bytes are suppressed.
-func (s *Stream) OnData(fn func(offset uint64, data []byte)) { s.onData = fn }
+// OnData registers the receive callback; it fires for every newly covered
+// range of an arriving stream frame with the range's offset and length, and
+// its bytes — nil when the sender queued the range with WriteZeros. Frames
+// can arrive out of order; duplicate bytes are suppressed. data aliases the
+// packet buffer and is only valid during the call.
+func (s *Stream) OnData(fn func(offset, length uint64, data []byte)) { s.onData = fn }
 
 // OnLost registers the loss callback for unreliable streams; it fires when
 // the peer's transport gives up on a range.
@@ -120,10 +150,13 @@ func (s *Stream) pendingSendBytes() int {
 
 // nextFrame cuts up to maxData bytes of new data into a frame, or returns
 // nil when nothing is pending. The cut size depends only on how much data
-// is queued, never on chunk boundaries, so framing is identical to a flat
-// buffer. When the cut fits inside the head chunk the frame aliases it
-// (full-capacity slice: appends by a holder cannot scribble on the chunk);
-// only a cut spanning chunks copies.
+// is queued, never on run boundaries or on whether the bytes are real, so
+// framing is identical to a flat buffer. A cut inside a zero run yields an
+// elided frame; a cut inside a real run aliases it (full-capacity slice:
+// appends by a holder cannot scribble on the run); only a cut spanning runs
+// copies.
+//
+//voxel:allocfree
 func (s *Stream) nextFrame(maxData int) *StreamFrame {
 	if maxData <= 0 {
 		return nil
@@ -135,74 +168,90 @@ func (s *Stream) nextFrame(maxData int) *StreamFrame {
 	if n > maxData {
 		n = maxData
 	}
-	var data []byte
+	f := s.conn.allocFrame()
 	if n > 0 {
-		if head := s.sendChunks[0]; len(head)-s.sendPos >= n {
-			data = head[s.sendPos : s.sendPos+n : s.sendPos+n]
-			s.sendPos += n
-		} else {
-			data = make([]byte, 0, n)
-			for len(data) < n {
-				head := s.sendChunks[0][s.sendPos:]
-				take := n - len(data)
-				if take > len(head) {
-					take = len(head)
-				}
-				data = append(data, head[:take]...)
-				s.sendPos += take
-				if s.sendPos == len(s.sendChunks[0]) {
-					s.dropHeadChunk()
-				}
-			}
+		switch head := &s.sendRuns[0]; {
+		case head.zeros >= n:
+			f.Elided = n
+			head.zeros -= n
+		case len(head.data) >= n:
+			f.Data = head.data[:n:n]
+			head.data = head.data[n:]
+		default:
+			f.Data = s.cutSpanning(n)
 		}
 		s.sendLen -= n
-		if len(s.sendChunks) > 0 && s.sendPos == len(s.sendChunks[0]) {
-			s.dropHeadChunk()
+		if s.sendRuns[0].len() == 0 {
+			s.dropHeadRun()
 		}
 	}
-	f := s.conn.allocFrame()
 	f.StreamID = s.id
 	f.Offset = s.sendBase
-	f.Data = data
 	f.Unreliable = s.unreliable
 	s.sendBase += uint64(n)
 	if s.finQueued && s.sendLen == 0 && !s.finSent {
 		f.Fin = true
 		s.finSent = true
-		s.finOffset = s.sendBase
 	}
 	return f
 }
 
-// dropHeadChunk releases the fully-consumed head chunk. Frames cut from it
-// may still alias its bytes; the chunk stays alive through them until the
+// cutSpanning materializes a cut of n bytes that crosses run boundaries —
+// in practice the one frame per response holding an HTTP head and the first
+// bytes of a content-free body. Zero runs contribute the fresh buffer's
+// zeros. The last run touched stays at the head, possibly empty.
+func (s *Stream) cutSpanning(n int) []byte {
+	data := make([]byte, n)
+	for filled := 0; ; s.dropHeadRun() {
+		head := &s.sendRuns[0]
+		take := n - filled
+		if l := head.len(); take > l {
+			take = l
+		}
+		if head.zeros > 0 {
+			head.zeros -= take
+		} else {
+			copy(data[filled:], head.data[:take])
+			head.data = head.data[take:]
+		}
+		if filled += take; filled == n {
+			return data
+		}
+	}
+}
+
+// dropHeadRun releases the fully-consumed head run. Frames cut from a real
+// run may still alias its bytes; the run stays alive through them until the
 // last one is acked and freed.
-func (s *Stream) dropHeadChunk() {
-	s.sendChunks[0] = nil
-	s.sendChunks = s.sendChunks[1:]
-	s.sendPos = 0
+func (s *Stream) dropHeadRun() {
+	s.sendRuns[0] = sendRun{}
+	s.sendRuns = s.sendRuns[1:]
 }
 
 // handleData processes an arriving stream frame on the receive side.
+//
+//voxel:allocfree
 func (s *Stream) handleData(f *StreamFrame) {
-	if len(f.Data) > 0 {
-		start := f.Offset
-		end := f.Offset + uint64(len(f.Data))
+	end := f.Offset + uint64(f.Len())
+	if end > f.Offset {
 		// Suppress duplicate delivery: only surface sub-ranges not yet seen.
-		gaps := s.received.Gaps(start, end)
-		s.received.Add(start, end)
+		c := s.conn
+		gaps := s.received.AppendGaps(c.gapScratch[:0], f.Offset, end)
+		s.received.Add(f.Offset, end)
 		if s.onData != nil {
 			for _, g := range gaps {
-				s.onData(g.Start, f.Data[g.Start-start:g.End-start])
+				var data []byte
+				if f.Elided == 0 {
+					data = f.Data[g.Start-f.Offset : g.End-f.Offset]
+				}
+				s.onData(g.Start, g.Len(), data)
 			}
 		}
+		c.gapScratch = gaps[:0]
 	}
-	if f.Fin {
-		end := f.Offset + uint64(len(f.Data))
-		if !s.finalKnown || end > s.finalSize {
-			s.finalSize = end
-			s.finalKnown = true
-		}
+	if f.Fin && (!s.finalKnown || end > s.finalSize) {
+		s.finalSize = end
+		s.finalKnown = true
 	}
 	s.maybeFin()
 }
@@ -211,12 +260,15 @@ func (s *Stream) handleData(f *StreamFrame) {
 func (s *Stream) handleLossReport(f *LossReportFrame) {
 	start, end := f.Offset, f.Offset+f.Length
 	// Data that actually arrived (e.g. reordered past the report) wins.
-	for _, g := range s.received.Gaps(start, end) {
+	c := s.conn
+	gaps := s.received.AppendGaps(c.gapScratch[:0], start, end)
+	for _, g := range gaps {
 		s.lost.Add(g.Start, g.End)
 		if s.onLost != nil {
-			s.onLost(g.Start, g.End-g.Start)
+			s.onLost(g.Start, g.Len())
 		}
 	}
+	c.gapScratch = gaps[:0]
 	s.maybeFin()
 }
 
@@ -225,7 +277,9 @@ func (s *Stream) maybeFin() {
 	if s.doneFin || !s.finalKnown || s.onFin == nil {
 		return
 	}
-	if !s.fullyAccounted() {
+	// Every byte up to finalSize must be received or (unreliable streams)
+	// reported lost.
+	if !CoveredBy(&s.received, &s.lost, 0, s.finalSize) {
 		return
 	}
 	if chk := s.conn.sim.Checker(); chk.Enabled() && !s.unreliable && s.finalSize > 0 {
@@ -241,23 +295,4 @@ func (s *Stream) maybeFin() {
 	}
 	s.doneFin = true
 	s.onFin(s.finalSize)
-}
-
-// fullyAccounted reports whether every byte up to finalSize is either
-// received or (for unreliable streams) reported lost.
-func (s *Stream) fullyAccounted() bool {
-	if !s.finalKnown {
-		return false
-	}
-	if s.finalSize == 0 {
-		return true
-	}
-	var union RangeSet
-	for _, r := range s.received.Ranges() {
-		union.Add(r.Start, r.End)
-	}
-	for _, r := range s.lost.Ranges() {
-		union.Add(r.Start, r.End)
-	}
-	return union.Contains(0, s.finalSize)
 }

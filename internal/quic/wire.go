@@ -4,8 +4,9 @@
 // retransmitted by the transport. Loss on unreliable streams is detected by
 // the sender's ACK machinery and reported to the receiving application
 // through a reliable LOSS_REPORT frame, giving the client the "precise
-// knowledge about the losses" §4.2 relies on. Packets and frames use a real
-// QUIC-style varint wire encoding.
+// knowledge about the losses" §4.2 relies on. Packet and frame headers use
+// a real QUIC-style varint wire encoding; stream payload whose content
+// nobody reads (segment bodies) travels as a length — see StreamFrame.
 package quic
 
 import (
@@ -73,25 +74,29 @@ func varintLen(v uint64) int {
 }
 
 // Frame types. STREAM and USTREAM carry an explicit length and offset; FIN
-// is a flag bit on the type byte, as in RFC 9000.
+// and ELIDED are flag bits on the type byte, FIN as in RFC 9000.
 const (
 	frameTypePing       = 0x01
 	frameTypeAck        = 0x02
 	frameTypeMaxData    = 0x10
-	frameTypeStream     = 0x08 // reliable stream data; 0x09 with FIN
-	frameTypeUStream    = 0x30 // unreliable stream data; 0x31 with FIN
+	frameTypeStream     = 0x08 // reliable stream data; | finBit | elidedBit
+	frameTypeUStream    = 0x30 // unreliable stream data; | finBit | elidedBit
 	frameTypeLossReport = 0x38 // sender → receiver: unreliable range lost for good
 	finBit              = 0x01
+	elidedBit           = 0x02 // header only: the payload is Length content-free bytes
+	streamFlagBits      = finBit | elidedBit
 )
+
+// maxElided bounds the length an elided frame may claim: no datagram is larger.
+const maxElided = 1<<16 - 1
 
 // Frame is one QUIC* frame.
 type Frame interface {
 	// appendTo appends the wire encoding.
 	appendTo(b []byte) []byte
-	// wireSize returns the encoded size in bytes.
+	// wireSize returns the size on the wire in bytes; it exceeds the
+	// appendTo length by the payload an elided stream frame leaves out.
 	wireSize() int
-	// ackEliciting reports whether the frame must be acknowledged.
-	ackEliciting() bool
 }
 
 // PingFrame elicits an ACK; used as a PTO probe.
@@ -99,7 +104,6 @@ type PingFrame struct{}
 
 func (PingFrame) appendTo(b []byte) []byte { return append(b, frameTypePing) }
 func (PingFrame) wireSize() int            { return 1 }
-func (PingFrame) ackEliciting() bool       { return true }
 
 // AckRange is a closed interval of acknowledged packet numbers.
 type AckRange struct {
@@ -138,8 +142,6 @@ func (f *AckFrame) wireSize() int {
 	return n
 }
 
-func (f *AckFrame) ackEliciting() bool { return false }
-
 // MaxDataFrame raises the connection-level flow-control limit.
 type MaxDataFrame struct {
 	Max uint64
@@ -149,18 +151,38 @@ func (f *MaxDataFrame) appendTo(b []byte) []byte {
 	b = append(b, frameTypeMaxData)
 	return appendVarint(b, f.Max)
 }
-func (f *MaxDataFrame) wireSize() int      { return 1 + varintLen(f.Max) }
-func (f *MaxDataFrame) ackEliciting() bool { return true }
+func (f *MaxDataFrame) wireSize() int { return 1 + varintLen(f.Max) }
 
 // StreamFrame carries stream data. Unreliable reports whether it was sent
 // on an unreliable stream (USTREAM wire type); such frames are never
 // retransmitted.
+//
+// A frame's payload is either real — Data — or elided: Elided content-free
+// bytes that occupy the wire (packet budget, congestion and flow control,
+// link serialization all count them) but are never materialized. An elided
+// frame encodes its header only, with elidedBit set. Never both at once.
 type StreamFrame struct {
 	StreamID   uint64
 	Offset     uint64
 	Data       []byte
+	Elided     int
 	Fin        bool
 	Unreliable bool
+}
+
+// Len returns the payload length in stream bytes, real or elided.
+func (f *StreamFrame) Len() int { return len(f.Data) + f.Elided }
+
+// cutFront moves the first n payload bytes of f into head, leaving f the
+// remainder (the retransmit split when a lost frame no longer fits).
+func (f *StreamFrame) cutFront(head *StreamFrame, n int) {
+	head.StreamID, head.Offset, head.Unreliable = f.StreamID, f.Offset, f.Unreliable
+	if f.Elided > 0 {
+		head.Elided, f.Elided = n, f.Elided-n
+	} else {
+		head.Data, f.Data = f.Data[:n], f.Data[n:]
+	}
+	f.Offset += uint64(n)
 }
 
 func (f *StreamFrame) appendTo(b []byte) []byte {
@@ -171,19 +193,19 @@ func (f *StreamFrame) appendTo(b []byte) []byte {
 	if f.Fin {
 		t |= finBit
 	}
+	if f.Elided > 0 {
+		t |= elidedBit
+	}
 	b = append(b, t)
 	b = appendVarint(b, f.StreamID)
 	b = appendVarint(b, f.Offset)
-	b = appendVarint(b, uint64(len(f.Data)))
+	b = appendVarint(b, uint64(f.Len()))
 	return append(b, f.Data...)
 }
 
 func (f *StreamFrame) wireSize() int {
-	return 1 + varintLen(f.StreamID) + varintLen(f.Offset) +
-		varintLen(uint64(len(f.Data))) + len(f.Data)
+	return streamFrameOverhead(f.StreamID, f.Offset, f.Len()) + f.Len()
 }
-
-func (f *StreamFrame) ackEliciting() bool { return true }
 
 // streamFrameOverhead bounds the header size of a stream frame, used when
 // packing packets.
@@ -211,176 +233,90 @@ func (f *LossReportFrame) wireSize() int {
 	return 1 + varintLen(f.StreamID) + varintLen(f.Offset) + varintLen(f.Length)
 }
 
-func (f *LossReportFrame) ackEliciting() bool { return true }
-
-// walkFrames validates the wire encoding of a packet payload without
-// allocating and reports whether any frame is ack-eliciting. It accepts
-// exactly the payloads parseFrames accepts; the connection's receive path
-// uses it to validate a whole packet up front (so corrupt packets are
-// dropped atomically, as with DecodePacket) before dispatching frames from
-// the wire bytes in place.
-func walkFrames(b []byte) (ackEliciting bool, err error) {
-	for len(b) > 0 {
-		t := b[0]
-		switch {
-		case t == frameTypePing:
-			ackEliciting = true
-			b = b[1:]
-		case t == frameTypeAck:
-			rest := b[1:]
-			var n uint64
-			n, rest, err = consumeVarint(rest)
-			if err != nil {
-				return false, err
-			}
-			for i := uint64(0); i < n; i++ {
-				var first, last uint64
-				first, rest, err = consumeVarint(rest)
-				if err != nil {
-					return false, err
-				}
-				last, rest, err = consumeVarint(rest)
-				if err != nil {
-					return false, err
-				}
-				if first > last {
-					return false, fmt.Errorf("quic: invalid ack range %d..%d", first, last)
-				}
-			}
-			b = rest
-		case t == frameTypeMaxData:
-			ackEliciting = true
-			_, rest, err := consumeVarint(b[1:])
-			if err != nil {
-				return false, err
-			}
-			b = rest
-		case t&^finBit == frameTypeStream || t&^finBit == frameTypeUStream:
-			ackEliciting = true
-			rest := b[1:]
-			var length uint64
-			for k := 0; k < 3; k++ { // stream ID, offset, length
-				length, rest, err = consumeVarint(rest)
-				if err != nil {
-					return false, err
-				}
-			}
-			if uint64(len(rest)) < length {
-				return false, errors.New("quic: truncated stream frame")
-			}
-			b = rest[length:]
-		case t == frameTypeLossReport:
-			ackEliciting = true
-			rest := b[1:]
-			for k := 0; k < 3; k++ { // stream ID, offset, length
-				var err2 error
-				_, rest, err2 = consumeVarint(rest)
-				if err2 != nil {
-					return false, err2
-				}
-			}
-			b = rest
-		default:
-			return false, fmt.Errorf("quic: unknown frame type 0x%02x", t)
-		}
-	}
-	return ackEliciting, nil
+// rxFrame is decodeFrame's target: the frame it last decoded, in the member
+// its returned kind names. One per connection, so decoding does not allocate.
+type rxFrame struct {
+	ack     AckFrame
+	maxData MaxDataFrame
+	stream  StreamFrame // Data aliases the wire bytes
+	loss    LossReportFrame
 }
 
-// parseFrames decodes the payload of a packet.
-func parseFrames(b []byte) ([]Frame, error) {
-	var frames []Frame
-	for len(b) > 0 {
-		t := b[0]
+// decodeFrame decodes the frame at the front of b (len(b) > 0) into fr and
+// returns its kind — the frame type, with every STREAM/USTREAM variant
+// folded into frameTypeStream — and the remaining bytes. It is the only
+// frame decoder: the receive path's validation and dispatch passes and
+// DecodePacket all run it, so they accept exactly the same encodings.
+func decodeFrame(b []byte, fr *rxFrame) (kind byte, rest []byte, err error) {
+	t := b[0]
+	rest = b[1:]
+	switch {
+	case t == frameTypePing:
+	case t == frameTypeAck:
+		var n uint64
+		if n, rest, err = consumeVarint(rest); err != nil {
+			return 0, nil, err
+		}
+		fr.ack.Ranges = fr.ack.Ranges[:0]
+		for i := uint64(0); i < n; i++ {
+			var r AckRange
+			if r.First, rest, err = consumeVarint(rest); err != nil {
+				return 0, nil, err
+			}
+			if r.Last, rest, err = consumeVarint(rest); err != nil {
+				return 0, nil, err
+			}
+			if r.First > r.Last {
+				return 0, nil, fmt.Errorf("quic: invalid ack range %d..%d", r.First, r.Last)
+			}
+			fr.ack.Ranges = append(fr.ack.Ranges, r)
+		}
+	case t == frameTypeMaxData:
+		if fr.maxData.Max, rest, err = consumeVarint(rest); err != nil {
+			return 0, nil, err
+		}
+	case t&^streamFlagBits == frameTypeStream || t&^streamFlagBits == frameTypeUStream:
+		f := &fr.stream
+		var length uint64
+		if f.StreamID, f.Offset, length, rest, err = consumeVarint3(rest); err != nil {
+			return 0, nil, err
+		}
+		f.Fin = t&finBit != 0
+		f.Unreliable = t&^streamFlagBits == frameTypeUStream
+		f.Data, f.Elided = nil, 0
 		switch {
-		case t == frameTypePing:
-			frames = append(frames, PingFrame{})
-			b = b[1:]
-		case t == frameTypeAck:
-			rest := b[1:]
-			var n uint64
-			var err error
-			n, rest, err = consumeVarint(rest)
-			if err != nil {
-				return nil, err
+		case t&elidedBit != 0:
+			if length == 0 || length > maxElided {
+				return 0, nil, errors.New("quic: bad elided stream frame length")
 			}
-			f := &AckFrame{Ranges: make([]AckRange, 0, n)}
-			for i := uint64(0); i < n; i++ {
-				var first, last uint64
-				first, rest, err = consumeVarint(rest)
-				if err != nil {
-					return nil, err
-				}
-				last, rest, err = consumeVarint(rest)
-				if err != nil {
-					return nil, err
-				}
-				if first > last {
-					return nil, fmt.Errorf("quic: invalid ack range %d..%d", first, last)
-				}
-				f.Ranges = append(f.Ranges, AckRange{First: first, Last: last})
-			}
-			frames = append(frames, f)
-			b = rest
-		case t == frameTypeMaxData:
-			v, rest, err := consumeVarint(b[1:])
-			if err != nil {
-				return nil, err
-			}
-			frames = append(frames, &MaxDataFrame{Max: v})
-			b = rest
-		case t&^finBit == frameTypeStream || t&^finBit == frameTypeUStream:
-			rest := b[1:]
-			var id, off, length uint64
-			var err error
-			id, rest, err = consumeVarint(rest)
-			if err != nil {
-				return nil, err
-			}
-			off, rest, err = consumeVarint(rest)
-			if err != nil {
-				return nil, err
-			}
-			length, rest, err = consumeVarint(rest)
-			if err != nil {
-				return nil, err
-			}
-			if uint64(len(rest)) < length {
-				return nil, errors.New("quic: truncated stream frame")
-			}
-			data := make([]byte, length)
-			copy(data, rest[:length])
-			frames = append(frames, &StreamFrame{
-				StreamID:   id,
-				Offset:     off,
-				Data:       data,
-				Fin:        t&finBit != 0,
-				Unreliable: t&^finBit == frameTypeUStream,
-			})
-			b = rest[length:]
-		case t == frameTypeLossReport:
-			rest := b[1:]
-			var id, off, length uint64
-			var err error
-			id, rest, err = consumeVarint(rest)
-			if err != nil {
-				return nil, err
-			}
-			off, rest, err = consumeVarint(rest)
-			if err != nil {
-				return nil, err
-			}
-			length, rest, err = consumeVarint(rest)
-			if err != nil {
-				return nil, err
-			}
-			frames = append(frames, &LossReportFrame{StreamID: id, Offset: off, Length: length})
-			b = rest
+			f.Elided = int(length)
+		case uint64(len(rest)) < length:
+			return 0, nil, errors.New("quic: truncated stream frame")
 		default:
-			return nil, fmt.Errorf("quic: unknown frame type 0x%02x", t)
+			f.Data = rest[:length:length]
+			rest = rest[length:]
+		}
+		return frameTypeStream, rest, nil
+	case t == frameTypeLossReport:
+		f := &fr.loss
+		if f.StreamID, f.Offset, f.Length, rest, err = consumeVarint3(rest); err != nil {
+			return 0, nil, err
+		}
+	default:
+		return 0, nil, fmt.Errorf("quic: unknown frame type 0x%02x", t)
+	}
+	return t, rest, nil
+}
+
+// consumeVarint3 decodes the (stream ID, offset, length) triple that
+// STREAM, USTREAM and LOSS_REPORT headers share.
+func consumeVarint3(b []byte) (v0, v1, v2 uint64, rest []byte, err error) {
+	if v0, rest, err = consumeVarint(b); err == nil {
+		if v1, rest, err = consumeVarint(rest); err == nil {
+			v2, rest, err = consumeVarint(rest)
 		}
 	}
-	return frames, nil
+	return v0, v1, v2, rest, err
 }
 
 // Packet is one QUIC* packet: a packet number followed by frames.
@@ -409,7 +345,8 @@ func (p *Packet) AppendTo(b []byte) []byte {
 	return b
 }
 
-// WireSize returns the encoded size in bytes.
+// WireSize returns the packet's size on the wire in bytes: the encoded
+// length plus the elided payload of its stream frames.
 func (p *Packet) WireSize() int {
 	n := 1 + varintLen(p.Number)
 	for _, f := range p.Frames {
@@ -418,17 +355,8 @@ func (p *Packet) WireSize() int {
 	return n
 }
 
-// AckEliciting reports whether any frame in the packet elicits an ACK.
-func (p *Packet) AckEliciting() bool {
-	for _, f := range p.Frames {
-		if f.ackEliciting() {
-			return true
-		}
-	}
-	return false
-}
-
-// DecodePacket parses an encoded packet.
+// DecodePacket parses an encoded packet into freshly allocated frames (the
+// connection's receive path decodes in place instead).
 func DecodePacket(b []byte) (*Packet, error) {
 	if len(b) == 0 || b[0] != packetHeaderByte {
 		return nil, errors.New("quic: bad packet header")
@@ -437,9 +365,29 @@ func DecodePacket(b []byte) (*Packet, error) {
 	if err != nil {
 		return nil, err
 	}
-	frames, err := parseFrames(rest)
-	if err != nil {
-		return nil, err
+	p := &Packet{Number: pn}
+	var fr rxFrame
+	for len(rest) > 0 {
+		var kind byte
+		if kind, rest, err = decodeFrame(rest, &fr); err != nil {
+			return nil, err
+		}
+		switch kind {
+		case frameTypePing:
+			p.Frames = append(p.Frames, PingFrame{})
+		case frameTypeAck:
+			p.Frames = append(p.Frames, &AckFrame{Ranges: append([]AckRange(nil), fr.ack.Ranges...)})
+		case frameTypeMaxData:
+			f := fr.maxData
+			p.Frames = append(p.Frames, &f)
+		case frameTypeStream:
+			f := fr.stream
+			f.Data = append([]byte(nil), f.Data...)
+			p.Frames = append(p.Frames, &f)
+		case frameTypeLossReport:
+			f := fr.loss
+			p.Frames = append(p.Frames, &f)
+		}
 	}
-	return &Packet{Number: pn, Frames: frames}, nil
+	return p, nil
 }

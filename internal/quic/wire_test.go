@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"voxel/internal/netem"
+	"voxel/internal/sim"
 )
 
 func TestVarintRoundTrip(t *testing.T) {
@@ -115,9 +118,9 @@ func TestEmptyDataStreamFrameRoundTrip(t *testing.T) {
 func TestDecodeRejectsGarbage(t *testing.T) {
 	cases := [][]byte{
 		nil,
-		{0x00},                   // wrong header byte
-		{packetHeaderByte},       // missing pn
-		{packetHeaderByte, 0, 0xFF},    // unknown frame type
+		{0x00},                      // wrong header byte
+		{packetHeaderByte},          // missing pn
+		{packetHeaderByte, 0, 0xFF}, // unknown frame type
 		{packetHeaderByte, 0, frameTypeStream, 0, 0, 5, 1, 2}, // truncated stream data
 		{packetHeaderByte, 0, frameTypeAck, 1, 5, 2},          // first > last ack range
 	}
@@ -129,15 +132,19 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 }
 
 func TestAckEliciting(t *testing.T) {
+	s := sim.New(1)
+	_, c := NewPair(s, netem.NewFixedPath(s, 10e6, 1200), Config{}, Config{})
 	ackOnly := &Packet{Number: 1, Frames: []Frame{&AckFrame{Ranges: []AckRange{{0, 0}}}}}
-	if ackOnly.AckEliciting() {
+	c.receive(ackOnly.Encode())
+	if c.Stats().PacketsSent != 0 {
 		t.Fatal("ACK-only packet should not be ack-eliciting")
 	}
 	withData := &Packet{Number: 2, Frames: []Frame{
 		&AckFrame{Ranges: []AckRange{{0, 0}}},
 		&StreamFrame{StreamID: 0, Data: []byte("x")},
 	}}
-	if !withData.AckEliciting() {
+	c.receive(withData.Encode())
+	if c.Stats().PacketsSent != 1 {
 		t.Fatal("packet with stream data should be ack-eliciting")
 	}
 }

@@ -32,7 +32,7 @@ type VideoServer struct {
 // New builds the server on a connection. opts.VoxelUnaware turns off
 // unreliable delivery (the compatibility case).
 func New(conn *quic.Conn, m *dash.Manifest, opts httpsim.ServerOptions) (*VideoServer, error) {
-	mpd, err := m.EncodeMPD()
+	mpd, err := m.MPD()
 	if err != nil {
 		return nil, err
 	}

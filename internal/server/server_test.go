@@ -34,7 +34,7 @@ func TestServesManifest(t *testing.T) {
 	resp := client.Get(ManifestPath, nil, false, nil)
 	var body []byte
 	done := false
-	resp.OnBody = func(off int64, data []byte) { body = append(body, data...) }
+	resp.OnBody = func(off, _ int64, data []byte) { body = append(body, data...) }
 	resp.OnComplete = func() { done = true }
 	s.RunUntil(10 * time.Second)
 	if !done || resp.Status != 200 {
