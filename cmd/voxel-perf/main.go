@@ -27,9 +27,11 @@ type target struct {
 }
 
 var targets = []target{
-	{Pkg: "voxel/internal/quic", Bench: "BenchmarkOnAck|BenchmarkDetectLoss|BenchmarkPacketEncode|BenchmarkBulkTransfer"},
+	{Pkg: "voxel/internal/quic", Bench: "BenchmarkOnAck|BenchmarkAckCodec32|BenchmarkDetectLoss|BenchmarkPacketEncode|BenchmarkBulkTransfer"},
 	{Pkg: "voxel/internal/qoe", Bench: "."},
-	{Pkg: "voxel/internal/sim", Bench: "."},
+	// Everything in sim except the kernel suite, which the next target owns
+	// (one result per (package, name): main refuses duplicates).
+	{Pkg: "voxel/internal/sim", Bench: "BenchmarkScheduleRun"},
 	// The kernel suite runs wheel and heap subbenchmarks back to back; a
 	// fixed iteration count (not wall time) keeps the two sides and the
 	// before/after trajectory comparable across machines.
@@ -90,6 +92,10 @@ func main() {
 			}
 		}
 	}
+	if dup, ok := firstDuplicate(rep.Benchmarks); ok {
+		fmt.Fprintf(os.Stderr, "voxel-perf: %s %s ran under two targets; make their -bench patterns disjoint\n", dup.Package, dup.Name)
+		os.Exit(1)
+	}
 
 	rep.Derived = deriveSpeedups(rep.Benchmarks)
 	for _, k := range []string{"swarm_macro_speedup", "churn_speedup", "rearm_storm_speedup"} {
@@ -111,11 +117,25 @@ func main() {
 	fmt.Printf("voxel-perf: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
 }
 
+// firstDuplicate returns the first result whose (package, name) an earlier
+// result already carries: two overlapping targets, whose numbers a reader
+// of the ledger could not tell apart.
+func firstDuplicate(results []result) (result, bool) {
+	seen := map[[2]string]bool{}
+	for _, r := range results {
+		k := [2]string{r.Package, r.Name}
+		if seen[k] {
+			return r, true
+		}
+		seen[k] = true
+	}
+	return result{}, false
+}
+
 // deriveSpeedups computes heap-vs-wheel ratios for the kernel benchmarks
 // that run both sides in one sweep, so the JSON carries the before/after
 // comparison directly. Ratios are ns/op(heap) / ns/op(wheel); >1 means the
-// wheel is faster. Duplicate names (e.g. the same bench at two benchtimes)
-// keep the last parsed line.
+// wheel is faster.
 func deriveSpeedups(results []result) map[string]float64 {
 	ns := map[string]float64{}
 	for _, r := range results {

@@ -53,7 +53,7 @@ func (b BytesObject) Size() int64 { return int64(len(b)) }
 
 // WriteRange implements Object.
 func (b BytesObject) WriteRange(dst *quic.Stream, offset, length int64) {
-	dst.Write(b[offset : offset+length])
+	dst.WriteShared(b[offset : offset+length]) // fixed: never modified, so never copied
 }
 
 // ZeroObject serves n opaque bytes without materializing them — segment

@@ -1,6 +1,7 @@
 package quic
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -26,33 +27,85 @@ func benchTrack(c *Conn, sp *sentPacket) {
 
 // BenchmarkOnAckSlidingWindow models the steady state of a bulk transfer:
 // a ~512-packet window where each arriving ACK acknowledges the two oldest
-// packets (the receiver reports its whole history as one range, as buildAck
-// does) while two new packets enter flight. This is the exact shape that
-// made the map-based onAck O(window) per ACK.
+// packets while two new packets enter flight. This is the exact shape that
+// made the map-based onAck O(window) per ACK. ranges=1 is a clean path (the
+// receiver reports its whole history as one range); ranges=32 is what every
+// ACK looks like once the path has lost 31 packets: 31 stale ranges below
+// the window, which the range walk must not step through per ACK.
 func BenchmarkOnAckSlidingWindow(b *testing.B) {
-	s := sim.New(1)
-	c := benchSender(s)
-	const window = 512
-	next := uint64(0)
-	fill := func(k int) {
-		for i := 0; i < k; i++ {
-			sp := c.allocSent()
-			sp.pn, sp.size, sp.sentAt, sp.ackEliciting = next, 1252, s.Now(), true
-			benchTrack(c, sp)
-			c.lastAckElic = s.Now()
-			next++
-		}
+	for _, ranges := range []int{1, 32} {
+		b.Run(fmt.Sprintf("ranges=%d", ranges), func(b *testing.B) {
+			s := sim.New(1)
+			c := benchSender(s)
+			const window = 512
+			base := uint64(2 * ranges)
+			next := fillWindow(c, s, base, window)
+			ack := &AckFrame{Ranges: []AckRange{{First: base}}}
+			for pn := base - 2; len(ack.Ranges) < ranges; pn -= 2 {
+				ack.Ranges = append(ack.Ranges, AckRange{First: pn, Last: pn})
+			}
+			acked := base
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				acked += 2
+				ack.Ranges[0].Last = acked - 1
+				c.onAck(ack)
+				next = fillWindow(c, s, next, 2)
+			}
+		})
 	}
-	fill(window)
-	acked := uint64(0)
-	ack := &AckFrame{Ranges: []AckRange{{First: 0, Last: 0}}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acked += 2
-		ack.Ranges[0] = AckRange{First: 0, Last: acked - 1}
-		c.onAck(ack)
-		fill(2)
+}
+
+// BenchmarkAckCodec32 is the ACK round trip as the macro workloads run it:
+// per operation the receiver takes in packets and builds and encodes an
+// ACK, and the sender — 64 packets in flight — receives, decodes and
+// processes it. steady: a 32-range history whose top range grows (both
+// memos hit). newgap: every ACK opens a gap, so every ACK shifts the
+// 32-range window and both memos miss — the guard that the miss path costs
+// no more than plain encoding and decoding did. onerange: a clean path's
+// one-range ACKs, where there is nothing to memoise.
+func BenchmarkAckCodec32(b *testing.B) {
+	for _, mode := range []string{"steady", "newgap", "onerange"} {
+		b.Run(mode, func(b *testing.B) {
+			s := sim.New(1)
+			snd := benchSender(s)
+			var rcv Conn // only its ACK history and encoder are used
+			base := uint64(100)
+			if mode != "onerange" {
+				for pn := uint64(0); pn < 62; pn += 2 {
+					rcv.recvdPNs.Add(pn, pn+1) // 31 old gaps
+				}
+			} else {
+				rcv.recvdPNs.Add(0, base)
+			}
+			next := fillWindow(snd, s, base, 64)
+			arrived := base // the sender's packets below it have reached the receiver, gaps aside
+			var pkt []byte
+			frames := make([]Frame, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fresh := 2
+				if mode == "newgap" {
+					arrived++ // lost: a new gap, which the sender declares lost three packets later
+					fresh = 3
+				}
+				rcv.recvdPNs.Add(arrived, arrived+2)
+				arrived += 2
+				frames[0] = rcv.buildAck()
+				pkt = (&Packet{Number: uint64(i), Frames: frames}).AppendTo(pkt[:0])
+				snd.receive(pkt)
+				next = fillWindow(snd, s, next, fresh)
+			}
+			b.StopTimer()
+			if got, want := len(rcv.recvdPNs.Ranges()), map[string]int{"steady": 32, "onerange": 1}[mode]; mode != "newgap" && got != want {
+				b.Fatalf("receiver history has %d ranges, want %d", got, want)
+			}
+			if snd.sentQ.size() > 68 || snd.ackedPkts < uint64(2*b.N) {
+				b.Fatalf("sender acked %d packets in %d ACKs and has %d in flight", snd.ackedPkts, b.N, snd.sentQ.size())
+			}
+		})
 	}
 }
 
@@ -114,8 +167,8 @@ func BenchmarkDetectLossPath(b *testing.B) {
 		ack := &AckFrame{Ranges: []AckRange{{First: next - 1, Last: next - 1}}}
 		c.onAck(ack)
 		// Drain the requeued retransmissions so queues stay bounded.
-		c.retransmit = c.retransmit[:0]
-		c.ctrlQ = c.ctrlQ[:0]
+		c.retransmit.items = c.retransmit.items[:0]
+		c.ctrlQ.items = c.ctrlQ.items[:0]
 		fill(window - sentCount(c))
 	}
 }

@@ -1,7 +1,9 @@
 package quic
 
 import (
+	"bytes"
 	"errors"
+	"slices"
 	"time"
 
 	"voxel/internal/cc"
@@ -141,12 +143,12 @@ type Conn struct {
 	streams      map[uint64]*Stream
 	nextStreamID uint64
 	onStream     func(*Stream)
-	active       []*Stream // streams with pending new data, FIFO
+	active       fifo[*Stream] // streams with pending new data
 
 	// frame queues
-	ctrlQ      []Frame
-	retransmit []*StreamFrame
-	rewrites   []rewrite
+	ctrlQ      fifo[Frame]
+	retransmit fifo[*StreamFrame]
+	rewrites   fifo[rewrite]
 
 	// flow control
 	sendLimit    uint64 // peer's MAX_DATA
@@ -175,10 +177,19 @@ type Conn struct {
 	sfFree     []*StreamFrame // StreamFrame freelist (send side)
 	txFree     []*txRecord    // transmit records, returned after delivery
 	txFrames   []Frame        // frame list scratch for sendOnePacket
-	txAck      AckFrame       // ACK frame scratch for buildAck
-	rx         rxFrame        // frame decode scratch for receive
+	rxSlots    []rxFrame      // decoded frames of the packet receive is handling
 	ackScratch []*sentPacket  // newly-acked scratch for onAck
 	gapScratch []ByteRange    // AppendGaps scratch for the streams' receive side
+
+	// ACK memos (DESIGN.md §5), valid while consecutive ACKs differ in their
+	// top range only: buildAck's last frame, decodeMemo's last decoded tail.
+	txAck      encodedAck
+	ackBelow   []ByteRange // the history ranges below the top that txAck carries
+	ackHead    int         // bytes of txAck.wire in front of them
+	ackFrame   AckFrame    // scratch for re-encoding txAck
+	memoN      uint64      // range count of the memoised ACK; 0 = none yet
+	memoTail   []byte      // its wire bytes below the top range
+	memoRanges []AckRange  // what they decode to
 }
 
 // txRecord carries one packet through the link: its encode buffer and the
@@ -303,10 +314,8 @@ func (c *Conn) Close(reason error) {
 		c.releaseSent(c.sentQ.pk[i])
 	}
 	c.sentQ.reset()
-	c.ctrlQ = nil
-	c.retransmit = nil
-	c.rewrites = nil
-	c.active = nil
+	c.ctrlQ, c.retransmit = fifo[Frame]{}, fifo[*StreamFrame]{}
+	c.rewrites, c.active = fifo[rewrite]{}, fifo[*Stream]{}
 	c.ackPending = false
 	if c.onClose != nil {
 		c.onClose(reason)
@@ -334,7 +343,7 @@ func (c *Conn) onKeepAlive() {
 	}
 	interval := c.cfg.IdleTimeout / 2
 	if c.sim.Now()-c.lastAckElic >= interval && c.sentQ.empty() {
-		c.ctrlQ = append(c.ctrlQ, PingFrame{})
+		c.ctrlQ.push(PingFrame{})
 		c.trySend()
 	}
 	c.keepTimer.Arm(interval)
@@ -349,18 +358,14 @@ func (c *Conn) OpenStream(unreliable bool) *Stream {
 }
 
 func (c *Conn) markActive(s *Stream) {
-	for _, a := range c.active {
-		if a == s {
-			c.trySend()
-			return
-		}
+	if !slices.Contains(c.active.live(), s) {
+		c.active.push(s)
 	}
-	c.active = append(c.active, s)
 	c.trySend()
 }
 
 func (c *Conn) queueUnreliableRewrite(s *Stream, offset uint64, data []byte) {
-	c.rewrites = append(c.rewrites, rewrite{stream: s, offset: offset, data: data})
+	c.rewrites.push(rewrite{stream: s, offset: offset, data: data})
 	c.trySend()
 }
 
@@ -471,10 +476,10 @@ func (c *Conn) hasPending() bool {
 }
 
 func (c *Conn) hasAckElicitingPending() bool {
-	if len(c.ctrlQ) > 0 || len(c.retransmit) > 0 || len(c.rewrites) > 0 {
+	if c.ctrlQ.len() > 0 || c.retransmit.len() > 0 || c.rewrites.len() > 0 {
 		return true
 	}
-	for _, s := range c.active {
+	for _, s := range c.active.live() {
 		if s.pendingSendBytes() > 0 {
 			return true
 		}
@@ -507,18 +512,18 @@ func (c *Conn) sendOnePacket() bool {
 
 	if canSendData {
 		// Control frames (MAX_DATA, LOSS_REPORT): reliable, requeued on loss.
-		for len(c.ctrlQ) > 0 && c.ctrlQ[0].wireSize() <= budget {
-			f := c.ctrlQ[0]
-			c.ctrlQ = c.ctrlQ[1:]
+		for c.ctrlQ.len() > 0 && (*c.ctrlQ.front()).wireSize() <= budget {
+			f := *c.ctrlQ.front()
+			c.ctrlQ.pop()
 			frames = append(frames, f)
 			budget -= f.wireSize()
 			sp.ctrlFrames = append(sp.ctrlFrames, f)
 		}
 		// Retransmissions of reliable stream data.
-		for len(c.retransmit) > 0 && budget > 64 {
-			f := c.retransmit[0]
+		for c.retransmit.len() > 0 && budget > 64 {
+			f := *c.retransmit.front()
 			if f.wireSize() <= budget {
-				c.retransmit = c.retransmit[1:]
+				c.retransmit.pop()
 			} else {
 				// Split: send a prefix now, keep the suffix queued.
 				avail := budget - streamFrameOverhead(f.StreamID, f.Offset, f.Len())
@@ -536,8 +541,8 @@ func (c *Conn) sendOnePacket() bool {
 			c.obs.Count(obs.CRetransmitBytes, uint64(f.Len()))
 		}
 		// Application-level rewrites on unreliable streams (selective retx).
-		for len(c.rewrites) > 0 && budget > 64 {
-			rw := &c.rewrites[0]
+		for c.rewrites.len() > 0 && budget > 64 {
+			rw := c.rewrites.front()
 			hdr := streamFrameOverhead(rw.stream.id, rw.offset, len(rw.data))
 			n := len(rw.data)
 			if hdr+n > budget {
@@ -552,7 +557,7 @@ func (c *Conn) sendOnePacket() bool {
 			rw.offset += uint64(n)
 			rw.data = rw.data[n:]
 			if len(rw.data) == 0 {
-				c.rewrites = c.rewrites[1:]
+				c.rewrites.pop()
 			}
 			frames = append(frames, f)
 			budget -= f.wireSize()
@@ -560,10 +565,10 @@ func (c *Conn) sendOnePacket() bool {
 			c.stats.UnreliableRewrite += uint64(len(f.Data))
 		}
 		// New stream data, FIFO across active streams.
-		for len(c.active) > 0 && budget > 64 {
-			s := c.active[0]
+		for c.active.len() > 0 && budget > 64 {
+			s := *c.active.front()
 			if s.pendingSendBytes() == 0 {
-				c.active = c.active[1:]
+				c.active.pop()
 				continue
 			}
 			if c.sentData >= c.sendLimit {
@@ -649,17 +654,34 @@ func (c *Conn) transmit(tx *txRecord, wireSize int) {
 	}
 }
 
-// buildAck assembles the ACK frame for the received packet-number history
-// into per-connection scratch; the caller encodes it before the next call.
-func (c *Conn) buildAck() *AckFrame {
+// buildAck returns the ACK frame for the received packet-number history —
+// largest first, capped at 32 ranges — in wire form. While the ranges below
+// the top one are the last ACK's (no new gap, hole filled or cap shift) and
+// the head keeps its length, the head is patched into the last ACK's bytes;
+// otherwise the frame is encoded afresh. Valid until the next call.
+//
+//voxel:allocfree
+func (c *Conn) buildAck() *encodedAck {
 	rs := c.recvdPNs.Ranges()
-	f := &c.txAck
+	top := len(rs) - 1
+	below := rs[max(top-31, 0):top]
+	var buf [1 + 3*8]byte
+	buf[0] = frameTypeAck
+	head := appendVarint(buf[:1], uint64(len(below)+1))
+	head = appendVarint(appendVarint(head, rs[top].Start), rs[top].End-1)
+	if len(head) == c.ackHead && slices.Equal(below, c.ackBelow) {
+		copy(c.txAck.wire, head)
+		return &c.txAck
+	}
+	c.ackHead = len(head)
+	c.ackBelow = append(c.ackBelow[:0], below...)
+	f := &c.ackFrame
 	f.Ranges = f.Ranges[:0]
-	// Largest-first, capped at 32 ranges.
-	for i := len(rs) - 1; i >= 0 && len(f.Ranges) < 32; i-- {
+	for i := top; i >= top-len(below); i-- {
 		f.Ranges = append(f.Ranges, AckRange{First: rs[i].Start, Last: rs[i].End - 1})
 	}
-	return f
+	c.txAck.wire = f.appendTo(c.txAck.wire[:0])
+	return &c.txAck
 }
 
 func (c *Conn) clearAckState() {
@@ -679,12 +701,12 @@ func (c *Conn) sendAckNow() {
 
 // --- receive path ---
 
-// receive parses and dispatches one packet straight off the wire bytes:
-// after an allocation-free validation pass, frames are decoded one at a
-// time into per-connection scratch and handled in place. Real stream
-// payloads are passed to the application as sub-slices of the wire buffer
-// (nothing downstream retains them) and elided ones as a length, so
-// steady-state receiving does not allocate or copy.
+// receive parses and dispatches one packet straight off the wire bytes.
+// Each frame is decoded once, into per-connection slots; only when the whole
+// packet decoded is it counted and acted on, so a packet with any malformed
+// frame is dropped whole. Real stream payloads reach the application as
+// sub-slices of the wire buffer (nothing downstream retains them), elided
+// ones as a length, so steady-state receiving does not allocate or copy.
 func (c *Conn) receive(encoded []byte) {
 	if c.closed {
 		return // packets arriving after close fall on the floor
@@ -692,19 +714,19 @@ func (c *Conn) receive(encoded []byte) {
 	if len(encoded) == 0 || encoded[0] != packetHeaderByte {
 		return // corrupt packets are dropped
 	}
-	pn, payload, err := consumeVarint(encoded[1:])
+	pn, b, err := consumeVarint(encoded[1:])
 	if err != nil {
 		return
 	}
-	// Validation pass: a packet with any malformed frame is dropped whole,
-	// before a single frame of it is acted on.
-	ackEliciting := false
-	for b := payload; len(b) > 0; {
-		var kind byte
-		if kind, b, err = decodeFrame(b, &c.rx); err != nil {
+	n, ackEliciting := 0, false
+	for ; len(b) > 0; n++ {
+		if n == len(c.rxSlots) {
+			c.rxSlots = append(c.rxSlots, rxFrame{})
+		}
+		if b, err = c.decodeMemo(b, &c.rxSlots[n]); err != nil {
 			return
 		}
-		ackEliciting = ackEliciting || kind != frameTypeAck
+		ackEliciting = ackEliciting || c.rxSlots[n].kind != frameTypeAck
 	}
 	c.stats.PacketsReceived++
 	c.obs.Inc(obs.CPacketsReceived)
@@ -714,21 +736,18 @@ func (c *Conn) receive(encoded []byte) {
 		c.idleTimer.Arm(c.cfg.IdleTimeout) // peer activity: push back teardown
 	}
 
-	// Dispatch pass: same decoder, so it cannot fail now.
-	for b := payload; len(b) > 0; {
-		var kind byte
-		kind, b, _ = decodeFrame(b, &c.rx)
-		switch kind {
+	for i := 0; i < n; i++ {
+		switch fr := &c.rxSlots[i]; fr.kind {
 		case frameTypeAck:
-			c.onAck(&c.rx.ack)
+			c.onAck(&fr.ack)
 		case frameTypeMaxData:
-			if v := c.rx.maxData.Max; v > c.sendLimit {
+			if v := fr.maxData.Max; v > c.sendLimit {
 				c.sendLimit = v
 			}
 		case frameTypeStream:
-			c.onStreamFrame(&c.rx.stream)
+			c.onStreamFrame(&fr.stream)
 		case frameTypeLossReport:
-			f := &c.rx.loss
+			f := &fr.loss
 			c.obs.Count(obs.CLossReportedBytes, f.Length)
 			c.obs.Event(obs.EvLossReport, int64(f.StreamID), int64(f.Offset), int64(f.Length))
 			if s := c.streams[f.StreamID]; s != nil {
@@ -749,6 +768,32 @@ func (c *Conn) receive(encoded []byte) {
 	c.trySend()
 }
 
+// decodeMemo is decodeFrame behind a memo for ACK frames: a range count and
+// bytes below the top range equal to the last decoded ACK's decode to the
+// same ranges, so only the top range is read. A pure function cached by its
+// input: whatever misses (or has a malformed head) is decodeFrame's to judge.
+//
+//voxel:allocfree
+func (c *Conn) decodeMemo(b []byte, fr *rxFrame) (rest []byte, err error) {
+	if b[0] != frameTypeAck {
+		return decodeFrame(b, fr)
+	}
+	n, first, last, tail, err := consumeVarint3(b[1:])
+	headOK := err == nil && n > 0 && first <= last
+	if headOK && n == c.memoN && bytes.HasPrefix(tail, c.memoTail) {
+		fr.kind = frameTypeAck
+		fr.ack.Ranges = append(fr.ack.Ranges[:0], AckRange{First: first, Last: last})
+		fr.ack.Ranges = append(fr.ack.Ranges, c.memoRanges...)
+		return tail[len(c.memoTail):], nil
+	}
+	if rest, err = decodeFrame(b, fr); err == nil && headOK {
+		c.memoN = n
+		c.memoTail = append(c.memoTail[:0], tail[:len(tail)-len(rest)]...)
+		c.memoRanges = append(c.memoRanges[:0], fr.ack.Ranges[1:]...)
+	}
+	return rest, err
+}
+
 func (c *Conn) onStreamFrame(f *StreamFrame) {
 	s := c.streams[f.StreamID]
 	if s == nil {
@@ -767,7 +812,7 @@ func (c *Conn) onStreamFrame(f *StreamFrame) {
 	// Replenish connection flow control once half the window is consumed.
 	if c.recvLimit-c.recvData < c.cfg.InitialMaxData/2 {
 		c.recvLimit = c.recvData + c.cfg.InitialMaxData
-		c.ctrlQ = append(c.ctrlQ, &MaxDataFrame{Max: c.recvLimit})
+		c.ctrlQ.push(&MaxDataFrame{Max: c.recvLimit})
 	}
 }
 
@@ -783,7 +828,7 @@ func (c *Conn) onAck(f *AckFrame) {
 	if len(f.Ranges) == 0 {
 		return
 	}
-	largest := f.Largest()
+	largest := f.Ranges[0].Last
 	if !c.anyAcked || largest > c.largestAcked {
 		c.largestAcked = largest
 		c.anyAcked = true
@@ -791,8 +836,13 @@ func (c *Conn) onAck(f *AckFrame) {
 
 	q := &c.sentQ
 	newlyAcked := c.ackScratch[:0]
-	j := len(f.Ranges) - 1 // walk ranges smallest-first
 	i := q.head
+	// Walk ranges smallest-first, from the lowest that can still cover the
+	// oldest packet in flight — found from the top: a long history lies below.
+	j := 0
+	for i < len(q.pk) && j+1 < len(f.Ranges) && f.Ranges[j+1].Last >= q.pk[i].pn {
+		j++
+	}
 	w := q.head // survivors below the frontier compact toward the head
 	for ; i < len(q.pk); i++ {
 		sp := q.pk[i]
@@ -932,7 +982,7 @@ func (c *Conn) requeueLost(sp *sentPacket) {
 		if f.Unreliable {
 			c.stats.UnreliableLost += uint64(f.Len())
 			c.obs.Count(obs.CUnreliableLostBytes, uint64(f.Len()))
-			c.ctrlQ = append(c.ctrlQ, &LossReportFrame{
+			c.ctrlQ.push(&LossReportFrame{
 				StreamID: f.StreamID,
 				Offset:   f.Offset,
 				Length:   uint64(f.Len()),
@@ -944,14 +994,14 @@ func (c *Conn) requeueLost(sp *sentPacket) {
 				fin.StreamID = f.StreamID
 				fin.Offset = f.Offset + uint64(f.Len())
 				fin.Fin, fin.Unreliable = true, true
-				c.retransmit = append(c.retransmit, fin)
+				c.retransmit.push(fin)
 			}
 			c.freeFrame(f) // never retransmitted: the frame is done
 		} else {
-			c.retransmit = append(c.retransmit, f)
+			c.retransmit.push(f)
 		}
 	}
-	c.ctrlQ = append(c.ctrlQ, sp.ctrlFrames...)
+	c.ctrlQ.push(sp.ctrlFrames...)
 	c.releaseSent(sp)
 }
 

@@ -403,3 +403,37 @@ func TestCongestionWindowRespondsToLoss(t *testing.T) {
 		t.Fatalf("window %d absurdly large under loss", w)
 	}
 }
+
+// TestWriteCopiesWriteSharedAliases: Write owns a copy, so scribbling on the
+// caller's slice afterwards — before a single byte has been packetized —
+// cannot change what is sent; WriteShared queues the caller's own bytes
+// and delivers them just the same, framed identically.
+func TestWriteCopiesWriteSharedAliases(t *testing.T) {
+	const total = 1 << 20
+	var stats [2]Stats
+	for i, shared := range []bool{false, true} {
+		s := sim.New(31)
+		client, server := testPair(t, s, 20, 64)
+		var c *collect
+		client.OnStream(func(st *Stream) { c = newCollect(st, total) })
+		data, want := payload(total), payload(total)
+		st := server.OpenStream(false)
+		queue := st.Write
+		if shared {
+			queue = st.WriteShared
+		}
+		queue(data)
+		st.CloseWrite()
+		if !shared {
+			clear(data)
+		}
+		s.RunUntil(30 * time.Second)
+		if c == nil || !c.fin || !bytes.Equal(c.buf, want) {
+			t.Fatalf("shared=%v: transfer incomplete or not the bytes that were written", shared)
+		}
+		stats[i] = server.Stats()
+	}
+	if stats[0] != stats[1] {
+		t.Fatalf("Write and WriteShared transfers differ:\n copied %+v\n shared %+v", stats[0], stats[1])
+	}
+}

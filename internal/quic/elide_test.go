@@ -29,41 +29,53 @@ func (f *fixedWindow) CanSend(n int) bool                  { return f.inflight+n
 // TestPacketPathZeroAllocs pins the whole per-packet path at 0 allocations
 // in steady state for a content-free body: Stream.nextFrame → sendOnePacket
 // → Link.Send → service completion → Conn.receive → handleData → OnData,
-// and the ACKs flowing back — with telemetry off and on.
+// and the ACKs flowing back — with telemetry off and on, over a clean
+// history (one-range ACKs) and after a lossy warm-up that leaves the
+// receiver a history of more than 32 ranges (full-size ACKs, both memos).
 func TestPacketPathZeroAllocs(t *testing.T) {
-	for _, telemetry := range []bool{false, true} {
-		s := sim.New(1)
-		var sc *obs.Scope
-		if telemetry {
-			sc = obs.NewScope(func() time.Duration { return time.Duration(s.Now()) }, obs.Options{})
-		}
-		path := netem.NewFixedPath(s, 100e6, 1200)
-		cfg := Config{InitialMaxData: 1 << 40, Obs: sc}
-		srvCfg := cfg
-		srvCfg.Controller = &fixedWindow{window: 64 * 1252}
-		client, server := NewPair(s, path, cfg, srvCfg)
-		var got, elided uint64
-		client.OnStream(func(st *Stream) {
-			st.OnData(func(_, n uint64, data []byte) {
-				got += n
-				if data == nil {
-					elided += n
-				}
+	for _, lossy := range []bool{false, true} {
+		for _, telemetry := range []bool{false, true} {
+			s := sim.New(1)
+			var sc *obs.Scope
+			if telemetry {
+				sc = obs.NewScope(func() time.Duration { return time.Duration(s.Now()) }, obs.Options{})
+			}
+			path := netem.NewFixedPath(s, 100e6, 1200)
+			cfg := Config{InitialMaxData: 1 << 40, Obs: sc}
+			srvCfg := cfg
+			srvCfg.Controller = &fixedWindow{window: 64 * 1252}
+			client, server := NewPair(s, path, cfg, srvCfg)
+			var got, elided uint64
+			client.OnStream(func(st *Stream) {
+				st.OnData(func(_, n uint64, data []byte) {
+					got += n
+					if data == nil {
+						elided += n
+					}
+				})
 			})
-		})
-		st := server.OpenStream(true)
-		st.WriteZeros(1 << 30)
-		s.RunUntil(10 * time.Second) // warm pools, scratch and (slowest) the event kernel's buckets
-		before := got
-		allocs := testing.AllocsPerRun(10, func() { s.RunUntil(s.Now() + 200*time.Millisecond) })
-		if allocs != 0 {
-			t.Errorf("telemetry=%v: %.1f allocs per 200 ms of steady-state transfer, want 0", telemetry, allocs)
-		}
-		if moved := got - before; moved < 1<<20 || elided != got {
-			t.Fatalf("telemetry=%v: moved %d B in the measured windows (%d of %d B elided)", telemetry, moved, elided, got)
-		}
-		if lost := server.Stats().PacketsDeclLost; lost != 0 {
-			t.Fatalf("telemetry=%v: %d packets lost; the pin needs a loss-free steady state", telemetry, lost)
+			st := server.OpenStream(true)
+			st.WriteZeros(1 << 30)
+			if lossy {
+				path.Down.Impair(netem.IIDLoss{P: 0.03}, 3)
+				s.RunUntil(2 * time.Second)
+				path.Down.Impair(nil, 0)
+			}
+			s.RunUntil(10 * time.Second) // warm pools, scratch and (slowest) the event kernel's buckets
+			before, lostBefore := got, server.Stats().PacketsDeclLost
+			allocs := testing.AllocsPerRun(10, func() { s.RunUntil(s.Now() + 200*time.Millisecond) })
+			if allocs != 0 {
+				t.Errorf("lossy=%v telemetry=%v: %.1f allocs per 200 ms of steady-state transfer, want 0", lossy, telemetry, allocs)
+			}
+			if moved := got - before; moved < 1<<20 || elided != got {
+				t.Fatalf("lossy=%v telemetry=%v: moved %d B in the measured windows (%d of %d B elided)", lossy, telemetry, moved, elided, got)
+			}
+			if lost := server.Stats().PacketsDeclLost; lost != lostBefore || lossy != (lost > 0) {
+				t.Fatalf("lossy=%v telemetry=%v: %d packets lost, %d of them while measuring; the pin needs a loss-free steady state", lossy, telemetry, lost, lost-lostBefore)
+			}
+			if n := len(client.recvdPNs.Ranges()); lossy != (n > 32) {
+				t.Fatalf("lossy=%v telemetry=%v: receiver history has %d ranges", lossy, telemetry, n)
+			}
 		}
 	}
 }
@@ -109,6 +121,11 @@ func TestDecodeRejectsBadElided(t *testing.T) {
 		{packetHeaderByte, 0, el, 4, 0, 0x80, 1, 0, 0},    // 65536 > maxElided
 		{packetHeaderByte, 0, frameTypePing, el, 4, 0, 0}, // valid frame first
 	}
+	ack32 := &AckFrame{}
+	for pn := uint64(64); pn > 0; pn -= 2 {
+		ack32.Ranges = append(ack32.Ranges, AckRange{First: pn, Last: pn})
+	}
+	cases = append(cases, append((&Packet{Frames: []Frame{ack32}}).Encode(), el, 4, 0, 0)) // valid full-size ACK first
 	for i, b := range cases {
 		if _, err := DecodePacket(b); err == nil {
 			t.Errorf("case %d: malformed elided frame decoded without error", i)
@@ -119,8 +136,8 @@ func TestDecodeRejectsBadElided(t *testing.T) {
 	for _, b := range cases {
 		c.receive(b)
 	}
-	if st := c.Stats(); st.PacketsReceived != 0 || len(c.streams) != 0 || c.ackPending {
-		t.Fatalf("malformed packets were acted on: %+v, %d streams, ackPending=%v", st, len(c.streams), c.ackPending)
+	if st := c.Stats(); st.PacketsReceived != 0 || len(c.streams) != 0 || c.ackPending || c.anyAcked || !c.recvdPNs.IsEmpty() {
+		t.Fatalf("malformed packets were acted on: %+v, %d streams, ackPending=%v, anyAcked=%v, recvd %v", st, len(c.streams), c.ackPending, c.anyAcked, c.recvdPNs.Ranges())
 	}
 	ok := (&Packet{Number: 1, Frames: []Frame{&StreamFrame{StreamID: 4, Elided: 900, Unreliable: true}}}).Encode()
 	c.receive(ok)
@@ -131,7 +148,10 @@ func TestDecodeRejectsBadElided(t *testing.T) {
 
 // FuzzDecodePacket feeds arbitrary bytes to the one frame decoder: it must
 // never panic, and whatever it accepts must survive a canonical re-encode
-// unchanged, with WireSize == encoded length + elided payload.
+// unchanged, with WireSize == encoded length + elided payload. The receive
+// path's memoising decoder sees the input twice and a mutated copy third and
+// must answer every frame as a fresh decodeFrame does: the second pass runs
+// on whatever memo the first left, the third on bytes that nearly match it.
 func FuzzDecodePacket(f *testing.F) {
 	f.Add((&Packet{Number: 9, Frames: []Frame{
 		&AckFrame{Ranges: []AckRange{{First: 1, Last: 4}}},
@@ -140,7 +160,19 @@ func FuzzDecodePacket(f *testing.F) {
 		&LossReportFrame{StreamID: 1, Offset: 5, Length: 6}, &MaxDataFrame{Max: 1 << 30}, PingFrame{},
 	}}).Encode())
 	f.Add([]byte{packetHeaderByte, 0, frameTypeStream | elidedBit, 0, 0})
+	f.Add((&Packet{Number: 3, Frames: []Frame{
+		&AckFrame{Ranges: []AckRange{{First: 70, Last: 90}, {First: 40, Last: 60}, {First: 2, Last: 9}}}, PingFrame{},
+		&AckFrame{Ranges: []AckRange{{First: 80, Last: 99}, {First: 40, Last: 60}, {First: 2, Last: 9}}},
+	}}).Encode())
 	f.Fuzz(func(t *testing.T, b []byte) {
+		var memo Conn
+		mutated := bytes.Clone(b)
+		if n := len(mutated); n > 2 {
+			mutated[2+int(b[n-1])%(n-2)] ^= 1 << (b[n-2] % 8)
+		}
+		for _, in := range [][]byte{b, b, mutated, b} {
+			checkMemoDecode(t, &memo, in)
+		}
 		p, err := DecodePacket(b)
 		if err != nil {
 			return

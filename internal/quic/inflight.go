@@ -68,3 +68,24 @@ func (q *sentQueue) shrink() {
 		q.head = 0
 	}
 }
+
+// fifo is a queue over one reused backing array: pop advances a head index
+// (re-slicing the front away makes every later append reallocate) and the
+// array rewinds whenever the queue drains.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) len() int    { return len(q.items) - q.head }
+func (q *fifo[T]) live() []T   { return q.items[q.head:] }
+func (q *fifo[T]) push(v ...T) { q.items = append(q.items, v...) }
+func (q *fifo[T]) front() *T   { return &q.items[q.head] }
+
+func (q *fifo[T]) pop() {
+	var zero T
+	q.items[q.head] = zero
+	if q.head++; q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+}

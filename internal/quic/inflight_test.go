@@ -1,6 +1,8 @@
 package quic
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -109,7 +111,7 @@ func TestPTORequeuesInPacketOrder(t *testing.T) {
 			cuts = append(cuts, cut{f.Offset, uint64(len(f.Data))})
 		}
 	}
-	for _, f := range c.retransmit {
+	for _, f := range c.retransmit.live() {
 		cuts = append(cuts, cut{f.Offset, uint64(len(f.Data))})
 	}
 	// Frames may have been re-split to fit packets, but together they must
@@ -207,4 +209,52 @@ func TestAckPathAllocFree(t *testing.T) {
 		t.Fatalf("ACK path allocates %.1f allocs/op, want 0", allocs)
 	}
 	_ = time.Millisecond
+}
+
+// TestOnAckAcksExactlyTheCoveredPackets checks onAck's range walk — which
+// starts at the lowest range that can cover the oldest packet in flight,
+// found from the top — against brute force: for random windows and random
+// multi-range ACKs (long stale histories below the window, ranges ending
+// exactly on the oldest packet, gaps inside the window), the packets it
+// acknowledges are exactly those some range contains.
+func TestOnAckAcksExactlyTheCoveredPackets(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for round := 0; round < 2000; round++ {
+		s := sim.New(1)
+		c := benchSender(s)
+		base := uint64(40 + rng.Intn(200))
+		fillWindow(c, s, base, 1+rng.Intn(40))
+		// Ascending ranges from a random start, then reversed: largest first.
+		var ranges []AckRange
+		for pn := uint64(rng.Intn(int(base))); len(ranges) < 1+rng.Intn(40) && pn < base+45; {
+			last := pn + uint64(rng.Intn(4))
+			if rng.Intn(8) == 0 {
+				last = base // end exactly on the oldest packet in flight
+			}
+			if last >= pn {
+				ranges = append(ranges, AckRange{First: pn, Last: last})
+				pn = last
+			}
+			pn += 2 + uint64(rng.Intn(6))
+		}
+		slices.Reverse(ranges)
+		covered := func(pn uint64) bool {
+			return slices.ContainsFunc(ranges, func(r AckRange) bool { return r.First <= pn && pn <= r.Last })
+		}
+		want := uint64(0)
+		for _, pn := range inflightPNs(c) {
+			if covered(pn) {
+				want++
+			}
+		}
+		c.onAck(&AckFrame{Ranges: ranges})
+		if c.ackedPkts != want {
+			t.Fatalf("round %d: acked %d packets, ranges %v cover %d of the window from %d", round, c.ackedPkts, ranges, want, base)
+		}
+		for _, pn := range inflightPNs(c) {
+			if covered(pn) {
+				t.Fatalf("round %d: packet %d still in flight though ranges %v cover it", round, pn, ranges)
+			}
+		}
+	}
 }

@@ -12,10 +12,11 @@ type Stream struct {
 	unreliable bool
 
 	// send state. Queued bytes are a FIFO of runs: the real bytes handed to
-	// Write (one exact-size copy each) or a count of content-free bytes from
-	// WriteZeros. nextFrame slices frames straight out of the head run
-	// instead of re-copying, so a real run is shared read-only with the
-	// frames cut from it until the garbage collector sees the last one.
+	// Write (one exact-size copy each) or WriteShared (the caller's own), or
+	// a count of content-free bytes from WriteZeros. nextFrame slices frames
+	// straight out of the head run instead of re-copying, so a real run is
+	// shared read-only with the frames cut from it until the garbage
+	// collector sees the last one.
 	sendRuns  []sendRun // runs not yet fully packetized
 	sendLen   int       // total unpacketized bytes across all runs
 	sendBase  uint64    // stream offset of the next byte to packetize
@@ -52,16 +53,23 @@ func (s *Stream) Unreliable() bool { return s.unreliable }
 
 // Write queues data for transmission. The data is copied.
 func (s *Stream) Write(data []byte) {
+	cp := make([]byte, len(data))
+	copy(cp, data)
+	s.WriteShared(cp)
+}
+
+// WriteShared queues data without copying it: the send buffer and the
+// frames cut from it alias data read-only, so the caller must never modify
+// it afterwards (bytes every session serves alike, such as a manifest).
+func (s *Stream) WriteShared(data []byte) {
 	if s.finQueued {
 		panic("quic: Write after CloseWrite")
 	}
 	if len(data) == 0 {
 		return
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.sendRuns = append(s.sendRuns, sendRun{data: cp})
-	s.sendLen += len(cp)
+	s.sendRuns = append(s.sendRuns, sendRun{data: data})
+	s.sendLen += len(data)
 	s.conn.markActive(s)
 }
 

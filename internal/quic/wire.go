@@ -116,14 +116,6 @@ type AckFrame struct {
 	Ranges []AckRange
 }
 
-// Largest returns the largest acknowledged packet number.
-func (f *AckFrame) Largest() uint64 {
-	if len(f.Ranges) == 0 {
-		return 0
-	}
-	return f.Ranges[0].Last
-}
-
 func (f *AckFrame) appendTo(b []byte) []byte {
 	b = append(b, frameTypeAck)
 	b = appendVarint(b, uint64(len(f.Ranges)))
@@ -141,6 +133,13 @@ func (f *AckFrame) wireSize() int {
 	}
 	return n
 }
+
+// encodedAck is an ACK frame kept in wire form (Conn.buildAck): sending one
+// is a single append however many ranges it carries.
+type encodedAck struct{ wire []byte }
+
+func (f *encodedAck) appendTo(b []byte) []byte { return append(b, f.wire...) }
+func (f *encodedAck) wireSize() int            { return len(f.wire) }
 
 // MaxDataFrame raises the connection-level flow-control limit.
 type MaxDataFrame struct {
@@ -234,52 +233,55 @@ func (f *LossReportFrame) wireSize() int {
 }
 
 // rxFrame is decodeFrame's target: the frame it last decoded, in the member
-// its returned kind names. One per connection, so decoding does not allocate.
+// kind names. Connections keep one per frame of a packet and reuse them, so
+// decoding does not allocate.
 type rxFrame struct {
+	kind    byte
 	ack     AckFrame
 	maxData MaxDataFrame
 	stream  StreamFrame // Data aliases the wire bytes
 	loss    LossReportFrame
 }
 
-// decodeFrame decodes the frame at the front of b (len(b) > 0) into fr and
-// returns its kind — the frame type, with every STREAM/USTREAM variant
-// folded into frameTypeStream — and the remaining bytes. It is the only
-// frame decoder: the receive path's validation and dispatch passes and
-// DecodePacket all run it, so they accept exactly the same encodings.
-func decodeFrame(b []byte, fr *rxFrame) (kind byte, rest []byte, err error) {
+// decodeFrame decodes the frame at the front of b (len(b) > 0) into fr,
+// sets fr.kind — the frame type, with every STREAM/USTREAM variant folded
+// into frameTypeStream — and returns the remaining bytes. It is the only
+// frame decoder: the receive path (behind Conn.decodeMemo) and DecodePacket
+// both run it, so they accept exactly the same encodings.
+func decodeFrame(b []byte, fr *rxFrame) (rest []byte, err error) {
 	t := b[0]
-	rest = b[1:]
+	fr.kind, rest = t, b[1:]
 	switch {
 	case t == frameTypePing:
 	case t == frameTypeAck:
 		var n uint64
 		if n, rest, err = consumeVarint(rest); err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		fr.ack.Ranges = fr.ack.Ranges[:0]
 		for i := uint64(0); i < n; i++ {
 			var r AckRange
 			if r.First, rest, err = consumeVarint(rest); err != nil {
-				return 0, nil, err
+				return nil, err
 			}
 			if r.Last, rest, err = consumeVarint(rest); err != nil {
-				return 0, nil, err
+				return nil, err
 			}
 			if r.First > r.Last {
-				return 0, nil, fmt.Errorf("quic: invalid ack range %d..%d", r.First, r.Last)
+				return nil, fmt.Errorf("quic: invalid ack range %d..%d", r.First, r.Last)
 			}
 			fr.ack.Ranges = append(fr.ack.Ranges, r)
 		}
 	case t == frameTypeMaxData:
 		if fr.maxData.Max, rest, err = consumeVarint(rest); err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 	case t&^streamFlagBits == frameTypeStream || t&^streamFlagBits == frameTypeUStream:
 		f := &fr.stream
+		fr.kind = frameTypeStream
 		var length uint64
 		if f.StreamID, f.Offset, length, rest, err = consumeVarint3(rest); err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		f.Fin = t&finBit != 0
 		f.Unreliable = t&^streamFlagBits == frameTypeUStream
@@ -287,25 +289,24 @@ func decodeFrame(b []byte, fr *rxFrame) (kind byte, rest []byte, err error) {
 		switch {
 		case t&elidedBit != 0:
 			if length == 0 || length > maxElided {
-				return 0, nil, errors.New("quic: bad elided stream frame length")
+				return nil, errors.New("quic: bad elided stream frame length")
 			}
 			f.Elided = int(length)
 		case uint64(len(rest)) < length:
-			return 0, nil, errors.New("quic: truncated stream frame")
+			return nil, errors.New("quic: truncated stream frame")
 		default:
 			f.Data = rest[:length:length]
 			rest = rest[length:]
 		}
-		return frameTypeStream, rest, nil
 	case t == frameTypeLossReport:
 		f := &fr.loss
 		if f.StreamID, f.Offset, f.Length, rest, err = consumeVarint3(rest); err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 	default:
-		return 0, nil, fmt.Errorf("quic: unknown frame type 0x%02x", t)
+		return nil, fmt.Errorf("quic: unknown frame type 0x%02x", t)
 	}
-	return t, rest, nil
+	return rest, nil
 }
 
 // consumeVarint3 decodes the (stream ID, offset, length) triple that
@@ -368,11 +369,10 @@ func DecodePacket(b []byte) (*Packet, error) {
 	p := &Packet{Number: pn}
 	var fr rxFrame
 	for len(rest) > 0 {
-		var kind byte
-		if kind, rest, err = decodeFrame(rest, &fr); err != nil {
+		if rest, err = decodeFrame(rest, &fr); err != nil {
 			return nil, err
 		}
-		switch kind {
+		switch fr.kind {
 		case frameTypePing:
 			p.Frames = append(p.Frames, PingFrame{})
 		case frameTypeAck:
