@@ -19,7 +19,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -182,7 +181,7 @@ func main() {
 			exp.FailoverKillTime)
 	}
 	if *shardSpec != "" {
-		fmt.Printf("shard %s: running %d of %d trials\n", shard, shardTrials(shard, *trials), *trials)
+		fmt.Printf("shard %s: running %d of %d trials\n", shard, shard.Owned(*trials), *trials)
 	}
 
 	sess := voxel.New(*title, opts...)
@@ -212,25 +211,8 @@ func main() {
 	}
 	reportFailures(agg)
 
-	fmt.Printf("\n%-26s %v\n", "trials:", len(agg.Trials))
-	fmt.Printf("%-26s %.2f%%\n", "bufRatio (p90):", 100*agg.BufRatioP90())
-	fmt.Printf("%-26s %.2f%%\n", "bufRatio (mean):", 100*agg.BufRatioMean())
-	fmt.Printf("%-26s %.2f Mbps\n", "avg bitrate:", agg.BitrateMean()/1e6)
-	cdf := agg.ScoreCDF()
-	fmt.Printf("%-26s p10=%.4f median=%.4f p90=%.4f\n", metric.String()+" scores:",
-		cdf.Quantile(0.1), cdf.Quantile(0.5), cdf.Quantile(0.9))
-	var skipped, residual, startup []float64
-	for ti, t := range agg.Trials {
-		if !agg.Config.Owns(ti) {
-			continue // sharded run: unowned slots are zero-valued
-		}
-		skipped = append(skipped, t.Skipped)
-		residual = append(residual, t.Residual)
-		startup = append(startup, t.StartupDelay.Seconds())
-	}
-	fmt.Printf("%-26s %.2f%%\n", "data skipped (mean):", 100*stats.Mean(skipped))
-	fmt.Printf("%-26s %.2f%%\n", "residual loss (mean):", 100*stats.Mean(residual))
-	fmt.Printf("%-26s %.2f s\n", "startup delay (mean):", stats.Mean(startup))
+	fmt.Println()
+	fmt.Print(agg.Summary())
 	if *impair != "" || *failover {
 		var failed float64
 		owned, incomplete := 0, 0
@@ -258,7 +240,7 @@ func main() {
 		if kinds := report.KindCounts(); len(kinds) > 0 {
 			fmt.Printf("timeline events: %s\n", strings.Join(kinds, " "))
 		}
-		if err := exportTelemetry(report, *telemetryOut, *telemetryCSV); err != nil {
+		if err := report.Export(*telemetryOut, *telemetryCSV); err != nil {
 			fatal(err)
 		}
 	}
@@ -356,36 +338,6 @@ func printSwarm(agg *voxel.Aggregate) {
 	}
 }
 
-// exportTelemetry writes the JSONL timeline and/or the per-trial counter CSV
-// to the given destinations ("" = skip, "-" = stdout).
-func exportTelemetry(report *voxel.Report, jsonlPath, csvPath string) error {
-	write := func(path string, emit func(w io.Writer) error) error {
-		if path == "" {
-			return nil
-		}
-		if path == "-" {
-			return emit(os.Stdout)
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := emit(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("  wrote %s\n", path)
-		return nil
-	}
-	if err := write(jsonlPath, report.WriteJSONL); err != nil {
-		return err
-	}
-	return write(csvPath, report.WriteCSV)
-}
-
 // validateFlags enforces the cross-flag constraints given the set of flags
 // explicitly present on the command line, and parses the -shard spec. It
 // returns the parsed shard (Unsharded when -shard was not given).
@@ -430,17 +382,6 @@ func validateFlags(set map[string]bool, shardSpec string) (sweep.Shard, error) {
 		return sweep.Shard{}, nil
 	}
 	return sweep.ParseShard(shardSpec)
-}
-
-// shardTrials counts the trials shard s owns out of a total of n.
-func shardTrials(s sweep.Shard, n int) int {
-	owned := 0
-	for ti := 0; ti < n; ti++ {
-		if ti%s.Count == s.Index {
-			owned++
-		}
-	}
-	return owned
 }
 
 func fatal(err error) {

@@ -78,24 +78,3 @@ func TestValidateFlags(t *testing.T) {
 		})
 	}
 }
-
-// shardTrials partitions the trial count exactly: the owned counts of a
-// full shard set sum to the total, and every shard gets ⌊n/c⌋ or ⌈n/c⌉.
-func TestShardTrials(t *testing.T) {
-	for _, count := range []int{1, 2, 3, 4, 7} {
-		for _, n := range []int{0, 1, 5, 12, 30} {
-			sum := 0
-			for i := 0; i < count; i++ {
-				owned := shardTrials(sweep.Shard{Index: i, Count: count}, n)
-				if lo, hi := n/count, (n+count-1)/count; owned < lo || owned > hi {
-					t.Fatalf("shard %d/%d of %d trials owns %d, want in [%d,%d]",
-						i, count, n, owned, lo, hi)
-				}
-				sum += owned
-			}
-			if sum != n {
-				t.Fatalf("%d-way shards of %d trials own %d total", count, n, sum)
-			}
-		}
-	}
-}

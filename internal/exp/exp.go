@@ -8,23 +8,17 @@ package exp
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
 	"voxel/internal/abr"
-	"voxel/internal/cc"
-	"voxel/internal/crosstraffic"
 	"voxel/internal/dash"
-	"voxel/internal/httpsim"
-	"voxel/internal/invariant"
 	"voxel/internal/netem"
 	"voxel/internal/obs"
 	"voxel/internal/player"
 	"voxel/internal/prep"
 	"voxel/internal/qoe"
-	"voxel/internal/quic"
-	"voxel/internal/server"
-	"voxel/internal/sim"
 	"voxel/internal/stats"
 	"voxel/internal/trace"
 	"voxel/internal/video"
@@ -402,6 +396,33 @@ func (a *Aggregate) TotalStall() time.Duration {
 	return d
 }
 
+// Summary renders the headline statistics over the trials this config's
+// shard owns, one per line — the block voxel-sim and voxel-merge both print
+// (StreamAgg.Summary is its streaming-mode counterpart).
+func (a *Aggregate) Summary() string {
+	var skipped, residual, startup []float64
+	for ti, t := range a.Trials {
+		if !a.Config.Owns(ti) {
+			continue // sharded run: unowned slots are zero-valued
+		}
+		skipped = append(skipped, t.Skipped)
+		residual = append(residual, t.Residual)
+		startup = append(startup, t.StartupDelay.Seconds())
+	}
+	cdf := a.ScoreCDF()
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%-26s %v\n", "trials:", len(a.Trials))
+	fmt.Fprintf(&sb, "%-26s %.2f%%\n", "bufRatio (p90):", 100*a.BufRatioP90())
+	fmt.Fprintf(&sb, "%-26s %.2f%%\n", "bufRatio (mean):", 100*a.BufRatioMean())
+	fmt.Fprintf(&sb, "%-26s %.2f Mbps\n", "avg bitrate:", a.BitrateMean()/1e6)
+	fmt.Fprintf(&sb, "%-26s p10=%.4f median=%.4f p90=%.4f\n", a.Config.Metric.String()+" scores:",
+		cdf.Quantile(0.1), cdf.Quantile(0.5), cdf.Quantile(0.9))
+	fmt.Fprintf(&sb, "%-26s %.2f%%\n", "data skipped (mean):", 100*stats.Mean(skipped))
+	fmt.Fprintf(&sb, "%-26s %.2f%%\n", "residual loss (mean):", 100*stats.Mean(residual))
+	fmt.Fprintf(&sb, "%-26s %.2f s\n", "startup delay (mean):", stats.Mean(startup))
+	return sb.String()
+}
+
 // newAlgorithm builds the ABR instance for a system.
 func newAlgorithm(sys System) (abr.Algorithm, player.Mode, bool) {
 	switch sys {
@@ -467,644 +488,4 @@ func ManifestFor(title string, metric qoe.Metric, segments int) *dash.Manifest {
 		e.m = dash.Build(v, dash.BuildOptions{Voxel: true, PointsPerSegment: 12, Analyzer: a})
 	})
 	return e.m
-}
-
-// Run executes all trials of a configuration, fanning them out across
-// cfg.Parallelism workers. Trials are independent by construction (each owns
-// its own sim.New world), and results land by trial index, so the aggregate
-// is bit-identical to a sequential run. A sharded config (ShardCount > 1)
-// runs only its owned trials; the other slots stay zero-valued and the
-// aggregate's samples cover the owned trials only.
-func Run(cfg Config) *Aggregate {
-	return runConfigs([]Config{cfg}, cfg.workers())[0]
-}
-
-// TrialFunc observes one completed trial: its index, its result, and (for a
-// failed trial) the structured error. The harness delivers completions in
-// strictly increasing trial order and one at a time, regardless of how many
-// workers run — so a checkpoint writer or a streaming fold needs no
-// reordering or locking of its own, and order-sensitive accumulations
-// (float sums) stay deterministic at any parallelism.
-type TrialFunc func(trial int, tr Trial, te *TrialError)
-
-// RunPartial runs the trials of cfg that the config's shard owns and that
-// skip does not exclude (nil skips nothing), invoking fn (may be nil) as
-// each completes, in trial order. It returns the raw per-trial results as
-// full-length slices — skipped and unowned slots are zero/nil — ready for
-// the caller to fill from a checkpoint and hand to Assemble. This is the
-// resumable core of exp.Run: Run == Assemble(cfg, RunPartial(cfg, nil, nil)).
-func RunPartial(cfg Config, skip func(trial int) bool, fn TrialFunc) ([]Trial, []*TrialError) {
-	trials, fails := runPlans([]plan{{cfg: cfg, skip: skip, onTrial: fn}}, cfg.workers())
-	return trials[0], fails[0]
-}
-
-// RunStream runs the owned, unskipped trials of cfg without retaining any
-// per-trial state: each result is delivered exactly once to fn (in trial
-// order, serialized) and then dropped, so memory stays bounded no matter
-// how many trials the sweep has. The caller folds results into mergeable
-// summaries (see internal/sweep's streaming mode).
-func RunStream(cfg Config, skip func(trial int) bool, fn TrialFunc) {
-	runPlans([]plan{{cfg: cfg, skip: skip, onTrial: fn, discard: true}}, cfg.workers())
-}
-
-// TrialSeed derives trial j's world seed from the config seed. Exported so
-// the chaos shrinker can collapse a multi-trial failure to a single-trial
-// artifact that builds the exact same world.
-func TrialSeed(base int64, trial int) int64 { return base + int64(trial)*7919 }
-
-// job addresses one (config, trial) cell in a batch.
-type job struct{ cfg, trial int }
-
-// plan is one config's execution request within a batch: which trials to
-// skip beyond shard ownership, a completion callback, and whether to retain
-// per-trial results.
-type plan struct {
-	cfg     Config
-	skip    func(int) bool // nil = skip nothing beyond shard ownership
-	onTrial TrialFunc      // nil = no callback
-	discard bool           // do not retain results (streaming mode)
-}
-
-// delivery sequences one plan's completion callbacks into trial order. Jobs
-// are dispatched to the pool in increasing trial order, so at most
-// `workers` completions can ever be buffered ahead of the cursor — the
-// reorder window is bounded by the pool, not the sweep size.
-type delivery struct {
-	order []int // planned trial indices, increasing
-	next  int   // cursor into order
-	ready map[int]deliverable
-}
-
-type deliverable struct {
-	tr      Trial
-	te      *TrialError
-	skipped bool // interrupted before running; advance past silently
-}
-
-// runConfigs executes plain configs (no skip/callback), the RunMatrix path.
-func runConfigs(cfgs []Config, workers int) []*Aggregate {
-	plans := make([]plan, len(cfgs))
-	for i, c := range cfgs {
-		plans[i] = plan{cfg: c}
-	}
-	trials, fails := runPlans(plans, workers)
-	out := make([]*Aggregate, len(cfgs))
-	for ci := range cfgs {
-		out[ci] = Assemble(cfgs[ci], trials[ci], fails[ci])
-	}
-	return out
-}
-
-// runPlans executes every planned trial of every plan through one shared
-// worker pool, so RunMatrix saturates the pool even when individual configs
-// have few trials. Trial results are written into per-plan slices by index
-// (nil slices for discarding plans); completion callbacks fire in trial
-// order under one lock.
-func runPlans(plans []plan, workers int) ([][]Trial, [][]*TrialError) {
-	for i := range plans {
-		plans[i].cfg = plans[i].cfg.withDefaults()
-	}
-	trials := make([][]Trial, len(plans))
-	fails := make([][]*TrialError, len(plans))
-	deliver := make([]*delivery, len(plans))
-	var jobs []job
-	for pi, p := range plans {
-		if !p.discard {
-			trials[pi] = make([]Trial, p.cfg.Trials)
-			fails[pi] = make([]*TrialError, p.cfg.Trials)
-		}
-		d := &delivery{ready: map[int]deliverable{}}
-		for ti := 0; ti < p.cfg.Trials; ti++ {
-			if !p.cfg.Owns(ti) || (p.skip != nil && p.skip(ti)) {
-				continue
-			}
-			jobs = append(jobs, job{pi, ti})
-			d.order = append(d.order, ti)
-		}
-		deliver[pi] = d
-	}
-	interrupted := func(c Config) bool {
-		if c.Interrupt == nil {
-			return false
-		}
-		select {
-		case <-c.Interrupt:
-			return true
-		default:
-			return false
-		}
-	}
-	// deliverMu serializes the in-order callback drain across workers; the
-	// callback itself runs under it, which is what makes TrialFunc's
-	// "serialized, in trial order" contract hold.
-	var deliverMu sync.Mutex
-	complete := func(j job, dl deliverable) {
-		p := plans[j.cfg]
-		if !p.discard {
-			trials[j.cfg][j.trial] = dl.tr
-			fails[j.cfg][j.trial] = dl.te
-		}
-		if p.onTrial == nil {
-			return
-		}
-		deliverMu.Lock()
-		defer deliverMu.Unlock()
-		d := deliver[j.cfg]
-		d.ready[j.trial] = dl
-		for d.next < len(d.order) {
-			ti := d.order[d.next]
-			r, ok := d.ready[ti]
-			if !ok {
-				break
-			}
-			delete(d.ready, ti)
-			d.next++
-			if !r.skipped {
-				p.onTrial(ti, r.tr, r.te)
-			}
-		}
-	}
-	runOne := func(j job) {
-		c := plans[j.cfg].cfg
-		if interrupted(c) {
-			complete(j, deliverable{skipped: true})
-			return
-		}
-		man := ManifestFor(c.Title, c.Metric, c.Segments)
-		shift := time.Duration(0)
-		if c.Trace != nil && c.Trials > 1 {
-			shift = c.Trace.Duration() * time.Duration(j.trial) / time.Duration(c.Trials)
-		}
-		tr, te := runTrial(c, man, shift, TrialSeed(c.Seed, j.trial), j.trial)
-		complete(j, deliverable{tr: tr, te: te})
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			runOne(j)
-		}
-	} else {
-		ch := make(chan job)
-		var wg sync.WaitGroup
-		for k := 0; k < workers; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range ch {
-					runOne(j)
-				}
-			}()
-		}
-		for _, j := range jobs {
-			ch <- j
-		}
-		close(ch)
-		wg.Wait()
-	}
-	return trials, fails
-}
-
-// Assemble folds raw per-trial results into an Aggregate, exactly the way a
-// live run does: samples in trial order (owned trials only), failures in
-// trial order, telemetry merged in (trial, session) order. It is a pure
-// deterministic function of its inputs, which is what makes sharded,
-// checkpointed, and resumed sweeps reproduce a single-process aggregate
-// bit for bit — the raw trial results are identical, and this fold is the
-// same code path. cfg is defaulted before stamping.
-func Assemble(cfg Config, trials []Trial, fails []*TrialError) *Aggregate {
-	return assemble(cfg, trials, fails, true)
-}
-
-// AssembleQuiet is Assemble without the FailureHook side effect, for
-// callers that re-fold results whose failures were already reported when
-// they originally ran (checkpoint restore, shard merge).
-func AssembleQuiet(cfg Config, trials []Trial, fails []*TrialError) *Aggregate {
-	return assemble(cfg, trials, fails, false)
-}
-
-func assemble(cfg Config, trials []Trial, fails []*TrialError, fireHook bool) *Aggregate {
-	c := cfg.withDefaults()
-	agg := &Aggregate{Config: c, Trials: trials}
-	for ti, tr := range trials {
-		if !c.Owns(ti) {
-			continue // an unowned slot is absent, not a zero sample
-		}
-		if ti < len(fails) && fails[ti] != nil {
-			// Aggregation runs on one goroutine after the pool drained, so
-			// failures surface in deterministic (config, trial) order and
-			// the hook needs no synchronization of its own.
-			agg.Failed = append(agg.Failed, *fails[ti])
-			if fireHook && FailureHook != nil {
-				FailureHook(fails[ti])
-			}
-			continue
-		}
-		agg.BufRatios = append(agg.BufRatios, tr.BufRatio)
-		agg.Bitrates = append(agg.Bitrates, tr.AvgBitrate)
-		agg.AllScores = append(agg.AllScores, tr.Scores...)
-	}
-	if c.Telemetry {
-		cells := make([][]*obs.TrialReport, len(trials))
-		for ti := range trials {
-			if !c.Owns(ti) {
-				continue
-			}
-			cells[ti] = trials[ti].SessionObs
-			if ti < len(fails) && fails[ti] != nil && cells[ti] == nil {
-				// A failed trial never snapshotted its scopes; substitute an
-				// explicit failed-marker report so exports keep one entry per
-				// trial instead of silently skipping the slot.
-				cells[ti] = []*obs.TrialReport{obs.FailedTrialReport(fails[ti].Clock)}
-			}
-		}
-		agg.Obs = obs.MergeSessions(cells)
-		if c.ShardCount > 1 {
-			// Tag per-shard telemetry so shard export files are
-			// self-describing; merged/unsharded reports stay untagged and
-			// their exports keep the canonical byte format.
-			agg.Obs.ShardTag = c.ShardIndex
-		}
-	}
-	return agg
-}
-
-// buildPath assembles one server↔client path per the config's shaping
-// knobs. Cross-traffic generation (primary path only) is the caller's job.
-func buildPath(s *sim.Sim, cfg Config, man *dash.Manifest, shift time.Duration) *netem.Path {
-	if cfg.CrossTraffic > 0 {
-		capacity := cfg.LinkCapacity
-		if capacity <= 0 {
-			capacity = 20e6
-		}
-		secs := int((man.Duration()*30)/time.Second) + 60
-		return netem.NewPath(s, trace.Constant("link", capacity, secs), cfg.QueuePackets)
-	}
-	tr := cfg.Trace
-	if tr == nil {
-		tr = trace.Constant("default", 10e6, 600)
-	}
-	return netem.NewPath(s, tr.Shifted(shift), cfg.QueuePackets)
-}
-
-// interruptCheckpoint is how often (in virtual time) runTrial comes up for
-// air to poll Config.Interrupt while the event loop runs. Slicing RunUntil
-// into checkpoints executes the exact same events in the same order as one
-// call, so results stay bit-identical; it only bounds how much virtual
-// time a cancellation can lag.
-const interruptCheckpoint = time.Second
-
-// runTrial executes one trial world. A failure — recovered panic, invariant
-// violation, setup error, or watchdog budget — returns a zero Trial (marked
-// Failed) plus the TrialError; the caller's other trials are untouched.
-func runTrial(cfg Config, man *dash.Manifest, shift time.Duration, seed int64, trial int) (tr Trial, terr *TrialError) {
-	tc := &trialCtx{cfg: cfg, trial: trial, seed: seed, session: -1}
-	s := sim.New(seed)
-	defer func() {
-		if r := recover(); r != nil {
-			tr = Trial{Failed: true}
-			terr = tc.fromPanic(r, time.Duration(s.Now()))
-		}
-	}()
-	if cfg.Invariants {
-		s.SetChecker(invariant.New())
-	}
-	n := cfg.sessions()
-
-	// One scope per session: each trial's world is single-threaded, so
-	// event sequence numbers are deterministic even under parallel trial
-	// fan-out, and per-session scopes keep swarm telemetry attributable.
-	scopes := make([]*obs.Scope, n)
-	if cfg.Telemetry {
-		for i := range scopes {
-			scopes[i] = obs.NewScope(func() time.Duration { return time.Duration(s.Now()) },
-				obs.Options{TimelineCap: cfg.TimelineCap})
-		}
-	}
-
-	// All sessions share this one path: its downlink is the contended
-	// bottleneck queue the swarm (and any cross traffic) fights over.
-	path := buildPath(s, cfg, man, shift)
-	var gen *crosstraffic.Generator
-	if cfg.CrossTraffic > 0 {
-		gen = crosstraffic.New(s, path, cfg.CrossTraffic)
-		gen.Start()
-	}
-
-	impaired := cfg.Impairment != "" && cfg.Impairment != netem.ProfileClean
-	recovered := impaired || cfg.Failover
-
-	if cfg.Failover {
-		// Primary path goes dark for good mid-stream; profile impairments
-		// (the client's flaky last mile) ride on top in both directions.
-		kill := netem.Blackout{Windows: []netem.Window{{Start: FailoverKillTime, End: 1 << 62}}}
-		down, up, err := netem.NewProfile(cfg.Impairment)
-		if err != nil {
-			return Trial{Failed: true}, tc.errf(time.Duration(s.Now()), "error", "impairment profile: %v", err)
-		}
-		dc, uc := netem.Chain{kill}, netem.Chain{kill}
-		if down != nil {
-			dc = append(dc, down)
-		}
-		if up != nil {
-			uc = append(uc, up)
-		}
-		path.Down.Impair(dc, seed+0x1000)
-		path.Up.Impair(uc, seed+0x1000+0x9E3779B9)
-	} else if impaired {
-		if err := netem.ApplyProfile(path, cfg.Impairment, seed+0x1000); err != nil {
-			return Trial{Failed: true}, tc.errf(time.Duration(s.Now()), "error", "impairment profile: %v", err)
-		}
-	}
-
-	v := video.MustLoad(cfg.Title)
-	if cfg.Segments > 0 && cfg.Segments < v.Segments {
-		v.Segments = cfg.Segments
-	}
-
-	// Assemble one full stack per session over the shared path. Session
-	// construction order is the determinism contract: a single-session
-	// swarm builds the world in exactly the sequence the classic path did.
-	players := make([]*player.Player, n)
-	running := n
-	var lastDone, busyAtLastDone sim.Time
-	for si := 0; si < n; si++ {
-		tc.session = si
-		scope := scopes[si]
-		var clientCfg, serverCfg quic.Config
-		clientCfg.Obs = scope
-		serverCfg.Obs = scope
-		if cfg.CC == "bbr" {
-			serverCfg.Controller = cc.NewBBRLite() // controllers hold per-conn state
-		}
-		if recovered {
-			// Survive outages instead of wedging: probe at a bounded cadence
-			// through blackouts, keep quiet-but-healthy connections alive, and
-			// tear down only after a long silence. The failover scenario uses a
-			// short idle timeout on the primary so origin death is detected
-			// within seconds.
-			clientCfg.IdleTimeout = 30 * time.Second
-			clientCfg.KeepAlive = true
-			clientCfg.PTOBackoffCap = 6
-			serverCfg.IdleTimeout = 60 * time.Second
-			serverCfg.PTOBackoffCap = 6
-			if cfg.Failover {
-				clientCfg.IdleTimeout = 2 * time.Second
-			}
-		}
-
-		clientConn, serverConn := quic.NewPair(s, path, clientCfg, serverCfg)
-		if _, err := server.New(serverConn, man, httpsim.ServerOptions{}); err != nil {
-			return Trial{Failed: true}, tc.errf(time.Duration(s.Now()), "error", "origin server: %v", err)
-		}
-
-		alg, mode, beta := newAlgorithm(cfg.System)
-		alg = abr.Instrument(alg, scope)
-		pcfg := player.Config{
-			Algorithm:      alg,
-			Mode:           mode,
-			BufferSegments: cfg.BufferSegments,
-			Metric:         cfg.Metric,
-			BetaCandidates: beta,
-			Obs:            scope,
-		}
-		if recovered {
-			pcfg.Recovery = httpsim.Recovery{
-				RequestTimeout: 4 * time.Second,
-				Retry: httpsim.RetryPolicy{
-					MaxAttempts: 4,
-					BaseDelay:   250 * time.Millisecond,
-					MaxDelay:    4 * time.Second,
-					Jitter:      0.25,
-				},
-			}
-		}
-		if cfg.Failover {
-			// Second origin on its own path (same shaping and, if set, the
-			// same impairment profile with independent fault schedules — the
-			// backup origin still sits behind the client's last mile). Each
-			// swarm session gets its own backup origin.
-			path2 := buildPath(s, cfg, man, shift)
-			if impaired {
-				if err := netem.ApplyProfile(path2, cfg.Impairment, seed+0x2000+int64(si)*0x9E37); err != nil {
-					return Trial{Failed: true}, tc.errf(time.Duration(s.Now()), "error", "backup impairment profile: %v", err)
-				}
-			}
-			c2cfg := clientCfg
-			c2cfg.IdleTimeout = 30 * time.Second
-			s2cfg := serverCfg
-			if cfg.CC == "bbr" {
-				s2cfg.Controller = cc.NewBBRLite()
-			}
-			clientConn2, serverConn2 := quic.NewPair(s, path2, c2cfg, s2cfg)
-			if _, err := server.New(serverConn2, man, httpsim.ServerOptions{}); err != nil {
-				return Trial{Failed: true}, tc.errf(time.Duration(s.Now()), "error", "backup origin server: %v", err)
-			}
-			pcfg.FailoverConns = []*quic.Conn{clientConn2}
-		}
-		pl := player.New(s, clientConn, v, man, pcfg)
-		pl.Run(func() {
-			// Snapshot the bottleneck's busy time whenever a session drains
-			// its buffer; the last snapshot bounds the utilization window so
-			// post-playback cross traffic doesn't dilute the figure.
-			running--
-			lastDone = s.Now()
-			busyAtLastDone = path.Down.Stats().BusyTime
-		})
-		players[si] = pl
-	}
-	tc.session = -1 // construction done; failures below are world-wide
-
-	if kind, ok := cfg.injectFor(trial); ok {
-		switch kind {
-		case injectPanic:
-			s.Schedule(sim.Time(injectTime), func() {
-				panic(fmt.Sprintf("injected fault (trial %d, seed %d)", trial, seed))
-			})
-		case injectInvariant:
-			s.Schedule(sim.Time(injectTime), func() {
-				panic(&invariant.Violation{Layer: "exp", Rule: "exp.injected-fault",
-					Detail: fmt.Sprintf("deliberate violation (trial %d, seed %d)", trial, seed)})
-			})
-		case injectSpin:
-			// Zero-delay event storm: virtual time freezes while the event
-			// count races — exactly the failure mode only the watchdog's
-			// event budget can catch.
-			var spin func()
-			spin = func() { s.Schedule(0, spin) }
-			s.Schedule(sim.Time(injectTime), spin)
-		}
-	}
-
-	limit := cfg.MaxSimTime
-	if limit == 0 {
-		limit = 20 * man.Duration()
-	}
-	watchdog := cfg.WatchdogWall > 0 || cfg.WatchdogEvents > 0
-	if cfg.Interrupt == nil && !watchdog {
-		s.RunUntil(limit)
-	} else {
-		// Same event execution as one RunUntil(limit), sliced so a close of
-		// the Interrupt channel — or a breached watchdog budget — stops the
-		// trial mid-flight instead of only between trials.
-		// The !s.Halted() guard matters since RunUntil stopped advancing the
-		// clock on a halted simulator: without it a mid-trial Halt would pin
-		// Now below the next checkpoint and spin this loop forever. Nothing
-		// in exp calls Halt today, so behavior is unchanged — this is
-		// insurance for session code that might.
-		var wallStart time.Time
-		if cfg.WatchdogWall > 0 {
-			//voxel:det-ok the wall watchdog measures real elapsed time by design; it never feeds trial results
-			wallStart = time.Now()
-		}
-		startExec := s.Executed()
-		aborted := false
-		for s.Now() < limit && !aborted && !s.Halted() && s.Pending() > 0 {
-			next := s.Now() + interruptCheckpoint
-			if next > limit {
-				next = limit
-			}
-			if !watchdog {
-				s.RunUntil(next)
-			} else {
-				// Cap the slice's event budget so even a zero-delay storm —
-				// which RunUntil would never return from — yields control here
-				// every few million events for the budget checks below.
-				slice := uint64(watchdogSliceEvents)
-				if cfg.WatchdogEvents > 0 {
-					if rem := cfg.WatchdogEvents - (s.Executed() - startExec); rem < slice {
-						slice = rem
-					}
-				}
-				s.RunUntilBudget(next, slice)
-				if cfg.WatchdogEvents > 0 && s.Executed()-startExec >= cfg.WatchdogEvents {
-					return Trial{Failed: true}, tc.errf(time.Duration(s.Now()), "watchdog.event-budget",
-						"trial executed %d events (budget %d) at virtual %v",
-						s.Executed()-startExec, cfg.WatchdogEvents, time.Duration(s.Now()))
-				}
-				if cfg.WatchdogWall > 0 {
-					//voxel:det-ok the wall watchdog measures real elapsed time by design; it never feeds trial results
-					if elapsed := time.Since(wallStart); elapsed > cfg.WatchdogWall {
-						return Trial{Failed: true}, tc.errf(time.Duration(s.Now()), "watchdog.wall-budget",
-							"trial ran %v wall (budget %v) at virtual %v",
-							elapsed.Round(time.Millisecond), cfg.WatchdogWall, time.Duration(s.Now()))
-					}
-				}
-			}
-			if cfg.Interrupt != nil {
-				select {
-				case <-cfg.Interrupt:
-					aborted = true
-				default:
-				}
-			}
-		}
-		if !aborted && !s.Halted() && s.Now() < limit {
-			s.RunUntil(limit) // queue drained early: fast-forward the clock
-		}
-	}
-	if gen != nil {
-		gen.Stop()
-	}
-	if running > 0 {
-		// Some session never finished (safety limit or interrupt): the
-		// utilization window extends to wherever the run stopped.
-		lastDone = s.Now()
-		busyAtLastDone = path.Down.Stats().BusyTime
-	}
-
-	sessions := make([]SessionResult, n)
-	for si, pl := range players {
-		res := pl.Results()
-		sr := SessionResult{
-			Session:      si,
-			BufRatio:     res.BufRatio(),
-			AvgBitrate:   res.AvgBitrate(),
-			MeanScore:    res.MeanScore(),
-			Scores:       res.Scores(),
-			Skipped:      res.SkippedFraction(),
-			Residual:     res.ResidualLossFraction(),
-			Wasted:       res.BytesWasted,
-			StartupDelay: res.StartupDelay,
-			StallTime:    res.StallTime,
-			Completed:    pl.Done(),
-			FailedReqs:   res.FailedRequests,
-		}
-		if !pl.Done() {
-			// The run hit the safety limit: treat all remaining media time as
-			// stall so wedged configurations show up as terrible, not absent.
-			played := time.Duration(len(res.Segments)) * man.SegmentDuration
-			missing := man.Duration() - played
-			if missing > 0 {
-				sr.BufRatio = (res.StallTime + missing).Seconds() / man.Duration().Seconds()
-			}
-		}
-		sessions[si] = sr
-	}
-	tr = foldSessions(sessions)
-	if lastDone > 0 {
-		tr.Utilization = float64(busyAtLastDone) / float64(lastDone)
-	}
-	if cfg.Telemetry {
-		tr.SessionObs = make([]*obs.TrialReport, n)
-		for si, scope := range scopes {
-			rep := scope.TrialReport()
-			rep.Session = si
-			tr.SessionObs[si] = rep
-		}
-		tr.Obs = tr.SessionObs[0]
-	}
-	return tr, nil
-}
-
-// foldSessions collapses the per-session results into the trial-level
-// scalars: means for the ratio/rate fields, sums for byte and failure
-// counters, concatenated scores. For one session the fold is the identity,
-// which is what keeps Sessions=1 bit-identical to the classic path.
-func foldSessions(sessions []SessionResult) Trial {
-	tr := Trial{Sessions: sessions, Completed: true}
-	var bitrates []float64
-	var startup time.Duration
-	for _, sr := range sessions {
-		tr.BufRatio += sr.BufRatio
-		tr.AvgBitrate += sr.AvgBitrate
-		tr.Skipped += sr.Skipped
-		tr.Residual += sr.Residual
-		tr.Wasted += sr.Wasted
-		tr.FailedReqs += sr.FailedReqs
-		tr.Scores = append(tr.Scores, sr.Scores...)
-		startup += sr.StartupDelay
-		if !sr.Completed {
-			tr.Completed = false
-		}
-		bitrates = append(bitrates, sr.AvgBitrate)
-	}
-	inv := 1 / float64(len(sessions))
-	tr.BufRatio *= inv
-	tr.AvgBitrate *= inv
-	tr.Skipped *= inv
-	tr.Residual *= inv
-	tr.StartupDelay = time.Duration(float64(startup) * inv)
-	tr.MeanScore = stats.Mean(tr.Scores)
-	tr.Jain = stats.JainIndex(bitrates)
-	return tr
-}
-
-// RunMatrix runs one configuration per system and returns them keyed by
-// system — the shape most figures need. All (system, trial) pairs share one
-// base.Parallelism-wide worker pool, so a matrix of short configs still
-// fills every worker.
-func RunMatrix(base Config, systems []System) map[System]*Aggregate {
-	cfgs := make([]Config, len(systems))
-	for i, sys := range systems {
-		cfgs[i] = base
-		cfgs[i].System = sys
-	}
-	aggs := runConfigs(cfgs, base.workers())
-	out := make(map[System]*Aggregate, len(systems))
-	for i, sys := range systems {
-		out[sys] = aggs[i]
-	}
-	return out
 }

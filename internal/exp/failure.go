@@ -17,28 +17,31 @@ import (
 // panic, a violated invariant, a breached watchdog budget, or a setup
 // error. The surviving trials of the sweep keep running; failures land in
 // Aggregate.Failed in (config, trial) order with everything needed to
-// replay the case deterministically.
+// replay the case deterministically. The JSON form is the failure record of
+// the sweep checkpoint format (internal/sweep, version 1).
 type TrialError struct {
-	// Config is the cell the trial belonged to (post-defaulting).
-	Config Config
+	// Config is the cell the trial belonged to (post-defaulting). It is not
+	// serialized: a checkpoint stores results under one file-level config
+	// identity and stamps it back on load.
+	Config Config `json:"-"`
 	// Trial is the failing trial's index within the sweep; Seed is the
 	// derived per-trial seed the world was built with.
-	Trial int
-	Seed  int64
+	Trial int   `json:"trial"`
+	Seed  int64 `json:"seed"`
 	// Session is the swarm session under construction when the failure
 	// hit, or -1 once the event loop was running (a mid-run failure is not
 	// attributable to one session from outside the world).
-	Session int
+	Session int `json:"session"`
 	// Clock is the virtual time at which the trial died.
-	Clock time.Duration
+	Clock time.Duration `json:"clock_ns"`
 	// Rule classifies the failure: an invariant rule
 	// ("quic.byte-conservation"), a watchdog rule ("watchdog.wall-budget",
 	// "watchdog.event-budget"), or "panic" / "error" for everything else.
-	Rule string
+	Rule string `json:"rule"`
 	// Msg is the panic value, violation detail, or error text.
-	Msg string
+	Msg string `json:"msg"`
 	// Stack is the goroutine stack at the recovery point (panics only).
-	Stack string
+	Stack string `json:"stack,omitempty"`
 }
 
 // Error summarizes the failure on one line.
@@ -196,36 +199,26 @@ const (
 	DefaultWatchdogEvents = 500_000_000
 )
 
-// watchdogSliceEvents bounds one checkpoint slice when a wall budget is
-// armed without an event budget, so even a zero-delay event storm — which
-// never lets RunUntil reach its deadline — yields control often enough for
-// the wall clock to be consulted.
-const watchdogSliceEvents = 1 << 21
-
-// FailureHook, when non-nil, observes every TrialError at aggregation time
-// (after the sweep finished, in deterministic (config, trial) order). CLIs
-// that drive many sweeps through layers that do not surface Aggregate —
-// voxel-bench's figure generators — use it to collect failures for the
-// final report. The hook runs under an internal lock; keep it fast.
+// FailureHook, when non-nil, observes the TrialError of every failing trial
+// this process computes, exactly once each, in (config, trial) order at any
+// parallelism: the executor calls it from its serialized result stream, on
+// the goroutine that called Run, just before the trial reaches the sink.
+// Results that were not computed here — trials restored from a checkpoint,
+// aggregates folded by MergeShards — never fire it; whoever ran them already
+// did. CLIs that drive many sweeps through layers that do not surface
+// Aggregate — voxel-bench's figure generators — use it to collect failures
+// for the final report.
 var FailureHook func(*TrialError)
 
-// trialCtx carries the identity of the running trial so failures anywhere
-// in the stack can be stamped with config, seed, session, and clock.
-type trialCtx struct {
-	cfg     Config
-	trial   int
-	seed    int64
-	session int // session under construction; -1 once the loop runs
-}
-
-// errf builds a TrialError for a non-panic failure.
-func (tc *trialCtx) errf(clock time.Duration, rule, format string, args ...any) *TrialError {
+// errf builds a TrialError for a non-panic failure, stamped with the
+// world's identity and clock.
+func (w *world) errf(rule, format string, args ...any) *TrialError {
 	return &TrialError{
-		Config:  tc.cfg,
-		Trial:   tc.trial,
-		Seed:    tc.seed,
-		Session: tc.session,
-		Clock:   clock,
+		Config:  w.cfg,
+		Trial:   w.trial,
+		Seed:    w.seed,
+		Session: w.session,
+		Clock:   time.Duration(w.s.Now()),
 		Rule:    rule,
 		Msg:     fmt.Sprintf(format, args...),
 	}
@@ -233,22 +226,11 @@ func (tc *trialCtx) errf(clock time.Duration, rule, format string, args ...any) 
 
 // fromPanic converts a recovered panic value into a TrialError, unwrapping
 // invariant violations into their rule and capturing the stack.
-func (tc *trialCtx) fromPanic(recovered any, clock time.Duration) *TrialError {
-	te := &TrialError{
-		Config:  tc.cfg,
-		Trial:   tc.trial,
-		Seed:    tc.seed,
-		Session: tc.session,
-		Clock:   clock,
-		Rule:    "panic",
-	}
+func (w *world) fromPanic(recovered any) *TrialError {
+	te := w.errf("panic", "%v", recovered)
 	if v, ok := invariant.AsViolation(recovered); ok {
 		te.Rule = v.Rule
 		te.Msg = v.Detail
-	} else if err, ok := recovered.(error); ok {
-		te.Msg = err.Error()
-	} else {
-		te.Msg = fmt.Sprint(recovered)
 	}
 	buf := make([]byte, 16<<10)
 	te.Stack = string(buf[:runtime.Stack(buf, false)])
@@ -262,20 +244,6 @@ const (
 	injectInvariant = "invariant"
 	injectSpin      = "spin"
 )
-
-// injectRule maps an inject kind to the Rule its TrialError will carry —
-// what a crash artifact for the injected case records as its violation.
-func injectRule(kind string) string {
-	switch kind {
-	case injectPanic:
-		return "panic"
-	case injectInvariant:
-		return "exp.injected-fault"
-	case injectSpin:
-		return "watchdog.event-budget"
-	}
-	return ""
-}
 
 // injectTime is the virtual instant an injected fault fires: late enough
 // that the world is streaming, early enough that every config reaches it.

@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -279,5 +280,69 @@ func TestFailedTrialTelemetryExports(t *testing.T) {
 	}
 	if !strings.Contains(jsonl1, `"kind":"trial_failed"`) {
 		t.Fatal("JSONL missing trial_failed event")
+	}
+}
+
+// hooked runs fn with FailureHook recording (system, trial) of every call.
+func hooked(fn func()) []string {
+	var got []string
+	FailureHook = func(te *TrialError) {
+		got = append(got, string(te.Config.System)+"/"+strconv.Itoa(te.Trial))
+	}
+	defer func() { FailureHook = nil }()
+	fn()
+	return got
+}
+
+// FailureHook's contract: exactly once per failing trial this process
+// computed, in (config, trial) order at any parallelism, through Run and
+// RunMatrix alike — and never from a fold of results computed elsewhere.
+func TestFailureHookContract(t *testing.T) {
+	base := failCfg()
+	base.Trials = 6
+	base.Inject = "panic" // every trial fails, so ordering has something to order
+	for _, par := range []int{1, 4} {
+		base.Parallelism = par
+
+		var agg *Aggregate
+		got := hooked(func() { agg = Run(base) })
+		want := []string{"VOXEL/0", "VOXEL/1", "VOXEL/2", "VOXEL/3", "VOXEL/4", "VOXEL/5"}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("parallel=%d: Run fired %v, want %v", par, got, want)
+		}
+
+		systems := []System{SysBolaQ, SysVoxel}
+		got = hooked(func() { RunMatrix(base, systems) })
+		want = nil
+		for _, sys := range systems {
+			for ti := 0; ti < base.Trials; ti++ {
+				want = append(want, string(sys)+"/"+strconv.Itoa(ti))
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("parallel=%d: RunMatrix fired %v, want %v", par, got, want)
+		}
+
+		// Folding finished results is silent: the run that computed them
+		// already reported.
+		got = hooked(func() {
+			fails := make([]*TrialError, len(agg.Failed))
+			for i := range agg.Failed {
+				fails[i] = &agg.Failed[i]
+			}
+			Assemble(base, agg.Trials, fails)
+			if _, err := MergeShards([]*Aggregate{agg}); err != nil {
+				t.Error(err)
+			}
+		})
+		if got != nil {
+			t.Fatalf("parallel=%d: a pure fold fired the hook: %v", par, got)
+		}
+	}
+
+	// A sharded run reports its own failing trials only.
+	base.ShardIndex, base.ShardCount = 1, 2
+	if got, want := hooked(func() { Run(base) }), []string{"VOXEL/1", "VOXEL/3", "VOXEL/5"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("shard 1/2 fired %v, want %v", got, want)
 	}
 }

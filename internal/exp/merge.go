@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"reflect"
-	"sort"
 )
 
 // Normalized returns the config with its execution-only fields cleared:
@@ -27,13 +26,13 @@ func (c Config) Normalized() Config {
 // aggregate the equivalent unsharded run would have produced, bit for bit.
 // Every shard must carry the same ShardCount n, the set must cover shard
 // indices 0..n-1 exactly once, and the configs must match after
-// Normalized(). The shards' per-trial results are slotted back into one
-// full-length trial vector by ownership and re-assembled with the
-// normalized config; because trial seeds and trace shifts depend only on
-// the trial index and the full trial count — never on which shard ran the
-// trial — the refold reproduces the single-process fold exactly.
-// FailureHook is not re-fired for the shards' failures: each shard already
-// reported them when it ran.
+// Normalized(). Each shard's owned trials are slotted into one full-length
+// trial vector — ownership partitions the indices, so the order the shards
+// are listed in cannot matter — and folded by Assemble under the normalized
+// config; because trial seeds and trace shifts depend only on the trial
+// index and the full trial count, never on which shard ran the trial, the
+// fold reproduces the single-process one exactly. A single unsharded
+// aggregate merges to itself, re-stamped with the normalized config.
 func MergeShards(shards []*Aggregate) (*Aggregate, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("exp: merge of zero shards")
@@ -43,81 +42,46 @@ func MergeShards(shards []*Aggregate) (*Aggregate, error) {
 			return nil, fmt.Errorf("exp: shard %d is nil", i)
 		}
 	}
-	n := shards[0].Config.ShardCount
-	if n <= 1 {
-		if len(shards) == 1 {
-			// A single unsharded aggregate "merges" to itself, re-stamped
-			// with the normalized config so the output is canonical.
-			return mergeRefold([]*Aggregate{shards[0]})
-		}
-		return nil, fmt.Errorf("exp: shard 0 is unsharded (count %d) but %d shards given", n, len(shards))
-	}
-	if len(shards) != n {
-		return nil, fmt.Errorf("exp: got %d shards, config says %d", len(shards), n)
-	}
 	norm := shards[0].Config.Normalized()
-	seen := make(map[int]bool, n)
+	n := max(shards[0].Config.ShardCount, 1)
+	if len(shards) != n {
+		return nil, fmt.Errorf("exp: got %d shards, shard 0 says there are %d", len(shards), n)
+	}
+	trials := make([]Trial, norm.Trials)
+	fails := make([]*TrialError, norm.Trials)
+	seen := make([]bool, n)
 	for i, s := range shards {
-		c := s.Config
-		if c.ShardCount != n {
+		c := s.Config.withDefaults()
+		switch {
+		case max(c.ShardCount, 1) != n:
 			return nil, fmt.Errorf("exp: shard %d has count %d, shard 0 has %d", i, c.ShardCount, n)
-		}
-		if seen[c.ShardIndex] {
+		case c.ShardIndex < 0 || c.ShardIndex >= n:
+			return nil, fmt.Errorf("exp: shard %d has index %d out of range [0, %d)", i, c.ShardIndex, n)
+		case seen[c.ShardIndex]:
 			return nil, fmt.Errorf("exp: shard index %d appears twice", c.ShardIndex)
-		}
-		seen[c.ShardIndex] = true
-		if !reflect.DeepEqual(c.Normalized(), norm) {
+		case !reflect.DeepEqual(c.Normalized(), norm):
 			return nil, fmt.Errorf("exp: shard %d config does not match shard 0 after normalization", i)
-		}
-		if len(s.Trials) != norm.Trials {
+		case len(s.Trials) != norm.Trials:
 			return nil, fmt.Errorf("exp: shard %d has %d trial slots, config says %d",
 				i, len(s.Trials), norm.Trials)
 		}
-	}
-	// Present in sorted shard-index order so the refold is independent of
-	// the order the caller listed the files in.
-	ordered := make([]*Aggregate, 0, n)
-	idx := make([]int, 0, n)
-	for _, s := range shards {
-		idx = append(idx, s.Config.ShardIndex)
-	}
-	sort.Ints(idx)
-	for _, want := range idx {
-		for _, s := range shards {
-			if s.Config.ShardIndex == want {
-				ordered = append(ordered, s)
-				break
+		seen[c.ShardIndex] = true
+		for ti := range trials {
+			if c.Owns(ti) {
+				trials[ti] = s.Trials[ti]
 			}
-		}
-	}
-	return mergeRefold(ordered)
-}
-
-// mergeRefold slots every shard's owned trials into one full vector and
-// re-assembles with the normalized config.
-func mergeRefold(shards []*Aggregate) (*Aggregate, error) {
-	norm := shards[0].Config.Normalized()
-	trials := make([]Trial, norm.Trials)
-	fails := make([]*TrialError, norm.Trials)
-	for _, s := range shards {
-		own := s.Config.withDefaults()
-		for ti := 0; ti < norm.Trials; ti++ {
-			if !own.Owns(ti) {
-				continue
-			}
-			trials[ti] = s.Trials[ti]
 		}
 		for fi := range s.Failed {
 			te := s.Failed[fi] // copy; the shard's record stays untouched
 			if te.Trial < 0 || te.Trial >= norm.Trials {
 				return nil, fmt.Errorf("exp: shard %d failure names trial %d of %d",
-					s.Config.ShardIndex, te.Trial, norm.Trials)
+					c.ShardIndex, te.Trial, norm.Trials)
 			}
-			// Re-stamp the error's config like the unsharded harness would
+			// Stamp the error's config like the unsharded harness would
 			// have, so merged Failed entries compare equal to a clean run's.
 			te.Config = norm
 			fails[te.Trial] = &te
 		}
 	}
-	return assemble(norm, trials, fails, false), nil
+	return Assemble(norm, trials, fails), nil
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -123,7 +124,7 @@ func TestShardedMergeMatchesUnsharded(t *testing.T) {
 			c.Parallelism = 2 // shards themselves run parallel
 			shards[i] = Run(c)
 		}
-		// Merge in reverse order to prove the fold sorts by shard index.
+		// Merge in reverse order to prove the listing order cannot matter.
 		rev := make([]*Aggregate, n)
 		for i := range shards {
 			rev[n-1-i] = shards[i]
@@ -190,6 +191,7 @@ func TestMergeShardsErrors(t *testing.T) {
 		{"duplicate-index", []*Aggregate{mk(0, 2), mk(0, 2)}},
 		{"count-mismatch", []*Aggregate{mk(0, 2), mk(1, 3)}},
 		{"unsharded-pair", []*Aggregate{mk(0, 0), mk(0, 0)}},
+		{"index-out-of-range", []*Aggregate{mk(0, 2), mk(5, 2)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -231,35 +233,33 @@ func TestRunPartialSkipAndOrder(t *testing.T) {
 	var mu sync.Mutex
 	var order []int
 	inCallback := false
-	trials, fails := RunPartial(c, func(ti int) bool { return ti == 3 || ti == 6 }, // skip two
-		func(ti int, tr Trial, te *TrialError) {
+	trials := make([]Trial, 8)
+	err := RunPartial(c, func(ti int) bool { return ti == 3 || ti == 6 }, // skip two
+		func(ti int, tr Trial, te *TrialError) error {
 			mu.Lock()
 			if inCallback {
 				mu.Unlock()
 				t.Error("TrialFunc reentered: delivery not serialized")
-				return
+				return nil
 			}
 			inCallback = true
 			mu.Unlock()
 			order = append(order, ti)
+			trials[ti] = tr
 			mu.Lock()
 			inCallback = false
 			mu.Unlock()
+			return nil
 		})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if want := []int{0, 1, 2, 4, 5, 7}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("delivery order %v, want %v", order, want)
 	}
-	if len(trials) != 8 || len(fails) != 8 {
-		t.Fatalf("result vectors must span all trials: %d/%d", len(trials), len(fails))
-	}
-	for _, ti := range []int{3, 6} {
-		if trials[ti].Completed {
-			t.Fatalf("skipped trial %d ran anyway", ti)
-		}
-	}
 	// The partial results must equal the corresponding slots of a full run.
 	full := Run(tracedCfgTrials(8))
-	for _, ti := range []int{0, 1, 2, 4, 5, 7} {
+	for _, ti := range order {
 		if !reflect.DeepEqual(trials[ti], full.Trials[ti]) {
 			t.Fatalf("partial trial %d differs from full run", ti)
 		}
@@ -272,20 +272,53 @@ func tracedCfgTrials(n int) Config {
 	return c
 }
 
-// RunStream retains nothing but still delivers every owned trial in order.
-func TestRunStreamDiscards(t *testing.T) {
+// On a sharded config RunPartial delivers exactly the owned trials, in order.
+func TestRunPartialShardOwnedOnly(t *testing.T) {
 	c := tracedCfg()
 	c.Trials = 6
 	c.Parallelism = 3
 	c.ShardIndex, c.ShardCount = 0, 2
 	var got []int
-	RunStream(c, nil, func(ti int, tr Trial, te *TrialError) {
+	err := RunPartial(c, nil, func(ti int, tr Trial, te *TrialError) error {
 		got = append(got, ti)
 		if !tr.Completed {
 			t.Errorf("trial %d delivered incomplete", ti)
 		}
+		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if want := []int{0, 2, 4}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("stream delivered %v, want %v", got, want)
+		t.Fatalf("delivered %v, want %v", got, want)
+	}
+}
+
+// A sink error stops the run at the next trial boundary — the stop path a
+// closed Interrupt takes: nothing further is delivered, the error comes
+// back, and the trials not yet started never run.
+func TestRunPartialSinkErrorStops(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		c := tracedCfg()
+		c.Trials = 40
+		c.Parallelism = par
+		c.Inject = "panic" // every trial fails at virtual 2 s: the hook counts computed trials
+		boom := errors.New("sink is full")
+		delivered, computed := 0, 0
+		FailureHook = func(*TrialError) { computed++ }
+		err := RunPartial(c, nil, func(ti int, tr Trial, te *TrialError) error {
+			if delivered++; ti == 2 {
+				return boom
+			}
+			return nil
+		})
+		FailureHook = nil
+		if err != boom {
+			t.Fatalf("parallel=%d: got error %v, want the sink's", par, err)
+		}
+		if delivered != 3 || computed != 3 {
+			t.Fatalf("parallel=%d: %d trials delivered and %d hooked after the sink failed at trial 2, want 3 and 3",
+				par, delivered, computed)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -242,6 +244,37 @@ func (r *Report) Summary() string {
 		sb.WriteString("  (timeline evicted " + strconv.FormatUint(dropped, 10) + " events)\n")
 	}
 	return sb.String()
+}
+
+// Export writes the JSONL timeline and/or the per-trial counter CSV to the
+// named destinations — "" skips one, "-" means stdout — and notes each file
+// it wrote on stdout: the export step voxel-sim and voxel-merge share.
+func (r *Report) Export(jsonlPath, csvPath string) error {
+	write := func(path string, emit func(w io.Writer) error) error {
+		if path == "" {
+			return nil
+		}
+		if path == "-" {
+			return emit(os.Stdout)
+		}
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		if err := emit(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Printf("  wrote %s\n", path)
+		return nil
+	}
+	if err := write(jsonlPath, r.WriteJSONL); err != nil {
+		return err
+	}
+	return write(csvPath, r.WriteCSV)
 }
 
 // KindCounts tallies surviving timeline events by kind across all trials,

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -168,41 +169,29 @@ type trialRecord struct {
 	Result exp.Trial `json:"result"`
 }
 
-// failRecord stores a TrialError minus its Config (the config is the
-// file-level identity; re-stamped on load).
-type failRecord struct {
-	Trial   int    `json:"trial"`
-	Seed    int64  `json:"seed"`
-	Session int    `json:"session"`
-	ClockNS int64  `json:"clock_ns"`
-	Rule    string `json:"rule"`
-	Msg     string `json:"msg"`
-	Stack   string `json:"stack,omitempty"`
-}
-
 // Checkpoint is the on-disk state of a (possibly partial) sweep: the
 // identity of what is being computed, which shard this file belongs to,
 // which trials are done, and their results — either full per-trial records
-// (classic mode) or folded sketch state (streaming mode). The final
+// (exact mode) or folded sketch state (streaming mode). The final
 // checkpoint of a finished shard doubles as the shard's output file, which
 // is exactly what voxel-merge consumes.
 type Checkpoint struct {
-	Version     int           `json:"version"`
-	Fingerprint string        `json:"fingerprint"`
-	Shard       Shard         `json:"shard"`
-	Stream      bool          `json:"stream,omitempty"`
-	Config      identity      `json:"config"`
-	Done        []int         `json:"done"`
-	Trials      []trialRecord `json:"trials,omitempty"`
-	Fails       []failRecord  `json:"fails,omitempty"`
-	Sketch      *StreamAgg    `json:"sketch,omitempty"`
+	Version     int               `json:"version"`
+	Fingerprint string            `json:"fingerprint"`
+	Shard       Shard             `json:"shard"`
+	Stream      bool              `json:"stream,omitempty"`
+	Config      identity          `json:"config"`
+	Done        []int             `json:"done"`
+	Trials      []trialRecord     `json:"trials,omitempty"`
+	Fails       []*exp.TrialError `json:"fails,omitempty"` // Config stripped; stamped back on load
+	Sketch      *StreamAgg        `json:"sketch,omitempty"`
 }
 
-// newCheckpoint builds the header for cfg.
-func newCheckpoint(cfg exp.Config, stream bool) *Checkpoint {
+// header builds the checkpoint header for a run of cfg.
+func header(cfg exp.Config, stream bool) Checkpoint {
 	d := cfg.WithDefaults()
 	id := identityOf(d)
-	return &Checkpoint{
+	return Checkpoint{
 		Version:     checkpointVersion,
 		Fingerprint: id.fingerprint(),
 		Shard:       Shard{Index: d.ShardIndex, Count: d.ShardCount},
@@ -211,43 +200,19 @@ func newCheckpoint(cfg exp.Config, stream bool) *Checkpoint {
 	}
 }
 
-// capture fills the checkpoint body from the done-set and result vectors,
-// in ascending trial order, so the bytes are a pure function of which
-// trials have completed — two processes that completed the same set write
-// identical files.
-func (cp *Checkpoint) capture(done map[int]bool, trials []exp.Trial, fails []*exp.TrialError, sk *StreamAgg) {
-	cp.Done = cp.Done[:0]
-	for ti := range done {
-		cp.Done = append(cp.Done, ti)
+// sameSweep reports whether the checkpoint holds results of the same
+// experiment, accumulated in the same mode, as head — i.e. whether the two
+// can be folded together (resume: the file into the run; merge: one shard
+// file into another).
+func (cp *Checkpoint) sameSweep(head *Checkpoint) error {
+	switch {
+	case cp.Fingerprint != head.Fingerprint:
+		return fmt.Errorf("written by a different experiment (fingerprint %.12s, want %.12s)",
+			cp.Fingerprint, head.Fingerprint)
+	case cp.Stream != head.Stream:
+		return fmt.Errorf("mixes streaming and classic checkpoints")
 	}
-	sort.Ints(cp.Done)
-	cp.Trials = nil
-	cp.Fails = nil
-	cp.Sketch = sk
-	if sk != nil {
-		return
-	}
-	for _, ti := range cp.Done {
-		if te := fails[ti]; te != nil {
-			cp.Fails = append(cp.Fails, failRecord{
-				Trial: te.Trial, Seed: te.Seed, Session: te.Session,
-				ClockNS: int64(te.Clock), Rule: te.Rule, Msg: te.Msg, Stack: te.Stack,
-			})
-			continue
-		}
-		// Stamp telemetry reports with their (trial, session) coordinates
-		// before marshal — the same values obs.MergeSessions assigns at
-		// assembly — so the serialized record is canonical whether the
-		// producing process had assembled yet or not. Without this, a
-		// merged output file and a single-process run's file would differ
-		// in stamping alone.
-		for si, r := range trials[ti].SessionObs {
-			if r != nil {
-				r.Trial, r.Session = ti, si
-			}
-		}
-		cp.Trials = append(cp.Trials, trialRecord{Trial: ti, Result: trials[ti]})
-	}
+	return nil
 }
 
 // WriteFile atomically persists the checkpoint: marshal, write to a temp
@@ -286,7 +251,10 @@ func (cp *Checkpoint) WriteFile(path string) error {
 	return nil
 }
 
-// LoadCheckpoint reads and structurally validates a checkpoint file.
+// LoadCheckpoint reads a checkpoint file and validates it. A checkpoint is
+// outside input — it may be torn, hand-edited, or written by another
+// version — and this is the one place it is checked: everything downstream
+// (resume, merge) trusts a loaded checkpoint's structure.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -296,108 +264,55 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err := json.Unmarshal(b, &cp); err != nil {
 		return nil, fmt.Errorf("sweep: %s: %w", path, err)
 	}
-	if cp.Version != checkpointVersion {
-		return nil, fmt.Errorf("sweep: %s: version %d, want %d", path, cp.Version, checkpointVersion)
-	}
-	if cp.Fingerprint != cp.Config.fingerprint() {
-		return nil, fmt.Errorf("sweep: %s: fingerprint does not match stored config", path)
-	}
-	for _, ti := range cp.Done {
-		if ti < 0 || ti >= cp.Config.Trials {
-			return nil, fmt.Errorf("sweep: %s: done trial %d out of range [0, %d)",
-				path, ti, cp.Config.Trials)
-		}
+	if err := cp.validate(); err != nil {
+		return nil, fmt.Errorf("sweep: %s: %w", path, err)
 	}
 	return &cp, nil
 }
 
-// matches reports whether the checkpoint was written by a run of cfg in
-// the same mode, i.e. whether its records can be reused.
-func (cp *Checkpoint) matches(cfg exp.Config, stream bool) error {
-	d := cfg.WithDefaults()
-	if got, want := cp.Fingerprint, identityOf(d).fingerprint(); got != want {
-		return fmt.Errorf("sweep: checkpoint was written by a different experiment (fingerprint %.12s, want %.12s)", got, want)
+// validate checks the header, that Done is a strictly increasing list of
+// trials the file's shard owns, and that the body accounts for exactly
+// those trials: one trial-or-failure record each in exact mode; in
+// streaming mode no records and a sketch that folded as many.
+func (cp *Checkpoint) validate() error {
+	if cp.Version != checkpointVersion {
+		return fmt.Errorf("version %d, want %d", cp.Version, checkpointVersion)
 	}
-	if sh := (Shard{Index: d.ShardIndex, Count: d.ShardCount}); cp.Shard != sh {
-		return fmt.Errorf("sweep: checkpoint belongs to shard %v, this run is %v", cp.Shard, sh)
+	if cp.Fingerprint != cp.Config.fingerprint() {
+		return fmt.Errorf("fingerprint does not match stored config")
 	}
-	if cp.Stream != stream {
-		return fmt.Errorf("sweep: checkpoint stream mode %v, this run wants %v", cp.Stream, stream)
+	if sh := cp.Shard; sh != (Shard{}) && (sh.Index < 0 || sh.Index >= sh.Count) {
+		return fmt.Errorf("shard %v is not i/n with 0 <= i < n", sh)
 	}
-	return nil
-}
-
-// restore unpacks the checkpoint's records into full-length result vectors
-// and the done-set (classic mode).
-func (cp *Checkpoint) restore(cfg exp.Config) (map[int]bool, []exp.Trial, []*exp.TrialError, error) {
-	d := cfg.WithDefaults()
-	done := make(map[int]bool, len(cp.Done))
-	for _, ti := range cp.Done {
-		done[ti] = true
+	for i, ti := range cp.Done {
+		switch {
+		case ti < 0 || ti >= cp.Config.Trials:
+			return fmt.Errorf("done trial %d out of range [0, %d)", ti, cp.Config.Trials)
+		case i > 0 && ti <= cp.Done[i-1]:
+			return fmt.Errorf("done list is not strictly increasing at trial %d", ti)
+		case !cp.Shard.owns(ti):
+			return fmt.Errorf("done trial %d does not belong to shard %v", ti, cp.Shard)
+		}
 	}
-	trials := make([]exp.Trial, d.Trials)
-	fails := make([]*exp.TrialError, d.Trials)
+	recorded := make([]int, 0, len(cp.Done))
 	for _, rec := range cp.Trials {
-		if rec.Trial < 0 || rec.Trial >= d.Trials || !done[rec.Trial] {
-			return nil, nil, nil, fmt.Errorf("sweep: trial record %d outside done set", rec.Trial)
+		recorded = append(recorded, rec.Trial)
+	}
+	for _, te := range cp.Fails {
+		if te == nil {
+			return fmt.Errorf("null failure record")
 		}
-		if len(rec.Result.SessionObs) > 0 {
-			// Restore the invariant JSON cannot express: Obs aliases the
-			// first session's report, so the index stamping Assemble does
-			// through SessionObs is visible through Obs too.
-			rec.Result.Obs = rec.Result.SessionObs[0]
-		}
-		trials[rec.Trial] = rec.Result
+		recorded = append(recorded, te.Trial)
 	}
-	for _, fr := range cp.Fails {
-		if fr.Trial < 0 || fr.Trial >= d.Trials || !done[fr.Trial] {
-			return nil, nil, nil, fmt.Errorf("sweep: failure record %d outside done set", fr.Trial)
-		}
-		// Re-stamp the config exactly as the harness did when the trial
-		// originally failed; the file stores results, not configs.
-		trials[fr.Trial] = exp.Trial{Failed: true}
-		fails[fr.Trial] = &exp.TrialError{
-			Config: d, Trial: fr.Trial, Seed: fr.Seed, Session: fr.Session,
-			Clock: time.Duration(fr.ClockNS), Rule: fr.Rule, Msg: fr.Msg, Stack: fr.Stack,
-		}
-	}
-	return done, trials, fails, nil
-}
-
-// Aggregate rebuilds the shard's exp.Aggregate from a finished classic
-// checkpoint — the merge tool's path from file bytes back to the exact
-// in-memory aggregate the producing process held.
-func (cp *Checkpoint) Aggregate() (*exp.Aggregate, error) {
-	if cp.Stream {
-		return nil, fmt.Errorf("sweep: streaming checkpoint has no per-trial aggregate")
-	}
-	cfg, err := cp.Config.config()
-	if err != nil {
-		return nil, err
-	}
-	cfg.ShardIndex, cfg.ShardCount = cp.Shard.Index, cp.Shard.Count
-	if err := cp.complete(); err != nil {
-		return nil, err
-	}
-	_, trials, fails, err := cp.restore(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return exp.AssembleQuiet(cfg, trials, fails), nil
-}
-
-// complete verifies the checkpoint covers every trial its shard owns.
-func (cp *Checkpoint) complete() error {
-	done := make(map[int]bool, len(cp.Done))
-	for _, ti := range cp.Done {
-		done[ti] = true
-	}
-	sh := cp.Shard
-	for ti := 0; ti < cp.Config.Trials; ti++ {
-		owned := sh.Unsharded() || ti%sh.Count == sh.Index
-		if owned && !done[ti] {
-			return fmt.Errorf("sweep: shard %v checkpoint is incomplete: trial %d missing", sh, ti)
-		}
+	sort.Ints(recorded)
+	switch {
+	case cp.Stream != (cp.Sketch != nil):
+		return fmt.Errorf("stream mode is %v but sketch state is present: %v", cp.Stream, cp.Sketch != nil)
+	case cp.Stream && (len(recorded) != 0 || cp.Sketch.Trials != len(cp.Done)):
+		return fmt.Errorf("sketch folded %d trials, with %d stray records, for %d done trials",
+			cp.Sketch.Trials, len(recorded), len(cp.Done))
+	case !cp.Stream && !slices.Equal(recorded, cp.Done):
+		return fmt.Errorf("trial and failure records cover trials %v, done trials are %v", recorded, cp.Done)
 	}
 	return nil
 }

@@ -166,17 +166,43 @@ func TestMergeFilesErrors(t *testing.T) {
 	drift := shardFile("drift.json", other, false)
 	stream0 := shardFile("stream0.json", s0, true)
 
+	// Files are outside input: each of these is shard 1's good file with one
+	// edit a torn write, a stray hand or another tool could have made.
+	edited := func(name string, edit func(cp *Checkpoint)) string {
+		t.Helper()
+		cp, err := LoadCheckpoint(f1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(cp)
+		p := filepath.Join(dir, name)
+		if err := cp.WriteFile(p); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	shardOutOfRange := edited("shard-5-of-2.json", func(cp *Checkpoint) { cp.Shard = Shard{Index: 5, Count: 2} })
+	doneTwice := edited("done-twice.json", func(cp *Checkpoint) { cp.Done = append(cp.Done, cp.Done[len(cp.Done)-1]) })
+	doneNotOwned := edited("done-not-owned.json", func(cp *Checkpoint) { cp.Done[0]-- })
+	recordMissing := edited("record-missing.json", func(cp *Checkpoint) { cp.Trials = cp.Trials[1:] })
+	recordTwice := edited("record-twice.json", func(cp *Checkpoint) { cp.Trials[1] = cp.Trials[0] })
+
 	cases := []struct {
 		name  string
 		files []string
 		want  string
 	}{
 		{"empty", nil, "no checkpoint files"},
-		{"missing shard", []string{f0}, "shard count is 2 but 1 files"},
-		{"duplicate shard", []string{f0, f0}, "both shard"},
-		{"extra file with unsharded", []string{whole, f0}, "unsharded but 2 files"},
+		{"missing shard", []string{f0}, "hold 3 of 6 trials; trial 1 is the first missing"},
+		{"duplicate shard", []string{f0, f0}, "s0.json (shard 0/2): trial 0 was already loaded"},
+		{"extra file with unsharded", []string{whole, f0}, "s0.json (shard 0/2): trial 0 was already loaded"},
 		{"fingerprint drift", []string{f0, drift}, "different experiment"},
 		{"mode mix", []string{stream0, f1}, "mixes streaming and classic"},
+		{"shard index out of range", []string{f0, shardOutOfRange}, "shard 5/2 is not i/n"},
+		{"done trial repeated", []string{f0, doneTwice}, "not strictly increasing"},
+		{"done trial of another shard", []string{f0, doneNotOwned}, "does not belong to shard 1/2"},
+		{"done trial without a record", []string{f0, recordMissing}, "records cover trials [3 5], done trials are [1 3 5]"},
+		{"record repeated", []string{f0, recordTwice}, "records cover trials [1 1 5], done trials are [1 3 5]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

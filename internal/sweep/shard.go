@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"voxel/internal/exp"
 )
 
 // Shard names one slice of a sharded campaign: this process owns the trials
@@ -27,6 +29,23 @@ type Shard struct {
 
 // Unsharded reports whether the shard spec selects the whole sweep.
 func (s Shard) Unsharded() bool { return s.Count <= 1 }
+
+// owns reports whether the shard runs the given trial. exp.Config.Owns is
+// the one statement of the ownership rule; this only adapts the types.
+func (s Shard) owns(trial int) bool {
+	return exp.Config{ShardIndex: s.Index, ShardCount: s.Count}.Owns(trial)
+}
+
+// Owned counts the trials the shard owns out of a sweep of n.
+func (s Shard) Owned(n int) int {
+	owned := 0
+	for ti := 0; ti < n; ti++ {
+		if s.owns(ti) {
+			owned++
+		}
+	}
+	return owned
+}
 
 // String renders the canonical "i/n" spec.
 func (s Shard) String() string {

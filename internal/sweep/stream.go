@@ -33,17 +33,16 @@ type StreamAgg struct {
 	Score    *stats.QuantileSketch `json:"score"`
 }
 
-// NewStreamAgg builds an empty streaming aggregate with relative-error
-// bound alpha (stats.DefaultSketchAlpha when zero).
-func NewStreamAgg(alpha float64) *StreamAgg {
-	mk := func() *stats.QuantileSketch { return stats.NewQuantileSketch(alpha) }
-	s := &StreamAgg{BufRatio: mk(), Bitrate: mk(), Score: mk()}
-	s.Alpha = s.BufRatio.Alpha()
-	return s
+// NewStreamAgg builds an empty streaming aggregate whose sketches carry the
+// relative-error bound stats.DefaultSketchAlpha.
+func NewStreamAgg() *StreamAgg {
+	mk := func() *stats.QuantileSketch { return stats.NewQuantileSketch(stats.DefaultSketchAlpha) }
+	return &StreamAgg{Alpha: stats.DefaultSketchAlpha, BufRatio: mk(), Bitrate: mk(), Score: mk()}
 }
 
-// fold accumulates one completed trial, in delivery (trial) order.
-func (s *StreamAgg) fold(tr exp.Trial, te *exp.TrialError) {
+// add accumulates one completed trial, in delivery (trial) order, and keeps
+// nothing else of it.
+func (s *StreamAgg) add(_ int, tr exp.Trial, te *exp.TrialError) {
 	s.Trials++
 	if te != nil {
 		s.Failed++
@@ -57,14 +56,19 @@ func (s *StreamAgg) fold(tr exp.Trial, te *exp.TrialError) {
 	}
 }
 
-// Merge folds other into s; both must use the same α. Bucket counts add,
-// so the merged quantiles equal a single sketch fed every shard's samples.
+// The sketch state is the whole checkpoint body: saving shares it, loading
+// merges the file's into this one (exactly — see Merge).
+func (s *StreamAgg) save(cp *Checkpoint)       { cp.Sketch = s }
+func (s *StreamAgg) load(cp *Checkpoint) error { return s.Merge(cp.Sketch) }
+
+func (s *StreamAgg) result() (*exp.Aggregate, *StreamAgg) { return nil, s }
+
+// Merge folds other into s; the sketches refuse a different α. Bucket
+// counts add, so the merged quantiles equal a single sketch fed every
+// shard's samples.
 func (s *StreamAgg) Merge(other *StreamAgg) error {
 	if other == nil {
 		return nil
-	}
-	if other.Alpha != s.Alpha {
-		return fmt.Errorf("sweep: stream alpha mismatch: %v vs %v", s.Alpha, other.Alpha)
 	}
 	if err := s.BufRatio.Merge(other.BufRatio); err != nil {
 		return err

@@ -20,24 +20,22 @@ type Options struct {
 	// i.e. after each trial). The write is atomic, so a kill between
 	// writes loses at most the last N trials of work, never the file.
 	Every int
-	// Stream folds each trial into mergeable quantile sketches and
-	// discards the per-trial result immediately: Run returns a StreamAgg
-	// instead of an exp.Aggregate and peak memory stays bounded by the
-	// sketch size, not the trial count. Incompatible with Telemetry
-	// (per-trial reports are exactly what streaming refuses to retain).
+	// Stream folds each trial into mergeable quantile sketches (relative
+	// error stats.DefaultSketchAlpha) and discards the per-trial result
+	// immediately: Run returns a StreamAgg instead of an exp.Aggregate and
+	// peak memory stays bounded by the sketch size, not the trial count.
+	// Incompatible with Telemetry (per-trial reports are exactly what
+	// streaming refuses to retain).
 	Stream bool
-	// Alpha is the streaming sketches' relative-error bound
-	// (stats.DefaultSketchAlpha when zero).
-	Alpha float64
 }
 
 // Result is what a sweep run produced.
 type Result struct {
-	// Agg is the classic aggregate (nil in streaming mode). For a sharded
+	// Agg is the exact aggregate (nil in streaming mode). For a sharded
 	// run it carries full-length trial vectors with only owned slots
 	// populated, ready for exp.MergeShards.
 	Agg *exp.Aggregate
-	// Stream is the streaming aggregate (nil in classic mode).
+	// Stream is the streaming aggregate (nil in exact mode).
 	Stream *StreamAgg
 	// Restored counts trials recovered from the checkpoint; Ran counts
 	// trials executed by this process. Restored+Ran equals the shard's
@@ -48,11 +46,13 @@ type Result struct {
 
 // Run executes cfg's sweep (or this shard's slice of it) under the
 // engine: resuming from, and checkpointing to, opts.Checkpoint, in either
-// classic (full per-trial retention) or streaming (bounded-memory sketch)
+// exact (full per-trial retention) or streaming (bounded-memory sketch)
 // mode. The determinism contract: for the same cfg, the returned
 // aggregate is bit-identical whether the sweep ran in one process, was
 // killed and resumed any number of times, or ran sharded and merged —
-// modulo the run-specific Stack text of failure records.
+// modulo the run-specific Stack text of failure records. A checkpoint
+// write that fails stops the sweep at the next trial boundary; Run then
+// returns the error together with the counts so far.
 func Run(cfg exp.Config, opts Options) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -64,22 +64,11 @@ func Run(cfg exp.Config, opts Options) (Result, error) {
 	if opts.Every <= 0 {
 		opts.Every = 1
 	}
-
-	var (
-		done   = map[int]bool{}
-		trials []exp.Trial
-		fails  []*exp.TrialError
-		sk     *StreamAgg
-		res    Result
-	)
-	if opts.Stream {
-		sk = NewStreamAgg(opts.Alpha)
-	} else {
-		trials = make([]exp.Trial, d.Trials)
-		fails = make([]*exp.TrialError, d.Trials)
+	p, err := newProgress(header(d, opts.Stream), func() (exp.Config, error) { return d, nil })
+	if err != nil {
+		return Result{}, err
 	}
-
-	cp := newCheckpoint(d, opts.Stream)
+	var res Result
 	if opts.Checkpoint != "" {
 		prev, err := LoadCheckpoint(opts.Checkpoint)
 		switch {
@@ -88,86 +77,44 @@ func Run(cfg exp.Config, opts Options) (Result, error) {
 		case err != nil:
 			return Result{}, err
 		default:
-			if err := prev.matches(d, opts.Stream); err != nil {
+			if err := prev.sameSweep(&p.file); err != nil {
+				return Result{}, fmt.Errorf("sweep: %s: %w", opts.Checkpoint, err)
+			}
+			if prev.Shard != p.file.Shard {
+				return Result{}, fmt.Errorf("sweep: %s belongs to shard %v, this run is %v",
+					opts.Checkpoint, prev.Shard, p.file.Shard)
+			}
+			if err := p.load(prev); err != nil {
 				return Result{}, err
 			}
-			if opts.Stream {
-				if prev.Sketch == nil {
-					return Result{}, fmt.Errorf("sweep: streaming checkpoint missing sketch state")
-				}
-				if prev.Sketch.Alpha != sk.Alpha {
-					return Result{}, fmt.Errorf("sweep: checkpoint sketch alpha %v, this run wants %v",
-						prev.Sketch.Alpha, sk.Alpha)
-				}
-				sk = prev.Sketch
-				for _, ti := range prev.Done {
-					done[ti] = true
-				}
-			} else {
-				done, trials, fails, err = prev.restore(d)
-				if err != nil {
-					return Result{}, err
-				}
-			}
-			res.Restored = len(done)
+			res.Restored = p.n
 		}
-	}
-	restored := make(map[int]bool, len(done))
-	for ti := range done {
-		restored[ti] = true
 	}
 
 	sinceWrite := 0
-	var writeErr error
-	onTrial := func(ti int, tr exp.Trial, te *exp.TrialError) {
-		if opts.Stream {
-			sk.fold(tr, te)
-		} else {
-			trials[ti] = tr
-			fails[ti] = te
-		}
-		done[ti] = true
-		res.Ran++
-		sinceWrite++
-		if opts.Checkpoint != "" && sinceWrite >= opts.Every && writeErr == nil {
-			cp.capture(done, trials, fails, sk)
-			writeErr = cp.WriteFile(opts.Checkpoint)
-			sinceWrite = 0
-		}
+	save := func() error {
+		sinceWrite = 0
+		return p.checkpoint().WriteFile(opts.Checkpoint)
 	}
-	skip := func(ti int) bool { return done[ti] }
-
-	if opts.Stream {
-		exp.RunStream(d, skip, onTrial)
-	} else {
-		exp.RunPartial(d, skip, onTrial)
-	}
-	if writeErr != nil {
-		return Result{}, fmt.Errorf("sweep: checkpoint write failed mid-run: %w", writeErr)
+	err = exp.RunPartial(d, func(ti int) bool { return p.done[ti] },
+		func(ti int, tr exp.Trial, te *exp.TrialError) error {
+			p.add(ti, tr, te)
+			res.Ran++
+			if sinceWrite++; opts.Checkpoint != "" && sinceWrite >= opts.Every {
+				return save()
+			}
+			return nil
+		})
+	if err != nil {
+		return res, fmt.Errorf("sweep: checkpoint write failed mid-run: %w", err)
 	}
 	if opts.Checkpoint != "" && (sinceWrite > 0 || res.Ran == 0) {
 		// Final write so the file always reflects the finished state (and
 		// a fully-restored run still refreshes the output file).
-		cp.capture(done, trials, fails, sk)
-		if err := cp.WriteFile(opts.Checkpoint); err != nil {
-			return Result{}, err
+		if err := save(); err != nil {
+			return res, err
 		}
 	}
-
-	if opts.Stream {
-		res.Stream = sk
-		return res, nil
-	}
-	// Assemble without the hook side effect, then report only the failures
-	// that happened in this process: restored failures were already
-	// reported by the run that produced them.
-	res.Agg = exp.AssembleQuiet(d, trials, fails)
-	if exp.FailureHook != nil {
-		for ti, te := range fails {
-			if te != nil && !restored[ti] {
-				exp.FailureHook(te)
-			}
-		}
-	}
+	res.Agg, res.Stream = p.acc.result()
 	return res, nil
 }

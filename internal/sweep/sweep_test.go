@@ -7,7 +7,9 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -73,6 +75,28 @@ func TestParseShard(t *testing.T) {
 	}
 }
 
+// Owned partitions the trial count exactly: the owned counts of a full
+// shard set sum to the total, and every shard gets ⌊n/c⌋ or ⌈n/c⌉.
+func TestShardOwned(t *testing.T) {
+	for _, count := range []int{0, 1, 2, 3, 4, 7} {
+		for _, n := range []int{0, 1, 5, 12, 30} {
+			c := max(count, 1)
+			sum := 0
+			for i := 0; i < c; i++ {
+				owned := Shard{Index: i, Count: count}.Owned(n)
+				if lo, hi := n/c, (n+c-1)/c; owned < lo || owned > hi {
+					t.Fatalf("shard %d/%d of %d trials owns %d, want in [%d,%d]",
+						i, count, n, owned, lo, hi)
+				}
+				sum += owned
+			}
+			if sum != n {
+				t.Fatalf("%d-way shards of %d trials own %d total", count, n, sum)
+			}
+		}
+	}
+}
+
 // A checkpointed run that finishes, then a second invocation pointed at the
 // same file, must restore everything (zero recomputation) and produce the
 // identical aggregate. Then a truncated checkpoint — the exact on-disk
@@ -109,21 +133,13 @@ func TestCheckpointResume(t *testing.T) {
 	}
 
 	// Truncate to the first 3 done trials — the post-crash state — and
-	// resume.
+	// resume. (Trial 2 is the injected failure, so the cut keeps the first
+	// two trial records and the failure record.)
 	cp, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done, trials, fails, err := cp.restore(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ti := range done {
-		if ti >= 3 {
-			delete(done, ti)
-		}
-	}
-	cp.capture(done, trials, fails, nil)
+	cp.Done, cp.Trials = cp.Done[:3], cp.Trials[:2]
 	if err := cp.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +159,8 @@ func TestCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp2.complete(); err != nil {
-		t.Fatal(err)
+	if len(cp2.Done) != 6 {
+		t.Fatalf("refreshed file holds %d of 6 trials", len(cp2.Done))
 	}
 }
 
@@ -185,8 +201,9 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 }
 
 // The merge tool's whole path: run shards to checkpoint files, load the
-// files, rebuild the aggregates, merge — and land exactly on the unsharded
-// clean run.
+// files back into one accumulator, fold — and land exactly on the unsharded
+// clean run, and on what the in-process exp.MergeShards makes of the shard
+// aggregates.
 func TestShardFilesMergeToCleanRun(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testCfg()
@@ -195,29 +212,32 @@ func TestShardFilesMergeToCleanRun(t *testing.T) {
 	clean := exp.Run(cfg)
 
 	var shards []*exp.Aggregate
+	var files []string
 	for i := 0; i < 2; i++ {
 		c := cfg
 		c.ShardIndex, c.ShardCount = i, 2
 		path := filepath.Join(dir, "shard"+string(rune('0'+i))+".json")
-		if _, err := Run(c, Options{Checkpoint: path, Every: 2}); err != nil {
-			t.Fatal(err)
-		}
-		cp, err := LoadCheckpoint(path)
+		res, err := Run(c, Options{Checkpoint: path, Every: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		agg, err := cp.Aggregate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards = append(shards, agg)
+		shards = append(shards, res.Agg)
+		files = append(files, path)
 	}
-	merged, err := exp.MergeShards(shards)
+	inProcess, err := exp.MergeShards(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The shard aggregates crossed a JSON round-trip; the merged result
-	// must still be value-identical to the in-process clean run, except
+	if !reflect.DeepEqual(inProcess, clean) {
+		t.Fatal("in-process shard merge differs from clean run")
+	}
+	m, err := MergeFiles(files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := m.Agg
+	// The shard results crossed a JSON round-trip; the merged result must
+	// still be value-identical to the in-process clean run, except
 	// Config.Trace which is rebuilt by name (compare it separately).
 	if merged.Config.Trace == nil || merged.Config.Trace.Name() != clean.Config.Trace.Name() {
 		t.Fatal("merged config lost its trace")
@@ -233,14 +253,17 @@ func TestShardFilesMergeToCleanRun(t *testing.T) {
 		t.Fatal("merged aggregate differs from clean run")
 	}
 
-	// An incomplete shard file must refuse to rebuild an aggregate.
-	cp, err := LoadCheckpoint(filepath.Join(dir, "shard0.json"))
+	// An incomplete shard file must refuse to merge.
+	cp, err := LoadCheckpoint(files[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp.Done = cp.Done[:1]
-	if _, err := cp.Aggregate(); err == nil {
-		t.Fatal("incomplete shard checkpoint must not rebuild an aggregate")
+	cp.Done, cp.Trials = cp.Done[:1], cp.Trials[:1]
+	if err := cp.WriteFile(files[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MergeFiles(files); err == nil || !strings.Contains(err.Error(), "hold 4 of 6 trials; trial 2 is the first missing") {
+		t.Fatalf("incomplete shard checkpoint must not merge, got %v", err)
 	}
 }
 
@@ -251,7 +274,7 @@ func TestStreamModeAccuracyAndMerge(t *testing.T) {
 	cfg := testCfg()
 	classic := exp.Run(cfg)
 
-	r, err := Run(cfg, Options{Stream: true, Alpha: 0.01})
+	r, err := Run(cfg, Options{Stream: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +300,7 @@ func TestStreamModeAccuracyAndMerge(t *testing.T) {
 	// Parallel stream run folds in the same order → identical sketch state.
 	par := cfg
 	par.Parallelism = 4
-	rp, err := Run(par, Options{Stream: true, Alpha: 0.01})
+	rp, err := Run(par, Options{Stream: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,11 +310,11 @@ func TestStreamModeAccuracyAndMerge(t *testing.T) {
 
 	// Sharded stream runs merge to the unsharded state exactly (bucket
 	// counts and quantiles; Sum folds in shard order by construction).
-	mergedSt := NewStreamAgg(0.01)
+	mergedSt := NewStreamAgg()
 	for i := 0; i < 2; i++ {
 		c := cfg
 		c.ShardIndex, c.ShardCount = i, 2
-		ri, err := Run(c, Options{Stream: true, Alpha: 0.01})
+		ri, err := Run(c, Options{Stream: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,11 +335,11 @@ func TestStreamModeAccuracyAndMerge(t *testing.T) {
 	// that reproduces the same state.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "stream.json")
-	r1, err := Run(cfg, Options{Stream: true, Alpha: 0.01, Checkpoint: path})
+	r1, err := Run(cfg, Options{Stream: true, Checkpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(cfg, Options{Stream: true, Alpha: 0.01, Checkpoint: path})
+	r2, err := Run(cfg, Options{Stream: true, Checkpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,4 +455,180 @@ func runKillChild() {
 		os.Exit(1)
 	}
 	os.Exit(0)
+}
+
+// mallocsDuring counts the heap allocations fn makes: a deterministic proxy
+// for how much simulation it did.
+func mallocsDuring(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// A checkpoint that cannot be written stops the sweep at the next trial
+// boundary instead of simulating every remaining trial and then throwing
+// the work away: Run reports the failure, Ran shows how far it got, and
+// the work done is a small fraction of the full sweep's.
+func TestCheckpointWriteFailureStopsRun(t *testing.T) {
+	cfg := testCfg()
+	cfg.Trials = 40
+	cfg.Segments = 3
+	cfg.Parallelism = 4
+	full := mallocsDuring(func() {
+		if _, err := Run(cfg, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// The directory does not exist: no previous file to load (a fresh run),
+	// and no write can succeed.
+	path := filepath.Join(t.TempDir(), "missing", "state.json")
+	var res Result
+	var err error
+	stopped := mallocsDuring(func() { res, err = Run(cfg, Options{Checkpoint: path}) })
+	if err == nil || !strings.Contains(err.Error(), "checkpoint write failed") {
+		t.Fatalf("got err %v, want the checkpoint write failure", err)
+	}
+	if res.Ran < 1 || res.Ran > cfg.Trials/4 {
+		t.Fatalf("Ran = %d of %d owned trials, want at least the one whose write failed and far fewer than all",
+			res.Ran, cfg.Trials)
+	}
+	if stopped*3 > full {
+		t.Fatalf("the failed run allocated %d objects, the full sweep %d: the remaining trials still simulated",
+			stopped, full)
+	}
+}
+
+// FailureHook through the sweep engine: once per failing trial this process
+// computed, in trial order at any parallelism; never for trials restored
+// from a checkpoint; never from a merge.
+func TestFailureHookThroughSweep(t *testing.T) {
+	var got []int
+	exp.FailureHook = func(te *exp.TrialError) { got = append(got, te.Trial) }
+	defer func() { exp.FailureHook = nil }()
+	fired := func() []int {
+		out := got
+		got = nil
+		return out
+	}
+
+	dir := t.TempDir()
+	cfg := testCfg()
+	cfg.Inject = "panic" // every trial fails, so ordering has something to order
+	cfg.Parallelism = 4
+	path := filepath.Join(dir, "state.json")
+	if _, err := Run(cfg, Options{Checkpoint: path}); err != nil {
+		t.Fatal(err)
+	}
+	if f, want := fired(), []int{0, 1, 2, 3, 4, 5}; !reflect.DeepEqual(f, want) {
+		t.Fatalf("fresh run fired %v, want %v", f, want)
+	}
+
+	// Resume from the first half: only the recomputed half reports.
+	cp, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Done, cp.Fails = cp.Done[:3], cp.Fails[:3]
+	if err := cp.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(cfg, Options{Checkpoint: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, want := fired(), []int{3, 4, 5}; res.Restored != 3 || !reflect.DeepEqual(f, want) {
+		t.Fatalf("resume restored %d and fired %v, want 3 and %v", res.Restored, f, want)
+	}
+	if _, err := Run(cfg, Options{Checkpoint: path}); err != nil {
+		t.Fatal(err)
+	}
+	if f := fired(); f != nil {
+		t.Fatalf("a fully restored run fired %v", f)
+	}
+
+	// Shards report their own trials; merging their files reports nothing.
+	var files []string
+	for i := 0; i < 2; i++ {
+		c := cfg
+		c.ShardIndex, c.ShardCount = i, 2
+		files = append(files, filepath.Join(dir, "shard"+string(rune('0'+i))+".json"))
+		if _, err := Run(c, Options{Checkpoint: files[i]}); err != nil {
+			t.Fatal(err)
+		}
+		if f, want := fired(), []int{i, i + 2, i + 4}; !reflect.DeepEqual(f, want) {
+			t.Fatalf("shard %d fired %v, want %v", i, f, want)
+		}
+	}
+	if m, err := MergeFiles(files); err != nil || len(m.Agg.Failed) != 6 {
+		t.Fatalf("merge: %v", err)
+	}
+	if f := fired(); f != nil {
+		t.Fatalf("MergeFiles fired %v", f)
+	}
+}
+
+// The fingerprint must cover every exp.Config field that changes results.
+// identity, identityOf and identity.config() each spell out Config's field
+// list by hand; a field added to Config but not to them would silently drop
+// out of the fingerprint and let resume and merge mix experiments. So every
+// field must either be cleared by Normalized() (execution-only) or, when
+// perturbed, change the fingerprint and survive the identity round trip.
+func TestIdentityCoversConfig(t *testing.T) {
+	base := exp.Config{
+		Title: "BBB", System: exp.SysVoxel, BufferSegments: 3, Trace: trace.TMobile(),
+		QueuePackets: 40, Trials: 6, Metric: 1, Segments: 6, CrossTraffic: 1e6, LinkCapacity: 2e7,
+		Seed: 11, MaxSimTime: time.Minute, CC: "bbr", Impairment: "bursty", Failover: true,
+		Parallelism: 2, Telemetry: true, TimelineCap: 64, Interrupt: make(chan struct{}),
+		Sessions: 2, Invariants: true, WatchdogWall: time.Minute, WatchdogEvents: 1000,
+		Inject: "panic@1", ShardIndex: 1, ShardCount: 2,
+	}
+	baseFP := identityOf(base).fingerprint()
+	rt := reflect.TypeOf(base)
+	for i := 0; i < rt.NumField(); i++ {
+		name := rt.Field(i).Name
+		if reflect.ValueOf(base).Field(i).IsZero() {
+			t.Fatalf("%s: the base config must set every field, or a perturbation could be lost to defaulting", name)
+		}
+		p := base
+		f := reflect.ValueOf(&p).Elem().Field(i)
+		switch v := f.Addr().Interface().(type) {
+		case **trace.Trace:
+			*v = trace.Verizon()
+		case *<-chan struct{}:
+			*v = make(chan struct{})
+		default:
+			switch f.Kind() {
+			case reflect.String:
+				f.SetString(f.String() + "x")
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			case reflect.Int, reflect.Int64:
+				f.SetInt(f.Int() + 1)
+			case reflect.Uint64:
+				f.SetUint(f.Uint() + 1)
+			case reflect.Float64:
+				f.SetFloat(f.Float() + 1)
+			default:
+				t.Fatalf("%s: the test cannot perturb a %v; teach it", name, f.Kind())
+			}
+		}
+		want := reflect.ValueOf(p.Normalized()).Field(i).Interface()
+		if reflect.DeepEqual(want, reflect.ValueOf(base.Normalized()).Field(i).Interface()) {
+			continue // execution-only: Normalized() clears it
+		}
+		id := identityOf(p)
+		if id.fingerprint() == baseFP {
+			t.Errorf("%s changes results but not the fingerprint", name)
+		}
+		back, err := id.config()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := reflect.ValueOf(back).Field(i).Interface(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s does not survive identity.config(): got %v, want %v", name, got, want)
+		}
+	}
 }
