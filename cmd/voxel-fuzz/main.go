@@ -36,7 +36,11 @@ func main() {
 		return
 	}
 	fmt.Printf("\nvoxel-fuzz: FAILURE %s — %s\n", te.Rule, te.Msg)
-	if err := artifact.Save(*out); err != nil {
+	b, err := artifact.Encode()
+	if err == nil {
+		err = os.WriteFile(*out, b, 0o644)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "voxel-fuzz:", err)
 		os.Exit(1)
 	}

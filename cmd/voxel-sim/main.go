@@ -12,13 +12,15 @@
 // bounded-memory quantile sketches instead of retaining them.
 //
 // With -repro it instead replays a JSON crash artifact (written by
-// voxel-fuzz) with invariants and watchdog armed, and exits 0 only if the
-// artifact's recorded violation reproduces.
+// voxel-fuzz, or printed as a failing run's "replay:" line; - reads stdin):
+// it runs exactly the configuration the artifact records and exits 0 only
+// if the recorded violation reproduces.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -28,7 +30,6 @@ import (
 	"voxel/internal/chaos"
 	"voxel/internal/exp"
 	"voxel/internal/profiling"
-	"voxel/internal/repro"
 	"voxel/internal/stats"
 	"voxel/internal/sweep"
 )
@@ -76,7 +77,7 @@ func main() {
 	stream := flag.Bool("stream", false,
 		"streaming aggregation: fold each trial into mergeable quantile sketches (relative error ≤ 1%) and discard it, bounding memory by sketch size instead of trial count")
 	reproPath := flag.String("repro", "",
-		"replay a JSON crash artifact with invariants+watchdog armed; exits 0 only if its violation reproduces (exclusive with sweep flags)")
+		"replay a JSON crash artifact (- = stdin), running exactly the configuration it records; exits 0 only if its violation reproduces (exclusive with sweep flags)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -272,24 +273,41 @@ func reportFailures(agg *voxel.Aggregate) {
 	}
 }
 
+// loadArtifact reads and decodes a crash artifact ("-" = stdin) and
+// rebuilds the configuration it records.
+func loadArtifact(path string) (*exp.Artifact, exp.Config, error) {
+	var b []byte
+	var err error
+	if path == "-" {
+		b, err = io.ReadAll(os.Stdin)
+	} else {
+		b, err = os.ReadFile(path)
+	}
+	if err != nil {
+		return nil, exp.Config{}, err
+	}
+	a, err := exp.DecodeArtifact(b)
+	if err != nil {
+		return nil, exp.Config{}, err
+	}
+	cfg, err := a.Spec.Config()
+	return a, cfg, err
+}
+
 // runRepro replays a crash artifact and returns the process exit code:
 // 0 when the recorded violation reproduces, 1 otherwise.
 func runRepro(path string) int {
-	a, err := repro.Load(path)
+	a, cfg, err := loadArtifact(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "voxel-sim:", err)
 		return 1
 	}
-	fmt.Printf("replaying %s: %s/%s trial %d seed %d", path, a.Title, a.System, a.Trial, a.Seed)
+	fmt.Printf("replaying %s: %s/%s trial %d seed %d", path, cfg.Title, cfg.System, a.Trial, cfg.Seed)
 	if a.Violation != "" {
 		fmt.Printf(" (expecting %s)", a.Violation)
 	}
 	fmt.Println()
-	ok, te, err := chaos.Reproduces(a)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "voxel-sim:", err)
-		return 1
-	}
+	ok, te := chaos.Reproduces(cfg, a.Violation)
 	switch {
 	case ok:
 		fmt.Printf("reproduced: %s — %s\n", te.Rule, te.Msg)

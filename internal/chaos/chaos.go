@@ -1,8 +1,8 @@
 // Package chaos is the randomized fuzz campaign over the full experiment
 // stack. It sweeps (configuration × impairment × seed) tuples with the
 // cross-layer invariant checker and trial watchdog armed, and when a tuple
-// fails it shrinks the case to a minimal JSON crash artifact (internal/
-// repro) replayable with `voxel-sim -repro file.json`.
+// fails it shrinks the case to a minimal JSON crash artifact (exp.Artifact)
+// replayable with `voxel-sim -repro file.json`.
 //
 // Everything here is deterministic: tuples come from a seeded generator,
 // each trial world is a deterministic simulation, and the shrinker only
@@ -15,156 +15,134 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"time"
 
 	"voxel/internal/exp"
 	"voxel/internal/netem"
-	"voxel/internal/repro"
+	"voxel/internal/qoe"
 	"voxel/internal/trace"
 	"voxel/internal/video"
 )
 
-// RandomArtifact draws one fuzz tuple. The distribution is tilted toward
-// fast cases — short clips, bounded virtual time, mostly single-session —
-// so a campaign gets through many tuples, while still visiting every
-// system, trace, impairment profile, failover, swarm, and cross-traffic
-// corner with some probability.
-func RandomArtifact(rng *rand.Rand) *repro.Artifact {
+// RandomConfig draws one fuzz tuple, with invariants and both watchdog
+// budgets armed. The distribution is tilted toward fast cases — short
+// clips, bounded virtual time, mostly single-session — so a campaign gets
+// through many tuples, while still visiting every system, trace, impairment
+// profile, failover, swarm, and cross-traffic corner with some probability.
+func RandomConfig(rng *rand.Rand) exp.Config {
 	titles := video.AllTitles()
 	systems := exp.Systems()
-	a := &repro.Artifact{
-		Title:    titles[rng.Intn(len(titles))],
-		System:   string(systems[rng.Intn(len(systems))]),
-		Buffer:   4 + rng.Intn(6),
-		Segments: 4 + rng.Intn(7),
-		Trials:   1 + rng.Intn(2),
-		Seed:     1 + rng.Int63n(1<<30),
-		Sessions: 1,
+	c := exp.Config{
+		Title:          titles[rng.Intn(len(titles))],
+		System:         systems[rng.Intn(len(systems))],
+		BufferSegments: 4 + rng.Intn(6),
+		Segments:       4 + rng.Intn(7),
+		Trials:         1 + rng.Intn(2),
+		Seed:           1 + rng.Int63n(1<<30),
+		Sessions:       1,
 		// Bound virtual time well below the harness default (20× media):
 		// a wedged-but-legal tuple costs seconds, not minutes, and a truly
 		// stuck one is the watchdog's job.
-		MaxSimTimeSec: 120,
+		MaxSimTime:     120 * time.Second,
+		Invariants:     true,
+		WatchdogWall:   exp.DefaultWatchdogWall,
+		WatchdogEvents: exp.DefaultWatchdogEvents,
 	}
-	switch rng.Intn(3) {
-	case 0:
-		a.Metric = "ssim"
-	case 1:
-		a.Metric = "vmaf"
-	case 2:
-		a.Metric = "psnr"
-	}
+	c.Metric = []qoe.Metric{qoe.SSIM, qoe.VMAF, qoe.PSNR}[rng.Intn(3)]
 	if rng.Intn(5) == 0 {
-		a.CrossMbps = 1 + 9*rng.Float64()
-		a.LinkMbps = 10 + 10*rng.Float64()
+		c.CrossTraffic = (1 + 9*rng.Float64()) * 1e6
+		c.LinkCapacity = (10 + 10*rng.Float64()) * 1e6
 	} else {
 		names := trace.Names()
-		a.Trace = names[rng.Intn(len(names))]
+		c.Trace, _ = trace.ByName(names[rng.Intn(len(names))]) // Names lists ByName's keys
 	}
 	profiles := netem.Profiles()
-	a.Impairment = profiles[rng.Intn(len(profiles))]
+	c.Impairment = profiles[rng.Intn(len(profiles))]
 	if rng.Intn(4) == 0 {
-		a.Sessions = 2 + rng.Intn(3)
+		c.Sessions = 2 + rng.Intn(3)
 	}
 	if rng.Intn(6) == 0 {
-		a.Failover = true
+		c.Failover = true
 	}
 	if rng.Intn(4) == 0 {
-		a.CC = "bbr"
+		c.CC = "bbr"
 	}
-	return a
+	return c
 }
 
-// Run executes one artifact with invariants and watchdog armed (that is
-// what ConfigFromArtifact arms) and returns the first trial failure, or
-// nil when every trial survived. The error return is for artifacts that
-// don't resolve to a runnable config at all.
-func Run(a *repro.Artifact) (*exp.TrialError, error) {
-	cfg, err := exp.ConfigFromArtifact(a)
-	if err != nil {
-		return nil, err
-	}
+// Reproduces runs cfg exactly as given and returns its first trial failure
+// (nil when every trial survived), and whether that failure breaks the
+// given rule (any failure, when rule is empty). This is both the shrinker's
+// keep/revert test and `voxel-sim -repro`'s verdict.
+func Reproduces(cfg exp.Config, rule string) (bool, *exp.TrialError) {
 	agg := exp.Run(cfg)
-	if len(agg.Failed) > 0 {
-		return &agg.Failed[0], nil
+	if len(agg.Failed) == 0 {
+		return false, nil
 	}
-	return nil, nil
+	te := &agg.Failed[0]
+	return rule == "" || te.Rule == rule, te
 }
 
-// Reproduces reports whether the artifact still fails with its recorded
-// Violation rule (any failure, when Violation is empty). This is both the
-// shrinker's keep/revert test and `voxel-sim -repro`'s verdict.
-func Reproduces(a *repro.Artifact) (bool, *exp.TrialError, error) {
-	te, err := Run(a)
-	if err != nil || te == nil {
-		return false, te, err
-	}
-	if a.Violation != "" && te.Rule != a.Violation {
-		return false, te, nil
-	}
-	return true, te, nil
-}
-
-// Shrink minimizes a failing artifact along a fixed ladder — drop the
+// Shrink minimizes the config of a failure along a fixed ladder — drop the
 // failover origin, drop the impairment profile, collapse the swarm to one
 // session, collapse the sweep to the one failing trial (rebasing the seed
 // so the same world is built), halve the clip, then walk the seed toward 1
-// — keeping each reduction only if the re-run fails with the same rule.
-// The optional log receives one line per attempted step.
-func Shrink(a *repro.Artifact, log io.Writer) *repro.Artifact {
-	cur := *a
+// — keeping each reduction only if the re-run fails with the same rule. It
+// returns the last failure that reproduced, whose Config is the minimal
+// one. The optional log receives one line per attempted step.
+func Shrink(te *exp.TrialError, log io.Writer) *exp.TrialError {
 	logf := func(format string, args ...any) {
 		if log != nil {
 			fmt.Fprintf(log, format+"\n", args...)
 		}
 	}
-	try := func(step string, mutate func(*repro.Artifact)) bool {
-		cand := cur
+	try := func(step string, mutate func(*exp.Config)) bool {
+		cand := te.Config
 		mutate(&cand)
-		ok, te, err := Reproduces(&cand)
-		if err != nil || !ok {
+		ok, got := Reproduces(cand, te.Rule)
+		if !ok {
 			logf("shrink: %-16s kept previous (no longer reproduces)", step)
 			return false
 		}
-		// The failing trial index can move when the sweep shrinks; track it
-		// so the artifact always names the trial that actually fails.
-		cand.Trial = te.Trial
-		cand.Detail = te.Msg
-		cur = cand
+		// The failing trial index can move when the sweep shrinks; got
+		// names the trial that actually fails now.
+		te = got
 		logf("shrink: %-16s still fails (%s)", step, te.Rule)
 		return true
 	}
-	if cur.Failover {
-		try("drop-failover", func(c *repro.Artifact) { c.Failover = false })
+	if te.Config.Failover {
+		try("drop-failover", func(c *exp.Config) { c.Failover = false })
 	}
-	if cur.Impairment != "" {
-		try("drop-impairment", func(c *repro.Artifact) { c.Impairment = "" })
+	if te.Config.Impairment != "" {
+		try("drop-impairment", func(c *exp.Config) { c.Impairment = "" })
 	}
-	if cur.Sessions > 1 {
-		try("one-session", func(c *repro.Artifact) { c.Sessions = 1 })
+	if te.Config.Sessions > 1 {
+		try("one-session", func(c *exp.Config) { c.Sessions = 1 })
 	}
-	if cur.Trials > 1 {
-		try("one-trial", func(c *repro.Artifact) {
-			c.Seed = exp.TrialSeed(c.Seed, c.Trial)
-			c.Trials, c.Trial = 1, 0
+	if te.Config.Trials > 1 {
+		try("one-trial", func(c *exp.Config) {
+			c.Seed = exp.TrialSeed(c.Seed, te.Trial)
+			c.Trials = 1
 		})
 	}
-	for cur.Segments > 2 {
-		if !try("halve-segments", func(c *repro.Artifact) { c.Segments /= 2 }) {
+	for te.Config.Segments > 2 {
+		if !try("halve-segments", func(c *exp.Config) { c.Segments /= 2 }) {
 			break
 		}
 	}
-	for cur.Seed > 1 {
-		if !try("halve-seed", func(c *repro.Artifact) { c.Seed = c.Seed / 2 }) {
+	for te.Config.Seed > 1 {
+		if !try("halve-seed", func(c *exp.Config) { c.Seed /= 2 }) {
 			break
 		}
 	}
-	return &cur
+	return te
 }
 
 // Campaign sweeps n random tuples from the campaign seed, stopping at the
-// first failure. It returns the shrunk artifact and the original failure,
-// or (nil, nil) when every tuple survived. The optional log receives one
-// line per tuple plus the shrink trace.
-func Campaign(n int, seed int64, log io.Writer) (*repro.Artifact, *exp.TrialError) {
+// first failure. It returns the shrunk failure's artifact and the original
+// failure, or (nil, nil) when every tuple survived. The optional log
+// receives one line per tuple plus the shrink trace.
+func Campaign(n int, seed int64, log io.Writer) (*exp.Artifact, *exp.TrialError) {
 	logf := func(format string, args ...any) {
 		if log != nil {
 			fmt.Fprintf(log, format+"\n", args...)
@@ -172,22 +150,19 @@ func Campaign(n int, seed int64, log io.Writer) (*repro.Artifact, *exp.TrialErro
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
-		a := RandomArtifact(rng)
-		te, err := Run(a)
-		if err != nil {
-			logf("tuple %3d: unrunnable (%v)", i, err)
-			continue
-		}
+		cfg := RandomConfig(rng)
+		_, te := Reproduces(cfg, "")
 		if te == nil {
+			var traceName string
+			if cfg.Trace != nil {
+				traceName, _ = trace.CanonicalName(cfg.Trace)
+			}
 			logf("tuple %3d: ok (%s/%s trace=%s impair=%s seed=%d)",
-				i, a.Title, a.System, a.Trace, a.Impairment, a.Seed)
+				i, cfg.Title, cfg.System, traceName, cfg.Impairment, cfg.Seed)
 			continue
 		}
 		logf("tuple %3d: FAILED %s — %s", i, te.Rule, te.Msg)
-		a.Violation = te.Rule
-		a.Detail = te.Msg
-		a.Trial = te.Trial
-		return Shrink(a, log), te
+		return Shrink(te, log).Artifact(), te
 	}
 	return nil, nil
 }

@@ -2,20 +2,22 @@ package chaos
 
 import (
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 
-	"voxel/internal/repro"
+	"voxel/internal/exp"
+	"voxel/internal/trace"
 )
 
 // The tuple generator is the campaign's determinism root: one seed, one
-// sequence of artifacts.
+// sequence of configs, every one of them runnable and armed.
 func TestRandomArtifactDeterministic(t *testing.T) {
-	draw := func() []*repro.Artifact {
+	draw := func() []exp.Config {
 		rng := rand.New(rand.NewSource(99))
-		out := make([]*repro.Artifact, 8)
+		out := make([]exp.Config, 8)
 		for i := range out {
-			out[i] = RandomArtifact(rng)
+			out[i] = RandomConfig(rng)
 		}
 		return out
 	}
@@ -25,9 +27,15 @@ func TestRandomArtifactDeterministic(t *testing.T) {
 			t.Fatalf("tuple %d differs across identical seeds:\n%+v\n%+v", i, a[i], b[i])
 		}
 	}
-	for _, art := range a {
-		if art.Title == "" || art.System == "" || art.Seed == 0 {
-			t.Fatalf("degenerate tuple: %+v", art)
+	for _, cfg := range a {
+		if cfg.Title == "" || cfg.System == "" || cfg.Seed == 0 || (cfg.Trace == nil) == (cfg.CrossTraffic == 0) {
+			t.Fatalf("degenerate tuple: %+v", cfg)
+		}
+		if !cfg.Invariants || cfg.WatchdogWall == 0 || cfg.WatchdogEvents == 0 {
+			t.Fatalf("tuple not armed: %+v", cfg)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("unrunnable tuple %+v: %v", cfg, err)
 		}
 	}
 }
@@ -36,72 +44,80 @@ func TestRandomArtifactDeterministic(t *testing.T) {
 // impairment, swarm, the sweep, clip length, seed — because the deliberate
 // fault reproduces under all of them; and the whole walk is deterministic.
 func TestShrinkInjectedFailure(t *testing.T) {
-	big := &repro.Artifact{
+	big := exp.Config{
 		Title:      "BBB",
-		System:     "VOXEL",
-		Trace:      "verizon",
+		Trace:      trace.Verizon(),
 		Segments:   8,
 		Trials:     2,
-		Trial:      1,
 		Seed:       5,
 		Sessions:   2,
 		Impairment: "bursty",
 		Failover:   true,
-		Inject:     "invariant",
-		Violation:  "exp.injected-fault",
+		Inject:     "invariant@1",
 	}
-	if ok, _, err := Reproduces(big); err != nil || !ok {
-		t.Fatalf("big artifact does not fail (ok=%v err=%v)", ok, err)
+	ok, te := Reproduces(big, "exp.injected-fault")
+	if !ok || te.Trial != 1 {
+		t.Fatalf("big config does not fail at trial 1 (ok=%v te=%v)", ok, te)
 	}
-	small := Shrink(big, nil)
-	if small.Failover || small.Impairment != "" || small.Sessions != 1 {
-		t.Fatalf("riding dimensions not stripped: %+v", small)
+	small := Shrink(te, nil)
+	if c := small.Config; c.Failover || c.Impairment != "" || c.Sessions != 1 {
+		t.Fatalf("riding dimensions not stripped: %+v", c)
 	}
-	if small.Trials != 1 || small.Trial != 0 {
+	// The fault is pinned to trial 1, so the sweep cannot collapse: the
+	// shrinker must have tried and kept both trials.
+	if small.Config.Trials != 2 || small.Trial != 1 {
+		t.Fatalf("sweep collapsed past the failing trial: %+v", small)
+	}
+	if small.Config.Segments > 2 || small.Config.Seed != 1 {
+		t.Fatalf("clip/seed not minimized: %+v", small.Config)
+	}
+	if ok, got := Reproduces(small.Config, small.Rule); !ok {
+		t.Fatalf("shrunk config does not reproduce (got %v)", got)
+	}
+	again := Shrink(te, nil)
+	if !reflect.DeepEqual(small.Artifact(), again.Artifact()) {
+		t.Fatalf("shrink not deterministic:\n%+v\n%+v", small.Artifact(), again.Artifact())
+	}
+
+	// An unpinned fault fires in trial 0 of any sweep: the one-trial step
+	// holds and the artifact names trial 0 of 1.
+	big.Inject = "invariant"
+	_, te = Reproduces(big, "")
+	if small = Shrink(te, nil); small.Config.Trials != 1 || small.Trial != 0 {
 		t.Fatalf("sweep not collapsed: %+v", small)
-	}
-	if small.Segments > 2 || small.Seed != 1 {
-		t.Fatalf("clip/seed not minimized: %+v", small)
-	}
-	if ok, te, err := Reproduces(small); err != nil || !ok {
-		t.Fatalf("shrunk artifact does not reproduce (ok=%v te=%v err=%v)", ok, te, err)
-	}
-	if again := Shrink(big, nil); !reflect.DeepEqual(small, again) {
-		t.Fatalf("shrink not deterministic:\n%+v\n%+v", small, again)
 	}
 }
 
 // The committed known-good artifact must keep reproducing its recorded
 // violation — this is the regression test for the whole artifact pipeline
-// (Load → ConfigFromArtifact → armed run → rule match).
+// (decode → Spec.Config → run as recorded → rule match).
 func TestCommittedArtifactReproduces(t *testing.T) {
-	a, err := repro.Load("../../testdata/repro/injected-invariant.json")
+	b, err := os.ReadFile("../../testdata/repro/injected-invariant.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, te, err := Reproduces(a)
+	a, err := exp.DecodeArtifact(b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg, err := a.Spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, te := Reproduces(cfg, a.Violation)
 	if !ok {
 		t.Fatalf("committed artifact did not reproduce (got %+v)", te)
 	}
-	if te.Rule != a.Violation {
-		t.Fatalf("rule %q != recorded violation %q", te.Rule, a.Violation)
+	// The file is exactly what the pipeline writes for that failure.
+	if got, _ := te.Artifact().Encode(); string(got) != string(b) {
+		t.Fatalf("committed artifact is not canonical:\n%s\nvs\n%s", got, b)
 	}
 }
 
-// A healthy artifact neither fails nor reports reproduction.
+// A healthy config neither fails nor reports reproduction.
 func TestReproducesCleanArtifact(t *testing.T) {
-	a := &repro.Artifact{
-		Title: "BBB", System: "VOXEL", Trace: "verizon",
-		Segments: 4, Trials: 1, Seed: 1,
-	}
-	ok, te, err := Reproduces(a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok, te := Reproduces(exp.Config{Title: "BBB", Trace: trace.Verizon(), Segments: 4}, "")
 	if ok || te != nil {
-		t.Fatalf("clean artifact reported a failure: %+v", te)
+		t.Fatalf("clean config reported a failure: %+v", te)
 	}
 }

@@ -169,9 +169,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate checks the user-facing identifier fields — title, system, and
-// impairment profile — so CLIs can reject a bad flag with a message instead
-// of a panic deep inside a trial.
+// Validate checks the user-facing fields — title, system, congestion
+// controller, impairment profile, counts, shard coordinates — so CLIs can
+// reject a bad flag, and decoders a bad file, with a message instead of a
+// panic deep inside a trial.
 func (c Config) Validate() error {
 	if c.Title != "" {
 		if _, err := video.Load(c.Title); err != nil {
@@ -190,8 +191,14 @@ func (c Config) Validate() error {
 			return fmt.Errorf("exp: unknown system %q (have %v)", c.System, Systems())
 		}
 	}
+	if c.CC != "" && c.CC != "cubic" && c.CC != "bbr" {
+		return fmt.Errorf("exp: unknown congestion controller %q (have cubic, bbr)", c.CC)
+	}
 	if _, _, err := netem.NewProfile(c.Impairment); err != nil {
 		return err
+	}
+	if c.Trials < 0 {
+		return fmt.Errorf("exp: trials %d is negative", c.Trials)
 	}
 	if c.Sessions < 0 || c.Sessions > MaxSessions {
 		return fmt.Errorf("exp: sessions %d out of range [0, %d]", c.Sessions, MaxSessions)

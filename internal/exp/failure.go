@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -8,9 +10,6 @@ import (
 	"time"
 
 	"voxel/internal/invariant"
-	"voxel/internal/qoe"
-	"voxel/internal/repro"
-	"voxel/internal/trace"
 )
 
 // TrialError is the structured failure record of one trial: a recovered
@@ -50,149 +49,67 @@ func (e *TrialError) Error() string {
 		e.Trial, e.Seed, e.Clock, e.Rule, e.Msg)
 }
 
-// ReplayCommand returns a copy-pasteable voxel-sim invocation that
-// deterministically reproduces the failing sweep (the failure fires at the
-// same trial index, since trials are independent worlds keyed by seed).
+// Artifact is the standalone, replayable record of one failing trial: the
+// cell's Spec, the failing trial's index within its sweep, and the rule the
+// failure broke. It is what voxel-fuzz writes for a shrunk crash and what
+// `voxel-sim -repro file.json` reads; replay runs exactly the recorded Spec
+// and passes only when the same rule fires again.
+type Artifact struct {
+	Spec  Spec `json:"spec"`
+	Trial int  `json:"trial"`
+	// Violation is the failure rule ("quic.byte-conservation",
+	// "watchdog.event-budget", "panic"); empty accepts any failure. Detail
+	// preserves the original failure message for humans.
+	Violation string `json:"violation,omitempty"`
+	Detail    string `json:"detail,omitempty"`
+}
+
+// Artifact converts the failure into its crash artifact.
+func (e *TrialError) Artifact() *Artifact {
+	return &Artifact{Spec: e.Config.Spec(), Trial: e.Trial, Violation: e.Rule, Detail: e.Msg}
+}
+
+// ReplayCommand returns a copy-pasteable shell line that deterministically
+// reproduces the failing sweep (the failure fires at the same trial index,
+// since trials are independent worlds keyed by seed): the artifact itself,
+// piped to voxel-sim, so the replay is lossless for every Config field.
+// Detail is left out — it is printed next to the command, and it is the one
+// free-text field, whose backslash escapes some shells' echo would expand.
 func (e *TrialError) ReplayCommand() string {
-	var b strings.Builder
-	b.WriteString("go run ./cmd/voxel-sim")
-	c := e.Config
-	add := func(flag, val string) { b.WriteString(" -" + flag + " " + val) }
-	if c.Title != "" {
-		add("title", c.Title)
+	a := e.Artifact()
+	a.Detail = ""
+	b, err := json.Marshal(a)
+	if err != nil {
+		panic(err) // scalars and strings only; Marshal cannot fail
 	}
-	if c.System != "" {
-		add("system", "'"+string(c.System)+"'")
-	}
-	if c.CrossTraffic > 0 {
-		add("cross", strconv.FormatFloat(c.CrossTraffic/1e6, 'g', -1, 64))
-	} else if c.Trace != nil {
-		add("trace", traceFlagName(c.Trace))
-	}
-	add("buffer", strconv.Itoa(c.BufferSegments))
-	if c.Segments > 0 {
-		add("segments", strconv.Itoa(c.Segments))
-	}
-	add("trials", strconv.Itoa(c.Trials))
-	add("seed", strconv.FormatInt(c.Seed, 10))
-	if c.QueuePackets > 0 && c.QueuePackets != 32 {
-		add("queue", strconv.Itoa(c.QueuePackets))
-	}
-	if c.Sessions > 1 {
-		add("sessions", strconv.Itoa(c.Sessions))
-	}
-	if c.Impairment != "" {
-		add("impair", c.Impairment)
-	}
-	if c.Failover {
-		b.WriteString(" -failover")
-	}
-	if c.Inject != "" {
-		add("inject", c.Inject)
-	}
-	if c.Invariants {
-		b.WriteString(" -invariants")
-	}
-	return b.String()
+	return "echo '" + strings.ReplaceAll(string(b), "'", `'\''`) + "' | go run ./cmd/voxel-sim -repro -"
 }
 
-// Artifact converts the failure into a standalone JSON crash artifact,
-// replayable with `voxel-sim -repro file.json`.
-func (e *TrialError) Artifact() *repro.Artifact {
-	c := e.Config
-	a := &repro.Artifact{
-		Title:      c.Title,
-		System:     string(c.System),
-		Buffer:     c.BufferSegments,
-		Segments:   c.Segments,
-		Trials:     c.Trials,
-		Trial:      e.Trial,
-		Seed:       c.Seed,
-		Queue:      c.QueuePackets,
-		CrossMbps:  c.CrossTraffic / 1e6,
-		LinkMbps:   c.LinkCapacity / 1e6,
-		Sessions:   c.Sessions,
-		Impairment: c.Impairment,
-		Failover:   c.Failover,
-		CC:         c.CC,
-		Inject:     c.Inject,
-		Violation:  e.Rule,
-		Detail:     e.Msg,
-	}
-	if c.Trace != nil && c.CrossTraffic <= 0 {
-		a.Trace = traceFlagName(c.Trace)
-	}
-	if c.Metric != qoe.SSIM {
-		a.Metric = strings.ToLower(c.Metric.String())
-	}
-	if c.MaxSimTime > 0 {
-		a.MaxSimTimeSec = c.MaxSimTime.Seconds()
-	}
-	return a
+// Encode renders the artifact as stable, indented JSON (trailing newline),
+// so identical cases produce identical bytes and diff cleanly in review.
+func (a *Artifact) Encode() ([]byte, error) {
+	b, err := json.MarshalIndent(a, "", "  ")
+	return append(b, '\n'), err
 }
 
-// traceFlagName names a trace the way -trace and artifact files expect:
-// the canonical ByName key when there is one, the internal name otherwise
-// (a non-canonical trace can't round-trip through a flag, but at least the
-// command identifies it).
-func traceFlagName(t *trace.Trace) string {
-	if name, ok := trace.CanonicalName(t); ok {
-		return name
+// DecodeArtifact parses an artifact strictly: an unknown field — a typo in
+// a hand-edited case, or the flat pre-Spec layout — fails loudly instead of
+// silently changing the repro.
+func DecodeArtifact(b []byte) (*Artifact, error) {
+	var a Artifact
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&a); err != nil {
+		return nil, fmt.Errorf(`exp: artifact: %v (the layout is {"spec": {exp.Spec fields}, "trial", "violation", "detail"})`, err)
 	}
-	return t.Name()
+	if a.Spec.Title == "" {
+		return nil, fmt.Errorf(`exp: artifact has no "spec" with a "title"`)
+	}
+	return &a, nil
 }
 
-// ConfigFromArtifact resolves a crash artifact back into a runnable
-// configuration. Invariants and both watchdog budgets are armed, matching
-// the fuzz campaign the artifact came from.
-func ConfigFromArtifact(a *repro.Artifact) (Config, error) {
-	cfg := Config{
-		Title:          a.Title,
-		System:         System(a.System),
-		BufferSegments: a.Buffer,
-		Segments:       a.Segments,
-		Trials:         a.Trials,
-		Seed:           a.Seed,
-		QueuePackets:   a.Queue,
-		CrossTraffic:   a.CrossMbps * 1e6,
-		LinkCapacity:   a.LinkMbps * 1e6,
-		Sessions:       a.Sessions,
-		Impairment:     a.Impairment,
-		Failover:       a.Failover,
-		CC:             a.CC,
-		Inject:         a.Inject,
-		Invariants:     true,
-		WatchdogWall:   DefaultWatchdogWall,
-		WatchdogEvents: DefaultWatchdogEvents,
-	}
-	if a.MaxSimTimeSec > 0 {
-		cfg.MaxSimTime = time.Duration(a.MaxSimTimeSec * float64(time.Second))
-	}
-	if a.Trace != "" {
-		tr, err := trace.ByName(a.Trace)
-		if err != nil {
-			return Config{}, fmt.Errorf("exp: artifact trace: %v", err)
-		}
-		cfg.Trace = tr
-	}
-	switch strings.ToLower(a.Metric) {
-	case "", "ssim":
-		cfg.Metric = qoe.SSIM
-	case "vmaf":
-		cfg.Metric = qoe.VMAF
-	case "psnr":
-		cfg.Metric = qoe.PSNR
-	default:
-		return Config{}, fmt.Errorf("exp: artifact metric %q unknown", a.Metric)
-	}
-	if err := cfg.Validate(); err != nil {
-		return Config{}, err
-	}
-	return cfg, nil
-}
-
-// Default watchdog budgets used by repro replay and the fuzz campaign: lax
-// enough for the heaviest legitimate trial (a 512-session swarm runs in
+// Default watchdog budgets used by hardened CLI runs and the fuzz campaign:
+// lax enough for the heaviest legitimate trial (a 512-session swarm runs in
 // well under a minute), tight enough to catch a wedged one.
 const (
 	DefaultWatchdogWall   = 2 * time.Minute

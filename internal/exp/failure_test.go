@@ -47,11 +47,9 @@ func TestPanicIsolation16Trials(t *testing.T) {
 	if !strings.Contains(te.Stack, "runTrial") {
 		t.Fatalf("stack missing runTrial:\n%s", te.Stack)
 	}
-	cmd := te.ReplayCommand()
-	for _, want := range []string{"voxel-sim", "-inject panic@5", "-trials 16", "-seed 1"} {
-		if !strings.Contains(cmd, want) {
-			t.Fatalf("replay command %q missing %q", cmd, want)
-		}
+	if a := replayArtifact(t, te.ReplayCommand()); a.Trial != 5 || a.Violation != "panic" ||
+		a.Spec != cfg.Spec() {
+		t.Fatalf("replay command carries %+v, want trial 5 of %+v", a, cfg.Spec())
 	}
 
 	if len(agg.Trials) != 16 {
@@ -191,6 +189,8 @@ func TestWatchdogTransparentWhenUnderBudget(t *testing.T) {
 	}
 }
 
+// A failure's artifact names the failing trial and rule, and resolves back
+// to exactly the cell that failed — nothing re-armed, nothing dropped.
 func TestArtifactRoundTrip(t *testing.T) {
 	cfg := failCfg()
 	cfg.Trials = 2
@@ -201,25 +201,16 @@ func TestArtifactRoundTrip(t *testing.T) {
 		t.Fatalf("got %d failures, want 1", len(agg.Failed))
 	}
 	a := agg.Failed[0].Artifact()
-	if a.Violation != "exp.injected-fault" || a.Trial != 1 || a.Trace != "verizon" {
+	if a.Violation != "exp.injected-fault" || a.Trial != 1 || a.Spec.TraceCanonical != "verizon" ||
+		a.Detail != agg.Failed[0].Msg {
 		t.Fatalf("artifact fields wrong: %+v", a)
 	}
-	got, err := ConfigFromArtifact(a)
+	got, err := a.Spec.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := agg.Failed[0].Config
-	if got.Title != want.Title || got.System != want.System ||
-		got.Seed != want.Seed || got.Segments != want.Segments ||
-		got.Trials != want.Trials || got.Impairment != want.Impairment ||
-		got.Inject != want.Inject {
+	if want := agg.Failed[0].Config.Normalized(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("config round trip mismatch:\n got %+v\nwant %+v", got, want)
-	}
-	if !got.Invariants || got.WatchdogWall == 0 || got.WatchdogEvents == 0 {
-		t.Fatal("replay config did not arm invariants + watchdog")
-	}
-	if tr, _ := ConfigFromArtifact(a); tr.Trace.Name() != want.Trace.Name() {
-		t.Fatalf("trace %q did not round-trip", want.Trace.Name())
 	}
 }
 
@@ -234,6 +225,21 @@ func TestValidateRejectsBadInject(t *testing.T) {
 		cfg := Config{Inject: spec}
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("inject %q rejected: %v", spec, err)
+		}
+	}
+}
+
+// A negative trial count used to reach make() in the run loop and panic,
+// and an unknown congestion controller silently ran CUBIC.
+func TestValidateRejectsBadTrialsAndCC(t *testing.T) {
+	for _, cfg := range []Config{{Trials: -1}, {CC: "reno"}, {CC: "BBR"}} {
+		if err := cfg.Validate(); err == nil {
+			t.Fatalf("%+v accepted", cfg)
+		}
+	}
+	for _, cfg := range []Config{{}, {Trials: 3}, {CC: "cubic"}, {CC: "bbr"}} {
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%+v rejected: %v", cfg, err)
 		}
 	}
 }

@@ -54,6 +54,9 @@ func (m Mode) String() string {
 	}
 }
 
+// maxVirtualCandidates caps per-quality virtual levels fed to the ABR.
+const maxVirtualCandidates = 8
+
 // Config parameterizes a player run.
 type Config struct {
 	Algorithm abr.Algorithm
@@ -63,15 +66,11 @@ type Config struct {
 	BufferSegments int
 	// Metric scores delivered segments (default SSIM).
 	Metric qoe.Metric
-	// Model is the QoE model used for scoring (default qoe.DefaultModel).
-	Model qoe.Model
 	// BetaCandidates adds BETA's single unreferenced-B virtual level per
 	// quality instead of VOXEL's manifest points.
 	BetaCandidates bool
 	// DisableSelectiveRetx turns off §4.2's buffer-full loss recovery.
 	DisableSelectiveRetx bool
-	// MaxVirtualCandidates caps per-quality virtual levels fed to the ABR.
-	MaxVirtualCandidates int
 	// Live enables live-edge semantics: segment i only becomes available
 	// once it has been produced (i+1 segment durations after the session
 	// start), the natural regime for the paper's low-latency motivation.
@@ -266,19 +265,13 @@ func New(s *sim.Sim, conn *quic.Conn, v *video.Video, m *dash.Manifest, cfg Conf
 	if cfg.BufferSegments <= 0 {
 		cfg.BufferSegments = 7
 	}
-	if cfg.Model == (qoe.Model{}) {
-		cfg.Model = qoe.DefaultModel
-	}
-	if cfg.MaxVirtualCandidates <= 0 {
-		cfg.MaxVirtualCandidates = 8
-	}
 	p := &Player{
 		sim:    s,
 		client: httpsim.NewClient(conn),
 		cfg:    cfg,
 		video:  v,
 		man:    m,
-		anal:   &prep.Analyzer{Model: cfg.Model, Metric: cfg.Metric},
+		anal:   &prep.Analyzer{Model: qoe.DefaultModel, Metric: cfg.Metric},
 		obs:    cfg.Obs,
 	}
 	p.client.SetObs(cfg.Obs)
@@ -487,7 +480,7 @@ func (p *Player) buildOptions(idx int) abr.Options {
 				if pt.Score < bound {
 					continue
 				}
-				if kept >= p.cfg.MaxVirtualCandidates {
+				if kept >= maxVirtualCandidates {
 					break
 				}
 				kept++
@@ -936,7 +929,7 @@ func (p *Player) scoreSegment(st *segState) float64 {
 		have := uint64(be-bs) - p.gapBytes(&st.received, uint64(bs), uint64(be))
 		loss[i] = 1 - float64(have)/float64(be-bs)
 	}
-	return p.cfg.Model.Score(p.cfg.Metric, s, loss)
+	return qoe.DefaultModel.Score(p.cfg.Metric, s, loss)
 }
 
 func (p *Player) gapBytes(rs *quic.RangeSet, start, end uint64) uint64 {

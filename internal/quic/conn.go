@@ -21,15 +21,9 @@ var ErrClosed = errors.New("quic: connection closed")
 
 // Config parameterizes a QUIC* connection.
 type Config struct {
-	// MTU is the maximum QUIC packet size (before per-packet overhead).
-	MTU int
-	// Overhead is the per-packet on-wire overhead (UDP+IP headers).
-	Overhead int
 	// InitialMaxData is the connection flow-control window granted to the
 	// peer.
 	InitialMaxData uint64
-	// DisablePacing turns off packet pacing (bursts the full window).
-	DisablePacing bool
 	// Controller overrides the congestion controller (default CUBIC).
 	Controller cc.Controller
 
@@ -58,13 +52,14 @@ type Config struct {
 	Obs *obs.Scope
 }
 
+// mtu is the maximum QUIC packet size (before per-packet overhead), and
+// wireOverhead the per-packet on-wire overhead (UDP+IP headers).
+const (
+	mtu          = cc.MSS
+	wireOverhead = 28
+)
+
 func (c Config) withDefaults() Config {
-	if c.MTU == 0 {
-		c.MTU = cc.MSS
-	}
-	if c.Overhead == 0 {
-		c.Overhead = 28
-	}
 	if c.InitialMaxData == 0 {
 		c.InitialMaxData = 16 << 20
 	}
@@ -431,7 +426,7 @@ func (c *Conn) getTx() *txRecord {
 		c.txFree = c.txFree[:n-1]
 		return tx
 	}
-	tx := &txRecord{buf: make([]byte, 0, c.cfg.MTU+64)}
+	tx := &txRecord{buf: make([]byte, 0, mtu+64)}
 	tx.deliver = func() { c.peer.receive(tx.buf) }
 	tx.done = func() { c.putTx(tx) }
 	return tx
@@ -454,7 +449,7 @@ func (c *Conn) trySend() {
 			return
 		}
 		now := c.sim.Now()
-		if !c.cfg.DisablePacing && c.nextSendAt > now && c.hasAckElicitingPending() {
+		if c.nextSendAt > now && c.hasAckElicitingPending() {
 			if !c.sendArmed {
 				c.sendArmed = true
 				c.paceTimer.ArmAt(c.nextSendAt)
@@ -493,8 +488,8 @@ func (c *Conn) hasAckElicitingPending() bool {
 //voxel:allocfree
 func (c *Conn) sendOnePacket() bool {
 	now := c.sim.Now()
-	canSendData := c.ctl.CanSend(c.cfg.MTU)
-	budget := c.cfg.MTU - 1 - 8 // header byte + worst-case packet number
+	canSendData := c.ctl.CanSend(mtu)
+	budget := mtu - 1 - 8 // header byte + worst-case packet number
 
 	frames := c.txFrames[:0]
 	sp := c.allocSent()
@@ -614,15 +609,13 @@ func (c *Conn) sendOnePacket() bool {
 		c.lastAckElic = now
 		c.armPTO()
 		// Pacing: space packets at ~1.25× the window rate.
-		if !c.cfg.DisablePacing {
-			rate := 1.25 * float64(c.ctl.Window()) / c.rtt.SmoothedRTT().Seconds()
-			gap := sim.Time(float64(wireSize) / rate * float64(time.Second))
-			base := c.nextSendAt
-			if base < now {
-				base = now
-			}
-			c.nextSendAt = base + gap
+		rate := 1.25 * float64(c.ctl.Window()) / c.rtt.SmoothedRTT().Seconds()
+		gap := sim.Time(float64(wireSize) / rate * float64(time.Second))
+		base := c.nextSendAt
+		if base < now {
+			base = now
 		}
+		c.nextSendAt = base + gap
 	} else {
 		// Nothing tracks a non-eliciting (ACK-only) packet; recycle it.
 		c.releaseSent(sp)
@@ -644,7 +637,7 @@ func (c *Conn) encodePacket(frames []Frame, elided int) (tx *txRecord, wireSize 
 	c.stats.BytesSent += uint64(size)
 	c.obs.Inc(obs.CPacketsSent)
 	c.obs.Count(obs.CBytesSent, uint64(size))
-	return tx, size + c.cfg.Overhead
+	return tx, size + wireOverhead
 }
 
 // transmit offers an encoded packet to the link at its full wire size.

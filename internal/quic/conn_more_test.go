@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"voxel/internal/cc"
 	"voxel/internal/netem"
 	"voxel/internal/sim"
 	"voxel/internal/trace"
@@ -133,7 +132,7 @@ func TestCubicSharesFairlyBetweenTwoConnections(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.MTU != cc.MSS || cfg.Overhead != 28 || cfg.InitialMaxData != 16<<20 {
+	if cfg.InitialMaxData != 16<<20 {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
 	if cfg.Controller == nil {

@@ -1,167 +1,19 @@
 package sweep
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
-	"time"
 
 	"voxel/internal/exp"
-	"voxel/internal/qoe"
-	"voxel/internal/trace"
 )
 
 // checkpointVersion gates the file format; a reader refuses any other
 // value rather than guessing.
 const checkpointVersion = 1
-
-// identity is the canonical description of what a sweep computes: every
-// Config field that changes trial results, and none of the fields that only
-// change how they are executed (shard coordinates, parallelism, interrupt
-// plumbing). Two runs with equal identities produce interchangeable trial
-// records; the fingerprint over this struct is what lets resume and merge
-// refuse a checkpoint written by a different experiment.
-type identity struct {
-	Title          string  `json:"title"`
-	System         string  `json:"system"`
-	BufferSegments int     `json:"buffer_segments"`
-	TraceName      string  `json:"trace_name,omitempty"`
-	TraceHash      string  `json:"trace_hash,omitempty"`
-	TraceCanonical string  `json:"trace_canonical,omitempty"`
-	QueuePackets   int     `json:"queue_packets"`
-	Trials         int     `json:"trials"`
-	Metric         int     `json:"metric"`
-	Segments       int     `json:"segments"`
-	CrossTraffic   float64 `json:"cross_traffic"`
-	LinkCapacity   float64 `json:"link_capacity"`
-	Seed           int64   `json:"seed"`
-	MaxSimTimeNS   int64   `json:"max_sim_time_ns"`
-	CC             string  `json:"cc,omitempty"`
-	Impairment     string  `json:"impairment,omitempty"`
-	Failover       bool    `json:"failover,omitempty"`
-	Telemetry      bool    `json:"telemetry,omitempty"`
-	TimelineCap    int     `json:"timeline_cap,omitempty"`
-	Sessions       int     `json:"sessions,omitempty"`
-	Invariants     bool    `json:"invariants,omitempty"`
-	WatchdogWallNS int64   `json:"watchdog_wall_ns,omitempty"`
-	WatchdogEvents uint64  `json:"watchdog_events,omitempty"`
-	Inject         string  `json:"inject,omitempty"`
-}
-
-// identityOf distills a config. The trace contributes its name plus a hash
-// of its samples (CSV-loaded traces have no canonical name but still
-// fingerprint exactly), and its ByName key when it has one so voxel-merge
-// can rebuild the config from the file alone.
-func identityOf(cfg exp.Config) identity {
-	c := cfg.Normalized()
-	id := identity{
-		Title:          c.Title,
-		System:         string(c.System),
-		BufferSegments: c.BufferSegments,
-		QueuePackets:   c.QueuePackets,
-		Trials:         c.Trials,
-		Metric:         int(c.Metric),
-		Segments:       c.Segments,
-		CrossTraffic:   c.CrossTraffic,
-		LinkCapacity:   c.LinkCapacity,
-		Seed:           c.Seed,
-		MaxSimTimeNS:   int64(c.MaxSimTime),
-		CC:             c.CC,
-		Impairment:     c.Impairment,
-		Failover:       c.Failover,
-		Telemetry:      c.Telemetry,
-		TimelineCap:    c.TimelineCap,
-		Sessions:       c.Sessions,
-		Invariants:     c.Invariants,
-		WatchdogWallNS: int64(c.WatchdogWall),
-		WatchdogEvents: c.WatchdogEvents,
-		Inject:         c.Inject,
-	}
-	if c.Trace != nil {
-		id.TraceName = c.Trace.Name()
-		id.TraceHash = hashSamples(c.Trace.Samples())
-		if name, ok := trace.CanonicalName(c.Trace); ok {
-			id.TraceCanonical = name
-		}
-	}
-	return id
-}
-
-func hashSamples(xs []float64) string {
-	h := sha256.New()
-	var buf [8]byte
-	for _, x := range xs {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
-		h.Write(buf[:])
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// fingerprint hashes the canonical JSON of an identity. encoding/json
-// renders struct fields in declaration order and floats in shortest exact
-// form, so equal identities always hash equal.
-func (id identity) fingerprint() string {
-	b, err := json.Marshal(id)
-	if err != nil {
-		// identity is all scalars and strings; Marshal cannot fail.
-		panic(err)
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
-// config rebuilds an exp.Config from the stored identity. Only traces with
-// a canonical ByName key can be rebuilt; a CSV-loaded trace must be merged
-// in-process where the *trace.Trace is at hand.
-func (id identity) config() (exp.Config, error) {
-	c := exp.Config{
-		Title:          id.Title,
-		System:         exp.System(id.System),
-		BufferSegments: id.BufferSegments,
-		QueuePackets:   id.QueuePackets,
-		Trials:         id.Trials,
-		Metric:         qoe.Metric(id.Metric),
-		Segments:       id.Segments,
-		CrossTraffic:   id.CrossTraffic,
-		LinkCapacity:   id.LinkCapacity,
-		Seed:           id.Seed,
-		MaxSimTime:     time.Duration(id.MaxSimTimeNS),
-		CC:             id.CC,
-		Impairment:     id.Impairment,
-		Failover:       id.Failover,
-		Telemetry:      id.Telemetry,
-		TimelineCap:    id.TimelineCap,
-		Sessions:       id.Sessions,
-		Invariants:     id.Invariants,
-		WatchdogWall:   time.Duration(id.WatchdogWallNS),
-		WatchdogEvents: id.WatchdogEvents,
-		Inject:         id.Inject,
-	}
-	if id.TraceName != "" {
-		if id.TraceCanonical == "" {
-			return exp.Config{}, fmt.Errorf(
-				"sweep: trace %q has no canonical name; merge it in-process with exp.MergeShards",
-				id.TraceName)
-		}
-		tr, err := trace.ByName(id.TraceCanonical)
-		if err != nil {
-			return exp.Config{}, err
-		}
-		if hashSamples(tr.Samples()) != id.TraceHash {
-			return exp.Config{}, fmt.Errorf("sweep: rebuilt trace %q does not match stored hash",
-				id.TraceCanonical)
-		}
-		c.Trace = tr
-	}
-	return c, nil
-}
 
 // trialRecord stores one completed trial's full result.
 type trialRecord struct {
@@ -170,7 +22,7 @@ type trialRecord struct {
 }
 
 // Checkpoint is the on-disk state of a (possibly partial) sweep: the
-// identity of what is being computed, which shard this file belongs to,
+// exp.Spec of what is being computed, which shard this file belongs to,
 // which trials are done, and their results — either full per-trial records
 // (exact mode) or folded sketch state (streaming mode). The final
 // checkpoint of a finished shard doubles as the shard's output file, which
@@ -180,7 +32,7 @@ type Checkpoint struct {
 	Fingerprint string            `json:"fingerprint"`
 	Shard       Shard             `json:"shard"`
 	Stream      bool              `json:"stream,omitempty"`
-	Config      identity          `json:"config"`
+	Config      exp.Spec          `json:"config"`
 	Done        []int             `json:"done"`
 	Trials      []trialRecord     `json:"trials,omitempty"`
 	Fails       []*exp.TrialError `json:"fails,omitempty"` // Config stripped; stamped back on load
@@ -190,10 +42,10 @@ type Checkpoint struct {
 // header builds the checkpoint header for a run of cfg.
 func header(cfg exp.Config, stream bool) Checkpoint {
 	d := cfg.WithDefaults()
-	id := identityOf(d)
+	id := d.Spec()
 	return Checkpoint{
 		Version:     checkpointVersion,
-		Fingerprint: id.fingerprint(),
+		Fingerprint: id.Fingerprint(),
 		Shard:       Shard{Index: d.ShardIndex, Count: d.ShardCount},
 		Stream:      stream,
 		Config:      id,
@@ -260,12 +112,21 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cp Checkpoint
-	if err := json.Unmarshal(b, &cp); err != nil {
+	cp, err := parseCheckpoint(b)
+	if err != nil {
 		return nil, fmt.Errorf("sweep: %s: %w", path, err)
 	}
+	return cp, nil
+}
+
+// parseCheckpoint is LoadCheckpoint over the file's bytes.
+func parseCheckpoint(b []byte) (*Checkpoint, error) {
+	var cp Checkpoint
+	if err := json.Unmarshal(b, &cp); err != nil {
+		return nil, err
+	}
 	if err := cp.validate(); err != nil {
-		return nil, fmt.Errorf("sweep: %s: %w", path, err)
+		return nil, err
 	}
 	return &cp, nil
 }
@@ -278,8 +139,11 @@ func (cp *Checkpoint) validate() error {
 	if cp.Version != checkpointVersion {
 		return fmt.Errorf("version %d, want %d", cp.Version, checkpointVersion)
 	}
-	if cp.Fingerprint != cp.Config.fingerprint() {
+	if cp.Fingerprint != cp.Config.Fingerprint() {
 		return fmt.Errorf("fingerprint does not match stored config")
+	}
+	if cp.Config.Trials < 0 {
+		return fmt.Errorf("config has %d trials", cp.Config.Trials)
 	}
 	if sh := cp.Shard; sh != (Shard{}) && (sh.Index < 0 || sh.Index >= sh.Count) {
 		return fmt.Errorf("shard %v is not i/n with 0 <= i < n", sh)

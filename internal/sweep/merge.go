@@ -48,7 +48,7 @@ func MergeFiles(paths []string) (*Merged, error) {
 	sort.SliceStable(files, func(i, j int) bool { return files[i].cp.Shard.Index < files[j].cp.Shard.Index })
 	first := files[0].cp
 	p, err := newProgress(Checkpoint{Version: checkpointVersion, Fingerprint: first.Fingerprint,
-		Stream: first.Stream, Config: first.Config}, first.Config.config)
+		Stream: first.Stream, Config: first.Config}, first.Config.Config)
 	if err != nil {
 		return nil, err
 	}

@@ -186,6 +186,16 @@ func TestMergeFilesErrors(t *testing.T) {
 	doneNotOwned := edited("done-not-owned.json", func(cp *Checkpoint) { cp.Done[0]-- })
 	recordMissing := edited("record-missing.json", func(cp *Checkpoint) { cp.Trials = cp.Trials[1:] })
 	recordTwice := edited("record-twice.json", func(cp *Checkpoint) { cp.Trials[1] = cp.Trials[0] })
+	// A forged config under a matching fingerprint: the file is plain data
+	// until a Config is rebuilt from it, and that path validates.
+	reforged := func(name string, edit func(sp *exp.Spec)) string {
+		return edited(name, func(cp *Checkpoint) {
+			edit(&cp.Config)
+			cp.Fingerprint = cp.Config.Fingerprint()
+		})
+	}
+	negTrials := reforged("neg-trials.json", func(sp *exp.Spec) { sp.Trials = -1 })
+	unknownCC := reforged("unknown-cc.json", func(sp *exp.Spec) { sp.CC = "reno" })
 
 	cases := []struct {
 		name  string
@@ -203,6 +213,8 @@ func TestMergeFilesErrors(t *testing.T) {
 		{"done trial of another shard", []string{f0, doneNotOwned}, "does not belong to shard 1/2"},
 		{"done trial without a record", []string{f0, recordMissing}, "records cover trials [3 5], done trials are [1 3 5]"},
 		{"record repeated", []string{f0, recordTwice}, "records cover trials [1 1 5], done trials are [1 3 5]"},
+		{"negative trial count", []string{negTrials}, "config has -1 trials"},
+		{"config that does not validate", []string{unknownCC}, `unknown congestion controller "reno"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

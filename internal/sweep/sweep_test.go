@@ -569,66 +569,3 @@ func TestFailureHookThroughSweep(t *testing.T) {
 		t.Fatalf("MergeFiles fired %v", f)
 	}
 }
-
-// The fingerprint must cover every exp.Config field that changes results.
-// identity, identityOf and identity.config() each spell out Config's field
-// list by hand; a field added to Config but not to them would silently drop
-// out of the fingerprint and let resume and merge mix experiments. So every
-// field must either be cleared by Normalized() (execution-only) or, when
-// perturbed, change the fingerprint and survive the identity round trip.
-func TestIdentityCoversConfig(t *testing.T) {
-	base := exp.Config{
-		Title: "BBB", System: exp.SysVoxel, BufferSegments: 3, Trace: trace.TMobile(),
-		QueuePackets: 40, Trials: 6, Metric: 1, Segments: 6, CrossTraffic: 1e6, LinkCapacity: 2e7,
-		Seed: 11, MaxSimTime: time.Minute, CC: "bbr", Impairment: "bursty", Failover: true,
-		Parallelism: 2, Telemetry: true, TimelineCap: 64, Interrupt: make(chan struct{}),
-		Sessions: 2, Invariants: true, WatchdogWall: time.Minute, WatchdogEvents: 1000,
-		Inject: "panic@1", ShardIndex: 1, ShardCount: 2,
-	}
-	baseFP := identityOf(base).fingerprint()
-	rt := reflect.TypeOf(base)
-	for i := 0; i < rt.NumField(); i++ {
-		name := rt.Field(i).Name
-		if reflect.ValueOf(base).Field(i).IsZero() {
-			t.Fatalf("%s: the base config must set every field, or a perturbation could be lost to defaulting", name)
-		}
-		p := base
-		f := reflect.ValueOf(&p).Elem().Field(i)
-		switch v := f.Addr().Interface().(type) {
-		case **trace.Trace:
-			*v = trace.Verizon()
-		case *<-chan struct{}:
-			*v = make(chan struct{})
-		default:
-			switch f.Kind() {
-			case reflect.String:
-				f.SetString(f.String() + "x")
-			case reflect.Bool:
-				f.SetBool(!f.Bool())
-			case reflect.Int, reflect.Int64:
-				f.SetInt(f.Int() + 1)
-			case reflect.Uint64:
-				f.SetUint(f.Uint() + 1)
-			case reflect.Float64:
-				f.SetFloat(f.Float() + 1)
-			default:
-				t.Fatalf("%s: the test cannot perturb a %v; teach it", name, f.Kind())
-			}
-		}
-		want := reflect.ValueOf(p.Normalized()).Field(i).Interface()
-		if reflect.DeepEqual(want, reflect.ValueOf(base.Normalized()).Field(i).Interface()) {
-			continue // execution-only: Normalized() clears it
-		}
-		id := identityOf(p)
-		if id.fingerprint() == baseFP {
-			t.Errorf("%s changes results but not the fingerprint", name)
-		}
-		back, err := id.config()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got := reflect.ValueOf(back).Field(i).Interface(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s does not survive identity.config(): got %v, want %v", name, got, want)
-		}
-	}
-}

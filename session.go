@@ -148,7 +148,7 @@ func WithCrossTraffic(offered, linkCapacity float64) Option {
 }
 
 // WithCC selects the server congestion controller: "cubic" (default) or
-// "bbr".
+// "bbr". Any other name fails Run with ErrInvalidConfig.
 func WithCC(name string) Option {
 	return func(s *Session) { s.cfg.CC = name }
 }

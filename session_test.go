@@ -52,6 +52,12 @@ func TestSessionTypedErrors(t *testing.T) {
 	if _, _, err := New("BBB", WithShard(1, 0)).Run(); !errors.Is(err, ErrInvalidConfig) {
 		t.Fatalf("shard index without count: got %v, want ErrInvalidConfig", err)
 	}
+	if _, _, err := New("BBB", WithCC("reno")).Run(); !errors.Is(err, ErrInvalidConfig) {
+		t.Fatalf("unknown congestion controller: got %v, want ErrInvalidConfig", err)
+	}
+	if _, _, err := New("BBB", WithTrials(-1)).Run(); !errors.Is(err, ErrInvalidConfig) {
+		t.Fatalf("negative trials: got %v, want ErrInvalidConfig", err)
+	}
 	if _, err := LoadVideo("nope"); !errors.Is(err, ErrUnknownTitle) {
 		t.Fatalf("LoadVideo: got %v, want ErrUnknownTitle", err)
 	}
