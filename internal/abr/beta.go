@@ -33,8 +33,8 @@ func (b *Beta) Name() string { return "BETA" }
 
 // Decide implements Algorithm. The candidate space interleaves each
 // quality's single virtual level with its full level; BETA's virtual
-// levels are exactly the candidates flagged Virtual (the player constructs
-// them from the unreferenced-B analysis for BETA runs).
+// levels are exactly the candidates flagged Virtual (the player reads them
+// off the manifest, where content preparation put them, for BETA runs).
 func (b *Beta) Decide(st State, opts Options) Decision {
 	if st.Buffer >= st.BufferCap {
 		return Decision{Sleep: st.Buffer - st.BufferCap + time.Millisecond}

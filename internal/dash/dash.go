@@ -38,6 +38,11 @@ type SegmentInfo struct {
 	Unreliable [][2]int
 	// ReliableSize is the total size of the reliable part.
 	ReliableSize int
+	// Beta is BETA's virtual level, computed with the rest of the offline
+	// analysis. BETA ships modified files rather than metadata, so the level
+	// lives in memory only: no encoding carries it, and a decoded or
+	// stripped manifest has the zero ("no level") value.
+	Beta prep.BetaLevel
 }
 
 // Voxel reports whether the segment carries VOXEL metadata.
@@ -126,6 +131,7 @@ func Build(v *video.Video, opts BuildOptions) *Manifest {
 				info.Reliable = prep.ReliableRanges(s)
 				info.Unreliable = prep.UnreliableRanges(s, p.Order)
 				info.ReliableSize = p.ReliableSize
+				info.Beta = a.Beta(s)
 			}
 			offset += int64(s.TotalBytes())
 			rep.Segments = append(rep.Segments, info)

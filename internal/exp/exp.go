@@ -430,69 +430,91 @@ func (a *Aggregate) Summary() string {
 	return sb.String()
 }
 
-// newAlgorithm builds the ABR instance for a system.
-func newAlgorithm(sys System) (abr.Algorithm, player.Mode, bool) {
+// newAlgorithm builds the ABR instance for a system and names the player
+// mode it runs in.
+func newAlgorithm(sys System) (abr.Algorithm, player.Mode) {
 	switch sys {
 	case SysBolaQ:
-		return abr.NewBola(), player.ModeReliable, false
+		return abr.NewBola(), player.ModeReliable
 	case SysBolaQStar:
-		return abr.NewBola(), player.ModeOpaque, false
+		return abr.NewBola(), player.ModeOpaque
 	case SysMPCQ:
-		return abr.NewMPC(), player.ModeReliable, false
+		return abr.NewMPC(), player.ModeReliable
 	case SysMPCQStar:
-		return abr.NewMPC(), player.ModeOpaque, false
+		return abr.NewMPC(), player.ModeOpaque
 	case SysTputQ:
-		return abr.NewTput(), player.ModeReliable, false
+		return abr.NewTput(), player.ModeReliable
 	case SysTputQStar:
-		return abr.NewTput(), player.ModeOpaque, false
+		return abr.NewTput(), player.ModeOpaque
 	case SysBeta:
-		return abr.NewBeta(), player.ModeReliable, true
+		return abr.NewBeta(), player.ModeBeta
 	case SysBolaSSIM:
-		return abr.NewBolaSSIM(), player.ModeVoxel, false
+		return abr.NewBolaSSIM(), player.ModeVoxel
 	case SysVoxel:
-		return abr.NewABRStar(), player.ModeVoxel, false
+		return abr.NewABRStar(), player.ModeVoxel
 	case SysVoxelRel:
-		return abr.NewABRStar(), player.ModeVoxelReliable, false
+		return abr.NewABRStar(), player.ModeVoxelReliable
 	case SysVoxelUntuned:
-		return abr.NewABRStarSafety(1.0), player.ModeVoxel, false
+		return abr.NewABRStarSafety(1.0), player.ModeVoxel
 	default:
 		panic(fmt.Sprintf("exp: unknown system %q", sys))
 	}
 }
 
-// manifest cache: prep is a one-time offline cost (§4.1), so share it. Each
-// key carries its own sync.Once so concurrent trials only wait on same-key
-// builds — a build for (BBB, SSIM) never blocks a cache hit for (ToS, VMAF).
-type manEntry struct {
+// title is a prepared title: the synthesized video and the enriched
+// manifest built from it. Preparation is a one-time offline cost (§4.1), so
+// it happens here and nowhere else: dash.Build has synthesized every
+// (segment, quality) by the time an entry is published, and from then on
+// every trial, and every player of a swarm, only reads the pair.
+type title struct {
 	once sync.Once
+	v    *video.Video
 	m    *dash.Manifest
 }
 
+// titleKey is what preparation depends on.
+type titleKey struct {
+	name     string
+	metric   qoe.Metric
+	segments int // the clip length, normalised: never 0, never past the clip's end
+}
+
+// The title cache. Each entry carries its own sync.Once so concurrent
+// trials only wait on same-key builds — a build for (BBB, SSIM) never blocks
+// a cache hit for (ToS, VMAF).
 var (
-	manMu    sync.Mutex
-	manCache = map[string]*manEntry{}
+	titleMu sync.Mutex
+	titles  = map[titleKey]*title{}
 )
 
-// ManifestFor returns the enriched manifest for (title, metric, segments),
-// cached across experiments. Concurrent callers with the same key share one
-// build; callers with different keys never block each other.
-func ManifestFor(title string, metric qoe.Metric, segments int) *dash.Manifest {
-	key := fmt.Sprintf("%s/%v/%d", title, metric, segments)
-	manMu.Lock()
-	e, ok := manCache[key]
-	if !ok {
-		e = &manEntry{}
-		manCache[key] = e
+// prepared returns the shared prepared title for (name, metric, segments);
+// segments ≤ 0 or past the end of the clip means the full clip.
+func prepared(name string, metric qoe.Metric, segments int) *title {
+	if segments <= 0 || segments > video.DefaultSegments {
+		segments = video.DefaultSegments
 	}
-	manMu.Unlock()
+	key := titleKey{name, metric, segments}
+	titleMu.Lock()
+	e, ok := titles[key]
+	if !ok {
+		e = &title{}
+		titles[key] = e
+	}
+	titleMu.Unlock()
 	e.once.Do(func() {
-		v := video.MustLoad(title)
-		if segments > 0 && segments < v.Segments {
-			v.Segments = segments
-		}
+		e.v = video.MustLoad(name)
+		e.v.Segments = segments
 		a := prep.NewAnalyzer()
 		a.Metric = metric
-		e.m = dash.Build(v, dash.BuildOptions{Voxel: true, PointsPerSegment: 12, Analyzer: a})
+		e.m = dash.Build(e.v, dash.BuildOptions{Voxel: true, PointsPerSegment: 12, Analyzer: a})
 	})
-	return e.m
+	return e
+}
+
+// ManifestFor returns the enriched manifest of the prepared title (name,
+// metric, segments), cached across experiments. Concurrent callers with the
+// same key share one build; callers with different keys never block each
+// other.
+func ManifestFor(name string, metric qoe.Metric, segments int) *dash.Manifest {
+	return prepared(name, metric, segments).m
 }

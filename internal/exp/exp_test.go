@@ -5,6 +5,7 @@ import (
 
 	"voxel/internal/qoe"
 	"voxel/internal/trace"
+	"voxel/internal/video"
 )
 
 func smallCfg(sys System) Config {
@@ -129,6 +130,53 @@ func TestManifestCaching(t *testing.T) {
 	if a == c {
 		t.Fatal("different metrics must not share manifests")
 	}
+	// 0, the clip's own length and anything past it all name the full clip:
+	// one title, one entry.
+	full := ManifestFor("ToS", qoe.SSIM, 0)
+	if full.NumSegments() != video.DefaultSegments {
+		t.Fatalf("full clip has %d segments", full.NumSegments())
+	}
+	for _, n := range []int{video.DefaultSegments, 200, -1} {
+		if ManifestFor("ToS", qoe.SSIM, n) != full {
+			t.Fatalf("segments=%d prepared the full clip a second time", n)
+		}
+	}
+	if a == full {
+		t.Fatal("a 4-segment clip shares the full clip's manifest")
+	}
+}
+
+func TestWorldsShareThePreparedTitle(t *testing.T) {
+	cfg := smallCfg(SysBeta)
+	cfg.Trials = 4
+	want := prepared(cfg.Title, cfg.Metric, cfg.Segments)
+	if want.v.Segments != cfg.Segments || want.m.NumSegments() != cfg.Segments {
+		t.Fatalf("prepared %d/%d segments, want %d", want.v.Segments, want.m.NumSegments(), cfg.Segments)
+	}
+	for trial := 0; trial < cfg.Trials; trial++ {
+		if w := newWorld(cfg, trial); w.video != want.v || w.man != want.m {
+			t.Fatalf("trial %d's world has its own video or manifest", trial)
+		}
+	}
+}
+
+func TestWarmBetaTrialMallocBudget(t *testing.T) {
+	// A trial reads the prepared title; it does not synthesize video or run
+	// the QoE model over candidates. BETA was the worst case — every rung of
+	// every segment re-analysed on every look: 22,920 mallocs for this cell
+	// before preparation moved offline, about 1,800 since.
+	cfg := smallCfg(SysBeta)
+	cfg.Trials = 1
+	cfg.Segments = 4
+	mallocs := testing.AllocsPerRun(3, func() {
+		if agg := Run(cfg); !agg.Trials[0].Completed {
+			t.Fatal("trial did not complete")
+		}
+	})
+	if mallocs > 6000 {
+		t.Fatalf("a warm 4-segment BETA trial does %.0f mallocs, budget 6000", mallocs)
+	}
+	t.Logf("%.0f mallocs", mallocs)
 }
 
 func TestRunMatrix(t *testing.T) {

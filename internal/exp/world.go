@@ -40,7 +40,9 @@ type world struct {
 	// QUIC* — for any fault profile other than clean, and for failover.
 	recovered bool
 
-	s       *sim.Sim
+	s *sim.Sim
+	// man and video are the prepared title, shared read-only with every
+	// world of the same (title, metric, clip length).
 	man     *dash.Manifest
 	video   *video.Video
 	path    *netem.Path // shared by all sessions: its downlink is the contended queue
@@ -55,17 +57,25 @@ type world struct {
 	lastDone, busyAtLastDone sim.Time
 }
 
-// runTrial executes one trial world. A failure — recovered panic, invariant
-// violation, setup error, or watchdog budget — returns a zero Trial (marked
-// Failed) plus the TrialError; the caller's other trials are untouched.
-func runTrial(cfg Config, trial int) (tr Trial, terr *TrialError) {
+// newWorld returns trial's world, unbuilt: its seed, trace shift and
+// simulator, and the prepared title it will read.
+func newWorld(cfg Config, trial int) *world {
 	w := &world{cfg: cfg, trial: trial, seed: TrialSeed(cfg.Seed, trial), session: -1}
-	w.man = ManifestFor(cfg.Title, cfg.Metric, cfg.Segments)
+	t := prepared(cfg.Title, cfg.Metric, cfg.Segments)
+	w.man, w.video = t.m, t.v
 	if cfg.Trace != nil && cfg.Trials > 1 {
 		w.shift = cfg.Trace.Duration() * time.Duration(trial) / time.Duration(cfg.Trials)
 	}
 	w.recovered = cfg.Failover || (cfg.Impairment != "" && cfg.Impairment != netem.ProfileClean)
 	w.s = sim.New(w.seed)
+	return w
+}
+
+// runTrial executes one trial world. A failure — recovered panic, invariant
+// violation, setup error, or watchdog budget — returns a zero Trial (marked
+// Failed) plus the TrialError; the caller's other trials are untouched.
+func runTrial(cfg Config, trial int) (tr Trial, terr *TrialError) {
+	w := newWorld(cfg, trial)
 	defer func() {
 		if r := recover(); r != nil {
 			tr, terr = Trial{Failed: true}, w.fromPanic(r)
@@ -104,10 +114,6 @@ func (w *world) build() *TrialError {
 	}
 	if err := w.impairPrimary(); err != nil {
 		return w.errf("error", "impairment profile: %v", err)
-	}
-	w.video = video.MustLoad(cfg.Title)
-	if cfg.Segments > 0 && cfg.Segments < w.video.Segments {
-		w.video.Segments = cfg.Segments
 	}
 	w.players = make([]*player.Player, n)
 	w.running = n
@@ -194,13 +200,12 @@ func (w *world) addSession(si int) *TrialError {
 		return w.errf("error", "origin server: %v", err)
 	}
 
-	alg, mode, beta := newAlgorithm(cfg.System)
+	alg, mode := newAlgorithm(cfg.System)
 	pcfg := player.Config{
 		Algorithm:      abr.Instrument(alg, scope),
 		Mode:           mode,
 		BufferSegments: cfg.BufferSegments,
 		Metric:         cfg.Metric,
-		BetaCandidates: beta,
 		Obs:            scope,
 	}
 	if w.recovered {

@@ -212,13 +212,6 @@ func Fig7bc(p Params) *Table {
 	return t
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Fig7d regenerates Fig. 7d: the share of data skipped as a function of
 // buffer size.
 func Fig7d(p Params) *Table {
@@ -333,12 +326,13 @@ func Fig11(p Params) *Table {
 	}
 	// The paper's SSIM reference is the top rung itself (§2, "Reference
 	// quality level"), so a "perfect 1.0" segment is one delivered in full
-	// at Q12. Score against the per-segment pristine-Q12 score here.
-	v := videoForTitle("BBB", p.Segments)
-	pristine := make([]float64, v.Segments)
+	// at Q12. Score against the per-segment pristine-Q12 score: the full
+	// point of the prepared title's curve.
+	man := exp.ManifestFor("BBB", qoe.SSIM, p.Segments)
+	pristine := make([]float64, man.NumSegments())
 	for i := range pristine {
-		s := v.Segment(i, 12)
-		pristine[i] = qoe.DefaultModel.Score(qoe.SSIM, s, qoe.PerfectDelivery(s))
+		pts := man.Segment(12, i).Points
+		pristine[i] = pts[len(pts)-1].Score
 	}
 	for _, tr := range traces {
 		for _, sys := range []exp.System{exp.SysBolaQ, exp.SysVoxel} {

@@ -13,7 +13,6 @@ import (
 	"voxel/internal/exp"
 	"voxel/internal/qoe"
 	"voxel/internal/trace"
-	"voxel/internal/video"
 )
 
 // Params scales the experiment size. The paper uses 30 trials over
@@ -115,13 +114,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func f2(x float64) string   { return fmt.Sprintf("%.2f", x) }
 func f3(x float64) string   { return fmt.Sprintf("%.3f", x) }
 func f4(x float64) string   { return fmt.Sprintf("%.4f", x) }
@@ -198,13 +190,4 @@ func ByID(id string) (Generator, bool) {
 		}
 	}
 	return Generator{}, false
-}
-
-// videoForTitle loads a title trimmed to the experiment's clip length.
-func videoForTitle(name string, segments int) *video.Video {
-	v := video.MustLoad(name)
-	if segments > 0 && segments < v.Segments {
-		v.Segments = segments
-	}
-	return v
 }

@@ -3,8 +3,8 @@
 // I-frame + headers, unreliable frame bodies), segment abandonment, and
 // the opportunistic selective retransmission of §4.2.
 //
-// The player supports four transport/ABR integration modes mirroring the
-// paper's incremental deployment story (§5):
+// The player supports five transport/ABR integration modes: four mirroring
+// the paper's incremental deployment story (§5), plus the BETA baseline:
 //
 //	ModeReliable      — everything over reliable streams ("Q" in Figs. 3–4)
 //	ModeOpaque        — vanilla ABR over QUIC*: I-frame + headers reliable,
@@ -13,6 +13,13 @@
 //	                    QUIC* with selective retransmission (§5.2)
 //	ModeVoxelReliable — ABR* decisions but fully reliable transfers
 //	                    ("VOXEL rel", Fig. 18c–d)
+//	ModeBeta          — reliable streams, each quality offering BETA's one
+//	                    virtual level (the segment minus its unreferenced
+//	                    B-frame bodies) beside the full segment
+//
+// The player only reads what content preparation produced: the decision
+// space comes from the manifest, and the video is consulted to score what
+// was delivered.
 package player
 
 import (
@@ -22,7 +29,6 @@ import (
 	"voxel/internal/dash"
 	"voxel/internal/httpsim"
 	"voxel/internal/obs"
-	"voxel/internal/prep"
 	"voxel/internal/qoe"
 	"voxel/internal/quic"
 	"voxel/internal/server"
@@ -33,12 +39,13 @@ import (
 // Mode selects the transport/ABR integration.
 type Mode int
 
-// The four integration modes (see the package comment).
+// The five integration modes (see the package comment).
 const (
 	ModeReliable Mode = iota
 	ModeOpaque
 	ModeVoxel
 	ModeVoxelReliable
+	ModeBeta
 )
 
 func (m Mode) String() string {
@@ -49,6 +56,8 @@ func (m Mode) String() string {
 		return "Q*"
 	case ModeVoxel:
 		return "VOXEL"
+	case ModeBeta:
+		return "BETA"
 	default:
 		return "VOXEL-rel"
 	}
@@ -66,9 +75,6 @@ type Config struct {
 	BufferSegments int
 	// Metric scores delivered segments (default SSIM).
 	Metric qoe.Metric
-	// BetaCandidates adds BETA's single unreferenced-B virtual level per
-	// quality instead of VOXEL's manifest points.
-	BetaCandidates bool
 	// DisableSelectiveRetx turns off §4.2's buffer-full loss recovery.
 	DisableSelectiveRetx bool
 	// Live enables live-edge semantics: segment i only becomes available
@@ -192,7 +198,6 @@ type Player struct {
 	cfg    Config
 	video  *video.Video
 	man    *dash.Manifest
-	anal   *prep.Analyzer
 
 	// playback state
 	started      bool
@@ -203,6 +208,7 @@ type Player struct {
 	stalled      bool
 	stallAtStart time.Duration // p.stall when the current rebuffer began
 	nextIndex    int
+	opts         abr.Options // decision space of segment nextIndex (see reach)
 	lastQuality  video.Quality
 	tputEstimate float64
 	results      Results
@@ -271,7 +277,6 @@ func New(s *sim.Sim, conn *quic.Conn, v *video.Video, m *dash.Manifest, cfg Conf
 		cfg:    cfg,
 		video:  v,
 		man:    m,
-		anal:   &prep.Analyzer{Model: qoe.DefaultModel, Metric: cfg.Metric},
 		obs:    cfg.Obs,
 	}
 	p.client.SetObs(cfg.Obs)
@@ -282,6 +287,7 @@ func New(s *sim.Sim, conn *quic.Conn, v *video.Video, m *dash.Manifest, cfg Conf
 		p.client.AddFailover(fc)
 	}
 	p.segStates = make([]*segState, m.NumSegments())
+	p.reach(0)
 	return p
 }
 
@@ -384,10 +390,8 @@ func (p *Player) step() {
 			return
 		}
 	}
-	// Buffer full? The algorithms return Sleep; but guard here too.
-	st := p.state()
-	opts := p.buildOptions(p.nextIndex)
-	d := p.cfg.Algorithm.Decide(st, opts)
+	// A full buffer comes back as Sleep: idle, then ask again.
+	d := p.cfg.Algorithm.Decide(p.state(), p.opts)
 	if d.Sleep > 0 {
 		p.idle(d.Sleep)
 		return
@@ -440,9 +444,24 @@ func (p *Player) finishWhenDrained() {
 
 // --- candidate construction ---
 
+// reach makes idx the segment the player decides on next and builds that
+// segment's decision space — once: step, its buffer-full re-asks and every
+// abandonment poll read p.opts until the next reach replaces it.
+func (p *Player) reach(idx int) {
+	p.nextIndex = idx
+	p.opts = abr.Options{}
+	if idx < p.man.NumSegments() {
+		p.opts = p.buildOptions(idx)
+	}
+}
+
 func (p *Player) buildOptions(idx int) abr.Options {
-	var opts abr.Options
-	for q := 0; q < len(p.man.Reps); q++ {
+	reps := len(p.man.Reps)
+	opts := abr.Options{PerQuality: make([][]abr.Candidate, 0, reps)}
+	// One backing array per segment, sized for the worst case so it never
+	// moves; each quality's candidates are a capped window of it.
+	flat := make([]abr.Candidate, 0, reps*(maxVirtualCandidates+1))
+	for q := 0; q < reps; q++ {
 		seg := p.man.Segment(video.Quality(q), idx)
 		full := abr.Candidate{
 			Quality:   video.Quality(q),
@@ -453,16 +472,15 @@ func (p *Player) buildOptions(idx int) abr.Options {
 		if len(seg.Points) > 0 {
 			full.Score = seg.Points[len(seg.Points)-1].Score
 		}
-		var cands []abr.Candidate
+		first := len(flat)
 		switch {
-		case p.cfg.BetaCandidates:
-			// BETA: one virtual level per quality (unreferenced-B drop).
-			s := p.video.Segment(idx, video.Quality(q))
-			bytes, score, frames := p.anal.BetaVirtualLevel(s)
-			if bytes < seg.Bytes {
-				cands = append(cands, abr.Candidate{
-					Quality: video.Quality(q), Bytes: bytes, FullBytes: seg.Bytes,
-					Score: score, Frames: frames, Virtual: true,
+		case p.cfg.Mode == ModeBeta:
+			// BETA: one virtual level per quality (unreferenced-B drop). A
+			// manifest without the level (Bytes 0) offers full segments only.
+			if lvl := seg.Beta; lvl.Bytes > 0 && lvl.Bytes < seg.Bytes {
+				flat = append(flat, abr.Candidate{
+					Quality: video.Quality(q), Bytes: lvl.Bytes, FullBytes: seg.Bytes,
+					Score: lvl.Score, Frames: lvl.Frames, Virtual: true,
 				})
 			}
 		case p.usesVirtualLevels() && len(seg.Points) > 1:
@@ -475,23 +493,21 @@ func (p *Player) buildOptions(idx int) abr.Options {
 				}
 			}
 			pts := seg.Points[:len(seg.Points)-1] // exclude the full point
-			kept := 0
 			for _, pt := range pts {
 				if pt.Score < bound {
 					continue
 				}
-				if kept >= maxVirtualCandidates {
+				if len(flat)-first >= maxVirtualCandidates {
 					break
 				}
-				kept++
-				cands = append(cands, abr.Candidate{
+				flat = append(flat, abr.Candidate{
 					Quality: video.Quality(q), Bytes: pt.Bytes, FullBytes: seg.Bytes,
 					Score: pt.Score, Frames: pt.Frames, Virtual: true,
 				})
 			}
 		}
-		cands = append(cands, full)
-		opts.PerQuality = append(opts.PerQuality, cands)
+		flat = append(flat, full)
+		opts.PerQuality = append(opts.PerQuality, flat[first:len(flat):len(flat)])
 	}
 	return opts
 }
@@ -544,12 +560,20 @@ func (p *Player) issueRequests(dl *download, seg *dash.SegmentInfo) {
 	}
 
 	switch p.cfg.Mode {
-	case ModeReliable, ModeVoxelReliable:
-		// One reliable transfer. For virtual candidates, fetch the
-		// reliable part plus body ranges up to the target byte count.
-		spec := httpsim.RangeSpec{{base, base + int64(dl.cand.Bytes)}}
-		if p.cfg.Mode == ModeVoxelReliable || p.cfg.BetaCandidates {
-			spec = p.prefixSpec(dl.index, seg, dl.cand, base)
+	case ModeReliable, ModeVoxelReliable, ModeBeta:
+		// One reliable transfer: the whole segment, or for a virtual
+		// candidate the ranges covering its byte target in download order —
+		// BETA's level as prepared, VOXEL's reliable part plus the first
+		// Frames-1 body ranges.
+		var spec httpsim.RangeSpec
+		switch {
+		case !dl.cand.Virtual:
+			spec = httpsim.RangeSpec{{base, base + int64(dl.cand.Bytes)}}
+		case p.cfg.Mode == ModeBeta:
+			spec = toAbs(seg.Beta.Ranges)
+		default:
+			n := min(dl.cand.Frames-1, len(seg.Unreliable))
+			spec = append(toAbs(seg.Reliable), toAbs(seg.Unreliable[:n])...)
 		}
 		dl.bodySpec = spec
 		dl.relDone = true // no separate reliable phase
@@ -603,11 +627,7 @@ func (p *Player) issueRequests(dl *download, seg *dash.SegmentInfo) {
 			bodyRanges = seg.Unreliable
 		} else {
 			// First Frames-1 body ranges per the candidate's point.
-			n := dl.cand.Frames - 1
-			if n > len(seg.Unreliable) {
-				n = len(seg.Unreliable)
-			}
-			bodyRanges = seg.Unreliable[:n]
+			bodyRanges = seg.Unreliable[:min(dl.cand.Frames-1, len(seg.Unreliable))]
 		}
 		if len(bodyRanges) == 0 {
 			dl.bodyDone = true
@@ -618,44 +638,6 @@ func (p *Player) issueRequests(dl *download, seg *dash.SegmentInfo) {
 		dl.body = p.client.Get(path, dl.bodySpec, true, nil)
 		p.wireBody(dl, true)
 	}
-}
-
-// prefixSpec builds the range list covering the candidate's byte target in
-// download order (for reliable partial transfers).
-func (p *Player) prefixSpec(idx int, seg *dash.SegmentInfo, cand abr.Candidate, base int64) httpsim.RangeSpec {
-	if !cand.Virtual {
-		return httpsim.RangeSpec{{base, base + int64(cand.Bytes)}}
-	}
-	if p.cfg.BetaCandidates {
-		// BETA ships everything except the unreferenced B-frames, over a
-		// reliable transport (its modified files make this a contiguous
-		// prefix; range requests express the same byte set here).
-		s := p.video.Segment(idx, cand.Quality)
-		var spec httpsim.RangeSpec
-		for i := range s.Frames {
-			if s.Frames[i].Type == video.BFrame && !s.Referenced(i) {
-				// Still ship the headers so the decoder stays in sync.
-				hs, he := s.HeaderRange(i)
-				spec = append(spec, [2]int64{base + int64(hs), base + int64(he)})
-				continue
-			}
-			fs, fe := s.FrameRange(i)
-			spec = append(spec, [2]int64{base + int64(fs), base + int64(fe)})
-		}
-		return spec
-	}
-	var spec httpsim.RangeSpec
-	for _, r := range seg.Reliable {
-		spec = append(spec, [2]int64{base + int64(r[0]), base + int64(r[1])})
-	}
-	n := cand.Frames - 1
-	if n > len(seg.Unreliable) {
-		n = len(seg.Unreliable)
-	}
-	for _, r := range seg.Unreliable[:n] {
-		spec = append(spec, [2]int64{base + int64(r[0]), base + int64(r[1])})
-	}
-	return spec
 }
 
 // wireBody attaches delivery callbacks for the body response of dl.
@@ -722,8 +704,8 @@ func mapBody(spec httpsim.RangeSpec, bodyOff, n int64, fn func(objStart, objEnd 
 	for _, r := range spec {
 		l := r[1] - r[0]
 		if bodyOff < pos+l && bodyOff+n > pos {
-			s := r[0] + max64(bodyOff-pos, 0)
-			e := r[0] + min64(bodyOff+n-pos, l)
+			s := r[0] + max(bodyOff-pos, 0)
+			e := r[0] + min(bodyOff+n-pos, l)
 			if e > s {
 				fn(s, e)
 			}
@@ -733,20 +715,6 @@ func mapBody(spec httpsim.RangeSpec, bodyOff, n int64, fn func(objStart, objEnd 
 			break
 		}
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func (p *Player) maybeFinishDownload(dl *download) {
@@ -774,7 +742,7 @@ func (p *Player) schedulePoll(dl *download) {
 		if elapsed > 0 {
 			tput = float64(dl.gotBytes*8) / elapsed.Seconds()
 		}
-		action := p.cfg.Algorithm.Abandon(p.state(), p.buildOptions(dl.index), abr.Progress{
+		action := p.cfg.Algorithm.Abandon(p.state(), p.opts, abr.Progress{
 			Candidate:  dl.cand,
 			BytesDone:  dl.gotBytes,
 			Elapsed:    elapsed,
@@ -911,7 +879,7 @@ func (p *Player) completeSegment(dl *download) {
 	p.obs.SetGauge(obs.GBufferMs, int64(p.buffer/time.Millisecond))
 	p.obs.SetGauge(obs.GThroughputKbps, int64(p.tputEstimate/1000))
 	p.lastQuality = st.quality
-	p.nextIndex++
+	p.reach(p.nextIndex + 1)
 	p.dl = nil
 	p.step()
 }

@@ -14,8 +14,7 @@ func TestBetaModeUsesItsVirtualLevel(t *testing.T) {
 	// segments of the same quality.
 	tr := trace.Constant("c", 5e6, 3600)
 	r := buildRig(t, tr, 32, 10, Config{
-		Algorithm: abr.NewBeta(), Mode: ModeReliable,
-		BufferSegments: 3, BetaCandidates: true,
+		Algorithm: abr.NewBeta(), Mode: ModeBeta, BufferSegments: 3,
 	})
 	res := r.run(t, 20*time.Minute)
 	virtual := 0

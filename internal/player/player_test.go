@@ -26,6 +26,13 @@ type rig struct {
 
 func buildRig(t *testing.T, tr *trace.Trace, queue int, segs int, cfg Config) *rig {
 	t.Helper()
+	return buildRigView(t, tr, queue, segs, cfg, func(m *dash.Manifest) *dash.Manifest { return m })
+}
+
+// buildRigView is buildRig with the player reading view(m) — say, a stripped
+// copy — of the manifest m the origin serves.
+func buildRigView(t *testing.T, tr *trace.Trace, queue int, segs int, cfg Config, view func(*dash.Manifest) *dash.Manifest) *rig {
+	t.Helper()
 	s := sim.New(99)
 	path := netem.NewPath(s, tr, queue)
 	cc, sc := quic.NewPair(s, path, quic.Config{}, quic.Config{})
@@ -35,7 +42,7 @@ func buildRig(t *testing.T, tr *trace.Trace, queue int, segs int, cfg Config) *r
 	if _, err := server.New(sc, m, httpsim.ServerOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	pl := New(s, cc, v, m, cfg)
+	pl := New(s, cc, v, view(m), cfg)
 	return &rig{s: s, pl: pl, v: v, m: m}
 }
 
@@ -178,7 +185,8 @@ func TestQualitySwitchCounting(t *testing.T) {
 
 func TestModeStrings(t *testing.T) {
 	if ModeReliable.String() != "Q" || ModeOpaque.String() != "Q*" ||
-		ModeVoxel.String() != "VOXEL" || ModeVoxelReliable.String() != "VOXEL-rel" {
+		ModeVoxel.String() != "VOXEL" || ModeVoxelReliable.String() != "VOXEL-rel" ||
+		ModeBeta.String() != "BETA" {
 		t.Fatal("mode names wrong")
 	}
 }

@@ -299,23 +299,37 @@ func ReferencedShare(s *video.Segment, drop []int) float64 {
 	return float64(ref) / float64(len(drop))
 }
 
-// BetaVirtualLevel computes BETA's single virtual quality level for a
-// segment: the segment minus all unreferenced B-frames (the only frames
-// BETA may drop), with its resulting score. The returned frames count is
-// the number of frames kept.
-func (a *Analyzer) BetaVirtualLevel(s *video.Segment) (bytes int, score float64, frames int) {
+// BetaLevel is BETA's single virtual quality level of one segment: the
+// segment minus the bodies of its unreferenced B-frames, the only data BETA
+// may drop. The zero value means "no level": BETA then offers the full
+// segment only.
+type BetaLevel struct {
+	Bytes  int     // bytes shipped: everything but the dropped bodies
+	Frames int     // frames kept
+	Score  float64 // QoE of the segment with the dropped frames concealed
+	// Ranges lists the shipped bytes (segment-relative, ascending), one
+	// range per frame: a dropped frame still ships its headers so the
+	// decoder stays in sync. BETA's modified files make this a contiguous
+	// prefix; range requests express the same byte set here.
+	Ranges [][2]int
+}
+
+// Beta computes the segment's BetaLevel.
+func (a *Analyzer) Beta(s *video.Segment) BetaLevel {
 	loss := make([]float64, len(s.Frames))
-	bytes = s.TotalBytes()
-	frames = len(s.Frames)
-	for i := 1; i < len(s.Frames); i++ {
+	lvl := BetaLevel{Bytes: s.TotalBytes(), Frames: len(s.Frames), Ranges: make([][2]int, len(s.Frames))}
+	for i := range s.Frames {
+		start, end := s.FrameRange(i)
 		if s.Frames[i].Type == video.BFrame && !s.Referenced(i) {
 			loss[i] = 1
-			bs, be := s.BodyRange(i)
-			bytes -= be - bs
-			frames--
+			_, end = s.HeaderRange(i)
+			lvl.Bytes -= s.Frames[i].Size - s.Frames[i].HeaderSize
+			lvl.Frames--
 		}
+		lvl.Ranges[i] = [2]int{start, end}
 	}
-	return bytes, a.Model.Score(a.Metric, s, loss), frames
+	lvl.Score = a.Model.Score(a.Metric, s, loss)
+	return lvl
 }
 
 // ThinPoints reduces a QoE curve to at most n points for the manifest,

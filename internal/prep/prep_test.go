@@ -1,6 +1,8 @@
 package prep
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -415,5 +417,70 @@ func TestPropertyToleranceMonotoneInTarget(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(17))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestBetaLevelMatchesFrameWalk(t *testing.T) {
+	// The offline BETA level against a brute-force walk of the frames: the
+	// level drops exactly the bodies of unreferenced B-frames.
+	a := NewAnalyzer()
+	for _, title := range []string{"BBB", "Sintel", "P9"} {
+		for _, q := range []video.Quality{0, 6, 12} {
+			s := seg(title, 2, q)
+			lvl := a.Beta(s)
+			loss := make([]float64, len(s.Frames))
+			kept, covered, prevEnd := 0, 0, 0
+			if len(lvl.Ranges) != len(s.Frames) {
+				t.Fatalf("%s/%v: %d ranges for %d frames", title, q, len(lvl.Ranges), len(s.Frames))
+			}
+			for i, r := range lvl.Ranges {
+				fs, fe := s.FrameRange(i)
+				want := [2]int{fs, fe}
+				if s.Frames[i].Type == video.BFrame && !s.Referenced(i) {
+					loss[i] = 1
+					want[1] = fs + s.Frames[i].HeaderSize
+				} else {
+					kept++
+				}
+				if r != want {
+					t.Fatalf("%s/%v frame %d: range %v, want %v", title, q, i, r, want)
+				}
+				if r[0] < prevEnd || r[1] <= r[0] {
+					t.Fatalf("%s/%v frame %d: range %v not ascending/disjoint after %d", title, q, i, r, prevEnd)
+				}
+				prevEnd = r[1]
+				covered += r[1] - r[0]
+			}
+			if covered != lvl.Bytes || lvl.Bytes >= s.TotalBytes() {
+				t.Fatalf("%s/%v: ranges cover %d, Bytes %d, segment %d", title, q, covered, lvl.Bytes, s.TotalBytes())
+			}
+			if lvl.Frames != kept {
+				t.Fatalf("%s/%v: Frames %d, want %d", title, q, lvl.Frames, kept)
+			}
+			if want := a.Model.Score(a.Metric, s, loss); lvl.Score != want {
+				t.Fatalf("%s/%v: Score %v, want %v", title, q, lvl.Score, want)
+			}
+		}
+	}
+}
+
+func TestBetaLevelPinned(t *testing.T) {
+	// Literals from the run-time analysis this level replaced (PR 16's
+	// BetaVirtualLevel + the player's per-request frame walk): the simulated
+	// bytes of every BETA trial depend on them.
+	lvl := NewAnalyzer().Beta(seg("BBB", 3, 6))
+	if lvl.Bytes != 524139 || lvl.Frames != 48 || lvl.Score != 0.9456184962255906 {
+		t.Fatalf("level moved: bytes %d frames %d score %v", lvl.Bytes, lvl.Frames, lvl.Score)
+	}
+	n := len(lvl.Ranges)
+	if n != 96 || lvl.Ranges[0] != [2]int{0, 95972} || lvl.Ranges[1] != [2]int{95972, 96023} ||
+		lvl.Ranges[2] != [2]int{97736, 99455} ||
+		lvl.Ranges[n-2] != [2]int{593876, 595465} || lvl.Ranges[n-1] != [2]int{595465, 595516} {
+		t.Fatalf("ranges moved: %d ranges, %v … %v", n, lvl.Ranges[:3], lvl.Ranges[n-2:])
+	}
+	h := fnv.New64a()
+	fmt.Fprint(h, lvl.Ranges)
+	if h.Sum64() != 0x3b2c7954c46a21d1 {
+		t.Fatalf("range list hash %#x", h.Sum64())
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"time"
 )
 
@@ -148,22 +149,23 @@ func (s *Segment) InboundRefs() []int { return s.inbound }
 // depend on it — the importance measure behind ordering 3 in §4.1.
 func (s *Segment) TransitiveDependents() []int { return s.transitive }
 
-// Video is a title: metadata plus a deterministic segment synthesizer.
+// Video is a title: metadata plus a deterministic segment synthesizer. A
+// Video may be shared: concurrent Segment calls are safe, and a segment,
+// once returned, is read-only.
 type Video struct {
-	Title    string
-	Genre    string
+	Title string
+	Genre string
+	// Segments is the clip length: DefaultSegments as loaded; an owner may
+	// lower it to trim the clip before sharing the video.
 	Segments int
 	// StdDevMbps is the published per-title standard deviation of segment
 	// bitrates at Q12 (Tabs. 1 and 3).
 	StdDevMbps float64
 
 	profile profile
-	cache   map[segKey]*Segment
-}
-
-type segKey struct {
-	idx int
-	q   Quality
+	// slots holds the synthesized segments, one per (index, quality) of the
+	// full clip, filled on first use.
+	slots []atomic.Pointer[Segment]
 }
 
 // profile captures the content characteristics that differentiate titles.
@@ -222,7 +224,7 @@ func Load(name string) (*Video, error) {
 		Segments:   DefaultSegments,
 		StdDevMbps: c.stdDev,
 		profile:    c.prof,
-		cache:      make(map[segKey]*Segment),
+		slots:      make([]atomic.Pointer[Segment], DefaultSegments*NumQualities),
 	}, nil
 }
 
@@ -249,13 +251,14 @@ func (v *Video) Segment(idx int, q Quality) *Segment {
 	if q < 0 || int(q) >= NumQualities {
 		panic(fmt.Sprintf("video: quality %d out of range", q))
 	}
-	key := segKey{idx, q}
-	if s, ok := v.cache[key]; ok {
+	slot := &v.slots[idx*NumQualities+int(q)]
+	if s := slot.Load(); s != nil {
 		return s
 	}
-	s := v.synthesize(idx, q)
-	v.cache[key] = s
-	return s
+	// Synthesis is a pure function of (title, idx, q): racing fillers build
+	// equal segments, and every caller returns the one that was stored.
+	slot.CompareAndSwap(nil, v.synthesize(idx, q))
+	return slot.Load()
 }
 
 // contentAt derives the content state of segment idx — deterministic per

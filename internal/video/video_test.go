@@ -3,6 +3,7 @@ package video
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -292,5 +293,39 @@ func TestPropertyGraphAcyclicAndBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(8))}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestVideoSegmentConcurrent(t *testing.T) {
+	// A shared video is filled lazily from any goroutine: every caller of a
+	// key must end up with the same *Segment, whoever synthesized it first.
+	v := MustLoad("ToS")
+	v.Segments = 6
+	const workers = 8
+	got := make([][]*Segment, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for idx := 0; idx < v.Segments; idx++ {
+				for q := Quality(0); q < NumQualities; q++ {
+					got[w] = append(got[w], v.Segment(idx, q))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		for k, s := range got[w] {
+			if s != got[0][k] {
+				t.Fatalf("worker %d, key %d: got a different segment pointer", w, k)
+			}
+		}
+	}
+	for k, s := range got[0] {
+		if s != v.Segment(k/NumQualities, Quality(k%NumQualities)) {
+			t.Fatalf("key %d: a later call returned a different segment", k)
+		}
 	}
 }
