@@ -5,39 +5,25 @@
 //
 // Usage:
 //
-//	voxel-vet [-cache dir] [packages]
+//	voxel-vet [packages]
 //
-// With no arguments it checks ./... . The optional -cache directory
-// memoizes per-package results ("facts") keyed by a content hash of the
-// package's files, its module-local dependency closure, the Go version,
-// and the analyzer suite version, so unchanged packages replay their
-// verdict without re-typechecking — the CI lint job persists this
-// directory between runs.
+// With no arguments it checks ./... .
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
-	"sort"
-	"strings"
 
 	"voxel/internal/analysis"
 )
 
 func main() {
-	cacheDir := flag.String("cache", "", "directory for memoized per-package results (empty = no cache)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: voxel-vet [-cache dir] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: voxel-vet [packages]\n\nAnalyzers:\n")
 		for _, a := range analysis.Analyzers() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
-		flag.PrintDefaults()
 	}
 	flag.Parse()
 	patterns := flag.Args()
@@ -49,34 +35,19 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	var cache *factCache
-	if *cacheDir != "" {
-		cache, err = newFactCache(*cacheDir, listed)
-		if err != nil {
-			fatalf("fact cache: %v", err)
-		}
-	}
-
 	loader := analysis.NewLoader()
 	analyzers := analysis.Analyzers()
 	bad := 0
 	for _, lp := range listed {
-		var diags []analysis.Diagnostic
-		if cached, ok := cache.lookup(lp.ImportPath); ok {
-			diags = cached
-		} else {
-			units, err := loader.Units(lp)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			for _, u := range units {
-				diags = append(diags, analysis.RunSuite(u, analyzers)...)
-			}
-			cache.store(lp.ImportPath, diags)
+		units, err := loader.Units(lp)
+		if err != nil {
+			fatalf("%v", err)
 		}
-		for _, d := range diags {
-			fmt.Println(d)
-			bad++
+		for _, u := range units {
+			for _, d := range analysis.RunSuite(u, analyzers) {
+				fmt.Println(d)
+				bad++
+			}
 		}
 	}
 	if bad > 0 {
@@ -88,133 +59,4 @@ func main() {
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "voxel-vet: "+format+"\n", args...)
 	os.Exit(2)
-}
-
-// factCache memoizes per-package diagnostics. The key folds in the
-// package's own files (tests included), the content hashes of its
-// module-local import closure, the Go version, and the suite version —
-// any edit that could change a verdict changes the key.
-type factCache struct {
-	dir  string
-	keys map[string]string // import path → content key
-}
-
-func newFactCache(dir string, targets []*analysis.ListedPackage) (*factCache, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	// Hash the whole module once: the closure walk below needs Dir and
-	// file lists for dependencies that may not be analysis targets.
-	all, err := analysis.List("./...")
-	if err != nil {
-		return nil, err
-	}
-	byPath := map[string]*analysis.ListedPackage{}
-	for _, p := range all {
-		byPath[p.ImportPath] = p
-	}
-	for _, p := range targets {
-		byPath[p.ImportPath] = p
-	}
-	own := map[string]string{}
-	for path, p := range byPath {
-		h, err := hashFiles(p.Dir, p.GoFiles, p.TestGoFiles, p.XTestGoFiles)
-		if err != nil {
-			return nil, err
-		}
-		own[path] = h
-	}
-	c := &factCache{dir: dir, keys: map[string]string{}}
-	for _, p := range targets {
-		hash := sha256.New()
-		fmt.Fprintf(hash, "%s|%s|%s\n", analysis.SuiteVersion, runtime.Version(), p.ImportPath)
-		closure := moduleClosure(p, byPath)
-		sort.Strings(closure)
-		for _, dep := range closure {
-			fmt.Fprintf(hash, "%s=%s\n", dep, own[dep])
-		}
-		c.keys[p.ImportPath] = hex.EncodeToString(hash.Sum(nil))
-	}
-	return c, nil
-}
-
-// moduleClosure returns the package plus its transitive module-local
-// imports, including the direct imports of its test files.
-func moduleClosure(p *analysis.ListedPackage, byPath map[string]*analysis.ListedPackage) []string {
-	seen := map[string]bool{}
-	var visit func(path string)
-	visit = func(path string) {
-		if seen[path] {
-			return
-		}
-		dep, ok := byPath[path]
-		if !ok {
-			return // stdlib or out-of-module: covered by the Go version
-		}
-		seen[path] = true
-		for _, imp := range dep.Imports {
-			visit(imp)
-		}
-	}
-	visit(p.ImportPath)
-	for _, imp := range append(append([]string(nil), p.TestImports...), p.XTestImports...) {
-		visit(imp)
-	}
-	out := make([]string, 0, len(seen))
-	for path := range seen {
-		out = append(out, path)
-	}
-	return out
-}
-
-func hashFiles(dir string, lists ...[]string) (string, error) {
-	h := sha256.New()
-	for _, list := range lists {
-		for _, name := range list {
-			data, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				return "", err
-			}
-			fmt.Fprintf(h, "%s %d\n", name, len(data))
-			h.Write(data)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// cacheEntry is the persisted verdict for one package content key.
-type cacheEntry struct {
-	Key   string                `json:"key"`
-	Diags []analysis.Diagnostic `json:"diags,omitempty"`
-}
-
-func (c *factCache) path(importPath string) string {
-	return filepath.Join(c.dir, strings.ReplaceAll(importPath, "/", "_")+".json")
-}
-
-func (c *factCache) lookup(importPath string) ([]analysis.Diagnostic, bool) {
-	if c == nil {
-		return nil, false
-	}
-	data, err := os.ReadFile(c.path(importPath))
-	if err != nil {
-		return nil, false
-	}
-	var e cacheEntry
-	if err := json.Unmarshal(data, &e); err != nil || e.Key != c.keys[importPath] {
-		return nil, false
-	}
-	return e.Diags, true
-}
-
-func (c *factCache) store(importPath string, diags []analysis.Diagnostic) {
-	if c == nil {
-		return
-	}
-	e := cacheEntry{Key: c.keys[importPath], Diags: diags}
-	data, err := json.MarshalIndent(e, "", "\t")
-	if err != nil {
-		return
-	}
-	_ = os.WriteFile(c.path(importPath), data, 0o644) // best-effort: a cold cache only costs time
 }

@@ -1,6 +1,7 @@
 package abr
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -356,6 +357,69 @@ func TestNames(t *testing.T) {
 	} {
 		if pair.alg.Name() != pair.want {
 			t.Errorf("name %q, want %q", pair.alg.Name(), pair.want)
+		}
+	}
+}
+
+// The per-candidate utility hooks bolaCore had before the one-pass vector,
+// kept as the reference: each call rescans the whole set.
+func refBitrateUtility(c Candidate, all []Candidate) float64 {
+	minBytes := all[0].Bytes
+	for _, x := range all {
+		if x.Bytes < minBytes {
+			minBytes = x.Bytes
+		}
+	}
+	return math.Log(float64(c.Bytes) / float64(minBytes))
+}
+
+func refScoreUtility(c Candidate, all []Candidate) float64 {
+	perfect := 0.0
+	minScore := all[0].Score
+	for _, x := range all {
+		if x.Score > perfect {
+			perfect = x.Score
+		}
+		if x.Score < minScore {
+			minScore = x.Score
+		}
+	}
+	if perfect <= 0 {
+		perfect = 1
+	}
+	return scoreUtility(c.Score, perfect) - scoreUtility(minScore, perfect)
+}
+
+func TestUtilityVectorMatchesPerCandidateFormula(t *testing.T) {
+	scoreless := fixtureOptions(true)
+	for _, cands := range scoreless.PerQuality {
+		for i := range cands {
+			cands[i].Score = 0 // a manifest without QoE points
+		}
+	}
+	for _, row := range []struct {
+		alg *Bola
+		ref func(c Candidate, all []Candidate) float64
+	}{
+		{NewBola(), refBitrateUtility},
+		{NewBolaSSIM(), refScoreUtility},
+		{NewABRStar(), refScoreUtility},
+	} {
+		for _, fx := range []struct {
+			name string
+			opts Options
+		}{{"full", fixtureOptions(false)}, {"virtual", fixtureOptions(true)}, {"scoreless", scoreless}} {
+			cands := row.alg.candidates(fx.opts)
+			utils := row.alg.utilities(cands)
+			if len(utils) != len(cands) {
+				t.Fatalf("%s/%s: %d utilities for %d candidates", row.alg.Name(), fx.name, len(utils), len(cands))
+			}
+			for i, c := range cands {
+				// Bit-equal, not close: decisions compare these floats.
+				if want := row.ref(c, cands); utils[i] != want {
+					t.Errorf("%s/%s: candidate %d (%+v): utility %v, reference %v", row.alg.Name(), fx.name, i, c, utils[i], want)
+				}
+			}
 		}
 	}
 }

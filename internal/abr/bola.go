@@ -21,14 +21,18 @@ func NewBola() *Bola {
 	return &Bola{bolaCore{
 		name:   "BOLA",
 		Safety: 0.9,
-		utility: func(c Candidate, all []Candidate) float64 {
-			minBytes := all[0].Bytes
-			for _, x := range all {
+		utilities: func(cands []Candidate) []float64 {
+			minBytes := cands[0].Bytes
+			for _, x := range cands {
 				if x.Bytes < minBytes {
 					minBytes = x.Bytes
 				}
 			}
-			return math.Log(float64(c.Bytes) / float64(minBytes))
+			utils := make([]float64, len(cands))
+			for i, c := range cands {
+				utils[i] = math.Log(float64(c.Bytes) / float64(minBytes))
+			}
+			return utils
 		},
 		candidates: func(opts Options) []Candidate {
 			// Full segments only.
@@ -48,9 +52,10 @@ type bolaCore struct {
 	name string
 	// Safety scales throughput estimates used for startup and abandonment.
 	Safety float64
-	// utility maps a candidate to its (increasing) utility given the whole
-	// candidate set.
-	utility func(c Candidate, all []Candidate) float64
+	// utilities maps each candidate of the decision space to its
+	// (increasing) utility, in one pass: what depends on the whole set — its
+	// cheapest or best member — is found once per decision.
+	utilities func(cands []Candidate) []float64
 	// candidates selects the decision space from the options.
 	candidates func(opts Options) []Candidate
 	// smartAbandon switches abandonment from restart (BOLA-E) to
@@ -100,10 +105,7 @@ func (b *bolaCore) params(st State, cands []Candidate, utils []float64) (V, gp f
 // Decide implements Algorithm.
 func (b *bolaCore) Decide(st State, opts Options) Decision {
 	cands := b.candidates(opts)
-	utils := make([]float64, len(cands))
-	for i, c := range cands {
-		utils[i] = b.utility(c, cands)
-	}
+	utils := b.utilities(cands)
 	V, gp := b.params(st, cands, utils)
 
 	// Effective buffer includes the BOLA-E placeholder.

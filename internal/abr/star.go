@@ -40,10 +40,10 @@ func newScoreBola(name string, safety float64) *Bola {
 	return &Bola{bolaCore{
 		name:   name,
 		Safety: safety,
-		utility: func(c Candidate, all []Candidate) float64 {
+		utilities: func(cands []Candidate) []float64 {
 			perfect := 0.0
-			minScore := all[0].Score
-			for _, x := range all {
+			minScore := cands[0].Score
+			for _, x := range cands {
 				if x.Score > perfect {
 					perfect = x.Score
 				}
@@ -56,7 +56,12 @@ func newScoreBola(name string, safety float64) *Bola {
 			}
 			// Utility relative to the worst available option so the
 			// cheapest candidate sits at zero, as ln(S/S_min) does.
-			return scoreUtility(c.Score, perfect) - scoreUtility(minScore, perfect)
+			floor := scoreUtility(minScore, perfect)
+			utils := make([]float64, len(cands))
+			for i, c := range cands {
+				utils[i] = scoreUtility(c.Score, perfect) - floor
+			}
+			return utils
 		},
 		candidates: func(opts Options) []Candidate {
 			return opts.All()

@@ -32,11 +32,6 @@
 //     wall-clock or unsorted iteration is sound at that site
 package analysis
 
-// SuiteVersion participates in voxel-vet's fact-cache key: bump it
-// whenever an analyzer's rules change so stale cached diagnostics are
-// never replayed against new rules.
-const SuiteVersion = "voxel-vet-2"
-
 // Analyzers returns the full suite in deterministic order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{

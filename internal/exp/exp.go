@@ -83,11 +83,11 @@ type Config struct {
 	// the primary path permanently at FailoverKillTime, exercising
 	// idle-timeout detection and client failover mid-stream.
 	Failover bool
-	// Parallelism is the number of worker goroutines trials fan out across
-	// (and, via RunMatrix, (system, trial) pairs). 0 and 1 run sequentially;
-	// negative means GOMAXPROCS. Each trial owns its own simulated world, and
-	// results are written by trial index, so aggregates are bit-identical to
-	// the sequential output for the same seed at any setting.
+	// Parallelism is the number of worker goroutines trials fan out across.
+	// 0 and 1 run sequentially; negative means GOMAXPROCS. Each trial owns
+	// its own simulated world, and results are written by trial index, so
+	// aggregates are bit-identical to the sequential output for the same
+	// seed at any setting.
 	Parallelism int
 	// Telemetry attaches a per-trial obs.Scope to every layer of the stack
 	// and collects the per-trial reports into Aggregate.Obs. Recording never

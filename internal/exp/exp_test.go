@@ -178,13 +178,3 @@ func TestWarmBetaTrialMallocBudget(t *testing.T) {
 	}
 	t.Logf("%.0f mallocs", mallocs)
 }
-
-func TestRunMatrix(t *testing.T) {
-	base := smallCfg("")
-	base.Trials = 1
-	base.Segments = 4
-	out := RunMatrix(base, []System{SysBolaQ, SysVoxel})
-	if len(out) != 2 || out[SysBolaQ] == nil || out[SysVoxel] == nil {
-		t.Fatal("matrix incomplete")
-	}
-}

@@ -301,8 +301,8 @@ func hooked(fn func()) []string {
 }
 
 // FailureHook's contract: exactly once per failing trial this process
-// computed, in (config, trial) order at any parallelism, through Run and
-// RunMatrix alike — and never from a fold of results computed elsewhere.
+// computed, in trial order at any parallelism — and never from a fold of
+// results computed elsewhere.
 func TestFailureHookContract(t *testing.T) {
 	base := failCfg()
 	base.Trials = 6
@@ -315,18 +315,6 @@ func TestFailureHookContract(t *testing.T) {
 		want := []string{"VOXEL/0", "VOXEL/1", "VOXEL/2", "VOXEL/3", "VOXEL/4", "VOXEL/5"}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("parallel=%d: Run fired %v, want %v", par, got, want)
-		}
-
-		systems := []System{SysBolaQ, SysVoxel}
-		got = hooked(func() { RunMatrix(base, systems) })
-		want = nil
-		for _, sys := range systems {
-			for ti := 0; ti < base.Trials; ti++ {
-				want = append(want, string(sys)+"/"+strconv.Itoa(ti))
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("parallel=%d: RunMatrix fired %v, want %v", par, got, want)
 		}
 
 		// Folding finished results is silent: the run that computed them

@@ -47,31 +47,6 @@ func TestParallelRunDeterminism(t *testing.T) {
 	}
 }
 
-func TestParallelRunMatrixEquivalence(t *testing.T) {
-	systems := []System{SysBolaQ, SysVoxel, SysBeta}
-
-	seq := tracedCfg()
-	seq.System = ""
-	seq.Trials = 2
-	seq.Segments = 4
-	par := seq
-	par.Parallelism = 4
-
-	sa := RunMatrix(seq, systems)
-	pa := RunMatrix(par, systems)
-	if len(sa) != len(systems) || len(pa) != len(systems) {
-		t.Fatalf("matrix sizes %d/%d, want %d", len(sa), len(pa), len(systems))
-	}
-	for _, sys := range systems {
-		if !reflect.DeepEqual(sa[sys].Trials, pa[sys].Trials) {
-			t.Errorf("%s: parallel matrix trials differ from sequential", sys)
-		}
-		if !reflect.DeepEqual(sa[sys].AllScores, pa[sys].AllScores) {
-			t.Errorf("%s: parallel matrix scores differ from sequential", sys)
-		}
-	}
-}
-
 func TestParallelismExceedingTrials(t *testing.T) {
 	cfg := tracedCfg()
 	cfg.Trials = 2

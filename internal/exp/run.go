@@ -13,47 +13,18 @@ import (
 // bit-identical to a sequential run. A sharded config (ShardCount > 1) runs
 // only its owned trials; the other slots stay zero-valued and the
 // aggregate's samples cover the owned trials only.
+//
+// Run is the retaining sink over RunPartial: store every result by trial
+// index, then fold once.
 func Run(cfg Config) *Aggregate {
-	return runAll([]Config{cfg}, cfg.workers())[0]
-}
-
-// RunMatrix runs one configuration per system and returns them keyed by
-// system — the shape most figures need. All (system, trial) pairs share one
-// base.Parallelism-wide worker pool, so a matrix of short configs still
-// fills every worker.
-func RunMatrix(base Config, systems []System) map[System]*Aggregate {
-	cfgs := make([]Config, len(systems))
-	for i, sys := range systems {
-		cfgs[i] = base
-		cfgs[i].System = sys
-	}
-	aggs := runAll(cfgs, base.workers())
-	out := make(map[System]*Aggregate, len(systems))
-	for i, sys := range systems {
-		out[sys] = aggs[i]
-	}
-	return out
-}
-
-// runAll is the retaining sink over the executor: store every result by
-// (config, trial) index, then fold each config once.
-func runAll(cfgs []Config, workers int) []*Aggregate {
-	trials := make([][]Trial, len(cfgs))
-	fails := make([][]*TrialError, len(cfgs))
-	for ci, c := range cfgs {
-		n := c.withDefaults().Trials
-		trials[ci], fails[ci] = make([]Trial, n), make([]*TrialError, n)
-	}
+	n := cfg.withDefaults().Trials
+	trials, fails := make([]Trial, n), make([]*TrialError, n)
 	// The sink never fails, so neither does the run.
-	_ = execute(cfgs, workers, nil, func(ci, ti int, tr Trial, te *TrialError) error {
-		trials[ci][ti], fails[ci][ti] = tr, te
+	_ = RunPartial(cfg, nil, func(ti int, tr Trial, te *TrialError) error {
+		trials[ti], fails[ti] = tr, te
 		return nil
 	})
-	out := make([]*Aggregate, len(cfgs))
-	for ci := range cfgs {
-		out[ci] = Assemble(cfgs[ci], trials[ci], fails[ci])
-	}
-	return out
+	return Assemble(cfg, trials, fails)
 }
 
 // TrialFunc receives one completed trial: its index, its result, and (for a
@@ -65,54 +36,39 @@ func runAll(cfgs []Config, workers int) []*Aggregate {
 // the run: no further trial is started or delivered.
 type TrialFunc func(trial int, tr Trial, te *TrialError) error
 
-// RunPartial runs the trials of cfg that the config's shard owns and that
-// skip does not exclude (nil skips nothing), handing each result to fn
-// exactly once, in trial order, and retaining none of them. It returns fn's
-// first error. This is the resumable, bounded-memory core under Run: a
-// caller that stores what fn receives by trial index, fills the skipped
-// slots from a checkpoint and calls Assemble gets exactly Run's aggregate.
-func RunPartial(cfg Config, skip func(trial int) bool, fn TrialFunc) error {
-	var skipAt func(ci, ti int) bool
-	if skip != nil {
-		skipAt = func(_, ti int) bool { return skip(ti) }
-	}
-	return execute([]Config{cfg}, cfg.workers(), skipAt,
-		func(_, ti int, tr Trial, te *TrialError) error { return fn(ti, tr, te) })
-}
-
 // TrialSeed derives trial j's world seed from the config seed. Exported so
 // the chaos shrinker can collapse a multi-trial failure to a single-trial
 // artifact that builds the exact same world.
 func TrialSeed(base int64, trial int) int64 { return base + int64(trial)*7919 }
 
-// execute is the one executor: every owned, unskipped (config, trial) cell
-// of cfgs (defaulted in place) runs on one pool of workers, and every result
-// passes through one stream on the caller's goroutine — FailureHook for a
-// failed trial, then sink — in (config, trial) order. The run stops at the
-// next trial boundary when the config's Interrupt closes or sink returns an
-// error: cells not yet started are never run nor delivered, and execute
-// returns that error.
-func execute(cfgs []Config, workers int, skip func(ci, ti int) bool,
-	sink func(ci, ti int, tr Trial, te *TrialError) error) error {
+// RunPartial is the one executor. It runs the trials of cfg that the config's
+// shard owns and that skip does not exclude (nil skips nothing) on one pool
+// of cfg.Parallelism workers, and passes every result through one stream on
+// the caller's goroutine — FailureHook for a failed trial, then fn — exactly
+// once, in trial order, retaining none of them. The run stops at the next
+// trial boundary when the config's Interrupt closes or fn returns an error:
+// trials not yet started are never run nor delivered, and RunPartial returns
+// that error. It is the resumable, bounded-memory core under Run: a caller
+// that stores what fn receives by trial index, fills the skipped slots from a
+// checkpoint and calls Assemble gets exactly Run's aggregate.
+func RunPartial(cfg Config, skip func(trial int) bool, fn TrialFunc) error {
 	type outcome struct {
 		tr  Trial
 		te  *TrialError
 		ran bool // false: stopped before it started; pass over silently
 	}
 	type cell struct {
-		ci, ti int
-		out    chan outcome
+		ti  int
+		out chan outcome
 	}
+	cfg = cfg.withDefaults()
 	var cells []cell
-	for ci := range cfgs {
-		cfgs[ci] = cfgs[ci].withDefaults()
-		for ti := 0; ti < cfgs[ci].Trials; ti++ {
-			if cfgs[ci].Owns(ti) && (skip == nil || !skip(ci, ti)) {
-				cells = append(cells, cell{ci: ci, ti: ti})
-			}
+	for ti := 0; ti < cfg.Trials; ti++ {
+		if cfg.Owns(ti) && (skip == nil || !skip(ti)) {
+			cells = append(cells, cell{ti: ti})
 		}
 	}
-	workers = min(workers, len(cells))
+	workers := min(cfg.workers(), len(cells))
 	// Each cell goes to the workers and, in the same order, to the stream,
 	// which waits on the cell's own result. The stream's buffer bounds how
 	// many finished results a slow trial can hold up behind it.
@@ -136,7 +92,7 @@ func execute(cfgs []Config, workers int, skip func(ci, ti int) bool,
 			defer wg.Done()
 			for c := range todo {
 				var o outcome
-				if cfg := cfgs[c.ci]; !stopped.Load() && !cfg.interrupted() {
+				if !stopped.Load() && !cfg.interrupted() {
 					o.tr, o.te = runTrial(cfg, c.ti)
 					o.ran = true
 				}
@@ -153,7 +109,7 @@ func execute(cfgs []Config, workers int, skip func(ci, ti int) bool,
 		if o.te != nil && FailureHook != nil {
 			FailureHook(o.te)
 		}
-		if err = sink(c.ci, c.ti, o.tr, o.te); err != nil {
+		if err = fn(c.ti, o.tr, o.te); err != nil {
 			stopped.Store(true)
 		}
 	}

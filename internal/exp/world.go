@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"voxel/internal/abr"
 	"voxel/internal/cc"
 	"voxel/internal/crosstraffic"
 	"voxel/internal/dash"
@@ -202,7 +201,7 @@ func (w *world) addSession(si int) *TrialError {
 
 	alg, mode := newAlgorithm(cfg.System)
 	pcfg := player.Config{
-		Algorithm:      abr.Instrument(alg, scope),
+		Algorithm:      alg,
 		Mode:           mode,
 		BufferSegments: cfg.BufferSegments,
 		Metric:         cfg.Metric,

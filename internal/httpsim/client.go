@@ -71,7 +71,7 @@ type Recovery struct {
 
 // Response is a client-side in-flight response. Body delivery is
 // event-driven; offsets are positions in the concatenated range payload
-// (use Ranges.ObjectOffset to map back).
+// (Ranges.Project maps coverage back to object offsets).
 type Response struct {
 	Ranges     RangeSpec
 	Status     int

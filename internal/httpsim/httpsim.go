@@ -82,17 +82,31 @@ func (r RangeSpec) TotalBytes() int64 {
 	return n
 }
 
-// ObjectOffset maps an offset in the concatenated response body back to the
-// object offset it came from.
-func (r RangeSpec) ObjectOffset(bodyOff int64) int64 {
+// Project maps body coverage back to where it was requested from. cov holds
+// offsets into the response body — the spec's ranges concatenated in request
+// order, which is what Response.Received and Response.Lost report — and every
+// covered byte is added to dst at its object offset less base (the object
+// offset the caller counts from: a segment's start, or 0). A cov range that
+// straddles two spec ranges lands in both; body offsets past the spec's total
+// map to nothing, so an empty spec (the whole object) projects nothing.
+func (r RangeSpec) Project(dst, cov *quic.RangeSet, base int64) {
+	covered := cov.Ranges()
+	pos := int64(0) // body offset at which rr starts
 	for _, rr := range r {
-		l := rr[1] - rr[0]
-		if bodyOff < l {
-			return rr[0] + bodyOff
+		end := pos + rr[1] - rr[0]
+		for len(covered) > 0 && int64(covered[0].Start) < end {
+			c := covered[0]
+			s, e := max(int64(c.Start), pos), min(int64(c.End), end)
+			if e > s {
+				dst.Add(uint64(rr[0]+s-pos-base), uint64(rr[0]+e-pos-base))
+			}
+			if int64(c.End) > end {
+				break // the rest of c belongs to the next spec range
+			}
+			covered = covered[1:]
 		}
-		bodyOff -= l
+		pos = end
 	}
-	return -1
 }
 
 // header formatting

@@ -2,6 +2,7 @@ package httpsim
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -229,10 +230,44 @@ func TestRangeSpecHelpers(t *testing.T) {
 	if r.TotalBytes() != 200 {
 		t.Fatalf("total %d", r.TotalBytes())
 	}
-	cases := []struct{ body, obj int64 }{{0, 100}, {99, 199}, {100, 500}, {199, 599}, {200, -1}}
-	for _, c := range cases {
-		if got := r.ObjectOffset(c.body); got != c.obj {
-			t.Errorf("ObjectOffset(%d) = %d, want %d", c.body, got, c.obj)
+	type br = [2]uint64 // [start, end)
+	for _, c := range []struct {
+		name string
+		spec RangeSpec
+		cov  []br // body coverage
+		base int64
+		want []br // object offsets less base
+	}{
+		// Single offsets.
+		{"first byte", r, []br{{0, 1}}, 0, []br{{100, 101}}},
+		{"last byte of first range", r, []br{{99, 100}}, 0, []br{{199, 200}}},
+		{"first byte of second range", r, []br{{100, 101}}, 0, []br{{500, 501}}},
+		{"last byte", r, []br{{199, 200}}, 0, []br{{599, 600}}},
+		{"past the end", r, []br{{200, 201}}, 0, nil},
+
+		{"nothing covered", r, nil, 0, nil},
+		{"everything", r, []br{{0, 200}}, 0, []br{{100, 200}, {500, 600}}},
+		{"straddling two ranges", r, []br{{90, 110}}, 0, []br{{190, 200}, {500, 510}}},
+		{"clipped at the total", r, []br{{150, 400}}, 0, []br{{550, 600}}},
+		{"base shifts down", r, []br{{0, 10}, {190, 200}}, 100, []br{{0, 10}, {490, 500}}},
+		{"several per range", r, []br{{10, 20}, {30, 40}, {120, 130}}, 0, []br{{110, 120}, {130, 140}, {520, 530}}},
+		{"out-of-order spec", RangeSpec{{500, 600}, {100, 200}}, []br{{50, 150}}, 0, []br{{100, 150}, {550, 600}}},
+		{"adjacent spec ranges merge", RangeSpec{{0, 10}, {10, 20}}, []br{{5, 15}}, 0, []br{{5, 15}}},
+		{"empty range in the spec", RangeSpec{{100, 110}, {300, 300}, {500, 510}}, []br{{5, 15}}, 0, []br{{105, 110}, {500, 505}}},
+		{"straddling three", RangeSpec{{0, 4}, {10, 14}, {20, 24}}, []br{{2, 10}}, 0, []br{{2, 4}, {10, 14}, {20, 22}}},
+		{"empty spec", nil, []br{{0, 10}}, 0, nil},
+	} {
+		var cov, got quic.RangeSet
+		for _, x := range c.cov {
+			cov.Add(x[0], x[1])
+		}
+		c.spec.Project(&got, &cov, c.base)
+		var have []br
+		for _, x := range got.Ranges() {
+			have = append(have, br{x.Start, x.End})
+		}
+		if !slices.Equal(have, c.want) {
+			t.Errorf("%s: %v.Project(%v, base %d) = %v, want %v", c.name, c.spec, c.cov, c.base, have, c.want)
 		}
 	}
 }

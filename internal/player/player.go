@@ -201,7 +201,6 @@ type Player struct {
 
 	// playback state
 	started      bool
-	startupAt    sim.Time
 	buffer       time.Duration
 	lastSync     sim.Time
 	stall        time.Duration
@@ -215,51 +214,42 @@ type Player struct {
 	done         bool
 	onDone       func()
 
-	// per-segment delivery state for scoring and selective retx
-	segStates []*segState
+	// downloads holds each segment's record, kept after completion for
+	// scoring and selective retransmission; dl is the one in flight.
+	downloads []*download
+	dl        *download
 
-	// active download
-	dl *download
-
-	// selective retransmission
-	retxActive *retxState
+	retx *httpsim.Response // the selective retransmission in flight, nil when none
 
 	gapScratch []quic.ByteRange // result buffer of gaps
 
 	obs *obs.Scope // nil = telemetry disabled (all calls no-op)
 }
 
-type segState struct {
-	index    int
-	quality  video.Quality
-	received quic.RangeSet // object offsets relative to segment start
-	lost     quic.RangeSet
-	target   int
-	played   bool
-	resultIx int
-}
-
+// download is the one record of a segment's delivery, from the decision that
+// started it to the last repair of what it left missing. Delivery state has
+// one owner at a time: while a request is in flight that is its
+// httpsim.Response, and the player keeps no copy — the per-chunk hook only
+// counts bytes. The record takes coverage over, projected into segment
+// offsets (RangeSpec.Project), when the download completes or is cut (settle)
+// and when a repair resolves; scoring and repair planning read it from here.
 type download struct {
-	cand      abr.Candidate
 	index     int
+	cand      abr.Candidate
+	segStart  int64 // the segment's offset in its representation's object
 	startedAt sim.Time
-	reliable  *httpsim.Response
-	body      *httpsim.Response
-	bodySpec  httpsim.RangeSpec
-	segStart  int64
-	state     *segState
-	relDone   bool
-	bodyDone  bool
-	gotBytes  int
 	restarts  int
 	wasted    int
-	finished  bool
-	poll      *sim.Event
-}
 
-type retxState struct {
-	seg  *segState
-	resp *httpsim.Response
+	// The requests, while in flight (nil afterwards).
+	reliable *httpsim.Response // two-phase modes: I-frame + headers (§4.2)
+	body     *httpsim.Response
+	gotBytes int // body bytes so far, plus the reliable part once it resolved
+	poll     *sim.Event
+
+	received quic.RangeSet // segment offsets, valid once settled
+	lost     quic.RangeSet
+	resultIx int
 }
 
 // New creates a player for the given title over an established QUIC*
@@ -286,7 +276,7 @@ func New(s *sim.Sim, conn *quic.Conn, v *video.Video, m *dash.Manifest, cfg Conf
 	for _, fc := range cfg.FailoverConns {
 		p.client.AddFailover(fc)
 	}
-	p.segStates = make([]*segState, m.NumSegments())
+	p.downloads = make([]*download, m.NumSegments())
 	p.reach(0)
 	return p
 }
@@ -392,11 +382,14 @@ func (p *Player) step() {
 	}
 	// A full buffer comes back as Sleep: idle, then ask again.
 	d := p.cfg.Algorithm.Decide(p.state(), p.opts)
+	p.obs.Inc(obs.CAbrDecisions)
 	if d.Sleep > 0 {
+		// Counter only: an event per re-ask would flood the timeline ring.
+		p.obs.Inc(obs.CAbrSleeps)
 		p.idle(d.Sleep)
 		return
 	}
-	p.startDownload(d.Candidate)
+	p.startDownload(d.Candidate, nil)
 }
 
 func (p *Player) state() abr.State {
@@ -518,46 +511,48 @@ func (p *Player) usesVirtualLevels() bool {
 
 // --- download execution ---
 
-func (p *Player) startDownload(cand abr.Candidate) {
+// startDownload begins fetching cand for the segment the player is at. prev
+// is the download an abandonment restart discards for it, nil otherwise.
+func (p *Player) startDownload(cand abr.Candidate, prev *download) {
 	idx := p.nextIndex
 	seg := p.man.Segment(cand.Quality, idx)
-	state := &segState{index: idx, quality: cand.Quality, target: cand.Bytes}
-	p.segStates[idx] = state
-	dl := &download{
-		cand:      cand,
-		index:     idx,
-		startedAt: p.sim.Now(),
-		segStart:  seg.MediaRange[0],
-		state:     state,
+	dl := &download{index: idx, cand: cand, segStart: seg.MediaRange[0], startedAt: p.sim.Now()}
+	if prev != nil {
+		dl.restarts = prev.restarts + 1
+		dl.wasted = prev.wasted + prev.gotBytes
 	}
-	p.recordChoice(idx, cand)
-	p.dl = dl
-	p.issueRequests(dl, seg)
-	p.schedulePoll(dl)
-}
-
-// recordChoice emits the telemetry for one committed download candidate.
-func (p *Player) recordChoice(idx int, cand abr.Candidate) {
+	p.downloads[idx] = dl
 	p.obs.EventX(obs.EvSegmentChosen, int64(idx), int64(cand.Quality), int64(cand.Bytes), cand.Score)
 	if cand.Virtual {
 		p.obs.Inc(obs.CVirtualSegments)
 		p.obs.Event(obs.EvVirtualLevel, int64(idx), int64(cand.Quality), int64(cand.Bytes))
 	}
+	p.dl = dl
+	p.issueRequests(dl, seg)
+	p.schedulePoll(dl)
 }
 
-// issueRequests issues the mode-appropriate HTTP requests for the current
-// candidate of dl.
-func (p *Player) issueRequests(dl *download, seg *dash.SegmentInfo) {
-	path := server.VideoPath(int(dl.cand.Quality))
-	base := seg.MediaRange[0]
-
-	toAbs := func(ranges [][2]int) httpsim.RangeSpec {
-		out := make(httpsim.RangeSpec, 0, len(ranges))
+// absolute lists segment-relative ranges as object ranges of a
+// representation whose segment starts at base.
+func absolute(base int64, parts ...[][2]int) httpsim.RangeSpec {
+	n := 0
+	for _, ranges := range parts {
+		n += len(ranges)
+	}
+	out := make(httpsim.RangeSpec, 0, n)
+	for _, ranges := range parts {
 		for _, r := range ranges {
 			out = append(out, [2]int64{base + int64(r[0]), base + int64(r[1])})
 		}
-		return out
 	}
+	return out
+}
+
+// issueRequests issues the mode-appropriate HTTP requests for the candidate
+// of dl.
+func (p *Player) issueRequests(dl *download, seg *dash.SegmentInfo) {
+	path := server.VideoPath(int(dl.cand.Quality))
+	base := dl.segStart
 
 	switch p.cfg.Mode {
 	case ModeReliable, ModeVoxelReliable, ModeBeta:
@@ -570,161 +565,120 @@ func (p *Player) issueRequests(dl *download, seg *dash.SegmentInfo) {
 		case !dl.cand.Virtual:
 			spec = httpsim.RangeSpec{{base, base + int64(dl.cand.Bytes)}}
 		case p.cfg.Mode == ModeBeta:
-			spec = toAbs(seg.Beta.Ranges)
+			spec = absolute(base, seg.Beta.Ranges)
 		default:
 			n := min(dl.cand.Frames-1, len(seg.Unreliable))
-			spec = append(toAbs(seg.Reliable), toAbs(seg.Unreliable[:n])...)
+			spec = absolute(base, seg.Reliable, seg.Unreliable[:n])
 		}
-		dl.bodySpec = spec
-		dl.relDone = true // no separate reliable phase
 		dl.body = p.client.Get(path, spec, false, nil)
-		p.wireBody(dl, false)
+		p.wireBody(dl, obs.CBytesReliable, obs.EvBytesReliable)
 	case ModeOpaque, ModeVoxel:
 		// Two-phase fetch (§4.2): reliable I-frame + headers, then the
 		// frame bodies over an unreliable stream.
-		relSpec := toAbs(seg.Reliable)
-		dl.reliable = p.client.Get(path, relSpec, false, nil)
-		rel := dl.reliable
+		rel := p.client.Get(path, absolute(base, seg.Reliable), false, nil)
+		dl.reliable = rel
 		rel.OnComplete = func() {
-			if dl.finished || p.dl != dl {
-				return
-			}
-			dl.relDone = true
-			// The reliable part arrived in full.
-			for _, r := range relSpec {
-				dl.state.received.Add(uint64(r[0]-base), uint64(r[1]-base))
-			}
-			dl.gotBytes += int(relSpec.TotalBytes())
-			p.obs.Count(obs.CBytesReliable, uint64(relSpec.TotalBytes()))
-			p.obs.Event(obs.EvBytesReliable, int64(dl.index), relSpec.TotalBytes(), 0)
+			n := rel.Ranges.TotalBytes()
+			dl.gotBytes += int(n)
+			p.obs.Count(obs.CBytesReliable, uint64(n))
+			p.obs.Event(obs.EvBytesReliable, int64(dl.index), n, 0)
 			p.maybeFinishDownload(dl)
 		}
 		rel.OnFail = func(error) {
-			if dl.finished || p.dl != dl {
-				return
-			}
 			p.results.FailedRequests++
-			dl.relDone = true
-			// Salvage what arrived (body offsets are concatenated-range
-			// positions); the rest of the planned reliable part is lost.
-			for _, br := range rel.Received().Ranges() {
-				dl.gotBytes += int(br.Len())
-				mapBody(relSpec, int64(br.Start), int64(br.Len()), func(s, e int64) {
-					dl.state.received.Add(uint64(s-base), uint64(e-base))
-				})
-			}
-			for _, r := range relSpec {
-				s0, e0 := uint64(r[0]-base), uint64(r[1]-base)
-				for _, g := range p.gaps(&dl.state.received, s0, e0) {
-					dl.state.lost.Add(g.Start, g.End)
-				}
-			}
+			dl.gotBytes += int(rel.BytesReceived())
 			p.maybeFinishDownload(dl)
 		}
 
-		var bodyRanges [][2]int
-		if p.cfg.Mode == ModeOpaque || !dl.cand.Virtual {
-			bodyRanges = seg.Unreliable
-		} else {
+		bodyRanges := seg.Unreliable
+		if p.cfg.Mode == ModeVoxel && dl.cand.Virtual {
 			// First Frames-1 body ranges per the candidate's point.
-			bodyRanges = seg.Unreliable[:min(dl.cand.Frames-1, len(seg.Unreliable))]
+			bodyRanges = bodyRanges[:min(dl.cand.Frames-1, len(bodyRanges))]
 		}
 		if len(bodyRanges) == 0 {
-			dl.bodyDone = true
-			p.maybeFinishDownload(dl)
 			return
 		}
-		dl.bodySpec = toAbs(bodyRanges)
-		dl.body = p.client.Get(path, dl.bodySpec, true, nil)
-		p.wireBody(dl, true)
+		dl.body = p.client.Get(path, absolute(base, bodyRanges), true, nil)
+		p.wireBody(dl, obs.CBytesUnreliable, obs.EvBytesUnreliable)
 	}
 }
 
-// wireBody attaches delivery callbacks for the body response of dl.
-// unreliable says which stream kind carries the body, for telemetry.
-func (p *Player) wireBody(dl *download, unreliable bool) {
+// wireBody attaches the callbacks of dl's body response; bytes and done name
+// the telemetry of the stream kind that carries it.
+func (p *Player) wireBody(dl *download, bytes obs.Counter, done obs.Kind) {
 	body := dl.body
-	spec := dl.bodySpec
-	segStart := dl.segStart
-	byteCtr := obs.CBytesReliable
-	if unreliable {
-		byteCtr = obs.CBytesUnreliable
-	}
-	body.OnBody = func(off, n int64, _ []byte) {
-		if dl.finished || p.dl != dl {
-			return
-		}
+	// The download's only per-chunk work: progress for the abandonment poll
+	// and the byte counter, both live for a download still in flight when a
+	// trial ends. Coverage stays with the response until settle.
+	body.OnBody = func(_, n int64, _ []byte) {
 		dl.gotBytes += int(n)
-		p.obs.Count(byteCtr, uint64(n))
-		mapBody(spec, off, n, func(s, e int64) {
-			dl.state.received.Add(uint64(s-segStart), uint64(e-segStart))
-		})
-	}
-	body.OnLost = func(off, n int64) {
-		if dl.finished || p.dl != dl {
-			return
-		}
-		mapBody(spec, off, n, func(s, e int64) {
-			dl.state.lost.Add(uint64(s-segStart), uint64(e-segStart))
-		})
+		p.obs.Count(bytes, uint64(n))
 	}
 	body.OnComplete = func() {
-		if dl.finished || p.dl != dl {
-			return
-		}
-		dl.bodyDone = true
-		if unreliable {
-			p.obs.Event(obs.EvBytesUnreliable, int64(dl.index), body.BytesReceived(), 0)
-		} else {
-			p.obs.Event(obs.EvBytesReliable, int64(dl.index), body.BytesReceived(), 0)
-		}
+		p.obs.Event(done, int64(dl.index), body.BytesReceived(), 0)
 		p.maybeFinishDownload(dl)
 	}
 	body.OnFail = func(error) {
-		if dl.finished || p.dl != dl {
-			return
-		}
 		p.results.FailedRequests++
-		dl.bodyDone = true
-		// §4.3: keep the partial segment. Planned bytes that never arrived
-		// are marked lost so scoring and selective retransmission see them.
-		for _, r := range spec {
-			s0, e0 := uint64(r[0]-segStart), uint64(r[1]-segStart)
-			for _, g := range p.gaps(&dl.state.received, s0, e0) {
-				dl.state.lost.Add(g.Start, g.End)
-			}
-		}
 		p.maybeFinishDownload(dl)
 	}
 }
 
-// mapBody translates a chunk in concatenated-body space into object ranges.
-func mapBody(spec httpsim.RangeSpec, bodyOff, n int64, fn func(objStart, objEnd int64)) {
-	pos := int64(0)
-	for _, r := range spec {
-		l := r[1] - r[0]
-		if bodyOff < pos+l && bodyOff+n > pos {
-			s := r[0] + max(bodyOff-pos, 0)
-			e := r[0] + min(bodyOff+n-pos, l)
-			if e > s {
-				fn(s, e)
+// resolved reports whether nothing more will arrive for r: it was never
+// issued, it completed, or it failed for good.
+func resolved(r *httpsim.Response) bool {
+	return r == nil || r.Complete() || r.Failed()
+}
+
+func (p *Player) maybeFinishDownload(dl *download) {
+	if resolved(dl.reliable) && resolved(dl.body) {
+		p.completeSegment(dl)
+	}
+}
+
+// settle takes dl's delivery state over from its responses, as segment
+// offsets. It runs once, when the download completes or is cut, and before
+// the responses are cancelled (a cancelled response reads as failed).
+func (p *Player) settle(dl *download) {
+	if rel := dl.reliable; rel != nil {
+		switch {
+		case rel.Complete():
+			// Credited in full whatever the response carried — also for the
+			// bodiless 405/400 of ROADMAP item 4(a); the goldens pin that.
+			for _, r := range rel.Ranges {
+				dl.received.Add(uint64(r[0]-dl.segStart), uint64(r[1]-dl.segStart))
 			}
+		case rel.Failed():
+			p.salvage(dl, rel)
 		}
-		pos += l
-		if pos >= bodyOff+n {
-			break
+		// Still in flight at a cut: it contributes nothing.
+	}
+	if body := dl.body; body != nil {
+		if body.Failed() {
+			p.salvage(dl, body)
+		} else {
+			dl.absorb(body)
 		}
 	}
 }
 
-func (p *Player) maybeFinishDownload(dl *download) {
-	if dl.finished || !dl.relDone {
-		return
+// absorb adds what r delivered and what the transport reported lost to the
+// record.
+func (dl *download) absorb(r *httpsim.Response) {
+	r.Ranges.Project(&dl.received, r.Received(), dl.segStart)
+	r.Ranges.Project(&dl.lost, r.Lost(), dl.segStart)
+}
+
+// salvage keeps what a failed request delivered (§4.3: the partial segment
+// is kept) and marks the planned bytes that never arrived as lost, so that
+// scoring and selective retransmission see them.
+func (p *Player) salvage(dl *download, r *httpsim.Response) {
+	dl.absorb(r)
+	for _, rr := range r.Ranges {
+		for _, g := range p.gaps(&dl.received, uint64(rr[0]-dl.segStart), uint64(rr[1]-dl.segStart)) {
+			dl.lost.Add(g.Start, g.End)
+		}
 	}
-	if dl.body != nil && !dl.bodyDone {
-		return
-	}
-	p.completeSegment(dl)
 }
 
 // schedulePoll arms the periodic abandonment check.
@@ -733,9 +687,6 @@ func (p *Player) schedulePoll(dl *download) {
 		// The handle just fired; drop it so a later cancel can't touch a
 		// recycled event.
 		dl.poll = nil
-		if dl.finished || p.dl != dl || p.done {
-			return
-		}
 		p.syncBuffer()
 		elapsed := p.sim.Now() - dl.startedAt
 		tput := 0.0
@@ -762,44 +713,23 @@ func (p *Player) schedulePoll(dl *download) {
 // restartDownload discards the current transfer and refetches the segment
 // with the new candidate (BOLA/BETA behaviour — the waste VOXEL avoids).
 func (p *Player) restartDownload(dl *download, cand abr.Candidate) {
-	dl.finished = true
 	p.cancel(dl)
-	wasted := dl.gotBytes
-	p.results.BytesWasted += int64(wasted)
+	p.results.BytesWasted += int64(dl.gotBytes)
 	p.obs.Inc(obs.CAbandonRestarts)
-	p.obs.Event(obs.EvAbandonRestart, int64(dl.index), int64(wasted), int64(cand.Bytes))
-	p.recordChoice(dl.index, cand)
-
-	seg := p.man.Segment(cand.Quality, dl.index)
-	state := &segState{index: dl.index, quality: cand.Quality, target: cand.Bytes}
-	p.segStates[dl.index] = state
-	nd := &download{
-		cand:      cand,
-		index:     dl.index,
-		startedAt: p.sim.Now(),
-		segStart:  seg.MediaRange[0],
-		state:     state,
-		restarts:  dl.restarts + 1,
-		wasted:    dl.wasted + wasted,
-	}
-	p.dl = nd
-	p.issueRequests(nd, seg)
-	p.schedulePoll(nd)
+	p.obs.Event(obs.EvAbandonRestart, int64(dl.index), int64(dl.gotBytes), int64(cand.Bytes))
+	p.startDownload(cand, dl)
 }
 
-// finishPartial stops fetching and accepts what arrived (ABR*, §4.3).
+// finishPartial stops fetching and accepts what arrived (ABR*, §4.3). Planned
+// bytes not yet arrived are absent, not lost — no repair asks for them — and
+// a reliable part still in flight counts for nothing (settle).
 func (p *Player) finishPartial(dl *download) {
-	if dl.finished {
-		return
-	}
 	p.obs.Inc(obs.CAbandonPartials)
 	p.obs.Event(obs.EvAbandonPartial, int64(dl.index), int64(dl.gotBytes), int64(dl.cand.Bytes))
-	// Mark everything not yet received in the *planned* spec as lost; the
-	// reliable part, if incomplete, still completes in the background but
-	// we score with what we have now.
 	p.completeSegment(dl)
 }
 
+// cancel detaches dl from its poll and from its responses, and lets them go.
 func (p *Player) cancel(dl *download) {
 	if dl.reliable != nil {
 		dl.reliable.Cancel()
@@ -807,6 +737,7 @@ func (p *Player) cancel(dl *download) {
 	if dl.body != nil {
 		dl.body.Cancel()
 	}
+	dl.reliable, dl.body = nil, nil
 	if dl.poll != nil {
 		p.sim.Cancel(dl.poll)
 		dl.poll = nil
@@ -815,14 +746,10 @@ func (p *Player) cancel(dl *download) {
 
 // completeSegment finalizes the current download and advances the loop.
 func (p *Player) completeSegment(dl *download) {
-	if dl.finished {
-		return
-	}
-	dl.finished = true
+	p.settle(dl)
 	p.cancel(dl)
 	p.syncBuffer()
 
-	st := dl.state
 	elapsed := p.sim.Now() - dl.startedAt
 	if elapsed > 0 && dl.gotBytes > 0 {
 		sample := float64(dl.gotBytes*8) / elapsed.Seconds()
@@ -837,48 +764,47 @@ func (p *Player) completeSegment(dl *download) {
 	}
 	p.obs.Observe(obs.HSegmentMs, int64(elapsed/time.Millisecond))
 
-	score := p.scoreSegment(st)
-	full := p.man.Segment(st.quality, st.index).Bytes
-	got := int(st.received.CoveredBytes())
-	res := SegmentResult{
-		Index:       st.index,
-		Quality:     st.quality,
+	quality := dl.cand.Quality
+	score := p.scoreSegment(dl)
+	full := p.man.Segment(quality, dl.index).Bytes
+	got := int(dl.received.CoveredBytes())
+	lost := int(dl.lost.CoveredBytes())
+	dl.resultIx = len(p.results.Segments)
+	p.results.Segments = append(p.results.Segments, SegmentResult{
+		Index:       dl.index,
+		Quality:     quality,
 		Virtual:     dl.cand.Virtual,
 		TargetByte:  dl.cand.Bytes,
 		GotBytes:    got,
-		LostBytes:   int(st.lost.CoveredBytes()),
+		LostBytes:   lost,
 		Score:       score,
 		Restarts:    dl.restarts,
 		WastedBytes: dl.wasted,
-	}
-	st.resultIx = len(p.results.Segments)
-	p.results.Segments = append(p.results.Segments, res)
+	})
 	p.results.BytesReceived += int64(got)
 	p.results.ChosenBytes += int64(full)
 	if miss := full - got; miss > 0 {
 		p.results.SkippedBytes += int64(miss)
 	}
 	p.results.TargetBytes += int64(dl.cand.Bytes)
-	p.results.LostInTransit += int64(st.lost.CoveredBytes())
-	if len(p.results.Segments) > 1 &&
-		p.results.Segments[len(p.results.Segments)-2].Quality != st.quality {
+	p.results.LostInTransit += int64(lost)
+	if dl.resultIx > 0 && p.results.Segments[dl.resultIx-1].Quality != quality {
 		p.results.Switches++
 	}
 
 	p.obs.Inc(obs.CSegments)
-	p.obs.EventX(obs.EvSegmentDone, int64(st.index), int64(got), int64(st.lost.CoveredBytes()), score)
+	p.obs.EventX(obs.EvSegmentDone, int64(dl.index), int64(got), int64(lost), score)
 
 	p.buffer += p.man.SegmentDuration
 	if !p.started {
 		p.started = true
-		p.startupAt = p.sim.Now()
 		p.results.StartupDelay = p.sim.Now()
 		p.lastSync = p.sim.Now()
-		p.obs.EventX(obs.EvStartup, int64(st.index), 0, 0, p.results.StartupDelay.Seconds())
+		p.obs.EventX(obs.EvStartup, int64(dl.index), 0, 0, p.results.StartupDelay.Seconds())
 	}
 	p.obs.SetGauge(obs.GBufferMs, int64(p.buffer/time.Millisecond))
 	p.obs.SetGauge(obs.GThroughputKbps, int64(p.tputEstimate/1000))
-	p.lastQuality = st.quality
+	p.lastQuality = quality
 	p.reach(p.nextIndex + 1)
 	p.dl = nil
 	p.step()
@@ -886,15 +812,15 @@ func (p *Player) completeSegment(dl *download) {
 
 // scoreSegment computes the QoE of a segment's delivery state by mapping
 // received object ranges to per-frame body loss fractions.
-func (p *Player) scoreSegment(st *segState) float64 {
-	s := p.video.Segment(st.index, st.quality)
+func (p *Player) scoreSegment(dl *download) float64 {
+	s := p.video.Segment(dl.index, dl.cand.Quality)
 	loss := make([]float64, len(s.Frames))
 	for i := range s.Frames {
 		bs, be := s.BodyRange(i)
 		if be == bs {
 			continue
 		}
-		have := uint64(be-bs) - p.gapBytes(&st.received, uint64(bs), uint64(be))
+		have := uint64(be-bs) - p.gapBytes(&dl.received, uint64(bs), uint64(be))
 		loss[i] = 1 - float64(have)/float64(be-bs)
 	}
 	return qoe.DefaultModel.Score(p.cfg.Metric, s, loss)
@@ -920,63 +846,53 @@ func (p *Player) gaps(rs *quic.RangeSet, start, end uint64) []quic.ByteRange {
 // maybeSelectiveRetx re-requests lost ranges of unplayed segments while
 // the buffer is full.
 func (p *Player) maybeSelectiveRetx() {
-	if p.retxActive != nil {
+	if p.retx != nil {
 		return
 	}
 	// Find the earliest unplayed segment with holes.
 	playedUpTo := p.nextIndex - int(p.buffer/p.man.SegmentDuration)
-	for idx := playedUpTo; idx < p.nextIndex; idx++ {
-		if idx < 0 || p.segStates[idx] == nil {
-			continue
-		}
-		st := p.segStates[idx]
-		holes := p.segmentHoles(st)
+	for idx := max(playedUpTo, 0); idx < p.nextIndex; idx++ {
+		dl := p.downloads[idx]
+		holes := dl.holes()
 		if len(holes) == 0 {
 			continue
 		}
-		seg := p.man.Segment(st.quality, st.index)
 		spec := make(httpsim.RangeSpec, 0, len(holes))
 		for _, h := range holes {
-			spec = append(spec, [2]int64{seg.MediaRange[0] + int64(h.Start), seg.MediaRange[0] + int64(h.End)})
+			spec = append(spec, [2]int64{dl.segStart + int64(h.Start), dl.segStart + int64(h.End)})
 		}
-		resp := p.client.Get(server.VideoPath(int(st.quality)), spec, true, nil)
-		rx := &retxState{seg: st, resp: resp}
-		p.retxActive = rx
-		segStart := seg.MediaRange[0]
-		resp.OnBody = func(off, n int64, _ []byte) {
-			mapBody(spec, off, n, func(s, e int64) {
-				before := st.received.CoveredBytes()
-				st.received.Add(uint64(s-segStart), uint64(e-segStart))
-				recovered := st.received.CoveredBytes() - before
-				p.results.RecoveredBytes += int64(recovered)
-				p.obs.Count(obs.CRecoveredBytes, recovered)
-			})
+		resp := p.client.Get(server.VideoPath(int(dl.cand.Quality)), spec, true, nil)
+		p.retx = resp
+		// Holes are disjoint and missing from the record, so every chunk is
+		// recovered data; counted live, as a repair can outlast the session.
+		resp.OnBody = func(_, n int64, _ []byte) {
+			p.results.RecoveredBytes += n
+			p.obs.Count(obs.CRecoveredBytes, uint64(n))
 		}
 		resp.OnComplete = func() {
-			p.retxActive = nil
-			// Re-score with the recovered data if not yet played.
-			if st.resultIx < len(p.results.Segments) {
-				p.results.Segments[st.resultIx].Score = p.scoreSegment(st)
-				p.results.Segments[st.resultIx].GotBytes = int(st.received.CoveredBytes())
-			}
+			p.retx = nil
+			dl.absorb(resp)
+			// Re-score with the recovered data.
+			res := &p.results.Segments[dl.resultIx]
+			res.Score = p.scoreSegment(dl)
+			res.GotBytes = int(dl.received.CoveredBytes())
 		}
 		resp.OnFail = func(error) {
+			// The repair is best-effort: keep what it recovered and move on.
 			p.results.FailedRequests++
-			p.retxActive = nil // the repair is best-effort; move on
+			p.retx = nil
+			dl.absorb(resp)
 		}
 		return
 	}
 }
 
-// segmentHoles returns missing ranges within the segment's *target* bytes
-// (the part the plan wanted delivered).
-func (p *Player) segmentHoles(st *segState) []quic.ByteRange {
-	if st.lost.IsEmpty() {
-		return nil
-	}
+// holes returns the ranges the transport reported lost and no later delivery
+// filled: missing bytes of what the plan wanted delivered.
+func (dl *download) holes() []quic.ByteRange {
 	var holes []quic.ByteRange
-	for _, l := range st.lost.Ranges() {
-		holes = st.received.AppendGaps(holes, l.Start, l.End)
+	for _, l := range dl.lost.Ranges() {
+		holes = dl.received.AppendGaps(holes, l.Start, l.End)
 	}
 	return holes
 }
