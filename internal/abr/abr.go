@@ -44,6 +44,10 @@ func (c Candidate) Bitrate() float64 {
 // Non-VOXEL manifests have exactly one (full) candidate per quality.
 type Options struct {
 	PerQuality [][]Candidate
+	// Flat, when the builder laid every candidate out in one array in
+	// quality order (PerQuality's entries being windows of it), is that
+	// array: All hands it out as is, so it is read-only.
+	Flat []Candidate
 }
 
 // Full returns the full-segment candidate at quality q.
@@ -52,8 +56,12 @@ func (o *Options) Full(q video.Quality) Candidate {
 	return cands[len(cands)-1]
 }
 
-// All returns every candidate, flattened.
+// All returns every candidate in quality order: Flat, or failing that a
+// fresh concatenation of PerQuality. Callers only read it.
 func (o *Options) All() []Candidate {
+	if o.Flat != nil {
+		return o.Flat
+	}
 	var out []Candidate
 	for _, cs := range o.PerQuality {
 		out = append(out, cs...)

@@ -13,9 +13,11 @@ package dash
 import (
 	"encoding/xml"
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"voxel/internal/prep"
@@ -97,48 +99,70 @@ type BuildOptions struct {
 	Analyzer *prep.Analyzer
 }
 
-// Build constructs the manifest for a title, optionally enriched.
+// Build constructs the manifest for a title, optionally enriched. Segment
+// indices are independent of one another, so the ladder is synthesized and
+// analysed on every core (GOMAXPROCS workers) and assembled by index: the
+// result does not depend on the worker count.
 func Build(v *video.Video, opts BuildOptions) *Manifest {
 	a := opts.Analyzer
 	if a == nil {
 		a = prep.NewAnalyzer()
 	}
 	m := &Manifest{Title: v.Title, SegmentDuration: video.SegmentDuration}
-	for q := video.Quality(0); q < video.NumQualities; q++ {
-		rep := RepInfo{
-			Quality:    q,
+	m.Reps = make([]RepInfo, video.NumQualities)
+	for q := range m.Reps {
+		m.Reps[q] = RepInfo{
+			Quality:    video.Quality(q),
 			Bandwidth:  int(video.Ladder[q].AvgBitrate),
 			Resolution: video.Ladder[q].Resolution,
+			Segments:   make([]SegmentInfo, v.Segments),
 		}
-		var plans []prep.Plan
-		if opts.Voxel {
-			plans = a.AnalyzeVideo(v, q)
-		}
-		var offset int64
-		for i := 0; i < v.Segments; i++ {
-			s := v.Segment(i, q)
-			info := SegmentInfo{
-				MediaRange: [2]int64{offset, offset + int64(s.TotalBytes())},
-				Bytes:      s.TotalBytes(),
-			}
-			if opts.Voxel {
-				p := plans[i]
-				points := p.Points
-				if opts.PointsPerSegment > 0 {
-					points = prep.ThinPoints(points, opts.PointsPerSegment)
+	}
+
+	var next atomic.Int64 // the next segment index nobody has taken
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), v.Segments); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= v.Segments {
+					return
 				}
-				info.Points = points
-				info.Reliable = prep.ReliableRanges(s)
-				info.Unreliable = prep.UnreliableRanges(s, p.Order)
-				info.ReliableSize = p.ReliableSize
-				info.Beta = a.Beta(s)
+				for q := range m.Reps {
+					m.Reps[q].Segments[i] = buildSegment(v, i, video.Quality(q), a, opts)
+				}
 			}
-			offset += int64(s.TotalBytes())
-			rep.Segments = append(rep.Segments, info)
+		}()
+	}
+	wg.Wait()
+
+	for q := range m.Reps {
+		var offset int64
+		for i := range m.Reps[q].Segments {
+			info := &m.Reps[q].Segments[i]
+			info.MediaRange = [2]int64{offset, offset + int64(info.Bytes)}
+			offset += int64(info.Bytes)
 		}
-		m.Reps = append(m.Reps, rep)
 	}
 	return m
+}
+
+// buildSegment describes segment i at quality q, all but its MediaRange
+// (which depends on the segments before it).
+func buildSegment(v *video.Video, i int, q video.Quality, a *prep.Analyzer, opts BuildOptions) SegmentInfo {
+	s := v.Segment(i, q)
+	info := SegmentInfo{Bytes: s.TotalBytes()}
+	if opts.Voxel {
+		p := a.AnalyzeSegment(v, i, q)
+		info.Points = prep.ThinPoints(p.Points, opts.PointsPerSegment)
+		info.Reliable = prep.ReliableRanges(s)
+		info.Unreliable = prep.UnreliableRanges(s, p.Order)
+		info.ReliableSize = p.ReliableSize
+		info.Beta = a.Beta(s)
+	}
+	return info
 }
 
 // --- XML wire format ---

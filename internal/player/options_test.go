@@ -125,3 +125,30 @@ func TestBetaWithoutLevelOffersFullSegmentsOnly(t *testing.T) {
 		}
 	}
 }
+
+func TestDecideDoesNotCopyCandidates(t *testing.T) {
+	// ABR* decides over every candidate of the segment. It reads them from
+	// the array buildOptions laid out — a decision (and there is one per
+	// 250 ms re-ask while the buffer is full) does not copy the list.
+	alg := abr.NewABRStar()
+	r := buildRig(t, trace.Constant("c", 8e6, 600), 32, 4, Config{Algorithm: alg, Mode: ModeVoxel, BufferSegments: 3})
+	r.pl.reach(2)
+	opts := r.pl.opts
+	all := opts.All()
+	var n int
+	for _, cs := range opts.PerQuality {
+		n += len(cs)
+	}
+	if len(all) != n || n <= len(opts.PerQuality) {
+		t.Fatalf("All() has %d candidates, PerQuality %d over %d qualities: want all of them, virtual levels included", len(all), n, len(opts.PerQuality))
+	}
+	top := opts.PerQuality[len(opts.PerQuality)-1]
+	if &all[0] != &opts.PerQuality[0][0] || &all[n-1] != &top[len(top)-1] {
+		t.Fatal("All() is not the array PerQuality's windows point into")
+	}
+	st := abr.State{Buffer: 6 * time.Second, BufferCap: 12 * time.Second, Throughput: 6e6, LastQuality: 7, Index: 2, Total: 4}
+	// What is left is the decision's own utility vector.
+	if mallocs := testing.AllocsPerRun(100, func() { alg.Decide(st, opts) }); mallocs > 1 {
+		t.Fatalf("Decide does %.0f mallocs over %d candidates, budget 1", mallocs, n)
+	}
+}

@@ -502,6 +502,7 @@ func (p *Player) buildOptions(idx int) abr.Options {
 		flat = append(flat, full)
 		opts.PerQuality = append(opts.PerQuality, flat[first:len(flat):len(flat)])
 	}
+	opts.Flat = flat
 	return opts
 }
 

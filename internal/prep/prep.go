@@ -158,31 +158,25 @@ func reliableSize(s *video.Segment) int {
 }
 
 // curve computes the QoE for keeping the first k frames of the order, for
-// every k, along with the cumulative byte requirement.
+// every k, along with the cumulative byte requirement. Neighbouring points
+// differ in one frame's arrival, so the score is tracked incrementally: a
+// step costs that frame and its dependents, not the whole segment.
 func (a *Analyzer) curve(s *video.Segment, order []int) []QoEPoint {
-	rel := reliableSize(s)
 	points := make([]QoEPoint, 0, len(order))
 	loss := make([]float64, len(s.Frames))
 	// Start from "everything dropped except the I-frame".
 	for i := 1; i < len(s.Frames); i++ {
 		loss[i] = 1
 	}
-	bytes := rel
-	points = append(points, QoEPoint{
-		Score:  a.Model.Score(a.Metric, s, loss),
-		Frames: 1,
-		Bytes:  bytes,
-	})
+	t := a.Model.Track(a.Metric, s, loss)
+	bytes := reliableSize(s)
+	points = append(points, QoEPoint{Score: t.Score(), Frames: 1, Bytes: bytes})
 	for k := 1; k < len(order); k++ {
 		f := order[k]
-		loss[f] = 0
+		t.SetLoss(f, 0)
 		bs, be := s.BodyRange(f)
 		bytes += be - bs
-		points = append(points, QoEPoint{
-			Score:  a.Model.Score(a.Metric, s, loss),
-			Frames: k + 1,
-			Bytes:  bytes,
-		})
+		points = append(points, QoEPoint{Score: t.Score(), Frames: k + 1, Bytes: bytes})
 	}
 	return points
 }
@@ -236,18 +230,22 @@ func (a *Analyzer) Analyze(s *video.Segment, lowerBound float64) Plan {
 	return best
 }
 
-// AnalyzeVideo prepares every segment of v at quality q. The lower bound
-// for quality Qn is the pristine score at Qn−1 (0 for Q0), per §4.1.
+// AnalyzeSegment prepares segment i of v at quality q. The lower bound for
+// quality Qn is the pristine score at Qn−1 (0 for Q0), per §4.1.
+func (a *Analyzer) AnalyzeSegment(v *video.Video, i int, q video.Quality) Plan {
+	bound := 0.0
+	if q > 0 {
+		lower := v.Segment(i, q-1)
+		bound = a.Model.Score(a.Metric, lower, qoe.PerfectDelivery(lower))
+	}
+	return a.Analyze(v.Segment(i, q), bound)
+}
+
+// AnalyzeVideo prepares every segment of v at quality q.
 func (a *Analyzer) AnalyzeVideo(v *video.Video, q video.Quality) []Plan {
 	plans := make([]Plan, v.Segments)
-	for i := 0; i < v.Segments; i++ {
-		s := v.Segment(i, q)
-		bound := 0.0
-		if q > 0 {
-			lower := v.Segment(i, q-1)
-			bound = a.Model.Score(a.Metric, lower, qoe.PerfectDelivery(lower))
-		}
-		plans[i] = a.Analyze(s, bound)
+	for i := range plans {
+		plans[i] = a.AnalyzeSegment(v, i, q)
 	}
 	return plans
 }
@@ -333,10 +331,15 @@ func (a *Analyzer) Beta(s *video.Segment) BetaLevel {
 }
 
 // ThinPoints reduces a QoE curve to at most n points for the manifest,
-// always keeping the first and last and preferring evenly spaced scores.
+// always keeping the last (the full segment, the point every client can
+// fall back to), then the first, and spacing the rest evenly along the
+// curve.
 func ThinPoints(points []QoEPoint, n int) []QoEPoint {
 	if n <= 0 || len(points) <= n {
 		return points
+	}
+	if n == 1 {
+		return []QoEPoint{points[len(points)-1]}
 	}
 	out := make([]QoEPoint, 0, n)
 	for i := 0; i < n; i++ {

@@ -339,15 +339,26 @@ func TestThinPoints(t *testing.T) {
 	for i := range points {
 		points[i] = QoEPoint{Score: float64(i), Frames: i + 1, Bytes: (i + 1) * 10}
 	}
-	thin := ThinPoints(points, 16)
-	if len(thin) != 16 {
-		t.Fatalf("got %d points", len(thin))
-	}
-	if thin[0] != points[0] || thin[15] != points[99] {
-		t.Fatal("extremes must be kept")
-	}
-	if got := ThinPoints(points[:5], 16); len(got) != 5 {
-		t.Fatal("short curves unchanged")
+	for _, c := range []struct {
+		name             string
+		in               []QoEPoint
+		n                int
+		len, first, last int // of the result; first and last index points
+	}{
+		{"thinned: extremes kept", points, 16, 16, 0, 99},
+		{"one point is the full segment", points, 1, 1, 99, 99},
+		{"two points are the extremes", points, 2, 2, 0, 99},
+		{"n == len(points)", points, 100, 100, 0, 99},
+		{"short curves unchanged", points[:5], 16, 5, 0, 4},
+		{"0 keeps everything", points, 0, 100, 0, 99},
+	} {
+		got := ThinPoints(c.in, c.n)
+		if len(got) != c.len {
+			t.Fatalf("%s: got %d points, want %d", c.name, len(got), c.len)
+		}
+		if got[0] != points[c.first] || got[len(got)-1] != points[c.last] {
+			t.Fatalf("%s: kept %+v … %+v, want points[%d] … points[%d]", c.name, got[0], got[len(got)-1], c.first, c.last)
+		}
 	}
 }
 

@@ -143,56 +143,45 @@ func (m Model) FrameErrors(s *video.Segment, frameLoss []float64) []float64 {
 }
 
 // frameErrorsInto is FrameErrors writing into caller-provided scratch;
-// errs must have length len(s.Frames) and be zeroed.
+// errs must have length len(s.Frames).
 func (m Model) frameErrorsInto(errs []float64, s *video.Segment, frameLoss []float64) {
-	n := len(s.Frames)
-	if len(frameLoss) != n {
+	if n := len(s.Frames); len(frameLoss) != n {
 		panic(fmt.Sprintf("qoe: frameLoss has %d entries for %d frames", len(frameLoss), n))
 	}
-	// Two passes handle forward references (B frames referencing the next
-	// anchor): anchors first in index order, then B frames.
-	eval := func(i int) {
-		f := s.Frames[i]
-		loss := frameLoss[i]
-		if loss < 0 {
-			loss = 0
-		}
-		if loss > 1 {
-			loss = 1
-		}
-		own := m.ConcealErr * f.Motion * loss
-		if f.Type == video.IFrame {
-			own = (m.IConcealErr + m.ConcealErr*f.Motion) * loss
-		}
-		inherited := 0.0
-		for _, r := range f.Refs {
-			if e := errs[r] * m.Propagation; e > inherited {
-				inherited = e
-			}
-		}
-		e := own + inherited
-		if e > m.ErrCap {
-			e = m.ErrCap
-		}
-		errs[i] = e
+	// References first; B frames reference the next anchor, so index order
+	// would not do.
+	for _, i := range s.EvalOrder() {
+		errs[i] = m.frameError(s, errs, i, frameLoss[i])
 	}
-	for i := 0; i < n; i++ {
-		if s.Frames[i].Type != video.BFrame {
-			eval(i)
+}
+
+// frameError is the loss distortion of frame i given the fraction of it
+// that is missing and the errors of the frames it references. It is the one
+// per-frame formula: frameErrorsInto drives it over every frame,
+// Tracker.SetLoss over the frames a change can reach.
+func (m Model) frameError(s *video.Segment, errs []float64, i int, loss float64) float64 {
+	f := &s.Frames[i]
+	if loss < 0 {
+		loss = 0
+	}
+	if loss > 1 {
+		loss = 1
+	}
+	own := m.ConcealErr * f.Motion * loss
+	if f.Type == video.IFrame {
+		own = (m.IConcealErr + m.ConcealErr*f.Motion) * loss
+	}
+	inherited := 0.0
+	for _, r := range f.Refs {
+		if e := errs[r] * m.Propagation; e > inherited {
+			inherited = e
 		}
 	}
-	// Referenced (pyramid) B frames before their dependents: middle Bs sit
-	// at i%4==2, outer Bs at 1 and 3.
-	for i := 0; i < n; i++ {
-		if s.Frames[i].Type == video.BFrame && i%4 == 2 {
-			eval(i)
-		}
+	e := own + inherited
+	if e > m.ErrCap {
+		e = m.ErrCap
 	}
-	for i := 0; i < n; i++ {
-		if s.Frames[i].Type == video.BFrame && i%4 != 2 {
-			eval(i)
-		}
-	}
+	return e
 }
 
 // SegmentSSIM returns the segment SSIM for a delivery state (see
@@ -216,10 +205,32 @@ func (m Model) SegmentSSIM(s *video.Segment, frameLoss []float64) float64 {
 	return sum / float64(len(errs))
 }
 
-// Score evaluates the segment under the chosen metric for a delivery state.
-// VMAF and PSNR are monotone transforms of the same underlying distortion,
-// with their own curvature, mirroring how the paper treats VOXEL as
-// QoE-metric-agnostic.
+// ssimFromDistortion is a frame's SSIM: what encoding and loss leave of 1.
+func ssimFromDistortion(base, e float64) float64 {
+	v := 1 - base - e
+	if v < 0 {
+		v = 0
+	}
+	return v
+}
+
+// frameScore is one frame's term of the segment score: the metric's reading
+// of the frame's encoding distortion plus loss error.
+func (metric Metric) frameScore(base, e float64) float64 {
+	switch metric {
+	case SSIM:
+		return ssimFromDistortion(base, e)
+	case VMAF:
+		return vmafFromDistortion(base + e)
+	default:
+		return psnrFromDistortion(base + e)
+	}
+}
+
+// Score evaluates the segment under the chosen metric for a delivery state:
+// the mean over frames of frameScore, summed in index order. VMAF and PSNR
+// are monotone transforms of the same underlying distortion, with their own
+// curvature, mirroring how the paper treats VOXEL as QoE-metric-agnostic.
 //
 //voxel:allocfree
 func (m Model) Score(metric Metric, s *video.Segment, frameLoss []float64) float64 {
@@ -228,30 +239,78 @@ func (m Model) Score(metric Metric, s *video.Segment, frameLoss []float64) float
 	defer putErrs(scratch)
 	errs := *scratch
 	m.frameErrorsInto(errs, s, frameLoss)
+	// One loop per metric keeps the dispatch out of the per-frame work: Score
+	// runs inside every trial.
+	var sum float64
 	switch metric {
 	case SSIM:
-		var sum float64
 		for _, e := range errs {
-			v := 1 - base - e
-			if v < 0 {
-				v = 0
-			}
-			sum += v
+			sum += ssimFromDistortion(base, e)
 		}
-		return sum / float64(len(errs))
 	case VMAF:
-		var sum float64
 		for _, e := range errs {
 			sum += vmafFromDistortion(base + e)
 		}
-		return sum / float64(len(errs))
 	default:
-		var sum float64
 		for _, e := range errs {
 			sum += psnrFromDistortion(base + e)
 		}
-		return sum / float64(len(errs))
 	}
+	return sum / float64(len(errs))
+}
+
+// Tracker is the incremental form of Score, for a delivery state that
+// changes one frame at a time (the offline bytes→QoE curve, §4.1). It keeps
+// the per-frame errors and scores of the current state; a change to one
+// frame's loss re-evaluates that frame and its transitive dependents only —
+// by the formula and in the order Score uses — and the segment score is
+// again the sum over all frames in index order, so Tracker.Score is
+// bit-for-bit Model.Score of the same loss vector.
+type Tracker struct {
+	m      Model
+	metric Metric
+	s      *video.Segment
+	base   float64
+	loss   []float64
+	errs   []float64 // per-frame loss distortion under loss
+	scores []float64 // metric.frameScore(base, errs[i])
+}
+
+// Track starts tracking s at the given delivery state (see FrameErrors for
+// frameLoss semantics); the slice is copied.
+func (m Model) Track(metric Metric, s *video.Segment, frameLoss []float64) *Tracker {
+	n := len(s.Frames)
+	buf := make([]float64, 3*n)
+	t := &Tracker{
+		m: m, metric: metric, s: s, base: m.BaseDistortion(s),
+		loss: buf[:n:n], errs: buf[n : 2*n : 2*n], scores: buf[2*n:],
+	}
+	m.frameErrorsInto(t.errs, s, frameLoss)
+	copy(t.loss, frameLoss)
+	for i, e := range t.errs {
+		t.scores[i] = metric.frameScore(t.base, e)
+	}
+	return t
+}
+
+// SetLoss makes loss the missing fraction of frame f.
+func (t *Tracker) SetLoss(f int, loss float64) {
+	t.loss[f] = loss
+	for _, i := range t.s.Affected(f) {
+		if e := t.m.frameError(t.s, t.errs, i, t.loss[i]); e != t.errs[i] {
+			t.errs[i] = e
+			t.scores[i] = t.metric.frameScore(t.base, e)
+		}
+	}
+}
+
+// Score returns the segment score of the current state.
+func (t *Tracker) Score() float64 {
+	var sum float64
+	for _, v := range t.scores {
+		sum += v
+	}
+	return sum / float64(len(t.scores))
 }
 
 // PerfectDelivery returns a zero frame-loss vector for the segment.

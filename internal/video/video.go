@@ -19,6 +19,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -90,9 +91,12 @@ func (t FrameType) String() string {
 type Frame struct {
 	Index      int
 	Type       FrameType
-	Size       int   // total encoded bytes, header included
-	HeaderSize int   // bytes that must be delivered reliably (NAL headers)
-	Refs       []int // direct references (indices of frames this one predicts from)
+	Size       int // total encoded bytes, header included
+	HeaderSize int // bytes that must be delivered reliably (NAL headers)
+	// Refs lists the direct references (indices of frames this one predicts
+	// from). Every segment has the same GOP, so the slice is shared by that
+	// frame of every segment of every title: read-only.
+	Refs []int
 	// Motion is the per-frame motion intensity in [0,1]: how much the frame
 	// changes relative to its references. It drives both concealment error
 	// and error propagation in the QoE model.
@@ -101,7 +105,7 @@ type Frame struct {
 
 // Referenced reports whether any other frame references this one, per the
 // segment's dependency graph.
-func (s *Segment) Referenced(i int) bool { return s.inbound[i] > 0 }
+func (s *Segment) Referenced(i int) bool { return gop.inbound[i] > 0 }
 
 // Segment is one 4-second piece of a title at one quality.
 type Segment struct {
@@ -112,9 +116,7 @@ type Segment struct {
 	Complexity float64 // content complexity in (0,1]; drives base SSIM
 	Motion     float64 // segment-mean motion in [0,1]
 
-	inbound    []int // direct inbound reference counts
-	transitive []int // # frames transitively depending on each frame
-	offsets    []int // byte offset of each frame; len = frames+1
+	offsets []int // byte offset of each frame; len = frames+1
 }
 
 // TotalBytes returns the segment size in bytes.
@@ -142,12 +144,26 @@ func (s *Segment) BodyRange(i int) (start, end int) {
 	return s.offsets[i] + s.Frames[i].HeaderSize, s.offsets[i+1]
 }
 
+// The graph accessors below return slices of the one GOP every segment
+// shares: read-only.
+
 // InboundRefs returns, per frame, the number of direct inbound references.
-func (s *Segment) InboundRefs() []int { return s.inbound }
+func (s *Segment) InboundRefs() []int { return gop.inbound }
 
 // TransitiveDependents returns, per frame, how many frames transitively
 // depend on it — the importance measure behind ordering 3 in §4.1.
-func (s *Segment) TransitiveDependents() []int { return s.transitive }
+func (s *Segment) TransitiveDependents() []int { return gop.transitive }
+
+// EvalOrder lists the frames so that each follows every frame it
+// references: anchors in index order, then the middle B of each triple,
+// then the outer Bs. Anything propagated along the reference graph is
+// evaluated in this order.
+func (s *Segment) EvalOrder() []int { return gop.evalOrder }
+
+// Affected returns frame i followed by its transitive dependents, in
+// EvalOrder: the frames whose decoded picture can change when frame i's
+// does.
+func (s *Segment) Affected(i int) []int { return gop.affected[i] }
 
 // Video is a title: metadata plus a deterministic segment synthesizer. A
 // Video may be shared: concurrent Segment calls are safe, and a segment,
@@ -166,6 +182,20 @@ type Video struct {
 	// slots holds the synthesized segments, one per (index, quality) of the
 	// full clip, filled on first use.
 	slots []atomic.Pointer[Segment]
+	// contents holds the content state of each segment index, shared by its
+	// NumQualities renditions and filled on first use.
+	contents []contentSlot
+}
+
+// content is what every rendition of one segment index has in common.
+type content struct {
+	vbrFactor, complexity, motion float64
+	cut                           bool
+}
+
+type contentSlot struct {
+	once sync.Once
+	content
 }
 
 // profile captures the content characteristics that differentiate titles.
@@ -225,6 +255,7 @@ func Load(name string) (*Video, error) {
 		StdDevMbps: c.stdDev,
 		profile:    c.prof,
 		slots:      make([]atomic.Pointer[Segment], DefaultSegments*NumQualities),
+		contents:   make([]contentSlot, DefaultSegments),
 	}, nil
 }
 
@@ -261,11 +292,24 @@ func (v *Video) Segment(idx int, q Quality) *Segment {
 	return slot.Load()
 }
 
+// rngPool recycles the generators synthesis seeds afresh for every (title,
+// segment, quality): Seed(x) restarts the stream rand.NewSource(x) would
+// produce, without allocating its 607-word state each time.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // contentAt derives the content state of segment idx — deterministic per
 // title, shared across qualities so the VBR shape is identical up and down
 // the ladder (as with real 2-pass capped-VBR encodes).
-func (v *Video) contentAt(idx int) (vbrFactor, complexity, motion float64, cut bool) {
-	rng := rand.New(rand.NewSource(seedFor("content", v.Title, idx)))
+func (v *Video) contentAt(idx int) content {
+	slot := &v.contents[idx]
+	slot.once.Do(func() { slot.content = v.deriveContent(idx) })
+	return slot.content
+}
+
+func (v *Video) deriveContent(idx int) content {
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(seedFor("content", v.Title, idx))
 	p := v.profile
 
 	// Smooth scene intensity: a few overlapping sinusoids plus noise give
@@ -281,7 +325,7 @@ func (v *Video) contentAt(idx int) (vbrFactor, complexity, motion float64, cut b
 
 	// Capped VBR: mean 1, scaled to the title's relative stddev, clamped to
 	// the "2× capped" range from §5.
-	vbrFactor = 1 + x*p.stdRel*2.1
+	vbrFactor := 1 + x*p.stdRel*2.1
 	if vbrFactor < 0.25 {
 		vbrFactor = 0.25
 	}
@@ -289,7 +333,7 @@ func (v *Video) contentAt(idx int) (vbrFactor, complexity, motion float64, cut b
 		vbrFactor = 2.0
 	}
 
-	motion = p.motionBase + x*p.motionVar
+	motion := p.motionBase + x*p.motionVar
 	if motion < 0.02 {
 		motion = 0.02
 	}
@@ -300,71 +344,140 @@ func (v *Video) contentAt(idx int) (vbrFactor, complexity, motion float64, cut b
 	// VBR factor sub-linearly: 2-pass capped-VBR spends bits where the
 	// content needs them, so quality stays roughly constant per rung while
 	// leaving the residual spread Fig. 1d shows.
-	complexity = math.Pow(vbrFactor, 0.9) * (0.45 + 0.3*motion + 0.12*rng.Float64())
+	complexity := math.Pow(vbrFactor, 0.9) * (0.45 + 0.3*motion + 0.12*rng.Float64())
 	if complexity > 1 {
 		complexity = 1
 	}
 	if complexity < 0.05 {
 		complexity = 0.05
 	}
-	cut = rng.Float64() < p.cutRate
-	return vbrFactor, complexity, motion, cut
+	cut := rng.Float64() < p.cutRate
+	return content{vbrFactor, complexity, motion, cut}
 }
 
-// synthesize builds the frame structure of one segment.
+// gopGraph is the reference structure of a segment. It depends on nothing
+// but FramesPerSeg, so there is one per process and every Segment reads it.
 //
 // GOP layout: frame 0 is the I-frame; thereafter mini-GOPs of IBBBP
 // structure repeat (anchor every 4 frames), with a B-pyramid: the middle B
-// of each triple is referenced by its neighbors. Byte shares target the
-// published ≈15/65/20 I/P/B split.
-func (v *Video) synthesize(idx int, q Quality) *Segment {
-	rng := rand.New(rand.NewSource(seedFor("seg", v.Title, idx, int(q))))
-	vbr, complexity, motion, _ := v.contentAt(idx)
+// of each triple is referenced by its neighbors.
+type gopGraph struct {
+	// frames is the template a segment's Frames start from: Index, Type and
+	// Refs set, sizes and motion zero.
+	frames     []Frame
+	inbound    []int   // direct inbound reference counts
+	transitive []int   // # frames transitively depending on each frame
+	evalOrder  []int   // see Segment.EvalOrder
+	affected   [][]int // see Segment.Affected
+}
 
-	totalBytes := int(Ladder[q].AvgBitrate * SegmentDuration.Seconds() / 8 * vbr)
-	if totalBytes < FramesPerSeg*40 {
-		totalBytes = FramesPerSeg * 40
+var gop = newGOP(FramesPerSeg)
+
+func newGOP(n int) *gopGraph {
+	g := &gopGraph{
+		frames:     make([]Frame, n),
+		inbound:    make([]int, n),
+		transitive: make([]int, n),
+		evalOrder:  make([]int, 0, n),
+		affected:   make([][]int, n),
 	}
-
-	frames := make([]Frame, FramesPerSeg)
-	// Build types and references.
+	refs := make([]int, 0, 3*n) // one backing array for every frame's Refs
 	lastAnchor := 0
-	for i := 0; i < FramesPerSeg; i++ {
-		f := &frames[i]
+	for i := range g.frames {
+		f := &g.frames[i]
 		f.Index = i
+		first := len(refs)
 		switch {
 		case i == 0:
 			f.Type = IFrame
 		case i%4 == 0:
 			f.Type = PFrame
-			f.Refs = []int{lastAnchor}
+			refs = append(refs, lastAnchor)
+			lastAnchor = i
 		default:
 			f.Type = BFrame
-			// B frames reference the surrounding anchors...
+			// B frames reference the surrounding anchors (a trailing partial
+			// mini-GOP has no next anchor: backward only)...
 			prev := (i / 4) * 4
-			next := prev + 4
-			if next >= FramesPerSeg {
-				next = prev // trailing partial mini-GOP: backward only
-			}
-			f.Refs = []int{prev}
-			if next != prev {
-				f.Refs = append(f.Refs, next)
+			refs = append(refs, prev)
+			if next := prev + 4; next < n {
+				refs = append(refs, next)
 			}
 			// ...and in the B-pyramid the outer Bs also reference the
 			// middle B of the triple.
-			mid := prev + 2
-			if i != mid && mid < FramesPerSeg && mid%4 != 0 {
-				f.Refs = append(f.Refs, mid)
+			if mid := prev + 2; i != mid && mid < n {
+				refs = append(refs, mid)
 			}
 		}
-		if f.Type == PFrame {
-			lastAnchor = i
+		if len(refs) > first {
+			f.Refs = refs[first:len(refs):len(refs)]
 		}
 	}
 
+	dependents := make([][]int, n) // direct dependents of each frame
+	for i, f := range g.frames {
+		for _, r := range f.Refs {
+			g.inbound[r]++
+			dependents[r] = append(dependents[r], i)
+		}
+	}
+
+	for i := 0; i < n; i += 4 { // anchors
+		g.evalOrder = append(g.evalOrder, i)
+	}
+	for i := 2; i < n; i += 4 { // referenced (pyramid) Bs
+		g.evalOrder = append(g.evalOrder, i)
+	}
+	for i := 1; i < n; i += 2 { // outer Bs
+		g.evalOrder = append(g.evalOrder, i)
+	}
+
+	// Transitive dependents via DFS per frame. n=96, graph sparse: fine.
+	reached := make([]bool, n)
+	var stack []int
+	for i := 0; i < n; i++ {
+		clear(reached)
+		stack = append(stack[:0], dependents[i]...)
+		for len(stack) > 0 {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if reached[x] {
+				continue
+			}
+			reached[x] = true
+			g.transitive[i]++
+			stack = append(stack, dependents[x]...)
+		}
+		g.affected[i] = make([]int, 0, 1+g.transitive[i])
+		g.affected[i] = append(g.affected[i], i)
+		for _, x := range g.evalOrder {
+			if reached[x] {
+				g.affected[i] = append(g.affected[i], x)
+			}
+		}
+	}
+	return g
+}
+
+// synthesize builds the frame sizes and motion of one segment over the
+// shared GOP. Byte shares target the published ≈15/65/20 I/P/B split.
+func (v *Video) synthesize(idx int, q Quality) *Segment {
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(seedFor("seg", v.Title, idx, int(q)))
+	c := v.contentAt(idx)
+
+	totalBytes := int(Ladder[q].AvgBitrate * SegmentDuration.Seconds() / 8 * c.vbrFactor)
+	if totalBytes < FramesPerSeg*40 {
+		totalBytes = FramesPerSeg * 40
+	}
+
+	frames := make([]Frame, FramesPerSeg)
+	copy(frames, gop.frames)
+
 	// Per-frame motion: smooth within the segment around the segment mean,
 	// with the staticness profile collapsing it toward zero.
-	m := motion * (1 - v.profile.staticness)
+	m := c.motion * (1 - v.profile.staticness)
 	for i := range frames {
 		wiggle := 0.5 + 0.5*math.Sin(2*math.Pi*float64(i)/31+rng.Float64()*0.3)
 		fm := m * (0.6 + 0.8*wiggle)
@@ -383,17 +496,7 @@ func (v *Video) synthesize(idx int, q Quality) *Segment {
 	pShare := 0.65
 	bShare := 1 - iShare - pShare
 
-	var pCount, bCount int
-	for i := range frames {
-		switch frames[i].Type {
-		case PFrame:
-			pCount++
-		case BFrame:
-			bCount++
-		}
-	}
-
-	weights := make([]float64, FramesPerSeg)
+	var weights [FramesPerSeg]float64
 	var pW, bW float64
 	for i := range frames {
 		w := 0.5 + frames[i].Motion + 0.2*rng.Float64()
@@ -439,49 +542,14 @@ func (v *Video) synthesize(idx int, q Quality) *Segment {
 		Index:      idx,
 		Quality:    q,
 		Frames:     frames,
-		Complexity: complexity,
-		Motion:     motion,
+		Complexity: c.complexity,
+		Motion:     c.motion,
+		offsets:    make([]int, FramesPerSeg+1),
 	}
-	s.offsets = make([]int, FramesPerSeg+1)
 	for i := range frames {
 		s.offsets[i+1] = s.offsets[i] + frames[i].Size
 	}
-	s.computeGraph()
 	return s
-}
-
-// computeGraph fills inbound and transitive dependency counts.
-func (s *Segment) computeGraph() {
-	n := len(s.Frames)
-	s.inbound = make([]int, n)
-	dependents := make([][]int, n) // direct dependents of each frame
-	for i, f := range s.Frames {
-		for _, r := range f.Refs {
-			s.inbound[r]++
-			dependents[r] = append(dependents[r], i)
-		}
-	}
-	// Transitive dependents via DFS per frame. n=96, graph sparse: fine.
-	s.transitive = make([]int, n)
-	mark := make([]int, n)
-	stamp := 0
-	var stack []int
-	for i := 0; i < n; i++ {
-		stamp++
-		count := 0
-		stack = append(stack[:0], dependents[i]...)
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if mark[x] == stamp {
-				continue
-			}
-			mark[x] = stamp
-			count++
-			stack = append(stack, dependents[x]...)
-		}
-		s.transitive[i] = count
-	}
 }
 
 // ByteShares returns the fraction of segment bytes in I, P, and B frames.

@@ -329,3 +329,72 @@ func TestVideoSegmentConcurrent(t *testing.T) {
 		}
 	}
 }
+
+func TestSegmentsShareOneGOP(t *testing.T) {
+	// The reference graph depends on FramesPerSeg alone: every segment of
+	// every title reads the same Refs, inbound and transitive arrays.
+	a := MustLoad("BBB").Segment(0, 0)
+	for _, title := range []string{"BBB", "P10"} {
+		v := MustLoad(title)
+		for idx := 0; idx < v.Segments; idx += 37 {
+			for q := Quality(0); q < NumQualities; q += 6 {
+				b := v.Segment(idx, q)
+				if &b.InboundRefs()[0] != &a.InboundRefs()[0] || &b.TransitiveDependents()[0] != &a.TransitiveDependents()[0] {
+					t.Fatalf("%s seg %d Q%d has its own dependency counts", title, idx, q)
+				}
+				for i := 1; i < FramesPerSeg; i++ {
+					if &b.Frames[i].Refs[0] != &a.Frames[i].Refs[0] {
+						t.Fatalf("%s seg %d Q%d frame %d has its own Refs", title, idx, q, i)
+					}
+				}
+			}
+		}
+	}
+	// Shared, so nobody may grow one frame's Refs into the next frame's.
+	for i, f := range a.Frames {
+		if cap(f.Refs) != len(f.Refs) {
+			t.Fatalf("frame %d: Refs has spare capacity %d", i, cap(f.Refs)-len(f.Refs))
+		}
+	}
+}
+
+func TestEvalOrderFollowsReferences(t *testing.T) {
+	s := MustLoad("ED").Segment(3, 5)
+	pos := make([]int, FramesPerSeg) // position in EvalOrder, +1
+	for k, i := range s.EvalOrder() {
+		if pos[i] != 0 {
+			t.Fatalf("frame %d appears twice", i)
+		}
+		pos[i] = k + 1
+		for _, r := range s.Frames[i].Refs {
+			if pos[r] == 0 {
+				t.Fatalf("frame %d is evaluated before its reference %d", i, r)
+			}
+		}
+	}
+	if len(s.EvalOrder()) != FramesPerSeg {
+		t.Fatalf("EvalOrder has %d frames", len(s.EvalOrder()))
+	}
+	// Affected(i): i, then exactly its transitive dependents, in EvalOrder —
+	// every one of them reachable from i through a reference inside the set.
+	for i := range s.Frames {
+		aff := s.Affected(i)
+		if aff[0] != i || len(aff) != 1+s.TransitiveDependents()[i] {
+			t.Fatalf("Affected(%d) = %v, want %d and its %d dependents", i, aff, i, s.TransitiveDependents()[i])
+		}
+		in := map[int]bool{i: true}
+		for k, x := range aff[1:] {
+			if k > 0 && pos[x] <= pos[aff[k]] {
+				t.Fatalf("Affected(%d) is not in EvalOrder at %d", i, x)
+			}
+			depends := false
+			for _, r := range s.Frames[x].Refs {
+				depends = depends || in[r]
+			}
+			if !depends {
+				t.Fatalf("Affected(%d) lists %d, which references nothing in the set", i, x)
+			}
+			in[x] = true
+		}
+	}
+}

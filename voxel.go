@@ -22,7 +22,11 @@ type (
 	Video = video.Video
 	// Quality indexes the Tab. 2 bitrate ladder (Q0–Q12).
 	Quality = video.Quality
-	// Segment is one 4-second piece of a title at one quality.
+	// Segment is one 4-second piece of a title at one quality. A segment
+	// handed out by a Video is shared and read-only, and so is the reference
+	// graph under it: every segment has the same GOP, so a frame's Refs (and
+	// the slices InboundRefs, TransitiveDependents, EvalOrder and Affected
+	// return) are one array read by every segment of every title.
 	Segment = video.Segment
 	// Manifest is the (optionally VOXEL-enriched) DASH MPD.
 	Manifest = dash.Manifest

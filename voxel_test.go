@@ -37,6 +37,11 @@ func TestPrepareManifestFacade(t *testing.T) {
 	if !m.Segment(12, 0).Voxel() {
 		t.Fatal("manifest should be enriched")
 	}
+	// One point per segment is the full segment, not a division by zero.
+	seg := PrepareManifest(v, SSIM, 1).Segment(12, 0)
+	if len(seg.Points) != 1 || seg.Points[0].Bytes != seg.Bytes || seg.Points[0].Frames != 96 {
+		t.Fatalf("one-point curve is %+v, want the full %d-byte segment", seg.Points, seg.Bytes)
+	}
 }
 
 func TestDropToleranceFacade(t *testing.T) {
