@@ -1,11 +1,10 @@
 package httpsim
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
-	"sort"
 	"strconv"
-	"strings"
 
 	"voxel/internal/obs"
 	"voxel/internal/quic"
@@ -75,9 +74,8 @@ type Recovery struct {
 type Response struct {
 	Ranges     RangeSpec
 	Status     int
-	Headers    map[string]string
 	BodyLen    int64
-	Unreliable bool
+	Unreliable bool // the body travels on an announced unreliable stream
 
 	// OnBody fires per arriving chunk (possibly out of order on unreliable
 	// responses) with its position and length in the body, and its bytes —
@@ -113,7 +111,8 @@ type Response struct {
 	// request re-asks for the same ranges, so offsets line up and
 	// duplicate bytes are suppressed by the coverage gap check.
 	path       string
-	reqHeaders map[string]string
+	unreliable bool         // the request asks for unreliable delivery
+	extra      []headerLine // caller's headers; with path, Ranges and unreliable, all an attempt's head is written from
 	attempt    int
 	gen        int
 	deadline   *sim.Timer
@@ -175,6 +174,8 @@ type Client struct {
 	// reports only ever arrive from link events, so no callback re-enters
 	// delivery while a gap list is being walked.
 	gapScratch []quic.ByteRange
+	heads      headPool // response-head reassembly buffers
+	out        []byte   // scratch the request head is written into
 }
 
 type pendingRef struct {
@@ -247,25 +248,7 @@ func (c *Client) Conn() *quic.Conn { return c.conn }
 // Callbacks should be set on the returned Response immediately (before the
 // simulator runs again).
 func (c *Client) Get(path string, ranges RangeSpec, unreliable bool, extra map[string]string) *Response {
-	// Copy the caller's headers in sorted key order: lowercasing can make
-	// distinct keys collide, and "last writer wins" must not depend on map
-	// iteration order (voxel-vet: determinism).
-	headers := make(map[string]string, len(extra)+2)
-	extraKeys := make([]string, 0, len(extra))
-	for k := range extra {
-		extraKeys = append(extraKeys, k)
-	}
-	sort.Strings(extraKeys)
-	for _, k := range extraKeys {
-		headers[strings.ToLower(k)] = extra[k]
-	}
-	if len(ranges) > 0 {
-		headers["range"] = formatRangeHeader(ranges)
-	}
-	if unreliable {
-		headers[HeaderUnreliable] = "1"
-	}
-	resp := &Response{Ranges: ranges, client: c, path: path, reqHeaders: headers}
+	resp := &Response{Ranges: ranges, client: c, path: path, unreliable: unreliable, extra: sortedHeaders(extra)}
 	c.obs.Inc(obs.CRequests)
 	c.inflight = append(c.inflight, resp)
 	c.issue(resp)
@@ -286,9 +269,11 @@ func (c *Client) issue(r *Response) {
 	r.gen++
 	gen := r.gen
 	r.headDone = false
+	c.heads.put(r.head.buf)
 	r.head = headBuf{}
 	r.bodyBase = 0
 	r.finSeen = false
+	r.Status, r.Unreliable = 0, false // this attempt's origin may answer differently
 	st := c.conn.OpenStream(false)
 	r.reqStr = st
 	st.OnData(func(off, n uint64, data []byte) {
@@ -304,7 +289,8 @@ func (c *Client) issue(r *Response) {
 		}
 		r.onReliableFin(sz)
 	})
-	st.Write(encodeHead("GET "+r.path+" HTTP/1.1", r.reqHeaders))
+	c.out = appendRequestHead(c.out[:0], r.path, r.Ranges, r.unreliable, r.extra)
+	st.Write(c.out)
 	st.CloseWrite()
 	if c.rec.RequestTimeout > 0 && !r.complete && !r.failed {
 		if r.deadline == nil {
@@ -438,7 +424,7 @@ func (r *Response) onReliableData(off, n uint64, data []byte) {
 	if !r.headDone {
 		// Stream frames can arrive out of order; buffer with coverage
 		// tracking until the head terminator sits in the contiguous prefix.
-		end := r.head.add(off, n, data)
+		end := r.head.add(&r.client.heads, off, n, data)
 		if end < 0 {
 			return
 		}
@@ -456,6 +442,7 @@ func (r *Response) onReliableData(off, n uint64, data []byte) {
 				r.onReliableData(real, cr.End-real, nil)
 			}
 		}
+		r.client.heads.put(buf)
 		r.head = headBuf{}
 		return
 	}
@@ -475,25 +462,23 @@ func (r *Response) onReliableData(off, n uint64, data []byte) {
 	r.deliverBody(int64(off-r.bodyBase), int64(n), data)
 }
 
-func (r *Response) parseHead(head []byte) {
-	first, headers, err := parseHead(head)
-	if err != nil {
+func (r *Response) parseHead(data []byte) {
+	r.headDone = true
+	h, ok := scanHead(data)
+	if !ok {
 		r.Status = 400
-		r.headDone = true
 		return
 	}
-	r.Headers = headers
-	r.headDone = true
-	parts := strings.SplitN(first, " ", 3)
-	if len(parts) >= 2 {
-		r.Status, _ = strconv.Atoi(parts[1])
+	if _, rest, found := bytes.Cut(h.first, space); found {
+		code, _, _ := bytes.Cut(rest, space)
+		r.Status, _ = strconv.Atoi(string(code))
 	}
-	if cl, ok := headers["content-length"]; ok {
-		r.BodyLen, _ = strconv.ParseInt(cl, 10, 64)
+	if h.length != nil {
+		r.BodyLen, _ = strconv.ParseInt(string(h.length), 10, 64)
 	}
-	if sid, ok := headers[HeaderStream]; ok {
+	if h.stream != nil {
 		r.Unreliable = true
-		id, _ := strconv.ParseUint(sid, 10, 64)
+		id, _ := strconv.ParseUint(string(h.stream), 10, 64)
 		r.client.adopt(id, r)
 	}
 	if r.OnHead != nil {

@@ -8,15 +8,17 @@
 // matrix §4.2 describes.
 //
 // Messages use a textual HTTP/1.1-style wire format over QUIC streams; one
-// request per stream.
+// request per stream. The head is text on the wire and nowhere else: each
+// direction has one writer that appends the head's bytes to its endpoint's
+// scratch buffer (quic.Stream.Write copies them once, at exact size) and one
+// scanner that reads an arrived head in place.
 package httpsim
 
 import (
 	"bytes"
-	"fmt"
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
-	"strings"
 
 	"voxel/internal/quic"
 )
@@ -109,82 +111,159 @@ func (r RangeSpec) Project(dst, cov *quic.RangeSet, base int64) {
 	}
 }
 
-// header formatting
+var crlf, space, comma, dash, rangeUnit = []byte("\r\n"), []byte(" "), []byte(","), []byte("-"), []byte("bytes=")
 
-func formatRangeHeader(r RangeSpec) string {
-	b := append(make([]byte, 0, 6+16*len(r)), "bytes="...)
-	for i, rr := range r {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, rr[0], 10)
-		b = append(b, '-')
-		b = strconv.AppendInt(b, rr[1]-1, 10)
+// headerLine is a caller-supplied request header; name is key lower-cased.
+type headerLine struct{ name, key, value string }
+
+// sortedHeaders snapshots extra as lines sorted by name. Of keys that collide
+// once lower-cased the one sorting last wins, whatever the map's iteration
+// order (voxel-vet: determinism).
+func sortedHeaders(extra map[string]string) []headerLine {
+	hs := make([]headerLine, 0, len(extra))
+	for k, v := range extra {
+		hs = append(hs, headerLine{key: k, value: v})
 	}
-	return string(b)
+	for i := range hs {
+		hs[i].name = string(bytes.ToLower([]byte(hs[i].key)))
+	}
+	slices.SortFunc(hs, func(a, b headerLine) int {
+		return cmp.Or(cmp.Compare(a.name, b.name), cmp.Compare(b.key, a.key))
+	})
+	return slices.CompactFunc(hs, func(a, b headerLine) bool { return a.name == b.name })
 }
 
-func parseRangeHeader(v string) (RangeSpec, error) {
-	v = strings.TrimPrefix(v, "bytes=")
-	var out RangeSpec
-	for _, part := range strings.Split(v, ",") {
-		d := strings.IndexByte(part, '-')
-		if d < 0 {
-			return nil, fmt.Errorf("httpsim: malformed range %q", part)
-		}
-		start, err := strconv.ParseInt(part[:d], 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		last, err := strconv.ParseInt(part[d+1:], 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		if last < start {
-			return nil, fmt.Errorf("httpsim: inverted range %q", part)
-		}
-		out = append(out, [2]int64{start, last + 1})
+// appendLinesBelow appends the lines of hs that sort before limit ("": all)
+// and returns the rest, less limit's own line, which a built-in overrides.
+//
+//voxel:allocfree
+func appendLinesBelow(dst []byte, hs []headerLine, limit string) ([]byte, []headerLine) {
+	for ; len(hs) > 0 && (limit == "" || hs[0].name < limit); hs = hs[1:] {
+		dst = append(dst, hs[0].name...)
+		dst = append(dst, ": "...)
+		dst = append(dst, hs[0].value...)
+		dst = append(dst, crlf...)
 	}
-	return out, nil
+	if len(hs) > 0 && hs[0].name == limit {
+		hs = hs[1:]
+	}
+	return dst, hs
 }
 
-func encodeHead(first string, headers map[string]string) []byte {
-	var b strings.Builder
-	b.WriteString(first)
-	b.WriteString("\r\n")
-	keys := make([]string, 0, len(headers))
-	for k := range headers {
-		keys = append(keys, k)
+// appendRequestHead appends the head of a GET to dst, header lines in name
+// order: range if ranges is non-empty, x-voxel-unreliable if set, and extra.
+//
+//voxel:allocfree
+func appendRequestHead(dst []byte, path string, ranges RangeSpec, unreliable bool, extra []headerLine) []byte {
+	dst = append(dst, "GET "...)
+	dst = append(dst, path...)
+	dst = append(dst, " HTTP/1.1\r\n"...)
+	if len(ranges) > 0 {
+		dst, extra = appendLinesBelow(dst, extra, "range")
+		dst = append(dst, "range: bytes="...)
+		for i, rr := range ranges {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, rr[0], 10)
+			dst = append(dst, '-')
+			dst = strconv.AppendInt(dst, rr[1]-1, 10)
+		}
+		dst = append(dst, crlf...)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteString(": ")
-		b.WriteString(headers[k])
-		b.WriteString("\r\n")
+	if unreliable {
+		dst, extra = appendLinesBelow(dst, extra, HeaderUnreliable)
+		dst = append(dst, HeaderUnreliable+": 1\r\n"...)
 	}
-	b.WriteString("\r\n")
-	return []byte(b.String())
+	dst, _ = appendLinesBelow(dst, extra, "")
+	dst = append(dst, crlf...)
+	return dst
 }
 
-func parseHead(data []byte) (first string, headers map[string]string, err error) {
-	text := string(data)
-	lines := strings.Split(text, "\r\n")
-	if len(lines) < 1 || lines[0] == "" {
-		return "", nil, fmt.Errorf("httpsim: empty head")
+// appendResponseHead appends a response head to dst: status line, content-
+// length and, if announce, the unreliable body stream's x-voxel-stream line.
+//
+//voxel:allocfree
+func appendResponseHead(dst []byte, status int, bodyLen int64, streamID uint64, announce bool) []byte {
+	dst = append(dst, "HTTP/1.1 "...)
+	dst = strconv.AppendInt(dst, int64(status), 10)
+	dst = append(dst, ' ')
+	dst = append(dst, statusText(status)...)
+	dst = append(dst, "\r\ncontent-length: "...)
+	dst = strconv.AppendInt(dst, bodyLen, 10)
+	dst = append(dst, crlf...)
+	if announce {
+		dst = append(dst, HeaderStream+": "...)
+		dst = strconv.AppendUint(dst, streamID, 10)
+		dst = append(dst, crlf...)
 	}
-	headers = make(map[string]string)
-	for _, l := range lines[1:] {
-		if l == "" {
+	dst = append(dst, crlf...)
+	return dst
+}
+
+// head is a scanned message head: sub-slices of the scanned bytes. A header
+// that is absent is nil; one that is present with an empty value is not.
+type head struct {
+	first                              []byte // request or status line
+	ranges, unreliable, length, stream []byte // range, x-voxel-unreliable, content-length, x-voxel-stream
+}
+
+// scanHead splits a head, in place, into its first line and the values of
+// the headers either endpoint reads. Names are trimmed and matched whatever
+// their case, values trimmed; of duplicate lines the last wins. ok is false
+// when the first line is empty or a later non-empty one has no colon.
+//
+//voxel:allocfree
+func scanHead(data []byte) (h head, ok bool) {
+	line, rest, _ := bytes.Cut(data, crlf)
+	if len(line) == 0 {
+		return head{}, false
+	}
+	h.first = line
+	for len(rest) > 0 {
+		line, rest, _ = bytes.Cut(rest, crlf)
+		if len(line) == 0 {
 			continue
 		}
-		c := strings.IndexByte(l, ':')
+		c := bytes.IndexByte(line, ':')
 		if c < 0 {
-			return "", nil, fmt.Errorf("httpsim: malformed header %q", l)
+			return head{}, false
 		}
-		headers[strings.ToLower(strings.TrimSpace(l[:c]))] = strings.TrimSpace(l[c+1:])
+		name, value := bytes.TrimSpace(line[:c]), bytes.TrimSpace(line[c+1:])
+		if value == nil {
+			value = line[:0] // present, empty
+		}
+		switch {
+		case bytes.EqualFold(name, []byte("range")):
+			h.ranges = value
+		case bytes.EqualFold(name, []byte(HeaderUnreliable)):
+			h.unreliable = value
+		case bytes.EqualFold(name, []byte("content-length")):
+			h.length = value
+		case bytes.EqualFold(name, []byte(HeaderStream)):
+			h.stream = value
+		}
 	}
-	return lines[0], headers, nil
+	return h, true
+}
+
+// appendRanges parses a range value ("bytes=0-906,2000-2000") onto dst as
+// [start, end) pairs; ok is false for a part with no '-', a bound ParseInt
+// rejects, or a last byte before its first.
+func appendRanges(dst RangeSpec, v []byte) (_ RangeSpec, ok bool) {
+	v = bytes.TrimPrefix(v, rangeUnit)
+	for more := true; more; {
+		var part []byte
+		part, v, more = bytes.Cut(v, comma)
+		lo, hi, found := bytes.Cut(part, dash)
+		start, errLo := strconv.ParseInt(string(lo), 10, 64)
+		last, errHi := strconv.ParseInt(string(hi), 10, 64)
+		if !found || errLo != nil || errHi != nil || last < start {
+			return dst, false
+		}
+		dst = append(dst, [2]int64{start, last + 1})
+	}
+	return dst, true
 }
 
 // headEnd finds the end of the head ("\r\n\r\n"); -1 if incomplete.
@@ -202,15 +281,18 @@ func headEnd(data []byte) int {
 // geometrically, so a head packet that arrives after the rest of its window
 // costs memory linear in the real bytes that overtook it.
 type headBuf struct {
-	buf []byte
+	buf []byte        // from the endpoint's headPool; nil until real bytes arrive
 	cov quic.RangeSet // stream-offset coverage while the head is incomplete
 }
 
 // add records the stream range [off, off+n) (data nil when elided) and
 // returns the end of the head once its terminator lies in the contiguous
 // covered prefix, -1 until then.
-func (h *headBuf) add(off, n uint64, data []byte) int {
+func (h *headBuf) add(pool *headPool, off, n uint64, data []byte) int {
 	if data != nil {
+		if h.buf == nil {
+			h.buf = pool.get()
+		}
 		h.buf = putAt(h.buf, off, data)
 	}
 	h.cov.Add(off, off+n)
@@ -219,6 +301,30 @@ func (h *headBuf) add(off, n uint64, data []byte) int {
 		contig = uint64(len(h.buf))
 	}
 	return headEnd(h.buf[:contig])
+}
+
+// headPool is an endpoint's freelist of head reassembly buffers: taken when
+// an exchange's first head bytes arrive, put back once the head is scanned.
+type headPool [][]byte
+
+// maxPooledHead keeps a buffer that grew to the size of the body that
+// overtook a lost head packet from being retained for the endpoint's life.
+const maxPooledHead = 16 << 10
+
+//voxel:pool-get put=put
+func (p *headPool) get() []byte {
+	if n := len(*p); n > 0 {
+		b := (*p)[n-1]
+		*p = (*p)[:n-1]
+		return b
+	}
+	return make([]byte, 0, 2048) // fits every head the experiments send
+}
+
+func (p *headPool) put(b []byte) {
+	if b != nil && cap(b) <= maxPooledHead {
+		*p = append(*p, b[:0])
+	}
 }
 
 // putAt copies data to buf[off:], zero-extending buf (geometrically) first

@@ -145,3 +145,49 @@ func TestFailoverToSecondOrigin(t *testing.T) {
 		t.Fatal("client still pinned to the dead origin")
 	}
 }
+
+// An attempt's Unreliable and Status belong to that attempt: when the first
+// is answered by a VOXEL-aware origin (body on an announced unreliable
+// stream) and the retry lands on a VOXEL-unaware spare that answers over the
+// reliable stream — the §4.2 compatibility matrix, met through failover —
+// the reliable body must not be dropped as "travels on the unreliable
+// stream". It used to be, and the request timed out through every remaining
+// attempt.
+func TestRetryOntoUnawareOriginCompletes(t *testing.T) {
+	obj := ZeroObject(1 << 20)
+	handler := HandlerFunc(func(string) (Object, error) { return obj, nil })
+	s := sim.New(77)
+	mk := func(opts ServerOptions) (*quic.Conn, *Server) {
+		path := netem.NewPath(s, trace.Constant("t", 10e6, 3600), 32)
+		cc, sc := quic.NewPair(s, path, quic.Config{}, quic.Config{})
+		return cc, NewServer(sc, handler, opts)
+	}
+	c1, aware := mk(ServerOptions{})
+	c2, unaware := mk(ServerOptions{VoxelUnaware: true})
+	client := NewClient(c1)
+	client.SetRecovery(testRecovery())
+	client.AddFailover(c2)
+
+	var done bool
+	resp := client.Get("/a", nil, true, nil)
+	resp.OnHead = func() {
+		if resp.Unreliable { // the aware origin's head: kill it mid-body
+			s.Schedule(50*time.Millisecond, func() { c1.Close(quic.ErrIdleTimeout) })
+		}
+	}
+	resp.OnComplete = func() { done = true }
+	resp.OnFail = func(err error) {
+		t.Errorf("request failed with %v after %d of %d bytes", err, resp.BytesReceived(), obj.Size())
+	}
+	s.RunUntil(60 * time.Second)
+	if aware.UnreliableBodies != 1 || unaware.RequestsServed != 1 || unaware.UnreliableBodies != 0 {
+		t.Fatalf("aware origin sent %d unreliable bodies, unaware one served %d requests (%d unreliable): the scenario did not happen",
+			aware.UnreliableBodies, unaware.RequestsServed, unaware.UnreliableBodies)
+	}
+	if !done || resp.Unreliable || resp.Status != 200 {
+		t.Fatalf("done=%v unreliable=%v status=%d, want the reliable retry to complete with 200", done, resp.Unreliable, resp.Status)
+	}
+	if got := resp.BytesReceived() + int64(resp.Lost().CoveredBytes()); got < obj.Size() {
+		t.Fatalf("received + lost cover %d of %d bytes", got, obj.Size())
+	}
+}

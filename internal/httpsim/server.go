@@ -1,9 +1,7 @@
 package httpsim
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
+	"bytes"
 
 	"voxel/internal/quic"
 )
@@ -20,6 +18,9 @@ type Server struct {
 	conn    *quic.Conn
 	handler Handler
 	opts    ServerOptions
+	heads   headPool  // request-head reassembly buffers
+	out     []byte    // scratch the response head is written into
+	ranges  RangeSpec // scratch the request's ranges are parsed into
 	// Stats
 	RequestsServed   uint64
 	BytesServed      uint64
@@ -41,90 +42,78 @@ func NewServer(conn *quic.Conn, handler Handler, opts ServerOptions) *Server {
 // committed goldens pin that; fixing it (use headBuf) moves chaos-mix and
 // sweep-shards and needs regenerated digests.
 func (s *Server) onStream(st *quic.Stream) {
-	var buf []byte
-	handled := false
+	buf := s.heads.get() // back in the pool, and nil here, once served
 	st.OnData(func(off, _ uint64, data []byte) {
-		if handled || data == nil {
+		if buf == nil || data == nil {
 			return
 		}
 		buf = putAt(buf, off, data)
 		if end := headEnd(buf); end >= 0 {
-			handled = true
 			s.serve(st, buf[:end])
+			s.heads.put(buf)
+			buf = nil
 		}
 	})
 }
 
+// parseRequest scans a request head into the status that answers it and, for
+// 200 and 206, the object, its ranges (in s.ranges) and how the body travels.
+func (s *Server) parseRequest(head []byte) (status int, obj Object, unreliable bool) {
+	h, ok := scanHead(head)
+	if !ok {
+		return 400, nil, false
+	}
+	method, target, found := bytes.Cut(h.first, space)
+	if !found || string(method) != "GET" {
+		return 405, nil, false
+	}
+	path, _, _ := bytes.Cut(target, space)
+	obj, err := s.handler.Resolve(string(path))
+	if err != nil {
+		return 404, nil, false
+	}
+	unreliable = !s.opts.VoxelUnaware && string(h.unreliable) == "1"
+	if h.ranges == nil {
+		s.ranges = append(s.ranges[:0], [2]int64{0, obj.Size()})
+		return 200, obj, unreliable
+	}
+	if s.ranges, ok = appendRanges(s.ranges[:0], h.ranges); !ok {
+		return 416, nil, false
+	}
+	for _, r := range s.ranges {
+		if r[0] < 0 || r[1] > obj.Size() {
+			return 416, nil, false
+		}
+	}
+	return 206, obj, unreliable
+}
+
+// serve answers a request; nothing it parsed outlives the call.
 func (s *Server) serve(st *quic.Stream, head []byte) {
-	first, headers, err := parseHead(head)
-	if err != nil {
-		s.respondError(st, 400)
+	status, obj, unreliable := s.parseRequest(head)
+	s.RequestsServed++
+	if obj == nil {
+		s.out = appendResponseHead(s.out[:0], status, 0, 0, false)
+		st.Write(s.out)
+		st.CloseWrite()
 		return
 	}
-	parts := strings.SplitN(first, " ", 3)
-	if len(parts) < 2 || parts[0] != "GET" {
-		s.respondError(st, 405)
-		return
-	}
-	path := parts[1]
-	obj, err := s.handler.Resolve(path)
-	if err != nil {
-		s.respondError(st, 404)
-		return
-	}
-
-	ranges := RangeSpec{{0, obj.Size()}}
-	status := 200
-	if rh, ok := headers["range"]; ok {
-		parsed, err := parseRangeHeader(rh)
-		if err != nil {
-			s.respondError(st, 416)
-			return
-		}
-		for _, r := range parsed {
-			if r[0] < 0 || r[1] > obj.Size() {
-				s.respondError(st, 416)
-				return
-			}
-		}
-		ranges = parsed
-		status = 206
-	}
-	bodyLen := ranges.TotalBytes()
-
-	wantUnreliable := !s.opts.VoxelUnaware && headers[HeaderUnreliable] == "1"
-	respHeaders := map[string]string{
-		"content-length": strconv.FormatInt(bodyLen, 10),
-	}
-
-	var bodyStream *quic.Stream
-	if wantUnreliable {
-		bodyStream = s.conn.OpenStream(true)
-		respHeaders[HeaderStream] = strconv.FormatUint(bodyStream.ID(), 10)
+	bodyLen := s.ranges.TotalBytes()
+	dst := st
+	if unreliable {
+		dst = s.conn.OpenStream(true)
 		s.UnreliableBodies++
 	}
-
-	statusLine := fmt.Sprintf("HTTP/1.1 %d %s", status, statusText(status))
-	st.Write(encodeHead(statusLine, respHeaders))
-
-	s.RequestsServed++
+	s.out = appendResponseHead(s.out[:0], status, bodyLen, dst.ID(), unreliable)
+	st.Write(s.out)
 	s.BytesServed += uint64(bodyLen)
-	dst := st
-	if wantUnreliable {
+	if unreliable {
 		st.CloseWrite()
-		dst = bodyStream
 	}
-	for _, r := range ranges {
+	for _, r := range s.ranges {
 		obj.WriteRange(dst, r[0], r[1]-r[0])
 	}
 	dst.CloseWrite()
-}
-
-func (s *Server) respondError(st *quic.Stream, code int) {
-	st.Write(encodeHead(fmt.Sprintf("HTTP/1.1 %d %s", code, statusText(code)),
-		map[string]string{"content-length": "0"}))
-	st.CloseWrite()
-	s.RequestsServed++
 }
 
 func statusText(code int) string {

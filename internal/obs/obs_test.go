@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -147,6 +148,44 @@ func TestTimelineRingWrap(t *testing.T) {
 		if ev.Seq != wantSeq || ev.A != int64(wantSeq-1) {
 			t.Fatalf("event %d = seq %d / A %d, want seq %d / A %d",
 				i, ev.Seq, ev.A, wantSeq, wantSeq-1)
+		}
+	}
+}
+
+// TestTimelineGrowsToCapThenWraps: a ring that starts small and doubles up
+// to its cap reports the same survivors (seq, time, payload), Recorded and
+// Dropped as one sized to the cap up front, at every fill level — empty,
+// part-full, at each growth step, exactly full, and wrapped many times over.
+func TestTimelineGrowsToCapThenWraps(t *testing.T) {
+	for _, tc := range []struct {
+		cap     int
+		records []int
+	}{
+		{8, []int{0, 5, 8, 9, 50}},
+		{100, []int{0, 5, 32, 33, 64, 65, 100, 101, 250}},
+	} {
+		for _, n := range tc.records {
+			grown := newTimeline(tc.cap)
+			eager := Timeline{ring: make([]Event, tc.cap), cap: tc.cap}
+			for i := 0; i < n; i++ {
+				at := time.Duration(i) * time.Millisecond
+				grown.record(at, EvRetry, int64(i), 1, 2, 0.5)
+				eager.record(at, EvRetry, int64(i), 1, 2, 0.5)
+			}
+			slots := 0 // what n records need: the start size doubled until they fit, at most cap
+			for n > slots && slots < tc.cap {
+				slots = min(max(2*slots, timelineStart), tc.cap)
+			}
+			if len(grown.ring) != slots {
+				t.Errorf("cap %d, %d records: ring has %d slots, want %d", tc.cap, n, len(grown.ring), slots)
+			}
+			if grown.Recorded() != eager.Recorded() || grown.Dropped() != eager.Dropped() {
+				t.Errorf("cap %d, %d records: recorded/dropped %d/%d, eager ring %d/%d",
+					tc.cap, n, grown.Recorded(), grown.Dropped(), eager.Recorded(), eager.Dropped())
+			}
+			if got, want := grown.Events(), eager.Events(); !slices.Equal(got, want) {
+				t.Errorf("cap %d, %d records: survivors differ from the eager ring's:\n got %v\nwant %v", tc.cap, n, got, want)
+			}
 		}
 	}
 }

@@ -110,23 +110,35 @@ type Event struct {
 // heavy impairment, small enough to keep per-trial memory bounded.
 const DefaultTimelineCap = 8192
 
-// Timeline records events into a fixed ring buffer: the most recent cap
-// events survive, older ones are evicted, and Recorded keeps the true
-// total so exports can say how many were dropped. Recording never
-// allocates after construction.
+// Timeline records events into a ring buffer of at most cap events: the
+// most recent cap survive, older ones are evicted, and Recorded keeps the
+// true total so exports can say how many were dropped. The ring starts
+// small and doubles up to cap as events arrive — a trial that records a few
+// dozen events does not pay for 8,192 slots — so recording into a ring with
+// room, or into a full-grown one, allocates nothing, and a scope's growth
+// costs O(log cap) allocations in all.
 type Timeline struct {
-	ring  []Event
+	ring  []Event // len < cap only while total <= len: it never wraps before it is full-grown
+	cap   int
 	total uint64
 }
+
+// timelineStart is the ring's first size, in events.
+const timelineStart = 32
 
 func newTimeline(cap int) Timeline {
 	if cap <= 0 {
 		cap = DefaultTimelineCap
 	}
-	return Timeline{ring: make([]Event, cap)}
+	return Timeline{cap: cap}
 }
 
 func (t *Timeline) record(at time.Duration, k Kind, a, b, c int64, x float64) {
+	if n := len(t.ring); t.total == uint64(n) && n < t.cap {
+		grown := make([]Event, min(max(2*n, timelineStart), t.cap))
+		copy(grown, t.ring)
+		t.ring = grown
+	}
 	slot := &t.ring[t.total%uint64(len(t.ring))]
 	t.total++
 	slot.Seq = t.total
