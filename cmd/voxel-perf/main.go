@@ -27,7 +27,7 @@ type target struct {
 }
 
 var targets = []target{
-	{Pkg: "voxel/internal/quic", Bench: "BenchmarkOnAck|BenchmarkAckCodec32|BenchmarkDetectLoss|BenchmarkPacketEncode|BenchmarkBulkTransfer"},
+	{Pkg: "voxel/internal/quic", Bench: "BenchmarkOnAck|BenchmarkAckRoundTrip32|BenchmarkDetectLoss|BenchmarkPacketEncode|BenchmarkBulkTransfer"},
 	{Pkg: "voxel/internal/qoe", Bench: "."},
 	// Everything in sim except the kernel suite, which the next target owns
 	// (one result per (package, name): main refuses duplicates).

@@ -57,20 +57,18 @@ func BenchmarkOnAckSlidingWindow(b *testing.B) {
 	}
 }
 
-// BenchmarkAckCodec32 is the ACK round trip as the macro workloads run it:
-// per operation the receiver takes in packets and builds and encodes an
-// ACK, and the sender — 64 packets in flight — receives, decodes and
-// processes it. steady: a 32-range history whose top range grows (both
-// memos hit). newgap: every ACK opens a gap, so every ACK shifts the
-// 32-range window and both memos miss — the guard that the miss path costs
-// no more than plain encoding and decoding did. onerange: a clean path's
-// one-range ACKs, where there is nothing to memoise.
-func BenchmarkAckCodec32(b *testing.B) {
+// BenchmarkAckRoundTrip32 is the ACK round trip as the macro workloads run
+// it: per operation the receiver takes in packets and snapshots its history
+// into a packet record, and the sender — 64 packets in flight — receives and
+// processes it. steady: a 32-range history whose top range grows. newgap:
+// every ACK opens a gap, so every ACK shifts the 32-range window and the
+// sender declares a loss. onerange: a clean path's one-range ACKs.
+func BenchmarkAckRoundTrip32(b *testing.B) {
 	for _, mode := range []string{"steady", "newgap", "onerange"} {
 		b.Run(mode, func(b *testing.B) {
 			s := sim.New(1)
 			snd := benchSender(s)
-			var rcv Conn // only its ACK history and encoder are used
+			var rcv Conn // only its ACK history and snapshot are used
 			base := uint64(100)
 			if mode != "onerange" {
 				for pn := uint64(0); pn < 62; pn += 2 {
@@ -81,8 +79,7 @@ func BenchmarkAckCodec32(b *testing.B) {
 			}
 			next := fillWindow(snd, s, base, 64)
 			arrived := base // the sender's packets below it have reached the receiver, gaps aside
-			var pkt []byte
-			frames := make([]Frame, 1)
+			tx := &txRecord{}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -93,9 +90,9 @@ func BenchmarkAckCodec32(b *testing.B) {
 				}
 				rcv.recvdPNs.Add(arrived, arrived+2)
 				arrived += 2
-				frames[0] = rcv.buildAck()
-				pkt = (&Packet{Number: uint64(i), Frames: frames}).AppendTo(pkt[:0])
-				snd.receive(pkt)
+				tx.pn = uint64(i)
+				rcv.buildAck(&tx.ack)
+				snd.receive(tx)
 				next = fillWindow(snd, s, next, fresh)
 			}
 			b.StopTimer()

@@ -1,8 +1,9 @@
 package quic
 
 import (
-	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"slices"
 	"time"
 
@@ -52,11 +53,16 @@ type Config struct {
 	Obs *obs.Scope
 }
 
-// mtu is the maximum QUIC packet size (before per-packet overhead), and
-// wireOverhead the per-packet on-wire overhead (UDP+IP headers).
+// mtu is the maximum QUIC packet size (before per-packet overhead),
+// wireOverhead the per-packet on-wire overhead (UDP+IP headers),
+// maxFrameBytes what a packet's frames may occupy (the header byte and a
+// worst-case packet number taken off) and maxAckRanges the cap on the
+// received-packet history one ACK reports.
 const (
-	mtu          = cc.MSS
-	wireOverhead = 28
+	mtu           = cc.MSS
+	wireOverhead  = 28
+	maxFrameBytes = mtu - 1 - 8
+	maxAckRanges  = 32
 )
 
 func (c Config) withDefaults() Config {
@@ -88,7 +94,26 @@ type sentPacket struct {
 	sentAt       sim.Time
 	ackEliciting bool
 	streamFrames []*StreamFrame
-	ctrlFrames   []Frame
+	ctrlFrames   []ctrlFrame
+}
+
+// ctrlFrame is one control frame — MAX_DATA, LOSS_REPORT or PING — by value,
+// from the moment it is queued: nothing it passes through can alias it.
+type ctrlFrame struct {
+	kind    byte // frameTypeMaxData, frameTypeLossReport or frameTypePing
+	maxData MaxDataFrame
+	loss    LossReportFrame
+}
+
+// frame returns f as the Frame the codec sizes and encodes, pointing into f.
+func (f *ctrlFrame) frame() Frame {
+	switch f.kind {
+	case frameTypeMaxData:
+		return &f.maxData
+	case frameTypeLossReport:
+		return &f.loss
+	}
+	return PingFrame{}
 }
 
 type rewrite struct {
@@ -141,7 +166,7 @@ type Conn struct {
 	active       fifo[*Stream] // streams with pending new data
 
 	// frame queues
-	ctrlQ      fifo[Frame]
+	ctrlQ      fifo[ctrlFrame] // reliable: requeued on loss
 	retransmit fifo[*StreamFrame]
 	rewrites   fifo[rewrite]
 
@@ -170,28 +195,34 @@ type Conn struct {
 	// one goroutine), so reuse needs no synchronization.
 	spFree     []*sentPacket  // sentPacket freelist
 	sfFree     []*StreamFrame // StreamFrame freelist (send side)
-	txFree     []*txRecord    // transmit records, returned after delivery
-	txFrames   []Frame        // frame list scratch for sendOnePacket
-	rxSlots    []rxFrame      // decoded frames of the packet receive is handling
+	txFree     []*txRecord    // packet records, returned when the link is done with them
 	ackScratch []*sentPacket  // newly-acked scratch for onAck
 	gapScratch []ByteRange    // AppendGaps scratch for the streams' receive side
-
-	// ACK memos (DESIGN.md §5), valid while consecutive ACKs differ in their
-	// top range only: buildAck's last frame, decodeMemo's last decoded tail.
-	txAck      encodedAck
-	ackBelow   []ByteRange // the history ranges below the top that txAck carries
-	ackHead    int         // bytes of txAck.wire in front of them
-	ackFrame   AckFrame    // scratch for re-encoding txAck
-	memoN      uint64      // range count of the memoised ACK; 0 = none yet
-	memoTail   []byte      // its wire bytes below the top range
-	memoRanges []AckRange  // what they decode to
 }
 
-// txRecord carries one packet through the link: its encode buffer and the
-// two callbacks netem.Datagram needs, bound once when the pooled record is
-// first made, so handing a packet to the link allocates nothing.
+// txRecord is one packet in flight (DESIGN.md §5): its number, its size on
+// the link and its frames, which the peer's receive is handed as they are —
+// nothing is encoded. The frames are copies: the sender cuts, recycles and
+// requeues its own StreamFrames (retransmit split, ACK, loss) while a delayed
+// or duplicated copy of the packet is still inside the link, so a record
+// never points at one. Payload is aliased, not copied — send runs are never
+// written after Write/WriteShared. The record is read-only from transmit
+// until the link's Done. Its two netem.Datagram callbacks are bound once,
+// when the pooled record is first made, so sending allocates nothing.
 type txRecord struct {
-	buf           []byte
+	pn   uint64
+	size int // on the link: header, frames and wireOverhead
+
+	// The frames, in the order every packet is packed and dispatched.
+	ack     AckFrame      // the ACK's ranges, snapshotted; empty = no ACK
+	ctrl    []ctrlFrame   // MAX_DATA, LOSS_REPORT, PING
+	streams []StreamFrame // retransmissions, rewrites, new data
+
+	// First backing arrays of streams and ack.Ranges: the usual packet — a
+	// stream frame or two, a one-range ACK — needs no other.
+	inline    [2]StreamFrame
+	inlineAck [1]AckRange
+
 	deliver, done func()
 }
 
@@ -309,7 +340,7 @@ func (c *Conn) Close(reason error) {
 		c.releaseSent(c.sentQ.pk[i])
 	}
 	c.sentQ.reset()
-	c.ctrlQ, c.retransmit = fifo[Frame]{}, fifo[*StreamFrame]{}
+	c.ctrlQ, c.retransmit = fifo[ctrlFrame]{}, fifo[*StreamFrame]{}
 	c.rewrites, c.active = fifo[rewrite]{}, fifo[*Stream]{}
 	c.ackPending = false
 	if c.onClose != nil {
@@ -338,7 +369,7 @@ func (c *Conn) onKeepAlive() {
 	}
 	interval := c.cfg.IdleTimeout / 2
 	if c.sim.Now()-c.lastAckElic >= interval && c.sentQ.empty() {
-		c.ctrlQ.push(PingFrame{})
+		c.ctrlQ.push(ctrlFrame{kind: frameTypePing})
 		c.trySend()
 	}
 	c.keepTimer.Arm(interval)
@@ -385,12 +416,7 @@ func (c *Conn) allocSent() *sentPacket {
 //
 //voxel:allocfree
 func (c *Conn) releaseSent(sp *sentPacket) {
-	for i := range sp.streamFrames {
-		sp.streamFrames[i] = nil
-	}
-	for i := range sp.ctrlFrames {
-		sp.ctrlFrames[i] = nil
-	}
+	clear(sp.streamFrames)
 	*sp = sentPacket{streamFrames: sp.streamFrames[:0], ctrlFrames: sp.ctrlFrames[:0]}
 	c.spFree = append(c.spFree, sp)
 }
@@ -417,7 +443,7 @@ func (c *Conn) freeFrame(f *StreamFrame) {
 	c.sfFree = append(c.sfFree, f)
 }
 
-// getTx returns a transmit record from the pool.
+// getTx returns an empty packet record from the pool.
 //
 //voxel:pool-get put=putTx
 func (c *Conn) getTx() *txRecord {
@@ -426,16 +452,20 @@ func (c *Conn) getTx() *txRecord {
 		c.txFree = c.txFree[:n-1]
 		return tx
 	}
-	tx := &txRecord{buf: make([]byte, 0, mtu+64)}
-	tx.deliver = func() { c.peer.receive(tx.buf) }
+	tx := &txRecord{}
+	tx.streams, tx.ack.Ranges = tx.inline[:0], tx.inlineAck[:0]
+	tx.deliver = func() { c.peer.receive(tx) }
 	tx.done = func() { c.putTx(tx) }
 	return tx
 }
 
-// putTx returns a transmit record to the pool. Records come back after the
-// peer finished parsing the delivered packet (the receive path never
-// retains wire bytes), or immediately when the link dropped the datagram.
+// putTx empties a packet record into the pool. Records come back after the
+// last delivery (the receive path retains nothing of one), or immediately
+// when the link dropped the datagram. Clearing the stream frames lets go of
+// the payload they alias.
 func (c *Conn) putTx(tx *txRecord) {
+	clear(tx.streams)
+	tx.ack.Ranges, tx.ctrl, tx.streams = tx.ack.Ranges[:0], tx.ctrl[:0], tx.streams[:0]
 	c.txFree = append(c.txFree, tx)
 }
 
@@ -489,30 +519,34 @@ func (c *Conn) hasAckElicitingPending() bool {
 func (c *Conn) sendOnePacket() bool {
 	now := c.sim.Now()
 	canSendData := c.ctl.CanSend(mtu)
-	budget := mtu - 1 - 8 // header byte + worst-case packet number
+	budget := maxFrameBytes
 
-	frames := c.txFrames[:0]
+	tx := c.getTx()
 	sp := c.allocSent()
 	sp.pn = c.nextPN
 	sp.sentAt = now
 
 	if c.ackPending {
-		ack := c.buildAck()
-		if ack.wireSize() <= budget {
-			frames = append(frames, ack)
-			budget -= ack.wireSize()
+		if n := c.buildAck(&tx.ack); n <= budget {
+			budget -= n
 			c.clearAckState()
+		} else {
+			tx.ack.Ranges = tx.ack.Ranges[:0]
 		}
 	}
 
 	if canSendData {
-		// Control frames (MAX_DATA, LOSS_REPORT): reliable, requeued on loss.
-		for c.ctrlQ.len() > 0 && (*c.ctrlQ.front()).wireSize() <= budget {
-			f := *c.ctrlQ.front()
+		// Control frames, as many as fit.
+		for c.ctrlQ.len() > 0 {
+			f := c.ctrlQ.front()
+			n := f.frame().wireSize()
+			if n > budget {
+				break
+			}
+			tx.ctrl = append(tx.ctrl, *f)
+			sp.ctrlFrames = append(sp.ctrlFrames, *f)
 			c.ctrlQ.pop()
-			frames = append(frames, f)
-			budget -= f.wireSize()
-			sp.ctrlFrames = append(sp.ctrlFrames, f)
+			budget -= n
 		}
 		// Retransmissions of reliable stream data.
 		for c.retransmit.len() > 0 && budget > 64 {
@@ -529,7 +563,7 @@ func (c *Conn) sendOnePacket() bool {
 				f.cutFront(head, avail)
 				f = head
 			}
-			frames = append(frames, f)
+			tx.streams = append(tx.streams, *f) // a copy; the payload is shared
 			budget -= f.wireSize()
 			sp.streamFrames = append(sp.streamFrames, f)
 			c.stats.RetransmitBytes += uint64(f.Len())
@@ -554,7 +588,7 @@ func (c *Conn) sendOnePacket() bool {
 			if len(rw.data) == 0 {
 				c.rewrites.pop()
 			}
-			frames = append(frames, f)
+			tx.streams = append(tx.streams, *f)
 			budget -= f.wireSize()
 			sp.streamFrames = append(sp.streamFrames, f)
 			c.stats.UnreliableRewrite += uint64(len(f.Data))
@@ -577,7 +611,7 @@ func (c *Conn) sendOnePacket() bool {
 			if f == nil {
 				break
 			}
-			frames = append(frames, f)
+			tx.streams = append(tx.streams, *f)
 			budget -= f.wireSize()
 			sp.streamFrames = append(sp.streamFrames, f)
 			c.sentData += uint64(f.Len())
@@ -586,17 +620,13 @@ func (c *Conn) sendOnePacket() bool {
 		}
 	}
 
-	c.txFrames = frames // keep grown capacity for the next packet
-	if len(frames) == 0 {
+	if budget == maxFrameBytes { // no frame taken
+		c.putTx(tx)
 		c.releaseSent(sp)
 		return false
 	}
-
-	elided := 0
-	for _, f := range sp.streamFrames {
-		elided += f.Elided
-	}
-	tx, wireSize := c.encodePacket(frames, elided)
+	c.seal(tx, maxFrameBytes-budget)
+	wireSize := tx.size
 	sp.size = wireSize
 	// Everything but the leading ACK is tracked on sp and elicits an ACK.
 	sp.ackEliciting = len(sp.streamFrames)+len(sp.ctrlFrames) > 0
@@ -620,61 +650,87 @@ func (c *Conn) sendOnePacket() bool {
 		// Nothing tracks a non-eliciting (ACK-only) packet; recycle it.
 		c.releaseSent(sp)
 	}
-	c.transmit(tx, wireSize)
+	c.transmit(tx)
 	return true
 }
 
-// encodePacket numbers, encodes and counts one packet of the given frames,
-// which leave elided payload bytes off the buffer. The caller finishes its
-// bookkeeping, then hands the record and the size on the link to transmit.
-func (c *Conn) encodePacket(frames []Frame, elided int) (tx *txRecord, wireSize int) {
-	pkt := Packet{Number: c.nextPN, Frames: frames}
+// seal numbers and counts the packet in tx, whose frames occupy frameBytes on
+// the wire — the sum of their wireSize(), so the size the link charges is the
+// size the packet budget was spent in. The caller finishes its bookkeeping,
+// then hands the record to transmit.
+func (c *Conn) seal(tx *txRecord, frameBytes int) {
+	tx.pn = c.nextPN
 	c.nextPN++
-	tx = c.getTx()
-	tx.buf = pkt.AppendTo(tx.buf[:0])
-	size := len(tx.buf) + elided
+	size := 1 + varintLen(tx.pn) + frameBytes
+	tx.size = size + wireOverhead
 	c.stats.PacketsSent++
 	c.stats.BytesSent += uint64(size)
 	c.obs.Inc(obs.CPacketsSent)
 	c.obs.Count(obs.CBytesSent, uint64(size))
-	return tx, size + wireOverhead
 }
 
-// transmit offers an encoded packet to the link at its full wire size.
-func (c *Conn) transmit(tx *txRecord, wireSize int) {
-	if !c.link.Send(netem.Datagram{Size: wireSize, Deliver: tx.deliver, Done: tx.done}) {
+// transmit offers a sealed packet to the link at its full wire size.
+func (c *Conn) transmit(tx *txRecord) {
+	if chk := c.sim.Checker(); chk.Enabled() {
+		if err := tx.wireRoundTrip(); err != nil {
+			chk.Failf("quic", "quic.wire-roundtrip", "packet %d: %v", tx.pn, err)
+		}
+	}
+	if !c.link.Send(netem.Datagram{Size: tx.size, Deliver: tx.deliver, Done: tx.done}) {
 		c.putTx(tx) // dropped at the queue: reclaim immediately
 	}
 }
 
-// buildAck returns the ACK frame for the received packet-number history —
-// largest first, capped at 32 ranges — in wire form. While the ranges below
-// the top one are the last ACK's (no new gap, hole filled or cap shift) and
-// the head keeps its length, the head is patched into the last ACK's bytes;
-// otherwise the frame is encoded afresh. Valid until the next call.
+// wireRoundTrip is the quic.wire-roundtrip invariant, the codec's one caller
+// outside tests: the record's frames, encoded, occupy exactly the size the
+// link is charged, and decode to exactly what the peer is handed — kind,
+// header fields, payload bytes, ACK ranges.
+func (tx *txRecord) wireRoundTrip() error {
+	sent := Packet{Number: tx.pn}
+	if len(tx.ack.Ranges) > 0 {
+		sent.Frames = append(sent.Frames, &tx.ack)
+	}
+	for i := range tx.ctrl {
+		sent.Frames = append(sent.Frames, tx.ctrl[i].frame())
+	}
+	elided := 0
+	for i := range tx.streams {
+		sent.Frames = append(sent.Frames, &tx.streams[i])
+		elided += tx.streams[i].Elided
+	}
+	enc := sent.Encode()
+	if n := len(enc) + elided + wireOverhead; n != tx.size {
+		return fmt.Errorf("%d B on the wire (%d encoded, %d elided, %d overhead), sent as %d B", n, len(enc), elided, wireOverhead, tx.size)
+	}
+	if got, err := DecodePacket(enc); err != nil || !reflect.DeepEqual(got, &sent) {
+		return fmt.Errorf("ACK %v, control frames %+v and stream frames %+v, encoded as %x, decode to something else (%v)", tx.ack.Ranges, tx.ctrl, tx.streams, enc, err)
+	}
+	return nil
+}
+
+// buildAck snapshots the received packet-number history into f as ACK
+// ranges — largest first, capped at maxAckRanges — and returns f.wireSize(),
+// summed on the way. A history stays at a few ranges (nothing lost toward
+// this side) or grows to the cap, so storage comes in those two sizes rather
+// than a doubling at a time.
 //
 //voxel:allocfree
-func (c *Conn) buildAck() *encodedAck {
+func (c *Conn) buildAck(f *AckFrame) (wireSize int) {
 	rs := c.recvdPNs.Ranges()
-	top := len(rs) - 1
-	below := rs[max(top-31, 0):top]
-	var buf [1 + 3*8]byte
-	buf[0] = frameTypeAck
-	head := appendVarint(buf[:1], uint64(len(below)+1))
-	head = appendVarint(appendVarint(head, rs[top].Start), rs[top].End-1)
-	if len(head) == c.ackHead && slices.Equal(below, c.ackBelow) {
-		copy(c.txAck.wire, head)
-		return &c.txAck
+	if need := min(len(rs), maxAckRanges); cap(f.Ranges) < need {
+		n := 4
+		if need > 4 {
+			n = maxAckRanges
+		}
+		f.Ranges = make([]AckRange, 0, n)
 	}
-	c.ackHead = len(head)
-	c.ackBelow = append(c.ackBelow[:0], below...)
-	f := &c.ackFrame
 	f.Ranges = f.Ranges[:0]
-	for i := top; i >= top-len(below); i-- {
-		f.Ranges = append(f.Ranges, AckRange{First: rs[i].Start, Last: rs[i].End - 1})
+	for i := len(rs) - 1; i >= 0 && len(f.Ranges) < maxAckRanges; i-- {
+		r := AckRange{First: rs[i].Start, Last: rs[i].End - 1}
+		f.Ranges = append(f.Ranges, r)
+		wireSize += varintLen(r.First) + varintLen(r.Last)
 	}
-	c.txAck.wire = f.appendTo(c.txAck.wire[:0])
-	return &c.txAck
+	return 1 + varintLen(uint64(len(f.Ranges))) + wireSize
 }
 
 func (c *Conn) clearAckState() {
@@ -687,58 +743,44 @@ func (c *Conn) sendAckNow() {
 	if !c.ackPending {
 		return
 	}
-	c.txFrames = append(c.txFrames[:0], c.buildAck())
+	tx := c.getTx()
+	n := c.buildAck(&tx.ack)
 	c.clearAckState()
-	c.transmit(c.encodePacket(c.txFrames, 0))
+	c.seal(tx, n)
+	c.transmit(tx)
 }
 
 // --- receive path ---
 
-// receive parses and dispatches one packet straight off the wire bytes.
-// Each frame is decoded once, into per-connection slots; only when the whole
-// packet decoded is it counted and acted on, so a packet with any malformed
-// frame is dropped whole. Real stream payloads reach the application as
-// sub-slices of the wire buffer (nothing downstream retains them), elided
-// ones as a length, so steady-state receiving does not allocate or copy.
-func (c *Conn) receive(encoded []byte) {
+// receive takes in one delivered packet and dispatches its frames, the ACK
+// first, as the sender packed them. The record stays the sender's: nothing
+// here writes to it or keeps a pointer into it, so a duplicated delivery
+// finds it unchanged. Real stream payload reaches the application as the
+// sender's own bytes, elided payload as a length; steady-state receiving
+// does not allocate or copy.
+//
+//voxel:allocfree
+func (c *Conn) receive(p *txRecord) {
 	if c.closed {
 		return // packets arriving after close fall on the floor
 	}
-	if len(encoded) == 0 || encoded[0] != packetHeaderByte {
-		return // corrupt packets are dropped
-	}
-	pn, b, err := consumeVarint(encoded[1:])
-	if err != nil {
-		return
-	}
-	n, ackEliciting := 0, false
-	for ; len(b) > 0; n++ {
-		if n == len(c.rxSlots) {
-			c.rxSlots = append(c.rxSlots, rxFrame{})
-		}
-		if b, err = c.decodeMemo(b, &c.rxSlots[n]); err != nil {
-			return
-		}
-		ackEliciting = ackEliciting || c.rxSlots[n].kind != frameTypeAck
-	}
 	c.stats.PacketsReceived++
 	c.obs.Inc(obs.CPacketsReceived)
-	c.recvdPNs.Add(pn, pn+1)
+	c.recvdPNs.Add(p.pn, p.pn+1)
 	c.lastRecv = c.sim.Now()
 	if c.idleTimer != nil {
 		c.idleTimer.Arm(c.cfg.IdleTimeout) // peer activity: push back teardown
 	}
 
-	for i := 0; i < n; i++ {
-		switch fr := &c.rxSlots[i]; fr.kind {
-		case frameTypeAck:
-			c.onAck(&fr.ack)
+	if len(p.ack.Ranges) > 0 {
+		c.onAck(&p.ack)
+	}
+	for i := range p.ctrl {
+		switch fr := &p.ctrl[i]; fr.kind {
 		case frameTypeMaxData:
 			if v := fr.maxData.Max; v > c.sendLimit {
 				c.sendLimit = v
 			}
-		case frameTypeStream:
-			c.onStreamFrame(&fr.stream)
 		case frameTypeLossReport:
 			f := &fr.loss
 			c.obs.Count(obs.CLossReportedBytes, f.Length)
@@ -748,8 +790,11 @@ func (c *Conn) receive(encoded []byte) {
 			}
 		}
 	}
+	for i := range p.streams {
+		c.onStreamFrame(&p.streams[i])
+	}
 
-	if ackEliciting {
+	if len(p.ctrl)+len(p.streams) > 0 { // anything but an ACK elicits one
 		c.ackPending = true
 		c.ackElicCount++
 		if c.ackElicCount >= 2 {
@@ -759,32 +804,6 @@ func (c *Conn) receive(encoded []byte) {
 		}
 	}
 	c.trySend()
-}
-
-// decodeMemo is decodeFrame behind a memo for ACK frames: a range count and
-// bytes below the top range equal to the last decoded ACK's decode to the
-// same ranges, so only the top range is read. A pure function cached by its
-// input: whatever misses (or has a malformed head) is decodeFrame's to judge.
-//
-//voxel:allocfree
-func (c *Conn) decodeMemo(b []byte, fr *rxFrame) (rest []byte, err error) {
-	if b[0] != frameTypeAck {
-		return decodeFrame(b, fr)
-	}
-	n, first, last, tail, err := consumeVarint3(b[1:])
-	headOK := err == nil && n > 0 && first <= last
-	if headOK && n == c.memoN && bytes.HasPrefix(tail, c.memoTail) {
-		fr.kind = frameTypeAck
-		fr.ack.Ranges = append(fr.ack.Ranges[:0], AckRange{First: first, Last: last})
-		fr.ack.Ranges = append(fr.ack.Ranges, c.memoRanges...)
-		return tail[len(c.memoTail):], nil
-	}
-	if rest, err = decodeFrame(b, fr); err == nil && headOK {
-		c.memoN = n
-		c.memoTail = append(c.memoTail[:0], tail[:len(tail)-len(rest)]...)
-		c.memoRanges = append(c.memoRanges[:0], fr.ack.Ranges[1:]...)
-	}
-	return rest, err
 }
 
 func (c *Conn) onStreamFrame(f *StreamFrame) {
@@ -798,14 +817,11 @@ func (c *Conn) onStreamFrame(f *StreamFrame) {
 			c.onStream(s)
 		}
 	}
-	before := s.received.CoveredBytes()
-	s.handleData(f)
-	newBytes := s.received.CoveredBytes() - before
-	c.recvData += newBytes
+	c.recvData += s.handleData(f)
 	// Replenish connection flow control once half the window is consumed.
 	if c.recvLimit-c.recvData < c.cfg.InitialMaxData/2 {
 		c.recvLimit = c.recvData + c.cfg.InitialMaxData
-		c.ctrlQ.push(&MaxDataFrame{Max: c.recvLimit})
+		c.ctrlQ.push(ctrlFrame{kind: frameTypeMaxData, maxData: MaxDataFrame{Max: c.recvLimit}})
 	}
 }
 
@@ -975,11 +991,11 @@ func (c *Conn) requeueLost(sp *sentPacket) {
 		if f.Unreliable {
 			c.stats.UnreliableLost += uint64(f.Len())
 			c.obs.Count(obs.CUnreliableLostBytes, uint64(f.Len()))
-			c.ctrlQ.push(&LossReportFrame{
+			c.ctrlQ.push(ctrlFrame{kind: frameTypeLossReport, loss: LossReportFrame{
 				StreamID: f.StreamID,
 				Offset:   f.Offset,
 				Length:   uint64(f.Len()),
-			})
+			}})
 			if f.Fin {
 				// The FIN must still reach the peer: resend an empty FIN
 				// frame reliably so the stream's final size is known.
@@ -1051,17 +1067,18 @@ func (c *Conn) onPTO() {
 		return
 	}
 	// Send a probe to elicit an ACK that unblocks threshold loss detection.
-	c.txFrames = append(c.txFrames[:0], PingFrame{})
+	tx := c.getTx()
+	tx.ctrl = append(tx.ctrl, ctrlFrame{kind: frameTypePing})
 	sp := c.allocSent()
 	sp.pn = c.nextPN
-	tx, wireSize := c.encodePacket(c.txFrames, 0)
-	sp.size = wireSize
+	c.seal(tx, PingFrame{}.wireSize())
+	sp.size = tx.size
 	sp.sentAt = now
 	sp.ackEliciting = true
 	c.sentQ.push(sp)
 	c.elicSent++
 	c.elicBytes += uint64(sp.size)
 	c.lastAckElic = now
-	c.transmit(tx, wireSize)
+	c.transmit(tx)
 	c.armPTO()
 }

@@ -12,7 +12,8 @@ import (
 // of Ranges() — must agree with the model. Steps alternate between two
 // sets, and after each one AppendGaps (into a non-empty destination) and
 // CoveredBy are checked over the window the step touched, one byte wider on
-// each side.
+// each side. Before each Add, the lengths of AppendGaps over its range must
+// sum to the CoveredBytes it goes on to add.
 //
 // Run with: go test -fuzz FuzzRangeSet ./internal/quic
 func FuzzRangeSet(f *testing.F) {
@@ -30,7 +31,17 @@ func FuzzRangeSet(f *testing.F) {
 			script = script[2:]
 			end := start + length
 			s, model := &sets[step%2], models[step%2]
+			// What Stream.handleData counts as new bytes: the gaps an Add is
+			// about to fill sum to what it adds to the coverage.
+			var gapBytes uint64
+			for _, g := range s.AppendGaps(nil, start, end) {
+				gapBytes += g.Len()
+			}
+			before := s.CoveredBytes()
 			s.Add(start, end)
+			if delta := s.CoveredBytes() - before; gapBytes != delta {
+				t.Fatalf("step %d: gaps of [%d, %d) sum to %d B, Add covered %d B more", step, start, end, gapBytes, delta)
+			}
 			for b := start; b < end && b < horizon; b++ {
 				model[b] = true
 			}

@@ -1,0 +1,238 @@
+package quic
+
+import (
+	"bytes"
+	"slices"
+	"testing"
+	"time"
+
+	"voxel/internal/invariant"
+	"voxel/internal/netem"
+	"voxel/internal/sim"
+)
+
+// recordTap watches every packet record of one connection: it seeds the
+// connection's pool with n records whose deliver callbacks report to
+// onDeliver first, and sent lists the records sealed since it last looked —
+// called after every simulation event, that is the moment they were sent.
+type recordTap struct {
+	recs      []*txRecord
+	lastPN    []uint64
+	delivered uint64
+}
+
+func tapRecords(c *Conn, n int, onDeliver func(*txRecord)) *recordTap {
+	t := &recordTap{}
+	for i := 0; i < n; i++ {
+		tx := c.getTx() // the pool is empty: a fresh one
+		deliver := tx.deliver
+		tx.deliver = func() {
+			t.delivered++
+			onDeliver(tx)
+			deliver()
+		}
+		t.recs, t.lastPN = append(t.recs, tx), append(t.lastPN, ^uint64(0))
+	}
+	for _, tx := range t.recs {
+		c.putTx(tx)
+	}
+	return t
+}
+
+// sameStreamFrame compares every header field and the payload bytes.
+func sameStreamFrame(a, b *StreamFrame) bool {
+	return a.StreamID == b.StreamID && a.Offset == b.Offset && a.Elided == b.Elided &&
+		a.Fin == b.Fin && a.Unreliable == b.Unreliable && bytes.Equal(a.Data, b.Data)
+}
+
+func (t *recordTap) sent() (fresh []*txRecord) {
+	for i, tx := range t.recs {
+		if tx.size > 0 && tx.pn != t.lastPN[i] {
+			t.lastPN[i] = tx.pn
+			fresh = append(fresh, tx)
+		}
+	}
+	return fresh
+}
+
+// TestRecordDoesNotAliasSenderFrames is the ownership rule of a packet in
+// flight, by construction: a reliable transfer of real bytes over a link that
+// loses, duplicates and holds packets back for longer than a round trip plus
+// the loss timer. A held-back packet is declared lost; its StreamFrames go
+// back to the retransmit queue, are cut to fit (cutFront), acknowledged,
+// recycled through sfFree and reused — and then both copies of the old packet
+// arrive. Every delivery must present exactly the frames the sender's
+// sentPacket held at the moment it was sent, and under an armed checker the
+// stream still finalises as one contiguous range of the right bytes.
+func TestRecordDoesNotAliasSenderFrames(t *testing.T) {
+	s := sim.New(1)
+	s.SetChecker(invariant.New())
+	path := netem.NewFixedPath(s, 20e6, 4096) // no queue drops: a pool of 4096 records never runs dry
+	path.Down.Impair(netem.Chain{
+		netem.IIDLoss{P: 0.01},
+		netem.Reorder{P: 0.03, Delay: 400 * time.Millisecond},
+		netem.Duplicate{P: 0.3},
+	}, 7)
+	client, server := NewPair(s, path, Config{}, Config{})
+
+	const total = 1 << 20
+	data := payload(total)
+	var got *collect
+	client.OnStream(func(st *Stream) { got = newCollect(st, total) })
+
+	type sentFrame struct {
+		at    *StreamFrame // the sender's frame, for watching what becomes of it
+		frame StreamFrame  // what it held when the packet was sent
+	}
+	type sentPkt struct {
+		at     sim.Time
+		frames []sentFrame
+	}
+	atSend := map[uint64]*sentPkt{}
+	var late, stale, split int
+	tap := tapRecords(server, 4096, func(tx *txRecord) {
+		var want []sentFrame
+		if sp := atSend[tx.pn]; sp != nil { // nil: an ACK-only packet, never in the in-flight queue
+			want = sp.frames
+			if s.Now()-sp.at > 300*time.Millisecond {
+				late++
+			}
+		}
+		if len(tx.streams) != len(want) {
+			t.Fatalf("packet %d delivers %d stream frames, was sent with %d", tx.pn, len(tx.streams), len(want))
+		}
+		changed := false
+		for i := range tx.streams {
+			f, w := &tx.streams[i], &want[i]
+			if !sameStreamFrame(f, &w.frame) {
+				t.Fatalf("packet %d delivers %+v, was sent as %+v (the sender's frame now holds %+v)", tx.pn, *f, w.frame, *w.at)
+			}
+			if !bytes.Equal(f.Data, data[f.Offset:][:len(f.Data)]) {
+				t.Fatalf("packet %d delivers wrong bytes at offset %d", tx.pn, f.Offset)
+			}
+			changed = changed || !sameStreamFrame(w.at, &w.frame)
+		}
+		if changed {
+			stale++
+		}
+	})
+
+	st := server.OpenStream(false)
+	st.Write(data)
+	st.CloseWrite()
+	// Traffic the other way keeps ACKs riding on the server's data packets, so
+	// a lost full-size frame no longer fits the packet that retransmits it.
+	up := client.OpenStream(false)
+	up.Write(data)
+	up.CloseWrite()
+	next := uint64(0)            // first packet number not snapshotted yet
+	firstCut := map[uint64]int{} // offset → length of the frame first sent there
+	for s.Now() < 120*time.Second && s.Step() {
+		q := &server.sentQ
+		for i := q.head; i < len(q.pk); i++ {
+			sp := q.pk[i]
+			if sp.pn < next {
+				continue
+			}
+			snap := &sentPkt{at: s.Now()}
+			for _, f := range sp.streamFrames {
+				snap.frames = append(snap.frames, sentFrame{at: f, frame: *f})
+				if n, seen := firstCut[f.Offset]; !seen {
+					firstCut[f.Offset] = f.Len()
+				} else if n != f.Len() {
+					split++ // a retransmission cut differently: cutFront ran on the lost frame
+				}
+			}
+			atSend[sp.pn], next = snap, sp.pn+1
+		}
+	}
+
+	if got == nil || !got.fin || got.size != total || !bytes.Equal(got.buf, data) {
+		t.Fatal("transfer did not complete intact")
+	}
+	if n := client.Stats().PacketsReceived; tap.delivered != n || path.Down.Stats().Dropped != 0 {
+		t.Fatalf("tapped %d of %d deliveries (%d queue drops): the record pool ran dry", tap.delivered, n, path.Down.Stats().Dropped)
+	}
+	if st := server.Stats(); late < 20 || stale < 20 || split == 0 || st.RetransmitBytes == 0 || path.Down.Stats().Duplicated < 100 {
+		t.Fatalf("the hazard was not exercised: %d late deliveries, %d after the sender's frames had changed (%d retransmit splits), %d B retransmitted, %d duplicates",
+			late, stale, split, st.RetransmitBytes, path.Down.Stats().Duplicated)
+	}
+}
+
+// TestAckSnapshotIsStable: an ACK is the history at the moment it was sent.
+// The client's ACK packets are held back on the uplink while it keeps
+// receiving (recvdPNs.Add) through a lossy downlink and keeps sending newer
+// ACKs (buildAck); every one of them, whenever it arrives, delivers the
+// ranges it was sent with.
+func TestAckSnapshotIsStable(t *testing.T) {
+	s := sim.New(1)
+	s.SetChecker(invariant.New())
+	path := netem.NewFixedPath(s, 10e6, 1024)
+	path.Down.Impair(netem.IIDLoss{P: 0.02}, 3)
+	path.Up.Impair(netem.Reorder{P: 0.3, Delay: 150 * time.Millisecond}, 5)
+	cfg := Config{InitialMaxData: 1 << 40}
+	client, server := NewPair(s, path, cfg, cfg)
+	done := false
+	client.OnStream(func(st *Stream) { st.OnFin(func(uint64) { done = true }) })
+
+	atSend := map[uint64][]AckRange{}
+	var outdated int
+	var now AckFrame
+	tap := tapRecords(client, 256, func(tx *txRecord) {
+		want, ok := atSend[tx.pn]
+		if !ok || !slices.Equal(tx.ack.Ranges, want) {
+			t.Fatalf("packet %d delivers ACK %v, was sent with %v", tx.pn, tx.ack.Ranges, want)
+		}
+		if client.buildAck(&now); client.nextPN > tx.pn+1 && !slices.Equal(now.Ranges, want) {
+			outdated++
+		}
+	})
+
+	st := server.OpenStream(true)
+	st.WriteZeros(2 << 20)
+	st.CloseWrite()
+	maxRanges := 0
+	for s.Now() < 60*time.Second && s.Step() {
+		for _, tx := range tap.sent() {
+			atSend[tx.pn] = slices.Clone(tx.ack.Ranges)
+			maxRanges = max(maxRanges, len(tx.ack.Ranges))
+		}
+	}
+	if !done || tap.delivered != server.Stats().PacketsReceived {
+		t.Fatalf("transfer done: %v; tapped %d of %d deliveries", done, tap.delivered, server.Stats().PacketsReceived)
+	}
+	if outdated < 100 || maxRanges < 20 {
+		t.Fatalf("only %d ACKs arrived after the history had moved on and a newer ACK was sent; largest ACK %d ranges", outdated, maxRanges)
+	}
+}
+
+// TestWireRoundTripInvariant: under an armed checker transmit holds a record
+// to the codec — every frame kind passes when the size sent is the size
+// encoded, and a record sealed one byte off is a quic.wire-roundtrip
+// violation. (The armed transfers above run it on every packet they send.)
+func TestWireRoundTripInvariant(t *testing.T) {
+	s := sim.New(1)
+	s.SetChecker(invariant.New())
+	c, _ := NewPair(s, netem.NewFixedPath(s, 10e6, 64), Config{}, Config{})
+	pkt := &Packet{Frames: []Frame{
+		&AckFrame{Ranges: []AckRange{{First: 70, Last: 90}, {First: 2, Last: 9}}},
+		&MaxDataFrame{Max: 1 << 30}, &LossReportFrame{StreamID: 3, Offset: 1 << 20, Length: 1180}, PingFrame{},
+		&StreamFrame{StreamID: 4, Offset: 1 << 14, Data: []byte("HTTP/1.1 206")},
+		&StreamFrame{StreamID: 3, Offset: 1 << 30, Elided: 900, Fin: true, Unreliable: true},
+		&StreamFrame{StreamID: 8, Offset: 77, Fin: true},
+	}}
+	frameBytes := pkt.WireSize() - 1 - varintLen(pkt.Number)
+	tx := recordOf(pkt)
+	c.seal(tx, frameBytes)
+	c.transmit(tx)
+
+	defer func() {
+		v, ok := invariant.AsViolation(recover())
+		if !ok || v.Rule != "quic.wire-roundtrip" {
+			t.Fatalf("a record sealed one byte short: recovered %v, want a quic.wire-roundtrip violation", v)
+		}
+	}()
+	tx = recordOf(pkt)
+	c.seal(tx, frameBytes-1)
+	c.transmit(tx)
+}

@@ -17,10 +17,10 @@ type Stream struct {
 	// straight out of the head run instead of re-copying, so a real run is
 	// shared read-only with the frames cut from it until the garbage
 	// collector sees the last one.
-	sendRuns  []sendRun // runs not yet fully packetized
-	sendLen   int       // total unpacketized bytes across all runs
-	sendBase  uint64    // stream offset of the next byte to packetize
-	finQueued bool      // CloseWrite called
+	sendRuns  fifo[sendRun] // runs not yet fully packetized
+	sendLen   int           // total unpacketized bytes across all runs
+	sendBase  uint64        // stream offset of the next byte to packetize
+	finQueued bool          // CloseWrite called
 	finSent   bool
 
 	// receive state
@@ -68,7 +68,7 @@ func (s *Stream) WriteShared(data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	s.sendRuns = append(s.sendRuns, sendRun{data: data})
+	s.sendRuns.push(sendRun{data: data})
 	s.sendLen += len(data)
 	s.conn.markActive(s)
 }
@@ -84,10 +84,10 @@ func (s *Stream) WriteZeros(n int) {
 	if n <= 0 {
 		return
 	}
-	if k := len(s.sendRuns); k > 0 && s.sendRuns[k-1].data == nil {
-		s.sendRuns[k-1].zeros += n
+	if runs := s.sendRuns.live(); len(runs) > 0 && runs[len(runs)-1].data == nil {
+		runs[len(runs)-1].zeros += n
 	} else {
-		s.sendRuns = append(s.sendRuns, sendRun{zeros: n})
+		s.sendRuns.push(sendRun{zeros: n})
 	}
 	s.sendLen += n
 	s.conn.markActive(s)
@@ -122,7 +122,8 @@ func (s *Stream) WriteAt(offset uint64, data []byte) {
 // range of an arriving stream frame with the range's offset and length, and
 // its bytes — nil when the sender queued the range with WriteZeros. Frames
 // can arrive out of order; duplicate bytes are suppressed. data aliases the
-// packet buffer and is only valid during the call.
+// sender's bytes — nothing is copied between Write and here — so it is
+// read-only.
 func (s *Stream) OnData(fn func(offset, length uint64, data []byte)) { s.onData = fn }
 
 // OnLost registers the loss callback for unreliable streams; it fires when
@@ -178,7 +179,7 @@ func (s *Stream) nextFrame(maxData int) *StreamFrame {
 	}
 	f := s.conn.allocFrame()
 	if n > 0 {
-		switch head := &s.sendRuns[0]; {
+		switch head := s.sendRuns.front(); {
 		case head.zeros >= n:
 			f.Elided = n
 			head.zeros -= n
@@ -189,8 +190,8 @@ func (s *Stream) nextFrame(maxData int) *StreamFrame {
 			f.Data = s.cutSpanning(n)
 		}
 		s.sendLen -= n
-		if s.sendRuns[0].len() == 0 {
-			s.dropHeadRun()
+		if s.sendRuns.front().len() == 0 {
+			s.sendRuns.pop()
 		}
 	}
 	f.StreamID = s.id
@@ -207,11 +208,13 @@ func (s *Stream) nextFrame(maxData int) *StreamFrame {
 // cutSpanning materializes a cut of n bytes that crosses run boundaries —
 // in practice the one frame per response holding an HTTP head and the first
 // bytes of a content-free body. Zero runs contribute the fresh buffer's
-// zeros. The last run touched stays at the head, possibly empty.
+// zeros. The last run touched stays at the head, possibly empty. (Frames cut
+// from a real run keep its bytes alive after the run is popped, until the
+// last one is acked and freed.)
 func (s *Stream) cutSpanning(n int) []byte {
 	data := make([]byte, n)
-	for filled := 0; ; s.dropHeadRun() {
-		head := &s.sendRuns[0]
+	for filled := 0; ; s.sendRuns.pop() {
+		head := s.sendRuns.front()
 		take := n - filled
 		if l := head.len(); take > l {
 			take = l
@@ -228,26 +231,20 @@ func (s *Stream) cutSpanning(n int) []byte {
 	}
 }
 
-// dropHeadRun releases the fully-consumed head run. Frames cut from a real
-// run may still alias its bytes; the run stays alive through them until the
-// last one is acked and freed.
-func (s *Stream) dropHeadRun() {
-	s.sendRuns[0] = sendRun{}
-	s.sendRuns = s.sendRuns[1:]
-}
-
-// handleData processes an arriving stream frame on the receive side.
+// handleData processes an arriving stream frame on the receive side and
+// returns how many of its bytes the stream had not received before.
 //
 //voxel:allocfree
-func (s *Stream) handleData(f *StreamFrame) {
+func (s *Stream) handleData(f *StreamFrame) (newBytes uint64) {
 	end := f.Offset + uint64(f.Len())
 	if end > f.Offset {
 		// Suppress duplicate delivery: only surface sub-ranges not yet seen.
 		c := s.conn
 		gaps := s.received.AppendGaps(c.gapScratch[:0], f.Offset, end)
 		s.received.Add(f.Offset, end)
-		if s.onData != nil {
-			for _, g := range gaps {
+		for _, g := range gaps {
+			newBytes += g.Len()
+			if s.onData != nil {
 				var data []byte
 				if f.Elided == 0 {
 					data = f.Data[g.Start-f.Offset : g.End-f.Offset]
@@ -262,6 +259,7 @@ func (s *Stream) handleData(f *StreamFrame) {
 		s.finalKnown = true
 	}
 	s.maybeFin()
+	return newBytes
 }
 
 // handleLossReport records a permanent hole on an unreliable stream.

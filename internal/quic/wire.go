@@ -4,9 +4,17 @@
 // retransmitted by the transport. Loss on unreliable streams is detected by
 // the sender's ACK machinery and reported to the receiving application
 // through a reliable LOSS_REPORT frame, giving the client the "precise
-// knowledge about the losses" §4.2 relies on. Packet and frame headers use
-// a real QUIC-style varint wire encoding; stream payload whose content
-// nobody reads (segment bodies) travels as a length — see StreamFrame.
+// knowledge about the losses" §4.2 relies on.
+//
+// This file defines the wire format — a QUIC-style varint encoding of packet
+// and frame headers, with stream payload whose content nobody reads (segment
+// bodies) elided to a length, see StreamFrame — and with it every size the
+// simulation observes: wireSize() is what the packet budget, congestion and
+// flow control and the link charge. The bytes themselves are not produced on
+// the trial path: both endpoints live in one process and no impairment can
+// corrupt a byte, so a packet crosses the link as its frames by value
+// (txRecord, conn.go). The codec runs under an armed invariant checker
+// (quic.wire-roundtrip), which holds every transmitted packet to it.
 package quic
 
 import (
@@ -134,13 +142,6 @@ func (f *AckFrame) wireSize() int {
 	return n
 }
 
-// encodedAck is an ACK frame kept in wire form (Conn.buildAck): sending one
-// is a single append however many ranges it carries.
-type encodedAck struct{ wire []byte }
-
-func (f *encodedAck) appendTo(b []byte) []byte { return append(b, f.wire...) }
-func (f *encodedAck) wireSize() int            { return len(f.wire) }
-
 // MaxDataFrame raises the connection-level flow-control limit.
 type MaxDataFrame struct {
 	Max uint64
@@ -159,7 +160,8 @@ func (f *MaxDataFrame) wireSize() int { return 1 + varintLen(f.Max) }
 // A frame's payload is either real — Data — or elided: Elided content-free
 // bytes that occupy the wire (packet budget, congestion and flow control,
 // link serialization all count them) but are never materialized. An elided
-// frame encodes its header only, with elidedBit set. Never both at once.
+// frame encodes its header only, with elidedBit set. Never both at once; a
+// frame without real payload has a nil Data, also when DecodePacket made it.
 type StreamFrame struct {
 	StreamID   uint64
 	Offset     uint64
@@ -233,8 +235,7 @@ func (f *LossReportFrame) wireSize() int {
 }
 
 // rxFrame is decodeFrame's target: the frame it last decoded, in the member
-// kind names. Connections keep one per frame of a packet and reuse them, so
-// decoding does not allocate.
+// kind names. Reused, so decoding does not allocate.
 type rxFrame struct {
 	kind    byte
 	ack     AckFrame
@@ -246,8 +247,7 @@ type rxFrame struct {
 // decodeFrame decodes the frame at the front of b (len(b) > 0) into fr,
 // sets fr.kind — the frame type, with every STREAM/USTREAM variant folded
 // into frameTypeStream — and returns the remaining bytes. It is the only
-// frame decoder: the receive path (behind Conn.decodeMemo) and DecodePacket
-// both run it, so they accept exactly the same encodings.
+// frame decoder.
 func decodeFrame(b []byte, fr *rxFrame) (rest []byte, err error) {
 	t := b[0]
 	fr.kind, rest = t, b[1:]
@@ -335,8 +335,7 @@ func (p *Packet) Encode() []byte {
 }
 
 // AppendTo appends the packet's wire encoding to b and returns the extended
-// slice. The transport's hot path uses it with per-connection scratch
-// buffers so steady-state sending does not allocate.
+// slice.
 func (p *Packet) AppendTo(b []byte) []byte {
 	b = append(b, packetHeaderByte)
 	b = appendVarint(b, p.Number)
@@ -356,8 +355,7 @@ func (p *Packet) WireSize() int {
 	return n
 }
 
-// DecodePacket parses an encoded packet into freshly allocated frames (the
-// connection's receive path decodes in place instead).
+// DecodePacket parses an encoded packet into freshly allocated frames.
 func DecodePacket(b []byte) (*Packet, error) {
 	if len(b) == 0 || b[0] != packetHeaderByte {
 		return nil, errors.New("quic: bad packet header")
