@@ -135,10 +135,6 @@ func main() {
 	if *shardSpec != "" {
 		opts = append(opts, voxel.WithShard(shard.Index, shard.Count))
 	}
-	if *checkpointPath != "" && !*stream {
-		// In streaming mode the checkpoint is handed to sweep.Run directly.
-		opts = append(opts, voxel.WithCheckpoint(*checkpointPath, *checkpointEvery))
-	}
 	if *impair != "" {
 		opts = append(opts, voxel.WithImpairment(*impair))
 	}
@@ -186,29 +182,44 @@ func main() {
 	}
 
 	sess := voxel.New(*title, opts...)
-	if *stream {
-		res, err := sweep.Run(sess.Config(), sweep.Options{
-			Checkpoint: *checkpointPath, Every: *checkpointEvery, Stream: true,
+	var agg *voxel.Aggregate
+	var report *voxel.Report
+	if *stream || *checkpointPath != "" {
+		// The sweep engine is driven directly: its Result says how many
+		// trials were restored and what the checkpoints cost in I/O.
+		cfg := sess.Config()
+		if err := cfg.Validate(); err != nil {
+			fatal(err)
+		}
+		res, err := sweep.Run(cfg, sweep.Options{
+			Checkpoint: *checkpointPath, Every: *checkpointEvery, Stream: *stream,
 		})
 		if err != nil {
 			fatal(err)
+		}
+		if *checkpointPath != "" {
+			fmt.Fprintf(os.Stderr, "checkpoints: %d writes, %.2f MB written, final %.2f MB\n", res.CheckpointWrites,
+				float64(res.CheckpointBytes)/1e6, float64(res.CheckpointFinal)/1e6)
 		}
 		if res.Restored > 0 {
 			fmt.Printf("restored %d finished trials from %s (%d run now)\n",
 				res.Restored, *checkpointPath, res.Ran)
 		}
-		fmt.Println()
-		fmt.Print(res.Stream.Summary())
-		if res.Stream.Failed > 0 {
-			stopProfiles()
-			os.Exit(1)
+		if *stream {
+			fmt.Println()
+			fmt.Print(res.Stream.Summary())
+			if res.Stream.Failed > 0 {
+				stopProfiles()
+				os.Exit(1)
+			}
+			return
 		}
-		return
-	}
-
-	agg, report, err := sess.Run()
-	if err != nil {
-		fatal(err)
+		agg, report = res.Agg, res.Agg.Obs
+	} else {
+		var err error
+		if agg, report, err = sess.Run(); err != nil {
+			fatal(err)
+		}
 	}
 	reportFailures(agg)
 

@@ -77,6 +77,7 @@ func runTrial(cfg Config, trial int) (tr Trial, terr *TrialError) {
 	w := newWorld(cfg, trial)
 	defer func() {
 		if r := recover(); r != nil {
+			// The kernel may have died mid-event; it is not released.
 			tr, terr = Trial{Failed: true}, w.fromPanic(r)
 		}
 	}()
@@ -84,9 +85,14 @@ func runTrial(cfg Config, trial int) (tr Trial, terr *TrialError) {
 		terr = w.run()
 	}
 	if terr != nil {
-		return Trial{Failed: true}, terr
+		tr = Trial{Failed: true}
+	} else {
+		tr = w.harvest()
 	}
-	return w.harvest(), nil
+	// Results and errors hold values read off the world, never the world:
+	// its kernel goes to the next trial.
+	w.s.Release()
+	return tr, terr
 }
 
 // build assembles the topology and every session stack.

@@ -5,7 +5,9 @@ package sim
 // random schedule/cancel/reschedule/run scripts — including same-instant
 // ties, past-time clamps, zero delays, nested scheduling from inside
 // callbacks, far-future overflow events, and mid-script Halt — and must
-// produce identical execution traces, clocks, and counters.
+// produce identical execution traces, clocks, and counters. Every script
+// runs on the wheel twice: on a kernel New just built, and on one that was
+// another world first (recycled), which must be indistinguishable.
 
 import (
 	"math/rand"
@@ -170,28 +172,71 @@ func replay[E any](k kernel[E], ops []scriptOp, halt bool) *driver[E] {
 	return d
 }
 
+// dirty makes s as untidy as a dying world can leave a kernel: events
+// pending in buckets, in the due run and in overflow, tombstones of
+// canceled events, timers lazily moved later (their standing entries point
+// at an earlier slot), recycled handles, and a Halt from inside an event
+// with the due run half consumed.
+func dirty(s *Sim, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	d := &driver[*Event]{k: s}
+	for i := 0; i < 300; i++ {
+		d.spawn(Time(rng.Int63n(int64(3*wheelSpan))), false)
+	}
+	s.RunUntil(wheelSpan / 3) // fired events spawn, cancel and reschedule on their own
+	for i := 0; i < 60; i++ {
+		s.Cancel(d.handles[rng.Intn(len(d.handles))])
+		h := d.handles[rng.Intn(len(d.handles))]
+		s.Reschedule(h, h.At+Time(rng.Int63n(int64(wheelSpan))))
+	}
+	for i := 0; i < 8; i++ {
+		d.spawn(s.Now(), true) // same instant: lands in the due run
+	}
+	s.Schedule(0, s.Halt)
+	for i := 0; i < 8; i++ {
+		d.spawn(s.Now(), true) // behind the Halt: left in the due run
+	}
+	s.RunUntil(s.Now() + wheelSpan)
+}
+
+// recycled returns a kernel that was a dirty world, then reset and reseeded
+// — what New makes of a released kernel. The pool is bypassed so that the
+// kernel under test is certainly a recycled one: sync.Pool may drop what it
+// is given, and under the race detector does so at random.
+func recycled(seed int64) *Sim {
+	s := New(^seed)
+	dirty(s, seed)
+	s.reset()
+	s.rng.Seed(seed)
+	return s
+}
+
 func diffKernels(t *testing.T, seed int64, nops int, halt bool) {
 	t.Helper()
 	ops := genScript(rand.New(rand.NewSource(seed)), nops)
-	dw := replay[*Event](New(seed), ops, halt)
 	dh := replay[*refEvent](newRefSim(), ops, halt)
-
-	if len(dw.trace) != len(dh.trace) {
-		t.Fatalf("seed %d: wheel fired %d events, heap fired %d", seed, len(dw.trace), len(dh.trace))
-	}
-	for i := range dw.trace {
-		if dw.trace[i] != dh.trace[i] {
-			t.Fatalf("seed %d: trace diverges at %d: wheel %+v, heap %+v", seed, i, dw.trace[i], dh.trace[i])
+	for _, k := range []struct {
+		name string
+		sim  *Sim
+	}{{"wheel", New(seed)}, {"recycled wheel", recycled(seed)}} {
+		dw := replay[*Event](k.sim, ops, halt)
+		if len(dw.trace) != len(dh.trace) {
+			t.Fatalf("seed %d: %s fired %d events, heap fired %d", seed, k.name, len(dw.trace), len(dh.trace))
 		}
-	}
-	if dw.k.Now() != dh.k.Now() {
-		t.Fatalf("seed %d: clock diverges: wheel %v, heap %v", seed, dw.k.Now(), dh.k.Now())
-	}
-	if dw.k.Executed() != dh.k.Executed() {
-		t.Fatalf("seed %d: executed diverges: wheel %d, heap %d", seed, dw.k.Executed(), dh.k.Executed())
-	}
-	if dw.k.Pending() != dh.k.Pending() {
-		t.Fatalf("seed %d: pending diverges: wheel %d, heap %d", seed, dw.k.Pending(), dh.k.Pending())
+		for i := range dw.trace {
+			if dw.trace[i] != dh.trace[i] {
+				t.Fatalf("seed %d: trace diverges at %d: %s %+v, heap %+v", seed, i, k.name, dw.trace[i], dh.trace[i])
+			}
+		}
+		if dw.k.Now() != dh.k.Now() {
+			t.Fatalf("seed %d: clock diverges: %s %v, heap %v", seed, k.name, dw.k.Now(), dh.k.Now())
+		}
+		if dw.k.Executed() != dh.k.Executed() {
+			t.Fatalf("seed %d: executed diverges: %s %d, heap %d", seed, k.name, dw.k.Executed(), dh.k.Executed())
+		}
+		if dw.k.Pending() != dh.k.Pending() {
+			t.Fatalf("seed %d: pending diverges: %s %d, heap %d", seed, k.name, dw.k.Pending(), dh.k.Pending())
+		}
 	}
 }
 
@@ -221,14 +266,13 @@ func TestDifferentialLong(t *testing.T) {
 // the near wheel exactly when due — checked against both the recorded
 // per-event deadline and global ordering.
 func TestQuickOverflowPromotion(t *testing.T) {
-	f := func(raw []uint32, farMask uint64) bool {
+	prop := func(s *Sim, raw []uint32, farMask uint64) bool {
 		if len(raw) == 0 {
 			return true
 		}
 		if len(raw) > 150 {
 			raw = raw[:150]
 		}
-		s := New(11)
 		type slot struct {
 			want  Time
 			fired bool
@@ -274,6 +318,9 @@ func TestQuickOverflowPromotion(t *testing.T) {
 		}
 		return s.Now() == prevAt
 	}
+	f := func(raw []uint32, farMask uint64) bool {
+		return prop(New(11), raw, farMask) && prop(recycled(11), raw, farMask)
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(4))}); err != nil {
 		t.Fatal(err)
 	}
@@ -283,10 +330,9 @@ func TestQuickOverflowPromotion(t *testing.T) {
 // events keep promoting correctly as the window jumps across long empty
 // stretches.
 func TestQuickFarChainPromotion(t *testing.T) {
-	f := func(hops uint8, step uint32) bool {
+	prop := func(s *Sim, hops uint8, step uint32) bool {
 		n := int(hops%12) + 2
 		d := wheelSpan/2 + Time(step%uint32(2*int64(wheelSpan)))
-		s := New(13)
 		var fired []Time
 		var hop func(left int)
 		hop = func(left int) {
@@ -306,6 +352,9 @@ func TestQuickFarChainPromotion(t *testing.T) {
 			}
 		}
 		return true
+	}
+	f := func(hops uint8, step uint32) bool {
+		return prop(New(13), hops, step) && prop(recycled(13), hops, step)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(5))}); err != nil {
 		t.Fatal(err)

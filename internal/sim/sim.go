@@ -27,7 +27,8 @@
 // Only a deadline moving earlier inserts a fresh entry (orphaning the old
 // one as a tombstone). Entries carry the sequence they were inserted with,
 // so a stale entry can never fire a recycled event: event handles are
-// pooled, and the global sequence counter never repeats.
+// pooled, and the global sequence counter never repeats within a world (a
+// released kernel starts the next one at zero, with no entry left in it).
 package sim
 
 import (
@@ -35,6 +36,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"sync"
 	"time"
 
 	"voxel/internal/invariant"
@@ -152,13 +154,72 @@ type Sim struct {
 	check *invariant.Checker // nil = invariant checking disabled
 }
 
-// New returns a simulator whose random source is seeded with seed.
+// kernels holds released kernels. A kernel's storage — the wheel's 8,192
+// bucket headers above all, 192 KB of pointers — costs more than everything
+// a short trial schedules on it, so it outlives its world.
+var kernels sync.Pool
+
+// New returns a simulator whose random source is seeded with seed. It may
+// be a recycled one (see Release), which no caller can tell from a fresh
+// one: Seed restarts the stream rand.NewSource(seed) would produce.
 func New(seed int64) *Sim {
+	if s, _ := kernels.Get().(*Sim); s != nil {
+		s.rng.Seed(seed)
+		return s
+	}
 	return &Sim{
 		rng:   rand.New(rand.NewSource(seed)),
 		slots: make([][]entry, wheelSlots),
 		occ:   make([]uint64, wheelWords),
 	}
+}
+
+// Release ends the simulator's world and hands its storage to a later New.
+// The caller must be done with the simulator and with everything scheduled
+// on it, and must not release one that panicked inside an event: it may be
+// halfway through fire. Releasing is optional; an unreleased kernel is
+// simply collected.
+func (s *Sim) Release() {
+	s.reset()
+	kernels.Put(s)
+}
+
+// reset returns the kernel to the state New built it in, keeping what it
+// allocated: the wheel, the bucket arrays (all in spare now), the event
+// free list and the capacity of due and overflow. Nothing of the old world
+// stays reachable — an idle timer's callback closes over its connection,
+// and through it the whole world — so every array is zeroed to capacity,
+// not to length: drained arrays keep stale entries beyond it.
+func (s *Sim) reset() {
+	for w, word := range s.occ {
+		for ; word != 0; word &= word - 1 {
+			b := w<<6 + bits.TrailingZeros64(word)
+			s.spare = append(s.spare, s.slots[b])
+			s.slots[b] = nil
+		}
+		s.occ[w] = 0
+	}
+	for i, a := range s.spare {
+		s.spare[i] = scrub(a)
+	}
+	s.due, s.duePos = scrub(s.due), 0
+	s.overflow = scrub(s.overflow)
+	s.now, s.seq, s.nexec, s.live, s.cursor = 0, 0, 0, 0, 0
+	s.halted, s.check = false, nil
+}
+
+// scrub empties a bucket array for the next world. Events still pending
+// behind its entries are disarmed — a handle the dead world kept must not
+// act on the next world's kernel — but not pushed on the free list: one
+// event can stand behind several entries.
+func scrub(a []entry) []entry {
+	for _, en := range a {
+		if e := en.ev; e.state == statePending {
+			e.state, e.Fn = stateCanceled, nil
+		}
+	}
+	clear(a[:cap(a)])
+	return a[:0]
 }
 
 // SetChecker arms (or, with nil, disarms) cross-layer invariant checking

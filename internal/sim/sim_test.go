@@ -1,11 +1,15 @@
 package sim
 
 import (
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"voxel/internal/invariant"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -487,6 +491,120 @@ func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(5000, op); avg != 0 {
 		t.Fatalf("steady-state schedule/reschedule/cancel allocates %v allocs/op, want 0", avg)
 	}
+
+	// A second world on the same kernel starts warm: the wheel, the events
+	// and the bucket arrays are the first world's, so it allocates nothing
+	// from its first event on — counted over the whole world, where a
+	// rebuilt wheel (one allocation) could not hide in a truncated average.
+	s.reset()
+	s.rng.Seed(2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 5000; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("a world on a recycled kernel made %d allocations (%d bytes), want 0",
+			n, after.TotalAlloc-before.TotalAlloc)
+	}
+}
+
+// A recycled kernel is in the state New builds: nothing of the dirty world
+// it came from can be observed, or is still referenced.
+func TestRecycledKernelLooksFresh(t *testing.T) {
+	s := New(3)
+	dirty(s, 3)
+	occupied := 0
+	for _, word := range s.occ {
+		occupied += bits.OnesCount64(word)
+	}
+	if s.Pending() == 0 || occupied == 0 || len(s.overflow) == 0 || s.duePos == len(s.due) || !s.Halted() || len(s.free) == 0 {
+		t.Fatalf("the dirty world is too tidy to prove anything: pending=%d buckets=%d overflow=%d due=%d/%d halted=%v free=%d",
+			s.Pending(), occupied, len(s.overflow), s.duePos, len(s.due), s.Halted(), len(s.free))
+	}
+	var stale *Event
+	for _, en := range s.overflow {
+		if en.ev.state == statePending {
+			stale = en.ev
+		}
+	}
+	s.SetChecker(invariant.New())
+
+	s.reset()
+	s.rng.Seed(3)
+	if s.Now() != 0 || s.Executed() != 0 || s.Pending() != 0 || s.Halted() || s.Checker() != nil ||
+		s.seq != 0 || s.cursor != 0 || s.duePos != 0 || len(s.due) != 0 || len(s.overflow) != 0 {
+		t.Fatalf("recycled kernel is not at its origin: %+v", s)
+	}
+	for _, word := range s.occ {
+		if word != 0 {
+			t.Fatal("recycled kernel has occupied buckets")
+		}
+	}
+	for b, bucket := range s.slots {
+		if bucket != nil {
+			t.Fatalf("recycled kernel still holds bucket %d", b)
+		}
+	}
+	arrays := append([][]entry{s.due, s.overflow}, s.spare...)
+	for _, a := range arrays {
+		for _, en := range a[:cap(a)] {
+			if en != (entry{}) {
+				t.Fatalf("a recycled bucket array still holds %+v", en)
+			}
+		}
+	}
+	for _, e := range s.free {
+		if e.Fn != nil {
+			t.Fatal("a free event still holds its callback")
+		}
+	}
+	fresh := New(3)
+	for i := 0; i < 100; i++ {
+		if a, b := s.Rand().Int63(), fresh.Rand().Int63(); a != b {
+			t.Fatalf("random draw %d: recycled %d, fresh %d", i, a, b)
+		}
+	}
+	// A handle the dead world kept is inert: it cannot touch the new world.
+	if stale == nil || stale.Fn != nil || !stale.Canceled() {
+		t.Fatalf("an event pending at release was not disarmed: %+v", stale)
+	}
+	free := len(s.free)
+	s.Cancel(stale)
+	s.Reschedule(stale, time.Second)
+	if s.Pending() != 0 || len(s.free) != free {
+		t.Fatal("a stale handle acted on the recycled kernel")
+	}
+}
+
+// What a world scheduled holds the world: a timer's callback closes over
+// its connection. A released kernel must not keep any of it alive.
+func TestReleasedKernelPinsNothing(t *testing.T) {
+	s := New(1)
+	collected := make(chan struct{})
+	func() {
+		world := new([1 << 10]byte)
+		runtime.SetFinalizer(world, func(*[1 << 10]byte) { close(collected) })
+		touch := func() { world[0]++ }
+		s.Schedule(time.Millisecond, touch)   // fires: its drained bucket array goes to spare
+		s.Schedule(3*time.Millisecond, touch) // stays in a bucket
+		s.Schedule(time.Hour, touch)          // stays in overflow
+		NewTimer(s, touch).Arm(30 * time.Second)
+		s.RunUntil(2 * time.Millisecond)
+		s.Schedule(0, touch) // stays in the due run
+	}()
+	s.Release()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			runtime.KeepAlive(s) // whether or not the pool kept it
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the released kernel still references what its pending events captured")
 }
 
 func BenchmarkScheduleRun(b *testing.B) {

@@ -1,8 +1,10 @@
 package sweep
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -19,6 +21,10 @@ const checkpointVersion = 1
 type trialRecord struct {
 	Trial  int       `json:"trial"`
 	Result exp.Trial `json:"result"`
+	// enc, when set, is json.Marshal of the two fields above, taken when a
+	// checkpoint first needed it (exact.save): WriteFile writes it as it is,
+	// so a finished trial is encoded once however many writes carry it.
+	enc []byte
 }
 
 // Checkpoint is the on-disk state of a (possibly partial) sweep: the
@@ -67,40 +73,98 @@ func (cp *Checkpoint) sameSweep(head *Checkpoint) error {
 	return nil
 }
 
-// WriteFile atomically persists the checkpoint: marshal, write to a temp
-// file in the target directory, fsync, rename over the destination, fsync
-// the directory. A SIGKILL at any instant leaves either the previous
-// complete checkpoint or the new one — never a torn file.
+// WriteFile atomically persists the checkpoint: stream it to a temp file in
+// the target directory, fsync, rename over the destination, fsync the
+// directory. A SIGKILL at any instant leaves either the previous complete
+// checkpoint or the new one — never a torn file.
 func (cp *Checkpoint) WriteFile(path string) error {
-	b, err := json.Marshal(cp)
-	if err != nil {
-		return fmt.Errorf("sweep: marshal checkpoint: %w", err)
-	}
+	_, err := cp.writeFile(path)
+	return err
+}
+
+// writeFile is WriteFile, reporting the size of the file it wrote.
+func (cp *Checkpoint) writeFile(path string) (int64, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		return err
+	var size int64
+	if err = cp.encode(tmp); err == nil {
+		size, err = tmp.Seek(0, io.SeekCurrent)
 	}
-	if err := tmp.Sync(); err != nil {
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if err != nil {
 		tmp.Close()
-		return err
+		return 0, err
 	}
 	if err := tmp.Close(); err != nil {
-		return err
+		return 0, err
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
+		return 0, err
 	}
 	if d, err := os.Open(dir); err == nil {
 		d.Sync()
 		d.Close()
 	}
-	return nil
+	return size, nil
+}
+
+// encode writes the file's bytes — json.Marshal(cp) and a newline, which is
+// the definition of format version 1 — without building them in memory:
+// the header and Done marshalled as a checkpoint with no body, then the
+// body's members in field order under the struct's omitempty rules, each
+// trial record marshalled on its own unless it already was.
+func (cp *Checkpoint) encode(w io.Writer) error {
+	var failed error
+	marshal := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil && failed == nil {
+			failed = fmt.Errorf("sweep: marshal checkpoint: %w", err)
+		}
+		return b
+	}
+	head := *cp
+	head.Trials, head.Fails, head.Sketch = nil, nil, nil
+	b := marshal(&head)
+	if failed != nil {
+		return failed
+	}
+	// bufio keeps the first write error for Flush to report.
+	bw := bufio.NewWriterSize(w, 32<<10)
+	bw.Write(b[:len(b)-1]) // the object stays open for the body
+	for i := range cp.Trials {
+		if i == 0 {
+			bw.WriteString(`,"trials":[`)
+		} else {
+			bw.WriteByte(',')
+		}
+		if rec := &cp.Trials[i]; rec.enc != nil {
+			bw.Write(rec.enc)
+		} else {
+			bw.Write(marshal(rec))
+		}
+	}
+	if len(cp.Trials) > 0 {
+		bw.WriteByte(']')
+	}
+	if len(cp.Fails) > 0 {
+		bw.WriteString(`,"fails":`)
+		bw.Write(marshal(cp.Fails))
+	}
+	if cp.Sketch != nil {
+		bw.WriteString(`,"sketch":`)
+		bw.Write(marshal(cp.Sketch))
+	}
+	bw.WriteString("}\n")
+	if failed != nil {
+		return failed // the temp file is discarded
+	}
+	return bw.Flush()
 }
 
 // LoadCheckpoint reads a checkpoint file and validates it. A checkpoint is

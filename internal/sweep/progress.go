@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"voxel/internal/exp"
@@ -35,7 +36,8 @@ func newAccumulator(stream bool, config func() (exp.Config, error)) (accumulator
 		return nil, err
 	}
 	cfg = cfg.WithDefaults()
-	return &exact{cfg: cfg, trials: make([]exp.Trial, cfg.Trials), fails: make([]*exp.TrialError, cfg.Trials)}, nil
+	return &exact{cfg: cfg, trials: make([]exp.Trial, cfg.Trials), fails: make([]*exp.TrialError, cfg.Trials),
+		enc: make([][]byte, cfg.Trials)}, nil
 }
 
 // exact retains every trial's full result, by trial index, and folds them
@@ -45,6 +47,11 @@ type exact struct {
 	cfg    exp.Config
 	trials []exp.Trial
 	fails  []*exp.TrialError
+	// enc holds each trial's checkpoint record as the first save encoded it
+	// (nil until then, and for failed trials): a result does not change once
+	// it is in, so every later write carries the same bytes. Together they
+	// are as large as the checkpoint file.
+	enc [][]byte
 }
 
 func (e *exact) add(ti int, tr exp.Trial, te *exp.TrialError) {
@@ -52,24 +59,30 @@ func (e *exact) add(ti int, tr exp.Trial, te *exp.TrialError) {
 }
 
 func (e *exact) save(cp *Checkpoint) {
-	cp.Trials = make([]trialRecord, 0, len(cp.Done))
 	for _, ti := range cp.Done {
 		if te := e.fails[ti]; te != nil {
 			cp.Fails = append(cp.Fails, te)
 			continue
 		}
-		// Stamp telemetry reports with their (trial, session) coordinates
-		// before marshal — the same values obs.MergeSessions assigns at
-		// assembly — so the serialized record is canonical whether the
-		// producing process had assembled yet or not. Without this, a
-		// merged output file and a single-process run's file would differ
-		// in stamping alone.
-		for si, r := range e.trials[ti].SessionObs {
-			if r != nil {
-				r.Trial, r.Session = ti, si
+		rec := trialRecord{Trial: ti, Result: e.trials[ti], enc: e.enc[ti]}
+		if rec.enc == nil {
+			// Stamp telemetry reports with their (trial, session) coordinates
+			// before marshal — the same values obs.MergeSessions assigns at
+			// assembly — so the serialized record is canonical whether the
+			// producing process had assembled yet or not. Without this, a
+			// merged output file and a single-process run's file would differ
+			// in stamping alone.
+			for si, r := range rec.Result.SessionObs {
+				if r != nil {
+					r.Trial, r.Session = ti, si
+				}
 			}
+			// A result json cannot encode stays unencoded: WriteFile meets
+			// the same error and reports it.
+			rec.enc, _ = json.Marshal(&rec)
+			e.enc[ti] = rec.enc
 		}
-		cp.Trials = append(cp.Trials, trialRecord{Trial: ti, Result: e.trials[ti]})
+		cp.Trials = append(cp.Trials, rec)
 	}
 }
 
@@ -147,7 +160,7 @@ func (p *progress) checkpoint() *Checkpoint {
 			cp.Done = append(cp.Done, ti)
 		}
 	}
-	cp.Trials, cp.Fails, cp.Sketch = nil, nil, nil
+	cp.Trials, cp.Fails, cp.Sketch = cp.Trials[:0], nil, nil
 	p.acc.save(cp)
 	return cp
 }

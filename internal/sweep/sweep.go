@@ -18,7 +18,10 @@ type Options struct {
 	Checkpoint string
 	// Every writes a checkpoint after every N completed trials (default 1,
 	// i.e. after each trial). The write is atomic, so a kill between
-	// writes loses at most the last N trials of work, never the file.
+	// writes loses at most the last N trials of work, never the file. A
+	// write encodes only the trials finished since the last one, but it
+	// writes the whole file: bytes on disk per write grow with the trials
+	// done (Result.CheckpointBytes adds them up).
 	Every int
 	// Stream folds each trial into mergeable quantile sketches (relative
 	// error stats.DefaultSketchAlpha) and discards the per-trial result
@@ -42,6 +45,12 @@ type Result struct {
 	// owned-trial count when the run finished cleanly.
 	Restored int
 	Ran      int
+	// CheckpointWrites counts the checkpoint files this run wrote,
+	// CheckpointBytes their sizes added up, and CheckpointFinal the size of
+	// the last one — the file the run left behind.
+	CheckpointWrites int
+	CheckpointBytes  int64
+	CheckpointFinal  int64
 }
 
 // Run executes cfg's sweep (or this shard's slice of it) under the
@@ -94,7 +103,13 @@ func Run(cfg exp.Config, opts Options) (Result, error) {
 	sinceWrite := 0
 	save := func() error {
 		sinceWrite = 0
-		return p.checkpoint().WriteFile(opts.Checkpoint)
+		n, err := p.checkpoint().writeFile(opts.Checkpoint)
+		if err == nil {
+			res.CheckpointWrites++
+			res.CheckpointBytes += n
+			res.CheckpointFinal = n
+		}
+		return err
 	}
 	err = exp.RunPartial(d, func(ti int) bool { return p.done[ti] },
 		func(ti int, tr exp.Trial, te *exp.TrialError) error {
