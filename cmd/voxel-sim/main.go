@@ -6,10 +6,13 @@
 // can export them as JSONL (-telemetry-out) and CSV (-telemetry-csv).
 //
 // Large campaigns scale out with the sweep engine: -shard i/n runs only
-// this process's slice of the trial set (merge the shard outputs with
-// voxel-merge), -checkpoint makes the run resumable after a crash or
-// SIGKILL with no recomputation, and -stream folds trials into
-// bounded-memory quantile sketches instead of retaining them.
+// this process's slice of the trial set, -checkpoint makes the run
+// resumable after a crash or SIGKILL with no recomputation (and its final
+// file is the shard's output), and -stream folds trials into bounded-memory
+// quantile sketches instead of retaining them. -merge s0.json s1.json …
+// folds a complete set of shard outputs back into the campaign and prints
+// it exactly as an unsharded run prints — -checkpoint then names where the
+// merged file goes, byte-identical to an unsharded run's checkpoint.
 //
 // With -repro it instead replays a JSON crash artifact (written by
 // voxel-fuzz, or printed as a failing run's "replay:" line; - reads stdin):
@@ -23,6 +26,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
@@ -55,9 +59,7 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"concurrent trial workers (1 = sequential; results are identical either way)")
 	sessions := flag.Int("sessions", 1,
-		"concurrent video sessions per trial sharing one bottleneck (swarm mode)")
-	swarm := flag.Bool("swarm", false,
-		"print the per-session swarm breakdown (fairness, utilization); implied by -sessions > 1")
+		"concurrent video sessions per trial sharing one bottleneck (swarm mode; more than one prints the per-session breakdown)")
 	telemetry := flag.Bool("telemetry", false,
 		"collect per-trial obs counters and timeline events (zero impact on results)")
 	telemetryOut := flag.String("telemetry-out", "",
@@ -69,13 +71,15 @@ func main() {
 	inject := flag.String("inject", "",
 		"schedule a deliberate fault: panic, invariant, or spin, optionally @trial (tests the failure pipeline)")
 	shardSpec := flag.String("shard", "",
-		"run only shard i of an n-way campaign (\"i/n\", e.g. 0/4); fold the shard outputs with voxel-merge")
+		"run only shard i of an n-way campaign (\"i/n\", e.g. 0/4); fold the shard outputs with -merge")
 	checkpointPath := flag.String("checkpoint", "",
-		"resumable state file: finished trials restore from it, new ones append atomically; the finished file is the shard output voxel-merge consumes")
+		"resumable state file: finished trials restore from it, new ones append atomically; the finished file is the shard output -merge consumes (with -merge: where the merged file goes)")
 	checkpointEvery := flag.Int("checkpoint-every", 1,
 		"write the checkpoint after every N completed trials (requires -checkpoint)")
 	stream := flag.Bool("stream", false,
 		"streaming aggregation: fold each trial into mergeable quantile sketches (relative error ≤ 1%) and discard it, bounding memory by sketch size instead of trial count")
+	merge := flag.Bool("merge", false,
+		"fold the shard checkpoint files named as arguments into the campaign and print it as an unsharded run would (exclusive with run flags)")
 	reproPath := flag.String("repro", "",
 		"replay a JSON crash artifact (- = stdin), running exactly the configuration it records; exits 0 only if its violation reproduces (exclusive with sweep flags)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -84,15 +88,12 @@ func main() {
 
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	shard, err := validateFlags(set, *shardSpec)
+	shard, err := validateFlags(set, *shardSpec, flag.Args())
 	if err != nil {
 		fatal(err)
 	}
 	if *reproPath != "" {
 		os.Exit(runRepro(*reproPath))
-	}
-	if *sessions < 1 || *sessions > exp.MaxSessions {
-		fatal(fmt.Errorf("-sessions %d out of range [1, %d]", *sessions, exp.MaxSessions))
 	}
 
 	stop, err := profiling.Start(*cpuprofile, *memprofile)
@@ -104,7 +105,26 @@ func main() {
 			fmt.Fprintln(os.Stderr, "voxel-sim: profile:", err)
 		}
 	}
-	defer stopProfiles()
+
+	if *merge {
+		files := flag.Args()
+		m, err := sweep.MergeFiles(files)
+		if err != nil {
+			fatal(err)
+		}
+		if *checkpointPath != "" {
+			if err := m.WriteFile(*checkpointPath); err != nil {
+				fatal(err)
+			}
+		}
+		if m.Stream != nil {
+			fmt.Printf("merged %d streaming shard files\n", len(files))
+		} else {
+			fmt.Printf("merged %d shard files: %s / %s, %d trials\n",
+				len(files), m.Agg.Config.System, m.Agg.Config.Title, len(m.Agg.Trials))
+		}
+		exitWith(report(m.Agg, m.Stream, *telemetryOut, *telemetryCSV))
+	}
 
 	var metric voxel.Metric
 	switch *metricName {
@@ -117,58 +137,49 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown metric %q", *metricName))
 	}
-
-	opts := []voxel.Option{
-		voxel.WithSystem(voxel.System(*system)),
-		voxel.WithBuffer(*buffer),
-		voxel.WithTrials(*trials),
-		voxel.WithSegments(*segments),
-		voxel.WithMetric(metric),
-		voxel.WithQueue(*queue),
-		voxel.WithSeed(*seed),
-		voxel.WithParallelism(*parallel),
-		voxel.WithSessions(*sessions),
-	}
-	if *sessions > 1 {
-		*swarm = true
-	}
-	if *shardSpec != "" {
-		opts = append(opts, voxel.WithShard(shard.Index, shard.Count))
-	}
-	if *impair != "" {
-		opts = append(opts, voxel.WithImpairment(*impair))
-	}
-	if *failover {
-		opts = append(opts, voxel.WithFailover())
-	}
-	if *telemetry || *telemetryOut != "" || *telemetryCSV != "" {
-		*telemetry = true
-		opts = append(opts, voxel.WithTelemetry())
-	}
-	if *invariants {
-		opts = append(opts, voxel.WithInvariants())
-	}
-	if *inject != "" {
-		opts = append(opts, voxel.WithInject(*inject))
+	cfg := exp.Config{
+		Title:          *title,
+		System:         exp.System(*system),
+		BufferSegments: *buffer,
+		Trials:         *trials,
+		Segments:       *segments,
+		Metric:         metric,
+		QueuePackets:   *queue,
+		Seed:           *seed,
+		Parallelism:    *parallel,
+		Sessions:       *sessions,
+		ShardIndex:     shard.Index,
+		ShardCount:     shard.Count,
+		Impairment:     *impair,
+		Failover:       *failover,
+		Telemetry:      *telemetry || *telemetryOut != "" || *telemetryCSV != "",
+		Invariants:     *invariants,
+		Inject:         *inject,
 	}
 	if *invariants || *inject != "" {
 		// Hardened runs also get the trial watchdog, so a wedged trial (e.g.
 		// -inject spin's zero-delay event storm) fails with a replayable
 		// TrialError instead of hanging the process.
-		opts = append(opts, voxel.WithWatchdog(exp.DefaultWatchdogWall, exp.DefaultWatchdogEvents))
+		cfg.WatchdogWall, cfg.WatchdogEvents = exp.DefaultWatchdogWall, exp.DefaultWatchdogEvents
 	}
 	if *cross > 0 {
-		opts = append(opts, voxel.WithCrossTraffic(*cross*1e6, 20e6))
-		fmt.Printf("%s streaming %s against %.0f Mbps cross traffic (20 Mbps link), %d-segment buffer\n",
-			*system, *title, *cross, *buffer)
-	} else {
-		tr, err := voxel.LoadTrace(*traceName)
-		if err != nil {
-			fatal(err)
-		}
-		opts = append(opts, voxel.WithTrace(tr))
+		cfg.CrossTraffic, cfg.LinkCapacity = *cross*1e6, 20e6
+	} else if cfg.Trace, err = voxel.LoadTrace(*traceName); err != nil {
+		fatal(err)
+	}
+	if _, err := voxel.LoadVideo(*title); err != nil {
+		fatal(err)
+	}
+	if err := cfg.Validate(); err != nil {
+		fatal(err)
+	}
+
+	if tr := cfg.Trace; tr != nil {
 		fmt.Printf("%s streaming %s over %s (mean %.1f Mbps, stddev %.1f Mbps), %d-segment buffer\n",
 			*system, *title, tr.Name(), tr.Mean()/1e6, tr.StdDev()/1e6, *buffer)
+	} else {
+		fmt.Printf("%s streaming %s against %.0f Mbps cross traffic (20 Mbps link), %d-segment buffer\n",
+			*system, *title, *cross, *buffer)
 	}
 	if *impair != "" {
 		fmt.Printf("impairment profile: %s\n", *impair)
@@ -181,55 +192,49 @@ func main() {
 		fmt.Printf("shard %s: running %d of %d trials\n", shard, shard.Owned(*trials), *trials)
 	}
 
-	sess := voxel.New(*title, opts...)
-	var agg *voxel.Aggregate
-	var report *voxel.Report
-	if *stream || *checkpointPath != "" {
-		// The sweep engine is driven directly: its Result says how many
-		// trials were restored and what the checkpoints cost in I/O.
-		cfg := sess.Config()
-		if err := cfg.Validate(); err != nil {
-			fatal(err)
+	res, err := sweep.Run(cfg, sweep.Options{
+		Checkpoint: *checkpointPath, Every: *checkpointEvery, Stream: *stream,
+	})
+	if err != nil {
+		fatal(err)
+	}
+	if *checkpointPath != "" {
+		fmt.Fprintf(os.Stderr, "checkpoints: %d writes, %.2f MB written, final %.2f MB\n", res.CheckpointWrites,
+			float64(res.CheckpointBytes)/1e6, float64(res.CheckpointFinal)/1e6)
+	}
+	if res.Restored > 0 {
+		fmt.Printf("restored %d finished trials from %s (%d run now)\n",
+			res.Restored, *checkpointPath, res.Ran)
+	}
+	exitWith(report(res.Agg, res.Stream, *telemetryOut, *telemetryCSV))
+}
+
+// report prints a campaign's outcome — a run's or a merge's; exactly one of
+// agg and st is set — and returns the exit status: 1 if any trial failed.
+// Everything it prints follows from the results, never from flags, which is
+// why a merged campaign prints exactly what its unsharded run prints.
+func report(agg *exp.Aggregate, st *sweep.StreamAgg, telemetryOut, telemetryCSV string) int {
+	exports := telemetryOut != "" || telemetryCSV != ""
+	if st != nil {
+		if exports {
+			fatal(fmt.Errorf("a streaming campaign keeps no telemetry; nothing to export"))
 		}
-		res, err := sweep.Run(cfg, sweep.Options{
-			Checkpoint: *checkpointPath, Every: *checkpointEvery, Stream: *stream,
-		})
-		if err != nil {
-			fatal(err)
+		fmt.Println()
+		fmt.Print(st.Summary())
+		if st.Failed > 0 {
+			return 1
 		}
-		if *checkpointPath != "" {
-			fmt.Fprintf(os.Stderr, "checkpoints: %d writes, %.2f MB written, final %.2f MB\n", res.CheckpointWrites,
-				float64(res.CheckpointBytes)/1e6, float64(res.CheckpointFinal)/1e6)
-		}
-		if res.Restored > 0 {
-			fmt.Printf("restored %d finished trials from %s (%d run now)\n",
-				res.Restored, *checkpointPath, res.Ran)
-		}
-		if *stream {
-			fmt.Println()
-			fmt.Print(res.Stream.Summary())
-			if res.Stream.Failed > 0 {
-				stopProfiles()
-				os.Exit(1)
-			}
-			return
-		}
-		agg, report = res.Agg, res.Agg.Obs
-	} else {
-		var err error
-		if agg, report, err = sess.Run(); err != nil {
-			fatal(err)
-		}
+		return 0
 	}
 	reportFailures(agg)
 
 	fmt.Println()
 	fmt.Print(agg.Summary())
-	if *impair != "" || *failover {
+	if cfg := agg.Config; cfg.Impairment != "" || cfg.Failover {
 		var failed float64
 		owned, incomplete := 0, 0
 		for ti, t := range agg.Trials {
-			if !agg.Config.Owns(ti) {
+			if !cfg.Owns(ti) {
 				continue
 			}
 			owned++
@@ -241,31 +246,36 @@ func main() {
 		fmt.Printf("%-26s %.1f\n", "failed requests (mean):", failed/float64(owned))
 		fmt.Printf("%-26s %d/%d\n", "incomplete trials:", incomplete, owned)
 	}
+	printSwarm(agg)
 
-	if *swarm {
-		printSwarm(agg)
-	}
-
-	if *telemetry {
+	if rep := agg.Obs; rep != nil {
 		fmt.Println()
-		fmt.Print(report.Summary())
-		if kinds := report.KindCounts(); len(kinds) > 0 {
+		fmt.Print(rep.Summary())
+		if kinds := rep.KindCounts(); len(kinds) > 0 {
 			fmt.Printf("timeline events: %s\n", strings.Join(kinds, " "))
 		}
-		if err := report.Export(*telemetryOut, *telemetryCSV); err != nil {
+		if err := rep.Export(telemetryOut, telemetryCSV); err != nil {
 			fatal(err)
 		}
+	} else if exports {
+		fatal(fmt.Errorf("the shards were run without -telemetry; nothing to export"))
 	}
 	if len(agg.Failed) > 0 {
-		stopProfiles()
-		os.Exit(1)
+		return 1
 	}
+	return 0
+}
+
+// exitWith ends the process with the given status, flushing profiles first.
+func exitWith(code int) {
+	stopProfiles()
+	os.Exit(code)
 }
 
 // reportFailures prints every failed trial with its replay command. The
 // surviving trials' statistics still print below; main exits nonzero at
 // the end when anything failed.
-func reportFailures(agg *voxel.Aggregate) {
+func reportFailures(agg *exp.Aggregate) {
 	if len(agg.Failed) == 0 {
 		return
 	}
@@ -333,14 +343,16 @@ func runRepro(path string) int {
 	}
 }
 
-// printSwarm renders the per-session breakdown: fairness and utilization
-// summaries plus one row per session index averaged across trials.
-func printSwarm(agg *voxel.Aggregate) {
+// printSwarm renders the per-session breakdown when some trial ran more
+// than one session: fairness and utilization summaries plus one row per
+// session index averaged across trials.
+func printSwarm(agg *exp.Aggregate) {
 	n := 0
 	for _, t := range agg.Trials {
-		if len(t.Sessions) > n {
-			n = len(t.Sessions)
-		}
+		n = max(n, len(t.Sessions))
+	}
+	if n <= 1 {
+		return
 	}
 	fmt.Printf("\nswarm: %d sessions through one bottleneck\n", n)
 	fmt.Printf("%-26s %.4f\n", "Jain fairness (mean):", agg.JainMean())
@@ -367,37 +379,56 @@ func printSwarm(agg *voxel.Aggregate) {
 	}
 }
 
+// exclusive lists the modes that do not run the configuration the flags
+// describe, with the only flags that combine with each. New flags are
+// conflicts by default — the allowlists name the only exceptions.
+var exclusive = []struct {
+	flag, does string
+	allow      []string
+}{
+	{"repro", "-repro replays the artifact's own configuration", []string{"cpuprofile", "memprofile"}},
+	{"merge", "-merge folds the campaign its files record",
+		[]string{"checkpoint", "telemetry-out", "telemetry-csv", "cpuprofile", "memprofile"}},
+}
+
 // validateFlags enforces the cross-flag constraints given the set of flags
-// explicitly present on the command line, and parses the -shard spec. It
-// returns the parsed shard (Unsharded when -shard was not given).
+// explicitly present on the command line and the positional arguments, and
+// parses the -shard spec. It returns the parsed shard (Unsharded when
+// -shard was not given).
 //
-//   - -repro replays exactly what the artifact describes, so every sweep
-//     flag alongside it (including -shard, -checkpoint, -stream) would be
-//     silently ignored; reject all but the profiling flags. New flags are
-//     conflicts by default — the allowlist names the only exceptions.
+//   - -repro and -merge do not run what the run flags describe, so every
+//     flag outside their allowlists (including -shard, -stream, -trials)
+//     would be silently ignored; reject it. -merge writes the merged file
+//     to -checkpoint and needs at least one file to fold; nothing else takes
+//     positional arguments.
 //   - -stream discards per-trial state as it folds, so the flags that need
-//     retained trials (-telemetry and its exports, the -swarm breakdown)
-//     are contradictions, not no-ops.
+//     retained trials (-telemetry and its exports) are contradictions, not
+//     no-ops.
 //   - -checkpoint-every without -checkpoint silently does nothing; reject.
-func validateFlags(set map[string]bool, shardSpec string) (sweep.Shard, error) {
-	if set["repro"] {
+func validateFlags(set map[string]bool, shardSpec string, args []string) (sweep.Shard, error) {
+	for _, m := range exclusive {
+		if !set[m.flag] {
+			continue
+		}
 		var conflicts []string
 		for name := range set {
-			switch name {
-			case "repro", "cpuprofile", "memprofile":
-			default:
+			if name != m.flag && !slices.Contains(m.allow, name) {
 				conflicts = append(conflicts, "-"+name)
 			}
 		}
 		if len(conflicts) > 0 {
 			sort.Strings(conflicts)
-			return sweep.Shard{}, fmt.Errorf(
-				"-repro replays the artifact's own configuration; drop %s",
-				strings.Join(conflicts, ", "))
+			return sweep.Shard{}, fmt.Errorf("%s; drop %s", m.does, strings.Join(conflicts, ", "))
 		}
 	}
+	switch {
+	case set["merge"] && len(args) == 0:
+		return sweep.Shard{}, fmt.Errorf("-merge needs the shard checkpoint files to fold")
+	case !set["merge"] && len(args) > 0:
+		return sweep.Shard{}, fmt.Errorf("unexpected arguments %q: only -merge takes files", args)
+	}
 	if set["stream"] {
-		for _, bad := range []string{"telemetry", "telemetry-out", "telemetry-csv", "swarm"} {
+		for _, bad := range []string{"telemetry", "telemetry-out", "telemetry-csv"} {
 			if set[bad] {
 				return sweep.Shard{}, fmt.Errorf(
 					"-stream discards per-trial results as it folds them; it cannot honor -%s", bad)

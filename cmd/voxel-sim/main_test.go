@@ -7,14 +7,16 @@ import (
 	"voxel/internal/sweep"
 )
 
-// The cross-flag constraints: -repro excludes every sweep flag, -stream
-// excludes the flags that need retained per-trial results, -checkpoint-every
-// needs -checkpoint, and malformed -shard specs are rejected up front.
+// The cross-flag constraints: -repro and -merge exclude every run flag,
+// -merge needs files and nothing else takes them, -stream excludes the flags
+// that need retained per-trial results, -checkpoint-every needs -checkpoint,
+// and malformed -shard specs are rejected up front.
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
 		name    string
 		set     []string
 		shard   string
+		args    []string
 		want    sweep.Shard
 		wantErr string // substring of the error; "" = must succeed
 	}{
@@ -33,9 +35,19 @@ func TestValidateFlags(t *testing.T) {
 			wantErr: "cannot honor -telemetry-out"},
 		{name: "stream with telemetry-csv", set: []string{"stream", "telemetry-csv"},
 			wantErr: "cannot honor -telemetry-csv"},
-		{name: "stream with swarm", set: []string{"stream", "swarm"},
-			wantErr: "cannot honor -swarm"},
 		{name: "stream with checkpoint", set: []string{"stream", "checkpoint", "checkpoint-every"}},
+		{name: "merge", set: []string{"merge"}, args: []string{"s0.json", "s1.json"}},
+		{name: "merge to checkpoint with exports and profiles", set: []string{"merge", "checkpoint",
+			"telemetry-out", "telemetry-csv", "cpuprofile", "memprofile"}, args: []string{"s0.json"}},
+		{name: "merge with run flags", set: []string{"merge", "trials", "telemetry", "stream"},
+			args: []string{"s0.json"}, wantErr: "drop -stream, -telemetry, -trials"},
+		{name: "merge with checkpoint-every", set: []string{"merge", "checkpoint", "checkpoint-every"},
+			args: []string{"s0.json"}, wantErr: "drop -checkpoint-every"},
+		{name: "merge with repro", set: []string{"merge", "repro"}, args: []string{"s0.json"},
+			wantErr: "drop -merge"},
+		{name: "merge with no files", set: []string{"merge"}, wantErr: "-merge needs the shard checkpoint files"},
+		{name: "files without merge", set: []string{"trials"}, args: []string{"s0.json"},
+			wantErr: "only -merge takes files"},
 		{name: "checkpoint-every alone", set: []string{"checkpoint-every"},
 			wantErr: "does nothing without -checkpoint"},
 		{name: "shard ok", set: []string{"shard"}, shard: "1/4",
@@ -62,7 +74,7 @@ func TestValidateFlags(t *testing.T) {
 			for _, f := range tc.set {
 				set[f] = true
 			}
-			got, err := validateFlags(set, tc.shard)
+			got, err := validateFlags(set, tc.shard, tc.args)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("got err %v, want substring %q", err, tc.wantErr)

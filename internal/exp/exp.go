@@ -98,10 +98,11 @@ type Config struct {
 	// (obs.DefaultTimelineCap when zero). Only meaningful with Telemetry.
 	TimelineCap int
 	// Interrupt, when non-nil, aborts the run once the channel is closed
-	// (e.g. a context's Done channel). Pending trials are skipped and left
-	// zero-valued; trials already in flight notice the close at periodic
-	// virtual-time checkpoints and return early with Completed=false, so
-	// even a blackholed or unbounded trial cannot outlive its caller.
+	// (e.g. a context's Done channel). Pending trials are skipped, left
+	// zero-valued and contribute no samples; trials already in flight
+	// notice the close at periodic virtual-time checkpoints and return early
+	// with Completed=false, so even a blackholed or unbounded trial cannot
+	// outlive its caller.
 	Interrupt <-chan struct{}
 	// Sessions is the number of concurrent video sessions per trial (swarm
 	// mode). Each session is a full independent stack — QUIC* connection
@@ -139,9 +140,9 @@ type Config struct {
 	// rest, leaving their Trial slots zero-valued. Per-trial seeds and
 	// trace shifts depend only on the trial index and the full Trials
 	// count, so every shard computes exactly the trials the unsharded run
-	// would, and MergeShards folds n shard aggregates back into an
-	// aggregate bit-identical to the single-process run. ShardCount 0 (or
-	// 1) means unsharded.
+	// would, and sweep.MergeAggregates folds a complete shard set back into
+	// an aggregate bit-identical to the single-process run. ShardCount 0
+	// (or 1) means unsharded.
 	ShardIndex int
 	ShardCount int
 }
@@ -311,6 +312,11 @@ type Trial struct {
 	Failed bool
 }
 
+// Ran reports whether the trial was run: it failed, or it produced at least
+// one session's results. A slot no process reached — a peer shard's trial, or
+// one an interrupted run never started — is zero and did not run.
+func (t *Trial) Ran() bool { return t.Failed || len(t.Sessions) > 0 }
+
 // Aggregate collects trials of one configuration.
 type Aggregate struct {
 	Config    Config
@@ -404,8 +410,9 @@ func (a *Aggregate) TotalStall() time.Duration {
 }
 
 // Summary renders the headline statistics over the trials this config's
-// shard owns, one per line — the block voxel-sim and voxel-merge both print
-// (StreamAgg.Summary is its streaming-mode counterpart).
+// shard owns, one per line — the block voxel-sim prints for a run and for a
+// merged campaign alike (StreamAgg.Summary is its streaming-mode
+// counterpart).
 func (a *Aggregate) Summary() string {
 	var skipped, residual, startup []float64
 	for ti, t := range a.Trials {

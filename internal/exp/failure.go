@@ -121,8 +121,8 @@ const (
 // parallelism: the executor calls it from its serialized result stream, on
 // the goroutine that called Run, just before the trial reaches the sink.
 // Results that were not computed here — trials restored from a checkpoint,
-// aggregates folded by MergeShards — never fire it; whoever ran them already
-// did. CLIs that drive many sweeps through layers that do not surface
+// shards folded by sweep.MergeFiles or sweep.MergeAggregates — never fire
+// it; whoever ran them already did. CLIs that drive many sweeps through layers that do not surface
 // Aggregate — voxel-bench's figure generators — use it to collect failures
 // for the final report.
 var FailureHook func(*TrialError)

@@ -12,7 +12,8 @@ import (
 // its own world), and results land by trial index, so the aggregate is
 // bit-identical to a sequential run. A sharded config (ShardCount > 1) runs
 // only its owned trials; the other slots stay zero-valued and the
-// aggregate's samples cover the owned trials only.
+// aggregate's samples cover the owned trials only — and of an interrupted
+// run, only the trials that ran.
 //
 // Run is the retaining sink over RunPartial: store every result by trial
 // index, then fold once.
@@ -128,11 +129,12 @@ func (c Config) interrupted() bool {
 }
 
 // Assemble folds raw per-trial results into an Aggregate: samples in trial
-// order (owned trials only), failures in trial order, telemetry merged in
-// (trial, session) order. It is the one fold — a live run, a resumed run
-// and a shard merge all end here — and a pure deterministic function of its
-// inputs, which is what makes sharded, checkpointed and resumed sweeps
-// reproduce a single-process aggregate bit for bit. fails may be shorter
+// order (owned trials that ran only — see Trial.Ran), failures in trial
+// order, telemetry merged in (trial, session) order. It is the one fold — a
+// live run, a resumed run and a shard merge all end here — and a pure
+// deterministic function of its inputs, which is what makes sharded,
+// checkpointed and resumed sweeps reproduce a single-process aggregate bit
+// for bit. fails may be shorter
 // than trials (nil: no failures). cfg is defaulted before stamping.
 func Assemble(cfg Config, trials []Trial, fails []*TrialError) *Aggregate {
 	c := cfg.withDefaults()
@@ -161,6 +163,9 @@ func Assemble(cfg Config, trials []Trial, fails []*TrialError) *Aggregate {
 		if te != nil {
 			agg.Failed = append(agg.Failed, *te)
 			continue
+		}
+		if !tr.Ran() {
+			continue // never reached (an interrupted run): absent too
 		}
 		agg.BufRatios = append(agg.BufRatios, tr.BufRatio)
 		agg.Bitrates = append(agg.Bitrates, tr.AvgBitrate)

@@ -83,72 +83,6 @@ func TestShardOwns(t *testing.T) {
 	}
 }
 
-// shardCfg is the reference sweep for merge determinism: telemetry on and
-// one injected failure, so the test covers sample slices, Failed records,
-// and the merged obs report all at once.
-func shardCfg() Config {
-	c := tracedCfg()
-	c.Trials = 6
-	c.Telemetry = true
-	c.Inject = "panic@2"
-	return c
-}
-
-// scrubStacks zeroes the Stack text of every failure record: a goroutine
-// dump embeds goroutine IDs and heap addresses, which differ between runs
-// by construction. Everything else about a TrialError — trial, seed,
-// session, virtual clock, rule, message, config — is deterministic and
-// stays under exact comparison.
-func scrubStacks(a *Aggregate) {
-	for i := range a.Failed {
-		a.Failed[i].Stack = ""
-	}
-}
-
-// TestShardedMergeMatchesUnsharded is the tentpole guarantee: run the same
-// sweep unsharded and as 2- and 4-shard campaigns (shards in parallel),
-// merge, and demand DeepEqual aggregates — trials, samples, failures, and
-// telemetry alike.
-func TestShardedMergeMatchesUnsharded(t *testing.T) {
-	whole := Run(shardCfg())
-	scrubStacks(whole)
-	if len(whole.Failed) != 1 || whole.Failed[0].Trial != 2 {
-		t.Fatalf("reference run: want 1 failure at trial 2, got %+v", whole.Failed)
-	}
-
-	for _, n := range []int{2, 4} {
-		shards := make([]*Aggregate, n)
-		for i := 0; i < n; i++ {
-			c := shardCfg()
-			c.ShardIndex, c.ShardCount = i, n
-			c.Parallelism = 2 // shards themselves run parallel
-			shards[i] = Run(c)
-		}
-		// Merge in reverse order to prove the listing order cannot matter.
-		rev := make([]*Aggregate, n)
-		for i := range shards {
-			rev[n-1-i] = shards[i]
-		}
-		merged, err := MergeShards(rev)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		scrubStacks(merged)
-		if !reflect.DeepEqual(merged, whole) {
-			if !reflect.DeepEqual(merged.Trials, whole.Trials) {
-				t.Fatalf("n=%d: merged trials differ from unsharded", n)
-			}
-			if !reflect.DeepEqual(merged.Failed, whole.Failed) {
-				t.Fatalf("n=%d: merged failures differ: %+v vs %+v", n, merged.Failed, whole.Failed)
-			}
-			if !reflect.DeepEqual(merged.Obs, whole.Obs) {
-				t.Fatalf("n=%d: merged telemetry differs from unsharded", n)
-			}
-			t.Fatalf("n=%d: merged aggregate differs from unsharded", n)
-		}
-	}
-}
-
 // A shard must only compute the trials it owns: peer slots stay zero and
 // contribute no samples.
 func TestShardRunsOnlyOwnedTrials(t *testing.T) {
@@ -173,54 +107,34 @@ func TestShardRunsOnlyOwnedTrials(t *testing.T) {
 	}
 }
 
-func TestMergeShardsErrors(t *testing.T) {
-	mk := func(index, count int) *Aggregate {
-		c := tracedCfg()
-		c.Trials = 4
-		c.ShardIndex, c.ShardCount = index, count
-		d := c.withDefaults()
-		return &Aggregate{Config: d, Trials: make([]Trial, d.Trials)}
-	}
-	cases := []struct {
-		name   string
-		shards []*Aggregate
-	}{
-		{"empty", nil},
-		{"nil-shard", []*Aggregate{nil}},
-		{"missing-shard", []*Aggregate{mk(0, 2)}},
-		{"duplicate-index", []*Aggregate{mk(0, 2), mk(0, 2)}},
-		{"count-mismatch", []*Aggregate{mk(0, 2), mk(1, 3)}},
-		{"unsharded-pair", []*Aggregate{mk(0, 0), mk(0, 0)}},
-		{"index-out-of-range", []*Aggregate{mk(0, 2), mk(5, 2)}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := MergeShards(tc.shards); err == nil {
-				t.Fatal("want error, got nil")
-			}
-		})
-	}
+// An interrupted run's samples hold the trials that ran and nothing else: a
+// trial the run never reached is absent too, not a 0 % bufRatio / 0 bit/s
+// sample. The interrupt closes while trial 0's failure is delivered; by then
+// the ordered stream's window lets at most trials 1–4 have started, so most
+// of the twelve never run.
+func TestInterruptedRunHasNoPhantomSamples(t *testing.T) {
+	c := tracedCfg()
+	c.Trials, c.Segments, c.Parallelism = 12, 2, 1
+	c.Inject = "panic@0"
+	stop := make(chan struct{})
+	c.Interrupt = stop
+	FailureHook = func(*TrialError) { close(stop) }
+	agg := Run(c)
+	FailureHook = nil
 
-	// Config drift between shards must be rejected.
-	a, b := mk(0, 2), mk(1, 2)
-	b.Config.Seed = 999
-	if _, err := MergeShards([]*Aggregate{a, b}); err == nil {
-		t.Fatal("config drift must fail the merge")
+	ran, scores := 0, 0
+	for ti := range agg.Trials {
+		if tr := &agg.Trials[ti]; tr.Ran() && !tr.Failed {
+			ran++
+			scores += len(tr.Scores)
+		}
 	}
-
-	// A single unsharded aggregate merges to itself (normalized config).
-	solo := tracedCfg()
-	solo.Parallelism = 4
-	agg := Run(solo)
-	merged, err := MergeShards([]*Aggregate{agg})
-	if err != nil {
-		t.Fatal(err)
+	if ran > 4 || len(agg.Failed) != 1 {
+		t.Fatalf("%d trials ran after the interrupt and %d failed, want at most 4 and 1", ran, len(agg.Failed))
 	}
-	if !reflect.DeepEqual(merged.Trials, agg.Trials) {
-		t.Fatal("identity merge changed trials")
-	}
-	if merged.Config.Parallelism != 0 {
-		t.Fatal("identity merge must normalize the config")
+	if len(agg.BufRatios) != ran || len(agg.Bitrates) != ran || len(agg.AllScores) != scores {
+		t.Fatalf("%d bufRatios, %d bitrates, %d scores from %d trials that ran (%d scores)",
+			len(agg.BufRatios), len(agg.Bitrates), len(agg.AllScores), ran, scores)
 	}
 }
 

@@ -147,7 +147,7 @@ func (sp Spec) Config() (Config, error) {
 	if sp.TraceName != "" {
 		if sp.TraceCanonical == "" {
 			return Config{}, fmt.Errorf(
-				"exp: trace %q has no canonical name to rebuild it from; fold its results in-process with exp.MergeShards",
+				"exp: trace %q has no canonical name to rebuild it from; fold its results in-process with sweep.MergeAggregates",
 				sp.TraceName)
 		}
 		tr, err := trace.ByName(sp.TraceCanonical)

@@ -248,7 +248,8 @@ func (r *Report) Summary() string {
 
 // Export writes the JSONL timeline and/or the per-trial counter CSV to the
 // named destinations — "" skips one, "-" means stdout — and notes each file
-// it wrote on stdout: the export step voxel-sim and voxel-merge share.
+// it wrote on stdout: voxel-sim's export step, for a run and a merged
+// campaign alike.
 func (r *Report) Export(jsonlPath, csvPath string) error {
 	write := func(path string, emit func(w io.Writer) error) error {
 		if path == "" {

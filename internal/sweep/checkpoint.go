@@ -32,7 +32,8 @@ type trialRecord struct {
 // which trials are done, and their results — either full per-trial records
 // (exact mode) or folded sketch state (streaming mode). The final
 // checkpoint of a finished shard doubles as the shard's output file, which
-// is exactly what voxel-merge consumes.
+// is exactly what MergeFiles (`voxel-sim -merge`) consumes; MergeAggregates
+// builds the same value from an aggregate in memory.
 type Checkpoint struct {
 	Version     int               `json:"version"`
 	Fingerprint string            `json:"fingerprint"`
@@ -169,8 +170,9 @@ func (cp *Checkpoint) encode(w io.Writer) error {
 
 // LoadCheckpoint reads a checkpoint file and validates it. A checkpoint is
 // outside input — it may be torn, hand-edited, or written by another
-// version — and this is the one place it is checked: everything downstream
-// (resume, merge) trusts a loaded checkpoint's structure.
+// version — and validate is the one check: resume trusts a loaded
+// checkpoint's structure, and merge runs validate on every member of a
+// shard set, file or aggregate, before it folds any.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -185,11 +187,21 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 
 // parseCheckpoint is LoadCheckpoint over the file's bytes.
 func parseCheckpoint(b []byte) (*Checkpoint, error) {
-	var cp Checkpoint
-	if err := json.Unmarshal(b, &cp); err != nil {
+	cp, err := decodeCheckpoint(b)
+	if err != nil {
 		return nil, err
 	}
 	if err := cp.validate(); err != nil {
+		return nil, err
+	}
+	return cp, nil
+}
+
+// decodeCheckpoint parses a checkpoint's bytes without validating them:
+// for a caller, like merge, that validates as its own first step.
+func decodeCheckpoint(b []byte) (*Checkpoint, error) {
+	var cp Checkpoint
+	if err := json.Unmarshal(b, &cp); err != nil {
 		return nil, err
 	}
 	return &cp, nil

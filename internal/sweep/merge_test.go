@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -221,6 +222,110 @@ func TestMergeFilesErrors(t *testing.T) {
 			_, err := MergeFiles(tc.files)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("got err %v, want substring %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestMemoryAndFileMergesAgree: the two ways into a merge — shard checkpoint
+// files (MergeFiles) and shard aggregates still in memory (MergeAggregates)
+// — are one validation and one fold. Each shard below is run once, to its
+// checkpoint file and its aggregate at the same time; every set must be
+// refused by both merges with the same error (up to what they call a
+// member), or merged by both to the same aggregate (failure stacks
+// scrubbed, the trace compared by name: a file merge rebuilds it).
+func TestMemoryAndFileMergesAgree(t *testing.T) {
+	dir := t.TempDir()
+	base := testCfg()
+	base.Segments = 3
+	telemetry, panicky, drift, long := base, base, base, base
+	telemetry.Telemetry = true
+	panicky.Inject = "panic@3"
+	drift.Seed = 99
+	// Trial 1's failure interrupts shard 1/2 of long; the ordered stream
+	// lets at most four more of its eight trials start, so it is unfinished.
+	long.Trials, long.Inject = 16, "panic@1"
+
+	type shard struct {
+		path string
+		agg  *exp.Aggregate
+	}
+	runs := map[string]shard{}
+	run := func(name string, cfg exp.Config, index, count int, interrupt bool) shard {
+		if s, ok := runs[name]; ok {
+			return s
+		}
+		cfg.ShardIndex, cfg.ShardCount = index, count
+		if interrupt {
+			stop := make(chan struct{})
+			cfg.Interrupt, cfg.Parallelism = stop, 1
+			exp.FailureHook = func(*exp.TrialError) { close(stop) }
+			defer func() { exp.FailureHook = nil }()
+		}
+		s := shard{path: filepath.Join(dir, name+".json")}
+		res, err := Run(cfg, Options{Checkpoint: s.path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.agg = res.Agg
+		runs[name] = s
+		return s
+	}
+	half := func(i int) shard { return run(fmt.Sprintf("base-%d-2", i), base, i, 2, false) }
+	quarter := func(i int) shard { return run(fmt.Sprintf("base-%d-4", i), base, i, 4, false) }
+
+	rows := []struct {
+		name  string
+		set   []shard
+		merge bool // whether the set is a complete campaign
+	}{
+		{"2-way, reversed", []shard{half(1), half(0)}, true},
+		{"4-way, reversed", []shard{quarter(3), quarter(2), quarter(1), quarter(0)}, true},
+		{"mixed counts: 0 of 2, 1 of 4, 3 of 4", []shard{half(0), quarter(1), quarter(3)}, true},
+		{"duplicate shard", []shard{half(0), half(1), half(0)}, false},
+		{"missing shard", []shard{quarter(0), quarter(1), quarter(3)}, false},
+		{"interrupted shard", []shard{run("long-0-2", long, 0, 2, false), run("long-1-2", long, 1, 2, true)}, false},
+		{"seed drift", []shard{half(0), run("drift-1-2", drift, 1, 2, false)}, false},
+		{"telemetry on", []shard{run("telemetry-1-2", telemetry, 1, 2, false), run("telemetry-0-2", telemetry, 0, 2, false)}, true},
+		{"one injected panic", []shard{run("panicky-0-2", panicky, 0, 2, false), run("panicky-1-2", panicky, 1, 2, false)}, true},
+	}
+	for ri, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			// One file per member, so an error names each by its own path.
+			paths := make([]string, len(row.set))
+			aggs := make([]*exp.Aggregate, len(row.set))
+			for i, s := range row.set {
+				paths[i] = filepath.Join(dir, fmt.Sprintf("row%d-member%d.json", ri, i))
+				if err := os.WriteFile(paths[i], readFile(t, s.path), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				aggs[i] = s.agg
+			}
+			files, errF := MergeFiles(paths)
+			memory, errM := MergeAggregates(aggs)
+			if (errF == nil) != row.merge || (errM == nil) != row.merge {
+				t.Fatalf("want merged=%v; MergeFiles: %v; MergeAggregates: %v", row.merge, errF, errM)
+			}
+			if !row.merge {
+				msg := errF.Error()
+				for i, p := range paths {
+					msg = strings.ReplaceAll(msg, p, fmt.Sprintf("aggregate %d", i))
+				}
+				if msg != errM.Error() {
+					t.Fatalf("the merges refuse for different reasons:\n  files:  %v\n  memory: %v", errF, errM)
+				}
+				return
+			}
+			fromFiles := files.Agg
+			for _, a := range []*exp.Aggregate{fromFiles, memory} {
+				scrubStacks(a)
+				if a.Config.Trace == nil || a.Config.Trace.Name() != base.Trace.Name() {
+					t.Fatal("merged config lost its trace")
+				}
+				a.Config.Trace = nil
+			}
+			if !reflect.DeepEqual(fromFiles, memory) {
+				t.Fatal("MergeFiles and MergeAggregates fold the same shards to different aggregates")
 			}
 		})
 	}

@@ -136,11 +136,11 @@ func (p *progress) add(ti int, tr exp.Trial, te *exp.TrialError) {
 }
 
 // load folds in a checkpoint of the same experiment and mode. A trial
-// that is already done is an error: two files claim the same work.
+// that is already done is an error: two shards claim the same work.
 func (p *progress) load(cp *Checkpoint) error {
 	for _, ti := range cp.Done {
 		if p.done[ti] {
-			return fmt.Errorf("trial %d was already loaded from another file", ti)
+			return fmt.Errorf("trial %d was already loaded from another shard", ti)
 		}
 		p.done[ti] = true
 	}

@@ -14,7 +14,7 @@ type Options struct {
 	// shard, mode), its finished trials are restored and skipped; a
 	// mismatched file is an error, never silently recomputed over. The
 	// final checkpoint of a finished run is the shard's output file —
-	// feed it to voxel-merge.
+	// feed it to MergeFiles (`voxel-sim -merge`).
 	Checkpoint string
 	// Every writes a checkpoint after every N completed trials (default 1,
 	// i.e. after each trial). The write is atomic, so a kill between
@@ -36,7 +36,7 @@ type Options struct {
 type Result struct {
 	// Agg is the exact aggregate (nil in streaming mode). For a sharded
 	// run it carries full-length trial vectors with only owned slots
-	// populated, ready for exp.MergeShards.
+	// populated, ready for MergeAggregates.
 	Agg *exp.Aggregate
 	// Stream is the streaming aggregate (nil in exact mode).
 	Stream *StreamAgg
@@ -79,20 +79,11 @@ func Run(cfg exp.Config, opts Options) (Result, error) {
 	}
 	var res Result
 	if opts.Checkpoint != "" {
-		prev, err := LoadCheckpoint(opts.Checkpoint)
-		switch {
-		case os.IsNotExist(err):
-			// fresh run
-		case err != nil:
+		prev, err := claim(opts.Checkpoint, &p.file)
+		if err != nil {
 			return Result{}, err
-		default:
-			if err := prev.sameSweep(&p.file); err != nil {
-				return Result{}, fmt.Errorf("sweep: %s: %w", opts.Checkpoint, err)
-			}
-			if prev.Shard != p.file.Shard {
-				return Result{}, fmt.Errorf("sweep: %s belongs to shard %v, this run is %v",
-					opts.Checkpoint, prev.Shard, p.file.Shard)
-			}
+		}
+		if prev != nil {
 			if err := p.load(prev); err != nil {
 				return Result{}, err
 			}
@@ -132,4 +123,25 @@ func Run(cfg exp.Config, opts Options) (Result, error) {
 	}
 	res.Agg, res.Stream = p.acc.result()
 	return res, nil
+}
+
+// claim is the rule for the file a run checkpoints to and a merge writes: a
+// file that does not exist is free (nil); an existing one must be a valid
+// checkpoint of the same sweep, mode and shard as head — it is returned, for
+// a run to resume from — and any other is refused, never written over.
+func claim(path string, head *Checkpoint) (*Checkpoint, error) {
+	prev, err := LoadCheckpoint(path)
+	switch {
+	case os.IsNotExist(err):
+		return nil, nil
+	case err != nil:
+		return nil, err
+	}
+	if err := prev.sameSweep(head); err != nil {
+		return nil, fmt.Errorf("sweep: %s: %w", path, err)
+	}
+	if prev.Shard != head.Shard {
+		return nil, fmt.Errorf("sweep: %s belongs to shard %v, this one is %v", path, prev.Shard, head.Shard)
+	}
+	return prev, nil
 }

@@ -202,8 +202,8 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 
 // The merge tool's whole path: run shards to checkpoint files, load the
 // files back into one accumulator, fold — and land exactly on the unsharded
-// clean run, and on what the in-process exp.MergeShards makes of the shard
-// aggregates.
+// clean run, and on what MergeAggregates makes of the shard aggregates in
+// memory.
 func TestShardFilesMergeToCleanRun(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testCfg()
@@ -224,7 +224,7 @@ func TestShardFilesMergeToCleanRun(t *testing.T) {
 		shards = append(shards, res.Agg)
 		files = append(files, path)
 	}
-	inProcess, err := exp.MergeShards(shards)
+	inProcess, err := MergeAggregates(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,15 +553,19 @@ func TestFailureHookThroughSweep(t *testing.T) {
 		t.Fatalf("a fully restored run fired %v", f)
 	}
 
-	// Shards report their own trials; merging their files reports nothing.
+	// Shards report their own trials; merging their files, or their
+	// aggregates, reports nothing: a pure fold never fires the hook.
 	var files []string
+	var shards []*exp.Aggregate
 	for i := 0; i < 2; i++ {
 		c := cfg
 		c.ShardIndex, c.ShardCount = i, 2
 		files = append(files, filepath.Join(dir, "shard"+string(rune('0'+i))+".json"))
-		if _, err := Run(c, Options{Checkpoint: files[i]}); err != nil {
+		res, err := Run(c, Options{Checkpoint: files[i]})
+		if err != nil {
 			t.Fatal(err)
 		}
+		shards = append(shards, res.Agg)
 		if f, want := fired(), []int{i, i + 2, i + 4}; !reflect.DeepEqual(f, want) {
 			t.Fatalf("shard %d fired %v, want %v", i, f, want)
 		}
@@ -571,5 +575,11 @@ func TestFailureHookThroughSweep(t *testing.T) {
 	}
 	if f := fired(); f != nil {
 		t.Fatalf("MergeFiles fired %v", f)
+	}
+	if agg, err := MergeAggregates(shards); err != nil || len(agg.Failed) != 6 {
+		t.Fatalf("merge: %v", err)
+	}
+	if f := fired(); f != nil {
+		t.Fatalf("MergeAggregates fired %v", f)
 	}
 }

@@ -97,7 +97,8 @@ func WithTimelineCap(n int) Option {
 }
 
 // WithContext aborts the run between trials once ctx is done; Run then
-// returns ctx's error alongside the partial aggregate.
+// returns ctx's error alongside the partial aggregate, whose samples hold
+// only the trials that ran.
 func WithContext(ctx context.Context) Option {
 	return func(s *Session) { s.ctx = ctx }
 }
@@ -207,7 +208,7 @@ func WithShard(index, count int) Option {
 // produces the aggregate of an uninterrupted run. A checkpoint written by
 // a different configuration (fingerprint mismatch) fails Run rather than
 // being silently overwritten. The final checkpoint of a finished run is
-// the shard's output file, consumable by `voxel-merge`.
+// the shard's output file, consumable by `voxel-sim -merge`.
 func WithCheckpoint(path string, every int) Option {
 	return func(s *Session) {
 		s.ckPath = path

@@ -12,6 +12,7 @@ import (
 	"voxel/internal/qoe"
 	"voxel/internal/stats"
 	"voxel/internal/survey"
+	"voxel/internal/sweep"
 	"voxel/internal/trace"
 	"voxel/internal/video"
 )
@@ -174,10 +175,13 @@ func DropTolerance(v *Video, q Quality, target float64) []float64 {
 // run-specific Stack text of failure records can differ). The merged
 // aggregate's Config is normalized — shard coordinates, parallelism, and
 // interrupt plumbing cleared. A single unsharded aggregate merges to
-// itself. Incomplete, overlapping, or configuration-mismatched shard sets
-// return an error.
+// itself. The shards may have been run at different shard counts (0/2,
+// 1/4 and 3/4 is a complete set); incomplete — an interrupted shard's
+// never-run trials are missing — overlapping, or configuration-mismatched
+// shard sets return an error, exactly as `voxel-sim -merge` refuses the
+// same shards' checkpoint files.
 func MergeAggregates(shards []*Aggregate) (*Aggregate, error) {
-	return exp.MergeShards(shards)
+	return sweep.MergeAggregates(shards)
 }
 
 // ImpairmentProfiles lists the canonical netem fault profiles accepted by
