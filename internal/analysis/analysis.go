@@ -6,9 +6,6 @@
 //     process environment, or the global math/rand stream, and must not
 //     iterate maps in an order-dependent way (bit-identical aggregates
 //     across parallelism and shards depend on this);
-//   - nilfree: the obs/invariant nil-is-free contract — every exported
-//     method on a nil-is-free type begins with a nil-receiver guard, and
-//     callers never re-guard (the re-guard is dead code by contract);
 //   - poolpair: values obtained from a freelist or sync.Pool getter must
 //     be released through the matching put or handed off, never dropped;
 //   - hotpath: functions annotated //voxel:allocfree reject constructs
@@ -24,7 +21,6 @@
 // # Directives
 //
 //   - //voxel:allocfree          (func doc)  — arm the hotpath analyzer
-//   - //voxel:nilfree            (type doc)  — arm the nilfree analyzer
 //   - //voxel:pool-get put=f,g   (func doc)  — declare a pool getter and
 //     its release functions for the poolpair analyzer
 //   - //voxel:det-ok <reason>    (same line or line above) — waive one
@@ -36,7 +32,6 @@ package analysis
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
-		NilFreeAnalyzer,
 		PoolPairAnalyzer,
 		HotPathAnalyzer,
 	}
@@ -58,13 +53,4 @@ var DeterministicPackages = []string{
 	"voxel/internal/sweep",
 	"voxel/internal/obs",
 	"voxel/internal/stats",
-}
-
-// knownNilFree names the nil-is-free types enforced across package
-// boundaries. Same-package code can instead annotate a type with
-// //voxel:nilfree; this list exists because an annotation in package obs
-// is invisible to a caller-side pass over package quic.
-var knownNilFree = map[string]bool{
-	"voxel/internal/obs.Scope":         true,
-	"voxel/internal/invariant.Checker": true,
 }

@@ -10,10 +10,6 @@ func TestDeterminismAnalyzer(t *testing.T) {
 	RunTest(t, DeterminismAnalyzer, "testdata/src/determinism")
 }
 
-func TestNilFreeAnalyzer(t *testing.T) {
-	RunTest(t, NilFreeAnalyzer, "testdata/src/nilfree")
-}
-
 func TestPoolPairAnalyzer(t *testing.T) {
 	RunTest(t, PoolPairAnalyzer, "testdata/src/poolpair")
 }

@@ -259,8 +259,7 @@ func namedPtrElem(typ types.Type) *types.Named {
 	return named
 }
 
-// typeKey renders a named type as pkgpath.Name for lookup against the
-// known nil-is-free list.
+// typeKey renders a named type as pkgpath.Name.
 func typeKey(named *types.Named) string {
 	obj := named.Obj()
 	if obj.Pkg() == nil {

@@ -24,9 +24,10 @@ import (
 // listed for serialisation: the struct, Config.Spec (to) and Spec.Config
 // (from); TestSpecCoversConfig fails when a Config field is missing here.
 //
-// A Spec is plain data. A checkpoint of a CSV-loaded trace — which has no
-// canonical name to rebuild it from — still loads, fingerprints and resumes
-// against the in-memory Config; only Spec.Config needs the canonical name.
+// A Spec is plain data. A checkpoint of a trace with no canonical name
+// (e.g. trace.Constant/trace.Step) — nothing to rebuild it from — still
+// loads, fingerprints and resumes against the in-memory Config; only
+// Spec.Config needs the canonical name.
 type Spec struct {
 	Title          string  `json:"title"`
 	System         string  `json:"system"`
@@ -56,9 +57,9 @@ type Spec struct {
 
 // Spec distills the config, normalized (defaults applied, execution-only
 // fields dropped). The trace contributes its name plus a hash of its
-// samples (a CSV-loaded trace has no canonical name but still fingerprints
-// exactly), and its ByName key when it has one so Spec.Config can rebuild
-// the trace from the file alone.
+// samples (a trace with no canonical name, e.g. trace.Constant/trace.Step,
+// still fingerprints exactly), and its ByName key when it has one so
+// Spec.Config can rebuild the trace from the file alone.
 func (c Config) Spec() Spec {
 	c = c.Normalized()
 	sp := Spec{
@@ -118,8 +119,8 @@ func (sp Spec) Fingerprint() string {
 // Config rebuilds the runnable (normalized) configuration the spec was
 // distilled from, and validates it: a spec read from a file is outside
 // input. Only a trace with a canonical ByName key can be rebuilt; results
-// of a CSV-loaded trace must be folded in-process, where the *trace.Trace
-// is at hand.
+// over a trace with no canonical name (e.g. trace.Constant/trace.Step) must
+// be folded in-process, where the *trace.Trace is at hand.
 func (sp Spec) Config() (Config, error) {
 	c := Config{
 		Title:          sp.Title,

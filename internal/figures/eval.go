@@ -287,10 +287,7 @@ func Fig9(p Params) *Table {
 // the Riiser 3G commute traces.
 func Fig10(p Params) *Table {
 	p = p.Defaults()
-	n := 86
-	if p.Quick {
-		n = 8
-	}
+	n := p.riiserSetSize()
 	t := &Table{ID: "Fig10", Title: fmt.Sprintf("Ablation over %d 3G commute traces (BBB)", n),
 		Header: []string{"Buf", "System", "mean bufRatio", "p90 bufRatio", "mean SSIM"},
 		Notes:  "paper (1-seg): BOLA 7.9%, BOLA-SSIM 8.2%, VOXEL 5.1% mean bufRatio; BOLA-SSIM gains +0.02 SSIM, VOXEL keeps it while stalling least"}

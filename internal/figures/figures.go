@@ -61,6 +61,15 @@ func (p Params) videos() []string {
 	return []string{"BBB", "ED", "Sintel", "ToS"}
 }
 
+// riiserSetSize is how many Riiser 3G traces Fig. 10 streams over: the
+// paper's 86, or 8 in quick mode.
+func (p Params) riiserSetSize() int {
+	if p.Quick {
+		return 8
+	}
+	return 86
+}
+
 func (p Params) buffers(full []int) []int {
 	if p.Quick && len(full) > 2 {
 		return []int{full[0], full[len(full)-1]}
@@ -148,6 +157,8 @@ func All() []Generator {
 		{"Tab1", "Evaluation videos (Tab. 1)", Table1},
 		{"Tab2", "Quality ladder (Tab. 2)", Table2},
 		{"Tab3", "YouTube videos (Tab. 3)", Table3},
+		{"Prep", "Offline preparation (§4.1)", Prep},
+		{"Traces", "Bandwidth traces (§5)", Traces},
 		{"Fig1", "Frame-drop tolerance CDFs (Fig. 1a–c)", Fig1},
 		{"Fig1d", "Low-quality SSIM distributions (Fig. 1d)", Fig1d},
 		{"Fig2a", "Droppable-frame positions (Fig. 2a)", Fig2a},

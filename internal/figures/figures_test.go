@@ -1,9 +1,17 @@
 package figures
 
 import (
+	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"voxel/internal/exp"
+	"voxel/internal/prep"
+	"voxel/internal/qoe"
+	"voxel/internal/trace"
+	"voxel/internal/video"
 )
 
 func quick() Params { return Params{Quick: true, Trials: 1, Segments: 5, Seed: 3}.Defaults() }
@@ -20,6 +28,7 @@ func parsePct(t *testing.T, s string) float64 {
 func TestStaticTables(t *testing.T) {
 	for _, g := range []Generator{
 		{"Tab1", "", Table1}, {"Tab2", "", Table2}, {"Tab3", "", Table3},
+		{"Prep", "", Prep}, {"Traces", "", Traces},
 	} {
 		tab := g.Run(quick())
 		if len(tab.Rows) == 0 {
@@ -34,6 +43,69 @@ func TestStaticTables(t *testing.T) {
 	}
 	if len(Table3(quick()).Rows) != 10 {
 		t.Error("Tab3 must list 10 clips")
+	}
+	listed := map[string]int{}
+	for _, r := range Traces(quick()).Rows {
+		listed[r[0]]++
+	}
+	for _, name := range trace.Names() {
+		tr, err := trace.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if listed[tr.Name()] != 1 {
+			t.Errorf("Traces lists %s (%s) %d times, want once", name, tr.Name(), listed[tr.Name()])
+		}
+	}
+}
+
+// TestPrepExhibit pins the Prep table to its sources: the ordering
+// histogram covers every segment, the tolerance cells are Fig1's
+// Q12/SSIM0.99 row, and the overhead cells are SizeOverhead of the
+// manifest the trials stream.
+func TestPrepExhibit(t *testing.T) {
+	p := quick()
+	tab := Prep(p)
+	if len(tab.Rows) != len(p.videos()) {
+		t.Fatalf("%d rows, want one per title %v", len(tab.Rows), p.videos())
+	}
+	fig1 := map[string][]string{}
+	for _, r := range Fig1(p).Rows {
+		if r[1] == "Q12/SSIM0.99" {
+			fig1[r[0]] = r[2:5]
+		}
+	}
+	orderings := len(prep.Orderings())
+	for i, r := range tab.Rows {
+		title := p.videos()[i]
+		if r[0] != title {
+			t.Fatalf("row %d is %s, want %s", i, r[0], title)
+		}
+		sum := 0
+		for _, c := range r[1 : 1+orderings] {
+			n, err := strconv.Atoi(c)
+			if err != nil {
+				t.Fatalf("%s: ordering count %q", title, c)
+			}
+			sum += n
+		}
+		if segs := video.MustLoad(title).Segments; sum != segs {
+			t.Errorf("%s: ordering histogram sums to %d, want %d segments", title, sum, segs)
+		}
+		tol := r[1+orderings : 4+orderings]
+		if !slices.Equal(tol, fig1[title]) {
+			t.Errorf("%s: tolerance %v, Fig1 Q12/SSIM0.99 says %v", title, tol, fig1[title])
+		}
+		bytes, frac, err := exp.ManifestFor(title, qoe.SSIM, 0).SizeOverhead()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := r[4+orderings:], []string{fmt.Sprintf("%d B", bytes), pct(frac)}; !slices.Equal(got, want) {
+			t.Errorf("%s: manifest cells %v, SizeOverhead says %v", title, got, want)
+		}
+	}
+	if !strings.Contains(tab.Notes, "≈16%") || !strings.Contains(tab.Notes, tab.Rows[0][len(tab.Header)-1]) {
+		t.Errorf("notes must set the measured overhead next to the paper's ≈16%%: %q", tab.Notes)
 	}
 }
 
@@ -136,21 +208,24 @@ func TestFig14Survey(t *testing.T) {
 
 func TestExhibitParallelDeterminism(t *testing.T) {
 	// A whole exhibit — many Run calls, shared manifest cache — must render
-	// the identical table whether trials run sequentially or fanned out.
+	// the identical table on a second run and whether trials run
+	// sequentially or fanned out.
 	p := quick()
 	p.Trials = 2
 	seq := p
 	seq.Parallelism = 1
 	par := p
-	par.Parallelism = -1 // GOMAXPROCS
-	for _, id := range []string{"Fig10", "Fig7a"} {
+	par.Parallelism = 4
+	for _, id := range []string{"Fig10", "Fig7a", "Prep", "Traces"} {
 		g, ok := ByID(id)
 		if !ok {
 			t.Fatalf("unknown exhibit %s", id)
 		}
 		a := g.Run(seq).String()
-		b := g.Run(par).String()
-		if a != b {
+		if again := g.Run(seq).String(); again != a {
+			t.Errorf("%s: second run differs:\n%s\nvs\n%s", id, a, again)
+		}
+		if b := g.Run(par).String(); b != a {
 			t.Errorf("%s: parallel table differs from sequential:\n%s\nvs\n%s", id, a, b)
 		}
 	}
@@ -162,6 +237,11 @@ func TestByID(t *testing.T) {
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Fatal("unknown ID should fail")
+	}
+	for _, id := range []string{"Prep", "Traces"} {
+		if g, ok := ByID(id); !ok || g.ID != id {
+			t.Fatalf("ByID(%q) = %q, %v", id, g.ID, ok)
+		}
 	}
 	seen := map[string]bool{}
 	for _, g := range All() {

@@ -42,8 +42,6 @@ func (v *Violation) Error() string {
 // arm. A Checker carries no mutable state — it is only a witness that
 // checking is on — so sharing one across the layers of a single-threaded
 // trial world is free.
-//
-//voxel:nilfree
 type Checker struct{}
 
 // New returns an armed checker.

@@ -1,17 +1,42 @@
 package invariant
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// A nil checker is the disabled state: every method no-ops and allocates
-// nothing, which is what lets the hot paths keep it armed unconditionally.
+// A nil checker is the disabled state: every exported method, called on a
+// nil receiver with zero-valued arguments (so Check sees ok == false),
+// returns zero-valued results without panicking, and the hot-path calls
+// allocate nothing. A method added without a nil guard fails here.
 func TestNilCheckerIsFree(t *testing.T) {
-	var c *Checker
-	if c.Enabled() {
-		t.Fatal("nil checker reports enabled")
+	nilChecker := reflect.ValueOf((*Checker)(nil))
+	typ := nilChecker.Type()
+	for i := 0; i < typ.NumMethod(); i++ {
+		m := typ.Method(i)
+		args := make([]reflect.Value, m.Type.NumIn()-1)
+		for j := range args {
+			args[j] = reflect.Zero(m.Type.In(j + 1))
+		}
+		call := nilChecker.Method(i).Call
+		if m.Type.IsVariadic() {
+			call = nilChecker.Method(i).CallSlice
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("(*Checker)(nil).%s panicked: %v", m.Name, r)
+				}
+			}()
+			for k, out := range call(args) {
+				if !out.IsZero() {
+					t.Errorf("(*Checker)(nil).%s result %d = %v, want zero", m.Name, k, out)
+				}
+			}
+		}()
 	}
+	var c *Checker
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Check(false, "quic", "quic.test", "would fire")
 		c.Failf("quic", "quic.test", "would fire %d", 7)

@@ -35,8 +35,6 @@ type Options struct {
 // Scope is the recording handle threaded through the stack. The zero
 // pointer is the disabled state: every method checks the receiver for nil
 // first, so call sites need no guards of their own.
-//
-//voxel:nilfree
 type Scope struct {
 	reg Registry
 	tl  Timeline

@@ -4,29 +4,42 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
+// TestNilScopeNoOps calls every exported method of Scope on a nil
+// receiver with zero-valued arguments: each must return without panicking
+// and with zero-valued results, so a method added without a nil guard
+// fails here.
 func TestNilScopeNoOps(t *testing.T) {
-	var s *Scope
-	if s.Enabled() {
-		t.Fatal("nil scope reports enabled")
-	}
-	// None of these may panic.
-	s.Count(CPacketsSent, 10)
-	s.Inc(CRetries)
-	s.SetGauge(GBufferMs, 42)
-	s.Observe(HRTTMs, 7)
-	s.Event(EvFailover, 1, 2, 3)
-	s.EventX(EvSegmentDone, 1, 2, 3, 0.5)
-	if s.Registry() != nil {
-		t.Fatal("nil scope registry should be nil")
-	}
-	if s.TrialReport() != nil {
-		t.Fatal("nil scope report should be nil")
+	nilScope := reflect.ValueOf((*Scope)(nil))
+	typ := nilScope.Type()
+	for i := 0; i < typ.NumMethod(); i++ {
+		m := typ.Method(i)
+		args := make([]reflect.Value, m.Type.NumIn()-1)
+		for j := range args {
+			args[j] = reflect.Zero(m.Type.In(j + 1))
+		}
+		call := nilScope.Method(i).Call
+		if m.Type.IsVariadic() {
+			call = nilScope.Method(i).CallSlice
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("(*Scope)(nil).%s panicked: %v", m.Name, r)
+				}
+			}()
+			for k, out := range call(args) {
+				if !out.IsZero() {
+					t.Errorf("(*Scope)(nil).%s result %d = %v, want zero", m.Name, k, out)
+				}
+			}
+		}()
 	}
 }
 

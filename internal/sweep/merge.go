@@ -57,7 +57,8 @@ func MergeFiles(paths []string) (*Merged, error) {
 // and reject exactly the same shard sets: an interrupted shard, whose
 // never-run trials are missing, is incomplete. The fold runs under
 // shards[0]'s own normalized config rather than one rebuilt from the Spec,
-// so a campaign over a CSV-loaded trace merges too.
+// so a campaign over a trace with no canonical name (e.g.
+// trace.Constant/trace.Step) merges too.
 func MergeAggregates(shards []*exp.Aggregate) (*exp.Aggregate, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("sweep: no shard aggregates to merge")
