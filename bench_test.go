@@ -63,9 +63,9 @@ func runFigure(b *testing.B, id string, metricCol int, metricName string) {
 	}
 }
 
-func BenchmarkTable1Videos(b *testing.B)    { runFigure(b, "Tab1", -1, "") }
-func BenchmarkTable2Ladder(b *testing.B)    { runFigure(b, "Tab2", -1, "") }
-func BenchmarkTable3YouTube(b *testing.B)   { runFigure(b, "Tab3", -1, "") }
+func BenchmarkTable1Videos(b *testing.B)  { runFigure(b, "Tab1", -1, "") }
+func BenchmarkTable2Ladder(b *testing.B)  { runFigure(b, "Tab2", -1, "") }
+func BenchmarkTable3YouTube(b *testing.B) { runFigure(b, "Tab3", -1, "") }
 func BenchmarkFig1DropTolerance(b *testing.B) {
 	runFigure(b, "Fig1", 3, "median_drop_%")
 }
@@ -76,23 +76,23 @@ func BenchmarkFig2cdVirtualLevels(b *testing.B) { runFigure(b, "Fig2cd", -1, "")
 func BenchmarkFig3VanillaABRBufRatio(b *testing.B) {
 	runFigure(b, "Fig3", 5, "qstar_p90_bufratio_%")
 }
-func BenchmarkFig4VanillaABRBitrate(b *testing.B)  { runFigure(b, "Fig4", -1, "") }
+func BenchmarkFig4VanillaABRBitrate(b *testing.B)   { runFigure(b, "Fig4", -1, "") }
 func BenchmarkFig5CrossTrafficVanilla(b *testing.B) { runFigure(b, "Fig5", 4, "qstar_p90_bufratio_%") }
-func BenchmarkFig6BufRatio(b *testing.B)           { runFigure(b, "Fig6", 5, "voxel_p90_bufratio_%") }
-func BenchmarkFig7aMetricAgnostic(b *testing.B)    { runFigure(b, "Fig7a", 2, "voxel_ssim_bufratio_%") }
-func BenchmarkFig7bcQoECDF(b *testing.B)           { runFigure(b, "Fig7bc", 3, "median_score") }
-func BenchmarkFig7dDataSkipped(b *testing.B)       { runFigure(b, "Fig7d", 2, "skipped_%") }
-func BenchmarkFig8Bitrate(b *testing.B)            { runFigure(b, "Fig8", -1, "") }
-func BenchmarkFig9SSIMCDF(b *testing.B)            { runFigure(b, "Fig9", 3, "median_ssim") }
-func BenchmarkFig10Ablation3G(b *testing.B)        { runFigure(b, "Fig10", 2, "mean_bufratio_%") }
-func BenchmarkFig11Synthetic(b *testing.B)         { runFigure(b, "Fig11", 2, "mean_ssim") }
-func BenchmarkFig11dInTheWild(b *testing.B)        { runFigure(b, "Fig11d", 3, "p90_bufratio_%") }
-func BenchmarkFig12CrossTrafficVoxel(b *testing.B) { runFigure(b, "Fig12", 3, "p90_bufratio_%") }
-func BenchmarkFig14Survey(b *testing.B)            { runFigure(b, "Fig14", -1, "") }
-func BenchmarkFig15SegmentBitrates(b *testing.B)   { runFigure(b, "Fig15", -1, "") }
-func BenchmarkFig16LongQueue(b *testing.B)         { runFigure(b, "Fig16", 4, "voxel_p90_bufratio_%") }
-func BenchmarkFig17UntunedVoxel(b *testing.B)      { runFigure(b, "Fig17", 3, "tuned_p90_bufratio_%") }
-func BenchmarkFig18FCC(b *testing.B)               { runFigure(b, "Fig18ab", 3, "voxel_p90_bufratio_%") }
+func BenchmarkFig6BufRatio(b *testing.B)            { runFigure(b, "Fig6", 5, "voxel_p90_bufratio_%") }
+func BenchmarkFig7aMetricAgnostic(b *testing.B)     { runFigure(b, "Fig7a", 2, "voxel_ssim_bufratio_%") }
+func BenchmarkFig7bcQoECDF(b *testing.B)            { runFigure(b, "Fig7bc", 3, "median_score") }
+func BenchmarkFig7dDataSkipped(b *testing.B)        { runFigure(b, "Fig7d", 2, "skipped_%") }
+func BenchmarkFig8Bitrate(b *testing.B)             { runFigure(b, "Fig8", -1, "") }
+func BenchmarkFig9SSIMCDF(b *testing.B)             { runFigure(b, "Fig9", 3, "median_ssim") }
+func BenchmarkFig10Ablation3G(b *testing.B)         { runFigure(b, "Fig10", 2, "mean_bufratio_%") }
+func BenchmarkFig11Synthetic(b *testing.B)          { runFigure(b, "Fig11", 2, "mean_ssim") }
+func BenchmarkFig11dInTheWild(b *testing.B)         { runFigure(b, "Fig11d", 3, "p90_bufratio_%") }
+func BenchmarkFig12CrossTrafficVoxel(b *testing.B)  { runFigure(b, "Fig12", 3, "p90_bufratio_%") }
+func BenchmarkFig14Survey(b *testing.B)             { runFigure(b, "Fig14", -1, "") }
+func BenchmarkFig15SegmentBitrates(b *testing.B)    { runFigure(b, "Fig15", -1, "") }
+func BenchmarkFig16LongQueue(b *testing.B)          { runFigure(b, "Fig16", 4, "voxel_p90_bufratio_%") }
+func BenchmarkFig17UntunedVoxel(b *testing.B)       { runFigure(b, "Fig17", 3, "tuned_p90_bufratio_%") }
+func BenchmarkFig18FCC(b *testing.B)                { runFigure(b, "Fig18ab", 3, "voxel_p90_bufratio_%") }
 func BenchmarkFig18PartialReliability(b *testing.B) {
 	runFigure(b, "Fig18cd", 4, "voxel_p90_bufratio_%")
 }

@@ -56,17 +56,16 @@ func (o *Options) Full(q video.Quality) Candidate {
 	return cands[len(cands)-1]
 }
 
-// All returns every candidate in quality order: Flat, or failing that a
-// fresh concatenation of PerQuality. Callers only read it.
-func (o *Options) All() []Candidate {
+// All returns every candidate in quality order: Flat itself, or failing that
+// the concatenation of PerQuality appended to dst. Callers only read it.
+func (o *Options) All(dst []Candidate) []Candidate {
 	if o.Flat != nil {
 		return o.Flat
 	}
-	var out []Candidate
 	for _, cs := range o.PerQuality {
-		out = append(out, cs...)
+		dst = append(dst, cs...)
 	}
-	return out
+	return dst
 }
 
 // State is the player state an algorithm decides on.

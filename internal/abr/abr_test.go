@@ -361,6 +361,61 @@ func TestNames(t *testing.T) {
 	}
 }
 
+// flatten lays opts out as the player does: one array in quality order, each
+// quality's candidates a window of it.
+func flatten(opts Options) Options {
+	var out Options
+	for _, cs := range opts.PerQuality {
+		out.Flat = append(out.Flat, cs...)
+	}
+	first := 0
+	for _, cs := range opts.PerQuality {
+		end := first + len(cs)
+		out.PerQuality = append(out.PerQuality, out.Flat[first:end:end])
+		first = end
+	}
+	return out
+}
+
+func TestWarmDecideAndAbandonZeroAllocs(t *testing.T) {
+	// Every algorithm an experiment system runs is asked at each step, at each
+	// 250 ms re-ask while the buffer is full and at each abandonment poll:
+	// once it has looked at one decision space, looking again allocates
+	// nothing, whether the space is laid out flat (the player) or not. MPC's
+	// recursive search closure stays on the stack.
+	algs := []Algorithm{NewBola(), NewMPC(), NewTput(), NewBeta(), NewBolaSSIM(), NewABRStar(), NewABRStarSafety(1.0)}
+	startup := st(0, 7, 9)
+	startup.Startup = true
+	states := []State{startup, st(1, 7, 0.4), st(8, 7, 3), st(16, 7, 12), st(27.8, 7, 10), st(28, 7, 10)}
+	spaces := map[string]Options{"full": fixtureOptions(false), "virtual": fixtureOptions(true), "flat": flatten(fixtureOptions(true))}
+	for i, alg := range algs {
+		for _, name := range []string{"full", "virtual", "flat"} {
+			opts := spaces[name]
+			full := opts.Full(10)
+			progress := []Progress{
+				{Candidate: full, BytesDone: full.Bytes / 10, Elapsed: 2 * time.Second, Throughput: 0.4e6}, // collapsed
+				{Candidate: full, BytesDone: full.Bytes / 2, Elapsed: 2 * time.Second, Throughput: 8e6},    // healthy
+				{Candidate: full, Elapsed: 100 * time.Millisecond, Throughput: 0.1e6},                      // too early
+			}
+			for i := 0; i < 5; i++ {
+				alg.OnSample(Sample{Throughput: 4e6, Duration: time.Second})
+			}
+			look := func() {
+				for _, s := range states {
+					alg.Decide(s, opts)
+					for _, p := range progress {
+						alg.Abandon(s, opts, p)
+					}
+				}
+			}
+			if n := testing.AllocsPerRun(20, look); n != 0 {
+				t.Errorf("algorithm %d (%s) over %s options: %.1f mallocs per %d warm decisions and %d abandonment checks, want 0",
+					i, alg.Name(), name, n, len(states), len(states)*len(progress))
+			}
+		}
+	}
+}
+
 // The per-candidate utility hooks bolaCore had before the one-pass vector,
 // kept as the reference: each call rescans the whole set.
 func refBitrateUtility(c Candidate, all []Candidate) float64 {
@@ -409,8 +464,8 @@ func TestUtilityVectorMatchesPerCandidateFormula(t *testing.T) {
 			name string
 			opts Options
 		}{{"full", fixtureOptions(false)}, {"virtual", fixtureOptions(true)}, {"scoreless", scoreless}} {
-			cands := row.alg.candidates(fx.opts)
-			utils := row.alg.utilities(cands)
+			cands := row.alg.candidates(nil, fx.opts)
+			utils := row.alg.utilities(nil, cands)
 			if len(utils) != len(cands) {
 				t.Fatalf("%s/%s: %d utilities for %d candidates", row.alg.Name(), fx.name, len(utils), len(cands))
 			}

@@ -21,26 +21,24 @@ func NewBola() *Bola {
 	return &Bola{bolaCore{
 		name:   "BOLA",
 		Safety: 0.9,
-		utilities: func(cands []Candidate) []float64 {
+		utilities: func(dst []float64, cands []Candidate) []float64 {
 			minBytes := cands[0].Bytes
 			for _, x := range cands {
 				if x.Bytes < minBytes {
 					minBytes = x.Bytes
 				}
 			}
-			utils := make([]float64, len(cands))
-			for i, c := range cands {
-				utils[i] = math.Log(float64(c.Bytes) / float64(minBytes))
+			for _, c := range cands {
+				dst = append(dst, math.Log(float64(c.Bytes)/float64(minBytes)))
 			}
-			return utils
+			return dst
 		},
-		candidates: func(opts Options) []Candidate {
+		candidates: func(dst []Candidate, opts Options) []Candidate {
 			// Full segments only.
-			out := make([]Candidate, 0, len(opts.PerQuality))
 			for q := range opts.PerQuality {
-				out = append(out, opts.Full(video.Quality(q)))
+				dst = append(dst, opts.Full(video.Quality(q)))
 			}
-			return out
+			return dst
 		},
 	}}
 }
@@ -52,12 +50,13 @@ type bolaCore struct {
 	name string
 	// Safety scales throughput estimates used for startup and abandonment.
 	Safety float64
-	// utilities maps each candidate of the decision space to its
-	// (increasing) utility, in one pass: what depends on the whole set — its
-	// cheapest or best member — is found once per decision.
-	utilities func(cands []Candidate) []float64
-	// candidates selects the decision space from the options.
-	candidates func(opts Options) []Candidate
+	// utilities appends to dst each candidate's (increasing) utility, in one
+	// pass: what depends on the whole set — its cheapest or best member — is
+	// found once per decision.
+	utilities func(dst []float64, cands []Candidate) []float64
+	// candidates selects the decision space from the options: appended to
+	// dst, or opts.Flat itself when that is the whole space.
+	candidates func(dst []Candidate, opts Options) []Candidate
 	// smartAbandon switches abandonment from restart (BOLA-E) to
 	// finish-partial (ABR*, §4.3).
 	smartAbandon bool
@@ -69,10 +68,26 @@ type bolaCore struct {
 
 	// placeholder implements BOLA-E's virtual buffer for startup.
 	placeholder time.Duration
+
+	// Scratch kept across Decide and Abandon calls, so a look at the
+	// decision space allocates nothing.
+	cands []Candidate
+	utils []float64
 }
 
 // Name implements Algorithm.
 func (b *bolaCore) Name() string { return b.name }
+
+// decisionSpace returns the candidates of opts, valid until the next call:
+// built in b's scratch, or opts.Flat read in place — the caller's array never
+// becomes scratch.
+func (b *bolaCore) decisionSpace(opts Options) []Candidate {
+	cands := b.candidates(b.cands[:0], opts)
+	if len(opts.Flat) == 0 || &cands[0] != &opts.Flat[0] {
+		b.cands = cands
+	}
+	return cands
+}
 
 // params derives V and γp from the buffer capacity and the utility range,
 // following the BOLA paper: the top option is picked at a buffer threshold
@@ -104,8 +119,9 @@ func (b *bolaCore) params(st State, cands []Candidate, utils []float64) (V, gp f
 
 // Decide implements Algorithm.
 func (b *bolaCore) Decide(st State, opts Options) Decision {
-	cands := b.candidates(opts)
-	utils := b.utilities(cands)
+	cands := b.decisionSpace(opts)
+	b.utils = b.utilities(b.utils[:0], cands)
+	utils := b.utils
 	V, gp := b.params(st, cands, utils)
 
 	// Effective buffer includes the BOLA-E placeholder.
@@ -309,7 +325,7 @@ func (b *bolaCore) Abandon(st State, opts Options, p Progress) AbandonAction {
 	// BOLA-E: restart at the best candidate downloadable within roughly
 	// the remaining buffer (with a small floor so a momentary dip doesn't
 	// crash quality to the bottom rung).
-	cands := b.candidates(opts)
+	cands := b.decisionSpace(opts)
 	budget := p.Throughput * b.Safety * math.Max(st.Buffer.Seconds(), 2.0)
 	best := cands[0]
 	for _, c := range cands {

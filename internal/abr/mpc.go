@@ -29,8 +29,8 @@ type MPC struct {
 	// pruning, §4.3's note that MPC needs curbing).
 	MaxStep int
 
-	history []float64 // measured throughputs, newest last
-	errs    []float64 // relative prediction errors
+	history  []float64 // measured throughputs, newest last
+	errs     []float64 // relative prediction errors
 	lastPred float64
 }
 

@@ -40,7 +40,7 @@ func newScoreBola(name string, safety float64) *Bola {
 	return &Bola{bolaCore{
 		name:   name,
 		Safety: safety,
-		utilities: func(cands []Candidate) []float64 {
+		utilities: func(dst []float64, cands []Candidate) []float64 {
 			perfect := 0.0
 			minScore := cands[0].Score
 			for _, x := range cands {
@@ -57,14 +57,13 @@ func newScoreBola(name string, safety float64) *Bola {
 			// Utility relative to the worst available option so the
 			// cheapest candidate sits at zero, as ln(S/S_min) does.
 			floor := scoreUtility(minScore, perfect)
-			utils := make([]float64, len(cands))
-			for i, c := range cands {
-				utils[i] = scoreUtility(c.Score, perfect) - floor
+			for _, c := range cands {
+				dst = append(dst, scoreUtility(c.Score, perfect)-floor)
 			}
-			return utils
+			return dst
 		},
-		candidates: func(opts Options) []Candidate {
-			return opts.All()
+		candidates: func(dst []Candidate, opts Options) []Candidate {
+			return opts.All(dst)
 		},
 		tputInsurance: true,
 	}}

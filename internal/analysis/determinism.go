@@ -117,14 +117,14 @@ func checkMapRanges(pass *Pass, body *ast.BlockStmt) {
 // iteration order); collects tracks self-appended slices that must be
 // sorted after the loop for the result to be canonical.
 type rangeCheck struct {
-	pass     *Pass
-	rng      *ast.RangeStmt
+	pass      *Pass
+	rng       *ast.RangeStmt
 	enclosing *ast.BlockStmt
-	keyObj   types.Object
-	valObj   types.Object
-	locals   map[types.Object]bool
-	collects []string // exprKeys of append destinations needing a sort
-	reported bool
+	keyObj    types.Object
+	valObj    types.Object
+	locals    map[types.Object]bool
+	collects  []string // exprKeys of append destinations needing a sort
+	reported  bool
 }
 
 func classifyMapRange(pass *Pass, rng *ast.RangeStmt, enclosing *ast.BlockStmt) {

@@ -54,14 +54,14 @@ func NewLoader() *Loader {
 // ListedPackage is the slice of `go list -json` output the loader and
 // the voxel-vet fact cache consume.
 type ListedPackage struct {
-	ImportPath  string
-	Name        string
-	Dir         string
-	GoFiles     []string
-	TestGoFiles []string
+	ImportPath   string
+	Name         string
+	Dir          string
+	GoFiles      []string
+	TestGoFiles  []string
 	XTestGoFiles []string
-	Imports     []string
-	TestImports []string
+	Imports      []string
+	TestImports  []string
 	XTestImports []string
 }
 

@@ -166,9 +166,11 @@ func TestWarmBetaTrialMallocBudget(t *testing.T) {
 	// A trial reads the prepared title; it does not synthesize video or run
 	// the QoE model over candidates. BETA was the worst case — every rung of
 	// every segment re-analysed on every look: 22,920 mallocs for this cell
-	// before preparation moved offline, about 1,360 after, and about 960
-	// since a world's kernel — events, bucket arrays, the wheel — is the
-	// previous world's.
+	// before preparation moved offline, about 1,360 after, about 960 since a
+	// world's kernel — events, bucket arrays, the wheel — is the previous
+	// world's, and 918 (962 under the race detector) since a session reuses
+	// its decision space, loss vector and coverage scratch. The budget is
+	// the race figure plus 4 %.
 	cfg := smallCfg(SysBeta)
 	cfg.Trials = 1
 	cfg.Segments = 4
@@ -194,8 +196,8 @@ func TestWarmBetaTrialMallocBudget(t *testing.T) {
 	slices.Sort(mallocsOf)
 	slices.Sort(bytesOf)
 	mallocs, bytes := mallocsOf[runs/2], bytesOf[runs/2]
-	if mallocs > 1150 {
-		t.Fatalf("a warm 4-segment BETA trial does %d mallocs, budget 1150", mallocs)
+	if mallocs > 1000 {
+		t.Fatalf("a warm 4-segment BETA trial does %d mallocs, budget 1000", mallocs)
 	}
 	// The wheel alone is 8,192 slice headers: a world that builds its own
 	// spends more on it than this whole trial may.

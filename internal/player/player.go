@@ -208,6 +208,7 @@ type Player struct {
 	stallAtStart time.Duration // p.stall when the current rebuffer began
 	nextIndex    int
 	opts         abr.Options // decision space of segment nextIndex (see reach)
+	builds       int         // decision spaces built: one per segment reached
 	lastQuality  video.Quality
 	tputEstimate float64
 	results      Results
@@ -221,7 +222,18 @@ type Player struct {
 
 	retx *httpsim.Response // the selective retransmission in flight, nil when none
 
-	gapScratch []quic.ByteRange // result buffer of gaps
+	poll   *sim.Timer // dl's abandonment poll
+	stepFn func()     // p.step, bound once: an idle tick schedules no closure
+
+	// Storage the session owns and every segment reuses, so that a segment
+	// pays only for its requests: the arrays opts lives in, the per-frame
+	// loss vector of scoring, coverage while a download settles, and the
+	// result buffer of gaps and holes.
+	flat       []abr.Candidate
+	perQuality [][]abr.Candidate
+	loss       []float64
+	settling   coverage
+	gapScratch []quic.ByteRange
 
 	obs *obs.Scope // nil = telemetry disabled (all calls no-op)
 }
@@ -245,11 +257,22 @@ type download struct {
 	reliable *httpsim.Response // two-phase modes: I-frame + headers (§4.2)
 	body     *httpsim.Response
 	gotBytes int // body bytes so far, plus the reliable part once it resolved
-	poll     *sim.Event
 
-	received quic.RangeSet // segment offsets, valid once settled
-	lost     quic.RangeSet
+	coverage // valid once settled
 	resultIx int
+}
+
+// coverage is a segment's delivery state in segment offsets: the bytes that
+// arrived and the bytes the transport reported lost.
+type coverage struct {
+	received, lost quic.RangeSet
+}
+
+// absorb adds what r delivered and what the transport reported lost; base is
+// the segment's offset in r's object.
+func (c *coverage) absorb(r *httpsim.Response, base int64) {
+	r.Ranges.Project(&c.received, r.Received(), base)
+	r.Ranges.Project(&c.lost, r.Lost(), base)
 }
 
 // New creates a player for the given title over an established QUIC*
@@ -277,6 +300,13 @@ func New(s *sim.Sim, conn *quic.Conn, v *video.Video, m *dash.Manifest, cfg Conf
 		p.client.AddFailover(fc)
 	}
 	p.downloads = make([]*download, m.NumSegments())
+	p.poll = sim.NewTimer(s, p.pollDownload)
+	p.stepFn = p.step
+	// The decision space at its worst case, so that it never moves: each
+	// quality's candidates are a capped window of flat.
+	reps := len(m.Reps)
+	p.flat = make([]abr.Candidate, 0, reps*(maxVirtualCandidates+1))
+	p.perQuality = make([][]abr.Candidate, 0, reps)
 	p.reach(0)
 	return p
 }
@@ -412,7 +442,7 @@ func (p *Player) idle(d time.Duration) {
 	if d < 50*time.Millisecond {
 		d = 50 * time.Millisecond
 	}
-	p.sim.Schedule(d, p.step)
+	p.sim.Schedule(d, p.stepFn)
 }
 
 // finishWhenDrained ends the session after the buffer plays out.
@@ -439,7 +469,7 @@ func (p *Player) finishWhenDrained() {
 
 // reach makes idx the segment the player decides on next and builds that
 // segment's decision space — once: step, its buffer-full re-asks and every
-// abandonment poll read p.opts until the next reach replaces it.
+// abandonment poll read p.opts until the next reach rebuilds it in place.
 func (p *Player) reach(idx int) {
 	p.nextIndex = idx
 	p.opts = abr.Options{}
@@ -448,13 +478,12 @@ func (p *Player) reach(idx int) {
 	}
 }
 
+// buildOptions writes segment idx's decision space into the session's arrays
+// (see New), overwriting the previous segment's.
 func (p *Player) buildOptions(idx int) abr.Options {
-	reps := len(p.man.Reps)
-	opts := abr.Options{PerQuality: make([][]abr.Candidate, 0, reps)}
-	// One backing array per segment, sized for the worst case so it never
-	// moves; each quality's candidates are a capped window of it.
-	flat := make([]abr.Candidate, 0, reps*(maxVirtualCandidates+1))
-	for q := 0; q < reps; q++ {
+	p.builds++
+	flat, perQuality := p.flat[:0], p.perQuality[:0]
+	for q := range p.man.Reps {
 		seg := p.man.Segment(video.Quality(q), idx)
 		full := abr.Candidate{
 			Quality:   video.Quality(q),
@@ -500,10 +529,9 @@ func (p *Player) buildOptions(idx int) abr.Options {
 			}
 		}
 		flat = append(flat, full)
-		opts.PerQuality = append(opts.PerQuality, flat[first:len(flat):len(flat)])
+		perQuality = append(perQuality, flat[first:len(flat):len(flat)])
 	}
-	opts.Flat = flat
-	return opts
+	return abr.Options{PerQuality: perQuality, Flat: flat}
 }
 
 func (p *Player) usesVirtualLevels() bool {
@@ -530,7 +558,7 @@ func (p *Player) startDownload(cand abr.Candidate, prev *download) {
 	}
 	p.dl = dl
 	p.issueRequests(dl, seg)
-	p.schedulePoll(dl)
+	p.schedulePoll()
 }
 
 // absolute lists segment-relative ranges as object ranges of a
@@ -639,76 +667,118 @@ func (p *Player) maybeFinishDownload(dl *download) {
 
 // settle takes dl's delivery state over from its responses, as segment
 // offsets. It runs once, when the download completes or is cut, and before
-// the responses are cancelled (a cancelled response reads as failed).
+// the responses are cancelled (a cancelled response reads as failed). The
+// coverage is built in the player's storage and the record keeps a copy of
+// its final size.
 func (p *Player) settle(dl *download) {
+	c, base := &p.settling, dl.segStart
+	c.received.Reset()
+	c.lost.Reset()
 	if rel := dl.reliable; rel != nil {
 		switch {
 		case rel.Complete():
 			// Credited in full whatever the response carried — also for the
 			// bodiless 405/400 of ROADMAP item 4(a); the goldens pin that.
 			for _, r := range rel.Ranges {
-				dl.received.Add(uint64(r[0]-dl.segStart), uint64(r[1]-dl.segStart))
+				c.received.Add(uint64(r[0]-base), uint64(r[1]-base))
 			}
 		case rel.Failed():
-			p.salvage(dl, rel)
+			p.salvage(c, rel, base)
 		}
 		// Still in flight at a cut: it contributes nothing.
 	}
 	if body := dl.body; body != nil {
 		if body.Failed() {
-			p.salvage(dl, body)
+			p.salvage(c, body, base)
 		} else {
-			dl.absorb(body)
+			c.absorb(body, base)
 		}
 	}
-}
-
-// absorb adds what r delivered and what the transport reported lost to the
-// record.
-func (dl *download) absorb(r *httpsim.Response) {
-	r.Ranges.Project(&dl.received, r.Received(), dl.segStart)
-	r.Ranges.Project(&dl.lost, r.Lost(), dl.segStart)
+	dl.received, dl.lost = c.received.Clone(), c.lost.Clone()
+	p.checkSettled(dl)
 }
 
 // salvage keeps what a failed request delivered (§4.3: the partial segment
 // is kept) and marks the planned bytes that never arrived as lost, so that
 // scoring and selective retransmission see them.
-func (p *Player) salvage(dl *download, r *httpsim.Response) {
-	dl.absorb(r)
+func (p *Player) salvage(c *coverage, r *httpsim.Response, base int64) {
+	c.absorb(r, base)
 	for _, rr := range r.Ranges {
-		for _, g := range p.gaps(&dl.received, uint64(rr[0]-dl.segStart), uint64(rr[1]-dl.segStart)) {
-			dl.lost.Add(g.Start, g.End)
+		for _, g := range p.gaps(&c.received, uint64(rr[0]-base), uint64(rr[1]-base)) {
+			c.lost.Add(g.Start, g.End)
 		}
 	}
 }
 
-// schedulePoll arms the periodic abandonment check.
-func (p *Player) schedulePoll(dl *download) {
-	dl.poll = p.sim.Schedule(250*time.Millisecond, func() {
-		// The handle just fired; drop it so a later cancel can't touch a
-		// recycled event.
-		dl.poll = nil
-		p.syncBuffer()
-		elapsed := p.sim.Now() - dl.startedAt
-		tput := 0.0
-		if elapsed > 0 {
-			tput = float64(dl.gotBytes*8) / elapsed.Seconds()
+// checkSettled is the player.settle-coverage invariant, checked only when a
+// checker is armed: what settle recorded lies within the download's plan —
+// the ranges its requests asked for — and it is the whole plan when every
+// request failed for good (its missing bytes are marked lost) or completed
+// with a 2xx answer. Not otherwise: a download cut with a request in flight
+// keeps only part of its plan, and a bodiless error answer to a body request
+// (the split-request 405/400 of ROADMAP item 4(a)) records none of it,
+// received or lost.
+func (p *Player) checkSettled(dl *download) {
+	chk := p.sim.Checker()
+	if !chk.Enabled() {
+		return
+	}
+	var plan quic.RangeSet
+	whole := true
+	for _, r := range [...]*httpsim.Response{dl.reliable, dl.body} {
+		if r == nil {
+			continue
 		}
-		action := p.cfg.Algorithm.Abandon(p.state(), p.opts, abr.Progress{
-			Candidate:  dl.cand,
-			BytesDone:  dl.gotBytes,
-			Elapsed:    elapsed,
-			Throughput: tput,
-		})
-		switch action.Kind {
-		case abr.Restart:
-			p.restartDownload(dl, action.NewCandidate)
-		case abr.FinishPartial:
-			p.finishPartial(dl)
-		default:
-			p.schedulePoll(dl)
+		whole = whole && (r.Failed() || r.Complete() && r.Status/100 == 2)
+		for _, rr := range r.Ranges {
+			plan.Add(uint64(rr[0]-dl.segStart), uint64(rr[1]-dl.segStart))
 		}
+	}
+	for _, set := range [...]*quic.RangeSet{&dl.received, &dl.lost} {
+		for _, r := range set.Ranges() {
+			if !plan.Contains(r.Start, r.End) {
+				chk.Failf("player", "player.settle-coverage",
+					"segment %d: recorded %v outside the plan %v", dl.index, r, plan.Ranges())
+			}
+		}
+	}
+	if !whole {
+		return
+	}
+	for _, r := range plan.Ranges() {
+		if !quic.CoveredBy(&dl.received, &dl.lost, r.Start, r.End) {
+			chk.Failf("player", "player.settle-coverage",
+				"segment %d: every request resolved, but received ∪ lost misses part of planned %v", dl.index, r)
+		}
+	}
+}
+
+// schedulePoll arms the periodic abandonment check of the download in flight.
+func (p *Player) schedulePoll() { p.poll.Arm(250 * time.Millisecond) }
+
+// pollDownload is the abandonment check: p.poll's callback.
+func (p *Player) pollDownload() {
+	dl := p.dl
+	p.syncBuffer()
+	elapsed := p.sim.Now() - dl.startedAt
+	tput := 0.0
+	if elapsed > 0 {
+		tput = float64(dl.gotBytes*8) / elapsed.Seconds()
+	}
+	action := p.cfg.Algorithm.Abandon(p.state(), p.opts, abr.Progress{
+		Candidate:  dl.cand,
+		BytesDone:  dl.gotBytes,
+		Elapsed:    elapsed,
+		Throughput: tput,
 	})
+	switch action.Kind {
+	case abr.Restart:
+		p.restartDownload(dl, action.NewCandidate)
+	case abr.FinishPartial:
+		p.finishPartial(dl)
+	default:
+		p.schedulePoll()
+	}
 }
 
 // restartDownload discards the current transfer and refetches the segment
@@ -739,10 +809,7 @@ func (p *Player) cancel(dl *download) {
 		dl.body.Cancel()
 	}
 	dl.reliable, dl.body = nil, nil
-	if dl.poll != nil {
-		p.sim.Cancel(dl.poll)
-		dl.poll = nil
-	}
+	p.poll.Stop()
 }
 
 // completeSegment finalizes the current download and advances the loop.
@@ -815,15 +882,16 @@ func (p *Player) completeSegment(dl *download) {
 // received object ranges to per-frame body loss fractions.
 func (p *Player) scoreSegment(dl *download) float64 {
 	s := p.video.Segment(dl.index, dl.cand.Quality)
-	loss := make([]float64, len(s.Frames))
+	loss := p.loss[:0]
 	for i := range s.Frames {
-		bs, be := s.BodyRange(i)
-		if be == bs {
-			continue
+		l := 0.0
+		if bs, be := s.BodyRange(i); be != bs {
+			have := uint64(be-bs) - p.gapBytes(&dl.received, uint64(bs), uint64(be))
+			l = 1 - float64(have)/float64(be-bs)
 		}
-		have := uint64(be-bs) - p.gapBytes(&dl.received, uint64(bs), uint64(be))
-		loss[i] = 1 - float64(have)/float64(be-bs)
+		loss = append(loss, l)
 	}
+	p.loss = loss
 	return qoe.DefaultModel.Score(p.cfg.Metric, s, loss)
 }
 
@@ -836,7 +904,7 @@ func (p *Player) gapBytes(rs *quic.RangeSet, start, end uint64) uint64 {
 }
 
 // gaps returns the ranges of [start, end) that rs does not cover, in the
-// player's scratch: the result is valid until the next call.
+// player's scratch: the result is valid until the next call of gaps or holes.
 func (p *Player) gaps(rs *quic.RangeSet, start, end uint64) []quic.ByteRange {
 	p.gapScratch = rs.AppendGaps(p.gapScratch[:0], start, end)
 	return p.gapScratch
@@ -854,7 +922,7 @@ func (p *Player) maybeSelectiveRetx() {
 	playedUpTo := p.nextIndex - int(p.buffer/p.man.SegmentDuration)
 	for idx := max(playedUpTo, 0); idx < p.nextIndex; idx++ {
 		dl := p.downloads[idx]
-		holes := dl.holes()
+		holes := p.holes(dl)
 		if len(holes) == 0 {
 			continue
 		}
@@ -872,7 +940,7 @@ func (p *Player) maybeSelectiveRetx() {
 		}
 		resp.OnComplete = func() {
 			p.retx = nil
-			dl.absorb(resp)
+			dl.absorb(resp, dl.segStart)
 			// Re-score with the recovered data.
 			res := &p.results.Segments[dl.resultIx]
 			res.Score = p.scoreSegment(dl)
@@ -882,18 +950,20 @@ func (p *Player) maybeSelectiveRetx() {
 			// The repair is best-effort: keep what it recovered and move on.
 			p.results.FailedRequests++
 			p.retx = nil
-			dl.absorb(resp)
+			dl.absorb(resp, dl.segStart)
 		}
 		return
 	}
 }
 
-// holes returns the ranges the transport reported lost and no later delivery
-// filled: missing bytes of what the plan wanted delivered.
-func (dl *download) holes() []quic.ByteRange {
-	var holes []quic.ByteRange
+// holes returns the ranges of dl the transport reported lost and no later
+// delivery filled — missing bytes of what the plan wanted delivered — in the
+// scratch gaps uses: the result is valid until the next call of either.
+func (p *Player) holes(dl *download) []quic.ByteRange {
+	holes := p.gapScratch[:0]
 	for _, l := range dl.lost.Ranges() {
 		holes = dl.received.AppendGaps(holes, l.Start, l.End)
 	}
+	p.gapScratch = holes
 	return holes
 }

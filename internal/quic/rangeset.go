@@ -143,6 +143,20 @@ func CoveredBy(a, b *RangeSet, start, end uint64) bool {
 // Ranges returns the covered ranges (read-only).
 func (s *RangeSet) Ranges() []ByteRange { return s.ranges }
 
+// Reset empties s and keeps its storage for the next use.
+func (s *RangeSet) Reset() { s.ranges = s.ranges[:0] }
+
+// Clone returns a copy of s that shares no storage with it, in one
+// allocation of exactly its size (none when s is empty).
+func (s *RangeSet) Clone() RangeSet {
+	if len(s.ranges) == 0 {
+		return RangeSet{}
+	}
+	out := make([]ByteRange, len(s.ranges))
+	copy(out, s.ranges)
+	return RangeSet{ranges: out}
+}
+
 // ContiguousFrom returns the end of the contiguous covered prefix starting
 // at start; if start itself is uncovered it returns start.
 func (s *RangeSet) ContiguousFrom(start uint64) uint64 {

@@ -221,7 +221,7 @@ const defaultSeconds = 600
 // trace: mean 10 Mbps, stddev ≈ 9–10 Mbps, frequent deep outages.
 func TMobile() *Trace {
 	t := generate("tmobile-lte", defaultSeconds, genParams{
-		mean:      10 * Mbps,
+		mean: 10 * Mbps,
 		// LTE rates mix quickly: regimes hold ≈1 s, so the per-second
 		// stddev is huge while multi-second window averages stay usable —
 		// the structure the Mahimahi recordings show.
@@ -241,7 +241,7 @@ func TMobile() *Trace {
 // T-Mobile.
 func Verizon() *Trace {
 	t := generate("verizon-lte", defaultSeconds, genParams{
-		mean:      10 * Mbps,
+		mean:        10 * Mbps,
 		regimes:     []float64{0.45, 0.7, 1.0, 1.5, 3.1},
 		holdMean:    1.5,
 		noiseFrac:   0.08,
