@@ -1,7 +1,7 @@
-// voxel-vet is the multichecker driver for the internal/analysis suite:
-// it loads the requested packages (tests included), runs every analyzer
-// that gates each package, and exits nonzero on any diagnostic. CI runs
-// it as a hard gate next to go vet and staticcheck.
+// voxel-vet is the driver for the internal/analysis determinism rule: it
+// loads the requested packages that lie in the trial import closure (tests
+// included), checks each, and exits nonzero on any diagnostic. CI runs it
+// as a hard gate next to go vet and staticcheck.
 //
 // Usage:
 //
@@ -20,43 +20,25 @@ import (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: voxel-vet [packages]\n\nAnalyzers:\n")
-		for _, a := range analysis.Analyzers() {
-			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
-		}
+		fmt.Fprintf(os.Stderr, "usage: voxel-vet [packages]\n\n"+
+			"Forbids wall clocks, env reads, global rand and order-dependent map\n"+
+			"iteration in the packages %s imports.\n", analysis.TrialRoot)
 	}
 	flag.Parse()
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-
-	listed, err := analysis.List(patterns...)
+	diags, err := analysis.Vet(patterns...)
 	if err != nil {
-		fatalf("%v", err)
+		fmt.Fprintf(os.Stderr, "voxel-vet: %v\n", err)
+		os.Exit(2)
 	}
-	loader := analysis.NewLoader()
-	analyzers := analysis.Analyzers()
-	bad := 0
-	for _, lp := range listed {
-		units, err := loader.Units(lp)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		for _, u := range units {
-			for _, d := range analysis.RunSuite(u, analyzers) {
-				fmt.Println(d)
-				bad++
-			}
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
-	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "voxel-vet: %d diagnostic(s)\n", bad)
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "voxel-vet: %d diagnostic(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "voxel-vet: "+format+"\n", args...)
-	os.Exit(2)
 }

@@ -3,119 +3,77 @@ package analysis
 import (
 	"fmt"
 	"regexp"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// RunTest loads the testdata package in dir, runs one analyzer over it,
-// and checks the findings against `// want "regexp"` comments, in the
+// RunTest loads the testdata package in dir, runs the determinism rule over
+// it, and checks the findings against `// want "regexp"` comments, in the
 // style of golang.org/x/tools' analysistest: every diagnostic must match
 // a want on its line, and every want must be matched by exactly one
 // diagnostic. A line may carry several quoted regexps when several
 // diagnostics land on it.
-func RunTest(t *testing.T, a *Analyzer, dir string) {
+func RunTest(t *testing.T, dir string) {
 	t.Helper()
-	loader := NewLoader()
-	pkg, err := loader.LoadDir(dir)
+	pkg, err := NewLoader().LoadDir(dir)
 	if err != nil {
 		t.Fatalf("load %s: %v", dir, err)
 	}
 	wants := collectWants(t, pkg)
-	diags := a.run(pkg)
-
-	matched := map[*want]bool{}
-	for _, d := range diags {
+	matched := map[*regexp.Regexp]bool{}
+	for _, d := range Determinism(pkg) {
 		key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
-		var hit *want
-		for _, w := range wants[key] {
-			if !matched[w] && w.re.MatchString(d.Message) {
-				hit = w
-				break
-			}
-		}
-		if hit == nil {
+		i := slices.IndexFunc(wants[key], func(re *regexp.Regexp) bool { return !matched[re] && re.MatchString(d.Message) })
+		if i < 0 {
 			t.Errorf("unexpected diagnostic at %s: %s", key, d.Message)
 			continue
 		}
-		matched[hit] = true
+		matched[wants[key][i]] = true
 	}
 	var keys []string
 	for k := range wants {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
-		for _, w := range wants[k] {
-			if !matched[w] {
-				t.Errorf("no diagnostic at %s matched %q", k, w.re)
+		for _, re := range wants[k] {
+			if !matched[re] {
+				t.Errorf("no diagnostic at %s matched %q", k, re)
 			}
 		}
 	}
 }
 
-type want struct {
-	re *regexp.Regexp
-}
-
 // collectWants parses `// want "..."` comments, keyed by file:line.
-func collectWants(t *testing.T, pkg *Package) map[string][]*want {
+func collectWants(t *testing.T, pkg *Package) map[string][]*regexp.Regexp {
 	t.Helper()
-	out := map[string][]*want{}
+	out := map[string][]*regexp.Regexp{}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if !strings.HasPrefix(text, "want ") {
+				rest, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), "want ")
+				if !ok {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
 				key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-				for _, q := range splitQuoted(t, key, strings.TrimPrefix(text, "want ")) {
-					re, err := regexp.Compile(q)
+				for rest = strings.TrimSpace(rest); rest != ""; rest = strings.TrimSpace(rest) {
+					q, err := strconv.QuotedPrefix(rest)
 					if err != nil {
-						t.Fatalf("%s: bad want regexp %q: %v", key, q, err)
+						t.Fatalf("%s: malformed want clause near %q (expected quoted regexp)", key, rest)
 					}
-					out[key] = append(out[key], &want{re: re})
+					s, _ := strconv.Unquote(q)
+					re, err := regexp.Compile(s)
+					if err != nil {
+						t.Fatalf("%s: bad want regexp %q: %v", key, s, err)
+					}
+					out[key] = append(out[key], re)
+					rest = rest[len(q):]
 				}
 			}
 		}
 	}
 	return out
-}
-
-// splitQuoted parses a sequence of Go-quoted strings: `"a" "b c"`.
-func splitQuoted(t *testing.T, key, s string) []string {
-	t.Helper()
-	var out []string
-	for {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			return out
-		}
-		if s[0] != '"' {
-			t.Fatalf("%s: malformed want clause near %q (expected quoted regexp)", key, s)
-		}
-		end := 1
-		for end < len(s) {
-			if s[end] == '\\' {
-				end += 2
-				continue
-			}
-			if s[end] == '"' {
-				break
-			}
-			end++
-		}
-		if end >= len(s) {
-			t.Fatalf("%s: unterminated want regexp in %q", key, s)
-		}
-		q, err := strconv.Unquote(s[:end+1])
-		if err != nil {
-			t.Fatalf("%s: bad want quoting %q: %v", key, s[:end+1], err)
-		}
-		out = append(out, q)
-		s = s[end+1:]
-	}
 }

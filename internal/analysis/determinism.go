@@ -1,36 +1,13 @@
 package analysis
 
 import (
+	"cmp"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
-
-// DeterminismAnalyzer enforces the replay-determinism contract in
-// sim-reachable packages: a trial's outcome must be a pure function of
-// (config, seed), so the code between seed and aggregate may not read
-// wall clocks, the process environment, or the global math/rand stream,
-// and may not iterate a map in any order-dependent way.
-//
-// Wall-clock/env/global-rand findings apply to non-test files only —
-// test harnesses legitimately re-exec processes and bound wall time. The
-// map-iteration rule applies to test files too: a map-ordered test case
-// sequence breaks replayable failure reports just as surely as a
-// map-ordered event schedule.
-//
-// A map range is accepted only in provably order-independent shapes:
-// stores keyed by the raw range variable, delete calls, commutative
-// integer accumulation, loop-local work, and the canonical sorted-key
-// idiom (collect keys into a slice that the same function subsequently
-// sorts). Everything else is a diagnostic; //voxel:det-ok <reason>
-// waives a site after human review.
-var DeterminismAnalyzer = &Analyzer{
-	Name:     "determinism",
-	Doc:      "forbid wall clocks, env reads, global rand, and order-dependent map iteration in sim-reachable packages",
-	Packages: DeterministicPackages,
-	Run:      runDeterminism,
-}
 
 // forbiddenWallCalls maps package path → function names whose result
 // depends on when or where the process runs.
@@ -49,14 +26,33 @@ var forbiddenWallCalls = map[string]map[string]string{
 // an explicitly seeded source instead of touching the global stream.
 var randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
 
-func runDeterminism(pass *Pass) {
-	for _, file := range pass.Pkg.Files {
+// Determinism checks one package against the replay-determinism contract
+// and returns its findings in position order. A trial's outcome must be a pure function of (config,
+// seed), so the code between seed and aggregate may not read wall clocks,
+// the process environment, or the global math/rand stream, and may not
+// iterate a map in any order-dependent way.
+//
+// Wall-clock/env/global-rand findings apply to non-test files only —
+// test harnesses legitimately re-exec processes and bound wall time. The
+// map-iteration rule applies to test files too: a map-ordered test case
+// sequence breaks replayable failure reports just as surely as a
+// map-ordered event schedule.
+//
+// A map range is accepted only in provably order-independent shapes:
+// stores keyed by the raw range variable, delete calls, commutative
+// integer accumulation, loop-local work, and the canonical sorted-key
+// idiom (collect keys into a slice that the same function subsequently
+// sorts). Everything else is a diagnostic; //voxel:det-ok <reason>
+// waives a site after human review.
+func Determinism(pkg *Package) []Diagnostic {
+	pass := &Pass{Pkg: pkg, detOK: pkg.detOKLines()}
+	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
 				checkMapRanges(pass, fd.Body)
 			}
 		}
-		if pass.Pkg.IsTestFile(file.Pos()) {
+		if pkg.IsTestFile(file.Pos()) {
 			continue
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -66,6 +62,11 @@ func runDeterminism(pass *Pass) {
 			return true
 		})
 	}
+	slices.SortFunc(pass.diags, func(a, b Diagnostic) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line), cmp.Compare(a.Pos.Column, b.Pos.Column))
+	})
+	return pass.diags
 }
 
 func checkWallCall(pass *Pass, call *ast.CallExpr) {
@@ -117,18 +118,16 @@ func checkMapRanges(pass *Pass, body *ast.BlockStmt) {
 // iteration order); collects tracks self-appended slices that must be
 // sorted after the loop for the result to be canonical.
 type rangeCheck struct {
-	pass      *Pass
-	rng       *ast.RangeStmt
-	enclosing *ast.BlockStmt
-	keyObj    types.Object
-	valObj    types.Object
-	locals    map[types.Object]bool
-	collects  []string // exprKeys of append destinations needing a sort
-	reported  bool
+	pass     *Pass
+	keyObj   types.Object
+	valObj   types.Object
+	locals   map[types.Object]bool
+	collects []string // exprKeys of append destinations needing a sort
+	reported bool
 }
 
 func classifyMapRange(pass *Pass, rng *ast.RangeStmt, enclosing *ast.BlockStmt) {
-	c := &rangeCheck{pass: pass, rng: rng, enclosing: enclosing, locals: map[types.Object]bool{}}
+	c := &rangeCheck{pass: pass, locals: map[types.Object]bool{}}
 	if rng.Tok == token.DEFINE {
 		c.keyObj = defObj(pass, rng.Key)
 		c.valObj = defObj(pass, rng.Value)

@@ -11,7 +11,7 @@ import (
 	"io"
 	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -20,11 +20,8 @@ import (
 // own (those carry the primary path plus a "_test" suffix).
 type Package struct {
 	Path  string
-	Name  string
-	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
-	Types *types.Package
 	Info  *types.Info
 }
 
@@ -35,7 +32,7 @@ func (pkg *Package) IsTestFile(pos token.Pos) bool {
 
 // Loader parses and type-checks packages using only the standard
 // library: imports (both stdlib and intra-module) resolve through the
-// go/importer "source" importer, so the suite needs no dependency on
+// go/importer "source" importer, so the check needs no dependency on
 // golang.org/x/tools. The importer caches by path, so one Loader shared
 // across many packages type-checks each dependency once.
 type Loader struct {
@@ -51,24 +48,21 @@ func NewLoader() *Loader {
 	return &Loader{Fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
 }
 
-// ListedPackage is the slice of `go list -json` output the loader and
-// the voxel-vet fact cache consume.
+// ListedPackage is the slice of `go list -json` output the loader
+// consumes.
 type ListedPackage struct {
 	ImportPath   string
-	Name         string
 	Dir          string
+	Standard     bool
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
-	Imports      []string
-	TestImports  []string
-	XTestImports []string
 }
 
-// List resolves package patterns (./..., import paths) via `go list`.
+// List resolves package patterns (./..., import paths), and any go list
+// flags among them (-deps), via `go list -json`.
 func List(patterns ...string) ([]*ListedPackage, error) {
-	args := append([]string{"list", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
+	cmd := exec.Command("go", append([]string{"list", "-json"}, patterns...)...)
 	out, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, err
@@ -100,19 +94,25 @@ func List(patterns ...string) ([]*ListedPackage, error) {
 // _test package.
 func (l *Loader) Units(p *ListedPackage) ([]*Package, error) {
 	var units []*Package
-	if files := join(p.Dir, append(append([]string(nil), p.GoFiles...), p.TestGoFiles...)); len(files) > 0 {
-		u, err := l.load(p.ImportPath, p.Dir, files)
+	for _, u := range []struct {
+		path  string
+		names []string
+	}{
+		{p.ImportPath, slices.Concat(p.GoFiles, p.TestGoFiles)},
+		{p.ImportPath + "_test", p.XTestGoFiles},
+	} {
+		if len(u.names) == 0 {
+			continue
+		}
+		files := make([]string, len(u.names))
+		for i, n := range u.names {
+			files[i] = filepath.Join(p.Dir, n)
+		}
+		pkg, err := l.load(u.path, files)
 		if err != nil {
 			return nil, err
 		}
-		units = append(units, u)
-	}
-	if files := join(p.Dir, p.XTestGoFiles); len(files) > 0 {
-		u, err := l.load(p.ImportPath+"_test", p.Dir, files)
-		if err != nil {
-			return nil, err
-		}
-		units = append(units, u)
+		units = append(units, pkg)
 	}
 	return units, nil
 }
@@ -124,14 +124,14 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(matches)
+	slices.Sort(matches)
 	if len(matches) == 0 {
 		return nil, fmt.Errorf("no .go files in %s", dir)
 	}
-	return l.load("testdata/"+filepath.Base(dir), dir, matches)
+	return l.load("testdata/"+filepath.Base(dir), matches)
 }
 
-func (l *Loader) load(path, dir string, filenames []string) (*Package, error) {
+func (l *Loader) load(path string, filenames []string) (*Package, error) {
 	var files []*ast.File
 	for _, fn := range filenames {
 		f, err := parser.ParseFile(l.Fset, fn, nil, parser.ParseComments)
@@ -141,25 +141,13 @@ func (l *Loader) load(path, dir string, filenames []string) (*Package, error) {
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	conf := types.Config{Importer: l.imp}
-	tpkg, err := conf.Check(path, l.Fset, files, info)
-	if err != nil {
+	if _, err := conf.Check(path, l.Fset, files, info); err != nil {
 		return nil, fmt.Errorf("typecheck %s: %v", path, err)
 	}
-	return &Package{Path: path, Name: tpkg.Name(), Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
-func join(dir string, names []string) []string {
-	out := make([]string, len(names))
-	for i, n := range names {
-		out[i] = filepath.Join(dir, n)
-	}
-	return out
+	return &Package{Path: path, Fset: l.Fset, Files: files, Info: info}, nil
 }

@@ -2,29 +2,31 @@ package analysis
 
 import "testing"
 
-// TestSuiteCleanOnRepo runs every analyzer over every package of the
-// module — the same pass CI's voxel-vet gate performs — and demands
-// zero diagnostics. It type-checks the whole module from source, so it
-// is the slowest test in the package; -short skips it and leaves the
-// corpus tests to cover analyzer behavior.
+// TestSuiteCleanOnRepo runs the determinism rule over every package of the
+// module's trial closure — the same pass CI's voxel-vet gate performs — and
+// demands zero diagnostics. It type-checks the closure from source, so it
+// is the slowest test in the package; -short skips it and leaves the corpus
+// test to cover the rule's behavior.
 func TestSuiteCleanOnRepo(t *testing.T) {
 	if testing.Short() {
-		t.Skip("whole-module typecheck; covered by voxel-vet in CI")
+		t.Skip("whole-closure typecheck; covered by voxel-vet in CI")
 	}
-	pkgs, err := List("voxel/...")
+	gated, err := TrialClosure()
 	if err != nil {
 		t.Fatalf("go list: %v", err)
 	}
-	loader := NewLoader()
-	for _, p := range pkgs {
-		units, err := loader.Units(p)
-		if err != nil {
-			t.Fatalf("load %s: %v", p.ImportPath, err)
+	// The closure is computed, not listed: a broken computation must not
+	// gate nothing and pass.
+	for _, p := range []string{TrialRoot, "voxel/internal/sim", "voxel/internal/crosstraffic", "voxel/internal/video"} {
+		if !gated[p] {
+			t.Errorf("the trial closure (%d packages) misses %s", len(gated), p)
 		}
-		for _, u := range units {
-			for _, d := range RunSuite(u, Analyzers()) {
-				t.Errorf("%s", d)
-			}
-		}
+	}
+	diags, err := Vet("voxel/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("%s", d)
 	}
 }

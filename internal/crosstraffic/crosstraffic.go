@@ -185,6 +185,7 @@ func (f *flow) onAck(seq uint64) {
 	// Packet-threshold loss detection: anything 3 behind the largest acked
 	// and still in flight is lost — retransmit its bytes as new data.
 	newEvent := true
+	//voxel:det-ok Reno's OnLoss does a clamped in-flight subtraction, which commutes, and newEvent halves cwnd once per batch whichever packet comes first
 	for s, p := range f.inflight {
 		if f.largest >= 3 && s <= f.largest-3 {
 			delete(f.inflight, s)

@@ -615,3 +615,60 @@ func TestRequestMallocBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestHeadCodecZeroAllocs: the head writers append into warm scratch and the
+// scanner reads in place, so none of them allocates — with caller headers
+// sorting both before range and after x-voxel-unreliable.
+func TestHeadCodecZeroAllocs(t *testing.T) {
+	extra := sortedHeaders(map[string]string{"accept": "*/*", "x-zeta": "1"})
+	ranges := RangeSpec{{0, 907}, {2000, 2001}}
+	var req, resp []byte
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"appendRequestHead", func() { req = appendRequestHead(req[:0], "/video/3", ranges, true, extra) }},
+		{"appendResponseHead", func() { resp = appendResponseHead(resp[:0], 206, 907, 7, true) }},
+		{"scanHead of a request", func() { scanHead(req) }},
+		{"scanHead of a response", func() { scanHead(resp) }},
+	} {
+		c.call() // grow the scratch
+		if n := testing.AllocsPerRun(100, c.call); n != 0 {
+			t.Errorf("%s makes %v allocations, want 0", c.name, n)
+		}
+	}
+}
+
+// TestHeadPoolRoundTrip: a head reassembly buffer goes back to its
+// endpoint's pool once the head is scanned, on the client and on the
+// server, and when a retry abandons a half-reassembled head — so a warm
+// endpoint takes one buffer per exchange and returns it.
+func TestHeadPoolRoundTrip(t *testing.T) {
+	s := sim.New(1)
+	cc, sc := quic.NewPair(s, netem.NewFixedPath(s, 100e6, 1200), quic.Config{}, quic.Config{})
+	srv := NewServer(sc, HandlerFunc(func(string) (Object, error) { return ZeroObject(1000), nil }), ServerOptions{})
+	cl := NewClient(cc)
+	for i := 0; i < 3; i++ {
+		r := cl.Get("/object", nil, false, nil)
+		s.RunUntil(s.Now() + time.Second)
+		if !r.Complete() {
+			t.Fatalf("exchange %d did not complete", i)
+		}
+		if len(cl.heads) != 1 || len(srv.heads) != 1 {
+			t.Fatalf("after exchange %d the client pools %d head buffers and the server %d, want 1 each", i, len(cl.heads), len(srv.heads))
+		}
+	}
+
+	cl.SetRecovery(Recovery{Retry: RetryPolicy{MaxAttempts: 2}})
+	r := cl.Get("/object", nil, false, nil)
+	r.head.add(&cl.heads, 100, 10, make([]byte, 10)) // body bytes that overtook a lost head packet
+	r.failAttempt(ErrRequestTimeout)
+	s.RunUntil(s.Now()) // the retry, before any answer
+	if r.attempt != 2 || len(cl.heads) != 1 {
+		t.Fatalf("attempt %d: the client pools %d head buffers, want the abandoned one back", r.attempt, len(cl.heads))
+	}
+	s.RunUntil(s.Now() + time.Second)
+	if !r.Complete() || len(cl.heads) != 1 {
+		t.Fatalf("the retried exchange completed=%v and left %d head buffers in the client's pool, want 1", r.Complete(), len(cl.heads))
+	}
+}

@@ -135,8 +135,6 @@ func sortedHeaders(extra map[string]string) []headerLine {
 
 // appendLinesBelow appends the lines of hs that sort before limit ("": all)
 // and returns the rest, less limit's own line, which a built-in overrides.
-//
-//voxel:allocfree
 func appendLinesBelow(dst []byte, hs []headerLine, limit string) ([]byte, []headerLine) {
 	for ; len(hs) > 0 && (limit == "" || hs[0].name < limit); hs = hs[1:] {
 		dst = append(dst, hs[0].name...)
@@ -152,8 +150,6 @@ func appendLinesBelow(dst []byte, hs []headerLine, limit string) ([]byte, []head
 
 // appendRequestHead appends the head of a GET to dst, header lines in name
 // order: range if ranges is non-empty, x-voxel-unreliable if set, and extra.
-//
-//voxel:allocfree
 func appendRequestHead(dst []byte, path string, ranges RangeSpec, unreliable bool, extra []headerLine) []byte {
 	dst = append(dst, "GET "...)
 	dst = append(dst, path...)
@@ -182,8 +178,6 @@ func appendRequestHead(dst []byte, path string, ranges RangeSpec, unreliable boo
 
 // appendResponseHead appends a response head to dst: status line, content-
 // length and, if announce, the unreliable body stream's x-voxel-stream line.
-//
-//voxel:allocfree
 func appendResponseHead(dst []byte, status int, bodyLen int64, streamID uint64, announce bool) []byte {
 	dst = append(dst, "HTTP/1.1 "...)
 	dst = strconv.AppendInt(dst, int64(status), 10)
@@ -212,8 +206,6 @@ type head struct {
 // the headers either endpoint reads. Names are trimmed and matched whatever
 // their case, values trimmed; of duplicate lines the last wins. ok is false
 // when the first line is empty or a later non-empty one has no colon.
-//
-//voxel:allocfree
 func scanHead(data []byte) (h head, ok bool) {
 	line, rest, _ := bytes.Cut(data, crlf)
 	if len(line) == 0 {
@@ -311,7 +303,6 @@ type headPool [][]byte
 // overtook a lost head packet from being retained for the endpoint's life.
 const maxPooledHead = 16 << 10
 
-//voxel:pool-get put=put
 func (p *headPool) get() []byte {
 	if n := len(*p); n > 0 {
 		b := (*p)[n-1]

@@ -122,8 +122,6 @@ func (l *Link) QueueLen() int {
 
 // Send offers a datagram to the link. It returns false (and drops the
 // datagram) when the drop-tail queue is full.
-//
-//voxel:allocfree
 func (l *Link) Send(d Datagram) bool {
 	l.stats.Sent++
 	if l.QueueLen() >= l.capacity {
@@ -155,8 +153,6 @@ func (l *Link) growRing() {
 
 // serveNext puts the head of the queue on the wire: it charges the
 // serialization time and schedules onServed for when the last bit leaves.
-//
-//voxel:allocfree
 func (l *Link) serveNext() {
 	if l.count == 0 {
 		l.serving = false
@@ -204,8 +200,6 @@ func guardDone(chk *invariant.Checker, d Datagram) func() {
 
 // onServed runs when the datagram in service has left the serializer: the
 // impairment chain decides its fate and the next datagram enters service.
-//
-//voxel:allocfree
 func (l *Link) onServed() {
 	d := l.cur
 	l.cur = Datagram{}

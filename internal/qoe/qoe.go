@@ -32,8 +32,6 @@ import (
 var errsPool = sync.Pool{New: func() any { s := make([]float64, 0, 64); return &s }}
 
 // getErrs returns a zeroed length-n scratch slice from the pool.
-//
-//voxel:pool-get put=putErrs
 func getErrs(n int) *[]float64 {
 	p := errsPool.Get().(*[]float64)
 	s := *p
@@ -186,8 +184,6 @@ func (m Model) frameError(s *video.Segment, errs []float64, i int, loss float64)
 
 // SegmentSSIM returns the segment SSIM for a delivery state (see
 // FrameErrors for frameLoss semantics).
-//
-//voxel:allocfree
 func (m Model) SegmentSSIM(s *video.Segment, frameLoss []float64) float64 {
 	base := m.BaseSSIM(s)
 	scratch := getErrs(len(s.Frames))
@@ -231,8 +227,6 @@ func (metric Metric) frameScore(base, e float64) float64 {
 // the mean over frames of frameScore, summed in index order. VMAF and PSNR
 // are monotone transforms of the same underlying distortion, with their own
 // curvature, mirroring how the paper treats VOXEL as QoE-metric-agnostic.
-//
-//voxel:allocfree
 func (m Model) Score(metric Metric, s *video.Segment, frameLoss []float64) float64 {
 	base := m.BaseDistortion(s)
 	scratch := getErrs(len(s.Frames))
@@ -348,8 +342,6 @@ func psnrFromDistortion(d float64) float64 {
 
 // DropSet evaluates the common case "frames in drop are missing entirely":
 // it builds the loss vector and returns the metric score.
-//
-//voxel:allocfree
 func (m Model) DropSet(metric Metric, s *video.Segment, drop []int) float64 {
 	scratch := getErrs(len(s.Frames))
 	defer putErrs(scratch)

@@ -3,6 +3,8 @@ package qoe
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -258,4 +260,46 @@ func TestFrameErrorsLengthMismatchPanics(t *testing.T) {
 	}()
 	s := video.MustLoad("BBB").Segment(0, 12)
 	m.FrameErrors(s, make([]float64, 3))
+}
+
+// TestWarmScoringZeroAllocs: Score, SegmentSSIM and DropSet run inside every
+// trial and draw their per-frame scratch from errsPool, which they return it
+// to, so a warm call allocates nothing. The median over many calls is
+// bounded, not every call: under the race detector sync.Pool drops one Put
+// in four, and a call whose predecessor's Put was dropped pays for new
+// scratch (7 DropSet calls in 16, which holds two). A leaked Put, or an
+// allocation added to the call, costs every call.
+func TestWarmScoringZeroAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: a Put lands where the next Get looks
+	s := video.MustLoad("BBB").Segment(0, 12)
+	loss := make([]float64, len(s.Frames))
+	loss[10], loss[50] = 1, 0.5
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"Score", func() { m.Score(VMAF, s, loss) }},
+		{"SegmentSSIM", func() { m.SegmentSSIM(s, loss) }},
+		{"DropSet", func() { m.DropSet(SSIM, s, []int{3, 10, 41}) }},
+	} {
+		if n := medianMallocs(2001, c.call); n != 0 {
+			t.Errorf("a warm %s makes %d allocations (median of 2001 calls), want 0", c.name, n)
+		}
+	}
+}
+
+// medianMallocs runs f once to warm it, then n more times, and returns the
+// median number of heap allocations a call made.
+func medianMallocs(n int, f func()) uint64 {
+	f()
+	per := make([]uint64, n)
+	var before, after runtime.MemStats
+	for i := range per {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		per[i] = after.Mallocs - before.Mallocs
+	}
+	slices.Sort(per)
+	return per[n/2]
 }

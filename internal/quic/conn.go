@@ -399,9 +399,6 @@ func (c *Conn) queueUnreliableRewrite(s *Stream, offset uint64, data []byte) {
 
 // allocSent returns a clean sentPacket, reusing freed ones. The frame
 // slices keep their capacity across reuse.
-//
-//voxel:allocfree
-//voxel:pool-get put=releaseSent
 func (c *Conn) allocSent() *sentPacket {
 	if n := len(c.spFree); n > 0 {
 		sp := c.spFree[n-1]
@@ -413,8 +410,6 @@ func (c *Conn) allocSent() *sentPacket {
 
 // releaseSent recycles a sentPacket whose frames have already been handed
 // off or freed.
-//
-//voxel:allocfree
 func (c *Conn) releaseSent(sp *sentPacket) {
 	clear(sp.streamFrames)
 	*sp = sentPacket{streamFrames: sp.streamFrames[:0], ctrlFrames: sp.ctrlFrames[:0]}
@@ -422,9 +417,6 @@ func (c *Conn) releaseSent(sp *sentPacket) {
 }
 
 // allocFrame returns a zeroed StreamFrame from the send-side freelist.
-//
-//voxel:allocfree
-//voxel:pool-get put=freeFrame
 func (c *Conn) allocFrame() *StreamFrame {
 	if n := len(c.sfFree); n > 0 {
 		f := c.sfFree[n-1]
@@ -436,16 +428,12 @@ func (c *Conn) allocFrame() *StreamFrame {
 }
 
 // freeFrame recycles a StreamFrame that no queue references anymore.
-//
-//voxel:allocfree
 func (c *Conn) freeFrame(f *StreamFrame) {
 	f.Data = nil
 	c.sfFree = append(c.sfFree, f)
 }
 
 // getTx returns an empty packet record from the pool.
-//
-//voxel:pool-get put=putTx
 func (c *Conn) getTx() *txRecord {
 	if n := len(c.txFree); n > 0 {
 		tx := c.txFree[n-1]
@@ -514,8 +502,6 @@ func (c *Conn) hasAckElicitingPending() bool {
 
 // sendOnePacket assembles and transmits one packet; it returns false when
 // nothing was sent (no data, or blocked by congestion control).
-//
-//voxel:allocfree
 func (c *Conn) sendOnePacket() bool {
 	now := c.sim.Now()
 	canSendData := c.ctl.CanSend(mtu)
@@ -713,8 +699,6 @@ func (tx *txRecord) wireRoundTrip() error {
 // summed on the way. A history stays at a few ranges (nothing lost toward
 // this side) or grows to the cap, so storage comes in those two sizes rather
 // than a doubling at a time.
-//
-//voxel:allocfree
 func (c *Conn) buildAck(f *AckFrame) (wireSize int) {
 	rs := c.recvdPNs.Ranges()
 	if need := min(len(rs), maxAckRanges); cap(f.Ranges) < need {
@@ -758,8 +742,6 @@ func (c *Conn) sendAckNow() {
 // finds it unchanged. Real stream payload reaches the application as the
 // sender's own bytes, elided payload as a length; steady-state receiving
 // does not allocate or copy.
-//
-//voxel:allocfree
 func (c *Conn) receive(p *txRecord) {
 	if c.closed {
 		return // packets arriving after close fall on the floor
@@ -830,8 +812,6 @@ func (c *Conn) onStreamFrame(f *StreamFrame) {
 // one pass in O(scanned + ranges), where the scan stops at the largest
 // acknowledged packet. Processing order is ascending packet number by
 // construction — no map iteration, no sorting.
-//
-//voxel:allocfree
 func (c *Conn) onAck(f *AckFrame) {
 	now := c.sim.Now()
 	if len(f.Ranges) == 0 {
@@ -943,8 +923,6 @@ func (c *Conn) checkConservation() {
 // send times never decrease — so the lost packets always form a prefix of
 // the in-flight queue: the walk stops at the first packet neither
 // threshold condemns.
-//
-//voxel:allocfree
 func (c *Conn) detectLosses(now sim.Time) {
 	if !c.anyAcked || c.sentQ.empty() {
 		return

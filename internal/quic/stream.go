@@ -164,8 +164,6 @@ func (s *Stream) pendingSendBytes() int {
 // elided frame; a cut inside a real run aliases it (full-capacity slice:
 // appends by a holder cannot scribble on the run); only a cut spanning runs
 // copies.
-//
-//voxel:allocfree
 func (s *Stream) nextFrame(maxData int) *StreamFrame {
 	if maxData <= 0 {
 		return nil
@@ -233,8 +231,6 @@ func (s *Stream) cutSpanning(n int) []byte {
 
 // handleData processes an arriving stream frame on the receive side and
 // returns how many of its bytes the stream had not received before.
-//
-//voxel:allocfree
 func (s *Stream) handleData(f *StreamFrame) (newBytes uint64) {
 	end := f.Offset + uint64(f.Len())
 	if end > f.Offset {

@@ -241,8 +241,6 @@ func (s *Sim) Executed() uint64 { return s.nexec }
 
 // Schedule runs fn after delay of virtual time. A negative delay is treated
 // as zero (run as soon as the loop reaches the current instant again).
-//
-//voxel:allocfree
 func (s *Sim) Schedule(delay Time, fn func()) *Event {
 	if delay < 0 {
 		delay = 0
@@ -252,8 +250,6 @@ func (s *Sim) Schedule(delay Time, fn func()) *Event {
 
 // At runs fn at the absolute virtual time t. Times in the past are clamped
 // to now.
-//
-//voxel:allocfree
 func (s *Sim) At(t Time, fn func()) *Event {
 	if fn == nil {
 		panic("sim: nil event callback")
@@ -279,8 +275,6 @@ func (s *Sim) At(t Time, fn func()) *Event {
 
 // place routes an entry to the due run, a wheel bucket, or the overflow
 // heap, depending on where its slot sits relative to the cursor's window.
-//
-//voxel:allocfree
 func (s *Sim) place(en entry) {
 	slot := int64(en.at) >> tickShift
 	switch {
@@ -308,8 +302,6 @@ func (s *Sim) place(en entry) {
 // insertDue merges an entry into the unconsumed tail of the due run,
 // keeping it sorted by (at, seq). The common case — an entry later than
 // everything pending — is a plain append.
-//
-//voxel:allocfree
 func (s *Sim) insertDue(en entry) {
 	// Reclaim the consumed prefix once it dominates the slice, so a
 	// workload that never leaves one slot (zero-delay chains) stays O(1)
@@ -336,8 +328,6 @@ func (s *Sim) insertDue(en entry) {
 // Cancel removes a pending event. Canceling an event that already fired or
 // was already canceled is a no-op. Cancellation is O(1): the wheel entry
 // becomes a tombstone that is discarded when its slot drains.
-//
-//voxel:allocfree
 func (s *Sim) Cancel(e *Event) {
 	if e == nil || e.state != statePending {
 		return
@@ -355,8 +345,6 @@ func (s *Sim) Cancel(e *Event) {
 // now. Events that already fired or were canceled are left untouched.
 // Rescheduling is O(1) and, when the deadline moves later, touches no
 // wheel structure at all: the standing entry defers itself when it drains.
-//
-//voxel:allocfree
 func (s *Sim) Reschedule(e *Event, t Time) {
 	if e == nil || e.state != statePending {
 		return
@@ -389,8 +377,6 @@ func (s *Sim) Halted() bool { return s.halted }
 // before limit, skipping tombstones, and returns it without consuming it.
 // The returned entry's time may still exceed limit by up to one slot;
 // callers enforcing a deadline must compare against entry.at.
-//
-//voxel:allocfree
 func (s *Sim) peek(limit Time) (entry, bool) {
 	for {
 		for s.duePos < len(s.due) {
@@ -421,8 +407,6 @@ func (s *Sim) peek(limit Time) (entry, bool) {
 // into due, sorted. It reports false when there is nothing to drain at or
 // before limit (the cursor is left where it is so a later, larger limit
 // can resume the scan).
-//
-//voxel:allocfree
 func (s *Sim) refill(limit Time) bool {
 	for {
 		if ns, ok := s.nextOccupied(); ok {
@@ -461,8 +445,6 @@ func (s *Sim) refill(limit Time) bool {
 // promote moves overflow entries whose slot has entered the near window
 // into the wheel. The heap is (at, seq)-ordered and at is monotone in
 // slot, so popping from the head visits exactly the entries due in.
-//
-//voxel:allocfree
 func (s *Sim) promote() {
 	horizon := Time((s.cursor + wheelSlots) << tickShift)
 	for len(s.overflow) > 0 && s.overflow[0].at < horizon {
@@ -473,8 +455,6 @@ func (s *Sim) promote() {
 // nextOccupied scans the occupancy bitmap in window order — slot cursor
 // first, wrapping across all wheelSlots buckets — and returns the absolute
 // slot index of the nearest non-empty bucket.
-//
-//voxel:allocfree
 func (s *Sim) nextOccupied() (int64, bool) {
 	base := s.cursor & wheelMask
 	w := int(base >> 6)
@@ -592,7 +572,6 @@ func (s *Sim) Pending() int { return s.live }
 // stay free of interface boxing.
 type entryHeap []entry
 
-//voxel:allocfree
 func (h *entryHeap) push(en entry) {
 	*h = append(*h, en)
 	es := *h
@@ -607,7 +586,6 @@ func (h *entryHeap) push(en entry) {
 	}
 }
 
-//voxel:allocfree
 func (h *entryHeap) pop() entry {
 	es := *h
 	top := es[0]
@@ -638,8 +616,6 @@ func (h *entryHeap) pop() entry {
 // sortEntries orders a drained bucket by (at, seq): insertion sort for the
 // typical small slot, in-place heapsort beyond that. No allocations either
 // way, and (at, seq) is a total order so stability is irrelevant.
-//
-//voxel:allocfree
 func sortEntries(es []entry) {
 	n := len(es)
 	if n < 2 {
@@ -662,7 +638,6 @@ func sortEntries(es []entry) {
 	}
 }
 
-//voxel:allocfree
 func siftDownEntries(es []entry, i, n int) {
 	for {
 		l := 2*i + 1
@@ -709,8 +684,6 @@ func NewTimer(s *Sim, fn func()) *Timer {
 // Arm (re)sets the timer to fire after d. Any earlier deadline is replaced.
 // Re-arming an armed timer reschedules its event in place, which keeps the
 // wheel untouched when the deadline only moves later.
-//
-//voxel:allocfree
 func (t *Timer) Arm(d Time) {
 	if t.ev != nil {
 		if d < 0 {
@@ -723,8 +696,6 @@ func (t *Timer) Arm(d Time) {
 }
 
 // ArmAt (re)sets the timer to fire at absolute time at.
-//
-//voxel:allocfree
 func (t *Timer) ArmAt(at Time) {
 	if t.ev != nil {
 		t.sim.Reschedule(t.ev, at)
@@ -734,8 +705,6 @@ func (t *Timer) ArmAt(at Time) {
 }
 
 // Stop disarms the timer if it is pending.
-//
-//voxel:allocfree
 func (t *Timer) Stop() {
 	if t.ev != nil {
 		t.sim.Cancel(t.ev)

@@ -3,9 +3,12 @@ package video
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"voxel/internal/stats"
 )
@@ -395,6 +398,42 @@ func TestEvalOrderFollowsReferences(t *testing.T) {
 				t.Fatalf("Affected(%d) lists %d, which references nothing in the set", i, x)
 			}
 			in[x] = true
+		}
+	}
+}
+
+// TestSynthesisReusesGenerators: deriving a segment's content and
+// synthesizing its frames each seed a pooled generator instead of
+// allocating a 607-word source, and hand it back. So what a warm call
+// allocates beyond the segment it returns stays under one generator's
+// state. Only the median over many calls is bounded: under the race
+// detector sync.Pool drops one Put in four, while a leaked Put costs every
+// call a generator.
+func TestSynthesisReusesGenerators(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: a Put lands where the next Get looks
+	const generator = 607 * 8
+	segment := int64(unsafe.Sizeof(Segment{})+FramesPerSeg*unsafe.Sizeof(Frame{})) + 8*(FramesPerSeg+1)
+	v := MustLoad("BBB")
+	for _, c := range []struct {
+		name   string
+		call   func(i int)
+		beyond int64
+	}{
+		{"deriveContent", func(i int) { v.deriveContent(i % v.Segments) }, 0},
+		{"synthesize", func(i int) { v.synthesize(i%v.Segments, Quality(i%NumQualities)) }, segment},
+	} {
+		c.call(0)
+		per := make([]int64, 201)
+		var before, after runtime.MemStats
+		for i := range per {
+			runtime.ReadMemStats(&before)
+			c.call(i)
+			runtime.ReadMemStats(&after)
+			per[i] = int64(after.TotalAlloc-before.TotalAlloc) - c.beyond
+		}
+		slices.Sort(per)
+		if b := per[len(per)/2]; b >= generator {
+			t.Errorf("a warm %s allocates %d B beyond its segment (median of %d calls): a generator is %d B", c.name, b, len(per), generator)
 		}
 	}
 }
