@@ -230,6 +230,7 @@ func DecodeCompact(data []byte) (*Manifest, error) {
 				}
 				seg.Unreliable = append(seg.Unreliable, [2]int{int(start), int(start + length)})
 			}
+			seg.setObjectRanges()
 			rep.Segments = append(rep.Segments, seg)
 		}
 		m.Reps = append(m.Reps, rep)

@@ -45,6 +45,40 @@ type SegmentInfo struct {
 	// lives in memory only: no encoding carries it, and a decoded or
 	// stripped manifest has the zero ("no level") value.
 	Beta prep.BetaLevel
+
+	// ObjectRanges lists Reliable followed by Unreliable, and
+	// BetaObjectRanges lists Beta.Ranges, as byte ranges of the
+	// representation's media file (MediaRange[0] added): a request for part
+	// of the segment names a subslice of one of them, shared read-only by
+	// every session. setObjectRanges keeps them with MediaRange.
+	ObjectRanges     [][2]int64
+	BetaObjectRanges [][2]int64
+}
+
+// setObjectRanges derives ObjectRanges and BetaObjectRanges from MediaRange
+// and the segment-relative ranges.
+func (s *SegmentInfo) setObjectRanges() {
+	s.ObjectRanges = objectRanges(s.MediaRange[0], s.Reliable, s.Unreliable)
+	s.BetaObjectRanges = objectRanges(s.MediaRange[0], s.Beta.Ranges)
+}
+
+// objectRanges lists segment-relative ranges, in order, as ranges of a media
+// file whose segment starts at base; nil when there are none.
+func objectRanges(base int64, parts ...[][2]int) [][2]int64 {
+	n := 0
+	for _, ranges := range parts {
+		n += len(ranges)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([][2]int64, 0, n)
+	for _, ranges := range parts {
+		for _, r := range ranges {
+			out = append(out, [2]int64{base + int64(r[0]), base + int64(r[1])})
+		}
+	}
+	return out
 }
 
 // Voxel reports whether the segment carries VOXEL metadata.
@@ -143,6 +177,7 @@ func Build(v *video.Video, opts BuildOptions) *Manifest {
 		for i := range m.Reps[q].Segments {
 			info := &m.Reps[q].Segments[i]
 			info.MediaRange = [2]int64{offset, offset + int64(info.Bytes)}
+			info.setObjectRanges()
 			offset += int64(info.Bytes)
 		}
 	}
@@ -376,6 +411,7 @@ func DecodeMPD(data []byte) (*Manifest, error) {
 			if seg.Unreliable, err = parseRangeList(xs.Unreliable); err != nil {
 				return nil, err
 			}
+			seg.setObjectRanges()
 			rep.Segments = append(rep.Segments, seg)
 		}
 		m.Reps = append(m.Reps, rep)
@@ -390,10 +426,9 @@ func (m *Manifest) Strip() *Manifest {
 	for _, rep := range m.Reps {
 		nr := RepInfo{Quality: rep.Quality, Bandwidth: rep.Bandwidth, Resolution: rep.Resolution}
 		for _, seg := range rep.Segments {
-			nr.Segments = append(nr.Segments, SegmentInfo{
-				MediaRange: seg.MediaRange,
-				Bytes:      seg.Bytes,
-			})
+			s := SegmentInfo{MediaRange: seg.MediaRange, Bytes: seg.Bytes}
+			s.setObjectRanges()
+			nr.Segments = append(nr.Segments, s)
 		}
 		out.Reps = append(out.Reps, nr)
 	}

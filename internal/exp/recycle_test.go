@@ -3,24 +3,25 @@ package exp
 import (
 	"bytes"
 	"reflect"
-	"runtime"
 	"testing"
 	"time"
+
+	"voxel/internal/sim"
 )
 
 // A trial's kernel goes to the next trial (sim.Release), so what a world a
 // kernel served before — a clean one, one halted by the watchdog in an event
 // storm, none at all — must not show in any result.
 
-// freshTrials runs every trial of cfg on a kernel no world has used: two
-// collections empty the kernel pool before each. Assemble stamps the
-// telemetry reports with their trial index, as Run's fold does.
+// freshTrials runs every trial of cfg on a kernel no world has used — its
+// packet store empty too: the released kernels are dropped before each.
+// Assemble stamps the telemetry reports with their trial index, as Run's
+// fold does.
 func freshTrials(cfg Config) []Trial {
 	cfg = cfg.withDefaults()
 	trials := make([]Trial, cfg.Trials)
 	for ti := range trials {
-		runtime.GC()
-		runtime.GC()
+		sim.DropReleased()
 		trials[ti], _ = runTrial(cfg, ti)
 	}
 	return Assemble(cfg, trials, nil).Trials
@@ -36,7 +37,7 @@ func TestRecycledKernelTrialsBitIdentical(t *testing.T) {
 		}
 	}
 
-	// Leave the pool kernels with histories: a trial that panicked (its
+	// Leave the released kernels with histories: a trial that panicked (its
 	// kernel is dropped, not recycled) and trials stopped mid-storm by the
 	// watchdog (theirs are, with the storm still pending).
 	for _, inject := range []string{"panic", "spin"} {

@@ -70,7 +70,9 @@ type Recovery struct {
 
 // Response is a client-side in-flight response. Body delivery is
 // event-driven; offsets are positions in the concatenated range payload
-// (Ranges.Project maps coverage back to object offsets).
+// (Ranges.Project maps coverage back to object offsets). Ranges is the
+// caller's spec as passed to Get, read but never written or appended to, so
+// it may alias storage shared with other requests, such as a manifest's.
 type Response struct {
 	Ranges     RangeSpec
 	Status     int

@@ -561,27 +561,13 @@ func (p *Player) startDownload(cand abr.Candidate, prev *download) {
 	p.schedulePoll()
 }
 
-// absolute lists segment-relative ranges as object ranges of a
-// representation whose segment starts at base.
-func absolute(base int64, parts ...[][2]int) httpsim.RangeSpec {
-	n := 0
-	for _, ranges := range parts {
-		n += len(ranges)
-	}
-	out := make(httpsim.RangeSpec, 0, n)
-	for _, ranges := range parts {
-		for _, r := range ranges {
-			out = append(out, [2]int64{base + int64(r[0]), base + int64(r[1])})
-		}
-	}
-	return out
-}
-
 // issueRequests issues the mode-appropriate HTTP requests for the candidate
-// of dl.
+// of dl. Range requests name full-capacity subslices of the manifest's
+// object ranges — the reliable part [:nr], the body ranges after it — which
+// the responses only read.
 func (p *Player) issueRequests(dl *download, seg *dash.SegmentInfo) {
 	path := server.VideoPath(int(dl.cand.Quality))
-	base := dl.segStart
+	obj, nr := seg.ObjectRanges, len(seg.Reliable)
 
 	switch p.cfg.Mode {
 	case ModeReliable, ModeVoxelReliable, ModeBeta:
@@ -592,19 +578,20 @@ func (p *Player) issueRequests(dl *download, seg *dash.SegmentInfo) {
 		var spec httpsim.RangeSpec
 		switch {
 		case !dl.cand.Virtual:
-			spec = httpsim.RangeSpec{{base, base + int64(dl.cand.Bytes)}}
+			spec = httpsim.RangeSpec{{dl.segStart, dl.segStart + int64(dl.cand.Bytes)}}
 		case p.cfg.Mode == ModeBeta:
-			spec = absolute(base, seg.Beta.Ranges)
+			lvl := seg.BetaObjectRanges
+			spec = lvl[:len(lvl):len(lvl)]
 		default:
-			n := min(dl.cand.Frames-1, len(seg.Unreliable))
-			spec = absolute(base, seg.Reliable, seg.Unreliable[:n])
+			n := nr + min(dl.cand.Frames-1, len(seg.Unreliable))
+			spec = obj[:n:n]
 		}
 		dl.body = p.client.Get(path, spec, false, nil)
 		p.wireBody(dl, obs.CBytesReliable, obs.EvBytesReliable)
 	case ModeOpaque, ModeVoxel:
 		// Two-phase fetch (§4.2): reliable I-frame + headers, then the
 		// frame bodies over an unreliable stream.
-		rel := p.client.Get(path, absolute(base, seg.Reliable), false, nil)
+		rel := p.client.Get(path, obj[:nr:nr], false, nil)
 		dl.reliable = rel
 		rel.OnComplete = func() {
 			n := rel.Ranges.TotalBytes()
@@ -619,15 +606,15 @@ func (p *Player) issueRequests(dl *download, seg *dash.SegmentInfo) {
 			p.maybeFinishDownload(dl)
 		}
 
-		bodyRanges := seg.Unreliable
+		n := len(seg.Unreliable)
 		if p.cfg.Mode == ModeVoxel && dl.cand.Virtual {
 			// First Frames-1 body ranges per the candidate's point.
-			bodyRanges = bodyRanges[:min(dl.cand.Frames-1, len(bodyRanges))]
+			n = min(dl.cand.Frames-1, n)
 		}
-		if len(bodyRanges) == 0 {
+		if n == 0 {
 			return
 		}
-		dl.body = p.client.Get(path, absolute(base, bodyRanges), true, nil)
+		dl.body = p.client.Get(path, obj[nr:nr+n:nr+n], true, nil)
 		p.wireBody(dl, obs.CBytesUnreliable, obs.EvBytesUnreliable)
 	}
 }

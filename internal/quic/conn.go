@@ -190,15 +190,27 @@ type Conn struct {
 	idleTimer *sim.Timer // armed iff cfg.IdleTimeout > 0
 	keepTimer *sim.Timer // armed iff cfg.KeepAlive && cfg.IdleTimeout > 0
 
-	// scratch and freelists for the zero-allocation fast path. Everything
-	// here is per-connection and single-threaded (one simulation runs on
-	// one goroutine), so reuse needs no synchronization.
-	spFree     []*sentPacket  // sentPacket freelist
-	sfFree     []*StreamFrame // StreamFrame freelist (send side)
-	txFree     []*txRecord    // packet records, returned when the link is done with them
-	ackScratch []*sentPacket  // newly-acked scratch for onAck
-	gapScratch []ByteRange    // AppendGaps scratch for the streams' receive side
+	// store is the kernel's packet storage, shared with every connection
+	// of the world; scratch is this connection's own. One simulation runs
+	// on one goroutine, so reuse needs no synchronization.
+	store      *packetStore
+	ackScratch []*sentPacket // newly-acked scratch for onAck
+	gapScratch []ByteRange   // AppendGaps scratch for the streams' receive side
 }
+
+// packetStore is a kernel's packet storage (DESIGN.md §5): the packet
+// records, sent-packet entries and stream frames its connections take and
+// give back, kept across the worlds the kernel serves so a trial does not
+// regrow them from nothing. Nothing in it points into a world: putTx,
+// releaseSent and freeFrame scrub what they take back, a taken entry's slot
+// is cleared, and what is still out when a world ends is abandoned with it.
+type packetStore struct {
+	tx     []*txRecord
+	sent   []*sentPacket
+	frames []*StreamFrame // send side
+}
+
+var packets sim.Local[packetStore]
 
 // txRecord is one packet in flight (DESIGN.md §5): its number, its size on
 // the link and its frames, which the peer's receive is handed as they are —
@@ -207,9 +219,11 @@ type Conn struct {
 // or duplicated copy of the packet is still inside the link, so a record
 // never points at one. Payload is aliased, not copied — send runs are never
 // written after Write/WriteShared. The record is read-only from transmit
-// until the link's Done. Its two netem.Datagram callbacks are bound once,
-// when the pooled record is first made, so sending allocates nothing.
+// until the link's Done. Its two netem.Datagram callbacks are bound to the
+// record once, when it is first made, and reach the sender through from, so
+// sending allocates nothing and a stored record holds no connection.
 type txRecord struct {
+	from *Conn // the sender, from getTx to putTx
 	pn   uint64
 	size int // on the link: header, frames and wireOverhead
 
@@ -248,6 +262,7 @@ func newConn(s *sim.Sim, link *netem.Link, cfg Config, isClient bool) *Conn {
 		obs:       cfg.Obs,
 		streams:   make(map[uint64]*Stream),
 		recvLimit: cfg.InitialMaxData,
+		store:     packets.Get(s),
 	}
 	if isClient {
 		c.nextStreamID = 0
@@ -395,14 +410,26 @@ func (c *Conn) queueUnreliableRewrite(s *Stream, offset uint64, data []byte) {
 	c.trySend()
 }
 
-// --- pools ---
+// --- packet storage ---
+
+// take pops the last entry of a store list, clearing its slot: an entry out
+// of the store may end up in a world's garbage, and the list must not keep
+// it reachable.
+func take[T any](list *[]*T) *T {
+	n := len(*list)
+	if n == 0 {
+		return nil
+	}
+	v := (*list)[n-1]
+	(*list)[n-1] = nil
+	*list = (*list)[:n-1]
+	return v
+}
 
 // allocSent returns a clean sentPacket, reusing freed ones. The frame
 // slices keep their capacity across reuse.
 func (c *Conn) allocSent() *sentPacket {
-	if n := len(c.spFree); n > 0 {
-		sp := c.spFree[n-1]
-		c.spFree = c.spFree[:n-1]
+	if sp := take(&c.store.sent); sp != nil {
 		return sp
 	}
 	return &sentPacket{}
@@ -413,14 +440,12 @@ func (c *Conn) allocSent() *sentPacket {
 func (c *Conn) releaseSent(sp *sentPacket) {
 	clear(sp.streamFrames)
 	*sp = sentPacket{streamFrames: sp.streamFrames[:0], ctrlFrames: sp.ctrlFrames[:0]}
-	c.spFree = append(c.spFree, sp)
+	c.store.sent = append(c.store.sent, sp)
 }
 
-// allocFrame returns a zeroed StreamFrame from the send-side freelist.
+// allocFrame returns a zeroed StreamFrame from the send-side store.
 func (c *Conn) allocFrame() *StreamFrame {
-	if n := len(c.sfFree); n > 0 {
-		f := c.sfFree[n-1]
-		c.sfFree = c.sfFree[:n-1]
+	if f := take(&c.store.frames); f != nil {
 		*f = StreamFrame{}
 		return f
 	}
@@ -430,31 +455,31 @@ func (c *Conn) allocFrame() *StreamFrame {
 // freeFrame recycles a StreamFrame that no queue references anymore.
 func (c *Conn) freeFrame(f *StreamFrame) {
 	f.Data = nil
-	c.sfFree = append(c.sfFree, f)
+	c.store.frames = append(c.store.frames, f)
 }
 
-// getTx returns an empty packet record from the pool.
+// getTx returns an empty packet record sent by c.
 func (c *Conn) getTx() *txRecord {
-	if n := len(c.txFree); n > 0 {
-		tx := c.txFree[n-1]
-		c.txFree = c.txFree[:n-1]
-		return tx
+	tx := take(&c.store.tx)
+	if tx == nil {
+		tx = &txRecord{}
+		tx.streams, tx.ack.Ranges = tx.inline[:0], tx.inlineAck[:0]
+		tx.deliver = func() { tx.from.peer.receive(tx) }
+		tx.done = func() { tx.from.putTx(tx) }
 	}
-	tx := &txRecord{}
-	tx.streams, tx.ack.Ranges = tx.inline[:0], tx.inlineAck[:0]
-	tx.deliver = func() { c.peer.receive(tx) }
-	tx.done = func() { c.putTx(tx) }
+	tx.from = c
 	return tx
 }
 
-// putTx empties a packet record into the pool. Records come back after the
+// putTx empties a packet record into the store. Records come back after the
 // last delivery (the receive path retains nothing of one), or immediately
 // when the link dropped the datagram. Clearing the stream frames lets go of
-// the payload they alias.
+// the payload they alias, clearing from of the sender.
 func (c *Conn) putTx(tx *txRecord) {
 	clear(tx.streams)
 	tx.ack.Ranges, tx.ctrl, tx.streams = tx.ack.Ranges[:0], tx.ctrl[:0], tx.streams[:0]
-	c.txFree = append(c.txFree, tx)
+	tx.from = nil
+	c.store.tx = append(c.store.tx, tx)
 }
 
 // --- send path ---

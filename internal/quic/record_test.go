@@ -2,6 +2,7 @@ package quic
 
 import (
 	"bytes"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -11,24 +12,28 @@ import (
 	"voxel/internal/sim"
 )
 
-// recordTap watches every packet record of one connection: it seeds the
-// connection's pool with n records whose deliver callbacks report to
-// onDeliver first, and sent lists the records sealed since it last looked —
-// called after every simulation event, that is the moment they were sent.
+// recordTap watches every packet record one connection sends: it seeds the
+// kernel's packet store, which both ends of the connection draw from, with n
+// records whose deliver callbacks report a delivery of c's to onDeliver
+// first, and sent lists the records c sealed since it last looked — called
+// after every simulation event, that is the moment they were sent.
 type recordTap struct {
+	c         *Conn
 	recs      []*txRecord
-	lastPN    []uint64
+	lastPN    []uint64 // per record, the last packet number c sent in it
 	delivered uint64
 }
 
 func tapRecords(c *Conn, n int, onDeliver func(*txRecord)) *recordTap {
-	t := &recordTap{}
+	t := &recordTap{c: c}
 	for i := 0; i < n; i++ {
-		tx := c.getTx() // the pool is empty: a fresh one
+		tx := c.getTx()
 		deliver := tx.deliver
 		tx.deliver = func() {
-			t.delivered++
-			onDeliver(tx)
+			if tx.from == c {
+				t.delivered++
+				onDeliver(tx)
+			}
 			deliver()
 		}
 		t.recs, t.lastPN = append(t.recs, tx), append(t.lastPN, ^uint64(0))
@@ -45,9 +50,11 @@ func sameStreamFrame(a, b *StreamFrame) bool {
 		a.Fin == b.Fin && a.Unreliable == b.Unreliable && bytes.Equal(a.Data, b.Data)
 }
 
+// sent compares packet numbers only among c's own packets, which ascend: the
+// peer sends from the same records.
 func (t *recordTap) sent() (fresh []*txRecord) {
 	for i, tx := range t.recs {
-		if tx.size > 0 && tx.pn != t.lastPN[i] {
+		if tx.from == t.c && tx.pn != t.lastPN[i] {
 			t.lastPN[i] = tx.pn
 			fresh = append(fresh, tx)
 		}
@@ -60,14 +67,15 @@ func (t *recordTap) sent() (fresh []*txRecord) {
 // loses, duplicates and holds packets back for longer than a round trip plus
 // the loss timer. A held-back packet is declared lost; its StreamFrames go
 // back to the retransmit queue, are cut to fit (cutFront), acknowledged,
-// recycled through sfFree and reused — and then both copies of the old packet
-// arrive. Every delivery must present exactly the frames the sender's
-// sentPacket held at the moment it was sent, and under an armed checker the
-// stream still finalises as one contiguous range of the right bytes.
+// recycled through the kernel's packet store and reused — and then both
+// copies of the old packet arrive. Every delivery must present exactly the
+// frames the sender's sentPacket held at the moment it was sent, and under an
+// armed checker the stream still finalises as one contiguous range of the
+// right bytes.
 func TestRecordDoesNotAliasSenderFrames(t *testing.T) {
 	s := sim.New(1)
 	s.SetChecker(invariant.New())
-	path := netem.NewFixedPath(s, 20e6, 4096) // no queue drops: a pool of 4096 records never runs dry
+	path := netem.NewFixedPath(s, 20e6, 4096) // no queue drops: a store of 4096 records never runs dry
 	path.Down.Impair(netem.Chain{
 		netem.IIDLoss{P: 0.01},
 		netem.Reorder{P: 0.03, Delay: 400 * time.Millisecond},
@@ -151,7 +159,7 @@ func TestRecordDoesNotAliasSenderFrames(t *testing.T) {
 		t.Fatal("transfer did not complete intact")
 	}
 	if n := client.Stats().PacketsReceived; tap.delivered != n || path.Down.Stats().Dropped != 0 {
-		t.Fatalf("tapped %d of %d deliveries (%d queue drops): the record pool ran dry", tap.delivered, n, path.Down.Stats().Dropped)
+		t.Fatalf("tapped %d of %d deliveries (%d queue drops): the record store ran dry", tap.delivered, n, path.Down.Stats().Dropped)
 	}
 	if st := server.Stats(); late < 20 || stale < 20 || split == 0 || st.RetransmitBytes == 0 || path.Down.Stats().Duplicated < 100 {
 		t.Fatalf("the hazard was not exercised: %d late deliveries, %d after the sender's frames had changed (%d retransmit splits), %d B retransmitted, %d duplicates",
@@ -178,7 +186,7 @@ func TestAckSnapshotIsStable(t *testing.T) {
 	atSend := map[uint64][]AckRange{}
 	var outdated int
 	var now AckFrame
-	tap := tapRecords(client, 256, func(tx *txRecord) {
+	tap := tapRecords(client, 4096, func(tx *txRecord) {
 		want, ok := atSend[tx.pn]
 		if !ok || !slices.Equal(tx.ack.Ranges, want) {
 			t.Fatalf("packet %d delivers ACK %v, was sent with %v", tx.pn, tx.ack.Ranges, want)
@@ -235,4 +243,55 @@ func TestWireRoundTripInvariant(t *testing.T) {
 	tx = recordOf(pkt)
 	c.seal(tx, frameBytes-1)
 	c.transmit(tx)
+}
+
+// TestReleasedKernelPinsNothing: the kernel's packet store outlives the world,
+// so nothing in it may hold one. A transfer of real bytes over a lossy link
+// is cut off mid-flight: the store holds the records, sent-packet entries and
+// frames the world gave back, while others are still in flight. Once the
+// kernel is released, neither connection nor the payload may stay reachable
+// through it.
+func TestReleasedKernelPinsNothing(t *testing.T) {
+	s := sim.New(1)
+	var store *packetStore
+	gone := make(chan string, 3)
+	func() {
+		data := new([1 << 20]byte)
+		runtime.SetFinalizer(data, func(*[1 << 20]byte) { gone <- "the payload" })
+		path := netem.NewFixedPath(s, 20e6, 64)
+		path.Down.Impair(netem.IIDLoss{P: 0.05}, 1)
+		client, server := NewPair(s, path, Config{}, Config{})
+		for _, c := range []*Conn{client, server} {
+			// A connection sits in cycles, which finalizers do not see
+			// through: watch a sentinel only it holds instead.
+			sentinel := new([16]byte)
+			runtime.SetFinalizer(sentinel, func(*[16]byte) { gone <- "a connection" })
+			c.OnClose(func(error) { sentinel[0]++ })
+		}
+		client.OnStream(func(*Stream) {})
+		st := server.OpenStream(false)
+		st.WriteShared(data[:])
+		st.CloseWrite()
+		s.RunUntil(300 * time.Millisecond)
+		store = server.store
+		if client.store != store || len(store.tx) == 0 || len(store.sent) == 0 || len(store.frames) == 0 ||
+			server.sentQ.empty() || server.Stats().PacketsDeclLost == 0 {
+			t.Fatalf("the world is too tidy to prove anything: %d records, %d sent-packet entries, %d frames stored, %d packets in flight, %d lost",
+				len(store.tx), len(store.sent), len(store.frames), server.sentQ.size(), server.Stats().PacketsDeclLost)
+		}
+	}()
+	s.Release()
+	left := 3
+	for i := 0; i < 50 && left > 0; i++ {
+		runtime.GC()
+		select {
+		case <-gone:
+			left--
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(s) // and through it the store, whether or not the free list kept it
+	if left > 0 {
+		t.Fatalf("%d of the two connections and the payload are still reachable from the released kernel's packet store", left)
+	}
 }

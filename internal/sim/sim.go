@@ -36,6 +36,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"sync"
 	"time"
 
@@ -151,19 +152,54 @@ type Sim struct {
 	free  []*Event  // recycled events; Schedule/At pop from here
 	spare [][]entry // drained bucket arrays, reissued to empty buckets
 
+	locals map[any]any // Local slot → *T, kept across worlds
+
 	check *invariant.Checker // nil = invariant checking disabled
 }
 
-// kernels holds released kernels. A kernel's storage — the wheel's 8,192
-// bucket headers above all, 192 KB of pointers — costs more than everything
-// a short trial schedules on it, so it outlives its world.
-var kernels sync.Pool
+// Local is a slot of kernel-local storage: Get hands a layer the same *T on
+// every world a kernel serves, made empty the first time. Release leaves it
+// alone, so what a layer keeps there outlives its world; the layer must store
+// nothing that points into one — no callback, connection or payload.
+type Local[T any] struct{ _ byte } // not zero-size: each slot has its own address
+
+// Get returns s's value for the slot.
+func (l *Local[T]) Get(s *Sim) *T {
+	if v, ok := s.locals[l].(*T); ok {
+		return v
+	}
+	if s.locals == nil {
+		s.locals = make(map[any]any)
+	}
+	v := new(T)
+	s.locals[l] = v
+	return v
+}
+
+// idle holds released kernels, the most recent last. A kernel's storage —
+// the wheel's 8,192 bucket headers, 192 KB of pointers, and what its layers
+// keep in Local slots — costs more than everything a short trial schedules
+// on it, so it outlives its world. The list holds at most GOMAXPROCS kernels,
+// as many as can run at once; the lock is taken once by New and once by
+// Release, never by an event.
+var idle struct {
+	sync.Mutex
+	kernels []*Sim
+}
 
 // New returns a simulator whose random source is seeded with seed. It may
 // be a recycled one (see Release), which no caller can tell from a fresh
 // one: Seed restarts the stream rand.NewSource(seed) would produce.
 func New(seed int64) *Sim {
-	if s, _ := kernels.Get().(*Sim); s != nil {
+	idle.Lock()
+	var s *Sim
+	if n := len(idle.kernels); n > 0 {
+		s = idle.kernels[n-1]
+		idle.kernels[n-1] = nil
+		idle.kernels = idle.kernels[:n-1]
+	}
+	idle.Unlock()
+	if s != nil {
 		s.rng.Seed(seed)
 		return s
 	}
@@ -177,19 +213,34 @@ func New(seed int64) *Sim {
 // Release ends the simulator's world and hands its storage to a later New.
 // The caller must be done with the simulator and with everything scheduled
 // on it, and must not release one that panicked inside an event: it may be
-// halfway through fire. Releasing is optional; an unreleased kernel is
-// simply collected.
+// halfway through fire. Releasing is optional; an unreleased kernel, or one
+// released while GOMAXPROCS others wait, is simply collected.
 func (s *Sim) Release() {
 	s.reset()
-	kernels.Put(s)
+	bound := runtime.GOMAXPROCS(0)
+	idle.Lock()
+	if len(idle.kernels) < bound {
+		idle.kernels = append(idle.kernels, s)
+	}
+	idle.Unlock()
+}
+
+// DropReleased lets go of every released kernel, so the next New builds a
+// fresh one: the way a test starts a world on a kernel no world has used.
+func DropReleased() {
+	idle.Lock()
+	clear(idle.kernels)
+	idle.kernels = idle.kernels[:0]
+	idle.Unlock()
 }
 
 // reset returns the kernel to the state New built it in, keeping what it
 // allocated: the wheel, the bucket arrays (all in spare now), the event
-// free list and the capacity of due and overflow. Nothing of the old world
-// stays reachable — an idle timer's callback closes over its connection,
-// and through it the whole world — so every array is zeroed to capacity,
-// not to length: drained arrays keep stale entries beyond it.
+// free list, the capacity of due and overflow, and the Local slots (whose
+// layers scrub them). Nothing of the old world stays reachable — an idle
+// timer's callback closes over its connection, and through it the whole
+// world — so every array is zeroed to capacity, not to length: drained
+// arrays keep stale entries beyond it.
 func (s *Sim) reset() {
 	for w, word := range s.occ {
 		for ; word != 0; word &= word - 1 {

@@ -548,9 +548,16 @@ func TestRecycledKernelLooksFresh(t *testing.T) {
 		}
 	}
 	s.SetChecker(invariant.New())
+	// Local slots are the kernel's: reset keeps them, each slot its own.
+	var slotA, slotB Local[[2]int]
+	a, b := slotA.Get(s), slotB.Get(s)
+	a[0], b[0] = 1, 2
 
 	s.reset()
 	s.rng.Seed(3)
+	if slotA.Get(s) != a || slotB.Get(s) != b || a[0] != 1 || b[0] != 2 {
+		t.Fatal("a recycled kernel lost or mixed up its Local slots")
+	}
 	if s.Now() != 0 || s.Executed() != 0 || s.Pending() != 0 || s.Halted() || s.Checker() != nil ||
 		s.seq != 0 || s.cursor != 0 || s.duePos != 0 || len(s.due) != 0 || len(s.overflow) != 0 {
 		t.Fatalf("recycled kernel is not at its origin: %+v", s)
@@ -597,7 +604,9 @@ func TestRecycledKernelLooksFresh(t *testing.T) {
 }
 
 // What a world scheduled holds the world: a timer's callback closes over
-// its connection. A released kernel must not keep any of it alive.
+// its connection. A released kernel must not keep any of it alive. (What a
+// layer keeps in a Local slot is the layer's to scrub: quic's test of the
+// same name covers its packet store.)
 func TestReleasedKernelPinsNothing(t *testing.T) {
 	s := New(1)
 	collected := make(chan struct{})
@@ -617,7 +626,7 @@ func TestReleasedKernelPinsNothing(t *testing.T) {
 		runtime.GC()
 		select {
 		case <-collected:
-			runtime.KeepAlive(s) // whether or not the pool kept it
+			runtime.KeepAlive(s) // whether or not the free list kept it
 			return
 		case <-time.After(10 * time.Millisecond):
 		}
