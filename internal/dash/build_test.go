@@ -86,6 +86,29 @@ func TestManifestBitsPinned(t *testing.T) {
 	}
 }
 
+// TestMPDBytesPinned pins the MPD text of the four titles as the experiments
+// prepare them (full length, SSIM, 12 points per segment) to hashes taken
+// before the attribute encoders stopped building a string per range and per
+// point: how the bytes are written may change, the bytes may not.
+func TestMPDBytesPinned(t *testing.T) {
+	pinned := []struct{ title, sha256 string }{
+		{"BBB", "84d9551a0e3be1b8bb64b83babed9ee2c9f99b6f41952f094c6ebde04e82174d"},
+		{"ToS", "a7054c1046f0455b8ba02e281c31a856ba9bedbd3632f3cae3b3f76b9586e46c"},
+		{"ED", "bd296bcc74ddd7de932010fd1caade6ec725d12842618b070149f46b3e3718a5"},
+		{"Sintel", "bc3f35a1cde16d13ba5c56adff24ec01c4b7493f3364e08761d12f25bd55a126"},
+	}
+	for _, c := range pinned {
+		m := Build(video.MustLoad(c.title), BuildOptions{Voxel: true, PointsPerSegment: 12, Analyzer: prep.NewAnalyzer()})
+		mpd, err := m.EncodeMPD()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(mpd); hex.EncodeToString(sum[:]) != c.sha256 {
+			t.Errorf("%s: MPD sha256 %x, pinned %s", c.title, sum, c.sha256)
+		}
+	}
+}
+
 // TestBuildSameBytesAtAnyParallelism: the worker count is GOMAXPROCS and
 // nothing else, and it does not show in the result.
 func TestBuildSameBytesAtAnyParallelism(t *testing.T) {

@@ -243,9 +243,13 @@ type xmlSegmentURL struct {
 // formatRange renders "start-end" with an inclusive end, as HTTP ranges and
 // Listing 1 do.
 func formatRange(start, end int64) string {
-	b := strconv.AppendInt(make([]byte, 0, 24), start, 10)
+	return string(appendRange(make([]byte, 0, 24), start, end))
+}
+
+func appendRange(b []byte, start, end int64) []byte {
+	b = strconv.AppendInt(b, start, 10)
 	b = append(b, '-')
-	return string(strconv.AppendInt(b, end-1, 10))
+	return strconv.AppendInt(b, end-1, 10)
 }
 
 func parseRange(s string) (start, end int64, err error) {
@@ -267,12 +271,17 @@ func parseRange(s string) (start, end int64, err error) {
 	return start, last + 1, nil
 }
 
+// formatRangeList renders a comma-separated list of inclusive-end ranges,
+// appended into one buffer.
 func formatRangeList(ranges [][2]int) string {
-	parts := make([]string, len(ranges))
+	b := make([]byte, 0, 16*len(ranges))
 	for i, r := range ranges {
-		parts[i] = formatRange(int64(r[0]), int64(r[1]))
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendRange(b, int64(r[0]), int64(r[1]))
 	}
-	return strings.Join(parts, ",")
+	return string(b)
 }
 
 func parseRangeList(s string) ([][2]int, error) {
@@ -294,11 +303,18 @@ func parseRangeList(s string) ([][2]int, error) {
 // formatPoints renders the `ssims` attribute: comma-separated
 // score:frames:bytes triples (Listing 1).
 func formatPoints(points []prep.QoEPoint) string {
-	parts := make([]string, len(points))
+	b := make([]byte, 0, 24*len(points))
 	for i, p := range points {
-		parts[i] = fmt.Sprintf("%.4f:%d:%d", p.Score, p.Frames, p.Bytes)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendFloat(b, p.Score, 'f', 4, 64) // as %.4f
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(p.Frames), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(p.Bytes), 10)
 	}
-	return strings.Join(parts, ",")
+	return string(b)
 }
 
 func parsePoints(s string) ([]prep.QoEPoint, error) {

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"voxel/internal/netem"
+	"voxel/internal/obs"
 	"voxel/internal/sim"
 )
 
@@ -27,14 +29,37 @@ func freshTrials(cfg Config) []Trial {
 	return Assemble(cfg, trials, nil).Trials
 }
 
+// TestRecycledKernelTrialsBitIdentical runs two cells on recycled kernels:
+// a bursty cellular trace with telemetry, and VOXEL through handover
+// blackouts onto a second origin — request deadlines, retries, a failover,
+// and unreliable streams that can arrive before the head announcing them —
+// so what the kernel keeps of a world (events, packet storage, streams,
+// responses) is exercised on every recovery path.
 func TestRecycledKernelTrialsBitIdentical(t *testing.T) {
-	cfg := burstyCfg()
-	cfg.Trials, cfg.Segments = 8, 6
+	bursty := burstyCfg()
+	bursty.Trials, bursty.Segments = 8, 6
+	failover := chaosCfg(netem.ProfileHandover, true)
+	failover.Trials, failover.Telemetry = 4, true
+	for _, cell := range []struct {
+		name string
+		cfg  Config
+	}{{"bursty", bursty}, {"failover", failover}} {
+		t.Run(cell.name, func(t *testing.T) { recycledTrialsBitIdentical(t, cell.cfg) })
+	}
+}
+
+func recycledTrialsBitIdentical(t *testing.T, cfg Config) {
 	want := freshTrials(cfg)
+	var retries, failovers uint64
 	for ti, tr := range want {
 		if tr.Failed || tr.Obs == nil {
 			t.Fatalf("reference trial %d: failed=%v, telemetry=%v", ti, tr.Failed, tr.Obs != nil)
 		}
+		retries += tr.Obs.Counters[obs.CRetries]
+		failovers += tr.Obs.Counters[obs.CFailovers]
+	}
+	if cfg.Failover && (retries == 0 || failovers == 0) {
+		t.Fatalf("the failover cell is too tidy to prove anything: %d retries, %d failovers", retries, failovers)
 	}
 
 	// Leave the released kernels with histories: a trial that panicked (its

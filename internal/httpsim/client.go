@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"voxel/internal/obs"
@@ -72,7 +73,9 @@ type Recovery struct {
 // event-driven; offsets are positions in the concatenated range payload
 // (Ranges.Project maps coverage back to object offsets). Ranges is the
 // caller's spec as passed to Get, read but never written or appended to, so
-// it may alias storage shared with other requests, such as a manifest's.
+// it may alias storage shared with other requests, such as a manifest's. A
+// response lives as long as its world: once the kernel is released it is
+// scrubbed for the next world's requests, so nothing may hold it longer.
 type Response struct {
 	Ranges     RangeSpec
 	Status     int
@@ -102,7 +105,6 @@ type Response struct {
 	complete bool
 	finSeen  bool
 	failed   bool
-	reqStr   *quic.Stream
 	client   *Client
 	head     headBuf // reassembles the response head (reliable stream)
 	bodyBase uint64  // stream offset where the body starts (reliable path)
@@ -176,8 +178,41 @@ type Client struct {
 	// reports only ever arrive from link events, so no callback re-enters
 	// delivery while a gap list is being walked.
 	gapScratch []quic.ByteRange
-	heads      headPool // response-head reassembly buffers
-	out        []byte   // scratch the request head is written into
+	heads      headPool       // response-head reassembly buffers
+	out        []byte         // scratch the request head is written into
+	store      *responseStore // the kernel's responses
+}
+
+// responseStore is a kernel's responses (DESIGN.md §5): every client of a
+// world takes its responses from it, and they stay live — a caller may read
+// one after it resolved — until the world ends and EndWorld scrubs them onto
+// the free list, each keeping the capacity of its coverage sets.
+type responseStore struct {
+	free []*Response
+	live []*Response
+}
+
+var responses sim.Local[responseStore]
+
+// EndWorld takes back every response the ending world issued, scrubbed, to
+// be taken again in the order they were issued (as quic's streams are).
+func (p *responseStore) EndWorld() {
+	for _, r := range p.live {
+		r.scrub()
+	}
+	slices.Reverse(p.live)
+	p.free = append(p.free, p.live...)
+	clear(p.live)
+	p.live = p.live[:0]
+}
+
+// scrub returns r to its zero state for the next world, keeping only the
+// capacity of its body coverage sets and of its head's coverage set.
+func (r *Response) scrub() {
+	r.received.Reset()
+	r.lost.Reset()
+	r.head.cov.Reset()
+	*r = Response{received: r.received, lost: r.lost, head: headBuf{cov: r.head.cov}}
 }
 
 type pendingRef struct {
@@ -208,6 +243,7 @@ func NewClient(conn *quic.Conn) *Client {
 		sim:             conn.Sim(),
 		pendingByStream: make(map[uint64]pendingRef),
 		earlyStreams:    make(map[uint64]*earlyStream),
+		store:           responses.Get(conn.Sim()),
 	}
 	conn.OnStream(c.onServerStream)
 	conn.OnClose(c.onConnClose)
@@ -250,11 +286,27 @@ func (c *Client) Conn() *quic.Conn { return c.conn }
 // Callbacks should be set on the returned Response immediately (before the
 // simulator runs again).
 func (c *Client) Get(path string, ranges RangeSpec, unreliable bool, extra map[string]string) *Response {
-	resp := &Response{Ranges: ranges, client: c, path: path, unreliable: unreliable, extra: sortedHeaders(extra)}
+	resp := c.newResponse()
+	resp.Ranges, resp.client, resp.path, resp.unreliable, resp.extra = ranges, c, path, unreliable, sortedHeaders(extra)
 	c.obs.Inc(obs.CRequests)
 	c.inflight = append(c.inflight, resp)
 	c.issue(resp)
 	return resp
+}
+
+// newResponse returns a zeroed response, from the store when it has one.
+func (c *Client) newResponse() *Response {
+	p := c.store
+	var r *Response
+	if n := len(p.free); n > 0 {
+		r = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+	} else {
+		r = &Response{}
+	}
+	p.live = append(p.live, r)
+	return r
 }
 
 // issue wires one request attempt onto the active connection. Every
@@ -271,13 +323,11 @@ func (c *Client) issue(r *Response) {
 	r.gen++
 	gen := r.gen
 	r.headDone = false
-	c.heads.put(r.head.buf)
-	r.head = headBuf{}
+	r.head.reset(&c.heads)
 	r.bodyBase = 0
 	r.finSeen = false
 	r.Status, r.Unreliable = 0, false // this attempt's origin may answer differently
 	st := c.conn.OpenStream(false)
-	r.reqStr = st
 	st.OnData(func(off, n uint64, data []byte) {
 		if r.gen != gen {
 			return
@@ -444,8 +494,7 @@ func (r *Response) onReliableData(off, n uint64, data []byte) {
 				r.onReliableData(real, cr.End-real, nil)
 			}
 		}
-		r.client.heads.put(buf)
-		r.head = headBuf{}
+		r.head.reset(&r.client.heads)
 		return
 	}
 	if r.Unreliable {

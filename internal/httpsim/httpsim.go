@@ -295,6 +295,14 @@ func (h *headBuf) add(pool *headPool, off, n uint64, data []byte) int {
 	return headEnd(h.buf[:contig])
 }
 
+// reset empties h for the next head: the buffer goes back to pool, the
+// coverage set keeps its storage.
+func (h *headBuf) reset(pool *headPool) {
+	pool.put(h.buf)
+	h.buf = nil
+	h.cov.Reset()
+}
+
 // headPool is an endpoint's freelist of head reassembly buffers: taken when
 // an exchange's first head bytes arrive, put back once the head is scanned.
 type headPool [][]byte

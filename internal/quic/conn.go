@@ -199,18 +199,39 @@ type Conn struct {
 }
 
 // packetStore is a kernel's packet storage (DESIGN.md §5): the packet
-// records, sent-packet entries and stream frames its connections take and
-// give back, kept across the worlds the kernel serves so a trial does not
-// regrow them from nothing. Nothing in it points into a world: putTx,
-// releaseSent and freeFrame scrub what they take back, a taken entry's slot
-// is cleared, and what is still out when a world ends is abandoned with it.
+// records, sent-packet entries, stream frames and streams its connections
+// take and give back, kept across the worlds the kernel serves so a trial
+// does not regrow them from nothing. Between worlds nothing in it points into
+// one: putTx, releaseSent and freeFrame scrub what they take back, a taken
+// entry's slot is cleared, and what is still out when a world ends is
+// abandoned with it — except the world's streams, which EndWorld takes back.
 type packetStore struct {
 	tx     []*txRecord
 	sent   []*sentPacket
 	frames []*StreamFrame // send side
+
+	// Streams are not retired while their world runs — a late frame or loss
+	// report for a finished stream still finds it — so every stream the
+	// world opened is live until EndWorld scrubs it onto the free list.
+	streams []*Stream
+	live    []*Stream
 }
 
 var packets sim.Local[packetStore]
+
+// EndWorld takes back every stream the ending world opened, scrubbed, so
+// that the next world's streams are taken in the order these were opened: a
+// world of the same shape opens them for the same requests, and each keeps
+// storage of the size its request needs rather than the most any needed.
+func (p *packetStore) EndWorld() {
+	for _, s := range p.live {
+		s.scrub()
+	}
+	slices.Reverse(p.live)
+	p.streams = append(p.streams, p.live...)
+	clear(p.live)
+	p.live = p.live[:0]
+}
 
 // txRecord is one packet in flight (DESIGN.md §5): its number, its size on
 // the link and its frames, which the peer's receive is handed as they are —
@@ -392,9 +413,20 @@ func (c *Conn) onKeepAlive() {
 
 // OpenStream opens a new locally initiated stream.
 func (c *Conn) OpenStream(unreliable bool) *Stream {
-	s := &Stream{conn: c, id: c.nextStreamID, unreliable: unreliable}
+	s := c.newStream(c.nextStreamID, unreliable)
 	c.nextStreamID += 2
-	c.streams[s.id] = s
+	return s
+}
+
+// newStream registers a stream of c, taken from the store when it has one.
+func (c *Conn) newStream(id uint64, unreliable bool) *Stream {
+	s := take(&c.store.streams)
+	if s == nil {
+		s = &Stream{}
+	}
+	s.conn, s.id, s.unreliable = c, id, unreliable
+	c.store.live = append(c.store.live, s)
+	c.streams[id] = s
 	return s
 }
 
@@ -818,8 +850,7 @@ func (c *Conn) onStreamFrame(f *StreamFrame) {
 	if s == nil {
 		// Peer-initiated stream: register it and notify the application
 		// before delivering data so callbacks are in place.
-		s = &Stream{conn: c, id: f.StreamID, unreliable: f.Unreliable}
-		c.streams[f.StreamID] = s
+		s = c.newStream(f.StreamID, f.Unreliable)
 		if c.onStream != nil {
 			c.onStream(s)
 		}

@@ -9,6 +9,7 @@ import (
 
 	"voxel/internal/invariant"
 	"voxel/internal/netem"
+	"voxel/internal/recycletest"
 	"voxel/internal/sim"
 )
 
@@ -246,18 +247,23 @@ func TestWireRoundTripInvariant(t *testing.T) {
 }
 
 // TestReleasedKernelPinsNothing: the kernel's packet store outlives the world,
-// so nothing in it may hold one. A transfer of real bytes over a lossy link
-// is cut off mid-flight: the store holds the records, sent-packet entries and
-// frames the world gave back, while others are still in flight. Once the
-// kernel is released, neither connection nor the payload may stay reachable
-// through it.
+// so once the world ends nothing in it may hold one. Two transfers are cut off
+// mid-flight over a lossy link: a short unreliable one of written bytes, then
+// a long reliable one of shared bytes. The store holds the records, sent-packet
+// entries and frames the world gave back, while others are still in flight,
+// and every stream of the world — whose callbacks close over the world and
+// whose send queues alias its payload — until Release takes them back. After
+// that, neither connection, nor either payload, nor what a stream's callbacks
+// captured may stay reachable through it.
 func TestReleasedKernelPinsNothing(t *testing.T) {
 	s := sim.New(1)
 	var store *packetStore
-	gone := make(chan string, 3)
+	gone := make(chan string, 5)
 	func() {
-		data := new([1 << 20]byte)
-		runtime.SetFinalizer(data, func(*[1 << 20]byte) { gone <- "the payload" })
+		shared := new([1 << 20]byte)
+		runtime.SetFinalizer(shared, func(*[1 << 20]byte) { gone <- "the shared payload" })
+		written := new([64 << 10]byte)
+		runtime.SetFinalizer(written, func(*[64 << 10]byte) { gone <- "the written payload" })
 		path := netem.NewFixedPath(s, 20e6, 64)
 		path.Down.Impair(netem.IIDLoss{P: 0.05}, 1)
 		client, server := NewPair(s, path, Config{}, Config{})
@@ -268,20 +274,32 @@ func TestReleasedKernelPinsNothing(t *testing.T) {
 			runtime.SetFinalizer(sentinel, func(*[16]byte) { gone <- "a connection" })
 			c.OnClose(func(error) { sentinel[0]++ })
 		}
-		client.OnStream(func(*Stream) {})
+		captured := new([16]byte)
+		runtime.SetFinalizer(captured, func(*[16]byte) { gone <- "a stream callback's capture" })
+		client.OnStream(func(st *Stream) {
+			st.OnData(func(uint64, uint64, []byte) { captured[0]++ })
+			st.OnLost(func(uint64, uint64) { captured[1]++ })
+			st.OnFin(func(uint64) { captured[2]++ })
+		})
+		un := server.OpenStream(true)
+		un.Write(written[:])
+		un.CloseWrite()
 		st := server.OpenStream(false)
-		st.WriteShared(data[:])
+		st.WriteShared(shared[:])
 		st.CloseWrite()
 		s.RunUntil(300 * time.Millisecond)
 		store = server.store
 		if client.store != store || len(store.tx) == 0 || len(store.sent) == 0 || len(store.frames) == 0 ||
-			server.sentQ.empty() || server.Stats().PacketsDeclLost == 0 {
-			t.Fatalf("the world is too tidy to prove anything: %d records, %d sent-packet entries, %d frames stored, %d packets in flight, %d lost",
-				len(store.tx), len(store.sent), len(store.frames), server.sentQ.size(), server.Stats().PacketsDeclLost)
+			server.sentQ.empty() || server.Stats().PacketsDeclLost == 0 || len(store.live) != 4 || captured[1] == 0 {
+			t.Fatalf("the world is too tidy to prove anything: %d records, %d sent-packet entries, %d frames stored, %d packets in flight, %d lost, %d streams, %d loss reports",
+				len(store.tx), len(store.sent), len(store.frames), server.sentQ.size(), server.Stats().PacketsDeclLost, len(store.live), captured[1])
 		}
 	}()
 	s.Release()
-	left := 3
+	if len(store.live) != 0 || len(store.streams) != 4 {
+		t.Fatalf("the released kernel has %d live and %d free streams, want 0 and 4", len(store.live), len(store.streams))
+	}
+	left := 5
 	for i := 0; i < 50 && left > 0; i++ {
 		runtime.GC()
 		select {
@@ -292,6 +310,68 @@ func TestReleasedKernelPinsNothing(t *testing.T) {
 	}
 	runtime.KeepAlive(s) // and through it the store, whether or not the free list kept it
 	if left > 0 {
-		t.Fatalf("%d of the two connections and the payload are still reachable from the released kernel's packet store", left)
+		t.Fatalf("%d of the two connections, the two payloads and a stream callback's capture are still reachable from the released kernel's packet store", left)
+	}
+}
+
+// TestRecycledStreamLooksFresh: Release hands every stream of the world back
+// to the store scrubbed — each field zero but the storage a stream keeps for
+// the next world — and the next world's streams are those, in the order the
+// dead world opened them.
+func TestRecycledStreamLooksFresh(t *testing.T) {
+	sim.DropReleased()
+	s := sim.New(1)
+	client, _ := NewPair(s, netem.NewFixedPath(s, 20e6, 64), Config{}, Config{})
+	first, second := client.OpenStream(false), client.OpenStream(false)
+	recycletest.Dirty(first)
+	recycletest.Dirty(second)
+	store := client.store
+	s.Release()
+	if len(store.live) != 0 || !slices.Equal(store.streams, []*Stream{second, first}) {
+		t.Fatalf("after Release the store holds %d live streams and free %v, want none live and the world's two free, the first opened on top", len(store.live), store.streams)
+	}
+	if slices.ContainsFunc(store.live[:cap(store.live)], func(s *Stream) bool { return s != nil }) {
+		t.Fatal("the store's live list still points at a stream it gave back")
+	}
+	for _, st := range []*Stream{first, second} {
+		recycletest.CheckScrubbed(t, st, "wbuf", "sendRuns.items", "received.ranges", "lost.ranges")
+	}
+
+	s = sim.New(2)
+	client, _ = NewPair(s, netem.NewFixedPath(s, 20e6, 64), Config{}, Config{})
+	if got := client.OpenStream(true); got != first || got.conn != client || got.id != 0 || !got.unreliable {
+		t.Fatalf("the next world opened %p (conn %p, id %d, unreliable %v), want the recycled %p on its own connection", got, got.conn, got.id, got.unreliable, first)
+	}
+	s.Release()
+}
+
+// TestWriteCopiesIntoTheStreamBuffer: Write copies into the stream's own
+// buffer and queues a full-capacity subslice of it — aliasing neither the
+// caller's bytes nor, through a later append, another run — and a stream the
+// next world takes from the store writes into that storage again.
+func TestWriteCopiesIntoTheStreamBuffer(t *testing.T) {
+	sim.DropReleased()
+	var last *byte
+	for world := 0; world < 2; world++ {
+		s := sim.New(1)
+		client, _ := NewPair(s, netem.NewFixedPath(s, 20e6, 64), Config{}, Config{})
+		client.sendLimit = 0 // flow control holds the runs in the queue
+		st := client.OpenStream(false)
+		a, b := []byte("GET /a"), []byte("GET /b")
+		st.Write(a)
+		st.Write(b)
+		a[0], b[0] = 'X', 'X'
+		runs := st.sendRuns.live()
+		if len(runs) != 2 || string(runs[0].data) != "GET /a" || string(runs[1].data) != "GET /b" || cap(runs[0].data) != 6 || cap(runs[1].data) != 6 {
+			t.Fatalf("world %d: queued %q, want two full-capacity copies of what was written", world, runs)
+		}
+		if len(st.wbuf) != 12 || &runs[1].data[0] != &st.wbuf[6] {
+			t.Fatalf("world %d: the second write was not appended to the stream's buffer", world)
+		}
+		if world == 1 && (&runs[0].data[0] != &st.wbuf[0] || &st.wbuf[0] != last) {
+			t.Fatal("the next world's stream did not write into the buffer it was recycled with")
+		}
+		last = &st.wbuf[0]
+		s.Release()
 	}
 }

@@ -5,18 +5,23 @@ package quic
 // transport-level loss reported through LOSS_REPORT frames.
 //
 // The API is event-driven to match the discrete-event simulator: receivers
-// register callbacks instead of blocking on Read.
+// register callbacks instead of blocking on Read. A stream lives as long as
+// its world: once the kernel is released it is scrubbed for the next world,
+// so nothing may hold it longer.
 type Stream struct {
 	conn       *Conn
 	id         uint64
 	unreliable bool
 
 	// send state. Queued bytes are a FIFO of runs: the real bytes handed to
-	// Write (one exact-size copy each) or WriteShared (the caller's own), or
-	// a count of content-free bytes from WriteZeros. nextFrame slices frames
-	// straight out of the head run instead of re-copying, so a real run is
-	// shared read-only with the frames cut from it until the garbage
-	// collector sees the last one.
+	// Write (copied into wbuf, the stream's own write buffer) or WriteShared
+	// (the caller's own), or a count of content-free bytes from WriteZeros.
+	// nextFrame slices frames straight out of the head run instead of
+	// re-copying, so a real run is shared read-only with the frames cut from
+	// it. wbuf is only appended to within a world — a run is a full-capacity
+	// subslice of it, which a later append never writes into — and is rewound
+	// when the world ends (scrub), once no frame of the world is read again.
+	wbuf      []byte
 	sendRuns  fifo[sendRun] // runs not yet fully packetized
 	sendLen   int           // total unpacketized bytes across all runs
 	sendBase  uint64        // stream offset of the next byte to packetize
@@ -44,6 +49,22 @@ type sendRun struct {
 
 func (r *sendRun) len() int { return len(r.data) + r.zeros }
 
+// scrub returns s to its zero state for the next world, keeping only the
+// capacity of its receive range sets, its send-run queue and its write
+// buffer. The queue is cleared to capacity: a queued run aliases payload.
+func (s *Stream) scrub() {
+	runs := s.sendRuns.items
+	clear(runs[:cap(runs)])
+	s.received.Reset()
+	s.lost.Reset()
+	*s = Stream{
+		wbuf:     s.wbuf[:0],
+		sendRuns: fifo[sendRun]{items: runs[:0]},
+		received: s.received,
+		lost:     s.lost,
+	}
+}
+
 // ID returns the stream ID. Client-initiated streams are even, server-
 // initiated odd.
 func (s *Stream) ID() uint64 { return s.id }
@@ -53,9 +74,9 @@ func (s *Stream) Unreliable() bool { return s.unreliable }
 
 // Write queues data for transmission. The data is copied.
 func (s *Stream) Write(data []byte) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.WriteShared(cp)
+	n := len(s.wbuf)
+	s.wbuf = append(s.wbuf, data...)
+	s.WriteShared(s.wbuf[n:len(s.wbuf):len(s.wbuf)])
 }
 
 // WriteShared queues data without copying it: the send buffer and the

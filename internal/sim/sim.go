@@ -152,27 +152,37 @@ type Sim struct {
 	free  []*Event  // recycled events; Schedule/At pop from here
 	spare [][]entry // drained bucket arrays, reissued to empty buckets
 
-	locals map[any]any // Local slot → *T, kept across worlds
+	locals []local // Local slots in first-Get order, kept across worlds
 
 	check *invariant.Checker // nil = invariant checking disabled
 }
 
 // Local is a slot of kernel-local storage: Get hands a layer the same *T on
-// every world a kernel serves, made empty the first time. Release leaves it
-// alone, so what a layer keeps there outlives its world; the layer must store
-// nothing that points into one — no callback, connection or payload.
+// every world a kernel serves, made empty the first time. What a layer keeps
+// there outlives its world. While a world runs it may point into it; when the
+// world ends, Release calls EndWorld on every value whose *T is a WorldEnder,
+// and after that nothing in the slot may point into the dead world — no
+// callback, connection or payload.
 type Local[T any] struct{ _ byte } // not zero-size: each slot has its own address
 
-// Get returns s's value for the slot.
+// WorldEnder is a Local value that takes back what it lent a world: Release
+// calls EndWorld once per world, in the order the slots were first got, and
+// the value scrubs what it handed out so that the next world can take it.
+type WorldEnder interface{ EndWorld() }
+
+// local is one Local slot of a kernel: the slot's address and its *T.
+type local struct{ slot, v any }
+
+// Get returns s's value for the slot. A kernel has a handful of slots, so a
+// linear scan finds one.
 func (l *Local[T]) Get(s *Sim) *T {
-	if v, ok := s.locals[l].(*T); ok {
-		return v
-	}
-	if s.locals == nil {
-		s.locals = make(map[any]any)
+	for _, lv := range s.locals {
+		if lv.slot == any(l) {
+			return lv.v.(*T)
+		}
 	}
 	v := new(T)
-	s.locals[l] = v
+	s.locals = append(s.locals, local{l, v})
 	return v
 }
 
@@ -210,12 +220,18 @@ func New(seed int64) *Sim {
 	}
 }
 
-// Release ends the simulator's world and hands its storage to a later New.
+// Release ends the simulator's world — each Local value that is a WorldEnder
+// takes back what it lent the world — and hands its storage to a later New.
 // The caller must be done with the simulator and with everything scheduled
 // on it, and must not release one that panicked inside an event: it may be
 // halfway through fire. Releasing is optional; an unreleased kernel, or one
 // released while GOMAXPROCS others wait, is simply collected.
 func (s *Sim) Release() {
+	for _, lv := range s.locals {
+		if w, ok := lv.v.(WorldEnder); ok {
+			w.EndWorld()
+		}
+	}
 	s.reset()
 	bound := runtime.GOMAXPROCS(0)
 	idle.Lock()
@@ -236,11 +252,11 @@ func DropReleased() {
 
 // reset returns the kernel to the state New built it in, keeping what it
 // allocated: the wheel, the bucket arrays (all in spare now), the event
-// free list, the capacity of due and overflow, and the Local slots (whose
-// layers scrub them). Nothing of the old world stays reachable — an idle
-// timer's callback closes over its connection, and through it the whole
-// world — so every array is zeroed to capacity, not to length: drained
-// arrays keep stale entries beyond it.
+// free list, the capacity of due and overflow, and the Local slots (which
+// Release has told their world ended). Nothing of the old world stays
+// reachable — an idle timer's callback closes over its connection, and
+// through it the whole world — so every array is zeroed to capacity, not to
+// length: drained arrays keep stale entries beyond it.
 func (s *Sim) reset() {
 	for w, word := range s.occ {
 		for ; word != 0; word &= word - 1 {

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -601,6 +602,44 @@ func TestRecycledKernelLooksFresh(t *testing.T) {
 	if s.Pending() != 0 || len(s.free) != free {
 		t.Fatal("a stale handle acted on the recycled kernel")
 	}
+}
+
+// ender is a Local value that logs each world's end.
+type ender struct {
+	name string
+	log  *[]string
+}
+
+func (e *ender) EndWorld() { *e.log = append(*e.log, e.name) }
+
+// Release tells each Local value that is a WorldEnder, once per world and in
+// the order its slot was first got, that its world ended; a value that is not
+// one is left alone.
+func TestReleaseEndsLocalWorldsInFirstGetOrder(t *testing.T) {
+	DropReleased()
+	var log []string
+	var first, second Local[ender]
+	var plain Local[[2]int]
+	s := New(1)
+	for _, e := range []struct {
+		slot *Local[ender]
+		name string
+	}{{&second, "second"}, {&first, "first"}} {
+		*e.slot.Get(s) = ender{e.name, &log}
+		plain.Get(s)[0] = 1
+	}
+	s.Release()
+	if New(2) != s {
+		t.Fatal("New did not take the released kernel")
+	}
+	s.Release()
+	if want := []string{"second", "first", "second", "first"}; !slices.Equal(log, want) {
+		t.Fatalf("two releases ended worlds %v, want %v", log, want)
+	}
+	if plain.Get(s)[0] != 1 {
+		t.Fatal("Release touched a Local value that is not a WorldEnder")
+	}
+	DropReleased()
 }
 
 // What a world scheduled holds the world: a timer's callback closes over
