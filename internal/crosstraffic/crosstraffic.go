@@ -15,8 +15,14 @@ import (
 	"voxel/internal/sim"
 )
 
-// packetSize is the cross-traffic MTU (matches the video traffic).
-const packetSize = cc.MSS + 40
+const (
+	// packetSize is the cross-traffic MTU (matches the video traffic).
+	packetSize = cc.MSS + 40
+	// meanFileBytes is the mean Pareto file size.
+	meanFileBytes float64 = 256 << 10
+	// paretoAlpha is the file-size tail index (heavy-tailed).
+	paretoAlpha float64 = 1.3
+)
 
 // Stats summarizes generator activity.
 type Stats struct {
@@ -30,29 +36,23 @@ type Stats struct {
 type Generator struct {
 	sim  *sim.Sim
 	path *netem.Path
-	// TargetRate is the average offered load in bits per second.
-	TargetRate float64
-	// MeanFileBytes is the mean Pareto file size (default 256 KiB).
-	MeanFileBytes float64
-	// ParetoAlpha is the tail index (default 1.3 — heavy-tailed).
-	ParetoAlpha float64
+	// targetRate is the average offered load in bits per second.
+	targetRate float64
 
-	stats   Stats
-	stopped bool
-	// arrival is the pending next-arrival event, kept so Stop can cancel
-	// it: an arrival scheduled before Stop must not start one last flow.
-	arrival *sim.Event
+	stats Stats
+	// arrival fires at the next flow arrival. Stop stops it: an arrival
+	// scheduled before Stop must not start one last flow.
+	arrival *sim.Timer
 }
 
 // New returns a generator offering targetRate bps of load through path.
 func New(s *sim.Sim, path *netem.Path, targetRate float64) *Generator {
-	return &Generator{
-		sim:           s,
-		path:          path,
-		TargetRate:    targetRate,
-		MeanFileBytes: 256 << 10,
-		ParetoAlpha:   1.3,
-	}
+	g := &Generator{sim: s, path: path, targetRate: targetRate}
+	g.arrival = sim.NewTimer(s, func() {
+		g.startFlow(g.fileSize())
+		g.scheduleArrival()
+	})
+	return g
 }
 
 // Stats returns a snapshot of the counters.
@@ -60,39 +60,25 @@ func (g *Generator) Stats() Stats { return g.stats }
 
 // Stop halts new flow arrivals (running flows drain). Any already-scheduled
 // arrival is canceled, so FlowsStarted is final the moment Stop returns.
-func (g *Generator) Stop() {
-	g.stopped = true
-	if g.arrival != nil {
-		g.sim.Cancel(g.arrival)
-		g.arrival = nil
-	}
-}
+func (g *Generator) Stop() { g.arrival.Stop() }
 
 // Start begins the arrival process.
-func (g *Generator) Start() {
-	g.scheduleArrival()
-}
+func (g *Generator) Start() { g.scheduleArrival() }
 
 func (g *Generator) scheduleArrival() {
-	if g.stopped || g.TargetRate <= 0 {
+	if g.targetRate <= 0 {
 		return
 	}
 	// Offered load = arrivalRate × meanBytes × 8.
-	lambda := g.TargetRate / (g.MeanFileBytes * 8)
+	lambda := g.targetRate / (meanFileBytes * 8)
 	wait := sim.Time(g.sim.Rand().ExpFloat64() / lambda * float64(sim.Time(1e9)))
-	g.arrival = g.sim.Schedule(wait, func() {
-		// The handle just fired; drop it so Stop can't cancel a recycled
-		// event.
-		g.arrival = nil
-		g.startFlow(g.fileSize())
-		g.scheduleArrival()
-	})
+	g.arrival.Arm(wait)
 }
 
-// fileSize draws a bounded Pareto file size with the configured mean.
+// fileSize draws a bounded Pareto file size with mean meanFileBytes.
 func (g *Generator) fileSize() int {
-	a := g.ParetoAlpha
-	xm := g.MeanFileBytes * (a - 1) / a
+	a := paretoAlpha // a variable: a-1 and 1/a round as float64 steps
+	xm := meanFileBytes * (a - 1) / a
 	u := g.sim.Rand().Float64()
 	size := xm / math.Pow(1-u, 1/a)
 	if size > 64<<20 {

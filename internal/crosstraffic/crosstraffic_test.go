@@ -118,8 +118,8 @@ func TestParetoFileSizes(t *testing.T) {
 		sizes = append(sizes, float64(g.fileSize()))
 	}
 	mean := stats.Mean(sizes)
-	if mean < 0.4*g.MeanFileBytes || mean > 3*g.MeanFileBytes {
-		t.Fatalf("mean file size %.0f, want ≈%.0f", mean, g.MeanFileBytes)
+	if mean < 0.4*meanFileBytes || mean > 3*meanFileBytes {
+		t.Fatalf("mean file size %.0f, want ≈%.0f", mean, meanFileBytes)
 	}
 	// Heavy tail: the max should dwarf the median.
 	med := stats.Percentile(sizes, 50)

@@ -304,7 +304,9 @@ type Trial struct {
 	Utilization float64
 	// Obs is the first session's telemetry report (nil when
 	// Config.Telemetry is off); SessionObs holds every session's report.
-	Obs        *obs.TrialReport
+	// Obs aliases SessionObs[0], so JSON carries the report once, under
+	// SessionObs, and loading a checkpoint sets the alias again.
+	Obs        *obs.TrialReport `json:"-"`
 	SessionObs []*obs.TrialReport
 	// Failed marks a trial that died (panic, invariant violation, watchdog
 	// budget) before producing results; the rest of the struct is zero and

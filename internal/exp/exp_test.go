@@ -1,6 +1,10 @@
 package exp
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -103,6 +107,43 @@ func TestCrossTrafficRun(t *testing.T) {
 	agg := Run(cfg)
 	if !agg.Trials[0].Completed {
 		t.Fatal("cross-traffic trial failed")
+	}
+}
+
+// TestCrossTrafficBytesPinned pins what a cross-traffic trial simulates: no
+// golden and no benchmark workload runs the Harpoon generator, so this hash
+// over each trial's bufRatio, bitrate, scores and generator counters is the
+// one place a change to its arrivals, flows or their events shows. A change
+// that moves cross traffic on purpose regenerates it.
+func TestCrossTrafficBytesPinned(t *testing.T) {
+	cfg := smallCfg(SysVoxel)
+	cfg.Trace = nil
+	cfg.CrossTraffic = 15e6
+	cfg.LinkCapacity = 20e6
+	cfg.Segments = 5
+	h := sha256.New()
+	for trial := 0; trial < cfg.Trials; trial++ {
+		w := newWorld(cfg, trial)
+		if terr := w.build(); terr != nil {
+			t.Fatal(terr)
+		}
+		if terr := w.run(); terr != nil {
+			t.Fatal(terr)
+		}
+		tr, st := w.harvest(), w.gen.Stats()
+		w.s.Release()
+		if !tr.Completed || st.FlowsStarted == 0 {
+			t.Fatalf("trial %d: completed=%v, %d flows started", trial, tr.Completed, st.FlowsStarted)
+		}
+		fmt.Fprintf(h, "%d %x %x %+v", trial, math.Float64bits(tr.BufRatio), math.Float64bits(tr.AvgBitrate), st)
+		for _, v := range tr.Scores {
+			fmt.Fprintf(h, " %x", math.Float64bits(v))
+		}
+		fmt.Fprintln(h)
+	}
+	const want = "646ad75e436df8dd90ec364c95a6eaa36444bc4120c5fbf4f22c94af17076acd"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("cross-traffic trials hash to %s, want %s", got, want)
 	}
 }
 

@@ -316,10 +316,7 @@ func (w *world) run() *TrialError {
 	}
 	startExec := s.Executed()
 	aborted := false
-	// The !s.Halted() guard matters because a halted simulator stops
-	// advancing its clock: without it a mid-trial Halt would pin Now below
-	// the next checkpoint and spin this loop forever.
-	for s.Now() < limit && !aborted && !s.Halted() {
+	for s.Now() < limit && !aborted {
 		next := min(s.Now()+interruptCheckpoint, limit)
 		if s.Pending() == 0 {
 			next = limit // queue drained early: fast-forward the clock

@@ -10,8 +10,8 @@
 // Messages use a textual HTTP/1.1-style wire format over QUIC streams; one
 // request per stream. The head is text on the wire and nowhere else: each
 // direction has one writer that appends the head's bytes to its endpoint's
-// scratch buffer (quic.Stream.Write copies them once, at exact size) and one
-// scanner that reads an arrived head in place.
+// scratch buffer (quic.Stream.Write appends them to the stream's own write
+// buffer) and one scanner that reads an arrived head in place.
 package httpsim
 
 import (

@@ -85,6 +85,7 @@ type tap struct {
 	onDownload func(*download)                              // called as a download is tapped
 	onChunk    func(*refDownload)                           // called per body chunk
 	onRepair   func(got int64)                              // called per repair chunk
+	stop       bool                                         // a scenario ends the run after the current event
 
 	cur     *refDownload
 	repair  *httpsim.Response
@@ -342,7 +343,6 @@ type diffRig struct {
 	killAt   sim.Time                                     // > 0: blackhole the primary path for good from here
 	backup   bool                                         // a second origin on its own clean path
 	handler  func(origin httpsim.Handler) httpsim.Handler // wraps what the origin serves
-	halts    bool                                         // the scenario halts the simulator before playback finishes
 	wantRows []string
 }
 
@@ -407,8 +407,9 @@ func (d diffRig) run(t *testing.T, setup func(tp *tap, cc *quic.Conn)) *tap {
 		setup(tp, cc)
 	}
 	tp.p.Run(nil)
-	s.RunUntil(time.Hour)
-	if !tp.p.Done() && !d.halts {
+	for !tp.stop && s.RunUntilBudget(time.Hour, 1) {
+	}
+	if !tp.p.Done() && !tp.stop {
 		t.Fatalf("playback did not finish: %d/%d segments", len(tp.p.results.Segments), d.segments)
 	}
 	tp.scan()
@@ -533,13 +534,9 @@ func TestCoverageMatchesPerChunkReference(t *testing.T) {
 	t.Run("still in flight when the run ends", func(t *testing.T) {
 		// (4) A trial that ends mid-download has counted every byte that
 		// arrived: checkLive ran on each chunk, and once more here.
-		d := voxel
-		d.halts = true
-		tp := d.run(t, func(tp *tap, _ *quic.Conn) {
+		tp := voxel.run(t, func(tp *tap, _ *quic.Conn) {
 			tp.onChunk = func(ref *refDownload) {
-				if ref.dl.index == 3 && ref.gotBytes > 50_000 {
-					tp.s.Halt()
-				}
+				tp.stop = tp.stop || ref.dl.index == 3 && ref.gotBytes > 50_000
 			}
 		})
 		if tp.cur == nil || tp.cur.gotBytes == 0 || tp.p.dl != tp.cur.dl || tp.p.Done() {

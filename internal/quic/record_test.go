@@ -136,7 +136,9 @@ func TestRecordDoesNotAliasSenderFrames(t *testing.T) {
 	up.CloseWrite()
 	next := uint64(0)            // first packet number not snapshotted yet
 	firstCut := map[uint64]int{} // offset → length of the frame first sent there
-	for s.Now() < 120*time.Second && s.Step() {
+	// One event at a time, so every packet is snapshotted as it is sent.
+	for more := true; more; {
+		more = s.RunUntilBudget(120*time.Second, 1)
 		q := &server.sentQ
 		for i := q.head; i < len(q.pk); i++ {
 			sp := q.pk[i]
@@ -201,7 +203,9 @@ func TestAckSnapshotIsStable(t *testing.T) {
 	st.WriteZeros(2 << 20)
 	st.CloseWrite()
 	maxRanges := 0
-	for s.Now() < 60*time.Second && s.Step() {
+	// One event at a time, so every ACK is snapshotted as it is sent.
+	for more := true; more; {
+		more = s.RunUntilBudget(60*time.Second, 1)
 		for _, tx := range tap.sent() {
 			atSend[tx.pn] = slices.Clone(tx.ack.Ranges)
 			maxRanges = max(maxRanges, len(tx.ack.Ranges))

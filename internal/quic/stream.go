@@ -165,10 +165,6 @@ func (s *Stream) Received() *RangeSet { return &s.received }
 // Lost returns the ranges reported permanently lost (read-only).
 func (s *Stream) Lost() *RangeSet { return &s.lost }
 
-// FinalSize returns the stream's final size; ok is false until the FIN
-// arrives.
-func (s *Stream) FinalSize() (uint64, bool) { return s.finalSize, s.finalKnown }
-
 // pendingSendBytes reports how much new data (plus FIN) awaits packetizing.
 func (s *Stream) pendingSendBytes() int {
 	n := s.sendLen

@@ -4,13 +4,15 @@ package sim
 // heap's firing semantics bit-for-bit: both kernels execute identical
 // random schedule/cancel/reschedule/run scripts — including same-instant
 // ties, past-time clamps, zero delays, nested scheduling from inside
-// callbacks, far-future overflow events, and mid-script Halt — and must
-// produce identical execution traces, clocks, and counters. Every script
-// runs on the wheel twice: on a kernel New just built, and on one that was
-// another world first (recycled), which must be indistinguishable.
+// callbacks, far-future overflow events, and runs cut short by an event
+// budget — and must produce identical execution traces, clocks, budget
+// verdicts and counters. Every script runs on the wheel twice: on a kernel
+// New just built, and on one that was another world first (recycled), which
+// must be indistinguishable.
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -19,22 +21,20 @@ import (
 // kernel is the scheduling surface shared by *Sim and *refSim, generic
 // over the handle type so the drivers compile against both concretely.
 type kernel[E any] interface {
-	Schedule(Time, func()) E
-	At(Time, func()) E
-	Cancel(E)
-	Reschedule(E, Time)
-	Step() bool
+	Schedule(Time, func())
+	at(Time, func()) E
+	cancel(E)
+	reschedule(E, Time)
 	Run()
 	RunUntil(Time)
-	Halt()
-	Halted() bool
+	RunUntilBudget(Time, uint64) bool
 	Now() Time
 	Pending() int
 	Executed() uint64
 }
 
 var (
-	_ kernel[*Event]    = (*Sim)(nil)
+	_ kernel[*event]    = (*Sim)(nil)
 	_ kernel[*refEvent] = (*refSim)(nil)
 )
 
@@ -57,19 +57,18 @@ type traceRec struct {
 // event id, so both kernels see the same nested ops iff their execution
 // orders match — any divergence shows up as a trace mismatch.
 type driver[E any] struct {
-	k       kernel[E]
-	handles []E
-	trace   []traceRec
+	k         kernel[E]
+	handles   []E
+	trace     []traceRec
+	exhausted []bool // each budgeted run's verdict
 }
 
 func (d *driver[E]) spawn(at Time, absolute bool) {
 	id := len(d.handles)
-	fn := func() { d.onFire(id) }
-	if absolute {
-		d.handles = append(d.handles, d.k.At(at, fn))
-	} else {
-		d.handles = append(d.handles, d.k.Schedule(at, fn))
+	if !absolute {
+		at += d.k.Now()
 	}
+	d.handles = append(d.handles, d.k.at(at, func() { d.onFire(id) }))
 }
 
 func (d *driver[E]) onFire(id int) {
@@ -81,10 +80,10 @@ func (d *driver[E]) onFire(id int) {
 	case 1: // far child: beyond the wheel horizon, exercises overflow
 		d.spawn(wheelSpan+Time(h>>8%uint64(wheelSpan)), false)
 	case 2: // cancel some earlier handle (possibly fired/canceled/recycled)
-		d.k.Cancel(d.handles[int(h>>32)%len(d.handles)])
+		d.k.cancel(d.handles[int(h>>32)%len(d.handles)])
 	case 3: // reschedule an earlier handle, sometimes into the past (clamps)
 		target := d.handles[int(h>>32)%len(d.handles)]
-		d.k.Reschedule(target, d.k.Now()+Time(h>>8%uint64(5*time.Millisecond))-time.Millisecond)
+		d.k.reschedule(target, d.k.Now()+Time(h>>8%uint64(5*time.Millisecond))-time.Millisecond)
 	case 4: // absolute-time child in the past: clamps to now
 		d.spawn(d.k.Now()-Time(h>>8%uint64(time.Millisecond)), true)
 	}
@@ -125,10 +124,15 @@ func genScript(rng *rand.Rand, nops int) []scriptOp {
 			}
 			op.id = rng.Intn(created)
 			op.delay = Time(rng.Int63n(int64(20*time.Millisecond))) - 2*time.Millisecond
-		case 7: // step a few events
+		case 7: // run a few events, stopping early at a deadline a bit ahead
 			op.n = rng.Intn(8)
-		case 8: // run until a deadline a bit ahead
-			op.delay = Time(rng.Int63n(int64(50 * time.Millisecond)))
+			op.delay = Time(rng.Intn(80)) * 250 * time.Microsecond // on the near grid: ties with events
+		case 8: // run until a deadline a bit ahead, often an event's instant
+			if rng.Intn(2) == 0 {
+				op.delay = Time(rng.Int63n(int64(50 * time.Millisecond)))
+			} else {
+				op.delay = Time(rng.Intn(200)) * 250 * time.Microsecond
+			}
 		case 9: // schedule at an absolute time, sometimes in the past
 			op.delay = Time(rng.Int63n(int64(4*time.Millisecond))) - time.Millisecond
 			created++
@@ -138,7 +142,7 @@ func genScript(rng *rand.Rand, nops int) []scriptOp {
 	return ops
 }
 
-func replay[E any](k kernel[E], ops []scriptOp, halt bool) *driver[E] {
+func replay[E any](k kernel[E], ops []scriptOp) *driver[E] {
 	d := &driver[E]{k: k}
 	for _, op := range ops {
 		switch op.kind {
@@ -146,27 +150,19 @@ func replay[E any](k kernel[E], ops []scriptOp, halt bool) *driver[E] {
 			d.spawn(op.delay, false)
 		case 5:
 			if op.id < len(d.handles) {
-				k.Cancel(d.handles[op.id])
+				k.cancel(d.handles[op.id])
 			}
 		case 6:
 			if op.id < len(d.handles) {
-				k.Reschedule(d.handles[op.id], k.Now()+op.delay)
+				k.reschedule(d.handles[op.id], k.Now()+op.delay)
 			}
 		case 7:
-			for i := 0; i < op.n; i++ {
-				k.Step()
-			}
+			d.exhausted = append(d.exhausted, k.RunUntilBudget(k.Now()+op.delay, uint64(op.n)))
 		case 8:
 			k.RunUntil(k.Now() + op.delay)
 		case 9:
 			d.spawn(k.Now()+op.delay, true)
 		}
-	}
-	if halt {
-		// Halt from inside an event mid-run: the clock must freeze at the
-		// halting event on both kernels, including through RunUntil.
-		k.Schedule(time.Millisecond, func() { k.Halt() })
-		k.RunUntil(k.Now() + 10*time.Second)
 	}
 	k.Run()
 	return d
@@ -175,28 +171,24 @@ func replay[E any](k kernel[E], ops []scriptOp, halt bool) *driver[E] {
 // dirty makes s as untidy as a dying world can leave a kernel: events
 // pending in buckets, in the due run and in overflow, tombstones of
 // canceled events, timers lazily moved later (their standing entries point
-// at an earlier slot), recycled handles, and a Halt from inside an event
-// with the due run half consumed.
+// at an earlier slot), recycled events, and a run cut short by its event
+// budget with the due run half consumed.
 func dirty(s *Sim, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	d := &driver[*Event]{k: s}
+	d := &driver[*event]{k: s}
 	for i := 0; i < 300; i++ {
 		d.spawn(Time(rng.Int63n(int64(3*wheelSpan))), false)
 	}
 	s.RunUntil(wheelSpan / 3) // fired events spawn, cancel and reschedule on their own
 	for i := 0; i < 60; i++ {
-		s.Cancel(d.handles[rng.Intn(len(d.handles))])
+		s.cancel(d.handles[rng.Intn(len(d.handles))])
 		h := d.handles[rng.Intn(len(d.handles))]
-		s.Reschedule(h, h.At+Time(rng.Int63n(int64(wheelSpan))))
+		s.reschedule(h, h.at+Time(rng.Int63n(int64(wheelSpan))))
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 16; i++ {
 		d.spawn(s.Now(), true) // same instant: lands in the due run
 	}
-	s.Schedule(0, s.Halt)
-	for i := 0; i < 8; i++ {
-		d.spawn(s.Now(), true) // behind the Halt: left in the due run
-	}
-	s.RunUntil(s.Now() + wheelSpan)
+	s.RunUntilBudget(s.Now()+wheelSpan, 8) // leaves half of them in the due run
 }
 
 // recycled returns a kernel that was a dirty world, then reset and reseeded
@@ -211,15 +203,15 @@ func recycled(seed int64) *Sim {
 	return s
 }
 
-func diffKernels(t *testing.T, seed int64, nops int, halt bool) {
+func diffKernels(t *testing.T, seed int64, nops int) {
 	t.Helper()
 	ops := genScript(rand.New(rand.NewSource(seed)), nops)
-	dh := replay[*refEvent](newRefSim(), ops, halt)
+	dh := replay[*refEvent](newRefSim(), ops)
 	for _, k := range []struct {
 		name string
 		sim  *Sim
 	}{{"wheel", New(seed)}, {"recycled wheel", recycled(seed)}} {
-		dw := replay[*Event](k.sim, ops, halt)
+		dw := replay[*event](k.sim, ops)
 		if len(dw.trace) != len(dh.trace) {
 			t.Fatalf("seed %d: %s fired %d events, heap fired %d", seed, k.name, len(dw.trace), len(dh.trace))
 		}
@@ -227,6 +219,9 @@ func diffKernels(t *testing.T, seed int64, nops int, halt bool) {
 			if dw.trace[i] != dh.trace[i] {
 				t.Fatalf("seed %d: trace diverges at %d: %s %+v, heap %+v", seed, i, k.name, dw.trace[i], dh.trace[i])
 			}
+		}
+		if !slices.Equal(dw.exhausted, dh.exhausted) {
+			t.Fatalf("seed %d: budget verdicts diverge: %s %v, heap %v", seed, k.name, dw.exhausted, dh.exhausted)
 		}
 		if dw.k.Now() != dh.k.Now() {
 			t.Fatalf("seed %d: clock diverges: %s %v, heap %v", seed, k.name, dw.k.Now(), dh.k.Now())
@@ -242,13 +237,7 @@ func diffKernels(t *testing.T, seed int64, nops int, halt bool) {
 
 func TestDifferentialHeapVsWheel(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		diffKernels(t, seed, 400, false)
-	}
-}
-
-func TestDifferentialHeapVsWheelWithHalt(t *testing.T) {
-	for seed := int64(100); seed <= 120; seed++ {
-		diffKernels(t, seed, 200, true)
+		diffKernels(t, seed, 400)
 	}
 }
 
@@ -257,7 +246,7 @@ func TestDifferentialLong(t *testing.T) {
 		t.Skip("long differential run")
 	}
 	for seed := int64(500); seed <= 505; seed++ {
-		diffKernels(t, seed, 5000, false)
+		diffKernels(t, seed, 5000)
 	}
 }
 

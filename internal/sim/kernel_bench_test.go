@@ -54,7 +54,7 @@ func benchChurn[E any](b *testing.B, k kernel[E]) {
 }
 
 func BenchmarkKernelChurn(b *testing.B) {
-	b.Run("wheel", func(b *testing.B) { benchChurn[*Event](b, New(1)) })
+	b.Run("wheel", func(b *testing.B) { benchChurn[*event](b, New(1)) })
 	b.Run("heap", func(b *testing.B) { benchChurn[*refEvent](b, newRefSim()) })
 }
 
@@ -68,15 +68,15 @@ func benchRearmStorm[E any](b *testing.B, k kernel[E]) {
 	nop := func() {}
 	evs := make([]E, timers)
 	for i := range evs {
-		evs[i] = k.Schedule(100*time.Millisecond+Time(i), nop)
+		evs[i] = k.at(100*time.Millisecond+Time(i), nop)
 	}
 	rng := xorshift(0xD1B54A32D192ED03)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		i := n & (timers - 1)
-		k.Cancel(evs[i])
-		evs[i] = k.Schedule(100*time.Millisecond+Time(rng.next()%50_000), nop)
+		k.cancel(evs[i])
+		evs[i] = k.at(k.Now()+100*time.Millisecond+Time(rng.next()%50_000), nop)
 		if n&255 == 255 {
 			k.RunUntil(k.Now() + 5*time.Millisecond)
 		}
@@ -84,7 +84,7 @@ func benchRearmStorm[E any](b *testing.B, k kernel[E]) {
 }
 
 func BenchmarkKernelRearmStorm(b *testing.B) {
-	b.Run("wheel", func(b *testing.B) { benchRearmStorm[*Event](b, New(1)) })
+	b.Run("wheel", func(b *testing.B) { benchRearmStorm[*event](b, New(1)) })
 	b.Run("heap", func(b *testing.B) { benchRearmStorm[*refEvent](b, newRefSim()) })
 }
 
@@ -100,8 +100,7 @@ func benchCancel[E any](b *testing.B, k kernel[E]) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		e := k.Schedule(Time(10_000+rng.next()%10_000_000), nop)
-		k.Cancel(e)
+		k.cancel(k.at(k.Now()+Time(10_000+rng.next()%10_000_000), nop))
 		if n&1023 == 1023 {
 			k.RunUntil(k.Now() + time.Millisecond)
 		}
@@ -109,7 +108,7 @@ func benchCancel[E any](b *testing.B, k kernel[E]) {
 }
 
 func BenchmarkKernelCancel(b *testing.B) {
-	b.Run("wheel", func(b *testing.B) { benchCancel[*Event](b, New(1)) })
+	b.Run("wheel", func(b *testing.B) { benchCancel[*event](b, New(1)) })
 	b.Run("heap", func(b *testing.B) { benchCancel[*refEvent](b, newRefSim()) })
 }
 
@@ -140,10 +139,10 @@ func (s *swarmSession[E]) rearmPTO(d Time) {
 	if s.armed {
 		// Same call both kernels make in production via Timer.Arm: the heap
 		// pays an O(log n) Fix, the wheel defers the standing entry in O(1).
-		s.k.Reschedule(s.pto, s.k.Now()+d)
+		s.k.reschedule(s.pto, s.k.Now()+d)
 		return
 	}
-	s.pto = s.k.Schedule(d, s.onPTO)
+	s.pto = s.k.at(s.k.Now()+d, s.onPTO)
 	s.armed = true
 }
 
@@ -167,7 +166,7 @@ func (s *swarmSession[E]) ack() {
 	}
 	if s.left == 0 && s.armed {
 		// Stream drained: let the final deadline lapse quietly.
-		s.k.Cancel(s.pto)
+		s.k.cancel(s.pto)
 		s.armed = false
 	}
 }
@@ -207,6 +206,6 @@ func benchSwarmMacro[E any](b *testing.B, k kernel[E]) {
 }
 
 func BenchmarkSwarmMacro512(b *testing.B) {
-	b.Run("wheel", func(b *testing.B) { benchSwarmMacro[*Event](b, New(1)) })
+	b.Run("wheel", func(b *testing.B) { benchSwarmMacro[*event](b, New(1)) })
 	b.Run("heap", func(b *testing.B) { benchSwarmMacro[*refEvent](b, newRefSim()) })
 }

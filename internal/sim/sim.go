@@ -18,17 +18,18 @@
 // firing order is exactly the (time, insertion-sequence) order the old
 // heap produced — tie-broken by sequence, past times clamped to now.
 //
-// Cancel and Reschedule are lazy: they never search the wheel. Cancel marks
-// the event canceled (a tombstone — the bucket entry is skipped when its
-// slot drains). Reschedule bumps the event's sequence; when the deadline
-// moves later — the retransmission-timer pattern, where every packet pushes
-// the deadline out — the standing wheel entry is kept and simply hops
-// forward when its slot drains, so rearm storms cost O(1) field updates.
-// Only a deadline moving earlier inserts a fresh entry (orphaning the old
-// one as a tombstone). Entries carry the sequence they were inserted with,
-// so a stale entry can never fire a recycled event: event handles are
-// pooled, and the global sequence counter never repeats within a world (a
-// released kernel starts the next one at zero, with no entry left in it).
+// A Timer is the one handle on a scheduled event; Schedule is fire-and-
+// forget. Stopping and re-arming a timer are lazy: they never search the
+// wheel. Stop marks the event canceled (a tombstone — the bucket entry is
+// skipped when its slot drains). Re-arming bumps the event's sequence; when
+// the deadline moves later — the retransmission-timer pattern, where every
+// packet pushes the deadline out — the standing wheel entry is kept and
+// simply hops forward when its slot drains, so rearm storms cost O(1) field
+// updates. Only a deadline moving earlier inserts a fresh entry (orphaning
+// the old one as a tombstone). Entries carry the sequence they were inserted
+// with, so a stale entry can never fire a recycled event: events are pooled,
+// and the global sequence counter never repeats within a world (a released
+// kernel starts the next one at zero, with no entry left in it).
 package sim
 
 import (
@@ -68,32 +69,30 @@ const (
 	infTime = Time(math.MaxInt64)
 )
 
-// Event lifecycle states. The zero state is pending because events only
-// reach user code via Schedule/At, which arm them.
+// Event lifecycle states. The zero state is pending because at arms every
+// event it hands out.
 const (
 	statePending uint8 = iota
 	stateFired
 	stateCanceled
 )
 
-// Event is a scheduled callback. Events are ordered by time; ties break by
+// event is a scheduled callback. Events are ordered by time; ties break by
 // insertion sequence so that scheduling order is deterministic.
 //
-// Event handles are owned by the scheduler: once an event has fired or been
-// canceled, the handle must not be used again (the Event may be recycled for
-// a later Schedule/At call, at which point Cancel/Reschedule through the old
-// handle would act on the new, unrelated event). Holders that outlive their
-// event — like Timer — must drop the pointer when it fires. Until the handle
-// is recycled, Fired and Canceled report which terminal state it reached,
-// and Cancel/Reschedule on it are safe no-ops.
-type Event struct {
-	At Time // current deadline; may sit later than the placed wheel entry
-	Fn func()
+// Events are owned by the scheduler: once one has fired or been canceled it
+// goes back on the free list and a later at hands it out again, so a pointer
+// kept past that point would act on the new, unrelated event. Timer, the one
+// holder, drops its pointer before the callback runs. Until the event is
+// handed out again, cancel and reschedule on it are safe no-ops.
+type event struct {
+	at Time // current deadline; may sit later than the placed wheel entry
+	fn func()
 
-	// seq is the sequence of the current deadline — the (At, seq) pair is
+	// seq is the sequence of the current deadline — the (at, seq) pair is
 	// the event's position in the total firing order. placed/placedAt
 	// identify the wheel entry physically standing for this event: when a
-	// Reschedule moves the deadline later, the standing entry is kept
+	// reschedule moves the deadline later, the standing entry is kept
 	// (placed != seq) and hops forward when it drains, so rearm storms
 	// never touch the wheel.
 	seq      uint64
@@ -102,20 +101,14 @@ type Event struct {
 	state    uint8
 }
 
-// Canceled reports whether the event was canceled before firing.
-func (e *Event) Canceled() bool { return e.state == stateCanceled }
-
-// Fired reports whether the event's callback has run.
-func (e *Event) Fired() bool { return e.state == stateFired }
-
 // entry is one scheduled occurrence of an event. The wheel stores entries
 // by value; seq is the event's sequence at insertion time, so an entry is
-// live only while it matches the event's current sequence — Reschedule and
-// handle recycling bump the sequence, turning old entries into tombstones.
+// live only while it matches the event's current sequence — reschedule and
+// event recycling bump the sequence, turning old entries into tombstones.
 type entry struct {
 	at  Time
 	seq uint64
-	ev  *Event
+	ev  *event
 }
 
 func entryLess(a, b entry) bool {
@@ -128,12 +121,11 @@ func entryLess(a, b entry) bool {
 // Sim is a single-threaded discrete-event simulator. It is not safe for
 // concurrent use; everything in a simulation runs on its event loop.
 type Sim struct {
-	now    Time
-	seq    uint64
-	rng    *rand.Rand
-	nexec  uint64
-	halted bool
-	live   int // scheduled events that are neither fired nor canceled
+	now   Time
+	seq   uint64
+	rng   *rand.Rand
+	nexec uint64
+	live  int // scheduled events that are neither fired nor canceled
 
 	// cursor is the absolute slot index the wheel has drained up to. The
 	// near window is (cursor, cursor+wheelSlots); slot cursor itself — and
@@ -149,7 +141,7 @@ type Sim struct {
 	due    []entry
 	duePos int
 
-	free  []*Event  // recycled events; Schedule/At pop from here
+	free  []*event  // recycled events; at pops from here
 	spare [][]entry // drained bucket arrays, reissued to empty buckets
 
 	locals []local // Local slots in first-Get order, kept across worlds
@@ -272,17 +264,17 @@ func (s *Sim) reset() {
 	s.due, s.duePos = scrub(s.due), 0
 	s.overflow = scrub(s.overflow)
 	s.now, s.seq, s.nexec, s.live, s.cursor = 0, 0, 0, 0, 0
-	s.halted, s.check = false, nil
+	s.check = nil
 }
 
 // scrub empties a bucket array for the next world. Events still pending
-// behind its entries are disarmed — a handle the dead world kept must not
+// behind its entries are disarmed — a timer the dead world kept must not
 // act on the next world's kernel — but not pushed on the free list: one
 // event can stand behind several entries.
 func scrub(a []entry) []entry {
 	for _, en := range a {
 		if e := en.ev; e.state == statePending {
-			e.state, e.Fn = stateCanceled, nil
+			e.state, e.fn = stateCanceled, nil
 		}
 	}
 	clear(a[:cap(a)])
@@ -307,17 +299,15 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 func (s *Sim) Executed() uint64 { return s.nexec }
 
 // Schedule runs fn after delay of virtual time. A negative delay is treated
-// as zero (run as soon as the loop reaches the current instant again).
-func (s *Sim) Schedule(delay Time, fn func()) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return s.At(s.now+delay, fn)
+// as zero (run as soon as the loop reaches the current instant again). There
+// is no handle: an event that may have to move or be called off is a Timer.
+func (s *Sim) Schedule(delay Time, fn func()) {
+	s.at(s.now+max(delay, 0), fn)
 }
 
-// At runs fn at the absolute virtual time t. Times in the past are clamped
-// to now.
-func (s *Sim) At(t Time, fn func()) *Event {
+// at schedules fn at the absolute virtual time t and returns its event.
+// Times in the past are clamped to now.
+func (s *Sim) at(t Time, fn func()) *event {
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
@@ -325,15 +315,15 @@ func (s *Sim) At(t Time, fn func()) *Event {
 		t = s.now
 	}
 	s.seq++
-	var e *Event
+	var e *event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 	} else {
-		e = &Event{}
+		e = &event{}
 	}
-	e.At, e.Fn, e.seq, e.state = t, fn, s.seq, statePending
+	e.at, e.fn, e.seq, e.state = t, fn, s.seq, statePending
 	e.placed, e.placedAt = s.seq, t
 	s.live++
 	s.place(entry{at: t, seq: s.seq, ev: e})
@@ -392,39 +382,39 @@ func (s *Sim) insertDue(en entry) {
 	s.due[lo] = en
 }
 
-// Cancel removes a pending event. Canceling an event that already fired or
+// cancel removes a pending event. Canceling an event that already fired or
 // was already canceled is a no-op. Cancellation is O(1): the wheel entry
 // becomes a tombstone that is discarded when its slot drains.
-func (s *Sim) Cancel(e *Event) {
-	if e == nil || e.state != statePending {
+func (s *Sim) cancel(e *event) {
+	if e.state != statePending {
 		return
 	}
 	e.state = stateCanceled
-	e.Fn = nil
+	e.fn = nil
 	s.live--
 	s.free = append(s.free, e)
 }
 
-// Reschedule moves a pending event to a new absolute time, preserving its
-// callback. The event is re-armed in place — the caller's handle stays
+// reschedule moves a pending event to a new absolute time, preserving its
+// callback. The event is re-armed in place — the caller's pointer stays
 // valid — and takes a fresh insertion sequence, so it orders after events
 // already scheduled for the same instant. Times in the past are clamped to
 // now. Events that already fired or were canceled are left untouched.
 // Rescheduling is O(1) and, when the deadline moves later, touches no
 // wheel structure at all: the standing entry defers itself when it drains.
-func (s *Sim) Reschedule(e *Event, t Time) {
-	if e == nil || e.state != statePending {
+func (s *Sim) reschedule(e *event, t Time) {
+	if e.state != statePending {
 		return
 	}
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
-	e.At = t
+	e.at = t
 	e.seq = s.seq
 	if t >= e.placedAt {
 		// Deadline moved later (or stayed put): the entry already in the
-		// wheel arrives first and will hop forward to (e.At, e.seq) — the
+		// wheel arrives first and will hop forward to (e.at, e.seq) — the
 		// exact position an eager re-insert would occupy — when it drains.
 		return
 	}
@@ -432,13 +422,6 @@ func (s *Sim) Reschedule(e *Event, t Time) {
 	e.placedAt = t
 	s.place(entry{at: t, seq: s.seq, ev: e})
 }
-
-// Halt stops the event loop after the currently executing event returns.
-func (s *Sim) Halt() { s.halted = true }
-
-// Halted reports whether Halt has been called. A halted simulator executes
-// no further events and its clock is frozen at the last executed event.
-func (s *Sim) Halted() bool { return s.halted }
 
 // peek positions duePos on the next live entry whose slot starts at or
 // before limit, skipping tombstones, and returns it without consuming it.
@@ -456,10 +439,10 @@ func (s *Sim) peek(limit Time) (entry, bool) {
 			if e.placed == en.seq && e.state == statePending {
 				// The event's deadline was lazily moved later; this entry is
 				// its standing placement. Hop it forward to the current
-				// (At, seq) — still in the future, so ordering is exact.
+				// (at, seq) — still in the future, so ordering is exact.
 				e.placed = e.seq
-				e.placedAt = e.At
-				s.place(entry{at: e.At, seq: e.seq, ev: e})
+				e.placedAt = e.at
+				s.place(entry{at: e.at, seq: e.seq, ev: e})
 			}
 			// Otherwise: tombstone — canceled, superseded, or recycled.
 		}
@@ -558,8 +541,8 @@ func (s *Sim) fire(en entry) {
 	}
 	s.now = en.at
 	e := en.ev
-	fn := e.Fn
-	e.Fn = nil
+	fn := e.fn
+	e.fn = nil
 	e.state = stateFired
 	s.live--
 	s.nexec++
@@ -567,56 +550,15 @@ func (s *Sim) fire(en entry) {
 	s.free = append(s.free, e)
 }
 
-// Step executes the next pending event, advancing virtual time to it.
-// It reports whether an event was executed.
-func (s *Sim) Step() bool {
-	if s.halted {
-		return false
-	}
-	en, ok := s.peek(infTime)
-	if !ok {
-		return false
-	}
-	s.fire(en)
-	return true
-}
-
-// Run executes events until the queue drains or Halt is called.
-func (s *Sim) Run() {
-	for s.Step() {
-	}
-}
-
-// RunUntil executes events with At <= deadline, then sets now to deadline
-// (if the queue drained or the next event lies beyond it) and returns. A
-// halted simulator does not advance: its clock stays frozen at the last
+// drain is the event loop: it executes events due at or before deadline, at
+// most budget of them, and reports whether it stopped on the budget with a
+// runnable event still pending. It never moves the clock past the last
 // executed event.
-func (s *Sim) RunUntil(deadline Time) {
-	for !s.halted {
+func (s *Sim) drain(deadline Time, budget uint64) (exhausted bool) {
+	for {
 		en, ok := s.peek(deadline)
 		if !ok || en.at > deadline {
-			break
-		}
-		s.fire(en)
-	}
-	if !s.halted && s.now < deadline {
-		s.now = deadline
-	}
-}
-
-// RunUntilBudget is RunUntil with an event budget: it executes at most
-// budget events with At <= deadline and reports whether the budget was
-// exhausted with runnable work still pending. When it returns false the
-// semantics are exactly RunUntil's (the clock lands on deadline); when it
-// returns true the clock stays at the last executed event so a watchdog
-// can attribute the overrun to a precise virtual instant. A zero-delay
-// event storm — the failure mode a plain RunUntil cannot escape, because
-// the clock never reaches the deadline — is bounded by the budget.
-func (s *Sim) RunUntilBudget(deadline Time, budget uint64) (exhausted bool) {
-	for !s.halted {
-		en, ok := s.peek(deadline)
-		if !ok || en.at > deadline {
-			break
+			return false
 		}
 		if budget == 0 {
 			return true
@@ -624,9 +566,28 @@ func (s *Sim) RunUntilBudget(deadline Time, budget uint64) (exhausted bool) {
 		s.fire(en)
 		budget--
 	}
-	if !s.halted && s.now < deadline {
-		s.now = deadline
+}
+
+// Run executes events until the queue drains.
+func (s *Sim) Run() { s.drain(infTime, math.MaxUint64) }
+
+// RunUntil executes events due at or before deadline, then sets the clock
+// to deadline and returns.
+func (s *Sim) RunUntil(deadline Time) { s.RunUntilBudget(deadline, math.MaxUint64) }
+
+// RunUntilBudget is RunUntil with an event budget: it executes at most
+// budget events due at or before deadline and reports whether the budget
+// was exhausted with runnable work still pending. When it returns false the
+// semantics are exactly RunUntil's (the clock lands on deadline); when it
+// returns true the clock stays at the last executed event so a watchdog
+// can attribute the overrun to a precise virtual instant. A zero-delay
+// event storm — the failure mode a plain RunUntil cannot escape, because
+// the clock never reaches the deadline — is bounded by the budget.
+func (s *Sim) RunUntilBudget(deadline Time, budget uint64) (exhausted bool) {
+	if s.drain(deadline, budget) {
+		return true
 	}
+	s.now = max(s.now, deadline)
 	return false
 }
 
@@ -724,13 +685,13 @@ func siftDownEntries(es []entry, i, n int) {
 }
 
 // Timer is a re-armable one-shot timer bound to a simulator, mirroring the
-// shape of time.Timer for transport retransmission deadlines. Timer is the
-// safe way to hold an event across firings: the wrapper drops the handle
-// before invoking the callback, so Stop and Arm can never act on a recycled
-// Event that now belongs to someone else.
+// shape of time.Timer for transport retransmission deadlines. It is the one
+// handle on a scheduled event: the wrapper drops its event before invoking
+// the callback, so Stop and Arm can never act on a recycled event that now
+// belongs to someone else.
 type Timer struct {
 	sim  *Sim
-	ev   *Event
+	ev   *event
 	fn   func()
 	wrap func() // built once: re-arming must not allocate a closure
 }
@@ -751,41 +712,24 @@ func NewTimer(s *Sim, fn func()) *Timer {
 // Arm (re)sets the timer to fire after d. Any earlier deadline is replaced.
 // Re-arming an armed timer reschedules its event in place, which keeps the
 // wheel untouched when the deadline only moves later.
-func (t *Timer) Arm(d Time) {
-	if t.ev != nil {
-		if d < 0 {
-			d = 0
-		}
-		t.sim.Reschedule(t.ev, t.sim.Now()+d)
-		return
-	}
-	t.ev = t.sim.Schedule(d, t.wrap)
-}
+func (t *Timer) Arm(d Time) { t.ArmAt(t.sim.now + max(d, 0)) }
 
 // ArmAt (re)sets the timer to fire at absolute time at.
 func (t *Timer) ArmAt(at Time) {
 	if t.ev != nil {
-		t.sim.Reschedule(t.ev, at)
+		t.sim.reschedule(t.ev, at)
 		return
 	}
-	t.ev = t.sim.At(at, t.wrap)
+	t.ev = t.sim.at(at, t.wrap)
 }
 
 // Stop disarms the timer if it is pending.
 func (t *Timer) Stop() {
 	if t.ev != nil {
-		t.sim.Cancel(t.ev)
+		t.sim.cancel(t.ev)
 		t.ev = nil
 	}
 }
 
 // Armed reports whether the timer is pending.
 func (t *Timer) Armed() bool { return t.ev != nil }
-
-// Deadline returns the pending deadline; ok is false when unarmed.
-func (t *Timer) Deadline() (at Time, ok bool) {
-	if t.ev == nil {
-		return 0, false
-	}
-	return t.ev.At, true
-}

@@ -54,9 +54,9 @@ func TestNegativeDelayClamped(t *testing.T) {
 func TestCancel(t *testing.T) {
 	s := New(1)
 	fired := false
-	e := s.Schedule(time.Millisecond, func() { fired = true })
-	s.Cancel(e)
-	s.Cancel(e) // double cancel is a no-op
+	e := s.at(time.Millisecond, func() { fired = true })
+	s.cancel(e)
+	s.cancel(e) // double cancel is a no-op
 	s.Run()
 	if fired {
 		t.Fatal("canceled event fired")
@@ -66,13 +66,13 @@ func TestCancel(t *testing.T) {
 func TestCancelOneOfMany(t *testing.T) {
 	s := New(1)
 	var got []int
-	var evs []*Event
+	var evs []*event
 	for i := 0; i < 20; i++ {
 		i := i
-		evs = append(evs, s.Schedule(time.Duration(i)*time.Millisecond, func() { got = append(got, i) }))
+		evs = append(evs, s.at(time.Duration(i)*time.Millisecond, func() { got = append(got, i) }))
 	}
-	s.Cancel(evs[5])
-	s.Cancel(evs[13])
+	s.cancel(evs[5])
+	s.cancel(evs[13])
 	s.Run()
 	if len(got) != 18 {
 		t.Fatalf("got %d events, want 18", len(got))
@@ -87,8 +87,8 @@ func TestCancelOneOfMany(t *testing.T) {
 func TestRescheduleMovesEvent(t *testing.T) {
 	s := New(1)
 	var got []Time
-	e := s.Schedule(time.Millisecond, func() { got = append(got, s.Now()) })
-	s.Reschedule(e, 5*time.Millisecond)
+	e := s.at(time.Millisecond, func() { got = append(got, s.Now()) })
+	s.reschedule(e, 5*time.Millisecond)
 	s.Run()
 	if len(got) != 1 || got[0] != 5*time.Millisecond {
 		t.Fatalf("rescheduled event fired at %v, want [5ms]", got)
@@ -98,37 +98,37 @@ func TestRescheduleMovesEvent(t *testing.T) {
 func TestRescheduleTakesFreshSequence(t *testing.T) {
 	s := New(1)
 	var got []int
-	e := s.Schedule(time.Millisecond, func() { got = append(got, 0) })
+	e := s.at(time.Millisecond, func() { got = append(got, 0) })
 	s.Schedule(2*time.Millisecond, func() { got = append(got, 1) })
 	// Moving e to the same instant as event 1 must order it after: the
 	// rescheduled event takes a fresh insertion sequence.
-	s.Reschedule(e, 2*time.Millisecond)
+	s.reschedule(e, 2*time.Millisecond)
 	s.Run()
 	if len(got) != 2 || got[0] != 1 || got[1] != 0 {
 		t.Fatalf("order = %v, want [1 0]", got)
 	}
 }
 
-// Regression: Reschedule used to copy a freshly scheduled event's fields
-// into the caller's handle, leaving the handle's heap index stale once the
-// heap reordered — a later Cancel(e) removed whatever event happened to sit
-// at that index. Rearm must keep the handle live so Cancel hits the right
+// Regression: reschedule used to copy a freshly scheduled event's fields
+// into the caller's pointer, leaving its heap index stale once the heap
+// reordered — a later cancel(e) removed whatever event happened to sit at
+// that index. Rearm must keep the pointer live so cancel hits the right
 // event.
 func TestRescheduleThenCancelRemovesRightEvent(t *testing.T) {
 	s := New(1)
 	fired := make([]bool, 6)
-	var evs []*Event
+	var evs []*event
 	for i := 0; i < 6; i++ {
 		i := i
-		evs = append(evs, s.Schedule(Time(i+1)*time.Millisecond, func() { fired[i] = true }))
+		evs = append(evs, s.at(Time(i+1)*time.Millisecond, func() { fired[i] = true }))
 	}
 	// Push event 0 far into the future, forcing the heap to reorder around
 	// it, then schedule more events so indices shuffle further.
-	s.Reschedule(evs[0], 50*time.Millisecond)
+	s.reschedule(evs[0], 50*time.Millisecond)
 	for i := 0; i < 4; i++ {
 		s.Schedule(Time(10+i)*time.Millisecond, func() {})
 	}
-	s.Cancel(evs[0])
+	s.cancel(evs[0])
 	s.Run()
 	for i := 1; i < 6; i++ {
 		if !fired[i] {
@@ -143,16 +143,16 @@ func TestRescheduleThenCancelRemovesRightEvent(t *testing.T) {
 func TestRescheduleFiredOrCanceledIsNoop(t *testing.T) {
 	s := New(1)
 	n := 0
-	e := s.Schedule(time.Millisecond, func() { n++ })
+	e := s.at(time.Millisecond, func() { n++ })
 	s.Run()
-	s.Reschedule(e, 5*time.Millisecond) // already fired: must not rearm
+	s.reschedule(e, 5*time.Millisecond) // already fired: must not rearm
 	s.Run()
 	if n != 1 {
 		t.Fatalf("fired %d times, want 1", n)
 	}
-	e2 := s.Schedule(time.Millisecond, func() { n++ })
-	s.Cancel(e2)
-	s.Reschedule(e2, 5*time.Millisecond) // canceled: must not resurrect
+	e2 := s.at(s.Now()+time.Millisecond, func() { n++ })
+	s.cancel(e2)
+	s.reschedule(e2, 5*time.Millisecond) // canceled: must not resurrect
 	s.Run()
 	if n != 1 {
 		t.Fatalf("canceled event resurrected; fired %d times, want 1", n)
@@ -163,17 +163,18 @@ func TestRunUntil(t *testing.T) {
 	s := New(1)
 	var got []int
 	s.Schedule(time.Second, func() { got = append(got, 1) })
+	s.Schedule(2*time.Second, func() { got = append(got, 2) }) // due at the deadline: runs
 	s.Schedule(3*time.Second, func() { got = append(got, 3) })
 	s.RunUntil(2 * time.Second)
-	if len(got) != 1 {
-		t.Fatalf("got %v, want only first event", got)
+	if !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("got %v, want the events due by the deadline", got)
 	}
 	if s.Now() != 2*time.Second {
 		t.Fatalf("now = %v, want 2s", s.Now())
 	}
 	s.Run()
-	if len(got) != 2 {
-		t.Fatalf("got %v, want both events after Run", got)
+	if len(got) != 3 {
+		t.Fatalf("got %v, want all events after Run", got)
 	}
 }
 
@@ -182,17 +183,6 @@ func TestRunUntilDrainedQueueAdvancesClock(t *testing.T) {
 	s.RunUntil(5 * time.Second)
 	if s.Now() != 5*time.Second {
 		t.Fatalf("now = %v, want 5s", s.Now())
-	}
-}
-
-func TestHalt(t *testing.T) {
-	s := New(1)
-	n := 0
-	s.Schedule(1*time.Millisecond, func() { n++; s.Halt() })
-	s.Schedule(2*time.Millisecond, func() { n++ })
-	s.Run()
-	if n != 1 {
-		t.Fatalf("executed %d events after halt, want 1", n)
 	}
 }
 
@@ -265,21 +255,13 @@ func TestTimer(t *testing.T) {
 	tm.Arm(time.Second)
 	tm.Stop()
 	s.Run()
-	if fires != 1 {
-		t.Fatalf("stopped timer fired; fires = %d", fires)
+	if fires != 1 || tm.Armed() {
+		t.Fatalf("stopped timer fired or stayed armed; fires = %d", fires)
 	}
-}
-
-func TestTimerDeadline(t *testing.T) {
-	s := New(1)
-	tm := NewTimer(s, func() {})
-	if _, ok := tm.Deadline(); ok {
-		t.Fatal("unarmed timer reports a deadline")
-	}
-	tm.ArmAt(7 * time.Second)
-	at, ok := tm.Deadline()
-	if !ok || at != 7*time.Second {
-		t.Fatalf("deadline = %v,%v want 7s,true", at, ok)
+	tm.Arm(time.Second) // a stopped timer arms again
+	s.Run()
+	if fires != 2 {
+		t.Fatalf("re-armed stopped timer did not fire; fires = %d", fires)
 	}
 }
 
@@ -325,14 +307,14 @@ func TestPropertyCancelSubset(t *testing.T) {
 		count := int(n%64) + 1
 		s := New(3)
 		fired := make([]bool, count)
-		evs := make([]*Event, count)
+		evs := make([]*event, count)
 		for i := 0; i < count; i++ {
 			i := i
-			evs[i] = s.Schedule(Time(i)*time.Millisecond, func() { fired[i] = true })
+			evs[i] = s.at(Time(i)*time.Millisecond, func() { fired[i] = true })
 		}
 		for i := 0; i < count; i++ {
 			if mask&(1<<uint(i)) != 0 {
-				s.Cancel(evs[i])
+				s.cancel(evs[i])
 			}
 		}
 		s.Run()
@@ -349,69 +331,50 @@ func TestPropertyCancelSubset(t *testing.T) {
 	}
 }
 
-// Regression: RunUntil used to advance now to the deadline even when Halt
-// fired mid-run. A halted sim must freeze time at the last executed event.
-func TestRunUntilHaltFreezesClock(t *testing.T) {
-	s := New(1)
-	s.Schedule(time.Millisecond, func() { s.Halt() })
-	s.Schedule(2*time.Millisecond, func() { t.Fatal("event after halt fired") })
-	s.RunUntil(10 * time.Millisecond)
-	if s.Now() != time.Millisecond {
-		t.Fatalf("now = %v after mid-run halt, want 1ms (frozen at halting event)", s.Now())
-	}
-	if !s.Halted() {
-		t.Fatal("Halted() = false after Halt")
-	}
-	// Repeated RunUntil on a halted sim stays frozen too.
-	s.RunUntil(20 * time.Millisecond)
-	if s.Now() != time.Millisecond {
-		t.Fatalf("now = %v after RunUntil on halted sim, want 1ms", s.Now())
-	}
-}
-
+// An event ends fired or canceled, and its state says which: cancel and
+// reschedule read it to tell a pending event from a spent one.
 func TestCanceledAndFiredAreDistinct(t *testing.T) {
 	s := New(1)
-	fired := s.Schedule(time.Millisecond, func() {})
-	canceled := s.Schedule(2*time.Millisecond, func() {})
-	s.Cancel(canceled)
+	fired := s.at(time.Millisecond, func() {})
+	canceled := s.at(2*time.Millisecond, func() {})
+	s.cancel(canceled)
 	s.Run()
-	if !fired.Fired() || fired.Canceled() {
-		t.Fatalf("fired event: Fired=%v Canceled=%v, want true,false", fired.Fired(), fired.Canceled())
+	if fired.state != stateFired {
+		t.Fatalf("fired event in state %d, want %d", fired.state, stateFired)
 	}
-	if !canceled.Canceled() || canceled.Fired() {
-		t.Fatalf("canceled event: Canceled=%v Fired=%v, want true,false", canceled.Canceled(), canceled.Fired())
+	if canceled.state != stateCanceled {
+		t.Fatalf("canceled event in state %d, want %d", canceled.state, stateCanceled)
 	}
-	pending := s.Schedule(time.Millisecond, func() {})
-	if pending.Canceled() || pending.Fired() {
+	if pending := s.at(s.Now()+time.Millisecond, func() {}); pending.state != statePending {
 		t.Fatal("pending event reports a terminal state")
 	}
 }
 
-// Regression: a handle to a fired event must stay inert — Cancel and
-// Reschedule on it are no-ops — so deadline holders can't accidentally
+// Regression: a pointer to a fired event must stay inert — cancel and
+// reschedule on it are no-ops — so a deadline holder can't accidentally
 // re-arm it before the scheduler recycles it.
 func TestUseAfterFireHandleIsInert(t *testing.T) {
 	s := New(1)
 	n := 0
-	e := s.Schedule(time.Millisecond, func() { n++ })
+	e := s.at(time.Millisecond, func() { n++ })
 	s.Run()
-	s.Reschedule(e, 5*time.Millisecond)
-	s.Cancel(e) // must not double-free the handle into the pool
+	s.reschedule(e, 5*time.Millisecond)
+	s.cancel(e) // must not double-free the event into the pool
 	s.Run()
 	if n != 1 {
-		t.Fatalf("fired %d times after use-after-fire Reschedule, want 1", n)
+		t.Fatalf("fired %d times after use-after-fire reschedule, want 1", n)
 	}
-	// The double-free guard matters: if Cancel had pushed e to the freelist
-	// again, two future schedules would receive the same handle.
-	a := s.Schedule(time.Millisecond, func() {})
-	bb := s.Schedule(time.Millisecond, func() {})
+	// The double-free guard matters: if cancel had pushed e to the freelist
+	// again, two future schedules would receive the same event.
+	a := s.at(s.Now()+time.Millisecond, func() {})
+	bb := s.at(s.Now()+time.Millisecond, func() {})
 	if a == bb {
-		t.Fatal("freelist corrupted: two live events share one handle")
+		t.Fatal("freelist corrupted: two live events share one event")
 	}
 }
 
 // Regression: a Timer whose event fired must not cancel the recycled
-// handle's next owner when stopped. The wrapper drops the handle before
+// event's next owner when stopped. The wrapper drops the event before
 // the callback runs, which this pins.
 func TestTimerStopAfterFireDoesNotKillRecycledEvent(t *testing.T) {
 	s := New(1)
@@ -421,13 +384,13 @@ func TestTimerStopAfterFireDoesNotKillRecycledEvent(t *testing.T) {
 	if tm.Armed() {
 		t.Fatal("timer still armed after firing")
 	}
-	// This Schedule recycles the timer's Event off the freelist (LIFO).
+	// This Schedule recycles the timer's event off the freelist (LIFO).
 	hit := false
-	e2 := s.Schedule(time.Millisecond, func() { hit = true })
-	tm.Stop() // must not cancel e2
+	s.Schedule(time.Millisecond, func() { hit = true })
+	tm.Stop() // must not cancel it
 	s.Run()
 	if !hit {
-		t.Fatalf("Timer.Stop canceled a recycled event it no longer owns (e2=%p)", e2)
+		t.Fatal("Timer.Stop canceled a recycled event it no longer owns")
 	}
 }
 
@@ -435,16 +398,16 @@ func TestTimerStopAfterFireDoesNotKillRecycledEvent(t *testing.T) {
 // canceled entry's tombstone is still waiting in its wheel slot.
 func TestPendingExcludesLazilyCanceled(t *testing.T) {
 	s := New(1)
-	evs := make([]*Event, 10)
+	evs := make([]*event, 10)
 	for i := range evs {
-		evs[i] = s.Schedule(Time(i+1)*time.Millisecond, func() {})
+		evs[i] = s.at(Time(i+1)*time.Millisecond, func() {})
 	}
 	if s.Pending() != 10 {
 		t.Fatalf("Pending = %d, want 10", s.Pending())
 	}
-	s.Cancel(evs[3])
-	s.Cancel(evs[7])
-	s.Cancel(evs[7]) // double cancel must not double-count
+	s.cancel(evs[3])
+	s.cancel(evs[7])
+	s.cancel(evs[7]) // double cancel must not double-count
 	if s.Pending() != 8 {
 		t.Fatalf("Pending = %d after 2 cancels, want 8", s.Pending())
 	}
@@ -457,16 +420,16 @@ func TestPendingExcludesLazilyCanceled(t *testing.T) {
 	}
 }
 
-// A canceled event's handle is recycled immediately; the orphaned wheel
-// entry must never fire the handle's new owner early.
+// A canceled event is recycled immediately; the orphaned wheel entry must
+// never fire the event's new owner early.
 func TestCancelRecycleCannotFireEarly(t *testing.T) {
 	s := New(1)
-	e := s.Schedule(5*time.Millisecond, func() { t.Fatal("canceled event fired") })
-	s.Cancel(e)
+	e := s.at(5*time.Millisecond, func() { t.Fatal("canceled event fired") })
+	s.cancel(e)
 	var at Time
-	e2 := s.Schedule(9*time.Millisecond, func() { at = s.Now() })
+	e2 := s.at(9*time.Millisecond, func() { at = s.Now() })
 	if e2 != e {
-		t.Skip("freelist did not recycle the handle; aliasing path not exercised")
+		t.Skip("freelist did not recycle the event; aliasing path not exercised")
 	}
 	s.Run()
 	if at != 9*time.Millisecond {
@@ -474,7 +437,7 @@ func TestCancelRecycleCannotFireEarly(t *testing.T) {
 	}
 }
 
-// Steady-state Schedule/Cancel/Reschedule must not allocate: events come
+// Steady-state Schedule/cancel/reschedule must not allocate: events come
 // from the freelist and wheel buckets recycle their backing arrays. Each
 // round also schedules into the slot being drained (merged into the due
 // run), past the wheel (the overflow heap pushes it, and pops it on
@@ -486,9 +449,9 @@ func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 	nop := func() {}
 	chain := func() { s.Schedule(0, nop) }
 	op := func() {
-		e := s.Schedule(3*time.Millisecond, nop)
-		s.Reschedule(e, s.Now()+7*time.Millisecond)
-		s.Cancel(e)
+		e := s.at(s.Now()+3*time.Millisecond, nop)
+		s.reschedule(e, s.Now()+7*time.Millisecond)
+		s.cancel(e)
 		s.Schedule(2*time.Millisecond, chain)
 		s.Schedule(wheelSpan+time.Millisecond, nop)
 		for i := 0; i < 40; i++ {
@@ -538,11 +501,11 @@ func TestRecycledKernelLooksFresh(t *testing.T) {
 	for _, word := range s.occ {
 		occupied += bits.OnesCount64(word)
 	}
-	if s.Pending() == 0 || occupied == 0 || len(s.overflow) == 0 || s.duePos == len(s.due) || !s.Halted() || len(s.free) == 0 {
-		t.Fatalf("the dirty world is too tidy to prove anything: pending=%d buckets=%d overflow=%d due=%d/%d halted=%v free=%d",
-			s.Pending(), occupied, len(s.overflow), s.duePos, len(s.due), s.Halted(), len(s.free))
+	if s.Pending() == 0 || occupied == 0 || len(s.overflow) == 0 || s.duePos == len(s.due) || len(s.free) == 0 {
+		t.Fatalf("the dirty world is too tidy to prove anything: pending=%d buckets=%d overflow=%d due=%d/%d free=%d",
+			s.Pending(), occupied, len(s.overflow), s.duePos, len(s.due), len(s.free))
 	}
-	var stale *Event
+	var stale *event
 	for _, en := range s.overflow {
 		if en.ev.state == statePending {
 			stale = en.ev
@@ -559,7 +522,7 @@ func TestRecycledKernelLooksFresh(t *testing.T) {
 	if slotA.Get(s) != a || slotB.Get(s) != b || a[0] != 1 || b[0] != 2 {
 		t.Fatal("a recycled kernel lost or mixed up its Local slots")
 	}
-	if s.Now() != 0 || s.Executed() != 0 || s.Pending() != 0 || s.Halted() || s.Checker() != nil ||
+	if s.Now() != 0 || s.Executed() != 0 || s.Pending() != 0 || s.Checker() != nil ||
 		s.seq != 0 || s.cursor != 0 || s.duePos != 0 || len(s.due) != 0 || len(s.overflow) != 0 {
 		t.Fatalf("recycled kernel is not at its origin: %+v", s)
 	}
@@ -582,7 +545,7 @@ func TestRecycledKernelLooksFresh(t *testing.T) {
 		}
 	}
 	for _, e := range s.free {
-		if e.Fn != nil {
+		if e.fn != nil {
 			t.Fatal("a free event still holds its callback")
 		}
 	}
@@ -592,15 +555,15 @@ func TestRecycledKernelLooksFresh(t *testing.T) {
 			t.Fatalf("random draw %d: recycled %d, fresh %d", i, a, b)
 		}
 	}
-	// A handle the dead world kept is inert: it cannot touch the new world.
-	if stale == nil || stale.Fn != nil || !stale.Canceled() {
+	// An event the dead world kept is inert: it cannot touch the new world.
+	if stale == nil || stale.fn != nil || stale.state != stateCanceled {
 		t.Fatalf("an event pending at release was not disarmed: %+v", stale)
 	}
 	free := len(s.free)
-	s.Cancel(stale)
-	s.Reschedule(stale, time.Second)
-	if s.Pending() != 0 || len(s.free) != free {
-		t.Fatal("a stale handle acted on the recycled kernel")
+	s.cancel(stale)
+	s.reschedule(stale, time.Second)
+	if s.Pending() != 0 || len(s.free) != free || s.seq != 0 || len(s.due) != 0 || len(s.overflow) != 0 {
+		t.Fatal("a stale event acted on the recycled kernel")
 	}
 }
 

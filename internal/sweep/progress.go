@@ -55,8 +55,8 @@ func (p *progress) load(cp *Checkpoint) error {
 	p.n += len(cp.Done)
 	for _, rec := range cp.Trials {
 		if len(rec.Result.SessionObs) > 0 {
-			// Restore the invariant JSON cannot express: Obs aliases the
-			// first session's report, so the index stamping Assemble does
+			// Restore the alias JSON does not carry: Obs is the first
+			// session's report, so the index stamping Assemble does
 			// through SessionObs is visible through Obs too.
 			rec.Result.Obs = rec.Result.SessionObs[0]
 		}

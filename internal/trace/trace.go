@@ -137,15 +137,6 @@ func (t *Trace) OffsetToMean(target float64) *Trace {
 	return &Trace{name: t.name, samples: out}
 }
 
-// Scaled returns a copy with every sample multiplied by factor.
-func (t *Trace) Scaled(factor float64) *Trace {
-	out := make([]float64, len(t.samples))
-	for i, v := range t.samples {
-		out[i] = v * factor
-	}
-	return &Trace{name: t.name + "×", samples: out}
-}
-
 const (
 	// minRate is the floor applied when offsetting; a hard zero would stall
 	// the simulated link forever, which recorded traces avoid too.
