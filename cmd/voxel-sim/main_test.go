@@ -1,6 +1,10 @@
 package main
 
 import (
+	"errors"
+	"flag"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -80,5 +84,25 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("shard = %+v, want %+v", got, tc.want)
 			}
 		})
+	}
+}
+
+// A negative count is refused before any trial runs: voxel-sim exits 1 with
+// the validation message instead of running the defaults it would be read
+// as. The command runs in a child process — this test binary re-executed
+// with voxel-sim's arguments after "--".
+func TestNegativeFlagExits(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 && args[0] == "voxel-sim" {
+		os.Args = args
+		flag.CommandLine = flag.NewFlagSet(args[0], flag.ExitOnError)
+		main()
+		return
+	}
+	out, err := exec.Command(os.Args[0], "-test.run=^TestNegativeFlagExits$", "--",
+		"voxel-sim", "-trials", "1", "-buffer", "-2", "-segments", "-5", "-queue", "-1").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 ||
+		!strings.Contains(string(out), "voxel-sim: exp: buffer segments -2 is negative") {
+		t.Fatalf("voxel-sim -buffer -2 exited with %v and printed:\n%s", err, out)
 	}
 }

@@ -171,9 +171,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Validate checks the user-facing fields — title, system, congestion
-// controller, impairment profile, counts, shard coordinates — so CLIs can
-// reject a bad flag, and decoders a bad file, with a message instead of a
-// panic deep inside a trial.
+// controller, impairment profile, counts and bounds, shard coordinates —
+// so CLIs can reject a bad flag, and decoders a bad file, with a message
+// instead of a panic deep inside a trial.
 func (c Config) Validate() error {
 	if c.Title != "" {
 		if _, err := video.Load(c.Title); err != nil {
@@ -198,8 +198,26 @@ func (c Config) Validate() error {
 	if _, _, err := netem.NewProfile(c.Impairment); err != nil {
 		return err
 	}
-	if c.Trials < 0 {
-		return fmt.Errorf("exp: trials %d is negative", c.Trials)
+	// A negative count, rate or bound would be silently read as its default
+	// or as nothing at all, and fingerprinted as the value given.
+	for _, f := range []struct {
+		name     string
+		negative bool
+		value    any
+	}{
+		{"trials", c.Trials < 0, c.Trials},
+		{"buffer segments", c.BufferSegments < 0, c.BufferSegments},
+		{"queue packets", c.QueuePackets < 0, c.QueuePackets},
+		{"segments", c.Segments < 0, c.Segments},
+		{"cross traffic", c.CrossTraffic < 0, c.CrossTraffic},
+		{"link capacity", c.LinkCapacity < 0, c.LinkCapacity},
+		{"max sim time", c.MaxSimTime < 0, c.MaxSimTime},
+		{"watchdog wall budget", c.WatchdogWall < 0, c.WatchdogWall},
+		{"timeline cap", c.TimelineCap < 0, c.TimelineCap},
+	} {
+		if f.negative {
+			return fmt.Errorf("exp: %s %v is negative", f.name, f.value)
+		}
 	}
 	if c.Sessions < 0 || c.Sessions > MaxSessions {
 		return fmt.Errorf("exp: sessions %d out of range [0, %d]", c.Sessions, MaxSessions)

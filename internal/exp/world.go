@@ -186,16 +186,14 @@ func (w *world) addSession(si int) *TrialError {
 		serverCfg.Controller = cc.NewBBRLite() // controllers hold per-conn state
 	}
 	if w.recovered {
-		// Survive outages instead of wedging: probe at a bounded cadence
-		// through blackouts, keep quiet-but-healthy connections alive, and
-		// tear down only after a long silence. The failover scenario uses a
-		// short idle timeout on the primary so origin death is detected
-		// within seconds.
+		// Survive outages instead of wedging: an idle timeout arms keep-alive
+		// on the client, capped PTO backoff on both sides and the HTTP
+		// client's deadline and retries (quic.Config.IdleTimeout), and tears
+		// a connection down only after a long silence. The failover scenario
+		// uses a short idle timeout on the primary so origin death is
+		// detected within seconds.
 		clientCfg.IdleTimeout = 30 * time.Second
-		clientCfg.KeepAlive = true
-		clientCfg.PTOBackoffCap = 6
 		serverCfg.IdleTimeout = 60 * time.Second
-		serverCfg.PTOBackoffCap = 6
 		if cfg.Failover {
 			clientCfg.IdleTimeout = 2 * time.Second
 		}
@@ -212,17 +210,6 @@ func (w *world) addSession(si int) *TrialError {
 		BufferSegments: cfg.BufferSegments,
 		Metric:         cfg.Metric,
 		Obs:            scope,
-	}
-	if w.recovered {
-		pcfg.Recovery = httpsim.Recovery{
-			RequestTimeout: 4 * time.Second,
-			Retry: httpsim.RetryPolicy{
-				MaxAttempts: 4,
-				BaseDelay:   250 * time.Millisecond,
-				MaxDelay:    4 * time.Second,
-				Jitter:      0.25,
-			},
-		}
 	}
 	if cfg.Failover {
 		backup, terr := w.backupOrigin(si, clientCfg, serverCfg)

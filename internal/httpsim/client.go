@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"time"
 
 	"voxel/internal/obs"
 	"voxel/internal/quic"
@@ -21,52 +22,34 @@ var ErrRequestTimeout = errors.New("httpsim: request deadline exceeded")
 // client knows about is closed.
 var ErrNoTransport = errors.New("httpsim: all connections closed")
 
-// RetryPolicy shapes re-attempts after a failed request attempt.
-// Exponential backoff with decorrelating jitter: attempt n waits
-// BaseDelay<<(n-1), capped at MaxDelay, with a ±Jitter/2 fraction of the
-// wait randomized. The zero value disables retries.
-type RetryPolicy struct {
-	MaxAttempts int      // total attempts including the first; <=1 disables retry
-	BaseDelay   sim.Time // backoff unit (0 retries immediately)
-	MaxDelay    sim.Time // backoff ceiling (0 = uncapped)
-	Jitter      float64  // fraction of the backoff randomized, in [0,1]
-}
+// The client's recovery schedule, armed for every request attempt over a
+// connection with an idle timeout (quic.Conn.IdleTimeout) and for none over
+// a legacy one. requestTimeout is a progress deadline, not an absolute one:
+// it is re-armed whenever the attempt makes any progress (head bytes, body
+// bytes, or a transport loss report), so a slow-but-flowing transfer on a
+// starved link is never killed — only a genuinely stuck one. It also defers
+// to connection-level liveness: a request that is merely queued behind
+// another transfer on a connection that is still receiving packets is not
+// failed (see Response.onDeadline), so the deadline converts dead links into
+// bounded failures without turning head-of-line blocking into retry storms.
+// A failed attempt n (1-based) is retried after retryBaseDelay<<(n-1),
+// capped at retryMaxDelay, with a retryJitter fraction of the wait
+// randomized (±12.5 %), until maxAttempts attempts have been made. A
+// request retries once any of its attempts has armed a deadline, so under
+// failover across mixed idle timeouts a legacy attempt is retried too.
+const (
+	requestTimeout = 4 * time.Second
+	maxAttempts    = 4
+	retryBaseDelay = 250 * time.Millisecond
+	retryMaxDelay  = 4 * time.Second
+	retryJitter    = 0.25
+)
 
-// backoff returns the wait before the attempt after failed attempt n (1-based).
-func (p RetryPolicy) backoff(n int, rng *rand.Rand) sim.Time {
-	if p.BaseDelay <= 0 {
-		return 0
-	}
-	if n > 16 {
-		n = 16 // the shift below must not overflow sim.Time
-	}
-	d := p.BaseDelay << uint(n-1)
-	if p.MaxDelay > 0 && d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	if p.Jitter > 0 {
-		if span := sim.Time(float64(d) * p.Jitter); span > 0 {
-			d += sim.Time(rng.Int63n(int64(span))) - span/2
-		}
-	}
-	return d
-}
-
-// Recovery bundles the client's failure-recovery knobs. The zero value —
-// no deadline, no retries — reproduces the legacy fire-and-forget client
-// exactly.
-type Recovery struct {
-	// RequestTimeout is a progress deadline, not an absolute one: it is
-	// re-armed whenever the attempt makes any progress (head bytes, body
-	// bytes, or a transport loss report), so a slow-but-flowing transfer
-	// on a starved link is never killed — only a genuinely stuck one.
-	// It also defers to connection-level liveness: a request that is
-	// merely queued behind another transfer on a connection that is still
-	// receiving packets is not failed (see Response.onDeadline), so the
-	// deadline converts dead links into bounded failures without turning
-	// head-of-line blocking into retry storms.
-	RequestTimeout sim.Time
-	Retry          RetryPolicy
+// backoff returns the wait before the attempt after failed attempt n.
+func backoff(n int, rng *rand.Rand) sim.Time {
+	d := min(retryBaseDelay<<uint(n-1), retryMaxDelay)
+	span := sim.Time(float64(d) * retryJitter)
+	return d + sim.Time(rng.Int63n(int64(span))) - span/2
 }
 
 // Response is a client-side in-flight response. Body delivery is
@@ -160,7 +143,6 @@ type Client struct {
 	conn  *quic.Conn   // active transport
 	conns []*quic.Conn // all transports in failover preference order
 	sim   *sim.Sim
-	rec   Recovery
 	obs   *obs.Scope // nil = telemetry disabled (all calls no-op)
 
 	// pendingByStream maps announced unreliable stream IDs to the adopting
@@ -250,9 +232,6 @@ func NewClient(conn *quic.Conn) *Client {
 	return c
 }
 
-// SetRecovery installs the deadline/retry policy for subsequent requests.
-func (c *Client) SetRecovery(rec Recovery) { c.rec = rec }
-
 // SetObs installs the telemetry scope recording request/retry/failover
 // activity. A nil scope (the default) disables recording at zero cost.
 func (c *Client) SetObs(sc *obs.Scope) { c.obs = sc }
@@ -273,7 +252,7 @@ func attemptReasonCode(reason error) int64 {
 
 // AddFailover registers a spare connection (to a second origin). When the
 // active connection closes, the client rebinds to the next open spare and
-// re-issues in-flight requests there, subject to the retry policy.
+// re-issues in-flight requests there, subject to the retry schedule.
 func (c *Client) AddFailover(conn *quic.Conn) {
 	c.conns = append(c.conns, conn)
 }
@@ -344,18 +323,18 @@ func (c *Client) issue(r *Response) {
 	c.out = appendRequestHead(c.out[:0], r.path, r.Ranges, r.unreliable, r.extra)
 	st.Write(c.out)
 	st.CloseWrite()
-	if c.rec.RequestTimeout > 0 && !r.complete && !r.failed {
+	if c.conn.IdleTimeout() > 0 && !r.complete && !r.failed {
 		if r.deadline == nil {
 			r.deadline = sim.NewTimer(c.sim, r.onDeadline)
 		}
-		r.deadline.Arm(c.rec.RequestTimeout)
+		r.deadline.Arm(requestTimeout)
 	}
 }
 
 // touch records attempt progress by pushing the deadline back.
 func (r *Response) touch() {
 	if r.deadline != nil && r.deadline.Armed() {
-		r.deadline.Arm(r.client.rec.RequestTimeout)
+		r.deadline.Arm(requestTimeout)
 	}
 }
 
@@ -371,8 +350,8 @@ func (r *Response) touch() {
 func (r *Response) onDeadline() {
 	c := r.client
 	if c.conn != nil && !c.conn.Closed() {
-		if quiet := c.sim.Now() - c.conn.LastActivity(); quiet < c.rec.RequestTimeout {
-			r.deadline.Arm(c.rec.RequestTimeout - quiet)
+		if quiet := c.sim.Now() - c.conn.LastActivity(); quiet < requestTimeout {
+			r.deadline.Arm(requestTimeout - quiet)
 			return
 		}
 	}
@@ -380,8 +359,8 @@ func (r *Response) onDeadline() {
 }
 
 // failAttempt gives up on the current attempt and schedules the next one
-// per the retry policy, or fails the request for good when attempts are
-// exhausted.
+// on the retry schedule, or fails the request for good when no attempt
+// armed a deadline (a legacy connection) or attempts are exhausted.
 func (r *Response) failAttempt(reason error) {
 	if r.complete || r.failed {
 		return
@@ -391,11 +370,11 @@ func (r *Response) failAttempt(reason error) {
 		r.deadline.Stop()
 	}
 	c := r.client
-	if r.attempt >= c.rec.Retry.MaxAttempts {
+	if r.deadline == nil || r.attempt >= maxAttempts {
 		r.fail(reason)
 		return
 	}
-	wait := c.rec.Retry.backoff(r.attempt, c.sim.Rand())
+	wait := backoff(r.attempt, c.sim.Rand())
 	c.obs.Inc(obs.CRetries)
 	c.obs.Event(obs.EvRetry, int64(r.attempt), attemptReasonCode(reason), 0)
 	if r.retryTimer == nil {
@@ -440,7 +419,7 @@ func (c *Client) detach(r *Response) {
 }
 
 // onConnClose fails over to the next open spare connection and re-drives
-// every in-flight request through the retry policy.
+// every in-flight request through the retry schedule.
 func (c *Client) onConnClose(err error) {
 	next := (*quic.Conn)(nil)
 	for _, cn := range c.conns {

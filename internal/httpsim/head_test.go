@@ -645,7 +645,7 @@ func TestHeadCodecZeroAllocs(t *testing.T) {
 // endpoint takes one buffer per exchange and returns it.
 func TestHeadPoolRoundTrip(t *testing.T) {
 	s := sim.New(1)
-	cc, sc := quic.NewPair(s, netem.NewFixedPath(s, 100e6, 1200), quic.Config{}, quic.Config{})
+	cc, sc := quic.NewPair(s, netem.NewFixedPath(s, 100e6, 1200), quic.Config{IdleTimeout: clientIdle}, quic.Config{})
 	srv := NewServer(sc, HandlerFunc(func(string) (Object, error) { return ZeroObject(1000), nil }), ServerOptions{})
 	cl := NewClient(cc)
 	for i := 0; i < 3; i++ {
@@ -659,11 +659,11 @@ func TestHeadPoolRoundTrip(t *testing.T) {
 		}
 	}
 
-	cl.SetRecovery(Recovery{Retry: RetryPolicy{MaxAttempts: 2}})
 	r := cl.Get("/object", nil, false, nil)
 	r.head.add(&cl.heads, 100, 10, make([]byte, 10)) // body bytes that overtook a lost head packet
 	r.failAttempt(ErrRequestTimeout)
-	s.RunUntil(s.Now()) // the retry, before any answer
+	for r.attempt < 2 && s.RunUntilBudget(s.Now()+time.Second, 1) { // to the retry, before any answer
+	}
 	if r.attempt != 2 || len(cl.heads) != 1 {
 		t.Fatalf("attempt %d: the client pools %d head buffers, want the abandoned one back", r.attempt, len(cl.heads))
 	}

@@ -21,10 +21,17 @@ type fixture struct {
 
 func newFixture(t *testing.T, mbps float64, queuePkts int, objects map[string]Object, opts ServerOptions) *fixture {
 	t.Helper()
+	return newIdleFixture(t, 0, mbps, queuePkts, objects, opts)
+}
+
+// newIdleFixture is newFixture with the client's connection given an idle
+// timeout, which arms the client's request deadline and retries.
+func newIdleFixture(t *testing.T, idle sim.Time, mbps float64, queuePkts int, objects map[string]Object, opts ServerOptions) *fixture {
+	t.Helper()
 	s := sim.New(77)
 	tr := trace.Constant("t", mbps*1e6, 3600)
 	path := netem.NewPath(s, tr, queuePkts)
-	cc, sc := quic.NewPair(s, path, quic.Config{}, quic.Config{})
+	cc, sc := quic.NewPair(s, path, quic.Config{IdleTimeout: idle}, quic.Config{})
 	handler := HandlerFunc(func(path string) (Object, error) {
 		if o, ok := objects[path]; ok {
 			return o, nil

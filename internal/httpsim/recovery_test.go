@@ -1,6 +1,7 @@
 package httpsim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -10,28 +11,22 @@ import (
 	"voxel/internal/trace"
 )
 
-func testRecovery() Recovery {
-	return Recovery{
-		RequestTimeout: 2 * time.Second,
-		Retry: RetryPolicy{
-			MaxAttempts: 3,
-			BaseDelay:   100 * time.Millisecond,
-			MaxDelay:    time.Second,
-			Jitter:      0.25,
-		},
-	}
-}
+// clientIdle is the client connection's idle timeout in the recovery tests:
+// above zero, it arms the request deadline and the retry schedule.
+const clientIdle = 30 * time.Second
 
 // A request over a fully blackholed link must terminate through the
 // deadline/retry machinery in bounded simulated time — the regression this
-// guards is the legacy client hanging forever on a dead path.
+// guards is the legacy client hanging forever on a dead path. It does so on
+// the production schedule: each attempt fails at its 4 s deadline, the next
+// is issued 250 ms·2^(n−1) ±12.5 % later, and the request fails for good
+// after exactly maxAttempts attempts.
 func TestBlackholedRequestTerminates(t *testing.T) {
-	fx := newFixture(t, 10, 32, map[string]Object{"/a": content(1 << 16)}, ServerOptions{})
+	fx := newIdleFixture(t, clientIdle, 10, 32, map[string]Object{"/a": content(1 << 16)}, ServerOptions{})
 	// Blackhole both directions before the request ever leaves.
 	dead := netem.Window{Start: 0, End: 1 << 62}
 	fx.path.Down.Impair(netem.Blackout{Windows: []netem.Window{dead}}, 1)
 	fx.path.Up.Impair(netem.Blackout{Windows: []netem.Window{dead}}, 2)
-	fx.client.SetRecovery(testRecovery())
 
 	var failErr error
 	var failAt sim.Time
@@ -39,8 +34,14 @@ func TestBlackholedRequestTerminates(t *testing.T) {
 	resp.OnFail = func(err error) { failErr, failAt = err, fx.s.Now() }
 	resp.OnComplete = func() { t.Error("request on a dead link cannot complete") }
 
-	// 3 attempts × 2 s deadline + backoffs ≪ 60 s.
-	fx.s.RunUntil(60 * time.Second)
+	// 4 attempts × 4 s deadline + backoffs ≈ 18 s, before the connection's
+	// own 30 s idle timeout.
+	issued := []sim.Time{0}
+	for failErr == nil && fx.s.RunUntilBudget(60*time.Second, 1) {
+		if resp.attempt > len(issued) {
+			issued = append(issued, fx.s.Now())
+		}
+	}
 	if failErr == nil {
 		t.Fatalf("request did not terminate: failed=%v complete=%v", resp.Failed(), resp.Complete())
 	}
@@ -50,18 +51,30 @@ func TestBlackholedRequestTerminates(t *testing.T) {
 	if failAt > 30*time.Second {
 		t.Fatalf("termination took %v of virtual time", failAt)
 	}
+	if len(issued) != maxAttempts || resp.attempt != maxAttempts {
+		t.Fatalf("the request made %d attempts (issued at %v), want %d", resp.attempt, issued, maxAttempts)
+	}
+	for n := 1; n < len(issued); n++ {
+		wait := issued[n] - (issued[n-1] + requestTimeout)
+		d := retryBaseDelay << (n - 1)
+		if wait < d-d/8 || wait >= d+d/8 {
+			t.Errorf("retry %d waited %v after its deadline, want %v ±12.5%%", n, wait, d)
+		}
+	}
+	if want := issued[len(issued)-1] + requestTimeout; failAt != want {
+		t.Fatalf("the request failed at %v, want the last attempt's deadline %v", failAt, want)
+	}
 }
 
 // A transient blackout shorter than the retry budget must be survived: the
-// first attempt dies, a retry lands after the link heals, and the request
-// completes.
+// blackout outlasts the 4 s request deadline, so the first attempt dies, a
+// retry lands after the link heals, and the request completes.
 func TestRetryAfterTransientBlackout(t *testing.T) {
 	obj := content(1 << 16)
-	fx := newFixture(t, 10, 32, map[string]Object{"/a": obj}, ServerOptions{})
-	dark := netem.Window{Start: 0, End: 3 * time.Second}
+	fx := newIdleFixture(t, clientIdle, 10, 32, map[string]Object{"/a": obj}, ServerOptions{})
+	dark := netem.Window{Start: 0, End: 6 * time.Second}
 	fx.path.Down.Impair(netem.Blackout{Windows: []netem.Window{dark}}, 1)
 	fx.path.Up.Impair(netem.Blackout{Windows: []netem.Window{dark}}, 2)
-	fx.client.SetRecovery(testRecovery())
 
 	var done bool
 	resp := fx.client.Get("/a", nil, false, nil)
@@ -74,6 +87,9 @@ func TestRetryAfterTransientBlackout(t *testing.T) {
 	if resp.BytesReceived() != int64(len(obj)) {
 		t.Fatalf("got %d bytes, want %d", resp.BytesReceived(), len(obj))
 	}
+	if resp.attempt < 2 {
+		t.Fatalf("the request completed on attempt %d, want a retry", resp.attempt)
+	}
 }
 
 // The deadline must not fire for a request that is merely queued behind
@@ -84,11 +100,8 @@ func TestRetryAfterTransientBlackout(t *testing.T) {
 func TestDeadlineDefersToBusyConn(t *testing.T) {
 	big := content(4 << 20) // ~16 s of transfer at 2 Mbps
 	small := content(1 << 10)
-	fx := newFixture(t, 2, 64, map[string]Object{"/big": big, "/small": small}, ServerOptions{})
-	fx.client.SetRecovery(Recovery{
-		RequestTimeout: time.Second, // far below the big transfer's duration
-		Retry:          RetryPolicy{MaxAttempts: 2, BaseDelay: 100 * time.Millisecond},
-	})
+	// The 4 s request deadline is far below the big transfer's duration.
+	fx := newIdleFixture(t, clientIdle, 2, 64, map[string]Object{"/big": big, "/small": small}, ServerOptions{})
 
 	r1 := fx.client.Get("/big", nil, false, nil)
 	r2 := fx.client.Get("/small", nil, false, nil)
@@ -119,13 +132,12 @@ func TestFailoverToSecondOrigin(t *testing.T) {
 	s := sim.New(77)
 	mk := func() (*quic.Conn, *Server) {
 		path := netem.NewPath(s, trace.Constant("t", 10e6, 3600), 32)
-		cc, sc := quic.NewPair(s, path, quic.Config{}, quic.Config{})
+		cc, sc := quic.NewPair(s, path, quic.Config{IdleTimeout: clientIdle}, quic.Config{})
 		return cc, NewServer(sc, handler, ServerOptions{})
 	}
 	c1, _ := mk()
 	c2, _ := mk()
 	client := NewClient(c1)
-	client.SetRecovery(testRecovery())
 	client.AddFailover(c2)
 
 	var done bool
@@ -159,13 +171,12 @@ func TestRetryOntoUnawareOriginCompletes(t *testing.T) {
 	s := sim.New(77)
 	mk := func(opts ServerOptions) (*quic.Conn, *Server) {
 		path := netem.NewPath(s, trace.Constant("t", 10e6, 3600), 32)
-		cc, sc := quic.NewPair(s, path, quic.Config{}, quic.Config{})
+		cc, sc := quic.NewPair(s, path, quic.Config{IdleTimeout: clientIdle}, quic.Config{})
 		return cc, NewServer(sc, handler, opts)
 	}
 	c1, aware := mk(ServerOptions{})
 	c2, unaware := mk(ServerOptions{VoxelUnaware: true})
 	client := NewClient(c1)
-	client.SetRecovery(testRecovery())
 	client.AddFailover(c2)
 
 	var done bool
@@ -189,5 +200,60 @@ func TestRetryOntoUnawareOriginCompletes(t *testing.T) {
 	}
 	if got := resp.BytesReceived() + int64(resp.Lost().CoveredBytes()); got < obj.Size() {
 		t.Fatalf("received + lost cover %d of %d bytes", got, obj.Size())
+	}
+}
+
+// backoff doubles from retryBaseDelay up to the retryMaxDelay cap and
+// jitters each wait by ±12.5 %, drawn from the simulation's random stream.
+func TestRetryBackoffDoublesToCapWithJitter(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 1; n <= 8; n++ {
+		d := min(retryBaseDelay<<(n-1), retryMaxDelay)
+		seen := map[sim.Time]bool{}
+		for i := 0; i < 200; i++ {
+			wait := backoff(n, rng)
+			if wait < d-d/8 || wait >= d+d/8 {
+				t.Fatalf("backoff after attempt %d = %v, want %v ±12.5%%", n, wait, d)
+			}
+			seen[wait] = true
+		}
+		if len(seen) < 100 {
+			t.Fatalf("backoff after attempt %d took %d distinct values in 200 draws: not jittered", n, len(seen))
+		}
+	}
+}
+
+// Over a legacy transport (no idle timeout) a request arms no deadline —
+// on a dead link it waits as long as its connection does — and fails at the
+// first transport close, without retrying on the spare connection.
+func TestLegacyTransportArmsNoRecovery(t *testing.T) {
+	handler := HandlerFunc(func(string) (Object, error) { return content(1 << 16), nil })
+	s := sim.New(77)
+	mk := func() (*quic.Conn, *Server, *netem.Path) {
+		path := netem.NewPath(s, trace.Constant("t", 10e6, 3600), 32)
+		cc, sc := quic.NewPair(s, path, quic.Config{}, quic.Config{})
+		return cc, NewServer(sc, handler, ServerOptions{}), path
+	}
+	c1, _, path := mk()
+	c2, spare, _ := mk()
+	dead := netem.Window{Start: 0, End: 1 << 62}
+	path.Down.Impair(netem.Blackout{Windows: []netem.Window{dead}}, 1)
+	path.Up.Impair(netem.Blackout{Windows: []netem.Window{dead}}, 2)
+	client := NewClient(c1)
+	client.AddFailover(c2)
+
+	var failErr error
+	resp := client.Get("/a", nil, false, nil)
+	resp.OnFail = func(err error) { failErr = err }
+	s.RunUntil(time.Minute)
+	if resp.deadline != nil || resp.Failed() || c1.Closed() {
+		t.Fatalf("deadline armed=%v failed=%v conn closed=%v after a minute on a dead legacy link, want none",
+			resp.deadline != nil, resp.Failed(), c1.Closed())
+	}
+	c1.Close(quic.ErrClosed)
+	s.RunUntil(2 * time.Minute)
+	if failErr != quic.ErrClosed || resp.attempt != 1 || spare.RequestsServed != 0 {
+		t.Fatalf("failed with %v after %d attempts, spare served %d requests; want %v after 1 attempt and no retry",
+			failErr, resp.attempt, spare.RequestsServed, quic.ErrClosed)
 	}
 }

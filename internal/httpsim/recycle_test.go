@@ -35,10 +35,9 @@ func TestReleasedKernelPinsNothing(t *testing.T) {
 		})
 		path := netem.NewFixedPath(s, 20e6, 64)
 		path.Down.Impair(netem.IIDLoss{P: 0.05}, 1)
-		cc, sc := quic.NewPair(s, path, quic.Config{}, quic.Config{})
+		cc, sc := quic.NewPair(s, path, quic.Config{IdleTimeout: clientIdle}, quic.Config{})
 		NewServer(sc, handler, ServerOptions{})
 		client := NewClient(cc)
-		client.SetRecovery(testRecovery())
 		captured := new([16]byte)
 		runtime.SetFinalizer(captured, func(*[16]byte) { gone <- "a response callback's capture" })
 		for _, unreliable := range []bool{true, false} {

@@ -346,11 +346,6 @@ type diffRig struct {
 	wantRows []string
 }
 
-var recovery = httpsim.Recovery{
-	RequestTimeout: 4 * time.Second,
-	Retry:          httpsim.RetryPolicy{MaxAttempts: 4, BaseDelay: 250 * time.Millisecond, MaxDelay: 4 * time.Second, Jitter: 0.25},
-}
-
 // run plays the scenario under the tap, with the invariant checker armed
 // (player.settle-coverage checks every settled record); setup may script it
 // further.
@@ -363,8 +358,7 @@ func (d diffRig) run(t *testing.T, setup func(tp *tap, cc *quic.Conn)) *tap {
 	m := dash.Build(v, dash.BuildOptions{Voxel: true, PointsPerSegment: 10, Analyzer: prep.NewAnalyzer()})
 	origin := func(path *netem.Path, idle sim.Time) *quic.Conn {
 		cc, sc := quic.NewPair(s, path,
-			quic.Config{IdleTimeout: idle, KeepAlive: true, PTOBackoffCap: 6},
-			quic.Config{IdleTimeout: 60 * time.Second, PTOBackoffCap: 6})
+			quic.Config{IdleTimeout: idle}, quic.Config{IdleTimeout: 60 * time.Second})
 		if d.handler != nil {
 			httpsim.NewServer(sc, d.handler(videoHandler(t, m)), httpsim.ServerOptions{})
 		} else if _, err := server.New(sc, m, httpsim.ServerOptions{}); err != nil {
@@ -398,7 +392,7 @@ func (d diffRig) run(t *testing.T, setup func(tp *tap, cc *quic.Conn)) *tap {
 
 	scope := obs.NewScope(func() time.Duration { return s.Now() }, obs.Options{})
 	tp := &tap{Algorithm: d.alg, t: t, s: s, scope: scope, rows: map[string]int{}}
-	cfg := Config{Algorithm: tp, Mode: d.mode, BufferSegments: d.buffer, Recovery: recovery, Obs: scope}
+	cfg := Config{Algorithm: tp, Mode: d.mode, BufferSegments: d.buffer, Obs: scope}
 	if d.backup {
 		cfg.FailoverConns = []*quic.Conn{origin(netem.NewPath(s, d.trace, d.queue), 30*time.Second)}
 	}

@@ -81,9 +81,6 @@ type Config struct {
 	// once it has been produced (i+1 segment durations after the session
 	// start), the natural regime for the paper's low-latency motivation.
 	Live bool
-	// Recovery configures the HTTP client's request deadline and retry
-	// policy. The zero value keeps the legacy fire-and-forget client.
-	Recovery httpsim.Recovery
 	// FailoverConns are spare connections to additional origin servers; the
 	// client fails over to them when the primary connection closes.
 	FailoverConns []*quic.Conn
@@ -293,9 +290,6 @@ func New(s *sim.Sim, conn *quic.Conn, v *video.Video, m *dash.Manifest, cfg Conf
 		obs:    cfg.Obs,
 	}
 	p.client.SetObs(cfg.Obs)
-	if cfg.Recovery != (httpsim.Recovery{}) {
-		p.client.SetRecovery(cfg.Recovery)
-	}
 	for _, fc := range cfg.FailoverConns {
 		p.client.AddFailover(fc)
 	}

@@ -29,22 +29,16 @@ type Config struct {
 	Controller cc.Controller
 
 	// IdleTimeout closes the connection when no packet arrives from the
-	// peer for this long. Zero disables idle teardown (legacy behavior:
-	// a dead link leaves the connection probing forever).
+	// peer for this long, and is the connection's one recovery setting.
+	// Above zero, the client also sends a keep-alive PING at half the
+	// timeout whenever it is otherwise quiet, so an idle but healthy
+	// connection is not torn down (e.g. while the player's buffer is full
+	// and no requests are outstanding); both sides cap the PTO backoff at
+	// ptoBackoffCap; and an httpsim client over the connection arms its
+	// request deadline and retries. Zero is the legacy transport: a dead
+	// link leaves the connection probing forever, and persistent
+	// congestion at 3 consecutive PTOs resets the backoff.
 	IdleTimeout sim.Time
-	// KeepAlive, with IdleTimeout set, sends a PING at half the idle
-	// timeout whenever the connection is otherwise quiet, so an idle but
-	// healthy connection is not torn down (e.g. while the player's buffer
-	// is full and no requests are outstanding).
-	KeepAlive bool
-	// PTOBackoffCap bounds the PTO backoff exponent so probe spacing
-	// plateaus at PTO<<cap instead of doubling without bound — during a
-	// multi-second blackout the connection keeps probing at a bounded
-	// period and detects link recovery quickly. Zero keeps the legacy
-	// schedule (persistent congestion at 3 consecutive PTOs resets the
-	// backoff); with a cap, persistent congestion is declared once per
-	// streak and the exponent keeps growing up to the cap.
-	PTOBackoffCap int
 
 	// Obs receives transport telemetry (packet/byte counters, RTT samples,
 	// loss-report events). Nil disables recording at zero cost: every scope
@@ -64,6 +58,14 @@ const (
 	maxFrameBytes = mtu - 1 - 8
 	maxAckRanges  = 32
 )
+
+// ptoBackoffCap bounds the PTO backoff exponent of a connection with an
+// idle timeout, so probe spacing plateaus at PTO<<ptoBackoffCap instead of
+// doubling without bound: through a multi-second blackout the connection
+// keeps probing at a bounded period and finds the recovered link quickly.
+// Persistent congestion is then declared once per streak of PTOs, and the
+// exponent keeps growing up to the cap.
+const ptoBackoffCap = 6
 
 func (c Config) withDefaults() Config {
 	if c.InitialMaxData == 0 {
@@ -116,12 +118,6 @@ func (f *ctrlFrame) frame() Frame {
 	return PingFrame{}
 }
 
-type rewrite struct {
-	stream *Stream
-	offset uint64
-	data   []byte
-}
-
 // Conn is one endpoint of a QUIC* connection running inside the simulator.
 type Conn struct {
 	sim   *sim.Sim
@@ -166,9 +162,8 @@ type Conn struct {
 	active       fifo[*Stream] // streams with pending new data
 
 	// frame queues
-	ctrlQ      fifo[ctrlFrame] // reliable: requeued on loss
-	retransmit fifo[*StreamFrame]
-	rewrites   fifo[rewrite]
+	ctrlQ      fifo[ctrlFrame]    // reliable: requeued on loss
+	retransmit fifo[*StreamFrame] // lost reliable frames, unreliable FINs and WriteAt frames
 
 	// flow control
 	sendLimit    uint64 // peer's MAX_DATA
@@ -188,7 +183,7 @@ type Conn struct {
 	onClose   func(error)
 	lastRecv  sim.Time   // virtual time of the last valid packet received
 	idleTimer *sim.Timer // armed iff cfg.IdleTimeout > 0
-	keepTimer *sim.Timer // armed iff cfg.KeepAlive && cfg.IdleTimeout > 0
+	keepTimer *sim.Timer // armed iff cfg.IdleTimeout > 0 on the client
 
 	// store is the kernel's packet storage, shared with every connection
 	// of the world; scratch is this connection's own. One simulation runs
@@ -251,7 +246,7 @@ type txRecord struct {
 	// The frames, in the order every packet is packed and dispatched.
 	ack     AckFrame      // the ACK's ranges, snapshotted; empty = no ACK
 	ctrl    []ctrlFrame   // MAX_DATA, LOSS_REPORT, PING
-	streams []StreamFrame // retransmissions, rewrites, new data
+	streams []StreamFrame // retransmissions (WriteAt frames too), new data
 
 	// First backing arrays of streams and ack.Ranges: the usual packet — a
 	// stream frame or two, a one-range ACK — needs no other.
@@ -299,7 +294,7 @@ func newConn(s *sim.Sim, link *netem.Link, cfg Config, isClient bool) *Conn {
 	if cfg.IdleTimeout > 0 {
 		c.idleTimer = sim.NewTimer(s, func() { c.Close(ErrIdleTimeout) })
 		c.idleTimer.Arm(cfg.IdleTimeout)
-		if cfg.KeepAlive {
+		if isClient {
 			c.keepTimer = sim.NewTimer(s, c.onKeepAlive)
 			c.keepTimer.Arm(cfg.IdleTimeout / 2)
 		}
@@ -313,6 +308,11 @@ func (c *Conn) Stats() Stats { return c.stats }
 // Sim returns the simulator the connection runs on, for layers above the
 // transport that need timers (request deadlines, retry backoff).
 func (c *Conn) Sim() *sim.Sim { return c.sim }
+
+// IdleTimeout returns the connection's idle timeout, zero for the legacy
+// transport. An httpsim client arms its request deadline and retries only
+// for attempts over a connection with one.
+func (c *Conn) IdleTimeout() sim.Time { return c.cfg.IdleTimeout }
 
 // LastActivity returns the virtual time of the last valid packet received
 // from the peer (zero if none yet). Layers above the transport use it to
@@ -376,8 +376,7 @@ func (c *Conn) Close(reason error) {
 		c.releaseSent(c.sentQ.pk[i])
 	}
 	c.sentQ.reset()
-	c.ctrlQ, c.retransmit = fifo[ctrlFrame]{}, fifo[*StreamFrame]{}
-	c.rewrites, c.active = fifo[rewrite]{}, fifo[*Stream]{}
+	c.ctrlQ, c.retransmit, c.active = fifo[ctrlFrame]{}, fifo[*StreamFrame]{}, fifo[*Stream]{}
 	c.ackPending = false
 	if c.onClose != nil {
 		c.onClose(reason)
@@ -434,11 +433,6 @@ func (c *Conn) markActive(s *Stream) {
 	if !slices.Contains(c.active.live(), s) {
 		c.active.push(s)
 	}
-	c.trySend()
-}
-
-func (c *Conn) queueUnreliableRewrite(s *Stream, offset uint64, data []byte) {
-	c.rewrites.push(rewrite{stream: s, offset: offset, data: data})
 	c.trySend()
 }
 
@@ -546,7 +540,7 @@ func (c *Conn) hasPending() bool {
 }
 
 func (c *Conn) hasAckElicitingPending() bool {
-	if c.ctrlQ.len() > 0 || c.retransmit.len() > 0 || c.rewrites.len() > 0 {
+	if c.ctrlQ.len() > 0 || c.retransmit.len() > 0 {
 		return true
 	}
 	for _, s := range c.active.live() {
@@ -591,7 +585,8 @@ func (c *Conn) sendOnePacket() bool {
 			c.ctrlQ.pop()
 			budget -= n
 		}
-		// Retransmissions of reliable stream data.
+		// Retransmissions: lost reliable stream data, the FINs of lost
+		// unreliable frames, and WriteAt's selective retransmissions.
 		for c.retransmit.len() > 0 && budget > 64 {
 			f := *c.retransmit.front()
 			if f.wireSize() <= budget {
@@ -609,32 +604,12 @@ func (c *Conn) sendOnePacket() bool {
 			tx.streams = append(tx.streams, *f) // a copy; the payload is shared
 			budget -= f.wireSize()
 			sp.streamFrames = append(sp.streamFrames, f)
-			c.stats.RetransmitBytes += uint64(f.Len())
-			c.obs.Count(obs.CRetransmitBytes, uint64(f.Len()))
-		}
-		// Application-level rewrites on unreliable streams (selective retx).
-		for c.rewrites.len() > 0 && budget > 64 {
-			rw := c.rewrites.front()
-			hdr := streamFrameOverhead(rw.stream.id, rw.offset, len(rw.data))
-			n := len(rw.data)
-			if hdr+n > budget {
-				n = budget - hdr
+			if f.Unreliable {
+				c.stats.UnreliableRewrite += uint64(f.Len())
+			} else {
+				c.stats.RetransmitBytes += uint64(f.Len())
+				c.obs.Count(obs.CRetransmitBytes, uint64(f.Len()))
 			}
-			if n <= 0 {
-				break
-			}
-			f := c.allocFrame()
-			f.StreamID, f.Offset = rw.stream.id, rw.offset
-			f.Data, f.Unreliable = rw.data[:n], true
-			rw.offset += uint64(n)
-			rw.data = rw.data[n:]
-			if len(rw.data) == 0 {
-				c.rewrites.pop()
-			}
-			tx.streams = append(tx.streams, *f)
-			budget -= f.wireSize()
-			sp.streamFrames = append(sp.streamFrames, f)
-			c.stats.UnreliableRewrite += uint64(len(f.Data))
 		}
 		// New stream data, FIFO across active streams.
 		for c.active.len() > 0 && budget > 64 {
@@ -1056,8 +1031,8 @@ func (c *Conn) armPTO() {
 		return
 	}
 	exp := c.ptoCount
-	if cap := c.cfg.PTOBackoffCap; cap > 0 && exp > cap {
-		exp = cap
+	if c.cfg.IdleTimeout > 0 && exp > ptoBackoffCap {
+		exp = ptoBackoffCap
 	}
 	backoff := sim.Time(1) << uint(exp)
 	c.ptoTimer.ArmAt(c.lastAckElic + c.rtt.PTO()*backoff)
@@ -1071,12 +1046,14 @@ func (c *Conn) onPTO() {
 	c.stats.PTOCount++
 	c.obs.Inc(obs.CPTOs)
 	now := c.sim.Now()
-	// Persistent congestion at 3 consecutive PTOs. Legacy (no backoff cap)
-	// resets the backoff each time, retrying the whole window at full tempo;
-	// with a cap, it is declared once per streak and the streak keeps
-	// backing off (up to the cap), so a dead link is probed at a bounded,
-	// non-collapsing cadence until traffic or the idle timeout ends it.
-	if c.ptoCount == 3 || (c.cfg.PTOBackoffCap == 0 && c.ptoCount > 3) {
+	// Persistent congestion at 3 consecutive PTOs. The legacy transport (no
+	// idle timeout) resets the backoff each time, retrying the whole window
+	// at full tempo; with an idle timeout it is declared once per streak and
+	// the streak keeps backing off (up to ptoBackoffCap), so a dead link is
+	// probed at a bounded, non-collapsing cadence until traffic or the idle
+	// timeout ends it.
+	capped := c.cfg.IdleTimeout > 0
+	if c.ptoCount == 3 || (!capped && c.ptoCount > 3) {
 		// Declare everything in flight lost and collapse the window. The
 		// queue is already in ascending packet-number order.
 		q := &c.sentQ
@@ -1088,12 +1065,12 @@ func (c *Conn) onPTO() {
 		q.reset()
 		c.ctl.OnRetransmissionTimeout(now)
 		c.recoveryStart = now
-		if c.cfg.PTOBackoffCap == 0 {
+		if !capped {
 			c.ptoCount = 0
 		}
 		c.nextSendAt = 0
 		c.trySend()
-		if c.cfg.PTOBackoffCap > 0 {
+		if capped {
 			// The streak continues: keep probing even if trySend was
 			// blocked, so link recovery is still detected.
 			c.armPTO()

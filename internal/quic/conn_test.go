@@ -252,6 +252,9 @@ func TestWriteAtSelectiveRetransmission(t *testing.T) {
 	if server.Stats().UnreliableRewrite == 0 {
 		t.Fatal("rewrite bytes not accounted")
 	}
+	if n := server.Stats().RetransmitBytes; n != 0 {
+		t.Fatalf("RetransmitBytes = %d on an unreliable-only stream, want 0", n)
+	}
 	// Recovered bytes must be correct wherever received.
 	for _, r := range clientStream.Received().Ranges() {
 		if !bytes.Equal(got.buf[r.Start:r.End], data[r.Start:r.End]) {

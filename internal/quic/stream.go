@@ -126,7 +126,9 @@ func (s *Stream) CloseWrite() {
 // WriteAt re-queues bytes at a specific offset on an unreliable stream.
 // This is the server-side primitive behind the paper's selective
 // retransmission: the application re-sends ranges the client re-requested.
-// The caller supplies the bytes (the server still has the object).
+// The caller supplies the bytes (the server still has the object); they are
+// copied into one frame on the retransmit queue, which cuts it to the packet
+// budget. A lost WriteAt frame is reported, not retransmitted.
 func (s *Stream) WriteAt(offset uint64, data []byte) {
 	if !s.unreliable {
 		panic("quic: WriteAt is only for unreliable streams")
@@ -134,9 +136,12 @@ func (s *Stream) WriteAt(offset uint64, data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.conn.queueUnreliableRewrite(s, offset, cp)
+	c := s.conn
+	f := c.allocFrame()
+	f.StreamID, f.Offset, f.Unreliable = s.id, offset, true
+	f.Data = append([]byte(nil), data...)
+	c.retransmit.push(f)
+	c.trySend()
 }
 
 // OnData registers the receive callback; it fires for every newly covered

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 )
 
 // The System default (VOXEL) is applied uniformly by the experiment layer,
@@ -63,6 +65,31 @@ func TestSessionTypedErrors(t *testing.T) {
 	}
 	if _, err := LoadTrace("nope"); !errors.Is(err, ErrUnknownTrace) {
 		t.Fatalf("LoadTrace: got %v, want ErrUnknownTrace", err)
+	}
+}
+
+// A negative count, rate or bound fails Run with ErrInvalidConfig instead
+// of being read as a default (a 7-segment buffer, the full clip) or as
+// nothing (a trial that runs no events), one row per field.
+func TestSessionRejectsNegativeValues(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		opt   Option
+	}{
+		{"trials", WithTrials(-1)},
+		{"buffer segments", WithBuffer(-2)},
+		{"queue packets", WithQueue(-1)},
+		{"segments", WithSegments(-5)},
+		{"cross traffic", WithCrossTraffic(-1e6, 20e6)},
+		{"link capacity", WithCrossTraffic(5e6, -20e6)},
+		{"max sim time", WithMaxSimTime(-time.Second)},
+		{"watchdog wall budget", WithWatchdog(-time.Second, 0)},
+		{"timeline cap", WithTimelineCap(-1)},
+	} {
+		_, _, err := New("BBB", WithTrials(1), WithSegments(2), tc.opt).Run()
+		if !errors.Is(err, ErrInvalidConfig) || !strings.Contains(err.Error(), tc.field+" -") {
+			t.Errorf("negative %s: got %v, want ErrInvalidConfig naming it", tc.field, err)
+		}
 	}
 }
 
