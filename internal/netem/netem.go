@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"time"
 
-	"voxel/internal/invariant"
 	"voxel/internal/sim"
 	"voxel/internal/trace"
 )
@@ -22,11 +21,13 @@ import (
 // discarded, as on a real drop-tail queue.
 //
 // Done, when set, runs exactly once when the link is finished with the
-// datagram — after the final delivery (impairments may duplicate a packet)
-// or at the instant an impairment drops it on the wire. Senders that pool
-// their encode buffers reclaim them in Done, never in Deliver. Done is NOT
-// called when Send itself returns false: the datagram never entered the
-// link, so the caller still owns it.
+// datagram: in the same kernel event as the final delivery, right after its
+// Deliver (impairments may duplicate a packet), or at the instant an
+// impairment drops it on the wire. Anything Deliver schedules, even at zero
+// delay, runs after Done. Senders that pool their packet records reclaim
+// them in Done, never in Deliver. Done is NOT called when Send itself
+// returns false: the datagram never entered the link, so the caller still
+// owns it.
 type Datagram struct {
 	Size    int
 	Deliver func()
@@ -58,6 +59,8 @@ type Link struct {
 	rng  *rand.Rand
 	fate Fate // Apply's scratch: a local would escape through the interface call
 
+	store *deliveryStore // the kernel's delivery records, shared by its links
+
 	// Waiting datagrams are a ring, ring[(head+i) % len(ring)] for i < count;
 	// cur is the one in service. Only one ever is, so its completion
 	// callback (served) is bound once per link, not closed over per datagram.
@@ -74,13 +77,115 @@ type queued struct {
 	enqueued sim.Time
 }
 
+// delivery is one datagram past the serializer, on its way to the receiver
+// (DESIGN.md §5): the kernel event of each copy runs arrive, bound to the
+// record the first time it is used, so a delivered datagram costs no
+// closure and no event beyond its copies.
+type delivery struct {
+	arrive func()
+	next   *delivery // the store's free list
+	flight           // zero while the record is stored
+}
+
+// flight is what a link lends a delivery record for one datagram.
+type flight struct {
+	link   *Link
+	d      Datagram
+	copies uint8 // arrivals still due: 1, or 2 for a duplicated datagram
+	fated  bool  // Done has run; the record goes back to the store next
+}
+
+// deliveryStore is a kernel's delivery records, kept across the worlds it
+// serves: free is a list through the records' next fields. Records are made
+// in chunks, which EndWorld walks: a world can end with some still in
+// flight, and it takes those back too.
+type deliveryStore struct {
+	free   *delivery
+	chunks [][]delivery
+}
+
+// deliveryChunk is how many records the store makes at a time. Only a
+// record that is used gets a bound callback, so a kernel pays one
+// allocation per record it ever has in flight at once, and one per chunk.
+const deliveryChunk = 32
+
+var deliveries sim.Local[deliveryStore]
+
+// get returns an empty record.
+func (p *deliveryStore) get() *delivery {
+	if p.free == nil {
+		chunk := make([]delivery, deliveryChunk)
+		p.chunks = append(p.chunks, chunk)
+		p.link(chunk)
+	}
+	r := p.free
+	p.free, r.next = r.next, nil
+	if r.arrive == nil {
+		r.arrive = r.onArrive
+	}
+	return r
+}
+
+// link pushes a chunk's records onto the free list, first record on top.
+func (p *deliveryStore) link(chunk []delivery) {
+	for i := len(chunk) - 1; i >= 0; i-- {
+		chunk[i].next, p.free = p.free, &chunk[i]
+	}
+}
+
+// put scrubs r onto the free list: a stored record holds no datagram and no
+// link, so it pins nothing of a world.
+func (p *deliveryStore) put(r *delivery) {
+	r.scrub()
+	r.next, p.free = p.free, r
+}
+
+func (r *delivery) scrub() { r.flight = flight{} }
+
+// EndWorld takes back every record, those still in flight included: their
+// events die with the world's kernel state.
+func (p *deliveryStore) EndWorld() {
+	p.free = nil
+	for i := len(p.chunks) - 1; i >= 0; i-- {
+		for j := range p.chunks[i] {
+			p.chunks[i][j].scrub()
+		}
+		p.link(p.chunks[i])
+	}
+}
+
+// onArrive hands one copy to the receiver. The final copy also ends the
+// datagram: Done runs in this event, right after Deliver — where a separate
+// event at the same instant with the next sequence number would have run it,
+// since nothing can order between the two — and the record goes back to the
+// store.
+func (r *delivery) onArrive() {
+	l, d := r.link, r.d
+	r.copies--
+	if d.Deliver != nil {
+		d.Deliver()
+	}
+	if r.copies > 0 {
+		return
+	}
+	if d.Done != nil {
+		if r.fated {
+			l.sim.Checker().Failf("netem", "netem.done-exactly-once",
+				"Datagram.Done ran a second time (size %d)", d.Size)
+		}
+		r.fated = true
+		d.Done()
+	}
+	l.store.put(r)
+}
+
 // NewLink builds a link draining at rate(t) bps with the given one-way
 // propagation delay and drop-tail queue capacity in packets.
 func NewLink(s *sim.Sim, rate func(sim.Time) float64, delay sim.Time, queuePackets int) *Link {
 	if queuePackets < 1 {
 		queuePackets = 1
 	}
-	l := &Link{sim: s, rate: rate, delay: delay, capacity: queuePackets}
+	l := &Link{sim: s, rate: rate, delay: delay, capacity: queuePackets, store: deliveries.Get(s)}
 	l.served = l.onServed
 	return l
 }
@@ -177,25 +282,7 @@ func (l *Link) serveNext() {
 	l.stats.BytesSent += uint64(q.d.Size)
 
 	l.cur = q.d
-	if chk := l.sim.Checker(); chk.Enabled() && q.d.Done != nil {
-		l.cur.Done = guardDone(chk, q.d)
-	}
 	l.sim.Schedule(serialization, l.served)
-}
-
-// guardDone wraps d.Done for armed runs: exactly one fate per datagram, so
-// the callback must never run twice. The closure is an allocation per
-// datagram, paid only when checking is on.
-func guardDone(chk *invariant.Checker, d Datagram) func() {
-	ran := false
-	return func() {
-		if ran {
-			chk.Failf("netem", "netem.done-exactly-once",
-				"Datagram.Done ran a second time (size %d)", d.Size)
-		}
-		ran = true
-		d.Done()
-	}
 }
 
 // onServed runs when the datagram in service has left the serializer: the
@@ -217,18 +304,19 @@ func (l *Link) onServed() {
 		return
 	}
 	l.stats.Delivered++
-	delay := l.delay + f.ExtraDelay
-	if d.Deliver != nil {
-		l.sim.Schedule(delay, d.Deliver)
-		if f.Duplicate {
+	if d.Deliver != nil || d.Done != nil {
+		// One event per copy; the final one also runs Done, so the
+		// receiver always sees the packet before the sender reclaims it.
+		r := l.store.get()
+		r.flight = flight{link: l, d: d, copies: 1}
+		if d.Deliver != nil && f.Duplicate {
 			l.stats.Duplicated++
-			l.sim.Schedule(delay, d.Deliver)
+			r.copies = 2
 		}
-	}
-	// Same instant as the last delivery, later insertion sequence: the
-	// receiver always sees the bytes before the sender reclaims them.
-	if d.Done != nil {
-		l.sim.Schedule(delay, d.Done)
+		delay := l.delay + f.ExtraDelay
+		for range r.copies {
+			l.sim.Schedule(delay, r.arrive)
+		}
 	}
 	if chk := l.sim.Checker(); chk.Enabled() {
 		// Conservation at service completion: every datagram ever

@@ -3,10 +3,13 @@ package netem
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"voxel/internal/invariant"
+	"voxel/internal/recycletest"
 	"voxel/internal/sim"
 	"voxel/internal/trace"
 )
@@ -196,37 +199,175 @@ func TestPropertyConservation(t *testing.T) {
 
 // TestSendDeliverZeroAllocs pins the link's steady state at 0 allocations
 // per datagram — Send, queueing, service completion, delivery and Done —
-// on a bare link and through every canonical impairment chain. The queue
-// wraps its ring many times over. (An armed invariant checker wraps Done
-// per datagram; that cost is for checked runs only and is not pinned here.)
+// on a bare link and through every canonical impairment chain, with the
+// invariant checker off and armed. The queue wraps its ring many times over.
 func TestSendDeliverZeroAllocs(t *testing.T) {
-	for _, profile := range Profiles() {
+	for _, armed := range []bool{false, true} {
+		for _, profile := range Profiles() {
+			s := sim.New(1)
+			if armed {
+				s.SetChecker(invariant.New())
+			}
+			l := NewFixedLink(s, 1e9, time.Millisecond, 64)
+			down, _, err := NewProfile(profile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if down != nil {
+				l.Impair(down, 1)
+			}
+			done := 0
+			var d Datagram
+			d = Datagram{Size: 1200, Deliver: func() {}, Done: func() {
+				done++
+				l.Send(d) // keep 16 in flight
+			}}
+			for i := 0; i < 16; i++ {
+				l.Send(d)
+			}
+			s.RunUntil(time.Second) // warm the ring, the delivery records and the kernel's event pool
+			before := done
+			if allocs := testing.AllocsPerRun(10, func() { s.RunUntil(s.Now() + 100*time.Millisecond) }); allocs != 0 {
+				t.Errorf("%s (checker armed: %v): %.1f allocs per 100 ms of traffic, want 0", profile, armed, allocs)
+			}
+			if done-before < 1000 {
+				t.Fatalf("%s (checker armed: %v): only %d datagrams finished in the measured windows", profile, armed, done-before)
+			}
+			s.Release()
+		}
+	}
+}
+
+// dupEvery duplicates every nth datagram it sees.
+type dupEvery struct{ n, seen int }
+
+func (d *dupEvery) Apply(_ sim.Time, _ *rand.Rand, f *Fate) {
+	d.seen++
+	f.Duplicate = d.seen%d.n == 0
+}
+
+// TestDeliveredCopyIsOneEvent: a datagram costs one kernel event to serve
+// and one per delivered copy — N datagrams on a clean link execute exactly
+// 2N events, and each duplicate adds one. Done runs once per datagram, in the
+// event of its final copy, right after that copy's Deliver, and an event
+// that Deliver schedules at zero delay runs after Done. Many datagrams are
+// in flight at once, each duplicate overlapping later ones, so a delivery
+// record handed out twice shows as a copy delivered for the wrong datagram.
+func TestDeliveredCopyIsOneEvent(t *testing.T) {
+	const n = 200
+	for _, every := range []int{0, 3} {
 		s := sim.New(1)
-		l := NewFixedLink(s, 1e9, time.Millisecond, 64)
-		down, _, err := NewProfile(profile)
-		if err != nil {
-			t.Fatal(err)
+		l := NewFixedLink(s, 8e6, 20*time.Millisecond, n) // 1 ms per datagram, 20 in flight
+		if every > 0 {
+			l.Impair(&dupEvery{n: every}, 1)
 		}
-		if down != nil {
-			l.Impair(down, 1)
+		delivered, done := make([]int, n), make([]int, n)
+		var followUps int
+		for i := 0; i < n; i++ {
+			copies := 1
+			if every > 0 && (i+1)%every == 0 {
+				copies = 2
+			}
+			var lastEvent uint64
+			l.Send(Datagram{Size: 1000,
+				Deliver: func() {
+					if done[i] > 0 {
+						t.Fatalf("datagram %d delivered after its Done", i)
+					}
+					delivered[i]++
+					lastEvent = s.Executed()
+					s.Schedule(0, func() {
+						followUps++
+						if done[i] == 0 {
+							t.Fatalf("an event datagram %d's Deliver scheduled at zero delay ran before its Done", i)
+						}
+					})
+				},
+				Done: func() {
+					done[i]++
+					if delivered[i] != copies || s.Executed() != lastEvent {
+						t.Fatalf("datagram %d: Done ran after %d of %d copies, in event %d (final copy's %d)", i, delivered[i], copies, s.Executed(), lastEvent)
+					}
+				},
+			})
 		}
-		done := 0
-		var d Datagram
-		d = Datagram{Size: 1200, Deliver: func() {}, Done: func() {
-			done++
-			l.Send(d) // keep 16 in flight
-		}}
-		for i := 0; i < 16; i++ {
-			l.Send(d)
+		s.Run()
+		dups := int(l.Stats().Duplicated)
+		for i := range done {
+			if done[i] != 1 {
+				t.Fatalf("every %d: datagram %d ran Done %d times", every, i, done[i])
+			}
 		}
-		s.RunUntil(time.Second) // warm the ring and the kernel's event pool
-		before := done
-		if allocs := testing.AllocsPerRun(10, func() { s.RunUntil(s.Now() + 100*time.Millisecond) }); allocs != 0 {
-			t.Errorf("%s: %.1f allocs per 100 ms of traffic, want 0", profile, allocs)
+		if every > 0 && dups != n/every {
+			t.Fatalf("every %d: %d duplicates, want %d", every, dups, n/every)
 		}
-		if done-before < 1000 {
-			t.Fatalf("%s: only %d datagrams finished in the measured windows", profile, done-before)
+		if got, want := s.Executed(), uint64(2*n+dups+followUps); got != want {
+			t.Fatalf("every %d: %d datagrams (%d duplicated, %d follow-up events) executed %d kernel events, want %d", every, n, dups, followUps, got, want)
 		}
+		s.Release()
+	}
+}
+
+// freeRecords counts the store's free list.
+func freeRecords(p *deliveryStore) (n int) {
+	for r := p.free; r != nil; r = r.next {
+		n++
+	}
+	return n
+}
+
+// TestReleasedKernelPinsNothing: the kernel's delivery records outlive the
+// world, so once it ends nothing in them may hold it. Datagrams are cut off
+// mid-flight; Release takes back every record, those in flight included,
+// each scrubbed — recycletest dirties every field of every record first — and
+// neither a Deliver nor a Done callback's capture, nor the link, stays
+// reachable through the released kernel.
+func TestReleasedKernelPinsNothing(t *testing.T) {
+	sim.DropReleased()
+	s := sim.New(1)
+	var store *deliveryStore
+	gone := make(chan string, 3)
+	func() {
+		delivered, done, rate := new([16]byte), new([16]byte), new([16]byte)
+		runtime.SetFinalizer(delivered, func(*[16]byte) { gone <- "a Deliver callback's capture" })
+		runtime.SetFinalizer(done, func(*[16]byte) { gone <- "a Done callback's capture" })
+		runtime.SetFinalizer(rate, func(*[16]byte) { gone <- "the link" })
+		// The link sits in a cycle (its bound service callback), which
+		// finalizers do not see through: watch what its rate func captured.
+		l := NewLink(s, func(sim.Time) float64 { rate[0]++; return 8e6 }, 50*time.Millisecond, 64)
+		for i := 0; i < 40; i++ {
+			l.Send(Datagram{Size: 1000, Deliver: func() { delivered[0]++ }, Done: func() { done[0]++ }})
+		}
+		s.RunUntil(60 * time.Millisecond) // all forty served, ten delivered
+		store = l.store
+		if made := len(store.chunks) * deliveryChunk; done[0] == 0 || made-freeRecords(store) < 30 {
+			t.Fatalf("the world is too tidy to prove anything: %d datagrams done, %d of %d records in flight", done[0], made-freeRecords(store), made)
+		}
+		for _, chunk := range store.chunks {
+			for i := range chunk {
+				recycletest.Dirty(&chunk[i].flight)
+			}
+		}
+	}()
+	s.Release()
+	if made := len(store.chunks) * deliveryChunk; freeRecords(store) != made {
+		t.Fatalf("the released kernel's store has %d of its %d records free", freeRecords(store), made)
+	}
+	for r := store.free; r != nil; r = r.next {
+		recycletest.CheckScrubbed(t, &r.flight)
+	}
+	left := 3
+	for i := 0; i < 50 && left > 0; i++ {
+		runtime.GC()
+		select {
+		case <-gone:
+			left--
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(s) // and through it the store, whether or not the free list kept it
+	if left > 0 {
+		t.Fatalf("%d of the link, a Deliver and a Done callback's capture are still reachable from the released kernel's delivery records", left)
 	}
 }
 

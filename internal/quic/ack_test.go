@@ -40,21 +40,22 @@ func randomArrival(rng *rand.Rand, next *uint64) uint64 {
 
 // TestBuildAckMatchesRangeHistory checks the ACK snapshot against brute
 // force: whatever the arrival pattern — in order, gaps, late fills,
-// duplicates, more than 32 gaps — after every single step the snapshot is
-// the 32 highest runs of the set of packet numbers seen so far, largest
-// first, and it occupies and encodes to exactly what an AckFrame built from
-// scratch does (AckFrame.appendTo is the reference encoder).
+// duplicates, more than 32 gaps — after every single arrival through
+// recordArrival the snapshot is the 32 highest runs of the set of packet
+// numbers seen so far, largest first, and it occupies and encodes to exactly
+// what an AckFrame built from scratch does (AckFrame.appendTo is the
+// reference encoder).
 func TestBuildAckMatchesRangeHistory(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		c := &Conn{}
+		c := &Conn{store: &packetStore{}}
 		next := uint64(rng.Intn(3)) * 60 // also cross the 1→2-byte varint boundary
 		seen := map[uint64]bool{}
 		var got AckFrame
 		maxRanges := 0
 		for step := 0; step < 3000; step++ {
 			pn := randomArrival(rng, &next)
-			c.recvdPNs.Add(pn, pn+1)
+			c.recordArrival(pn)
 			seen[pn] = true
 			size := c.buildAck(&got)
 

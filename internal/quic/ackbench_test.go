@@ -68,14 +68,16 @@ func BenchmarkAckRoundTrip32(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			s := sim.New(1)
 			snd := benchSender(s)
-			var rcv Conn // only its ACK history and snapshot are used
+			rcv := Conn{store: &packetStore{}} // only its ACK history and snapshot are used
 			base := uint64(100)
 			if mode != "onerange" {
 				for pn := uint64(0); pn < 62; pn += 2 {
-					rcv.recvdPNs.Add(pn, pn+1) // 31 old gaps
+					rcv.recordArrival(pn) // 31 old gaps
 				}
 			} else {
-				rcv.recvdPNs.Add(0, base)
+				for pn := uint64(0); pn < base; pn++ {
+					rcv.recordArrival(pn)
+				}
 			}
 			next := fillWindow(snd, s, base, 64)
 			arrived := base // the sender's packets below it have reached the receiver, gaps aside
@@ -88,7 +90,8 @@ func BenchmarkAckRoundTrip32(b *testing.B) {
 					arrived++ // lost: a new gap, which the sender declares lost three packets later
 					fresh = 3
 				}
-				rcv.recvdPNs.Add(arrived, arrived+2)
+				rcv.recordArrival(arrived)
+				rcv.recordArrival(arrived + 1)
 				arrived += 2
 				tx.pn = uint64(i)
 				rcv.buildAck(&tx.ack)

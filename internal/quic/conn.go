@@ -149,8 +149,13 @@ type Conn struct {
 	ptoCount      int
 	lastAckElic   sim.Time
 
-	// receiving
+	// receiving: the packet-number history, and the next ACK's ranges — its
+	// top maxAckRanges runs, largest first, in an array the packet store
+	// lends — and their Σ varintLen(First) + varintLen(Last), kept current
+	// by recordArrival, the history's one writer.
 	recvdPNs     RangeSet
+	ack          []AckRange
+	ackBytes     int
 	ackPending   bool
 	ackElicCount int
 	ackTimer     *sim.Timer
@@ -166,11 +171,10 @@ type Conn struct {
 	retransmit fifo[*StreamFrame] // lost reliable frames, unreliable FINs and WriteAt frames
 
 	// flow control
-	sendLimit    uint64 // peer's MAX_DATA
-	sentData     uint64 // new stream payload bytes sent
-	recvLimit    uint64 // what we advertised
-	recvData     uint64 // stream payload bytes received (new bytes)
-	sendBlockedF bool
+	sendLimit uint64 // peer's MAX_DATA
+	sentData  uint64 // new stream payload bytes sent
+	recvLimit uint64 // what we advertised
+	recvData  uint64 // stream payload bytes received (new bytes)
 
 	// pacing
 	paceTimer  *sim.Timer
@@ -194,12 +198,13 @@ type Conn struct {
 }
 
 // packetStore is a kernel's packet storage (DESIGN.md §5): the packet
-// records, sent-packet entries, stream frames and streams its connections
-// take and give back, kept across the worlds the kernel serves so a trial
-// does not regrow them from nothing. Between worlds nothing in it points into
-// one: putTx, releaseSent and freeFrame scrub what they take back, a taken
-// entry's slot is cleared, and what is still out when a world ends is
-// abandoned with it — except the world's streams, which EndWorld takes back.
+// records, sent-packet entries, stream frames, streams and ACK snapshot
+// arrays its connections take and give back, kept across the worlds the
+// kernel serves so a trial does not regrow them from nothing. Between worlds
+// nothing in it points into one: putTx, releaseSent and freeFrame scrub what
+// they take back, a taken entry's slot is cleared, and what is still out when
+// a world ends is abandoned with it — except the world's streams and ACK
+// snapshot arrays, which EndWorld takes back.
 type packetStore struct {
 	tx     []*txRecord
 	sent   []*sentPacket
@@ -210,14 +215,33 @@ type packetStore struct {
 	// world opened is live until EndWorld scrubs it onto the free list.
 	streams []*Stream
 	live    []*Stream
+
+	// ACK snapshot arrays, lent to a connection at its first arrival for
+	// the rest of its world: EndWorld takes every one back.
+	acks, lentAcks [][]AckRange
 }
 
 var packets sim.Local[packetStore]
 
+// lendAck returns an empty snapshot array of capacity maxAckRanges.
+func (p *packetStore) lendAck() []AckRange {
+	var a []AckRange
+	if n := len(p.acks); n > 0 {
+		a = p.acks[n-1]
+		p.acks[n-1] = nil
+		p.acks = p.acks[:n-1]
+	} else {
+		a = make([]AckRange, 0, maxAckRanges)
+	}
+	p.lentAcks = append(p.lentAcks, a)
+	return a
+}
+
 // EndWorld takes back every stream the ending world opened, scrubbed, so
 // that the next world's streams are taken in the order these were opened: a
 // world of the same shape opens them for the same requests, and each keeps
-// storage of the size its request needs rather than the most any needed.
+// storage of the size its request needs rather than the most any needed. It
+// also takes back the ACK snapshot arrays, which hold no pointer.
 func (p *packetStore) EndWorld() {
 	for _, s := range p.live {
 		s.scrub()
@@ -226,6 +250,9 @@ func (p *packetStore) EndWorld() {
 	p.streams = append(p.streams, p.live...)
 	clear(p.live)
 	p.live = p.live[:0]
+	p.acks = append(p.acks, p.lentAcks...)
+	clear(p.lentAcks)
+	p.lentAcks = p.lentAcks[:0]
 }
 
 // txRecord is one packet in flight (DESIGN.md §5): its number, its size on
@@ -726,27 +753,46 @@ func (tx *txRecord) wireRoundTrip() error {
 	return nil
 }
 
-// buildAck snapshots the received packet-number history into f as ACK
-// ranges — largest first, capped at maxAckRanges — and returns f.wireSize(),
-// summed on the way. A history stays at a few ranges (nothing lost toward
-// this side) or grows to the cap, so storage comes in those two sizes rather
-// than a doubling at a time.
+// buildAck copies the ACK snapshot into f — the received packet-number
+// history as ranges, largest first, capped at maxAckRanges — and returns
+// f.wireSize(). recordArrival keeps the snapshot and its size current. A
+// history stays at a few ranges (nothing lost toward this side) or grows to
+// the cap, so a record's storage comes in those two sizes rather than a
+// doubling at a time.
 func (c *Conn) buildAck(f *AckFrame) (wireSize int) {
-	rs := c.recvdPNs.Ranges()
-	if need := min(len(rs), maxAckRanges); cap(f.Ranges) < need {
+	if need := len(c.ack); cap(f.Ranges) < need {
 		n := 4
 		if need > 4 {
 			n = maxAckRanges
 		}
 		f.Ranges = make([]AckRange, 0, n)
 	}
-	f.Ranges = f.Ranges[:0]
-	for i := len(rs) - 1; i >= 0 && len(f.Ranges) < maxAckRanges; i-- {
-		r := AckRange{First: rs[i].Start, Last: rs[i].End - 1}
-		f.Ranges = append(f.Ranges, r)
-		wireSize += varintLen(r.First) + varintLen(r.Last)
+	f.Ranges = append(f.Ranges[:0], c.ack...)
+	return 1 + varintLen(uint64(len(c.ack))) + c.ackBytes
+}
+
+// recordArrival adds packet pn to the received history and keeps the ACK
+// snapshot current; nothing else writes recvdPNs. An arrival that extends
+// the top run — every packet of a clean path — moves entry 0's Last; any
+// other — a new top run past a loss, a late fill, a duplicate — rebuilds the
+// snapshot from the history's top runs, at most maxAckRanges of them.
+func (c *Conn) recordArrival(pn uint64) {
+	c.recvdPNs.Add(pn, pn+1)
+	if len(c.ack) > 0 && pn == c.ack[0].Last+1 {
+		c.ackBytes += varintLen(pn) - varintLen(c.ack[0].Last)
+		c.ack[0].Last = pn
+		return
 	}
-	return 1 + varintLen(uint64(len(f.Ranges))) + wireSize
+	if c.ack == nil {
+		c.ack = c.store.lendAck()
+	}
+	rs := c.recvdPNs.Ranges()
+	c.ack, c.ackBytes = c.ack[:0], 0
+	for i := len(rs) - 1; i >= 0 && len(c.ack) < maxAckRanges; i-- {
+		r := AckRange{First: rs[i].Start, Last: rs[i].End - 1}
+		c.ack = append(c.ack, r)
+		c.ackBytes += varintLen(r.First) + varintLen(r.Last)
+	}
 }
 
 func (c *Conn) clearAckState() {
@@ -780,7 +826,7 @@ func (c *Conn) receive(p *txRecord) {
 	}
 	c.stats.PacketsReceived++
 	c.obs.Inc(obs.CPacketsReceived)
-	c.recvdPNs.Add(p.pn, p.pn+1)
+	c.recordArrival(p.pn)
 	c.lastRecv = c.sim.Now()
 	if c.idleTimer != nil {
 		c.idleTimer.Arm(c.cfg.IdleTimeout) // peer activity: push back teardown

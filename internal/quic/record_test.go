@@ -172,7 +172,7 @@ func TestRecordDoesNotAliasSenderFrames(t *testing.T) {
 
 // TestAckSnapshotIsStable: an ACK is the history at the moment it was sent.
 // The client's ACK packets are held back on the uplink while it keeps
-// receiving (recvdPNs.Add) through a lossy downlink and keeps sending newer
+// receiving (recordArrival) through a lossy downlink and keeps sending newer
 // ACKs (buildAck); every one of them, whenever it arrives, delivers the
 // ranges it was sent with.
 func TestAckSnapshotIsStable(t *testing.T) {
