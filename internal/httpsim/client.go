@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"slices"
 	"strconv"
 	"time"
 
@@ -160,37 +159,21 @@ type Client struct {
 	// reports only ever arrive from link events, so no callback re-enters
 	// delivery while a gap list is being walked.
 	gapScratch []quic.ByteRange
-	heads      headPool       // response-head reassembly buffers
-	out        []byte         // scratch the request head is written into
-	store      *responseStore // the kernel's responses
+	heads      headPool // response-head reassembly buffers
+	out        []byte   // scratch the request head is written into
+
+	// store is the kernel's responses (DESIGN.md §5), shared by every client
+	// of its worlds. A response is never Put — a caller may read one after it
+	// resolved — so each comes back when its world ends.
+	store *sim.Pool[Response, *Response]
 }
 
-// responseStore is a kernel's responses (DESIGN.md §5): every client of a
-// world takes its responses from it, and they stay live — a caller may read
-// one after it resolved — until the world ends and EndWorld scrubs them onto
-// the free list, each keeping the capacity of its coverage sets.
-type responseStore struct {
-	free []*Response
-	live []*Response
-}
+var responses sim.Local[sim.Pool[Response, *Response]]
 
-var responses sim.Local[responseStore]
-
-// EndWorld takes back every response the ending world issued, scrubbed, to
-// be taken again in the order they were issued (as quic's streams are).
-func (p *responseStore) EndWorld() {
-	for _, r := range p.live {
-		r.scrub()
-	}
-	slices.Reverse(p.live)
-	p.free = append(p.free, p.live...)
-	clear(p.live)
-	p.live = p.live[:0]
-}
-
-// scrub returns r to its zero state for the next world, keeping only the
-// capacity of its body coverage sets and of its head's coverage set.
-func (r *Response) scrub() {
+// Scrub returns r to its zero state for the kernel's next world, keeping
+// only the capacity of its body coverage sets and of its head's coverage
+// set. The response store calls it when the world ends; nothing else may.
+func (r *Response) Scrub() {
 	r.received.Reset()
 	r.lost.Reset()
 	r.head.cov.Reset()
@@ -265,27 +248,12 @@ func (c *Client) Conn() *quic.Conn { return c.conn }
 // Callbacks should be set on the returned Response immediately (before the
 // simulator runs again).
 func (c *Client) Get(path string, ranges RangeSpec, unreliable bool, extra map[string]string) *Response {
-	resp := c.newResponse()
+	resp := c.store.Get()
 	resp.Ranges, resp.client, resp.path, resp.unreliable, resp.extra = ranges, c, path, unreliable, sortedHeaders(extra)
 	c.obs.Inc(obs.CRequests)
 	c.inflight = append(c.inflight, resp)
 	c.issue(resp)
 	return resp
-}
-
-// newResponse returns a zeroed response, from the store when it has one.
-func (c *Client) newResponse() *Response {
-	p := c.store
-	var r *Response
-	if n := len(p.free); n > 0 {
-		r = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-	} else {
-		r = &Response{}
-	}
-	p.live = append(p.live, r)
-	return r
 }
 
 // issue wires one request attempt onto the active connection. Every

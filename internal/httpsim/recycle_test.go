@@ -22,7 +22,7 @@ import (
 // stay reachable through the kernel.
 func TestReleasedKernelPinsNothing(t *testing.T) {
 	s := sim.New(1)
-	var store *responseStore
+	var store *sim.Pool[Response, *Response]
 	gone := make(chan string, 3)
 	func() {
 		obj := new([1 << 20]byte)
@@ -49,14 +49,14 @@ func TestReleasedKernelPinsNothing(t *testing.T) {
 		}
 		s.RunUntil(300 * time.Millisecond)
 		store = client.store
-		if len(store.live) != 2 || captured[0] == 0 || captured[1] == 0 || captured[2]+captured[3] != 0 {
+		if store.Lent() != 2 || captured[0] == 0 || captured[1] == 0 || captured[2]+captured[3] != 0 {
 			t.Fatalf("the world is too tidy to prove anything: %d responses, %d chunks, %d losses, %d resolved",
-				len(store.live), captured[0], captured[1], captured[2]+captured[3])
+				store.Lent(), captured[0], captured[1], captured[2]+captured[3])
 		}
 	}()
 	s.Release()
-	if len(store.live) != 0 || len(store.free) != 2 {
-		t.Fatalf("the released kernel has %d live and %d free responses, want 0 and 2", len(store.live), len(store.free))
+	if store.Lent() != 0 || len(store.All()) != 2 {
+		t.Fatalf("the released kernel has %d of %d responses out, want 0 of 2", store.Lent(), len(store.All()))
 	}
 	left := 3
 	for i := 0; i < 50 && left > 0; i++ {
@@ -85,11 +85,8 @@ func TestRecycledResponseLooksFresh(t *testing.T) {
 	recycletest.Dirty(second)
 	store := fx.client.store
 	fx.s.Release()
-	if len(store.live) != 0 || !slices.Equal(store.free, []*Response{second, r}) {
-		t.Fatalf("after Release the store holds %d live responses and free %v, want none live and the world's two free, the first issued on top", len(store.live), store.free)
-	}
-	if slices.ContainsFunc(store.live[:cap(store.live)], func(r *Response) bool { return r != nil }) {
-		t.Fatal("the store's live list still points at a response it gave back")
+	if store.Lent() != 0 || !slices.Equal(store.All(), []*Response{r, second}) {
+		t.Fatalf("after Release the store has %d responses out and holds %v, want none out and the world's two", store.Lent(), store.All())
 	}
 	for _, r := range []*Response{r, second} {
 		recycletest.CheckScrubbed(t, r, "received.ranges", "lost.ranges", "head.cov.ranges")
@@ -99,6 +96,9 @@ func TestRecycledResponseLooksFresh(t *testing.T) {
 	if got := fx.client.Get("/b", RangeSpec{{0, 1}}, true, nil); got != r || got.client != fx.client || got.path != "/b" || !got.unreliable || got.attempt != 1 {
 		t.Fatalf("the next world issued %p (client %p, path %q, unreliable %v, attempt %d), want the recycled %p on its own client",
 			got, got.client, got.path, got.unreliable, got.attempt, r)
+	}
+	if got := fx.client.Get("/b", nil, false, nil); got != second {
+		t.Fatalf("the next world's second request got %p, want the dead world's second, %p", got, second)
 	}
 	fx.s.Release()
 }

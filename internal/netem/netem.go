@@ -59,7 +59,7 @@ type Link struct {
 	rng  *rand.Rand
 	fate Fate // Apply's scratch: a local would escape through the interface call
 
-	store *deliveryStore // the kernel's delivery records, shared by its links
+	store *sim.Pool[delivery, *delivery] // the kernel's delivery records
 
 	// Waiting datagrams are a ring, ring[(head+i) % len(ring)] for i < count;
 	// cur is the one in service. Only one ever is, so its completion
@@ -80,11 +80,12 @@ type queued struct {
 // delivery is one datagram past the serializer, on its way to the receiver
 // (DESIGN.md §5): the kernel event of each copy runs arrive, bound to the
 // record the first time it is used, so a delivered datagram costs no
-// closure and no event beyond its copies.
+// closure and no event beyond its copies. Records come from the kernel's
+// pool, shared by its links; a world can end with some in flight, and the
+// pool takes those back too.
 type delivery struct {
 	arrive func()
-	next   *delivery // the store's free list
-	flight           // zero while the record is stored
+	flight // zero while the record is stored
 }
 
 // flight is what a link lends a delivery record for one datagram.
@@ -95,64 +96,11 @@ type flight struct {
 	fated  bool  // Done has run; the record goes back to the store next
 }
 
-// deliveryStore is a kernel's delivery records, kept across the worlds it
-// serves: free is a list through the records' next fields. Records are made
-// in chunks, which EndWorld walks: a world can end with some still in
-// flight, and it takes those back too.
-type deliveryStore struct {
-	free   *delivery
-	chunks [][]delivery
-}
+var deliveries sim.Local[sim.Pool[delivery, *delivery]]
 
-// deliveryChunk is how many records the store makes at a time. Only a
-// record that is used gets a bound callback, so a kernel pays one
-// allocation per record it ever has in flight at once, and one per chunk.
-const deliveryChunk = 32
-
-var deliveries sim.Local[deliveryStore]
-
-// get returns an empty record.
-func (p *deliveryStore) get() *delivery {
-	if p.free == nil {
-		chunk := make([]delivery, deliveryChunk)
-		p.chunks = append(p.chunks, chunk)
-		p.link(chunk)
-	}
-	r := p.free
-	p.free, r.next = r.next, nil
-	if r.arrive == nil {
-		r.arrive = r.onArrive
-	}
-	return r
-}
-
-// link pushes a chunk's records onto the free list, first record on top.
-func (p *deliveryStore) link(chunk []delivery) {
-	for i := len(chunk) - 1; i >= 0; i-- {
-		chunk[i].next, p.free = p.free, &chunk[i]
-	}
-}
-
-// put scrubs r onto the free list: a stored record holds no datagram and no
-// link, so it pins nothing of a world.
-func (p *deliveryStore) put(r *delivery) {
-	r.scrub()
-	r.next, p.free = p.free, r
-}
-
-func (r *delivery) scrub() { r.flight = flight{} }
-
-// EndWorld takes back every record, those still in flight included: their
-// events die with the world's kernel state.
-func (p *deliveryStore) EndWorld() {
-	p.free = nil
-	for i := len(p.chunks) - 1; i >= 0; i-- {
-		for j := range p.chunks[i] {
-			p.chunks[i][j].scrub()
-		}
-		p.link(p.chunks[i])
-	}
-}
+// Scrub empties a record for the pool: a stored record holds no datagram
+// and no link, so it pins nothing of a world.
+func (r *delivery) Scrub() { r.flight = flight{} }
 
 // onArrive hands one copy to the receiver. The final copy also ends the
 // datagram: Done runs in this event, right after Deliver — where a separate
@@ -176,7 +124,7 @@ func (r *delivery) onArrive() {
 		r.fated = true
 		d.Done()
 	}
-	l.store.put(r)
+	l.store.Put(r)
 }
 
 // NewLink builds a link draining at rate(t) bps with the given one-way
@@ -307,7 +255,10 @@ func (l *Link) onServed() {
 	if d.Deliver != nil || d.Done != nil {
 		// One event per copy; the final one also runs Done, so the
 		// receiver always sees the packet before the sender reclaims it.
-		r := l.store.get()
+		r := l.store.Get()
+		if r.arrive == nil {
+			r.arrive = r.onArrive
+		}
 		r.flight = flight{link: l, d: d, copies: 1}
 		if d.Deliver != nil && f.Duplicate {
 			l.stats.Duplicated++

@@ -308,14 +308,6 @@ func TestDeliveredCopyIsOneEvent(t *testing.T) {
 	}
 }
 
-// freeRecords counts the store's free list.
-func freeRecords(p *deliveryStore) (n int) {
-	for r := p.free; r != nil; r = r.next {
-		n++
-	}
-	return n
-}
-
 // TestReleasedKernelPinsNothing: the kernel's delivery records outlive the
 // world, so once it ends nothing in them may hold it. Datagrams are cut off
 // mid-flight; Release takes back every record, those in flight included,
@@ -325,7 +317,7 @@ func freeRecords(p *deliveryStore) (n int) {
 func TestReleasedKernelPinsNothing(t *testing.T) {
 	sim.DropReleased()
 	s := sim.New(1)
-	var store *deliveryStore
+	var store *sim.Pool[delivery, *delivery]
 	gone := make(chan string, 3)
 	func() {
 		delivered, done, rate := new([16]byte), new([16]byte), new([16]byte)
@@ -340,20 +332,18 @@ func TestReleasedKernelPinsNothing(t *testing.T) {
 		}
 		s.RunUntil(60 * time.Millisecond) // all forty served, ten delivered
 		store = l.store
-		if made := len(store.chunks) * deliveryChunk; done[0] == 0 || made-freeRecords(store) < 30 {
-			t.Fatalf("the world is too tidy to prove anything: %d datagrams done, %d of %d records in flight", done[0], made-freeRecords(store), made)
+		if done[0] == 0 || store.Lent() < 30 {
+			t.Fatalf("the world is too tidy to prove anything: %d datagrams done, %d of %d records in flight", done[0], store.Lent(), len(store.All()))
 		}
-		for _, chunk := range store.chunks {
-			for i := range chunk {
-				recycletest.Dirty(&chunk[i].flight)
-			}
+		for _, r := range store.All() {
+			recycletest.Dirty(&r.flight)
 		}
 	}()
 	s.Release()
-	if made := len(store.chunks) * deliveryChunk; freeRecords(store) != made {
-		t.Fatalf("the released kernel's store has %d of its %d records free", freeRecords(store), made)
+	if store.Lent() != 0 {
+		t.Fatalf("the released kernel's store has %d of its %d records out", store.Lent(), len(store.All()))
 	}
-	for r := store.free; r != nil; r = r.next {
+	for _, r := range store.All() {
 		recycletest.CheckScrubbed(t, &r.flight)
 	}
 	left := 3

@@ -47,9 +47,6 @@ func NewScope(now func() time.Duration, opts Options) *Scope {
 	return &Scope{tl: newTimeline(opts.TimelineCap), now: now}
 }
 
-// Enabled reports whether the scope records anything.
-func (s *Scope) Enabled() bool { return s != nil }
-
 // Count adds n to a counter.
 func (s *Scope) Count(c Counter, n uint64) {
 	if s == nil {

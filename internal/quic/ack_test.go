@@ -174,9 +174,9 @@ func TestLossReportAccuracy(t *testing.T) {
 			if tap.dropped < 30 || link.Dropped != 0 || tap.dropped != link.ImpairedDrops {
 				t.Fatalf("tap saw %d drops (link: %d impaired, %d queue); want ≥ 30 impaired, no queue drops", tap.dropped, link.ImpairedDrops, link.Dropped)
 			}
-			if !server.sentQ.empty() || st1.PacketsDeclLost != tap.dropped || server.lostBytes != tap.droppedBytes {
+			if server.sentQ.len() != 0 || st1.PacketsDeclLost != tap.dropped || server.lostBytes != tap.droppedBytes {
 				t.Fatalf("sender declared %d packets / %d B lost (in flight %d); the link dropped %d / %d B",
-					st1.PacketsDeclLost, server.lostBytes, server.sentQ.size(), tap.dropped, tap.droppedBytes)
+					st1.PacketsDeclLost, server.lostBytes, server.sentQ.len(), tap.dropped, tap.droppedBytes)
 			}
 			if st1.UnreliableLost != lost.CoveredBytes() || st1.UnreliableLost != size-recv.CoveredBytes() {
 				t.Fatalf("UnreliableLost %d, reported lost %d, never received %d", st1.UnreliableLost, lost.CoveredBytes(), size-recv.CoveredBytes())

@@ -102,8 +102,8 @@ func BenchmarkAckRoundTrip32(b *testing.B) {
 			if got, want := len(rcv.recvdPNs.Ranges()), map[string]int{"steady": 32, "onerange": 1}[mode]; mode != "newgap" && got != want {
 				b.Fatalf("receiver history has %d ranges, want %d", got, want)
 			}
-			if snd.sentQ.size() > 68 || snd.ackedPkts < uint64(2*b.N) {
-				b.Fatalf("sender acked %d packets in %d ACKs and has %d in flight", snd.ackedPkts, b.N, snd.sentQ.size())
+			if snd.sentQ.len() > 68 || snd.ackedPkts < uint64(2*b.N) {
+				b.Fatalf("sender acked %d packets in %d ACKs and has %d in flight", snd.ackedPkts, b.N, snd.sentQ.len())
 			}
 		})
 	}
@@ -118,7 +118,7 @@ func BenchmarkOnAckReordered(b *testing.B) {
 	next := uint64(0)
 	fill := func(k int) {
 		for i := 0; i < k; i++ {
-			sp := c.allocSent()
+			sp := c.store.sent.Get()
 			sp.pn, sp.size, sp.sentAt, sp.ackEliciting = next, 1252, s.Now(), true
 			benchTrack(c, sp)
 			c.lastAckElic = s.Now()
@@ -151,7 +151,7 @@ func BenchmarkDetectLossPath(b *testing.B) {
 	next := uint64(0)
 	fill := func(k int) {
 		for i := 0; i < k; i++ {
-			sp := c.allocSent()
+			sp := c.store.sent.Get()
 			sp.pn, sp.size, sp.sentAt, sp.ackEliciting = next, 1252, s.Now(), true
 			benchTrack(c, sp)
 			c.lastAckElic = s.Now()
@@ -175,7 +175,7 @@ func BenchmarkDetectLossPath(b *testing.B) {
 
 // sentCount reports the number of packets tracked in flight.
 func sentCount(c *Conn) int {
-	return c.sentQ.size()
+	return c.sentQ.len()
 }
 
 // BenchmarkPacketEncodeScratch measures encoding a full-size data packet

@@ -141,7 +141,7 @@ type Conn struct {
 
 	// packet number spaces
 	nextPN        uint64
-	sentQ         sentQueue // in-flight ack-eliciting packets, ascending pn
+	sentQ         fifo[*sentPacket] // in-flight ack-eliciting packets, ascending pn
 	largestAcked  uint64
 	anyAcked      bool
 	recoveryStart sim.Time
@@ -197,63 +197,48 @@ type Conn struct {
 	gapScratch []ByteRange   // AppendGaps scratch for the streams' receive side
 }
 
-// packetStore is a kernel's packet storage (DESIGN.md §5): the packet
-// records, sent-packet entries, stream frames, streams and ACK snapshot
-// arrays its connections take and give back, kept across the worlds the
-// kernel serves so a trial does not regrow them from nothing. Between worlds
-// nothing in it points into one: putTx, releaseSent and freeFrame scrub what
-// they take back, a taken entry's slot is cleared, and what is still out when
-// a world ends is abandoned with it — except the world's streams and ACK
-// snapshot arrays, which EndWorld takes back.
+// packetStore is a kernel's packet storage (DESIGN.md §5), shared by every
+// connection of its worlds: one sim.Pool each for the packet records,
+// sent-packet entries, stream frames, streams and ACK snapshot arrays. A
+// connection Puts records, entries and frames back as it is done with them;
+// a stream is never retired while its world runs — a late frame or loss
+// report for a finished stream still finds it — and a snapshot array serves
+// its connection for the rest of the world, so those come back only when the
+// world ends.
 type packetStore struct {
-	tx     []*txRecord
-	sent   []*sentPacket
-	frames []*StreamFrame // send side
-
-	// Streams are not retired while their world runs — a late frame or loss
-	// report for a finished stream still finds it — so every stream the
-	// world opened is live until EndWorld scrubs it onto the free list.
-	streams []*Stream
-	live    []*Stream
-
-	// ACK snapshot arrays, lent to a connection at its first arrival for
-	// the rest of its world: EndWorld takes every one back.
-	acks, lentAcks [][]AckRange
+	tx      sim.Pool[txRecord, *txRecord]
+	sent    sim.Pool[sentPacket, *sentPacket]
+	frames  sim.Pool[StreamFrame, *StreamFrame] // send side
+	streams sim.Pool[Stream, *Stream]
+	acks    sim.Pool[ackRanges, *ackRanges]
 }
 
 var packets sim.Local[packetStore]
 
-// lendAck returns an empty snapshot array of capacity maxAckRanges.
-func (p *packetStore) lendAck() []AckRange {
-	var a []AckRange
-	if n := len(p.acks); n > 0 {
-		a = p.acks[n-1]
-		p.acks[n-1] = nil
-		p.acks = p.acks[:n-1]
-	} else {
-		a = make([]AckRange, 0, maxAckRanges)
-	}
-	p.lentAcks = append(p.lentAcks, a)
-	return a
+// EndWorld takes back everything the ending world was lent.
+func (p *packetStore) EndWorld() {
+	p.tx.EndWorld()
+	p.sent.EndWorld()
+	p.frames.EndWorld()
+	p.streams.EndWorld()
+	p.acks.EndWorld()
 }
 
-// EndWorld takes back every stream the ending world opened, scrubbed, so
-// that the next world's streams are taken in the order these were opened: a
-// world of the same shape opens them for the same requests, and each keeps
-// storage of the size its request needs rather than the most any needed. It
-// also takes back the ACK snapshot arrays, which hold no pointer.
-func (p *packetStore) EndWorld() {
-	for _, s := range p.live {
-		s.scrub()
-	}
-	slices.Reverse(p.live)
-	p.streams = append(p.streams, p.live...)
-	clear(p.live)
-	p.live = p.live[:0]
-	p.acks = append(p.acks, p.lentAcks...)
-	clear(p.lentAcks)
-	p.lentAcks = p.lentAcks[:0]
+// ackRanges is the storage of a connection's ACK snapshot.
+type ackRanges [maxAckRanges]AckRange
+
+func (a *ackRanges) Scrub() { *a = ackRanges{} }
+
+// Scrub empties an entry whose frames have been handed off or freed,
+// keeping the capacity of its frame slices.
+func (sp *sentPacket) Scrub() {
+	clear(sp.streamFrames)
+	sp.pn, sp.size, sp.sentAt, sp.ackEliciting = 0, 0, 0, false
+	sp.streamFrames, sp.ctrlFrames = sp.streamFrames[:0], sp.ctrlFrames[:0]
 }
+
+// Scrub zeroes a frame that no queue references anymore.
+func (f *StreamFrame) Scrub() { *f = StreamFrame{} }
 
 // txRecord is one packet in flight (DESIGN.md §5): its number, its size on
 // the link and its frames, which the peer's receive is handed as they are —
@@ -263,10 +248,11 @@ func (p *packetStore) EndWorld() {
 // never points at one. Payload is aliased, not copied — send runs are never
 // written after Write/WriteShared. The record is read-only from transmit
 // until the link's Done. Its two netem.Datagram callbacks are bound to the
-// record once, when it is first made, and reach the sender through from, so
-// sending allocates nothing and a stored record holds no connection.
+// record once, when the store first hands it out, and reach the sender
+// through from, so sending allocates nothing and a stored record holds no
+// connection.
 type txRecord struct {
-	from *Conn // the sender, from getTx to putTx
+	from *Conn // the sender, from getTx until the record is stored again
 	pn   uint64
 	size int // on the link: header, frames and wireOverhead
 
@@ -281,6 +267,21 @@ type txRecord struct {
 	inlineAck [1]AckRange
 
 	deliver, done func()
+}
+
+// Scrub empties the record, keeping its frame arrays and its callbacks.
+// Clearing the stream frames lets go of the payload they alias — and so does
+// clearing the inline array once a packet of more frames moved them off it
+// and left its first two behind — clearing from of the sender. The ACK and
+// control frames hold no pointer. It assigns field by field: building a
+// whole zero record costs a 300-byte copy per packet.
+func (tx *txRecord) Scrub() {
+	clear(tx.streams)
+	if cap(tx.streams) > len(tx.inline) {
+		clear(tx.inline[:])
+	}
+	tx.from, tx.pn, tx.size = nil, 0, 0
+	tx.ack.Ranges, tx.ctrl, tx.streams = tx.ack.Ranges[:0], tx.ctrl[:0], tx.streams[:0]
 }
 
 // NewPair creates a connected client/server pair over the path. The client
@@ -399,11 +400,10 @@ func (c *Conn) Close(reason error) {
 	if c.keepTimer != nil {
 		c.keepTimer.Stop()
 	}
-	for i := c.sentQ.head; i < len(c.sentQ.pk); i++ {
-		c.releaseSent(c.sentQ.pk[i])
+	for _, sp := range c.sentQ.live() {
+		c.store.sent.Put(sp)
 	}
-	c.sentQ.reset()
-	c.ctrlQ, c.retransmit, c.active = fifo[ctrlFrame]{}, fifo[*StreamFrame]{}, fifo[*Stream]{}
+	c.sentQ, c.ctrlQ, c.retransmit, c.active = fifo[*sentPacket]{}, fifo[ctrlFrame]{}, fifo[*StreamFrame]{}, fifo[*Stream]{}
 	c.ackPending = false
 	if c.onClose != nil {
 		c.onClose(reason)
@@ -430,7 +430,7 @@ func (c *Conn) onKeepAlive() {
 		return
 	}
 	interval := c.cfg.IdleTimeout / 2
-	if c.sim.Now()-c.lastAckElic >= interval && c.sentQ.empty() {
+	if c.sim.Now()-c.lastAckElic >= interval && c.sentQ.len() == 0 {
 		c.ctrlQ.push(ctrlFrame{kind: frameTypePing})
 		c.trySend()
 	}
@@ -444,14 +444,10 @@ func (c *Conn) OpenStream(unreliable bool) *Stream {
 	return s
 }
 
-// newStream registers a stream of c, taken from the store when it has one.
+// newStream registers a stream of c, taken from the store.
 func (c *Conn) newStream(id uint64, unreliable bool) *Stream {
-	s := take(&c.store.streams)
-	if s == nil {
-		s = &Stream{}
-	}
+	s := c.store.streams.Get()
 	s.conn, s.id, s.unreliable = c, id, unreliable
-	c.store.live = append(c.store.live, s)
 	c.streams[id] = s
 	return s
 }
@@ -465,74 +461,19 @@ func (c *Conn) markActive(s *Stream) {
 
 // --- packet storage ---
 
-// take pops the last entry of a store list, clearing its slot: an entry out
-// of the store may end up in a world's garbage, and the list must not keep
-// it reachable.
-func take[T any](list *[]*T) *T {
-	n := len(*list)
-	if n == 0 {
-		return nil
-	}
-	v := (*list)[n-1]
-	(*list)[n-1] = nil
-	*list = (*list)[:n-1]
-	return v
-}
-
-// allocSent returns a clean sentPacket, reusing freed ones. The frame
-// slices keep their capacity across reuse.
-func (c *Conn) allocSent() *sentPacket {
-	if sp := take(&c.store.sent); sp != nil {
-		return sp
-	}
-	return &sentPacket{}
-}
-
-// releaseSent recycles a sentPacket whose frames have already been handed
-// off or freed.
-func (c *Conn) releaseSent(sp *sentPacket) {
-	clear(sp.streamFrames)
-	*sp = sentPacket{streamFrames: sp.streamFrames[:0], ctrlFrames: sp.ctrlFrames[:0]}
-	c.store.sent = append(c.store.sent, sp)
-}
-
-// allocFrame returns a zeroed StreamFrame from the send-side store.
-func (c *Conn) allocFrame() *StreamFrame {
-	if f := take(&c.store.frames); f != nil {
-		*f = StreamFrame{}
-		return f
-	}
-	return &StreamFrame{}
-}
-
-// freeFrame recycles a StreamFrame that no queue references anymore.
-func (c *Conn) freeFrame(f *StreamFrame) {
-	f.Data = nil
-	c.store.frames = append(c.store.frames, f)
-}
-
-// getTx returns an empty packet record sent by c.
+// getTx returns an empty packet record sent by c. Its netem.Datagram
+// callbacks are bound once, when the store first hands it out; the record
+// goes back to the store after the last delivery (the receive path retains
+// nothing of one), or as soon as the link drops the datagram.
 func (c *Conn) getTx() *txRecord {
-	tx := take(&c.store.tx)
-	if tx == nil {
-		tx = &txRecord{}
+	tx := c.store.tx.Get()
+	if tx.deliver == nil {
 		tx.streams, tx.ack.Ranges = tx.inline[:0], tx.inlineAck[:0]
 		tx.deliver = func() { tx.from.peer.receive(tx) }
-		tx.done = func() { tx.from.putTx(tx) }
+		tx.done = func() { tx.from.store.tx.Put(tx) }
 	}
 	tx.from = c
 	return tx
-}
-
-// putTx empties a packet record into the store. Records come back after the
-// last delivery (the receive path retains nothing of one), or immediately
-// when the link dropped the datagram. Clearing the stream frames lets go of
-// the payload they alias, clearing from of the sender.
-func (c *Conn) putTx(tx *txRecord) {
-	clear(tx.streams)
-	tx.ack.Ranges, tx.ctrl, tx.streams = tx.ack.Ranges[:0], tx.ctrl[:0], tx.streams[:0]
-	tx.from = nil
-	c.store.tx = append(c.store.tx, tx)
 }
 
 // --- send path ---
@@ -586,7 +527,7 @@ func (c *Conn) sendOnePacket() bool {
 	budget := maxFrameBytes
 
 	tx := c.getTx()
-	sp := c.allocSent()
+	sp := c.store.sent.Get()
 	sp.pn = c.nextPN
 	sp.sentAt = now
 
@@ -624,7 +565,7 @@ func (c *Conn) sendOnePacket() bool {
 				if avail <= 0 {
 					break
 				}
-				head := c.allocFrame()
+				head := c.store.frames.Get()
 				f.cutFront(head, avail)
 				f = head
 			}
@@ -666,8 +607,8 @@ func (c *Conn) sendOnePacket() bool {
 	}
 
 	if budget == maxFrameBytes { // no frame taken
-		c.putTx(tx)
-		c.releaseSent(sp)
+		c.store.tx.Put(tx)
+		c.store.sent.Put(sp)
 		return false
 	}
 	c.seal(tx, maxFrameBytes-budget)
@@ -693,7 +634,7 @@ func (c *Conn) sendOnePacket() bool {
 		c.nextSendAt = base + gap
 	} else {
 		// Nothing tracks a non-eliciting (ACK-only) packet; recycle it.
-		c.releaseSent(sp)
+		c.store.sent.Put(sp)
 	}
 	c.transmit(tx)
 	return true
@@ -722,7 +663,7 @@ func (c *Conn) transmit(tx *txRecord) {
 		}
 	}
 	if !c.link.Send(netem.Datagram{Size: tx.size, Deliver: tx.deliver, Done: tx.done}) {
-		c.putTx(tx) // dropped at the queue: reclaim immediately
+		c.store.tx.Put(tx) // dropped at the queue: reclaim immediately
 	}
 }
 
@@ -784,7 +725,7 @@ func (c *Conn) recordArrival(pn uint64) {
 		return
 	}
 	if c.ack == nil {
-		c.ack = c.store.lendAck()
+		c.ack = c.store.acks.Get()[:0]
 	}
 	rs := c.recvdPNs.Ranges()
 	c.ack, c.ackBytes = c.ack[:0], 0
@@ -906,12 +847,12 @@ func (c *Conn) onAck(f *AckFrame) {
 	// Walk ranges smallest-first, from the lowest that can still cover the
 	// oldest packet in flight — found from the top: a long history lies below.
 	j := 0
-	for i < len(q.pk) && j+1 < len(f.Ranges) && f.Ranges[j+1].Last >= q.pk[i].pn {
+	for i < len(q.items) && j+1 < len(f.Ranges) && f.Ranges[j+1].Last >= q.items[i].pn {
 		j++
 	}
 	w := q.head // survivors below the frontier compact toward the head
-	for ; i < len(q.pk); i++ {
-		sp := q.pk[i]
+	for ; i < len(q.items); i++ {
+		sp := q.items[i]
 		if sp.pn > largest {
 			break
 		}
@@ -921,7 +862,7 @@ func (c *Conn) onAck(f *AckFrame) {
 		if j >= 0 && f.Ranges[j].First <= sp.pn {
 			newlyAcked = append(newlyAcked, sp)
 		} else {
-			q.pk[w] = sp
+			q.items[w] = sp
 			w++
 		}
 	}
@@ -931,13 +872,9 @@ func (c *Conn) onAck(f *AckFrame) {
 		survivors := w - q.head
 		newHead := i - survivors
 		if survivors > 0 && newHead != q.head {
-			copy(q.pk[newHead:i], q.pk[q.head:w])
+			copy(q.items[newHead:i], q.items[q.head:w])
 		}
-		for k := q.head; k < newHead; k++ {
-			q.pk[k] = nil
-		}
-		q.head = newHead
-		q.shrink()
+		q.dropPrefix(newHead - q.head)
 
 		// RTT sample: exactly once per ACK that newly acknowledges the
 		// largest packet, taken before the congestion-controller callbacks.
@@ -953,9 +890,9 @@ func (c *Conn) onAck(f *AckFrame) {
 		c.ptoCount = 0
 		for _, sp := range newlyAcked {
 			for _, sf := range sp.streamFrames {
-				c.freeFrame(sf)
+				c.store.frames.Put(sf)
 			}
-			c.releaseSent(sp)
+			c.store.sent.Put(sp)
 		}
 	}
 	c.ackScratch = newlyAcked[:0]
@@ -977,14 +914,14 @@ func (c *Conn) checkConservation() {
 	if !chk.Enabled() || c.closed {
 		return
 	}
-	if inflight := uint64(c.sentQ.size()); c.elicSent != c.ackedPkts+c.stats.PacketsDeclLost+inflight {
+	if inflight := uint64(c.sentQ.len()); c.elicSent != c.ackedPkts+c.stats.PacketsDeclLost+inflight {
 		chk.Failf("quic", "quic.packet-conservation",
 			"sent %d != acked %d + lost %d + inflight %d",
 			c.elicSent, c.ackedPkts, c.stats.PacketsDeclLost, inflight)
 	}
 	var infBytes uint64
-	for i := c.sentQ.head; i < len(c.sentQ.pk); i++ {
-		infBytes += uint64(c.sentQ.pk[i].size)
+	for _, sp := range c.sentQ.live() {
+		infBytes += uint64(sp.size)
 	}
 	if c.elicBytes != c.ackedBytes+c.lostBytes+infBytes {
 		chk.Failf("quic", "quic.byte-conservation",
@@ -1001,7 +938,7 @@ func (c *Conn) checkConservation() {
 // the in-flight queue: the walk stops at the first packet neither
 // threshold condemns.
 func (c *Conn) detectLosses(now sim.Time) {
-	if !c.anyAcked || c.sentQ.empty() {
+	if !c.anyAcked || c.sentQ.len() == 0 {
 		return
 	}
 	base := c.rtt.SmoothedRTT()
@@ -1011,8 +948,7 @@ func (c *Conn) detectLosses(now sim.Time) {
 	timeThresh := base*9/8 + 10*time.Millisecond
 	q := &c.sentQ
 	lost := 0
-	for i := q.head; i < len(q.pk); i++ {
-		sp := q.pk[i]
+	for _, sp := range q.live() {
 		if sp.pn >= c.largestAcked ||
 			(c.largestAcked-sp.pn < 3 && now-sp.sentAt <= timeThresh) {
 			break
@@ -1022,8 +958,7 @@ func (c *Conn) detectLosses(now sim.Time) {
 	if lost == 0 {
 		return
 	}
-	for i := 0; i < lost; i++ {
-		sp := q.pk[q.head+i]
+	for _, sp := range q.live()[:lost] {
 		c.stats.PacketsDeclLost++
 		c.lostBytes += uint64(sp.size)
 		c.obs.Inc(obs.CPacketsLost)
@@ -1054,25 +989,27 @@ func (c *Conn) requeueLost(sp *sentPacket) {
 			if f.Fin {
 				// The FIN must still reach the peer: resend an empty FIN
 				// frame reliably so the stream's final size is known.
-				fin := c.allocFrame()
+				fin := c.store.frames.Get()
 				fin.StreamID = f.StreamID
 				fin.Offset = f.Offset + uint64(f.Len())
 				fin.Fin, fin.Unreliable = true, true
 				c.retransmit.push(fin)
 			}
-			c.freeFrame(f) // never retransmitted: the frame is done
+			c.store.frames.Put(f) // never retransmitted: the frame is done
 		} else {
 			c.retransmit.push(f)
 		}
 	}
-	c.ctrlQ.push(sp.ctrlFrames...)
-	c.releaseSent(sp)
+	for _, f := range sp.ctrlFrames {
+		c.ctrlQ.push(f)
+	}
+	c.store.sent.Put(sp)
 }
 
 // --- PTO ---
 
 func (c *Conn) armPTO() {
-	if c.closed || c.sentQ.empty() {
+	if c.closed || c.sentQ.len() == 0 {
 		c.ptoTimer.Stop()
 		return
 	}
@@ -1085,7 +1022,7 @@ func (c *Conn) armPTO() {
 }
 
 func (c *Conn) onPTO() {
-	if c.closed || c.sentQ.empty() {
+	if c.closed || c.sentQ.len() == 0 {
 		return
 	}
 	c.ptoCount++
@@ -1103,12 +1040,13 @@ func (c *Conn) onPTO() {
 		// Declare everything in flight lost and collapse the window. The
 		// queue is already in ascending packet-number order.
 		q := &c.sentQ
-		for i := q.head; i < len(q.pk); i++ {
+		for _, sp := range q.live() {
 			c.stats.PacketsDeclLost++
-			c.lostBytes += uint64(q.pk[i].size)
-			c.requeueLost(q.pk[i])
+			c.lostBytes += uint64(sp.size)
+			c.obs.Inc(obs.CPacketsLost)
+			c.requeueLost(sp)
 		}
-		q.reset()
+		q.dropPrefix(q.len())
 		c.ctl.OnRetransmissionTimeout(now)
 		c.recoveryStart = now
 		if !capped {
@@ -1126,7 +1064,7 @@ func (c *Conn) onPTO() {
 	// Send a probe to elicit an ACK that unblocks threshold loss detection.
 	tx := c.getTx()
 	tx.ctrl = append(tx.ctrl, ctrlFrame{kind: frameTypePing})
-	sp := c.allocSent()
+	sp := c.store.sent.Get()
 	sp.pn = c.nextPN
 	c.seal(tx, PingFrame{}.wireSize())
 	sp.size = tx.size

@@ -13,7 +13,7 @@ import (
 // queue starting at the next unused packet number, and returns the next pn.
 func fillWindow(c *Conn, s *sim.Sim, start uint64, k int) uint64 {
 	for i := 0; i < k; i++ {
-		sp := c.allocSent()
+		sp := c.store.sent.Get()
 		sp.pn = start
 		sp.size = 1252
 		sp.sentAt = s.Now()
@@ -29,8 +29,8 @@ func fillWindow(c *Conn, s *sim.Sim, start uint64, k int) uint64 {
 func inflightPNs(c *Conn) []uint64 {
 	var pns []uint64
 	q := &c.sentQ
-	for i := q.head; i < len(q.pk); i++ {
-		pns = append(pns, q.pk[i].pn)
+	for i := q.head; i < len(q.items); i++ {
+		pns = append(pns, q.items[i].pn)
 	}
 	return pns
 }
@@ -85,12 +85,12 @@ func TestPTORequeuesInPacketOrder(t *testing.T) {
 	// Give each packet a reliable stream frame so the requeue order is
 	// observable in the retransmission queue.
 	for pn := uint64(0); pn < 5; pn++ {
-		sp := c.allocSent()
+		sp := c.store.sent.Get()
 		sp.pn = pn
 		sp.size = 1252
 		sp.sentAt = s.Now()
 		sp.ackEliciting = true
-		f := c.allocFrame()
+		f := c.store.frames.Get()
 		f.StreamID = 1
 		f.Offset = pn * 1000
 		f.Data = make([]byte, 1000)
@@ -106,8 +106,8 @@ func TestPTORequeuesInPacketOrder(t *testing.T) {
 	type cut struct{ off, n uint64 }
 	var cuts []cut
 	q := &c.sentQ
-	for i := q.head; i < len(q.pk); i++ {
-		for _, f := range q.pk[i].streamFrames {
+	for i := q.head; i < len(q.items); i++ {
+		for _, f := range q.items[i].streamFrames {
 			cuts = append(cuts, cut{f.Offset, uint64(len(f.Data))})
 		}
 	}
@@ -167,7 +167,7 @@ func TestRTTSampledOncePerAck(t *testing.T) {
 }
 
 func TestSentQueueShrinkCompacts(t *testing.T) {
-	var q sentQueue
+	var q fifo[*sentPacket]
 	for i := uint64(0); i < 100; i++ {
 		q.push(&sentPacket{pn: i})
 	}
@@ -175,12 +175,12 @@ func TestSentQueueShrinkCompacts(t *testing.T) {
 	if q.head != 0 {
 		t.Fatalf("head = %d after compaction, want 0", q.head)
 	}
-	if q.size() != 30 || q.front().pn != 70 {
-		t.Fatalf("size = %d front = %v, want 30 / pn 70", q.size(), q.front())
+	if q.len() != 30 || (*q.front()).pn != 70 {
+		t.Fatalf("size = %d front = %v, want 30 / pn 70", q.len(), *q.front())
 	}
 	q.dropPrefix(30)
-	if !q.empty() || q.head != 0 || len(q.pk) != 0 {
-		t.Fatalf("queue not reset when emptied: head=%d len=%d", q.head, len(q.pk))
+	if q.len() != 0 || q.head != 0 || len(q.items) != 0 {
+		t.Fatalf("queue not reset when emptied: head=%d len=%d", q.head, len(q.items))
 	}
 }
 

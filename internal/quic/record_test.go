@@ -40,7 +40,7 @@ func tapRecords(c *Conn, n int, onDeliver func(*txRecord)) *recordTap {
 		t.recs, t.lastPN = append(t.recs, tx), append(t.lastPN, ^uint64(0))
 	}
 	for _, tx := range t.recs {
-		c.putTx(tx)
+		c.store.tx.Put(tx)
 	}
 	return t
 }
@@ -140,8 +140,8 @@ func TestRecordDoesNotAliasSenderFrames(t *testing.T) {
 	for more := true; more; {
 		more = s.RunUntilBudget(120*time.Second, 1)
 		q := &server.sentQ
-		for i := q.head; i < len(q.pk); i++ {
-			sp := q.pk[i]
+		for i := q.head; i < len(q.items); i++ {
+			sp := q.items[i]
 			if sp.pn < next {
 				continue
 			}
@@ -253,16 +253,21 @@ func TestWireRoundTripInvariant(t *testing.T) {
 // TestReleasedKernelPinsNothing: the kernel's packet store outlives the world,
 // so once the world ends nothing in it may hold one. Two transfers are cut off
 // mid-flight over a lossy link: a short unreliable one of written bytes, then
-// a long reliable one of shared bytes. The store holds the records, sent-packet
+// a long reliable one of shared bytes. The store holds records, sent-packet
 // entries and frames the world gave back, while others are still in flight,
-// and every stream of the world — whose callbacks close over the world and
-// whose send queues alias its payload — until Release takes them back. After
-// that, neither connection, nor either payload, nor what a stream's callbacks
-// captured may stay reachable through it.
+// and lends out every stream of the world — whose callbacks close over the
+// world and whose send queues alias its payload — and the ACK snapshot
+// arrays. Release takes back everything still out. After that, neither
+// connection, nor either payload, nor what a stream's callbacks captured may
+// stay reachable through it.
 func TestReleasedKernelPinsNothing(t *testing.T) {
 	s := sim.New(1)
 	var store *packetStore
 	gone := make(chan string, 5)
+	// lent reports how many of each pool's values are out.
+	lent := func() [5]int {
+		return [5]int{store.tx.Lent(), store.sent.Lent(), store.frames.Lent(), store.streams.Lent(), store.acks.Lent()}
+	}
 	func() {
 		shared := new([1 << 20]byte)
 		runtime.SetFinalizer(shared, func(*[1 << 20]byte) { gone <- "the shared payload" })
@@ -293,15 +298,17 @@ func TestReleasedKernelPinsNothing(t *testing.T) {
 		st.CloseWrite()
 		s.RunUntil(300 * time.Millisecond)
 		store = server.store
-		if client.store != store || len(store.tx) == 0 || len(store.sent) == 0 || len(store.frames) == 0 ||
-			server.sentQ.empty() || server.Stats().PacketsDeclLost == 0 || len(store.live) != 4 || captured[1] == 0 {
-			t.Fatalf("the world is too tidy to prove anything: %d records, %d sent-packet entries, %d frames stored, %d packets in flight, %d lost, %d streams, %d loss reports",
-				len(store.tx), len(store.sent), len(store.frames), server.sentQ.size(), server.Stats().PacketsDeclLost, len(store.live), captured[1])
+		out := lent()
+		stored := [3]int{len(store.tx.All()) - out[0], len(store.sent.All()) - out[1], len(store.frames.All()) - out[2]}
+		if client.store != store || slices.Contains(stored[:], 0) || slices.Contains(out[:3], 0) ||
+			server.sentQ.len() == 0 || server.Stats().PacketsDeclLost == 0 || out[3] != 4 || out[4] != 2 || captured[1] == 0 {
+			t.Fatalf("the world is too tidy to prove anything: %v records, sent-packet entries and frames stored, %v out, %d packets in flight, %d lost, %d streams and %d ACK arrays out, %d loss reports",
+				stored, out[:3], server.sentQ.len(), server.Stats().PacketsDeclLost, out[3], out[4], captured[1])
 		}
 	}()
 	s.Release()
-	if len(store.live) != 0 || len(store.streams) != 4 {
-		t.Fatalf("the released kernel has %d live and %d free streams, want 0 and 4", len(store.live), len(store.streams))
+	if out := lent(); out != [5]int{} || len(store.streams.All()) != 4 {
+		t.Fatalf("the released kernel has %v records, sent-packet entries, frames, streams and ACK arrays still out, and %d streams, want none out and 4", out, len(store.streams.All()))
 	}
 	left := 5
 	for i := 0; i < 50 && left > 0; i++ {
@@ -331,11 +338,8 @@ func TestRecycledStreamLooksFresh(t *testing.T) {
 	recycletest.Dirty(second)
 	store := client.store
 	s.Release()
-	if len(store.live) != 0 || !slices.Equal(store.streams, []*Stream{second, first}) {
-		t.Fatalf("after Release the store holds %d live streams and free %v, want none live and the world's two free, the first opened on top", len(store.live), store.streams)
-	}
-	if slices.ContainsFunc(store.live[:cap(store.live)], func(s *Stream) bool { return s != nil }) {
-		t.Fatal("the store's live list still points at a stream it gave back")
+	if store.streams.Lent() != 0 || !slices.Equal(store.streams.All(), []*Stream{first, second}) {
+		t.Fatalf("after Release the store has %d streams out and holds %v, want none out and the world's two", store.streams.Lent(), store.streams.All())
 	}
 	for _, st := range []*Stream{first, second} {
 		recycletest.CheckScrubbed(t, st, "wbuf", "sendRuns.items", "received.ranges", "lost.ranges")
@@ -345,6 +349,9 @@ func TestRecycledStreamLooksFresh(t *testing.T) {
 	client, _ = NewPair(s, netem.NewFixedPath(s, 20e6, 64), Config{}, Config{})
 	if got := client.OpenStream(true); got != first || got.conn != client || got.id != 0 || !got.unreliable {
 		t.Fatalf("the next world opened %p (conn %p, id %d, unreliable %v), want the recycled %p on its own connection", got, got.conn, got.id, got.unreliable, first)
+	}
+	if got := client.OpenStream(false); got != second {
+		t.Fatalf("the next world's second stream is %p, want the dead world's second, %p", got, second)
 	}
 	s.Release()
 }

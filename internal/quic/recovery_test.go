@@ -6,6 +6,7 @@ import (
 
 	"voxel/internal/cc"
 	"voxel/internal/netem"
+	"voxel/internal/obs"
 	"voxel/internal/sim"
 	"voxel/internal/trace"
 )
@@ -116,6 +117,22 @@ func TestPTOBackoffPlateausUnderBlackout(t *testing.T) {
 	}
 	if rtos != len(fired)/3 {
 		t.Fatalf("legacy persistent congestion declared %d times in %d PTOs, want every 3", rtos, len(fired))
+	}
+}
+
+// A packet declared lost is counted in the connection's telemetry whichever
+// way it was declared: in a blackout no ACK arrives, so every loss comes from
+// the persistent congestion of the third PTO, on either transport.
+func TestBlackoutLossesReachTelemetry(t *testing.T) {
+	for _, idle := range []sim.Time{time.Hour, 0} {
+		s := sim.New(1)
+		sc := obs.NewScope(s.Now, obs.Options{})
+		client, _ := blackholedPair(s, Config{IdleTimeout: idle, Obs: sc}, Config{IdleTimeout: idle})
+		s.RunUntil(time.Minute)
+		st := client.Stats()
+		if got := sc.TrialReport().Counters[obs.CPacketsLost]; st.PTOCount < 3 || st.PacketsDeclLost == 0 || got != st.PacketsDeclLost {
+			t.Fatalf("idle timeout %v: %d PTOs declared %d packets lost, and telemetry counted %d", idle, st.PTOCount, st.PacketsDeclLost, got)
+		}
 	}
 }
 

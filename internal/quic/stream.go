@@ -49,10 +49,11 @@ type sendRun struct {
 
 func (r *sendRun) len() int { return len(r.data) + r.zeros }
 
-// scrub returns s to its zero state for the next world, keeping only the
-// capacity of its receive range sets, its send-run queue and its write
-// buffer. The queue is cleared to capacity: a queued run aliases payload.
-func (s *Stream) scrub() {
+// Scrub returns s to its zero state for the kernel's next world, keeping
+// only the capacity of its receive range sets, its send-run queue and its
+// write buffer. The queue is cleared to capacity: a queued run aliases
+// payload. The packet store calls it when the world ends; nothing else may.
+func (s *Stream) Scrub() {
 	runs := s.sendRuns.items
 	clear(runs[:cap(runs)])
 	s.received.Reset()
@@ -137,7 +138,7 @@ func (s *Stream) WriteAt(offset uint64, data []byte) {
 		return
 	}
 	c := s.conn
-	f := c.allocFrame()
+	f := c.store.frames.Get()
 	f.StreamID, f.Offset, f.Unreliable = s.id, offset, true
 	f.Data = append([]byte(nil), data...)
 	c.retransmit.push(f)
@@ -197,7 +198,7 @@ func (s *Stream) nextFrame(maxData int) *StreamFrame {
 	if n > maxData {
 		n = maxData
 	}
-	f := s.conn.allocFrame()
+	f := s.conn.store.frames.Get()
 	if n > 0 {
 		switch head := s.sendRuns.front(); {
 		case head.zeros >= n:

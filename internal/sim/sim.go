@@ -178,6 +178,76 @@ func (l *Local[T]) Get(s *Sim) *T {
 	return v
 }
 
+// Pool is kernel storage for values a world takes and gives back — packet
+// records, streams, HTTP responses — kept in a Local slot so that the
+// kernel's later worlds take them again instead of making new ones. Get hands
+// out a scrubbed value and makes one only when none is stored; Put scrubs one
+// and stores it. When the world ends, EndWorld takes back every value the
+// world got, those still lent out included — a world can end with packets in
+// flight, and never gives its streams and responses back — and the next
+// world gets them in the order they were made. That is the order a world
+// that Puts nothing got them in, so the next world of the same shape gets
+// each value for the request it served before, with the capacity that
+// request needed.
+//
+// A pool needs no lock: a kernel serves one world at a time, on one
+// goroutine.
+type Pool[T any, P scrubber[T]] struct {
+	made []*T // every value p made, first made first
+	next int  // made[next:] are stored, untouched since the world began
+	free []*T // values Put back in this world; Get takes the last first
+}
+
+// scrubber is a pooled value: Scrub returns it to the state Get hands out —
+// every field zero but slices kept for their capacity (empty, and clear
+// through it when they hold pointers) and callbacks bound to the value
+// itself, which pin nothing of a world.
+type scrubber[T any] interface {
+	*T
+	Scrub()
+}
+
+// Get returns a stored value, or a new one when none is stored. It clears
+// the free-list slot it takes from, so the list holds a value only while it
+// is stored.
+func (p *Pool[T, P]) Get() *T {
+	if n := len(p.free); n > 0 {
+		v := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		return v
+	}
+	if p.next == len(p.made) {
+		p.made = append(p.made, new(T))
+	}
+	p.next++
+	return p.made[p.next-1]
+}
+
+// Put scrubs v, which p's Get handed out, and stores it.
+func (p *Pool[T, P]) Put(v *T) {
+	P(v).Scrub()
+	p.free = append(p.free, v)
+}
+
+// EndWorld takes back, scrubbed, every value the ending world got. Release
+// calls it for a pool kept in a Local slot; a layer whose slot holds several
+// pools calls it for each.
+func (p *Pool[T, P]) EndWorld() {
+	for _, v := range p.made[:p.next] {
+		P(v).Scrub()
+	}
+	clear(p.free)
+	p.free, p.next = p.free[:0], 0
+}
+
+// All returns every value p made, first made first. Tests read it; the
+// slice is p's own.
+func (p *Pool[T, P]) All() []*T { return p.made }
+
+// Lent returns how many of p's values are out.
+func (p *Pool[T, P]) Lent() int { return p.next - len(p.free) }
+
 // idle holds released kernels, the most recent last. A kernel's storage —
 // the wheel's 8,192 bucket headers, 192 KB of pointers, and what its layers
 // keep in Local slots — costs more than everything a short trial schedules

@@ -230,9 +230,6 @@ func (c CDF) Quantile(q float64) float64 {
 // Len returns the sample size.
 func (c CDF) Len() int { return len(c.sorted) }
 
-// Values returns the sorted sample (not a copy; treat as read-only).
-func (c CDF) Values() []float64 { return c.sorted }
-
 // Points returns (x, P(X<=x)) pairs suitable for plotting, thinned to at
 // most n points while always including the extremes.
 func (c CDF) Points(n int) [][2]float64 {

@@ -60,7 +60,6 @@ var Ladder = [NumQualities]Rung{
 
 // Standard encoding parameters from §5.
 const (
-	FPS             = 24
 	SegmentDuration = 4 * time.Second
 	FramesPerSeg    = 96 // 4 s × 24 fps
 	DefaultSegments = 75 // five-minute clips
