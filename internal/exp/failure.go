@@ -146,7 +146,7 @@ func (w *world) errf(rule, format string, args ...any) *TrialError {
 func (w *world) fromPanic(recovered any) *TrialError {
 	te := w.errf("panic", "%v", recovered)
 	if v, ok := invariant.AsViolation(recovered); ok {
-		te.Rule = v.Rule
+		te.Rule = v.Rule.String()
 		te.Msg = v.Detail
 	}
 	buf := make([]byte, 16<<10)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"voxel/internal/invariant"
 	"voxel/internal/trace"
 )
 
@@ -116,7 +117,10 @@ func TestInvariantsAreTransparent(t *testing.T) {
 	}
 }
 
-func TestInjectedInvariantViolation(t *testing.T) {
+// TestWitnessExpInjectedFault: Config.Inject's invariant fault fires at its
+// instant as an exp.injected-fault violation, which the trial boundary turns
+// into the failure's rule.
+func TestWitnessExpInjectedFault(t *testing.T) {
 	cfg := failCfg()
 	cfg.Trials = 1
 	cfg.Inject = "invariant"
@@ -125,8 +129,8 @@ func TestInjectedInvariantViolation(t *testing.T) {
 		t.Fatalf("got %d failures, want 1", len(agg.Failed))
 	}
 	te := &agg.Failed[0]
-	if te.Rule != "exp.injected-fault" {
-		t.Fatalf("rule = %q, want exp.injected-fault", te.Rule)
+	if want := invariant.ExpInjectedFault.String(); te.Rule != want {
+		t.Fatalf("rule = %q, want %s", te.Rule, want)
 	}
 	if te.Clock != 2*time.Second {
 		t.Fatalf("clock = %v, want the 2s injection instant", te.Clock)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"voxel/internal/invariant"
 	"voxel/internal/qoe"
 	"voxel/internal/trace"
 )
@@ -126,7 +127,7 @@ func TestSpecConfigTraceErrors(t *testing.T) {
 
 func sampleArtifact() *Artifact {
 	cfg := Config{Title: "BBB", Trace: trace.Verizon(), Segments: 6, Trials: 2, Seed: 4242, Impairment: "flaky-wifi"}
-	return (&TrialError{Config: cfg, Trial: 1, Rule: "quic.byte-conservation",
+	return (&TrialError{Config: cfg, Trial: 1, Rule: invariant.QuicByteConservation.String(),
 		Msg: "sent 100 B != acked 90 B + lost 0 B + inflight 0 B"}).Artifact()
 }
 

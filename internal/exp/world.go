@@ -261,7 +261,7 @@ func (w *world) inject() {
 		})
 	case injectInvariant:
 		s.Schedule(at, func() {
-			panic(&invariant.Violation{Layer: "exp", Rule: "exp.injected-fault",
+			panic(&invariant.Violation{Rule: invariant.ExpInjectedFault,
 				Detail: fmt.Sprintf("deliberate violation (trial %d, seed %d)", w.trial, w.seed)})
 		})
 	case injectSpin:

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"time"
 
+	"voxel/internal/invariant"
 	"voxel/internal/sim"
 	"voxel/internal/trace"
 )
@@ -85,7 +86,8 @@ type queued struct {
 // pool takes those back too.
 type delivery struct {
 	arrive func()
-	flight // zero while the record is stored
+	sim    *sim.Sim // the kernel that owns the pool: a stored record still reaches its checker
+	flight          // zero while the record is stored
 }
 
 // flight is what a link lends a delivery record for one datagram.
@@ -93,7 +95,6 @@ type flight struct {
 	link   *Link
 	d      Datagram
 	copies uint8 // arrivals still due: 1, or 2 for a duplicated datagram
-	fated  bool  // Done has run; the record goes back to the store next
 }
 
 var deliveries sim.Local[sim.Pool[delivery, *delivery]]
@@ -106,8 +107,14 @@ func (r *delivery) Scrub() { r.flight = flight{} }
 // datagram: Done runs in this event, right after Deliver — where a separate
 // event at the same instant with the next sequence number would have run it,
 // since nothing can order between the two — and the record goes back to the
-// store.
+// store. A copy that finds none due comes after the final one, whose Done
+// has run: that is netem.done-exactly-once, and the copy is dropped.
 func (r *delivery) onArrive() {
+	if r.copies == 0 {
+		r.sim.Checker().Failf(invariant.NetemDoneExactlyOnce,
+			"a copy arrived after the datagram's final copy ran Done")
+		return
+	}
 	l, d := r.link, r.d
 	r.copies--
 	if d.Deliver != nil {
@@ -117,11 +124,6 @@ func (r *delivery) onArrive() {
 		return
 	}
 	if d.Done != nil {
-		if r.fated {
-			l.sim.Checker().Failf("netem", "netem.done-exactly-once",
-				"Datagram.Done ran a second time (size %d)", d.Size)
-		}
-		r.fated = true
 		d.Done()
 	}
 	l.store.Put(r)
@@ -257,7 +259,7 @@ func (l *Link) onServed() {
 		// receiver always sees the packet before the sender reclaims it.
 		r := l.store.Get()
 		if r.arrive == nil {
-			r.arrive = r.onArrive
+			r.arrive, r.sim = r.onArrive, l.sim
 		}
 		r.flight = flight{link: l, d: d, copies: 1}
 		if d.Deliver != nil && f.Duplicate {
@@ -276,7 +278,7 @@ func (l *Link) onServed() {
 		st := &l.stats
 		if accounted := st.Dropped + st.ImpairedDrops + st.Delivered +
 			uint64(l.count); st.Sent != accounted {
-			chk.Failf("netem", "netem.datagram-conservation",
+			chk.Failf(invariant.NetemDatagramConservation,
 				"sent %d != dropped %d + impaired %d + delivered %d + queued %d",
 				st.Sent, st.Dropped, st.ImpairedDrops, st.Delivered, l.count)
 		}

@@ -28,6 +28,7 @@ import (
 	"voxel/internal/abr"
 	"voxel/internal/dash"
 	"voxel/internal/httpsim"
+	"voxel/internal/invariant"
 	"voxel/internal/obs"
 	"voxel/internal/qoe"
 	"voxel/internal/quic"
@@ -350,7 +351,7 @@ func (p *Player) syncBuffer() {
 		// The playback buffer is physical media: it can drain to zero but
 		// never below, and accumulated stall can only grow.
 		if p.buffer < 0 || p.stall < 0 || elapsed < 0 {
-			chk.Failf("player", "player.buffer-nonnegative",
+			chk.Failf(invariant.PlayerBufferNonnegative,
 				"buffer %v, stall %v, elapsed %v at %v", p.buffer, p.stall, elapsed, now)
 		}
 	}
@@ -718,7 +719,7 @@ func (p *Player) checkSettled(dl *download) {
 	for _, set := range [...]*quic.RangeSet{&dl.received, &dl.lost} {
 		for _, r := range set.Ranges() {
 			if !plan.Contains(r.Start, r.End) {
-				chk.Failf("player", "player.settle-coverage",
+				chk.Failf(invariant.PlayerSettleCoverage,
 					"segment %d: recorded %v outside the plan %v", dl.index, r, plan.Ranges())
 			}
 		}
@@ -728,7 +729,7 @@ func (p *Player) checkSettled(dl *download) {
 	}
 	for _, r := range plan.Ranges() {
 		if !quic.CoveredBy(&dl.received, &dl.lost, r.Start, r.End) {
-			chk.Failf("player", "player.settle-coverage",
+			chk.Failf(invariant.PlayerSettleCoverage,
 				"segment %d: every request resolved, but received ∪ lost misses part of planned %v", dl.index, r)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"voxel/internal/cc"
+	"voxel/internal/invariant"
 	"voxel/internal/netem"
 	"voxel/internal/obs"
 	"voxel/internal/sim"
@@ -659,7 +660,7 @@ func (c *Conn) seal(tx *txRecord, frameBytes int) {
 func (c *Conn) transmit(tx *txRecord) {
 	if chk := c.sim.Checker(); chk.Enabled() {
 		if err := tx.wireRoundTrip(); err != nil {
-			chk.Failf("quic", "quic.wire-roundtrip", "packet %d: %v", tx.pn, err)
+			chk.Failf(invariant.QuicWireRoundtrip, "packet %d: %v", tx.pn, err)
 		}
 	}
 	if !c.link.Send(netem.Datagram{Size: tx.size, Deliver: tx.deliver, Done: tx.done}) {
@@ -915,7 +916,7 @@ func (c *Conn) checkConservation() {
 		return
 	}
 	if inflight := uint64(c.sentQ.len()); c.elicSent != c.ackedPkts+c.stats.PacketsDeclLost+inflight {
-		chk.Failf("quic", "quic.packet-conservation",
+		chk.Failf(invariant.QuicPacketConservation,
 			"sent %d != acked %d + lost %d + inflight %d",
 			c.elicSent, c.ackedPkts, c.stats.PacketsDeclLost, inflight)
 	}
@@ -924,7 +925,7 @@ func (c *Conn) checkConservation() {
 		infBytes += uint64(sp.size)
 	}
 	if c.elicBytes != c.ackedBytes+c.lostBytes+infBytes {
-		chk.Failf("quic", "quic.byte-conservation",
+		chk.Failf(invariant.QuicByteConservation,
 			"sent %d B != acked %d B + lost %d B + inflight %d B",
 			c.elicBytes, c.ackedBytes, c.lostBytes, infBytes)
 	}

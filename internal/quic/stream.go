@@ -1,5 +1,7 @@
 package quic
 
+import "voxel/internal/invariant"
+
 // Stream is a QUIC* stream. Reliable streams deliver every byte; unreliable
 // streams (the QUIC* extension) deliver what survives the network, with
 // transport-level loss reported through LOSS_REPORT frames.
@@ -313,7 +315,7 @@ func (s *Stream) maybeFin() {
 		// lost or duplicated bytes that the application will never see.
 		rs := s.received.Ranges()
 		if len(rs) != 1 || rs[0].Start != 0 || rs[0].End != s.finalSize {
-			chk.Failf("quic", "quic.reliable-contiguity",
+			chk.Failf(invariant.QuicReliableContiguity,
 				"stream %d finalized with %d ranges, covered %d of %d bytes",
 				s.id, len(rs), s.received.CoveredBytes(), s.finalSize)
 		}

@@ -605,7 +605,7 @@ func (s *Sim) fire(en entry) {
 	if en.at < s.now {
 		// With a checker armed this becomes a typed Violation the harness
 		// can attribute; otherwise keep the legacy panic text.
-		s.check.Failf("sim", "sim.clock-monotone",
+		s.check.Failf(invariant.SimClockMonotone,
 			"next event at %v behind clock %v", en.at, s.now)
 		panic(fmt.Sprintf("sim: time went backwards: %v < %v", en.at, s.now))
 	}
