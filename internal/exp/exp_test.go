@@ -237,15 +237,18 @@ func TestWarmBetaTrialMallocBudget(t *testing.T) {
 	// world's, 918 since a session reuses its decision space, loss vector and
 	// coverage scratch, 354 (376 under the race detector) since the kernel
 	// also keeps the packet storage of its worlds and a request names its
-	// ranges in the manifest, and 249 (268–274 under the race detector) since
-	// it also keeps the streams and responses of its worlds. The budget is
-	// the race figure plus 4 %.
+	// ranges in the manifest, 249 (268–274 under the race detector) since it
+	// also keeps the streams and responses of its worlds, and 143 (162 under
+	// the race detector) since a request builds no closure: its callbacks
+	// are bound once to the kernel's responses, request readers and download
+	// records, and the HTTP scratch is the kernel's too. The budget is the
+	// race figure plus 4 %.
 	cfg := smallCfg(SysBeta)
 	cfg.Trials = 1
 	cfg.Segments = 4
 	mallocs, bytes, maxBytes := warmTrialCost(t, cfg, 31)
-	if mallocs > 285 {
-		t.Fatalf("a warm 4-segment BETA trial does %d mallocs, budget 285", mallocs)
+	if mallocs > 169 {
+		t.Fatalf("a warm 4-segment BETA trial does %d mallocs, budget 169", mallocs)
 	}
 	// The wheel alone is 8,192 slice headers: a world that builds its own
 	// spends more on it than this whole trial may.
@@ -264,13 +267,15 @@ func TestWarmBetaTrialMallocBudget(t *testing.T) {
 // under the race detector); with the storage per connection, 4,663 mallocs
 // and 713 KB. Since the kernel also keeps the streams and responses of its
 // worlds, 1,900 mallocs and 351 KB (2,073–2,096 mallocs under the race
-// detector). The budget is the race figure plus 4 %.
+// detector); since a request builds no closure and the HTTP scratch and the
+// download records are the kernel's, 1,080 mallocs and 206 KB (1,256–1,261
+// under the race detector). The budget is the race figure plus 4 %.
 func TestWarmSwarmTrialMallocBudget(t *testing.T) {
 	cfg := smallCfg(SysVoxel)
 	cfg.Trials, cfg.Segments, cfg.Sessions = 1, 3, 8
 	mallocs, bytes, maxBytes := warmTrialCost(t, cfg, 15)
-	if mallocs > 2180 {
-		t.Fatalf("a warm 8-session, 3-segment VOXEL trial does %d mallocs, budget 2180", mallocs)
+	if mallocs > 1311 {
+		t.Fatalf("a warm 8-session, 3-segment VOXEL trial does %d mallocs, budget 1311", mallocs)
 	}
 	t.Logf("median %d mallocs, %d B (max %d B)", mallocs, bytes, maxBytes)
 }

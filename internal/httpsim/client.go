@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"time"
 
+	"voxel/internal/invariant"
 	"voxel/internal/obs"
 	"voxel/internal/quic"
 	"voxel/internal/sim"
@@ -91,18 +92,71 @@ type Response struct {
 	head     headBuf // reassembles the response head (reliable stream)
 	bodyBase uint64  // stream offset where the body starts (reliable path)
 
-	// retry state. gen invalidates callbacks wired by earlier attempts:
-	// a stale stream delivering late cannot corrupt the per-attempt head
-	// parse. Body coverage (received/lost) survives across attempts — the
-	// request re-asks for the same ranges, so offsets line up and
-	// duplicate bytes are suppressed by the coverage gap check.
+	// Retry state. Only the current attempt's streams are bound to the
+	// response: a retry, a failure or Cancel unbinds them, so a stale stream
+	// delivering late cannot corrupt the next attempt's head parse. Body
+	// coverage (received/lost) survives across attempts — the request
+	// re-asks for the same ranges, so offsets line up and duplicate bytes
+	// are suppressed by the coverage gap check.
 	path       string
 	unreliable bool         // the request asks for unreliable delivery
 	extra      []headerLine // caller's headers; with path, Ranges and unreliable, all an attempt's head is written from
 	attempt    int
-	gen        int
-	deadline   *sim.Timer
-	retryTimer *sim.Timer
+	retries    bool         // some attempt armed the deadline: a failed attempt is retried
+	req        *quic.Stream // the current attempt's request stream
+	body       *quic.Stream // the current attempt's adopted unreliable body stream
+	bodyID     uint64       // the stream the current attempt's head announced, while awaited (server-initiated: never 0)
+
+	bound binding
+}
+
+// binding is what a response binds to itself and keeps across worlds
+// (DESIGN.md §5): the callbacks its attempts install on their request
+// streams, bound the first time the store hands the response out; those of
+// an adopted body stream, bound at the first adoption; and the attempt
+// timers, made when first armed. Bound to the response alone, they pin
+// nothing of a world; Scrub stops the timers, so no event handle outlives
+// its world.
+type binding struct {
+	reqData  func(off, n uint64, data []byte)
+	reqFin   func(finalSize uint64)
+	bodyData func(off, n uint64, data []byte)
+	bodyLost func(off, n uint64)
+	bodyFin  func(finalSize uint64)
+	deadline *sim.Timer
+	retry    *sim.Timer
+}
+
+// unbind detaches the current attempt's streams from r — data and loss
+// reports on them fall away from now on (quic.Stream.Detach) — and gives back
+// its half-built head. An announced body stream that has not arrived yet is
+// left a tombstone, so that it arrives unbound rather than buffered as early.
+func (r *Response) unbind() {
+	c := r.client
+	if r.req != nil {
+		r.req.Detach()
+		r.req = nil
+	}
+	if r.body != nil {
+		r.body.Detach()
+		r.body = nil
+	}
+	if r.bodyID != 0 {
+		if c.pendingByStream[r.bodyID] == r { // not the map of a connection failed over from
+			c.pendingByStream[r.bodyID] = nil
+		}
+		r.bodyID = 0
+	}
+	r.head.reset(&c.store.heads)
+}
+
+// stopTimers disarms r's deadline and retry timers.
+func (r *Response) stopTimers() {
+	for _, t := range [...]*sim.Timer{r.bound.deadline, r.bound.retry} {
+		if t != nil {
+			t.Stop()
+		}
+	}
 }
 
 // Received exposes the received body coverage.
@@ -117,22 +171,18 @@ func (r *Response) Complete() bool { return r.complete }
 // BytesReceived returns the number of body bytes that arrived.
 func (r *Response) BytesReceived() int64 { return int64(r.received.CoveredBytes()) }
 
-// Cancel detaches the response: subsequent data is ignored (though body
-// coverage keeps accumulating, as before) and no further retry fires. The
-// transport keeps draining whatever the server already queued; the player
-// accounts for abandoned downloads itself.
+// Cancel detaches the response: its streams are unbound, so body coverage
+// stays as it was, and no further retry fires. The transport keeps draining
+// whatever the server already queued; the player accounts for abandoned
+// downloads itself.
 func (r *Response) Cancel() {
 	r.OnBody = nil
 	r.OnLost = nil
 	r.OnComplete = nil
 	r.OnFail = nil
 	r.failed = true
-	if r.deadline != nil {
-		r.deadline.Stop()
-	}
-	if r.retryTimer != nil {
-		r.retryTimer.Stop()
-	}
+	r.stopTimers()
+	r.unbind()
 	r.client.detach(r)
 }
 
@@ -144,9 +194,10 @@ type Client struct {
 	sim   *sim.Sim
 	obs   *obs.Scope // nil = telemetry disabled (all calls no-op)
 
-	// pendingByStream maps announced unreliable stream IDs to the adopting
-	// response attempt on the active connection.
-	pendingByStream map[uint64]pendingRef
+	// pendingByStream maps unreliable stream IDs announced on the active
+	// connection, until the stream arrives, to the attempt that adopts it —
+	// nil once that attempt is over.
+	pendingByStream map[uint64]*Response
 	// earlyStreams buffers unreliable streams that arrived before their
 	// announcing response head.
 	earlyStreams map[uint64]*earlyStream
@@ -159,39 +210,53 @@ type Client struct {
 	// reports only ever arrive from link events, so no callback re-enters
 	// delivery while a gap list is being walked.
 	gapScratch []quic.ByteRange
-	heads      headPool // response-head reassembly buffers
-	out        []byte   // scratch the request head is written into
-
-	// store is the kernel's responses (DESIGN.md §5), shared by every client
-	// of its worlds. A response is never Put — a caller may read one after it
-	// resolved — so each comes back when its world ends.
-	store *sim.Pool[Response, *Response]
+	store      *exchangeStore
 }
-
-var responses sim.Local[sim.Pool[Response, *Response]]
 
 // Scrub returns r to its zero state for the kernel's next world, keeping
 // only the capacity of its body coverage sets and of its head's coverage
-// set. The response store calls it when the world ends; nothing else may.
+// set, and its binding, with the timers stopped. The response store calls
+// it when the world ends; nothing else may.
 func (r *Response) Scrub() {
+	r.stopTimers()
 	r.received.Reset()
 	r.lost.Reset()
 	r.head.cov.Reset()
-	*r = Response{received: r.received, lost: r.lost, head: headBuf{cov: r.head.cov}}
+	*r = Response{received: r.received, lost: r.lost, head: headBuf{cov: r.head.cov}, bound: r.bound}
 }
 
-type pendingRef struct {
-	r   *Response
-	gen int
-}
-
+// earlyStream buffers an unreliable stream that arrived before the head
+// announcing it. Its three stream callbacks are bound to the buffer the
+// first time the store hands it out.
 type earlyStream struct {
+	onData func(off, n uint64, data []byte)
+	onLost func(off, n uint64)
+	onFin  func(finalSize uint64)
+
 	st     *quic.Stream
 	chunks []earlyChunk
 	losses [][2]uint64
 	fin    bool
 	final  uint64
 }
+
+// Scrub empties the buffer for the store, keeping the capacity of its lists
+// and its callbacks.
+func (e *earlyStream) Scrub() {
+	clear(e.chunks[:cap(e.chunks)])
+	*e = earlyStream{onData: e.onData, onLost: e.onLost, onFin: e.onFin, chunks: e.chunks[:0], losses: e.losses[:0]}
+}
+
+func (e *earlyStream) data(off, n uint64, data []byte) {
+	if data != nil {
+		data = append([]byte(nil), data...) // outlives the packet buffer
+	}
+	e.chunks = append(e.chunks, earlyChunk{off: off, n: n, data: data})
+}
+
+func (e *earlyStream) lostRange(off, n uint64) { e.losses = append(e.losses, [2]uint64{off, n}) }
+
+func (e *earlyStream) finished(final uint64) { e.fin, e.final = true, final }
 
 type earlyChunk struct {
 	off, n uint64
@@ -206,9 +271,9 @@ func NewClient(conn *quic.Conn) *Client {
 		conn:            conn,
 		conns:           []*quic.Conn{conn},
 		sim:             conn.Sim(),
-		pendingByStream: make(map[uint64]pendingRef),
+		pendingByStream: make(map[uint64]*Response),
 		earlyStreams:    make(map[uint64]*earlyStream),
-		store:           responses.Get(conn.Sim()),
+		store:           exchanges.Get(conn.Sim()),
 	}
 	conn.OnStream(c.onServerStream)
 	conn.OnClose(c.onConnClose)
@@ -246,9 +311,14 @@ func (c *Client) Conn() *quic.Conn { return c.conn }
 // Get issues a GET for path. ranges may be nil (whole object); unreliable
 // asks the server for unreliable body delivery; extra headers are optional.
 // Callbacks should be set on the returned Response immediately (before the
-// simulator runs again).
+// simulator runs again). The response comes from the kernel's store with its
+// stream callbacks bound to it, and ranges is read, never copied, so on a
+// warm kernel a request allocates nothing of its own.
 func (c *Client) Get(path string, ranges RangeSpec, unreliable bool, extra map[string]string) *Response {
-	resp := c.store.Get()
+	resp := c.store.responses.Get()
+	if resp.bound.reqData == nil {
+		resp.bound.reqData, resp.bound.reqFin = resp.onRequestData, resp.onReliableFin
+	}
 	resp.Ranges, resp.client, resp.path, resp.unreliable, resp.extra = ranges, c, path, unreliable, sortedHeaders(extra)
 	c.obs.Inc(obs.CRequests)
 	c.inflight = append(c.inflight, resp)
@@ -256,9 +326,8 @@ func (c *Client) Get(path string, ranges RangeSpec, unreliable bool, extra map[s
 	return resp
 }
 
-// issue wires one request attempt onto the active connection. Every
-// callback it installs is tagged with the attempt's generation; a later
-// retry bumps the generation and the stale attempt's deliveries fall away.
+// issue wires one request attempt onto the active connection: its request
+// stream is bound to the response until the attempt is over (unbind).
 func (c *Client) issue(r *Response) {
 	if c.conn == nil || c.conn.Closed() {
 		// Deferred one event: when Get itself hits a dead transport, the
@@ -267,42 +336,34 @@ func (c *Client) issue(r *Response) {
 		return
 	}
 	r.attempt++
-	r.gen++
-	gen := r.gen
 	r.headDone = false
-	r.head.reset(&c.heads)
 	r.bodyBase = 0
 	r.finSeen = false
 	r.Status, r.Unreliable = 0, false // this attempt's origin may answer differently
 	st := c.conn.OpenStream(false)
-	st.OnData(func(off, n uint64, data []byte) {
-		if r.gen != gen {
-			return
-		}
-		r.touch()
-		r.onReliableData(off, n, data)
-	})
-	st.OnFin(func(sz uint64) {
-		if r.gen != gen {
-			return
-		}
-		r.onReliableFin(sz)
-	})
-	c.out = appendRequestHead(c.out[:0], r.path, r.Ranges, r.unreliable, r.extra)
-	st.Write(c.out)
+	st.OnData(r.bound.reqData)
+	st.OnFin(r.bound.reqFin)
+	r.req = st
+	x := c.store
+	x.out = appendRequestHead(x.out[:0], r.path, r.Ranges, r.unreliable, r.extra)
+	st.Write(x.out)
 	st.CloseWrite()
 	if c.conn.IdleTimeout() > 0 && !r.complete && !r.failed {
-		if r.deadline == nil {
-			r.deadline = sim.NewTimer(c.sim, r.onDeadline)
+		if r.bound.deadline == nil {
+			r.bound.deadline = sim.NewTimer(c.sim, r.onDeadline)
 		}
-		r.deadline.Arm(requestTimeout)
+		r.retries = true
+		r.bound.deadline.Arm(requestTimeout)
 	}
 }
 
+// reissue is the retry timer's callback: the next attempt.
+func (r *Response) reissue() { r.client.issue(r) }
+
 // touch records attempt progress by pushing the deadline back.
 func (r *Response) touch() {
-	if r.deadline != nil && r.deadline.Armed() {
-		r.deadline.Arm(requestTimeout)
+	if d := r.bound.deadline; d != nil && d.Armed() {
+		d.Arm(requestTimeout)
 	}
 }
 
@@ -319,7 +380,7 @@ func (r *Response) onDeadline() {
 	c := r.client
 	if c.conn != nil && !c.conn.Closed() {
 		if quiet := c.sim.Now() - c.conn.LastActivity(); quiet < requestTimeout {
-			r.deadline.Arm(requestTimeout - quiet)
+			r.bound.deadline.Arm(requestTimeout - quiet)
 			return
 		}
 	}
@@ -333,22 +394,22 @@ func (r *Response) failAttempt(reason error) {
 	if r.complete || r.failed {
 		return
 	}
-	r.gen++ // orphan the stale attempt's callbacks
-	if r.deadline != nil {
-		r.deadline.Stop()
+	r.unbind()
+	if d := r.bound.deadline; d != nil {
+		d.Stop()
 	}
 	c := r.client
-	if r.deadline == nil || r.attempt >= maxAttempts {
+	if !r.retries || r.attempt >= maxAttempts {
 		r.fail(reason)
 		return
 	}
 	wait := backoff(r.attempt, c.sim.Rand())
 	c.obs.Inc(obs.CRetries)
 	c.obs.Event(obs.EvRetry, int64(r.attempt), attemptReasonCode(reason), 0)
-	if r.retryTimer == nil {
-		r.retryTimer = sim.NewTimer(c.sim, func() { c.issue(r) })
+	if r.bound.retry == nil {
+		r.bound.retry = sim.NewTimer(c.sim, r.reissue)
 	}
-	r.retryTimer.Arm(wait)
+	r.bound.retry.Arm(wait)
 }
 
 // fail resolves the response as permanently failed.
@@ -356,20 +417,32 @@ func (r *Response) fail(reason error) {
 	if r.complete || r.failed {
 		return
 	}
-	r.failed = true
-	r.gen++
-	if r.deadline != nil {
-		r.deadline.Stop()
-	}
-	if r.retryTimer != nil {
-		r.retryTimer.Stop()
-	}
-	r.client.detach(r)
+	r.resolve(false)
+	r.unbind()
 	r.client.obs.Inc(obs.CFailedRequests)
 	r.client.obs.Event(obs.EvRequestFailed, int64(r.attempt), attemptReasonCode(reason), 0)
 	if r.OnFail != nil {
 		r.OnFail(reason)
 	}
+}
+
+// resolve ends the request for good, completed or failed, just before its
+// OnComplete or OnFail runs: the timers stop and it leaves the in-flight
+// list. Armed, it checks that the request had not resolved before — a stale
+// stream left bound could complete a request that already failed, or
+// complete one twice (httpsim.completes-once).
+func (r *Response) resolve(completed bool) {
+	if chk := r.client.sim.Checker(); chk.Enabled() && (r.complete || r.failed) {
+		chk.Failf(invariant.HttpsimCompletesOnce, "request for %s resolved again on attempt %d (complete %v, failed %v, now completed %v)",
+			r.path, r.attempt, r.complete, r.failed, completed)
+	}
+	if completed {
+		r.complete = true
+	} else {
+		r.failed = true
+	}
+	r.stopTimers()
+	r.client.detach(r)
 }
 
 // Failed reports whether the request was abandoned after exhausting
@@ -402,7 +475,7 @@ func (c *Client) onConnClose(err error) {
 		c.obs.Event(obs.EvFailover, 0, 0, 0)
 		// Stream IDs restart on the new connection: per-conn adoption state
 		// from the dead one no longer means anything.
-		c.pendingByStream = make(map[uint64]pendingRef)
+		c.pendingByStream = make(map[uint64]*Response)
 		c.earlyStreams = make(map[uint64]*earlyStream)
 		next.OnStream(c.onServerStream)
 		next.OnClose(c.onConnClose)
@@ -423,7 +496,7 @@ func (r *Response) onReliableData(off, n uint64, data []byte) {
 	if !r.headDone {
 		// Stream frames can arrive out of order; buffer with coverage
 		// tracking until the head terminator sits in the contiguous prefix.
-		end := r.head.add(&r.client.heads, off, n, data)
+		end := r.head.add(&r.client.store.heads, off, n, data)
 		if end < 0 {
 			return
 		}
@@ -441,7 +514,7 @@ func (r *Response) onReliableData(off, n uint64, data []byte) {
 				r.onReliableData(real, cr.End-real, nil)
 			}
 		}
-		r.head.reset(&r.client.heads)
+		r.head.reset(&r.client.store.heads)
 		return
 	}
 	if r.Unreliable {
@@ -547,85 +620,83 @@ func (r *Response) maybeComplete(finKnown bool) {
 	if r.BodyLen > 0 && !quic.CoveredBy(&r.received, &r.lost, 0, uint64(r.BodyLen)) {
 		return
 	}
-	r.complete = true
-	if r.deadline != nil {
-		r.deadline.Stop()
-	}
-	if r.retryTimer != nil {
-		r.retryTimer.Stop()
-	}
-	r.client.detach(r)
+	r.resolve(true)
 	if r.OnComplete != nil {
 		r.OnComplete()
 	}
 }
 
-// adopt binds an announced unreliable stream ID to the current attempt of
-// a response, flushing any data that arrived early. The binding carries
-// the attempt's generation: if the response is later retried, deliveries
-// from this stream are dropped instead of polluting the fresh attempt.
+// adopt binds the unreliable stream streamID, which r's current attempt
+// announced, to r, flushing any data that arrived early; a stream not yet
+// arrived is bound when it does (onServerStream).
 func (c *Client) adopt(streamID uint64, r *Response) {
-	ref := pendingRef{r: r, gen: r.gen}
-	c.pendingByStream[streamID] = ref
-	if early, ok := c.earlyStreams[streamID]; ok {
-		delete(c.earlyStreams, streamID)
-		c.bind(early.st, ref)
-		for _, ch := range early.chunks {
-			r.deliverBody(int64(ch.off), int64(ch.n), ch.data)
-		}
-		for _, l := range early.losses {
-			r.deliverLoss(int64(l[0]), int64(l[1]))
-		}
-		if early.fin {
-			r.onUnreliableFin(early.final)
-		}
+	early, ok := c.earlyStreams[streamID]
+	if !ok {
+		c.pendingByStream[streamID] = r
+		r.bodyID = streamID
+		return
 	}
+	delete(c.earlyStreams, streamID)
+	r.attach(early.st)
+	for _, ch := range early.chunks {
+		r.deliverBody(int64(ch.off), int64(ch.n), ch.data)
+	}
+	for _, l := range early.losses {
+		r.deliverLoss(int64(l[0]), int64(l[1]))
+	}
+	if early.fin {
+		r.onUnreliableFin(early.final)
+	}
+	c.store.early.Put(early)
 }
 
 // onServerStream handles server-initiated streams (unreliable bodies).
 func (c *Client) onServerStream(st *quic.Stream) {
-	if ref, ok := c.pendingByStream[st.ID()]; ok {
-		c.bind(st, ref)
+	if r, ok := c.pendingByStream[st.ID()]; ok {
+		delete(c.pendingByStream, st.ID())
+		if r != nil { // nil: its attempt is over, and the stream stays unbound
+			r.bodyID = 0
+			r.attach(st)
+		}
 		return
 	}
 	// Head not seen yet: buffer until adopt rebinds the stream's callbacks.
-	early := &earlyStream{st: st}
+	early := c.store.early.Get()
+	if early.onData == nil {
+		early.onData, early.onLost, early.onFin = early.data, early.lostRange, early.finished
+	}
+	early.st = st
 	c.earlyStreams[st.ID()] = early
-	st.OnData(func(off, n uint64, data []byte) {
-		if data != nil {
-			data = append([]byte(nil), data...) // outlives the packet buffer
-		}
-		early.chunks = append(early.chunks, earlyChunk{off: off, n: n, data: data})
-	})
-	st.OnLost(func(off, n uint64) {
-		early.losses = append(early.losses, [2]uint64{off, n})
-	})
-	st.OnFin(func(final uint64) {
-		early.fin = true
-		early.final = final
-	})
+	st.OnData(early.onData)
+	st.OnLost(early.onLost)
+	st.OnFin(early.onFin)
 }
 
-// bind attaches response delivery to an adopted unreliable stream, gated on
-// the adopting attempt's generation.
-func (c *Client) bind(st *quic.Stream, ref pendingRef) {
-	r := ref.r
-	gen := ref.gen
-	st.OnData(func(off, n uint64, data []byte) {
-		if r.gen == gen {
-			r.touch()
-			r.deliverBody(int64(off), int64(n), data)
-		}
-	})
-	st.OnLost(func(off, n uint64) {
-		if r.gen == gen {
-			r.touch()
-			r.deliverLoss(int64(off), int64(n))
-		}
-	})
-	st.OnFin(func(final uint64) {
-		if r.gen == gen {
-			r.onUnreliableFin(final)
-		}
-	})
+// attach binds the adopted unreliable body stream st to r's current attempt.
+func (r *Response) attach(st *quic.Stream) {
+	if r.bound.bodyData == nil {
+		r.bound.bodyData, r.bound.bodyLost, r.bound.bodyFin = r.onBodyData, r.onBodyLost, r.onUnreliableFin
+	}
+	r.body = st
+	st.OnData(r.bound.bodyData)
+	st.OnLost(r.bound.bodyLost)
+	st.OnFin(r.bound.bodyFin)
+}
+
+// onRequestData is the request stream's data callback.
+func (r *Response) onRequestData(off, n uint64, data []byte) {
+	r.touch()
+	r.onReliableData(off, n, data)
+}
+
+// onBodyData is the adopted body stream's data callback.
+func (r *Response) onBodyData(off, n uint64, data []byte) {
+	r.touch()
+	r.deliverBody(int64(off), int64(n), data)
+}
+
+// onBodyLost is the adopted body stream's loss callback.
+func (r *Response) onBodyLost(off, n uint64) {
+	r.touch()
+	r.deliverLoss(int64(off), int64(n))
 }

@@ -9,7 +9,7 @@
 //
 // Messages use a textual HTTP/1.1-style wire format over QUIC streams; one
 // request per stream. The head is text on the wire and nowhere else: each
-// direction has one writer that appends the head's bytes to its endpoint's
+// direction has one writer that appends the head's bytes to the kernel's
 // scratch buffer (quic.Stream.Write appends them to the stream's own write
 // buffer) and one scanner that reads an arrived head in place.
 package httpsim
@@ -21,6 +21,7 @@ import (
 	"strconv"
 
 	"voxel/internal/quic"
+	"voxel/internal/sim"
 )
 
 // HeaderUnreliable requests unreliable body delivery.
@@ -267,13 +268,43 @@ func headEnd(data []byte) int {
 	return idx + 4
 }
 
+// exchangeStore is the kernel's storage of HTTP exchanges (DESIGN.md §5),
+// shared by every client and server of its worlds: responses, early stream
+// buffers, the server's request readers, head reassembly buffers and the
+// scratch heads are written and ranges parsed into. A response is never Put
+// — a caller may read one after it resolved — so each comes back when its
+// world ends; early buffers and readers are Put once done with. Scratch is
+// used within one call — a written head is copied into its stream, parsed
+// ranges are read by the serve that parsed them — so every endpoint shares
+// it.
+type exchangeStore struct {
+	responses sim.Pool[Response, *Response]
+	early     sim.Pool[earlyStream, *earlyStream]
+	readers   sim.Pool[reader, *reader]
+	// None pins a world, so none is taken back: head buffers, the request
+	// paths servers have resolved (intern), and scratch.
+	heads  headPool
+	paths  map[string]string
+	out    []byte    // a request or response head, written
+	ranges RangeSpec // a request's ranges, parsed
+}
+
+var exchanges sim.Local[exchangeStore]
+
+// EndWorld takes back everything the ending world was lent.
+func (st *exchangeStore) EndWorld() {
+	st.responses.EndWorld()
+	st.early.EndWorld()
+	st.readers.EndWorld()
+}
+
 // headBuf reassembles the textual head at the front of a reliable stream
 // from frames that may arrive out of order. Only real bytes are buffered —
 // an elided range counts toward coverage alone — and the buffer grows
 // geometrically, so a head packet that arrives after the rest of its window
 // costs memory linear in the real bytes that overtook it.
 type headBuf struct {
-	buf []byte        // from the endpoint's headPool; nil until real bytes arrive
+	buf []byte        // from the kernel's headPool; nil until real bytes arrive
 	cov quic.RangeSet // stream-offset coverage while the head is incomplete
 }
 
@@ -303,12 +334,13 @@ func (h *headBuf) reset(pool *headPool) {
 	h.cov.Reset()
 }
 
-// headPool is an endpoint's freelist of head reassembly buffers: taken when
-// an exchange's first head bytes arrive, put back once the head is scanned.
+// headPool is the kernel's freelist of head reassembly buffers, shared by
+// every endpoint: taken when an exchange's first head bytes arrive, put back
+// once the head is scanned.
 type headPool [][]byte
 
 // maxPooledHead keeps a buffer that grew to the size of the body that
-// overtook a lost head packet from being retained for the endpoint's life.
+// overtook a lost head packet from being retained for the kernel's life.
 const maxPooledHead = 16 << 10
 
 func (p *headPool) get() []byte {

@@ -246,9 +246,9 @@ func TestLegacyTransportArmsNoRecovery(t *testing.T) {
 	resp := client.Get("/a", nil, false, nil)
 	resp.OnFail = func(err error) { failErr = err }
 	s.RunUntil(time.Minute)
-	if resp.deadline != nil || resp.Failed() || c1.Closed() {
+	if resp.retries || resp.Failed() || c1.Closed() {
 		t.Fatalf("deadline armed=%v failed=%v conn closed=%v after a minute on a dead legacy link, want none",
-			resp.deadline != nil, resp.Failed(), c1.Closed())
+			resp.retries, resp.Failed(), c1.Closed())
 	}
 	c1.Close(quic.ErrClosed)
 	s.RunUntil(2 * time.Minute)

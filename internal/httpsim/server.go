@@ -18,9 +18,7 @@ type Server struct {
 	conn    *quic.Conn
 	handler Handler
 	opts    ServerOptions
-	heads   headPool  // request-head reassembly buffers
-	out     []byte    // scratch the response head is written into
-	ranges  RangeSpec // scratch the request's ranges are parsed into
+	store   *exchangeStore
 	// Stats
 	RequestsServed   uint64
 	BytesServed      uint64
@@ -29,35 +27,59 @@ type Server struct {
 
 // NewServer wires a server to the connection.
 func NewServer(conn *quic.Conn, handler Handler, opts ServerOptions) *Server {
-	s := &Server{conn: conn, handler: handler, opts: opts}
+	s := &Server{conn: conn, handler: handler, opts: opts, store: exchanges.Get(conn.Sim())}
 	conn.OnStream(s.onStream)
 	return s
 }
 
-// onStream buffers a request stream until its head terminator shows up.
-// Unlike the client's headBuf it searches the whole buffer, holes included:
-// when a retransmitted request was split and its tail frame overtakes its
-// head, the terminator is found behind a zero-filled gap and the request is
-// answered with an error (405, or 400 if a header line was cut). The
-// committed goldens pin that; fixing it (use headBuf) moves chaos-mix and
-// sweep-shards and needs regenerated digests.
+// reader buffers one request stream until its head terminator shows up. It
+// comes from the kernel's store with its data callback bound to it, holds a
+// head buffer from the store's pool while it reads, and goes back, unbound
+// from its stream, once the request is served.
+type reader struct {
+	onData func(off, n uint64, data []byte)
+	srv    *Server
+	st     *quic.Stream
+	buf    []byte
+}
+
+// Scrub empties the reader for the store, keeping its callback.
+func (rd *reader) Scrub() { *rd = reader{onData: rd.onData} }
+
+// onStream reads a request stream. Unlike the client's headBuf the reader
+// searches the whole buffer, holes included: when a retransmitted request
+// was split and its tail frame overtakes its head, the terminator is found
+// behind a zero-filled gap and the request is answered with an error (405,
+// or 400 if a header line was cut). The committed goldens pin that; fixing
+// it (use headBuf) moves chaos-mix and sweep-shards and needs regenerated
+// digests.
 func (s *Server) onStream(st *quic.Stream) {
-	buf := s.heads.get() // back in the pool, and nil here, once served
-	st.OnData(func(off, _ uint64, data []byte) {
-		if buf == nil || data == nil {
-			return
-		}
-		buf = putAt(buf, off, data)
-		if end := headEnd(buf); end >= 0 {
-			s.serve(st, buf[:end])
-			s.heads.put(buf)
-			buf = nil
-		}
-	})
+	rd := s.store.readers.Get()
+	if rd.onData == nil {
+		rd.onData = rd.read
+	}
+	rd.srv, rd.st, rd.buf = s, st, s.store.heads.get()
+	st.OnData(rd.onData)
+}
+
+// read is a request stream's data callback.
+func (rd *reader) read(off, _ uint64, data []byte) {
+	if data == nil {
+		return
+	}
+	rd.buf = putAt(rd.buf, off, data)
+	if end := headEnd(rd.buf); end >= 0 {
+		s := rd.srv
+		rd.st.Detach()
+		s.serve(rd.st, rd.buf[:end])
+		s.store.heads.put(rd.buf)
+		s.store.readers.Put(rd)
+	}
 }
 
 // parseRequest scans a request head into the status that answers it and, for
-// 200 and 206, the object, its ranges (in s.ranges) and how the body travels.
+// 200 and 206, the object, its ranges (in the store's scratch) and how the
+// body travels.
 func (s *Server) parseRequest(head []byte) (status int, obj Object, unreliable bool) {
 	h, ok := scanHead(head)
 	if !ok {
@@ -68,19 +90,20 @@ func (s *Server) parseRequest(head []byte) (status int, obj Object, unreliable b
 		return 405, nil, false
 	}
 	path, _, _ := bytes.Cut(target, space)
-	obj, err := s.handler.Resolve(string(path))
+	obj, err := s.handler.Resolve(s.store.intern(path))
 	if err != nil {
 		return 404, nil, false
 	}
 	unreliable = !s.opts.VoxelUnaware && string(h.unreliable) == "1"
+	x := s.store
 	if h.ranges == nil {
-		s.ranges = append(s.ranges[:0], [2]int64{0, obj.Size()})
+		x.ranges = append(x.ranges[:0], [2]int64{0, obj.Size()})
 		return 200, obj, unreliable
 	}
-	if s.ranges, ok = appendRanges(s.ranges[:0], h.ranges); !ok {
+	if x.ranges, ok = appendRanges(x.ranges[:0], h.ranges); !ok {
 		return 416, nil, false
 	}
-	for _, r := range s.ranges {
+	for _, r := range x.ranges {
 		if r[0] < 0 || r[1] > obj.Size() {
 			return 416, nil, false
 		}
@@ -88,29 +111,50 @@ func (s *Server) parseRequest(head []byte) (status int, obj Object, unreliable b
 	return 206, obj, unreliable
 }
 
+// maxInterned bounds the paths a kernel's store interns: every title the
+// experiments serve has a manifest and one object per representation.
+const maxInterned = 64
+
+// intern returns path as a string, converting it only the first time the
+// store sees it (and past maxInterned paths, every time).
+func (st *exchangeStore) intern(path []byte) string {
+	if p, ok := st.paths[string(path)]; ok {
+		return p
+	}
+	p := string(path)
+	if len(st.paths) < maxInterned {
+		if st.paths == nil {
+			st.paths = make(map[string]string)
+		}
+		st.paths[p] = p
+	}
+	return p
+}
+
 // serve answers a request; nothing it parsed outlives the call.
 func (s *Server) serve(st *quic.Stream, head []byte) {
 	status, obj, unreliable := s.parseRequest(head)
 	s.RequestsServed++
+	x := s.store
 	if obj == nil {
-		s.out = appendResponseHead(s.out[:0], status, 0, 0, false)
-		st.Write(s.out)
+		x.out = appendResponseHead(x.out[:0], status, 0, 0, false)
+		st.Write(x.out)
 		st.CloseWrite()
 		return
 	}
-	bodyLen := s.ranges.TotalBytes()
+	bodyLen := x.ranges.TotalBytes()
 	dst := st
 	if unreliable {
 		dst = s.conn.OpenStream(true)
 		s.UnreliableBodies++
 	}
-	s.out = appendResponseHead(s.out[:0], status, bodyLen, dst.ID(), unreliable)
-	st.Write(s.out)
+	x.out = appendResponseHead(x.out[:0], status, bodyLen, dst.ID(), unreliable)
+	st.Write(x.out)
 	s.BytesServed += uint64(bodyLen)
 	if unreliable {
 		st.CloseWrite()
 	}
-	for _, r := range s.ranges {
+	for _, r := range x.ranges {
 		obj.WriteRange(dst, r[0], r[1]-r[0])
 	}
 	dst.CloseWrite()

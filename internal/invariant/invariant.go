@@ -56,6 +56,9 @@ const (
 	// QuicWireRoundtrip: a packet's frames encode to exactly the size the
 	// link is charged and decode to exactly what the peer is handed.
 	QuicWireRoundtrip
+	// HttpsimCompletesOnce: an HTTP request resolves once — it reaches
+	// OnComplete or OnFail at most once, retries and failover included.
+	HttpsimCompletesOnce
 	// PlayerBufferNonnegative: the playout buffer, the stall total and the
 	// clock's step never go negative.
 	PlayerBufferNonnegative
@@ -75,6 +78,7 @@ var ruleNames = [numRules]string{
 	QuicByteConservation:      "quic.byte-conservation",
 	QuicReliableContiguity:    "quic.reliable-contiguity",
 	QuicWireRoundtrip:         "quic.wire-roundtrip",
+	HttpsimCompletesOnce:      "httpsim.completes-once",
 	PlayerBufferNonnegative:   "player.buffer-nonnegative",
 	PlayerSettleCoverage:      "player.settle-coverage",
 	ExpInjectedFault:          "exp.injected-fault",

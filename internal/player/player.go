@@ -214,11 +214,14 @@ type Player struct {
 	onDone       func()
 
 	// downloads holds each segment's record, kept after completion for
-	// scoring and selective retransmission; dl is the one in flight.
+	// scoring and selective retransmission; dl is the one in flight. The
+	// records are the kernel's (store), taken back when the world ends.
 	downloads []*download
 	dl        *download
+	store     *sim.Pool[download, *download]
 
-	retx *httpsim.Response // the selective retransmission in flight, nil when none
+	retx     *httpsim.Response // the selective retransmission in flight, nil when none
+	retxSpec httpsim.RangeSpec // its ranges: one repair is in flight at a time
 
 	poll   *sim.Timer // dl's abandonment poll
 	stepFn func()     // p.step, bound once: an idle tick schedules no closure
@@ -243,7 +246,14 @@ type Player struct {
 // counts bytes. The record takes coverage over, projected into segment
 // offsets (RangeSpec.Project), when the download completes or is cut (settle)
 // and when a repair resolves; scoring and repair planning read it from here.
+//
+// Records come from the kernel's store (DESIGN.md §5): a world takes one per
+// download and gives none back — a segment's record is read until the
+// session ends — and the next world gets them again, with the capacity of
+// their coverage sets and the callbacks of their requests, which are bound
+// to the record the first time the store hands it out.
 type download struct {
+	p         *Player
 	index     int
 	cand      abr.Candidate
 	segStart  int64 // the segment's offset in its representation's object
@@ -251,13 +261,52 @@ type download struct {
 	restarts  int
 	wasted    int
 
-	// The requests, while in flight (nil afterwards).
-	reliable *httpsim.Response // two-phase modes: I-frame + headers (§4.2)
-	body     *httpsim.Response
-	gotBytes int // body bytes so far, plus the reliable part once it resolved
+	// The requests, while in flight (nil afterwards), and the telemetry of
+	// the stream kind that carries the body.
+	reliable  *httpsim.Response // two-phase modes: I-frame + headers (§4.2)
+	body      *httpsim.Response
+	bodyBytes obs.Counter
+	bodyDone  obs.Kind
+	full      [1][2]int64 // a full segment's one range, the spec of its request
+	gotBytes  int         // body bytes so far, plus the reliable part once it resolved
 
 	coverage // valid once settled
 	resultIx int
+
+	hooks hooks
+}
+
+// hooks are a download record's request callbacks, bound to it once: those
+// of its own requests when the store first hands the record out, those of a
+// repair when it is first repaired.
+type hooks struct {
+	bodyChunk, repairChunk        func(bodyOff, n int64, data []byte)
+	bodyComplete, relComplete     func()
+	repairComplete                func()
+	bodyFail, relFail, repairFail func(error)
+}
+
+var downloads sim.Local[sim.Pool[download, *download]]
+
+// Scrub returns the record to its zero state for the kernel's next world,
+// keeping the capacity of its coverage sets and its hooks.
+func (dl *download) Scrub() {
+	dl.received.Reset()
+	dl.lost.Reset()
+	*dl = download{coverage: dl.coverage, hooks: dl.hooks}
+}
+
+// newDownload takes a record from the kernel's store, binding its hooks the
+// first time.
+func (p *Player) newDownload() *download {
+	dl := p.store.Get()
+	if dl.hooks.bodyChunk == nil {
+		h := &dl.hooks
+		h.bodyChunk, h.bodyComplete, h.bodyFail = dl.onBodyChunk, dl.onBodyComplete, dl.onBodyFail
+		h.relComplete, h.relFail = dl.onRelComplete, dl.onRelFail
+	}
+	dl.p = p
+	return dl
 }
 
 // coverage is a segment's delivery state in segment offsets: the bytes that
@@ -295,6 +344,7 @@ func New(s *sim.Sim, conn *quic.Conn, v *video.Video, m *dash.Manifest, cfg Conf
 		p.client.AddFailover(fc)
 	}
 	p.downloads = make([]*download, m.NumSegments())
+	p.store = downloads.Get(s)
 	p.poll = sim.NewTimer(s, p.pollDownload)
 	p.stepFn = p.step
 	// The decision space at its worst case, so that it never moves: each
@@ -540,7 +590,8 @@ func (p *Player) usesVirtualLevels() bool {
 func (p *Player) startDownload(cand abr.Candidate, prev *download) {
 	idx := p.nextIndex
 	seg := p.man.Segment(cand.Quality, idx)
-	dl := &download{index: idx, cand: cand, segStart: seg.MediaRange[0], startedAt: p.sim.Now()}
+	dl := p.newDownload()
+	dl.index, dl.cand, dl.segStart, dl.startedAt = idx, cand, seg.MediaRange[0], p.sim.Now()
 	if prev != nil {
 		dl.restarts = prev.restarts + 1
 		dl.wasted = prev.wasted + prev.gotBytes
@@ -558,8 +609,8 @@ func (p *Player) startDownload(cand abr.Candidate, prev *download) {
 
 // issueRequests issues the mode-appropriate HTTP requests for the candidate
 // of dl. Range requests name full-capacity subslices of the manifest's
-// object ranges — the reliable part [:nr], the body ranges after it — which
-// the responses only read.
+// object ranges — the reliable part [:nr], the body ranges after it — or a
+// full segment's one range in the record, which the responses only read.
 func (p *Player) issueRequests(dl *download, seg *dash.SegmentInfo) {
 	path := server.VideoPath(int(dl.cand.Quality))
 	obj, nr := seg.ObjectRanges, len(seg.Reliable)
@@ -573,7 +624,8 @@ func (p *Player) issueRequests(dl *download, seg *dash.SegmentInfo) {
 		var spec httpsim.RangeSpec
 		switch {
 		case !dl.cand.Virtual:
-			spec = httpsim.RangeSpec{{dl.segStart, dl.segStart + int64(dl.cand.Bytes)}}
+			dl.full[0] = [2]int64{dl.segStart, dl.segStart + int64(dl.cand.Bytes)}
+			spec = dl.full[:]
 		case p.cfg.Mode == ModeBeta:
 			lvl := seg.BetaObjectRanges
 			spec = lvl[:len(lvl):len(lvl)]
@@ -582,24 +634,13 @@ func (p *Player) issueRequests(dl *download, seg *dash.SegmentInfo) {
 			spec = obj[:n:n]
 		}
 		dl.body = p.client.Get(path, spec, false, nil)
-		p.wireBody(dl, obs.CBytesReliable, obs.EvBytesReliable)
+		dl.wireBody(obs.CBytesReliable, obs.EvBytesReliable)
 	case ModeOpaque, ModeVoxel:
 		// Two-phase fetch (§4.2): reliable I-frame + headers, then the
 		// frame bodies over an unreliable stream.
 		rel := p.client.Get(path, obj[:nr:nr], false, nil)
 		dl.reliable = rel
-		rel.OnComplete = func() {
-			n := rel.Ranges.TotalBytes()
-			dl.gotBytes += int(n)
-			p.obs.Count(obs.CBytesReliable, uint64(n))
-			p.obs.Event(obs.EvBytesReliable, int64(dl.index), n, 0)
-			p.maybeFinishDownload(dl)
-		}
-		rel.OnFail = func(error) {
-			p.results.FailedRequests++
-			dl.gotBytes += int(rel.BytesReceived())
-			p.maybeFinishDownload(dl)
-		}
+		rel.OnComplete, rel.OnFail = dl.hooks.relComplete, dl.hooks.relFail
 
 		n := len(seg.Unreliable)
 		if p.cfg.Mode == ModeVoxel && dl.cand.Virtual {
@@ -610,29 +651,49 @@ func (p *Player) issueRequests(dl *download, seg *dash.SegmentInfo) {
 			return
 		}
 		dl.body = p.client.Get(path, obj[nr:nr+n:nr+n], true, nil)
-		p.wireBody(dl, obs.CBytesUnreliable, obs.EvBytesUnreliable)
+		dl.wireBody(obs.CBytesUnreliable, obs.EvBytesUnreliable)
 	}
 }
 
-// wireBody attaches the callbacks of dl's body response; bytes and done name
-// the telemetry of the stream kind that carries it.
-func (p *Player) wireBody(dl *download, bytes obs.Counter, done obs.Kind) {
-	body := dl.body
-	// The download's only per-chunk work: progress for the abandonment poll
-	// and the byte counter, both live for a download still in flight when a
-	// trial ends. Coverage stays with the response until settle.
-	body.OnBody = func(_, n int64, _ []byte) {
-		dl.gotBytes += int(n)
-		p.obs.Count(bytes, uint64(n))
-	}
-	body.OnComplete = func() {
-		p.obs.Event(done, int64(dl.index), body.BytesReceived(), 0)
-		p.maybeFinishDownload(dl)
-	}
-	body.OnFail = func(error) {
-		p.results.FailedRequests++
-		p.maybeFinishDownload(dl)
-	}
+// wireBody attaches dl's hooks to its body response; bytes and done name the
+// telemetry of the stream kind that carries it.
+func (dl *download) wireBody(bytes obs.Counter, done obs.Kind) {
+	dl.bodyBytes, dl.bodyDone = bytes, done
+	dl.body.OnBody, dl.body.OnComplete, dl.body.OnFail = dl.hooks.bodyChunk, dl.hooks.bodyComplete, dl.hooks.bodyFail
+}
+
+// onBodyChunk is the download's only per-chunk work: progress for the
+// abandonment poll and the byte counter, both live for a download still in
+// flight when a trial ends. Coverage stays with the response until settle.
+func (dl *download) onBodyChunk(_, n int64, _ []byte) {
+	dl.gotBytes += int(n)
+	dl.p.obs.Count(dl.bodyBytes, uint64(n))
+}
+
+func (dl *download) onBodyComplete() {
+	p := dl.p
+	p.obs.Event(dl.bodyDone, int64(dl.index), dl.body.BytesReceived(), 0)
+	p.maybeFinishDownload(dl)
+}
+
+func (dl *download) onBodyFail(error) {
+	dl.p.results.FailedRequests++
+	dl.p.maybeFinishDownload(dl)
+}
+
+func (dl *download) onRelComplete() {
+	p := dl.p
+	n := dl.reliable.Ranges.TotalBytes()
+	dl.gotBytes += int(n)
+	p.obs.Count(obs.CBytesReliable, uint64(n))
+	p.obs.Event(obs.EvBytesReliable, int64(dl.index), n, 0)
+	p.maybeFinishDownload(dl)
+}
+
+func (dl *download) onRelFail(error) {
+	dl.p.results.FailedRequests++
+	dl.gotBytes += int(dl.reliable.BytesReceived())
+	dl.p.maybeFinishDownload(dl)
 }
 
 // resolved reports whether nothing more will arrive for r: it was never
@@ -676,7 +737,8 @@ func (p *Player) settle(dl *download) {
 			c.absorb(body, base)
 		}
 	}
-	dl.received, dl.lost = c.received.Clone(), c.lost.Clone()
+	dl.received.CopyFrom(&c.received)
+	dl.lost.CopyFrom(&c.lost)
 	p.checkSettled(dl)
 }
 
@@ -908,34 +970,47 @@ func (p *Player) maybeSelectiveRetx() {
 		if len(holes) == 0 {
 			continue
 		}
-		spec := make(httpsim.RangeSpec, 0, len(holes))
+		spec := p.retxSpec[:0]
 		for _, h := range holes {
 			spec = append(spec, [2]int64{dl.segStart + int64(h.Start), dl.segStart + int64(h.End)})
 		}
+		p.retxSpec = spec
 		resp := p.client.Get(server.VideoPath(int(dl.cand.Quality)), spec, true, nil)
 		p.retx = resp
-		// Holes are disjoint and missing from the record, so every chunk is
-		// recovered data; counted live, as a repair can outlast the session.
-		resp.OnBody = func(_, n int64, _ []byte) {
-			p.results.RecoveredBytes += n
-			p.obs.Count(obs.CRecoveredBytes, uint64(n))
+		h := &dl.hooks
+		if h.repairChunk == nil {
+			h.repairChunk, h.repairComplete, h.repairFail = dl.onRepairChunk, dl.onRepairComplete, dl.onRepairFail
 		}
-		resp.OnComplete = func() {
-			p.retx = nil
-			dl.absorb(resp, dl.segStart)
-			// Re-score with the recovered data.
-			res := &p.results.Segments[dl.resultIx]
-			res.Score = p.scoreSegment(dl)
-			res.GotBytes = int(dl.received.CoveredBytes())
-		}
-		resp.OnFail = func(error) {
-			// The repair is best-effort: keep what it recovered and move on.
-			p.results.FailedRequests++
-			p.retx = nil
-			dl.absorb(resp, dl.segStart)
-		}
+		resp.OnBody, resp.OnComplete, resp.OnFail = h.repairChunk, h.repairComplete, h.repairFail
 		return
 	}
+}
+
+// onRepairChunk counts recovered data: holes are disjoint and missing from
+// the record, so every chunk is. Counted live, as a repair can outlast the
+// session.
+func (dl *download) onRepairChunk(_, n int64, _ []byte) {
+	dl.p.results.RecoveredBytes += n
+	dl.p.obs.Count(obs.CRecoveredBytes, uint64(n))
+}
+
+func (dl *download) onRepairComplete() {
+	p := dl.p
+	dl.absorb(p.retx, dl.segStart)
+	p.retx = nil
+	// Re-score with the recovered data.
+	res := &p.results.Segments[dl.resultIx]
+	res.Score = p.scoreSegment(dl)
+	res.GotBytes = int(dl.received.CoveredBytes())
+}
+
+// onRepairFail keeps what the repair recovered and moves on: the repair is
+// best-effort.
+func (dl *download) onRepairFail(error) {
+	p := dl.p
+	p.results.FailedRequests++
+	dl.absorb(p.retx, dl.segStart)
+	p.retx = nil
 }
 
 // holes returns the ranges of dl the transport reported lost and no later

@@ -146,15 +146,13 @@ func (s *RangeSet) Ranges() []ByteRange { return s.ranges }
 // Reset empties s and keeps its storage for the next use.
 func (s *RangeSet) Reset() { s.ranges = s.ranges[:0] }
 
-// Clone returns a copy of s that shares no storage with it, in one
-// allocation of exactly its size (none when s is empty).
-func (s *RangeSet) Clone() RangeSet {
-	if len(s.ranges) == 0 {
-		return RangeSet{}
+// CopyFrom makes s a copy of src that shares no storage with it, in s's own
+// storage (grown, if it must, in one allocation of exactly src's size).
+func (s *RangeSet) CopyFrom(src *RangeSet) {
+	if cap(s.ranges) < len(src.ranges) {
+		s.ranges = make([]ByteRange, 0, len(src.ranges))
 	}
-	out := make([]ByteRange, len(s.ranges))
-	copy(out, s.ranges)
-	return RangeSet{ranges: out}
+	s.ranges = append(s.ranges[:0], src.ranges...)
 }
 
 // ContiguousFrom returns the end of the contiguous covered prefix starting

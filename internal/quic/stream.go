@@ -167,6 +167,18 @@ func (s *Stream) OnFin(fn func(finalSize uint64)) {
 	s.maybeFin()
 }
 
+// Detach drops the receive callbacks of a stream whose reader is done with
+// it: data and loss reports that arrive later only update coverage. The
+// stream keeps a no-op fin callback, so it still finalizes once its fate is
+// known, and a reliable one is still held to quic.reliable-contiguity when
+// the checker is armed.
+func (s *Stream) Detach() {
+	s.onData, s.onLost, s.onFin = nil, nil, detachedFin
+}
+
+// detachedFin is the fin callback of a detached stream.
+func detachedFin(uint64) {}
+
 // Received returns the receive-side coverage set (read-only).
 func (s *Stream) Received() *RangeSet { return &s.received }
 

@@ -57,6 +57,23 @@ func TestWitnessQuicReliableContiguity(t *testing.T) {
 	s.OnFin(func(uint64) { t.Fatal("a reliable stream finished with a gap") })
 }
 
+// TestDetachedReliableStreamIsStillChecked: a detached stream keeps a fin
+// callback, so a reliable one that finishes with a gap is still a
+// quic.reliable-contiguity violation — detaching a stale request stream does
+// not switch its check off — and what arrives after Detach reaches no
+// callback.
+func TestDetachedReliableStreamIsStillChecked(t *testing.T) {
+	c, _ := armedPair()
+	s := c.OpenStream(false)
+	s.OnData(func(uint64, uint64, []byte) { t.Fatal("a detached stream delivered data") })
+	s.OnFin(func(uint64) { t.Fatal("a detached stream ran its reader's fin callback") })
+	s.Detach()
+	s.handleData(&StreamFrame{Offset: 0, Elided: 1000})
+	s.lost.Add(1000, 2000)
+	defer func() { wantViolation(t, recover(), invariant.QuicReliableContiguity) }()
+	s.handleData(&StreamFrame{Offset: 2000, Elided: 1000, Fin: true})
+}
+
 // TestWitnessQuicWireRoundtrip: under an armed checker transmit holds a
 // record to the codec — every frame kind passes when the size sent is the
 // size encoded, and a record sealed one byte off is a quic.wire-roundtrip

@@ -77,9 +77,26 @@ func TestRejectsUnknownPaths(t *testing.T) {
 	}
 }
 
+// TestResolveZeroAllocs: the server hands out prebuilt objects and the
+// player names a video path from a table, so neither allocates.
+func TestResolveZeroAllocs(t *testing.T) {
+	_, _, vs, _ := fixture(t)
+	if n := testing.AllocsPerRun(100, func() {
+		for _, p := range []string{ManifestPath, VideoPath(0), VideoPath(12)} {
+			if _, err := vs.resolve(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Fatalf("naming and resolving three paths makes %v allocations, want 0", n)
+	}
+}
+
 func TestVideoPathFormat(t *testing.T) {
-	if VideoPath(12) != "/video/Q12" {
-		t.Fatalf("VideoPath(12) = %q", VideoPath(12))
+	for q, want := range []string{0: "/video/Q0", 12: "/video/Q12", 13: "/video/Q13"} {
+		if got := VideoPath(q); want != "" && got != want {
+			t.Fatalf("VideoPath(%d) = %q, want %q", q, got, want)
+		}
 	}
 	if !strings.HasPrefix(ManifestPath, "/") {
 		t.Fatal("manifest path must be absolute")

@@ -803,3 +803,11 @@ func (t *Timer) Stop() {
 
 // Armed reports whether the timer is pending.
 func (t *Timer) Armed() bool { return t.ev != nil }
+
+// When returns the time the timer fires at, and whether it is pending.
+func (t *Timer) When() (Time, bool) {
+	if t.ev == nil {
+		return 0, false
+	}
+	return t.ev.at, true
+}
