@@ -2,7 +2,9 @@
 // evaluation and prints them (optionally writing a Markdown results file
 // consumed by EXPERIMENTS.md). Scale with -trials and -segments; the paper
 // used 30 trials over 75-segment clips. -parallel fans trials out across
-// worker goroutines; results are bit-identical at any worker count.
+// worker goroutines; results are bit-identical at any worker count, and the
+// -out file is a function of the flags alone (testdata/exhibits-quick.md is
+// the -quick -trials 1 -segments 8 run).
 package main
 
 import (
@@ -111,9 +113,8 @@ func main() {
 		}
 		outFile.Sync()
 	}
-	emit(fmt.Sprintf("# voxel-bench results\n\ntrials=%d segments=%d quick=%v parallel=%d generated=%s\n\n",
-		params.Trials, params.Segments, params.Quick, params.Parallelism,
-		time.Now().UTC().Format(time.RFC3339)))
+	emit(fmt.Sprintf("# voxel-bench results\n\ntrials=%d segments=%d quick=%v\n\n",
+		params.Trials, params.Segments, params.Quick))
 
 	// The figure generators consume Aggregates internally, so trial failures
 	// are collected through the exp.FailureHook side channel: every exhibit
@@ -169,7 +170,11 @@ func writeMarkdown(b *strings.Builder, t *figures.Table) {
 	fmt.Fprintf(b, "| %s |\n", strings.Join(t.Header, " | "))
 	fmt.Fprintf(b, "|%s\n", strings.Repeat("---|", len(t.Header)))
 	for _, r := range t.Rows {
-		fmt.Fprintf(b, "| %s |\n", strings.Join(r, " | "))
+		b.WriteString("|")
+		for _, c := range r {
+			fmt.Fprintf(b, " %s |", c)
+		}
+		b.WriteString("\n")
 	}
 	if t.Notes != "" {
 		fmt.Fprintf(b, "\n*%s*\n", t.Notes)

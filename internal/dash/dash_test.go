@@ -166,23 +166,6 @@ func TestBackwardCompatibleDecoding(t *testing.T) {
 	}
 }
 
-func TestManifestOverheadPlausible(t *testing.T) {
-	// §4.1: the naive encoding adds ≈16% of an average Q12 segment. Ours
-	// should be within the same order of magnitude.
-	v := smallVideo(t, "BBB", 10)
-	m := Build(v, BuildOptions{Voxel: true, PointsPerSegment: 12})
-	bytes, frac, err := m.SizeOverhead()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes <= 0 {
-		t.Fatal("no manifest bytes")
-	}
-	if frac <= 0 || frac > 1.5 {
-		t.Fatalf("overhead fraction %.3f implausible", frac)
-	}
-}
-
 func TestParseRangeErrors(t *testing.T) {
 	bad := []string{"", "5", "a-b", "9-3", "5-"}
 	for _, s := range bad {

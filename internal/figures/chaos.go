@@ -1,8 +1,6 @@
 package figures
 
 import (
-	"fmt"
-
 	"voxel/internal/exp"
 	"voxel/internal/netem"
 	"voxel/internal/trace"
@@ -31,9 +29,8 @@ func FigChaos(p Params) *Table {
 				completed++
 			}
 		}
-		t.AddRow(name, pct(agg.BufRatioP90()), mbps(agg.BitrateMean()), f3(agg.MeanScore()),
-			fmt.Sprintf("%.1f", failed/float64(len(agg.Trials))),
-			fmt.Sprintf("%d/%d", completed, len(agg.Trials)))
+		t.AddRow(label(name), pct(agg.BufRatioP90()), mbps(agg.BitrateMean()), f3(agg.MeanScore()),
+			f1(failed/float64(len(agg.Trials))), ofTotal(completed, len(agg.Trials)))
 	}
 	for _, prof := range netem.Profiles() {
 		cfg := p.cell("BBB", exp.SysVoxel, tr, 7)

@@ -50,11 +50,11 @@ func Fig3(p Params) *Table {
 		for _, buf := range p.buffers([]int{5, 6, 7}) {
 			q := exp.Run(p.cell(cell.video, cell.abrQ, cell.tr, buf))
 			qs := exp.Run(p.cell(cell.video, cell.abrQStar, cell.tr, buf))
-			imp := "-"
+			var imp Cell
 			if q.BufRatioP90() > 0 {
 				imp = pct((q.BufRatioP90() - qs.BufRatioP90()) / q.BufRatioP90())
 			}
-			t.AddRow(string(cell.abrQ), cell.tr.Name(), cell.video, fmt.Sprint(buf),
+			t.AddRow(label(string(cell.abrQ)), label(cell.tr.Name()), label(cell.video), num(buf),
 				pct(q.BufRatioP90()), pct(qs.BufRatioP90()), imp)
 		}
 	}
@@ -74,7 +74,7 @@ func Fig4(p Params) *Table {
 		for _, buf := range p.buffers([]int{5, 6, 7}) {
 			q := exp.Run(p.cell(cell.video, cell.abrQ, cell.tr, buf))
 			qs := exp.Run(p.cell(cell.video, cell.abrQStar, cell.tr, buf))
-			t.AddRow(string(cell.abrQ), cell.tr.Name(), cell.video, fmt.Sprint(buf),
+			t.AddRow(label(string(cell.abrQ)), label(cell.tr.Name()), label(cell.video), num(buf),
 				mbps(q.BitrateMean()), mbps(qs.BitrateMean()))
 		}
 	}
@@ -113,7 +113,7 @@ func Fig5(p Params) *Table {
 		for _, buf := range p.buffers([]int{5, 6, 7}) {
 			q := exp.Run(p.crossCfg(cell.video, cell.q, 15e6, buf))
 			qs := exp.Run(p.crossCfg(cell.video, cell.qs, 15e6, buf))
-			t.AddRow(string(cell.q), cell.video, fmt.Sprint(buf),
+			t.AddRow(label(string(cell.q)), label(cell.video), num(buf),
 				pct(q.BufRatioP90()), pct(qs.BufRatioP90()),
 				mbps(q.BitrateMean()), mbps(qs.BitrateMean()))
 		}
@@ -156,7 +156,7 @@ func Fig6(p Params) *Table {
 			bola := exp.Run(p.cell(cell.video, exp.SysBolaQ, cell.tr, buf))
 			beta := exp.Run(p.cell(cell.video, exp.SysBeta, cell.tr, buf))
 			vox := exp.Run(p.cell(cell.video, exp.SysVoxel, cell.tr, buf))
-			t.AddRow(cell.tr.Name(), cell.video, fmt.Sprint(buf),
+			t.AddRow(label(cell.tr.Name()), label(cell.video), num(buf),
 				pct(bola.BufRatioP90()), pct(beta.BufRatioP90()), pct(vox.BufRatioP90()))
 		}
 	}
@@ -173,7 +173,7 @@ func Fig7a(p Params) *Table {
 	tr := trace.Verizon()
 	for _, buf := range p.buffers([]int{1, 2, 3, 7}) {
 		bola := exp.Run(p.cell("BBB", exp.SysBolaQ, tr, buf))
-		row := []string{fmt.Sprint(buf), pct(bola.BufRatioP90())}
+		row := []Cell{num(buf), pct(bola.BufRatioP90())}
 		for _, m := range []qoe.Metric{qoe.SSIM, qoe.VMAF, qoe.PSNR} {
 			c := p.cell("BBB", exp.SysVoxel, tr, buf)
 			c.Metric = m
@@ -204,7 +204,7 @@ func Fig7bc(p Params) *Table {
 					perfect++
 				}
 			}
-			t.AddRow(m.String(), string(sys),
+			t.AddRow(label(m.String()), label(string(sys)),
 				f3(cdf.Quantile(0.10)), f3(cdf.Quantile(0.50)), f3(cdf.Quantile(0.90)),
 				pct(float64(perfect)/float64(max(1, len(agg.AllScores)))))
 		}
@@ -227,7 +227,7 @@ func Fig7d(p Params) *Table {
 			for _, trial := range agg.Trials {
 				sk = append(sk, trial.Skipped)
 			}
-			t.AddRow(v, fmt.Sprint(buf), pct(stats.Mean(sk)))
+			t.AddRow(label(v), num(buf), pct(stats.Mean(sk)))
 		}
 	}
 	return t
@@ -245,7 +245,7 @@ func Fig8(p Params) *Table {
 			for _, buf := range p.buffers([]int{1, 7}) {
 				bola := exp.Run(p.cell(v, exp.SysBolaQ, tr, buf))
 				vox := exp.Run(p.cell(v, exp.SysVoxel, tr, buf))
-				t.AddRow(tr.Name(), v, fmt.Sprint(buf),
+				t.AddRow(label(tr.Name()), label(v), num(buf),
 					mbps(bola.BitrateMean()), mbps(vox.BitrateMean()))
 			}
 		}
@@ -276,7 +276,7 @@ func Fig9(p Params) *Table {
 	for _, sc := range scenarios {
 		for _, sys := range []exp.System{exp.SysBolaQ, exp.SysBeta, exp.SysVoxel} {
 			cdf := exp.Run(p.cell(sc.video, sys, sc.tr, sc.buf)).ScoreCDF()
-			t.AddRow(sc.label, string(sys),
+			t.AddRow(label(sc.label), label(string(sys)),
 				f3(cdf.Quantile(0.25)), f3(cdf.Quantile(0.50)), f3(cdf.Quantile(0.75)))
 		}
 	}
@@ -302,7 +302,7 @@ func Fig10(p Params) *Table {
 				ratios = append(ratios, agg.BufRatios...)
 				scores = append(scores, agg.AllScores...)
 			}
-			t.AddRow(fmt.Sprint(buf), string(sys),
+			t.AddRow(num(buf), label(string(sys)),
 				pct(stats.Mean(ratios)), pct(stats.Percentile(ratios, 90)), f4(stats.Mean(scores)))
 		}
 	}
@@ -342,7 +342,7 @@ func Fig11(p Params) *Table {
 					perfect++
 				}
 			}
-			t.AddRow(tr.Name(), string(sys),
+			t.AddRow(label(tr.Name()), label(string(sys)),
 				f4(stats.Mean(agg.AllScores)), f4(stats.Min(agg.AllScores)),
 				pct(float64(perfect)/float64(max(1, len(agg.AllScores)))))
 		}
@@ -362,7 +362,7 @@ func Fig11d(p Params) *Table {
 		for _, buf := range []int{1, 7} {
 			for _, sys := range []exp.System{exp.SysBolaQ, exp.SysVoxel} {
 				agg := exp.Run(p.cell(v, sys, tr, buf))
-				t.AddRow(v, fmt.Sprint(buf), string(sys),
+				t.AddRow(label(v), num(buf), label(string(sys)),
 					pct(agg.BufRatioP90()), f3(agg.ScoreCDF().Quantile(0.5)))
 			}
 		}
@@ -381,7 +381,7 @@ func Fig12(p Params) *Table {
 		for _, buf := range p.buffers([]int{1, 2, 3, 7}) {
 			for _, sys := range []exp.System{exp.SysBolaQ, exp.SysVoxel} {
 				agg := exp.Run(p.crossCfg(v, sys, 15e6, buf))
-				t.AddRow(v, fmt.Sprint(buf), string(sys),
+				t.AddRow(label(v), num(buf), label(string(sys)),
 					pct(agg.BufRatioP90()), mbps(agg.BitrateMean()))
 			}
 		}
@@ -415,13 +415,13 @@ func Fig14(p Params) *Table {
 		}
 	}
 	out := survey.NewPanel(54, p.Seed).Evaluate(clip(bolaAgg), clip(voxAgg))
-	t.AddRow("clarity MOS", f2(out.MeanA.Clarity), f2(out.MeanB.Clarity))
-	t.AddRow("glitches MOS", f2(out.MeanA.Glitches), f2(out.MeanB.Glitches))
-	t.AddRow("fluidity MOS", f2(out.MeanA.Fluidity), f2(out.MeanB.Fluidity))
-	t.AddRow("experience MOS", f2(out.MeanA.Experience), f2(out.MeanB.Experience))
-	t.AddRow("preferred", pct(1-out.PreferB), pct(out.PreferB))
-	t.AddRow("would stop", pct(out.WouldStopA), pct(out.WouldStopB))
-	t.AddRow("would not watch longer", pct(out.WouldNotWatchA), pct(out.WouldNotWatchB))
+	t.AddRow(label("clarity MOS"), f2(out.MeanA.Clarity), f2(out.MeanB.Clarity))
+	t.AddRow(label("glitches MOS"), f2(out.MeanA.Glitches), f2(out.MeanB.Glitches))
+	t.AddRow(label("fluidity MOS"), f2(out.MeanA.Fluidity), f2(out.MeanB.Fluidity))
+	t.AddRow(label("experience MOS"), f2(out.MeanA.Experience), f2(out.MeanB.Experience))
+	t.AddRow(label("preferred"), pct(1-out.PreferB), pct(out.PreferB))
+	t.AddRow(label("would stop"), pct(out.WouldStopA), pct(out.WouldStopB))
+	t.AddRow(label("would not watch longer"), pct(out.WouldNotWatchA), pct(out.WouldNotWatchB))
 	return t
 }
 
@@ -445,7 +445,7 @@ func Fig16(p Params) *Table {
 				c.QueuePackets = netem.LongQueuePackets
 				return exp.Run(c)
 			}
-			t.AddRow(cell.tr.Name(), cell.video, fmt.Sprint(buf),
+			t.AddRow(label(cell.tr.Name()), label(cell.video), num(buf),
 				pct(mk(exp.SysBolaQ).BufRatioP90()), pct(mk(exp.SysVoxel).BufRatioP90()))
 		}
 	}
@@ -463,7 +463,7 @@ func Fig17(p Params) *Table {
 		beta := exp.Run(p.cell("ToS", exp.SysBeta, tr, buf))
 		untuned := exp.Run(p.cell("ToS", exp.SysVoxelUntuned, tr, buf))
 		tuned := exp.Run(p.cell("ToS", exp.SysVoxel, tr, buf))
-		t.AddRow(fmt.Sprint(buf), pct(beta.BufRatioP90()),
+		t.AddRow(num(buf), pct(beta.BufRatioP90()),
 			pct(untuned.BufRatioP90()), pct(tuned.BufRatioP90()))
 	}
 	return t
@@ -479,7 +479,7 @@ func Fig18ab(p Params) *Table {
 		for _, buf := range p.buffers([]int{1, 2, 3, 7}) {
 			bola := exp.Run(p.cell(v, exp.SysBolaQ, tr, buf))
 			vox := exp.Run(p.cell(v, exp.SysVoxel, tr, buf))
-			t.AddRow(v, fmt.Sprint(buf),
+			t.AddRow(label(v), num(buf),
 				pct(bola.BufRatioP90()), pct(vox.BufRatioP90()),
 				mbps(bola.BitrateMean()), mbps(vox.BitrateMean()))
 		}
@@ -504,7 +504,7 @@ func Fig18cd(p Params) *Table {
 		for _, buf := range p.buffers([]int{1, 2, 3, 7}) {
 			rel := exp.Run(p.cell(cell.video, exp.SysVoxelRel, cell.tr, buf))
 			vox := exp.Run(p.cell(cell.video, exp.SysVoxel, cell.tr, buf))
-			t.AddRow(cell.tr.Name(), cell.video, fmt.Sprint(buf),
+			t.AddRow(label(cell.tr.Name()), label(cell.video), num(buf),
 				pct(rel.BufRatioP90()), pct(vox.BufRatioP90()))
 		}
 	}
@@ -536,7 +536,7 @@ func FigB1(p Params) *Table {
 			}
 			cubic := mk("cubic")
 			bbr := mk("bbr")
-			t.AddRow(cell.tr.Name(), fmt.Sprint(buf),
+			t.AddRow(label(cell.tr.Name()), num(buf),
 				pct(cubic.BufRatioP90()), pct(bbr.BufRatioP90()),
 				f4(cubic.MeanScore()), f4(bbr.MeanScore()))
 		}
@@ -559,7 +559,7 @@ func SelectiveRetx(p Params) *Table {
 			residual = append(residual, trial.Residual)
 			skipped = append(skipped, trial.Skipped)
 		}
-		t.AddRow(fmt.Sprint(buf), pct(stats.Mean(residual)), pct(stats.Mean(skipped)))
+		t.AddRow(num(buf), pct(stats.Mean(residual)), pct(stats.Mean(skipped)))
 	}
 	return t
 }

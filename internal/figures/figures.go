@@ -1,12 +1,13 @@
 // Package figures regenerates every table and figure of the paper's
-// evaluation. Each generator returns a Table of printable rows whose
-// *shape* (who wins, by roughly what factor, where crossovers fall) is
-// comparable against the published plots; EXPERIMENTS.md records the
-// comparison. The generators are shared by bench_test.go (one benchmark
-// per exhibit) and cmd/voxel-bench (the full harness).
+// evaluation. Each generator returns a Table of Cells, whose values tests
+// read and whose text Cell.String alone writes. The tables' *shape* (who
+// wins, by roughly what factor, where crossovers fall) is held to the paper
+// by claims_test.go (§3) and EXPERIMENTS.md. The generators are shared by
+// bench_test.go (one sub-benchmark per exhibit) and cmd/voxel-bench.
 package figures
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -82,29 +83,34 @@ type Table struct {
 	ID     string
 	Title  string
 	Header []string
-	Rows   [][]string
+	Rows   [][]Cell
 	Notes  string
 }
 
-// AddRow appends a formatted row.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
+// AddRow appends a row.
+func (t *Table) AddRow(cells ...Cell) { t.Rows = append(t.Rows, cells) }
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s — %s ==\n", t.ID, t.Title)
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
+	lines := [][]string{t.Header}
 	for _, r := range t.Rows {
+		line := make([]string, len(r))
 		for i, c := range r {
+			line[i] = c.String()
+		}
+		lines = append(lines, line)
+	}
+	widths := make([]int, len(t.Header))
+	for _, cells := range lines {
+		for i, c := range cells {
 			if i < len(widths) && len(c) > widths[i] {
 				widths[i] = len(c)
 			}
 		}
 	}
-	line := func(cells []string) {
+	for _, cells := range lines {
 		for i, c := range cells {
 			if i > 0 {
 				b.WriteString("  ")
@@ -113,21 +119,50 @@ func (t *Table) String() string {
 		}
 		b.WriteByte('\n')
 	}
-	line(t.Header)
-	for _, r := range t.Rows {
-		line(r)
-	}
 	if t.Notes != "" {
 		fmt.Fprintf(&b, "-- %s\n", t.Notes)
 	}
 	return b.String()
 }
 
-func f2(x float64) string   { return fmt.Sprintf("%.2f", x) }
-func f3(x float64) string   { return fmt.Sprintf("%.3f", x) }
-func f4(x float64) string   { return fmt.Sprintf("%.4f", x) }
-func pct(x float64) string  { return fmt.Sprintf("%.1f%%", 100*x) }
-func mbps(x float64) string { return fmt.Sprintf("%.2f Mbps", x/1e6) }
+// Cell is one table entry: a label, or a value and the verb it prints
+// with. A value is the printed number before rounding (a percentage, Mbps,
+// MB, seconds); the zero Cell is an absent value.
+type Cell struct {
+	Label string
+	Value float64
+	of    int    // the whole of a part-of-whole value
+	verb  string // set only by the constructors below
+}
+
+const outOf = "%.0f/%d"
+
+// String is the one formatter: every rendering of a cell goes through it.
+func (c Cell) String() string {
+	switch c.verb {
+	case "":
+		return cmp.Or(c.Label, "-")
+	case outOf:
+		return fmt.Sprintf(outOf, c.Value, c.of)
+	}
+	return fmt.Sprintf(c.verb, c.Value)
+}
+
+func label(s string) Cell       { return Cell{Label: s} }
+func num(n int) Cell            { return Cell{Value: float64(n), verb: "%.0f"} }
+func f1(x float64) Cell         { return Cell{Value: x, verb: "%.1f"} }
+func f2(x float64) Cell         { return Cell{Value: x, verb: "%.2f"} }
+func f3(x float64) Cell         { return Cell{Value: x, verb: "%.3f"} }
+func f4(x float64) Cell         { return Cell{Value: x, verb: "%.4f"} }
+func pct(fraction float64) Cell { return Cell{Value: 100 * fraction, verb: "%.1f%%"} }
+func mbps(bps float64) Cell     { return Cell{Value: bps / 1e6, verb: "%.2f Mbps"} }
+func nbytes(n int) Cell         { return Cell{Value: float64(n), verb: "%.0f B"} }
+func kbytes(n int64) Cell       { return Cell{Value: float64(n / 1000), verb: "%.0f KB"} }
+func mbytes(n int) Cell         { return Cell{Value: float64(n) / 1e6, verb: "%.1f MB"} }
+func secs(x float64) Cell       { return Cell{Value: x, verb: "%.0f s"} }
+func secs1(x float64) Cell      { return Cell{Value: x, verb: "%.1fs"} }
+func secs2(x float64) Cell      { return Cell{Value: x, verb: "%.2fs"} }
+func ofTotal(n, of int) Cell    { return Cell{Value: float64(n), of: of, verb: outOf} }
 
 // cell builds an experiment config for the common sweep pattern.
 func (p Params) cell(title string, sys exp.System, tr *trace.Trace, bufSegs int) exp.Config {

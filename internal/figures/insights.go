@@ -18,9 +18,8 @@ func Table1(p Params) *Table {
 		Header: []string{"Video", "Genre", "StdDev(target)", "StdDev(measured)", "Segments"}}
 	for _, name := range video.TestTitles() {
 		v := video.MustLoad(name)
-		sd := stats.StdDev(v.SegmentBitrates(12)) / 1e6
-		t.AddRow(name, v.Genre, fmt.Sprintf("%.2f Mbps", v.StdDevMbps),
-			fmt.Sprintf("%.2f Mbps", sd), fmt.Sprint(v.Segments))
+		sd := stats.StdDev(v.SegmentBitrates(12))
+		t.AddRow(label(name), label(v.Genre), mbps(v.StdDevMbps*1e6), mbps(sd), num(v.Segments))
 	}
 	return t
 }
@@ -36,8 +35,8 @@ func Table2(Params) *Table {
 		for i := 0; i < v.Segments; i++ {
 			total += v.Segment(i, q).TotalBytes()
 		}
-		t.AddRow(q.String(), video.Ladder[q].Resolution,
-			mbps(video.Ladder[q].AvgBitrate), fmt.Sprintf("%.1f MB", float64(total)/1e6))
+		t.AddRow(label(q.String()), label(video.Ladder[q].Resolution),
+			mbps(video.Ladder[q].AvgBitrate), mbytes(total))
 	}
 	return t
 }
@@ -48,9 +47,8 @@ func Table3(Params) *Table {
 		Header: []string{"Clip", "Category", "StdDev(target)", "StdDev(measured)"}}
 	for _, name := range video.YouTubeTitles() {
 		v := video.MustLoad(name)
-		sd := stats.StdDev(v.SegmentBitrates(12)) / 1e6
-		t.AddRow(name, v.Genre, fmt.Sprintf("%.2f Mbps", v.StdDevMbps),
-			fmt.Sprintf("%.2f Mbps", sd))
+		sd := stats.StdDev(v.SegmentBitrates(12))
+		t.AddRow(label(name), label(v.Genre), mbps(v.StdDevMbps*1e6), mbps(sd))
 	}
 	return t
 }
@@ -72,19 +70,21 @@ func Prep(p Params) *Table {
 		for _, plan := range a.AnalyzeVideo(video.MustLoad(title), 12) {
 			counts[plan.Ordering]++
 		}
-		row := []string{title}
+		row := []Cell{label(title)}
 		for _, o := range prep.Orderings() {
-			row = append(row, fmt.Sprint(counts[o]))
+			row = append(row, num(counts[o]))
 		}
 		p25, p50, p75 := toleranceQuartiles(title, 12, 0.99)
 		bytes, frac, err := exp.ManifestFor(title, qoe.SSIM, 0).SizeOverhead()
 		if err != nil {
 			panic(err) // EncodeMPD of a built manifest cannot fail
 		}
-		t.AddRow(append(row, pct(p25), pct(p50), pct(p75), fmt.Sprintf("%d B", bytes), pct(frac))...)
+		t.AddRow(append(row, pct(p25), pct(p50), pct(p75), nbytes(bytes), pct(frac))...)
+		if t.Notes == "" {
+			t.Notes = fmt.Sprintf("paper (§4.1): the enriched manifest is ≈16%% of an average Q12 segment; measured %s (%s) as MPD XML, most of it per-frame reliable/unreliable byte ranges",
+				pct(frac), title)
+		}
 	}
-	t.Notes = fmt.Sprintf("paper (§4.1): the enriched manifest is ≈16%% of an average Q12 segment; measured %s (%s) as MPD XML, most of it per-frame reliable/unreliable byte ranges",
-		t.Rows[0][len(t.Header)-1], t.Rows[0][0])
 	return t
 }
 
@@ -98,17 +98,17 @@ func Traces(p Params) *Table {
 		if err != nil {
 			panic(err) // Names lists exactly the ByName keys
 		}
-		t.AddRow(tr.Name(), mbps(tr.Mean()), mbps(tr.StdDev()), fmt.Sprintf("%.0f s", tr.Duration().Seconds()))
+		t.AddRow(label(tr.Name()), mbps(tr.Mean()), mbps(tr.StdDev()), secs(tr.Duration().Seconds()))
 	}
 	set := trace.Riiser3GSet(p.riiserSetSize())
-	var means, sds, secs []float64
+	var means, sds, lengths []float64
 	for _, tr := range set {
 		means = append(means, tr.Mean())
 		sds = append(sds, tr.StdDev())
-		secs = append(secs, tr.Duration().Seconds())
+		lengths = append(lengths, tr.Duration().Seconds())
 	}
-	t.AddRow(fmt.Sprintf("riiser-3g ×%d (avg)", len(set)), mbps(stats.Mean(means)), mbps(stats.Mean(sds)),
-		fmt.Sprintf("%.0f s", stats.Mean(secs)))
+	t.AddRow(label(fmt.Sprintf("riiser-3g ×%d (avg)", len(set))), mbps(stats.Mean(means)), mbps(stats.Mean(sds)),
+		secs(stats.Mean(lengths)))
 	t.Notes = fmt.Sprintf("paper §5: LTE/3G/FCC traces offset to a 10 Mbps mean, stddev ≈9–10 (T-Mobile, Verizon), 2.88 (AT&T), 1.1 (3G), 2.35 Mbps (FCC); riiser-3g means span %s–%s",
 		mbps(stats.Min(means)), mbps(stats.Max(means)))
 	return t
@@ -147,7 +147,7 @@ func Fig1(p Params) *Table {
 	for _, s := range settings {
 		for _, title := range titles {
 			p25, p50, p75 := toleranceQuartiles(title, s.q, s.target)
-			t.AddRow(title, s.label, pct(p25), pct(p50), pct(p75))
+			t.AddRow(label(title), label(s.label), pct(p25), pct(p50), pct(p75))
 		}
 	}
 	return t
@@ -172,7 +172,7 @@ func Fig1d(Params) *Table {
 					below++
 				}
 			}
-			t.AddRow(title, q.String(), f4(stats.Percentile(ss, 50)),
+			t.AddRow(label(title), label(q.String()), f4(stats.Percentile(ss, 50)),
 				pct(float64(below)/float64(len(ss))))
 		}
 	}
@@ -194,7 +194,7 @@ func Fig2a(Params) *Table {
 				counts[f]++
 			}
 		}
-		row := []string{title}
+		row := []Cell{label(title)}
 		for b := 0; b < 6; b++ {
 			var sum float64
 			for pos := b * 16; pos < (b+1)*16; pos++ {
@@ -228,7 +228,7 @@ func Fig2b(Params) *Table {
 				refT = append(refT, prep.ReferencedShare(s, d))
 			}
 		}
-		t.AddRow(title,
+		t.AddRow(label(title),
 			pct(stats.Percentile(ranked, 50)), pct(stats.Percentile(tail, 50)),
 			pct(stats.Mean(refR)), pct(stats.Mean(refT)))
 	}
@@ -266,7 +266,7 @@ func Fig2cd(Params) *Table {
 		}
 		for _, key := range []string{"Q12", "Q12/0.99", "Q12/0.95", "Q11", "Q10"} {
 			xs := series[key]
-			t.AddRow(title, key, mbps(stats.Mean(xs)), mbps(stats.Percentile(xs, 50)))
+			t.AddRow(label(title), label(key), mbps(stats.Mean(xs)), mbps(stats.Percentile(xs, 50)))
 		}
 	}
 	return t
@@ -281,7 +281,7 @@ func Fig15(Params) *Table {
 		v := video.MustLoad(title)
 		for _, q := range []video.Quality{12, 11, 10, 8, 6, 4} {
 			rates := v.SegmentBitrates(q)
-			t.AddRow(title, q.String(), mbps(stats.Min(rates)), mbps(stats.Mean(rates)), mbps(stats.Max(rates)))
+			t.AddRow(label(title), label(q.String()), mbps(stats.Min(rates)), mbps(stats.Mean(rates)), mbps(stats.Max(rates)))
 		}
 	}
 	return t
@@ -300,7 +300,7 @@ func Fig19(p Params) *Table {
 		_, a, _ := toleranceQuartiles(title, 12, 0.99)
 		_, b, _ := toleranceQuartiles(title, 9, 0.99)
 		_, c, _ := toleranceQuartiles(title, 9, 0.95)
-		t.AddRow(title, pct(a), pct(b), pct(c))
+		t.AddRow(label(title), pct(a), pct(b), pct(c))
 	}
 	return t
 }
@@ -334,7 +334,7 @@ func ReferencedShares(Params) *Table {
 		if n > 0 {
 			frac = float64(withRef) / float64(n)
 		}
-		t.AddRow(title, pct(stats.Mean(shares)), pct(frac))
+		t.AddRow(label(title), pct(stats.Mean(shares)), pct(frac))
 	}
 	return t
 }

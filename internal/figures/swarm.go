@@ -1,8 +1,6 @@
 package figures
 
 import (
-	"fmt"
-
 	"voxel/internal/exp"
 	"voxel/internal/trace"
 )
@@ -30,9 +28,9 @@ func FigSwarm(p Params) *Table {
 		cfg.Sessions = n
 		agg := exp.Run(cfg)
 		sessions := float64(len(agg.Trials) * n)
-		t.AddRow(fmt.Sprintf("%d", n), mbps(agg.BitrateMean()), f3(agg.MeanScore()),
+		t.AddRow(num(n), mbps(agg.BitrateMean()), f3(agg.MeanScore()),
 			f3(agg.SessionQoEP5()), f3(agg.JainMean()), pct(agg.UtilizationMean()),
-			fmt.Sprintf("%.2fs", agg.TotalStall().Seconds()/sessions),
+			secs2(agg.TotalStall().Seconds()/sessions),
 		)
 	}
 	return t

@@ -34,7 +34,7 @@ func FigTimeline(p Params) *Table {
 		Notes:  fmt.Sprintf("from the obs timeline: %s", agg.Obs.Summary())}
 	rep := timelineReport(agg)
 	if rep == nil {
-		t.AddRow("no telemetry collected", "-", "-", "-", "-", "-", "-")
+		t.AddRow(label("no telemetry collected"), Cell{}, Cell{}, Cell{}, Cell{}, Cell{}, Cell{})
 		return t
 	}
 
@@ -96,22 +96,21 @@ func FigTimeline(p Params) *Table {
 		} else {
 			b.quality = quality
 		}
-		q := "-"
+		var q, rebuf Cell
 		if b.quality >= 0 {
-			q = fmt.Sprintf("L%d", b.quality)
+			q = label(fmt.Sprintf("L%d", b.quality))
 		}
-		rebuf := "-"
 		if b.rebufMs > 0 {
-			rebuf = fmt.Sprintf("%.1fs", b.rebufMs/1000)
+			rebuf = secs1(b.rebufMs / 1000)
 		}
 		t.AddRow(
-			fmt.Sprintf("%ds", i*int(timelineBucket/time.Second)),
+			label(fmt.Sprintf("%ds", i*int(timelineBucket/time.Second))),
 			q,
-			fmt.Sprintf("%d", b.done),
-			fmt.Sprintf("%d KB", b.lossBytes/1000),
+			num(b.done),
+			kbytes(b.lossBytes),
 			rebuf,
-			fmt.Sprintf("%d", b.abandons),
-			fmt.Sprintf("%d", b.events),
+			num(b.abandons),
+			num(b.events),
 		)
 	}
 	return t
